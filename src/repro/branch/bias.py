@@ -15,6 +15,7 @@ bias is demoted and its run restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.errors import ConfigError
 
@@ -33,7 +34,9 @@ class BiasTable:
     32KB-predictor budget).
 
     Being tagless, distinct branches may alias an entry; that mirrors
-    the hardware cost constraint rather than idealizing it.
+    the hardware cost constraint rather than idealizing it. Entries are
+    created on the first recorded outcome at their index; an untouched
+    index reads as direction False, run 0, not promoted.
     """
 
     def __init__(self, entries: int = 8192,
@@ -45,16 +48,16 @@ class BiasTable:
         self.entries = entries
         self.threshold = threshold
         self._mask = entries - 1
-        self._table = [_BiasEntry() for _ in range(entries)]
+        self._table: List[Optional[_BiasEntry]] = [None] * entries
         self.promotions = 0
         self.demotions = 0
 
-    def _entry(self, pc: int) -> _BiasEntry:
-        return self._table[(pc >> 2) & self._mask]
-
     def record(self, pc: int, taken: bool) -> None:
         """Record a committed outcome for the branch at *pc*."""
-        entry = self._entry(pc)
+        index = (pc >> 2) & self._mask
+        entry = self._table[index]
+        if entry is None:
+            entry = self._table[index] = _BiasEntry()
         if entry.run and taken == entry.direction:
             entry.run += 1
             if not entry.promoted and entry.run >= self.threshold:
@@ -71,15 +74,17 @@ class BiasTable:
                 self.promotions += 1
 
     def is_promoted(self, pc: int) -> bool:
-        return self._entry(pc).promoted
+        entry = self._table[(pc >> 2) & self._mask]
+        return entry is not None and entry.promoted
 
     def promoted_direction(self, pc: int) -> bool:
         """Static direction for a promoted branch (undefined for an
         unpromoted one; callers must check :meth:`is_promoted`)."""
-        return self._entry(pc).direction
+        entry = self._table[(pc >> 2) & self._mask]
+        return entry is not None and entry.direction
 
     def reset(self) -> None:
-        self._table = [_BiasEntry() for _ in range(self.entries)]
+        self._table = [None] * self.entries
         self.promotions = 0
         self.demotions = 0
 

@@ -237,11 +237,22 @@ class Engine:
         replay = self.replay
         if replay is not None and not replay.run_eligible(state):
             replay = None
+        # The hook chains, built once per run: a stage joins a hook's
+        # chain only if its class overrides that hook. Fetch has no
+        # per-instruction work, so the per-instruction chain is rename
+        # -> fill plus any appended observer stages.
+        begin_group = [stage.begin_group for stage in stages
+                       if stage.overrides("begin_group")]
+        chain = [stage.process for stage in stages
+                 if stage.overrides("process")]
+        end_group = [stage.end_group for stage in stages
+                     if stage.overrides("end_group")]
         for stage in stages:
             stage.begin_run(state)
-        while state.index < state.n:
-            for stage in stages:
-                stage.begin_group(state)
+        retire_cycles = state.retire_cycles
+        while state.index < n:
+            for hook in begin_group:
+                hook(state)
             group = state.group
             assert group is not None
             if not group.entries:   # defensive; not seen on real traces
@@ -250,13 +261,12 @@ class Engine:
             if replay is not None and replay.on_group(state):
                 state.index += group.consumed
                 continue
-            retire_cycles = state.retire_cycles
             for entry in group.entries:
-                slot = InstrSlot(entry=entry, seq=len(retire_cycles))
-                for stage in stages:
-                    stage.process(state, slot)
-            for stage in stages:
-                stage.end_group(state)
+                slot = InstrSlot(entry, len(retire_cycles))
+                for process in chain:
+                    process(state, slot)
+            for hook in end_group:
+                hook(state)
             if replay is not None:
                 replay.after_group(state)
             state.index += group.consumed

@@ -72,7 +72,6 @@ from repro.core.clusters import (
 from repro.core.rename import RenameUnit, RetireUnit
 from repro.core.stages.base import FetchGroup, MachineState, MetricBlock
 from repro.errors import ReplayMismatchError
-from repro.isa.opcodes import OpClass
 
 if TYPE_CHECKING:
     from repro.core.engine import Engine
@@ -287,21 +286,13 @@ def _segment_static(entries: Sequence[Any]
     regs = set()
     kinds: List[int] = []
     for entry in entries:
-        instr = entry.instr
-        regs.update(instr.sources())
-        dest = instr.dest()
-        if dest is not None:
-            regs.add(dest)
-        opclass = instr.opclass
-        if opclass is OpClass.LOAD or opclass is OpClass.STORE:
-            addr_regs, value_reg = instr.mem_split()
-            regs.update(addr_regs)
-            if value_reg is not None:
-                regs.add(value_reg)
-            kinds.append(1 if opclass is OpClass.LOAD else 2)
-        else:
-            kinds.append(0)
-    regs.discard(0)
+        decoded = entry.decoded
+        regs.update(decoded.sources)
+        regs.update(reg for reg, _is_data in decoded.operands)
+        if decoded.dest is not None:
+            regs.add(decoded.dest)
+        kinds.append(1 if decoded.is_load else 2 if decoded.is_store
+                     else 0)
     return tuple(sorted(regs)), tuple(kinds)
 
 
@@ -846,7 +837,7 @@ class ReplayController:
             if entry.phantom:
                 continue
             rec = entry.record
-            if rec.instr.is_cond_branch():
+            if rec.instr.decoded.is_cond_branch:
                 predictor.record_outcome(rec.pc, rec.taken)
             if fill_unit is not None:
                 fill_unit.retire(rec, record.retire[k] + base)

@@ -30,20 +30,29 @@ from repro.core.results import SimResult
 from repro.telemetry.registry import TelemetryRegistry
 
 
-@dataclass
 class FetchEntry:
     """One instruction of a fetch group, ready for rename."""
 
-    record: Any             # CommittedInstr (None for phantoms)
-    instr: Any              # possibly the TC's transformed copy
-    slot: int               # issue slot -> functional unit
-    from_tc: bool
-    mispredicted: bool = False
-    promoted: bool = False
-    #: a predicated instruction whose guard failed on the actual path:
-    #: it issues and executes (writing back its old value) but matches
-    #: no committed record.
-    phantom: bool = False
+    __slots__ = ("record", "instr", "decoded", "slot", "from_tc",
+                 "mispredicted", "promoted", "phantom")
+
+    def __init__(self, record: Any, instr: Any, slot: int, from_tc: bool,
+                 phantom: bool = False) -> None:
+        #: CommittedInstr (None for phantoms)
+        self.record = record
+        #: possibly the TC's transformed copy
+        self.instr = instr
+        #: *instr*'s decoded record (see :mod:`repro.isa.decoded`)
+        self.decoded = instr.decoded
+        #: issue slot -> functional unit
+        self.slot = slot
+        self.from_tc = from_tc
+        self.mispredicted = False
+        self.promoted = False
+        #: a predicated instruction whose guard failed on the actual
+        #: path: it issues and executes (writing back its old value)
+        #: but matches no committed record.
+        self.phantom = phantom
 
 
 @dataclass
@@ -79,28 +88,33 @@ class FetchGroup:
     segment: Optional[Any] = None
 
 
-@dataclass
 class InstrSlot:
     """One instruction's trip through the per-instruction stages."""
 
-    entry: FetchEntry
-    #: committed-stream sequence number at entry (== retired count)
-    seq: int
-    is_branch: bool = False
-    renamed: int = 0
-    #: set once a stage has produced the completion cycle (rename for
-    #: marked moves, issue for NOPs, execute for everything else)
-    executed: bool = False
-    complete: int = 0
-    #: last-arriving source paid the cross-cluster bypass penalty
-    penalized: bool = False
-    #: executing cluster (issue stage; slot-wired)
-    cluster: int = 0
-    #: FU issue cycle (issue stage)
-    exec_start: int = 0
-    #: store-data readiness, joins in the store queue (issue stage)
-    data_ready: int = 0
-    retire_cycle: int = 0
+    __slots__ = ("entry", "seq", "is_branch", "renamed", "executed",
+                 "complete", "penalized", "cluster", "exec_start",
+                 "data_ready", "retire_cycle")
+
+    def __init__(self, entry: FetchEntry, seq: int) -> None:
+        self.entry = entry
+        #: committed-stream sequence number at entry (== retired count)
+        self.seq = seq
+        self.is_branch = False
+        self.renamed = 0
+        #: set once a stage has produced the completion cycle (rename
+        #: for marked moves, issue for NOPs, execute for everything
+        #: else)
+        self.executed = False
+        self.complete = 0
+        #: last-arriving source paid the cross-cluster bypass penalty
+        self.penalized = False
+        #: executing cluster (issue stage; slot-wired)
+        self.cluster = 0
+        #: FU issue cycle (issue stage)
+        self.exec_start = 0
+        #: store-data readiness, joins in the store queue (issue stage)
+        self.data_ready = 0
+        self.retire_cycle = 0
 
 
 @dataclass
@@ -150,9 +164,17 @@ class PipelineStage:
     ``finish_run`` receives ``state=None`` for an empty trace (no
     group was ever formed); stages must derive their result-counter
     contributions from their own components, not from the state.
+
+    The engine builds its hook chains once per run and drives only the
+    stages whose class overrides a hook (see :meth:`overrides`), so a
+    stage without a ``process`` drops out of the per-instruction chain.
     """
 
     name = "stage"
+
+    def overrides(self, hook: str) -> bool:
+        """Whether this stage's class overrides the *hook* method."""
+        return getattr(type(self), hook) is not getattr(PipelineStage, hook)
 
     def begin_run(self, state: MachineState) -> None:
         """Capture run-scoped configuration before the first group."""

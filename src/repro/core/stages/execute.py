@@ -23,7 +23,6 @@ from repro.core.stages.base import (
     MetricBlock,
     PipelineStage,
 )
-from repro.isa.opcodes import OpClass
 from repro.telemetry.registry import TelemetryRegistry
 
 _SCOPES = {
@@ -39,31 +38,29 @@ class ExecuteStage(PipelineStage):
     def __init__(self, memsched: Any,
                  registry: TelemetryRegistry) -> None:
         self.memsched = memsched
-        self._m = MetricBlock(registry, _SCOPES)
+        self._m = m = MetricBlock(registry, _SCOPES)
+        self._phantoms = m.phantoms
         self._registry = registry
 
     def process(self, state: MachineState, slot: InstrSlot) -> None:
         entry = slot.entry
         if not slot.executed:
-            instr = entry.instr
-            opclass = instr.opclass
-            if opclass is OpClass.LOAD:
-                agen_done = slot.exec_start + 1
+            decoded = entry.decoded
+            if decoded.is_load:
                 complete = self.memsched.load_timing(
-                    entry.record.mem_addr, agen_done)
-            elif opclass is OpClass.STORE:
-                agen_done = slot.exec_start + 1
+                    entry.record.mem_addr, slot.exec_start + 1)
+            elif decoded.is_store:
                 complete = self.memsched.store_timing(
-                    entry.record.mem_addr, agen_done, slot.data_ready)
+                    entry.record.mem_addr, slot.exec_start + 1,
+                    slot.data_ready)
             else:
-                complete = slot.exec_start + instr.info.latency
-            dest = instr.dest()
-            if dest is not None:
-                state.reg_ready[dest] = (complete, slot.cluster)
+                complete = slot.exec_start + decoded.latency
+            if decoded.dest is not None:
+                state.reg_ready[decoded.dest] = (complete, slot.cluster)
             slot.complete = complete
             slot.executed = True
         if entry.phantom:
-            self._m.phantoms.add()
+            self._phantoms.value += 1
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:

@@ -17,7 +17,6 @@ from repro.core.results import SimResult
 from repro.core.stages.base import (
     FetchEntry,
     FetchGroup,
-    InstrSlot,
     MachineState,
     MetricBlock,
     PipelineStage,
@@ -52,7 +51,13 @@ class FetchStage(PipelineStage):
         self.fill_unit = fill_unit
         self.events = events
         self._ic_line_mask = ~(config.hierarchy.l1i_line - 1)
-        self._m = MetricBlock(registry, _SCOPES)
+        self._m = m = MetricBlock(registry, _SCOPES)
+        self._tc_instrs = m.tc_instrs
+        self._ic_instrs = m.ic_instrs
+        self._cov_moves = m.cov_moves
+        self._cov_reassoc = m.cov_reassoc
+        self._cov_scaled = m.cov_scaled
+        self._cov_any = m.cov_any
         self._group_size = registry.histogram("fetch.group.size")
         self._registry = registry
 
@@ -62,7 +67,7 @@ class FetchStage(PipelineStage):
 
     def begin_group(self, state: MachineState) -> None:
         requested = state.fetch_ready
-        entries, fetch_cycle, segment = self._fetch_group(
+        entries, fetch_cycle, segment, consumed = self._fetch_group(
             state.records, state.index, state.fetch_ready)
         group = FetchGroup(entries=entries, fetch_cycle=fetch_cycle,
                            segment=segment)
@@ -73,29 +78,23 @@ class FetchStage(PipelineStage):
         group.recovery = state.pending_recovery
         group.serialize = state.pending_serialize
         group.next_fetch = fetch_cycle + 1
-        group.consumed = sum(1 for e in entries if not e.phantom)
+        group.consumed = consumed
         self._group_size.observe(len(entries))
-
-    def process(self, state: MachineState, slot: InstrSlot) -> None:
-        """Per-instruction fetch-source accounting (coverage)."""
-        entry = slot.entry
-        if entry.phantom:
+        # Fetch-source accounting (coverage) over the consumed entries.
+        if segment is None:
+            self._ic_instrs.value += consumed
             return
-        m = self._m
-        if entry.from_tc:
-            m.tc_instrs.add()
-            instr = entry.instr
-            if instr.move_flag:
-                m.cov_moves.add()
-            if instr.reassociated:
-                m.cov_reassoc.add()
-            if instr.scale is not None:
-                m.cov_scaled.add()
-            if (instr.move_flag or instr.reassociated
-                    or instr.scale is not None):
-                m.cov_any.add()
-        else:
-            m.ic_instrs.add()
+        self._tc_instrs.value += consumed
+        for entry in entries:
+            decoded = entry.decoded
+            if decoded.optimized and not entry.phantom:
+                self._cov_any.value += 1
+                if decoded.move:
+                    self._cov_moves.value += 1
+                if decoded.reassociated:
+                    self._cov_reassoc.value += 1
+                if decoded.scaled:
+                    self._cov_scaled.value += 1
 
     def end_group(self, state: MachineState) -> None:
         """Sequence the next group: serialization drains and the
@@ -114,12 +113,13 @@ class FetchStage(PipelineStage):
     # ------------------------------------------------------------------
 
     def _fetch_group(self, records: List[Any], start: int, cycle: int
-                     ) -> Tuple[List[FetchEntry], int, Optional[Any]]:
+                     ) -> Tuple[List[FetchEntry], int, Optional[Any], int]:
         """Assemble one fetch group starting at stream index *start*.
 
-        Returns ``(entries, fetch_cycle, segment)``; ``len(entries)``
-        stream records were consumed, and *segment* is the trace-cache
-        segment the group came from (None on the I-cache path).
+        Returns ``(entries, fetch_cycle, segment, consumed)``:
+        *consumed* stream records were consumed (phantom entries
+        consume none), and *segment* is the trace-cache segment the
+        group came from (None on the I-cache path).
         """
         pc = records[start].pc
         if self.trace_cache is not None:
@@ -132,15 +132,15 @@ class FetchStage(PipelineStage):
                 # memory round trip for code that streams through the
                 # TC every cycle.
                 self.hierarchy.l1i.fill(pc)
-                entries, fetch_cycle = self._fetch_from_segment(
-                    segment, records, start, cycle)
-                return entries, fetch_cycle, segment
+                entries, consumed = self._fetch_from_segment(
+                    segment, records, start)
+                return entries, cycle, segment, consumed
             assert self.fill_unit is not None
             self.fill_unit.note_fetch_miss(pc)
             self.events.emit(FETCH_MISFETCH, cycle, pc=pc)
         entries, fetch_cycle = self._fetch_from_icache(records, start,
                                                        cycle)
-        return entries, fetch_cycle, None
+        return entries, fetch_cycle, None, len(entries)
 
     def _path_chooser(self, segment: Any) -> int:
         """Way-selection score for path-associative lookup.
@@ -157,18 +157,19 @@ class FetchStage(PipelineStage):
                 agree = int(self.predictor.predict_cond(info.pc, 0)
                             == info.direction)
                 break
-        if agree and any(instr.guard is not None
-                         for instr in segment.instrs):
+        if agree and segment.predicated:
             return 2
         return agree
 
     def _fetch_from_segment(self, segment: Any, records: List[Any],
-                            start: int, cycle: int
-                            ) -> Tuple[List[FetchEntry], int]:
+                            start: int) -> Tuple[List[FetchEntry], int]:
         """Consume the leading portion of *segment* that matches the
-        actual path; all of it issues this cycle (inactive issue)."""
+        actual path; all of it issues this cycle (inactive issue).
+        Returns ``(entries, consumed)``."""
         entries: List[FetchEntry] = []
-        branch_at = {b.index: b for b in segment.branches}
+        branch_at = segment.branch_at
+        slots = segment.slots
+        predictor = self.predictor
         position = 0        # unpromoted-branch predictor slot
         consumed = 0
         n = len(records)
@@ -182,30 +183,29 @@ class FetchStage(PipelineStage):
                     # Predicated instruction skipped on the actual path:
                     # it still issues (guard false, old value kept) but
                     # consumes no committed record.
-                    entries.append(FetchEntry(
-                        None, instr, segment.slots[logical],
-                        from_tc=True, phantom=True))
+                    entries.append(FetchEntry(None, instr, slots[logical],
+                                              True, phantom=True))
                     continue
                 break       # segment path diverges from the actual path
-            entry = FetchEntry(record, instr, segment.slots[logical],
-                               from_tc=True)
+            entry = FetchEntry(record, instr, slots[logical], True)
             entries.append(entry)
             consumed += 1
-            if instr.is_cond_branch():
+            decoded = entry.decoded
+            if decoded.is_cond_branch:
                 info = branch_at.get(logical)
                 if info is not None and info.promoted:
                     entry.promoted = True
                     predicted = info.direction
                 else:
-                    predicted = self.predictor.predict_cond(record.pc,
-                                                            position)
-                    self.predictor.update_cond(record.pc, position,
-                                               record.taken)
+                    predicted = predictor.predict_cond(record.pc, position)
+                    predictor.update_cond(record.pc, position,
+                                          record.taken)
                     position += 1
                 entry.mispredicted = predicted != record.taken
-            else:
-                self._handle_unconditional(entry)
-        return entries, cycle
+            elif decoded.is_call or decoded.is_indirect \
+                    or decoded.is_return:
+                self._handle_unconditional(entry, decoded)
+        return entries, consumed
 
     def _fetch_from_icache(self, records: List[Any], start: int,
                            cycle: int) -> Tuple[List[FetchEntry], int]:
@@ -214,29 +214,30 @@ class FetchStage(PipelineStage):
         extra = self.hierarchy.fetch_instr(pc)
         fetch_cycle = cycle + extra
         entries: List[FetchEntry] = []
-        line = pc & self._ic_line_mask
+        line_mask = self._ic_line_mask
+        line = pc & line_mask
+        predictor = self.predictor
+        width = self.config.ic_fetch_width
         cond_count = 0
         n = len(records)
-        while (len(entries) < self.config.ic_fetch_width
-               and start + len(entries) < n):
+        prev = None
+        while len(entries) < width and start + len(entries) < n:
             record = records[start + len(entries)]
-            instr = record.instr
-            if entries:
-                prev = entries[-1].record
+            if prev is not None:
                 if record.pc != prev.pc + 4:
                     break   # previous instruction transferred control
-                if record.pc & self._ic_line_mask != line:
+                if record.pc & line_mask != line:
                     break   # crossed the cache line
-            if instr.is_cond_branch() and cond_count >= \
-                    self.predictor.max_dynamic_branches:
+            decoded = record.instr.decoded
+            if decoded.is_cond_branch and cond_count >= \
+                    predictor.max_dynamic_branches:
                 break
-            entry = FetchEntry(record, instr, len(entries), from_tc=False)
+            entry = FetchEntry(record, record.instr, len(entries), False)
             entries.append(entry)
-            if instr.is_cond_branch():
-                predicted = self.predictor.predict_cond(record.pc,
-                                                        cond_count)
-                self.predictor.update_cond(record.pc, cond_count,
-                                           record.taken)
+            prev = record
+            if decoded.is_cond_branch:
+                predicted = predictor.predict_cond(record.pc, cond_count)
+                predictor.update_cond(record.pc, cond_count, record.taken)
                 cond_count += 1
                 entry.mispredicted = predicted != record.taken
                 if entry.mispredicted:
@@ -244,22 +245,25 @@ class FetchStage(PipelineStage):
                 if record.taken:
                     break   # fetch ends at a taken branch
             else:
-                self._handle_unconditional(entry)
+                if decoded.is_call or decoded.is_indirect \
+                        or decoded.is_return:
+                    self._handle_unconditional(entry, decoded)
                 if record.next_pc != record.pc + 4:
                     break   # taken jump/call/return ends the group
-            if instr.is_serializing():
+            if decoded.is_serializing:
                 break
         return entries, fetch_cycle
 
-    def _handle_unconditional(self, entry: FetchEntry) -> None:
-        """RAS/BTB maintenance and indirect-target checking."""
-        instr = entry.instr
+    def _handle_unconditional(self, entry: FetchEntry,
+                              decoded: Any) -> None:
+        """RAS/BTB maintenance and indirect-target checking for a call,
+        indirect jump or return."""
         record = entry.record
-        if instr.is_call():
+        if decoded.is_call:
             self.predictor.note_call(record.pc + 4)
-        if instr.is_indirect() or instr.is_return():
+        if decoded.is_indirect or decoded.is_return:
             predicted = self.predictor.predict_indirect(
-                record.pc, instr.is_return())
+                record.pc, decoded.is_return)
             if predicted != record.next_pc:
                 entry.mispredicted = True
             self.predictor.train_indirect(record.pc, record.next_pc)

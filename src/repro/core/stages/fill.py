@@ -31,10 +31,10 @@ class FillStage(PipelineStage):
         self._registry = registry
 
     def process(self, state: MachineState, slot: InstrSlot) -> None:
-        if slot.entry.phantom:
+        entry = slot.entry
+        if entry.phantom or self.fill_unit is None:
             return
-        if self.fill_unit is not None:
-            self.fill_unit.retire(slot.entry.record, slot.retire_cycle)
+        self.fill_unit.retire(entry.record, slot.retire_cycle)
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:

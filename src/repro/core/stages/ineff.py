@@ -47,7 +47,7 @@ _SYSCALL_USES = (2, 4)
 
 def _uses(instr: Instruction) -> tuple:
     return (_SYSCALL_USES if instr.op is Op.SYSCALL
-            else instr.sources())
+            else instr.decoded.sources)
 
 
 class IneffectualityLog:

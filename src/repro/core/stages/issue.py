@@ -13,7 +13,7 @@ they complete here at their rename cycle.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional
 
 from repro.core.config import SimConfig
 from repro.core.results import SimResult
@@ -23,7 +23,6 @@ from repro.core.stages.base import (
     MetricBlock,
     PipelineStage,
 )
-from repro.isa.opcodes import OpClass
 from repro.telemetry.registry import TelemetryRegistry
 
 _SCOPES = {
@@ -43,68 +42,71 @@ class IssueStage(PipelineStage):
         self.rs = rs
         self.bypass = bypass
         self.cluster_size = config.cluster_size
-        self._m = MetricBlock(registry, _SCOPES)
+        self.penalty = bypass.penalty
+        self._m = m = MetricBlock(registry, _SCOPES)
+        self._bypass_delayed = m.bypass_delayed
+        self._exec_with_sources = m.exec_with_sources
         self._registry = registry
 
     def process(self, state: MachineState, slot: InstrSlot) -> None:
         if slot.executed:
             return              # completed in rename (marked move)
-        instr = slot.entry.instr
-        if instr.opclass is OpClass.NOP:
-            slot.complete = slot.renamed
+        entry = slot.entry
+        decoded = entry.decoded
+        renamed = slot.renamed
+        if decoded.is_nop:
+            slot.complete = renamed
             slot.penalized = False
             slot.executed = True
             return
-        fu = slot.entry.slot
+        fu = entry.slot
         cluster = fu // self.cluster_size
         slot.cluster = cluster
-        bypass = self.bypass
-
-        is_store = instr.is_store()
-        roles: List[Tuple[int, str]]
-        if instr.is_mem():
-            addr_regs, value_reg = instr.mem_split()
-            roles = [(reg, "addr") for reg in addr_regs]
-            if value_reg is not None:
-                roles.append((value_reg, "data"))
-        else:
-            roles = [(reg, "addr") for reg in instr.sources()]
 
         dispatch_ready = 0      # all operands (last-arriving source)
         agen_ready = 0          # address operands only (store AGEN)
         data_ready = 0          # store-data path, joins in store queue
         last_penalized = False
-        saw_source = False
-        reg_ready = state.reg_ready
-        for reg, role in roles:
-            if reg == 0:
-                continue
-            ready, producer_cluster = reg_ready[reg]
-            effective = bypass.effective_ready(ready, producer_cluster,
-                                               cluster)
-            penalized = effective != ready
-            saw_source = True
-            if role == "data":
-                if effective > data_ready:
-                    data_ready = effective
-            elif effective > agen_ready:
-                agen_ready = effective
-            if effective > dispatch_ready:
-                dispatch_ready = effective
-                last_penalized = penalized
-            elif effective == dispatch_ready and penalized:
-                last_penalized = True
-        if saw_source:
-            self._m.exec_with_sources.add()
+        operands = decoded.operands
+        if operands:
+            reg_ready = state.reg_ready
+            penalty = self.penalty
+            crossings = 0
+            for reg, is_data in operands:
+                ready, producer_cluster = reg_ready[reg]
+                # The bypass network: a value produced in another
+                # cluster arrives ``penalty`` cycles late; values that
+                # predate the window (no producer) are everywhere.
+                if producer_cluster is None \
+                        or producer_cluster == cluster:
+                    effective = ready
+                    penalized = False
+                else:
+                    crossings += 1
+                    effective = ready + penalty
+                    penalized = effective != ready
+                if is_data:
+                    if effective > data_ready:
+                        data_ready = effective
+                elif effective > agen_ready:
+                    agen_ready = effective
+                if effective > dispatch_ready:
+                    dispatch_ready = effective
+                    last_penalized = penalized
+                elif effective == dispatch_ready and penalized:
+                    last_penalized = True
+            self.bypass.crossings += crossings
+            self._exec_with_sources.value += 1
             if last_penalized:
-                self._m.bypass_delayed.add()
+                self._bypass_delayed.value += 1
 
-        rs_free = self.rs.admit(fu, slot.renamed)
-        earliest = max(slot.renamed + 1,
-                       agen_ready if is_store else dispatch_ready,
+        rs = self.rs
+        rs_free = rs.admit(fu, renamed)
+        earliest = max(renamed + 1,
+                       agen_ready if decoded.is_store else dispatch_ready,
                        rs_free)
         exec_start = self.fus.reserve(fu, earliest)
-        self.rs.occupy(fu, exec_start)
+        rs.occupy(fu, exec_start)
         slot.exec_start = exec_start
         slot.data_ready = data_ready
         slot.penalized = last_penalized

@@ -9,7 +9,7 @@ consumed (the paper's §4.2 mechanism).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.core.config import SimConfig
 from repro.core.results import SimResult
@@ -21,6 +21,10 @@ from repro.core.stages.base import (
 )
 from repro.telemetry.events import CHECKPOINT_REPAIR
 from repro.telemetry.registry import TelemetryRegistry
+
+#: scoreboard entry of a value that predates the window (or register
+#: zero): ready at cycle 0, available in every cluster
+_ARCHITECTED: Tuple[int, Optional[int]] = (0, None)
 
 _SCOPES = {
     "checkpoint_stalls": "rename.checkpoint.stalls",
@@ -40,58 +44,50 @@ class RenameStage(PipelineStage):
         self.checkpoints = checkpoints
         self.events = events
         self.window = config.window_size
-        self._m = MetricBlock(registry, _SCOPES)
+        self._m = m = MetricBlock(registry, _SCOPES)
+        self._checkpoint_stalls = m.checkpoint_stalls
+        self._moves_eliminated = m.moves_eliminated
         self._registry = registry
 
     def process(self, state: MachineState, slot: InstrSlot) -> None:
         entry = slot.entry
-        record = entry.record
-        instr = entry.instr
+        decoded = entry.decoded
         group = state.group
         assert group is not None
         fetch_cycle = group.fetch_cycle
         seq = slot.seq
-        window_release = (state.retire_cycles[seq - self.window]
-                          if seq >= self.window else 0)
-        is_branch = bool(instr.is_cond_branch())
+        window = self.window
+        window_release = (state.retire_cycles[seq - window]
+                          if seq >= window else 0)
+        is_branch = decoded.is_cond_branch
         slot.is_branch = is_branch
-        checkpoint_free = (self.checkpoints.acquire(fetch_cycle + 1)
-                           if is_branch else 0)
-        if checkpoint_free > fetch_cycle + 1:
-            self._m.checkpoint_stalls.add()
-            self.events.emit(CHECKPOINT_REPAIR, fetch_cycle,
-                             pc=record.pc if record else 0,
-                             resume=checkpoint_free)
-        slot.renamed = self.rename_unit.rename(
-            fetch_cycle, is_branch, window_release,
-            not_before=checkpoint_free)
-        if entry.phantom:
-            # Phantoms issue and execute downstream; nothing more here.
-            return
-        if instr.move_flag:
-            slot.complete = self._execute_move(instr, slot.renamed,
-                                               state.reg_ready)
+        checkpoint_free = 0
+        if is_branch:
+            checkpoint_free = self.checkpoints.acquire(fetch_cycle + 1)
+            if checkpoint_free > fetch_cycle + 1:
+                self._checkpoint_stalls.value += 1
+                record = entry.record
+                self.events.emit(CHECKPOINT_REPAIR, fetch_cycle,
+                                 pc=record.pc if record else 0,
+                                 resume=checkpoint_free)
+        renamed = self.rename_unit.rename(fetch_cycle, is_branch,
+                                          window_release, checkpoint_free)
+        slot.renamed = renamed
+        if decoded.move and not entry.phantom:
+            # A marked register move completes in rename: the
+            # destination inherits the source's tag — same availability
+            # time, same producing cluster — and no functional unit or
+            # reservation station is consumed. (Phantoms issue and
+            # execute downstream instead.)
+            reg_ready = state.reg_ready
+            src = decoded.move_src
+            ready = reg_ready[src] if src is not None else _ARCHITECTED
+            if decoded.dest is not None:
+                reg_ready[decoded.dest] = ready
+            slot.complete = max(renamed, ready[0])
             slot.penalized = False
             slot.executed = True
-            self._m.moves_eliminated.add()
-
-    def _execute_move(self, instr: Any, renamed: int,
-                      reg_ready: List[Tuple[int, Optional[int]]]) -> int:
-        """A marked register move: completed by the rename logic.
-
-        The destination inherits the source's tag — same availability
-        time, same producing cluster — and no functional unit or
-        reservation station is consumed.
-        """
-        sources = instr.sources()
-        if sources and sources[0] != 0:
-            ready = reg_ready[sources[0]]
-        else:
-            ready = (0, None)
-        dest = instr.dest()
-        if dest is not None:
-            reg_ready[dest] = ready
-        return max(renamed, ready[0])
+            self._moves_eliminated.value += 1
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:

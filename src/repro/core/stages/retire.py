@@ -48,7 +48,13 @@ class RetireStage(PipelineStage):
         self.events = events
         self.redirect = config.mispredict_redirect
         self.extra_is_tc_miss = extra_is_tc_miss
-        self._m = MetricBlock(registry, _SCOPES)
+        self._m = m = MetricBlock(registry, _SCOPES)
+        self._cond_branches = m.cond_branches
+        self._mispredicts = m.mispredicts
+        self._promoted_fetches = m.promoted_fetches
+        self._promoted_mispredicts = m.promoted_mispredicts
+        self._indirect_mispredicts = m.indirect_mispredicts
+        self._predicated_branches = m.predicated_branches
 
     def process(self, state: MachineState, slot: InstrSlot) -> None:
         entry = slot.entry
@@ -57,17 +63,17 @@ class RetireStage(PipelineStage):
         group = state.group
         assert group is not None
         record = entry.record
-        instr = entry.instr
-        m = self._m
+        decoded = entry.decoded
+        complete = slot.complete
 
-        retire_cycle = self.retire_unit.retire(slot.complete)
+        retire_cycle = self.retire_unit.retire(complete)
         state.retire_cycles.append(retire_cycle)
         slot.retire_cycle = retire_cycle
         if state.accountant is not None:
             # Group-level delays are debited once, on the group's
             # first retiring instruction.
             state.accountant.on_retire(
-                group.fetch_cycle, slot.complete, retire_cycle,
+                group.fetch_cycle, complete, retire_cycle,
                 recovery=group.recovery,
                 fetch_extra=group.fetch_extra,
                 extra_is_tc_miss=self.extra_is_tc_miss,
@@ -78,9 +84,9 @@ class RetireStage(PipelineStage):
             group.fetch_extra = 0
         if state.want_payload:
             payload = dict(
-                seq=slot.seq, pc=record.pc, op=instr.op.value,
+                seq=slot.seq, pc=record.pc, op=entry.instr.op.value,
                 fetch=group.fetch_cycle, rename=slot.renamed,
-                complete=slot.complete, retire=retire_cycle,
+                complete=complete, retire=retire_cycle,
                 slot=entry.slot, from_tc=entry.from_tc,
                 mispredicted=entry.mispredicted)
             if state.timing_hook is not None:
@@ -88,44 +94,44 @@ class RetireStage(PipelineStage):
             if state.emit_retired:
                 self.events.emit(INSTR_RETIRED, retire_cycle, **payload)
 
-        arch_instr = record.instr
-        if arch_instr.is_cond_branch():
-            m.cond_branches.add()
+        # Branch accounting follows the architected instruction, which
+        # the segment may carry predicated away (as a NOP).
+        arch_cond_branch = record.instr.decoded.is_cond_branch
+        if arch_cond_branch:
+            self._cond_branches.value += 1
             # The bias table keeps learning from the architected
-            # branch even when the segment carries it predicated
-            # away (as a NOP).
+            # branch even when the segment carries it predicated away.
             self.predictor.record_outcome(record.pc, record.taken)
-            if instr.guard is None and not instr.is_cond_branch():
-                m.predicated_branches.add()
+            if not decoded.guarded and not decoded.is_cond_branch:
+                self._predicated_branches.value += 1
             if entry.promoted:
-                m.promoted_fetches.add()
+                self._promoted_fetches.value += 1
                 if entry.mispredicted:
-                    m.promoted_mispredicts.add()
+                    self._promoted_mispredicts.value += 1
             if entry.mispredicted:
-                m.mispredicts.add()
-                self.events.emit(BRANCH_MISPREDICT, slot.complete,
+                self._mispredicts.value += 1
+                self.events.emit(BRANCH_MISPREDICT, complete,
                                  pc=record.pc, taken=record.taken,
                                  promoted=entry.promoted,
                                  indirect=False)
         elif entry.mispredicted:
-            m.indirect_mispredicts.add()
-            self.events.emit(BRANCH_MISPREDICT, slot.complete,
+            self._indirect_mispredicts.value += 1
+            self.events.emit(BRANCH_MISPREDICT, complete,
                              pc=record.pc, taken=True,
                              promoted=False, indirect=True)
 
         if slot.is_branch:
-            self.checkpoints.commit(slot.complete)
+            self.checkpoints.commit(complete)
         if entry.mispredicted:
-            resume = slot.complete + self.redirect
+            resume = complete + self.redirect
             if resume > group.next_fetch:
                 group.recovery_bump += resume - group.next_fetch
                 group.next_fetch = resume
-            if state.wrong_path is not None \
-                    and arch_instr.is_cond_branch():
+            if state.wrong_path is not None and arch_cond_branch:
                 state.wrong_path.pollute(
                     state.wrong_path.wrong_target(record),
-                    max(0, slot.complete - group.fetch_cycle))
-        if instr.is_serializing():
+                    max(0, complete - group.fetch_cycle))
+        if decoded.is_serializing:
             group.serialize_after = retire_cycle
 
     def finish_run(self, state: Optional[MachineState],

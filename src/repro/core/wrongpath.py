@@ -21,6 +21,7 @@ second-order next to the cache pollution).
 from __future__ import annotations
 
 from repro.cache.hierarchy import MemoryHierarchy
+from repro.isa.opcodes import Op
 from repro.program.image import Program
 
 
@@ -70,11 +71,12 @@ class WrongPathFetcher:
             if not self.program.contains_pc(pc):
                 return None
             instr = self.program.instr_at(pc)
+            decoded = instr.decoded
             self.instructions += 1
-            if instr.is_indirect() or instr.is_return() \
-                    or instr.is_serializing():
+            if decoded.is_indirect or decoded.is_return \
+                    or decoded.is_serializing:
                 return None
-            if instr.op.value in ("j", "jal"):
+            if decoded.op is Op.J or decoded.op is Op.JAL:
                 return instr.imm   # follow direct transfers
             # conditional branches fall through on the wrong path (a
             # not-taken static guess; their predictor state is already

@@ -117,32 +117,32 @@ class FillCollector:
     # -- packed mode -----------------------------------------------------
 
     def _add_packed(self, record) -> list:
-        instr = record.instr
+        decoded = record.instr.decoded
         out = []
-        if len(self._pending) and record.pc in self._miss_points:
+        if self._pending.records and record.pc in self._miss_points:
             # Align a fresh segment to an outstanding fetch-miss point.
             del self._miss_points[record.pc]
             out.append(self._finalize())
         promoted = False
-        if instr.is_cond_branch():
+        if decoded.is_cond_branch:
             promoted = self.bias.is_promoted(record.pc)
             if (not promoted
                     and self._pending_unpromoted() >= self.max_cond_branches):
                 out.append(self._finalize())
         self._append(self._pending, record, promoted)
-        if (instr.terminates_segment()
-                or len(self._pending) >= self.max_instrs):
+        if (decoded.terminates_segment
+                or len(self._pending.records) >= self.max_instrs):
             out.append(self._finalize())
         return out
 
     # -- block-granular mode ----------------------------------------------
 
     def _add_block_granular(self, record) -> list:
-        instr = record.instr
-        promoted = (instr.is_cond_branch()
+        decoded = record.instr.decoded
+        promoted = (decoded.is_cond_branch
                     and self.bias.is_promoted(record.pc))
         self._append(self._block, record, promoted)
-        block_done = (instr.is_ctrl() or instr.terminates_segment()
+        block_done = (decoded.is_ctrl or decoded.terminates_segment
                       or len(self._block) >= self.max_instrs)
         if not block_done:
             return []
@@ -153,8 +153,8 @@ class FillCollector:
         if not fits and len(self._pending):
             out.append(self._finalize())
         self._append_block_to_pending()
-        terminal = self._pending.records[-1].instr.terminates_segment()
-        if terminal or len(self._pending) >= self.max_instrs:
+        last = self._pending.records[-1].instr.decoded
+        if last.terminates_segment or len(self._pending) >= self.max_instrs:
             out.append(self._finalize())
         return out
 
@@ -162,17 +162,17 @@ class FillCollector:
 
     def _append(self, target: PendingSegment, record,
                 promoted: bool) -> None:
-        instr = record.instr
+        decoded = record.instr.decoded
         index = len(target.records)
         target.records.append(record)
         target.block_ids.append(self._block_id)
         target.flow_ids.append(self._flow_id)
-        if instr.is_cond_branch():
+        if decoded.is_cond_branch:
             target.branches.append(
                 PendingBranch(index, record.pc, record.taken, promoted))
             self._block_id += 1
             self._flow_id += 1
-        elif instr.is_ctrl():
+        elif decoded.is_ctrl:
             self._flow_id += 1
 
     def _append_block_to_pending(self) -> None:

@@ -157,6 +157,7 @@ class FillUnit:
         self.passes.run(segment, cycle)
         if segment.deps is None:
             segment.deps = mark_dependencies(segment.instrs)
+        segment.seal()
         log = self.opt_site_log
         if log is not None:
             for instr in segment.instrs:
@@ -215,15 +216,14 @@ class FillUnit:
                     index=violation.index, message=violation.message)
 
     def _build(self, candidate: PendingSegment, cycle: int) -> None:
-        resident = self.trace_cache.probe(candidate.start_pc,
-                                          candidate.path_key)
+        path_key = candidate.path_key
+        resident = self.trace_cache.probe(candidate.start_pc, path_key)
         if resident is not None:
             promo = tuple(b.promoted for b in candidate.branches)
             if promo == resident.build_promo:
                 # Identical segment already resident: the rebuild is
                 # redundant; keep the line hot instead of re-optimizing.
-                self.trace_cache.touch(candidate.start_pc,
-                                       candidate.path_key)
+                self.trace_cache.touch(candidate.start_pc, path_key)
                 self.stats.segments_deduped += 1
                 if self.registry is not None:
                     self._m_deduped.add()

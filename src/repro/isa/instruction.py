@@ -14,10 +14,14 @@ information needed by the memory scheduler).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.isa.opcodes import Format, Op, OpClass, OpInfo, op_info
 from repro.isa.registers import ZERO_REG
+
+if TYPE_CHECKING:
+    from repro.isa.decoded import Decoded
 
 #: an operand tuple before ``None`` (unused-slot) filtering.
 _RawRegs = Tuple[Optional[int], ...]
@@ -84,8 +88,17 @@ class Instruction:
 
     def copy(self) -> "Instruction":
         """Return an independent copy (used by the fill unit, which must
-        never mutate the architected program image)."""
+        never mutate the architected program image). The copy starts
+        undecoded."""
         return replace(self)
+
+    @cached_property
+    def decoded(self) -> "Decoded":
+        """This instruction's :class:`~repro.isa.decoded.Decoded`
+        record, built on first read (or assigned when the fill unit
+        seals a segment) and then a plain attribute load."""
+        from repro.isa.decoded import Decoded
+        return Decoded(self)
 
     # ------------------------------------------------------------------
     # Structural queries
@@ -185,10 +198,10 @@ class Instruction:
         return self.sources(), None
 
     # -- control-flow classification ----------------------------------
-    # These run for every instruction in the simulator's hot loops, so
-    # each makes exactly one op_info lookup instead of going through
-    # the ``opclass`` property (whose extra call layers dominate their
-    # cost at this call volume).
+    # The reference definitions behind the decoded record's flags; the
+    # fill unit's passes call them per segment instruction, so each
+    # makes exactly one op_info lookup instead of going through the
+    # ``opclass`` property.
 
     def is_cond_branch(self) -> bool:
         return op_info(self.op).opclass is OpClass.BRANCH

@@ -17,11 +17,14 @@ across the assembler, encoder and executor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.errors import ExecutionError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
+
+if TYPE_CHECKING:
+    from repro.isa.decoded import Decoded
 
 MASK32 = 0xFFFFFFFF
 
@@ -73,13 +76,8 @@ class Effect:
 
 
 ReadReg = Callable[[int], int]
-
-_LOAD_SIZES = {
-    Op.LW: (4, True), Op.LH: (2, True), Op.LHU: (2, False),
-    Op.LB: (1, True), Op.LBU: (1, False),
-    Op.LWX: (4, True), Op.LBX: (1, True),
-}
-_STORE_SIZES = {Op.SW: 4, Op.SH: 2, Op.SB: 1, Op.SWX: 4, Op.SBX: 1}
+#: one opcode's semantics: ``(instr, decoded record, read) -> Effect``
+Handler = Callable[[Instruction, "Decoded", ReadReg], Effect]
 
 
 def _rs_value(instr: Instruction, read: ReadReg) -> int:
@@ -97,63 +95,96 @@ def _rs_value(instr: Instruction, read: ReadReg) -> int:
 def evaluate(instr: Instruction, read: ReadReg) -> Effect:
     """Evaluate *instr* against register values supplied by *read*.
 
+    Dispatch goes through the instruction's decoded record, which
+    carries its opcode's handler (see :func:`semantics_for`).
+
     Raises:
         ExecutionError: for opcodes with no defined semantics (cannot
             happen for instructions produced by the assembler/decoder).
     """
-    op = instr.op
-    pc = instr.pc if instr.pc is not None else 0
-
-    if instr.guard is not None:
+    decoded = instr.decoded
+    guard = instr.guard
+    if guard is not None:
         # Dynamic predication: an inactive guarded instruction keeps
         # its old destination value (conditional-move semantics). The
         # fill unit only guards simple single-destination ALU ops.
-        is_zero = to_s32(read(instr.guard.reg)) == 0
-        if is_zero != instr.guard.execute_if_zero:
-            dest = instr.dest()
+        is_zero = to_s32(read(guard.reg)) == 0
+        if is_zero != guard.execute_if_zero:
+            dest = decoded.dest
             return Effect(dest=dest,
                           value=to_s32(read(dest)) if dest is not None
                           else None)
+    handler: Handler = decoded.semantics
+    return handler(instr, decoded, read)
 
-    if op is Op.NOP:
-        return Effect()
-    if op is Op.HALT:
-        return Effect(halt=True, serialize=True)
-    if op is Op.SYSCALL:
-        return Effect(serialize=True)
 
-    if op in _ALU3:
-        a = _rs_value(instr, read)
-        b = to_s32(read(instr.rt or 0))
-        return Effect(dest=instr.dest(), value=_ALU3[op](a, b))
-    if op in _ALUI:
-        a = _rs_value(instr, read)
-        return Effect(dest=instr.dest(), value=_ALUI[op](a, instr.imm or 0))
-    if op in (Op.SLL, Op.SRL, Op.SRA):
+def semantics_for(op: Op) -> Handler:
+    """The handler :func:`evaluate` dispatches to for *op*; looked up
+    once per instruction, when its decoded record is built."""
+    return _HANDLERS.get(op, _undefined)
+
+
+# -- handlers -----------------------------------------------------------
+
+_NO_EFFECT = Effect()
+_HALT = Effect(halt=True, serialize=True)
+_SERIALIZE = Effect(serialize=True)
+
+
+def _undefined(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
+    raise ExecutionError(f"no semantics for opcode {instr.op.name}")
+
+
+def _alu3(fn: Callable[[int, int], int]) -> Handler:
+    def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
+        return Effect(dest=d.dest,
+                      value=fn(_rs_value(instr, read),
+                               to_s32(read(instr.rt or 0))))
+    return handler
+
+
+def _alui(fn: Callable[[int, int], int]) -> Handler:
+    def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
+        return Effect(dest=d.dest,
+                      value=fn(_rs_value(instr, read), instr.imm or 0))
+    return handler
+
+
+def _shift_imm(op: Op) -> Handler:
+    def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
         a = to_s32(read(instr.rs or 0))
-        return Effect(dest=instr.dest(),
+        return Effect(dest=d.dest,
                       value=_shift(op, a, (instr.imm or 0) & 0x1F))
-    if op in (Op.SLLV, Op.SRLV, Op.SRAV):
+    return handler
+
+
+def _shift_var(op: Op) -> Handler:
+    def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
         a = to_s32(read(instr.rs or 0))
         amount = read(instr.rt or 0) & 0x1F
-        base = {Op.SLLV: Op.SLL, Op.SRLV: Op.SRL, Op.SRAV: Op.SRA}[op]
-        return Effect(dest=instr.dest(), value=_shift(base, a, amount))
-    if op is Op.LUI:
-        return Effect(dest=instr.dest(),
-                      value=to_s32(((instr.imm or 0) & 0xFFFF) << 16))
+        return Effect(dest=d.dest, value=_shift(op, a, amount))
+    return handler
 
-    if op in _LOAD_SIZES:
-        size, signed = _LOAD_SIZES[op]
-        if op in (Op.LWX, Op.LBX):
+
+def _lui(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
+    return Effect(dest=d.dest,
+                  value=to_s32(((instr.imm or 0) & 0xFFFF) << 16))
+
+
+def _load(size: int, signed: bool, indexed: bool) -> Handler:
+    def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
+        if indexed:
             addr = to_u32(_rs_value(instr, read)
                           + to_s32(read(instr.rt or 0)))
         else:
             addr = to_u32(_rs_value(instr, read) + (instr.imm or 0))
-        return Effect(dest=instr.dest(),
-                      mem=MemOp(False, addr, size, signed))
-    if op in _STORE_SIZES:
-        size = _STORE_SIZES[op]
-        if op in (Op.SWX, Op.SBX):
+        return Effect(dest=d.dest, mem=MemOp(False, addr, size, signed))
+    return handler
+
+
+def _store(size: int, indexed: bool) -> Handler:
+    def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
+        if indexed:
             addr = to_u32(_rs_value(instr, read)
                           + to_s32(read(instr.rt or 0)))
             value = to_u32(read(instr.rd or 0))
@@ -161,40 +192,43 @@ def evaluate(instr: Instruction, read: ReadReg) -> Effect:
             addr = to_u32(_rs_value(instr, read) + (instr.imm or 0))
             value = to_u32(read(instr.rt or 0))
         return Effect(mem=MemOp(True, addr, size, False, value))
+    return handler
 
-    if op in (Op.BEQ, Op.BNE, Op.BLEZ, Op.BGTZ, Op.BLTZ, Op.BGEZ):
-        a = to_s32(read(instr.rs or 0))
-        if op is Op.BEQ:
-            taken = a == to_s32(read(instr.rt or 0))
-        elif op is Op.BNE:
-            taken = a != to_s32(read(instr.rt or 0))
-        elif op is Op.BLEZ:
-            taken = a <= 0
-        elif op is Op.BGTZ:
-            taken = a > 0
-        elif op is Op.BLTZ:
-            taken = a < 0
-        else:
-            taken = a >= 0
+
+def _branch(taken_if: Callable[[int, Instruction, ReadReg], bool]
+            ) -> Handler:
+    def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
+        pc = instr.pc if instr.pc is not None else 0
+        taken = taken_if(to_s32(read(instr.rs or 0)), instr, read)
         target = (to_u32(pc + (instr.imm or 0)) if taken
                   else to_u32(pc + 4))
         return Effect(is_ctrl=True, taken=taken, target=target)
-    if op is Op.J:
-        return Effect(is_ctrl=True, taken=True,
-                      target=to_u32(instr.imm or 0))
-    if op is Op.JAL:
-        return Effect(dest=31, value=to_s32(pc + 4),
-                      is_ctrl=True, taken=True,
-                      target=to_u32(instr.imm or 0))
-    if op is Op.JR:
-        return Effect(is_ctrl=True, taken=True,
-                      target=to_u32(read(instr.rs or 0)))
-    if op is Op.JALR:
-        return Effect(dest=instr.dest(), value=to_s32(pc + 4),
-                      is_ctrl=True, taken=True,
-                      target=to_u32(read(instr.rs or 0)))
+    return handler
 
-    raise ExecutionError(f"no semantics for opcode {op.name}")
+
+def _rt_s32(instr: Instruction, read: ReadReg) -> int:
+    return to_s32(read(instr.rt or 0))
+
+
+def _j(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
+    return Effect(is_ctrl=True, taken=True, target=to_u32(instr.imm or 0))
+
+
+def _jal(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
+    pc = instr.pc if instr.pc is not None else 0
+    return Effect(dest=31, value=to_s32(pc + 4), is_ctrl=True, taken=True,
+                  target=to_u32(instr.imm or 0))
+
+
+def _jr(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
+    return Effect(is_ctrl=True, taken=True,
+                  target=to_u32(read(instr.rs or 0)))
+
+
+def _jalr(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
+    pc = instr.pc if instr.pc is not None else 0
+    return Effect(dest=d.dest, value=to_s32(pc + 4), is_ctrl=True,
+                  taken=True, target=to_u32(read(instr.rs or 0)))
 
 
 def _shift(op: Op, a: int, amount: int) -> int:
@@ -213,7 +247,7 @@ def _div(a: int, b: int) -> int:
     return to_s32(-q if (a < 0) != (b < 0) else q)
 
 
-_ALU3 = {
+_ALU3: Dict[Op, Callable[[int, int], int]] = {
     Op.ADD: lambda a, b: to_s32(a + b),
     Op.SUB: lambda a, b: to_s32(a - b),
     Op.AND: lambda a, b: to_s32(a & b),
@@ -226,7 +260,7 @@ _ALU3 = {
     Op.DIV: _div,
 }
 
-_ALUI = {
+_ALUI: Dict[Op, Callable[[int, int], int]] = {
     Op.ADDI: lambda a, i: to_s32(a + i),
     Op.ANDI: lambda a, i: to_s32(a & i),
     Op.ORI: lambda a, i: to_s32(a | i),
@@ -235,4 +269,42 @@ _ALUI = {
     Op.SLTIU: lambda a, i: int(to_u32(a) < to_u32(i)),
 }
 
-__all__ = ["Effect", "MemOp", "evaluate", "to_u32", "to_s32", "MASK32"]
+_HANDLERS: Dict[Op, Handler] = {
+    Op.NOP: lambda instr, d, read: _NO_EFFECT,
+    Op.HALT: lambda instr, d, read: _HALT,
+    Op.SYSCALL: lambda instr, d, read: _SERIALIZE,
+    **{op: _alu3(fn) for op, fn in _ALU3.items()},
+    **{op: _alui(fn) for op, fn in _ALUI.items()},
+    Op.SLL: _shift_imm(Op.SLL),
+    Op.SRL: _shift_imm(Op.SRL),
+    Op.SRA: _shift_imm(Op.SRA),
+    Op.SLLV: _shift_var(Op.SLL),
+    Op.SRLV: _shift_var(Op.SRL),
+    Op.SRAV: _shift_var(Op.SRA),
+    Op.LUI: _lui,
+    Op.LW: _load(4, True, False),
+    Op.LH: _load(2, True, False),
+    Op.LHU: _load(2, False, False),
+    Op.LB: _load(1, True, False),
+    Op.LBU: _load(1, False, False),
+    Op.LWX: _load(4, True, True),
+    Op.LBX: _load(1, True, True),
+    Op.SW: _store(4, False),
+    Op.SH: _store(2, False),
+    Op.SB: _store(1, False),
+    Op.SWX: _store(4, True),
+    Op.SBX: _store(1, True),
+    Op.BEQ: _branch(lambda a, instr, read: a == _rt_s32(instr, read)),
+    Op.BNE: _branch(lambda a, instr, read: a != _rt_s32(instr, read)),
+    Op.BLEZ: _branch(lambda a, instr, read: a <= 0),
+    Op.BGTZ: _branch(lambda a, instr, read: a > 0),
+    Op.BLTZ: _branch(lambda a, instr, read: a < 0),
+    Op.BGEZ: _branch(lambda a, instr, read: a >= 0),
+    Op.J: _j,
+    Op.JAL: _jal,
+    Op.JR: _jr,
+    Op.JALR: _jalr,
+}
+
+__all__ = ["Effect", "MemOp", "evaluate", "semantics_for", "to_u32",
+           "to_s32", "MASK32"]

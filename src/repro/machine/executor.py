@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ExecutionError
+from repro.isa.opcodes import Op
 from repro.isa.semantics import evaluate, to_s32
 from repro.machine.memory import Memory
 from repro.machine.state import ArchState
@@ -74,7 +75,7 @@ class Executor:
         if effect.dest is not None:
             state.write_reg(effect.dest, value)
 
-        if instr.op.value == "syscall":
+        if instr.op is Op.SYSCALL:
             self._syscall()
         if effect.halt or self.halted:
             self.halted = True

@@ -24,6 +24,7 @@ from itertools import count
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SegmentError
+from repro.isa.decoded import Decoded
 
 #: process-wide allocator for segment memo tokens (see
 #: :attr:`TraceSegment.memo_token`). Starts at 1 so 0 can mean
@@ -64,6 +65,11 @@ class TraceSegment:
     #: gets a fresh token, which soundly invalidates stale memo
     #: entries instead of aliasing them.
     memo_token: int = 0
+    #: fetch facts, recorded by :meth:`seal`: branch records by logical
+    #: index, and whether any instruction is predicated (guarded)
+    branch_at: Dict[int, BranchInfo] = field(
+        default_factory=dict, compare=False, repr=False)
+    predicated: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.slots:
@@ -72,6 +78,20 @@ class TraceSegment:
             self.memo_token = next(_MEMO_TOKENS)
 
     # ------------------------------------------------------------------
+
+    def seal(self) -> None:
+        """Finish the segment for fetch: record the fetch facts and
+        decode every instruction (replacing any earlier record).
+
+        The fill unit calls this once, after its last pass and next to
+        dependency marking; nothing may rewrite the segment afterwards,
+        so the records and facts are never stale.
+        """
+        self.branch_at = {info.index: info for info in self.branches}
+        self.predicated = any(instr.guard is not None
+                              for instr in self.instrs)
+        for instr in self.instrs:
+            instr.decoded = Decoded(instr)
 
     def __len__(self) -> int:
         return len(self.instrs)

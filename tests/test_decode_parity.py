@@ -1,0 +1,208 @@
+"""Decode-once parity, and the per-instruction path under observers.
+
+The timing engine, the fill collector and the functional executor read
+each instruction's facts from a :class:`~repro.isa.decoded.Decoded`
+record, built once per static instruction and once per segment copy
+when the fill unit seals the segment. The :class:`Instruction` query
+methods stay the reference definitions: these tests pin every record
+field to them over the fifteen workloads' program images, over every
+segment the fill unit builds with all optimizations (predication
+included), and over generated programs. They also pin that an
+appended observer stage joins the per-instruction chain with
+unchanged results (``tests/test_hostprof.py`` pins the same for
+host-profiler proxies).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+from hypothesis import given, settings, strategies as st
+import pytest
+
+from repro import workloads
+from repro.branch.bias import BiasTable
+from repro.core.config import SimConfig
+from repro.core.engine import Engine
+from repro.core.stages.ineff import IneffectualityLogStage
+from repro.fillunit.collector import FillCollector
+from repro.fillunit.opts.base import OptimizationConfig
+from repro.fillunit.unit import FillUnit, FillUnitConfig
+from repro.isa.decoded import Decoded
+from repro.isa.opcodes import OpClass
+from repro.isa.semantics import semantics_for
+from repro.machine import run_program
+from repro.tracecache.cache import TraceCache, TraceCacheConfig
+from repro.workloads import synth
+from repro.workloads.builder import AsmBuilder, lcg_values
+
+
+def reference(instr) -> dict:
+    """Every :class:`Decoded` field, derived from the query methods the
+    way the per-instruction readers derived them before decoding."""
+    sources = instr.sources()
+    if instr.is_mem():
+        addr_regs, value_reg = instr.mem_split()
+        roles = [(reg, False) for reg in addr_regs]
+        if value_reg is not None:
+            roles.append((value_reg, True))
+    else:
+        roles = [(reg, False) for reg in sources]
+    optimized = (instr.move_flag or instr.reassociated
+                 or instr.scale is not None)
+    return {
+        "op": instr.op,
+        "latency": instr.info.latency,
+        "dest": instr.dest(),
+        "sources": tuple(reg for reg in sources if reg != 0),
+        "operands": tuple(role for role in roles if role[0] != 0),
+        "move": instr.move_flag,
+        "move_src": (sources[0] if instr.move_flag and sources
+                     and sources[0] != 0 else None),
+        "reassociated": instr.reassociated,
+        "scaled": instr.scale is not None,
+        "optimized": optimized,
+        "is_nop": instr.opclass is OpClass.NOP,
+        "is_load": instr.is_load(),
+        "is_store": instr.is_store(),
+        "is_cond_branch": instr.is_cond_branch(),
+        "is_ctrl": instr.is_ctrl(),
+        "is_call": instr.is_call(),
+        "is_return": instr.is_return(),
+        "is_indirect": instr.is_indirect(),
+        "is_serializing": instr.is_serializing(),
+        "terminates_segment": instr.terminates_segment(),
+        "guarded": instr.guard is not None,
+        "semantics": semantics_for(instr.op),
+    }
+
+
+def assert_parity(instr) -> None:
+    expected = reference(instr)
+    assert set(expected) == set(Decoded.__slots__)
+    decoded = instr.decoded
+    got = {name: getattr(decoded, name) for name in expected}
+    assert got == expected, f"decoded record of {instr} is stale"
+
+
+def assert_sealed(segment) -> None:
+    for instr in segment.instrs:
+        assert_parity(instr)
+    assert segment.branch_at == {b.index: b for b in segment.branches}
+    assert segment.predicated == any(instr.guard is not None
+                                     for instr in segment.instrs)
+
+
+@pytest.mark.parametrize("bench", workloads.names())
+def test_program_image_records_match_methods(bench):
+    program = workloads.build(bench, scale=0.05)
+    for instr in program.instructions:
+        assert_parity(instr)
+
+
+def _engine_capturing_segments(config: SimConfig):
+    """An engine whose fill unit keeps every segment it builds."""
+    engine = Engine(config)
+    built = []
+    build = engine.fill_unit.build_segment
+
+    def capture(candidate, cycle=0):
+        segment = build(candidate, cycle)
+        built.append(segment)
+        return segment
+
+    engine.fill_unit.build_segment = capture
+    return engine, built
+
+
+def test_segment_records_match_methods():
+    """Every segment built on compress and li under every
+    optimization, predication included, checked after the runs: a
+    rewrite landing after the seal would leave a stale record behind."""
+    instrs = []
+    for bench in ("compress", "li"):
+        trace = run_program(workloads.build(bench, scale=0.2))
+        engine, built = _engine_capturing_segments(
+            SimConfig.tiny(OptimizationConfig.extended()))
+        engine.run(trace, benchmark=bench)
+        assert built
+        for segment in built:
+            assert_sealed(segment)
+            instrs += segment.instrs
+    assert any(instr.guard is not None for instr in instrs)
+    assert any(instr.move_flag for instr in instrs)
+    assert any(instr.reassociated for instr in instrs)
+    assert any(instr.scale is not None for instr in instrs)
+
+
+FRAGMENTS = {
+    "bitmix": lambda b, name: synth.emit_bitmix(b, name),
+    "array": lambda b, name: synth.emit_array_sum_scaled(b, name, "arr",
+                                                         16),
+    "multichain": lambda b, name: synth.emit_multichain_sum(b, name,
+                                                            "arr"),
+    "hash": lambda b, name: synth.emit_hash_loop(b, name, "tab", 0x1F,
+                                                 feedback=True),
+    "poly": lambda b, name: synth.emit_poly_eval(b, name, "arr", 4),
+    "copy": lambda b, name: synth.emit_copy_loop(b, name, "arr", "dst"),
+}
+
+
+@st.composite
+def synth_programs(draw):
+    """A small program composed from the workload fragment palette."""
+    kinds = draw(st.lists(st.sampled_from(sorted(FRAGMENTS)),
+                          min_size=1, max_size=4, unique=True))
+    b = AsmBuilder("synth")
+    b.data_words("arr", lcg_values(draw(st.integers(1, 999)), 32))
+    b.data_space("dst", 32 * 4)
+    b.data_space("tab", 32 * 4)
+    phases = []
+    for kind in kinds:
+        FRAGMENTS[kind](b, kind)
+        count = draw(st.integers(1, 4)) * 4
+        phases.append((kind, [f"    li   $a0, {count}",
+                              "    move $a1, $s2"],
+                       ["    add  $s2, $s2, $v0"]))
+    synth.emit_main_driver(b, phases, outer_iters=draw(st.integers(1, 3)))
+    return b.build()
+
+
+@given(synth_programs())
+@settings(max_examples=25, deadline=None)
+def test_generated_program_records_match_methods(program):
+    for instr in program.instructions:
+        assert_parity(instr)
+    unit = FillUnit(
+        FillUnitConfig(latency=1,
+                       optimizations=OptimizationConfig.extended()),
+        TraceCache(TraceCacheConfig(num_sets=16, assoc=2)),
+        BiasTable(64, threshold=2))
+    collector = FillCollector(unit.bias)
+    for record in run_program(program).records:
+        if record.instr.is_cond_branch():
+            unit.bias.record(record.pc, record.taken)
+        for candidate in collector.add(record):
+            assert_sealed(unit.build_segment(candidate))
+    for candidate in collector.flush():
+        assert_sealed(unit.build_segment(candidate))
+
+
+@pytest.mark.parametrize("timing_memo", [True, False])
+def test_observer_stage_sees_every_instruction(timing_memo):
+    """An appended observer stage joins the per-instruction chain: the
+    cycles stay put, and the ineffectuality log — which replays
+    architectural state record by record — ends in the trace's final
+    register state, so it saw every committed instruction in order."""
+    program = workloads.build("compress", scale=0.2)
+    trace = run_program(program)
+    config = dataclasses.replace(SimConfig.tiny(OptimizationConfig.all()),
+                                 timing_memo=timing_memo)
+    plain = Engine(config).run(trace, benchmark="compress")
+    engine = Engine(config)
+    stage = IneffectualityLogStage(program)
+    engine.stages.append(stage)
+    watched = engine.run(trace, benchmark="compress")
+    assert watched.cycles == plain.cycles
+    assert stage.log.state.regs == trace.final_state.regs
+    assert stage.log.occurrences["dead_write"] > 0
