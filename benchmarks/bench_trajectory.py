@@ -6,9 +6,6 @@ and holds the current build to the checked-in trajectory file:
 * simulated cycle counts must match **exactly** (any drift is a
   modelling change and needs a deliberate baseline refresh);
 * per-stage host-time shares must be a sane distribution;
-* timing-memo replay counts (hits/misses/bypasses/invalidations and
-  memo entries) must match exactly — the adaptive bypass policy is
-  deterministic, so drift means the replay machinery changed;
 * the normalized wall-time gate (>10% regression fails) runs only
   when ``REPRO_BENCH_GATE`` is set — CI sets it; local runs on busy
   machines skip the wall gate but still check determinism.
@@ -24,11 +21,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE = REPO_ROOT / "BENCH_10.json"
-
-#: replay fields that are deterministic run to run (wall-derived
-#: fields and the sampled byte estimate are excluded).
-_REPLAY_EXACT = ("hits", "misses", "bypasses", "invalidations",
-                 "memo_entries")
 
 _spec = importlib.util.spec_from_file_location(
     "bench_trajectory_tool", REPO_ROOT / "tools" / "bench_trajectory.py")
@@ -56,14 +48,6 @@ def test_trajectory_against_baseline():
         assert abs(sum(shares.values()) - 1.0) < 0.01
         assert set(shares) == set(base["stage_shares"]), (
             f"{name}: stage set changed")
-        if "replay" in base:
-            for field in _REPLAY_EXACT:
-                assert now["replay"][field] == base["replay"][field], (
-                    f"{name}: replay {field} drifted "
-                    f"{base['replay'][field]} -> {now['replay'][field]}"
-                    f" (bypass policy and keying are deterministic)")
-            assert now["replay"]["hit_rate"] > 0, (
-                f"{name}: timing memo never hit")
         if "policies" in base:
             for policy, leg in base["policies"].items():
                 got = now["policies"][policy]

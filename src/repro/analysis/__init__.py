@@ -2,13 +2,10 @@
 
 ``repro.analysis.stats`` aggregates benchmark results;
 ``repro.analysis.static`` analyses program images before any
-simulation (CFG, dataflow, fill-unit opportunity bounds, lint);
-``repro.analysis.selfcheck`` turns the same discipline on the
-simulator's own source (replay-soundness self-audit) — see
+simulation (CFG, dataflow, fill-unit opportunity bounds, lint) — see
 ``docs/static-analysis.md``.
 """
 
-from repro.analysis.selfcheck import SelfAuditReport, run_self_audit
 from repro.analysis.static import AnalysisReport, analyze_program
 from repro.analysis.stats import (
     arithmetic_mean,
@@ -20,12 +17,10 @@ from repro.analysis.stats import (
 
 __all__ = [
     "AnalysisReport",
-    "SelfAuditReport",
     "analyze_program",
     "arithmetic_mean",
     "geometric_mean",
     "harmonic_mean",
     "improvement_percent",
-    "run_self_audit",
     "summarize_improvements",
 ]

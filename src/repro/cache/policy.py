@@ -7,12 +7,7 @@ things on top of that spine:
 
 * **victim selection** — which resident key leaves when a set is full;
 * **metadata** — any per-set state the selection consults (RRPV
-  counters, reuse history).  That state is *timing state*: it decides
-  future evictions, so it must participate in the replay memo key
-  exactly like the LRU recency order does today.  Every policy
-  therefore exposes :meth:`ReplacementPolicy.state_digest` /
-  :meth:`ReplacementPolicy.restore`, which the containers splice into
-  their ``set_digest`` / ``restore_set`` replay surface.
+  counters, reuse history).
 
 Three policies are provided:
 
@@ -29,12 +24,6 @@ Three policies are provided:
   natural-loop membership with instruction mix (see
   :mod:`repro.cache.hints`) cover keys never seen before; unknown
   keys insert "long".
-
-The classes are deliberately flat — no shared mutable base state —
-because the selfcheck extractor models each class from its own body
-(`super()` is not followed); every method named in a
-:class:`~repro.analysis.selfcheck.model.ComponentSpec` is defined
-directly on the class it describes.
 """
 
 from __future__ import annotations
@@ -62,16 +51,12 @@ HISTORY_PER_SET = 64
 
 
 class ReplacementPolicy:
-    """Victim selection + replay-digested metadata for one container.
+    """Victim selection + per-set metadata for one container.
 
     The container calls the hooks at the obvious points (``on_insert``
     after installing a key, ``on_hit`` on a reuse, ``victim`` to pick
     the key to drop, ``on_evict`` after dropping it, ``on_flush`` when
-    the whole structure empties).  ``state_digest(index)`` must return
-    a hashable snapshot of *all* metadata for set ``index`` such that
-    equal digests imply identical future behaviour, and
-    ``restore(index, digest)`` must reinstate exactly that snapshot —
-    the pair is the policy's replay-soundness contract.
+    the whole structure empties).
     """
 
     name = "abstract"
@@ -92,21 +77,12 @@ class ReplacementPolicy:
     def on_flush(self) -> None:
         """The container dropped every resident key."""
 
-    def state_digest(self, index: int) -> tuple:
-        """Hashable snapshot of the metadata for set *index*."""
-        return ()
-
-    def restore(self, index: int, digest: tuple) -> None:
-        """Reinstate a :meth:`state_digest` snapshot for set *index*."""
-
 
 class TrueLRU(ReplacementPolicy):
     """The seed policy: evict the least recently used way.
 
     Recency lives entirely in the container's insertion-ordered dict,
-    so this policy is stateless — ``state_digest`` is empty because
-    ``tuple(entries)`` in the container's own digest already *is* the
-    LRU order.
+    so this policy is stateless.
     """
 
     name = "lru"
@@ -116,12 +92,6 @@ class TrueLRU(ReplacementPolicy):
 
     def victim(self, index: int, entries: Mapping[Key, object]) -> Key:
         return next(iter(entries))
-
-    def state_digest(self, index: int) -> tuple:
-        return ()
-
-    def restore(self, index: int, digest: tuple) -> None:
-        return None
 
 
 class SRRIPPolicy(ReplacementPolicy):
@@ -167,19 +137,11 @@ class SRRIPPolicy(ReplacementPolicy):
         for meta in self._meta:
             meta.clear()
 
-    def state_digest(self, index: int) -> tuple:
-        return tuple(sorted(self._meta[index].items()))
 
-    def restore(self, index: int, digest: tuple) -> None:
-        meta = self._meta[index]
-        meta.clear()
-        meta.update(digest)
-
-
-class TRRIPPolicy(ReplacementPolicy):
+class TRRIPPolicy(SRRIPPolicy):
     """Temperature-directed RRIP for reuse-skewed reference streams.
 
-    The RRPV mechanics match :class:`SRRIPPolicy` (hit promotes to
+    The RRPV mechanics are :class:`SRRIPPolicy`'s (hit promotes to
     "near-immediate", victim is the first "distant" way with aging),
     but the *insertion* RRPV is predicted per key:
 
@@ -202,21 +164,17 @@ class TRRIPPolicy(ReplacementPolicy):
     name = "trrip"
 
     def __init__(self, num_sets: int) -> None:
-        self.num_sets = num_sets
-        #: per-set RRPV: key -> 0..RRPV_MAX (resident keys only).
-        self._meta: List[Dict[Key, int]] = [
-            dict() for _ in range(num_sets)]
+        super().__init__(num_sets)
         #: per-set hits seen by each resident key's current generation.
         self._reuse: List[Dict[Key, int]] = [
             dict() for _ in range(num_sets)]
         #: per-set hits-before-eviction of each key's *previous*
-        #: generation; FIFO-bounded to HISTORY_PER_SET entries, so the
-        #: dict's insertion order is itself timing state (it decides
-        #: which history entry falls off next) and the digest keeps it.
+        #: generation; FIFO-bounded to HISTORY_PER_SET entries (the
+        #: dict's insertion order decides which entry falls off next).
         self._history: List[Dict[Key, int]] = [
             dict() for _ in range(num_sets)]
-        #: pc -> TEMP_* from static analysis; config-role (installed
-        #: once per program before the run, never on the step path).
+        #: pc -> TEMP_* from static analysis (installed once per
+        #: program before the run).
         self._hints: Dict[int, int] = {}
 
     # -- temperature prediction ----------------------------------------
@@ -251,31 +209,20 @@ class TRRIPPolicy(ReplacementPolicy):
     # -- container hooks -----------------------------------------------
 
     def on_insert(self, index: int, key: Key) -> None:
-        self._meta[index][key] = self.insertion_rrpv(index, key)
+        super().on_insert(index, key)
         self._reuse[index][key] = 0
 
     def on_hit(self, index: int, key: Key) -> None:
-        self._meta[index][key] = RRPV_IMMEDIATE
+        super().on_hit(index, key)
         reuse = self._reuse[index]
         # Saturate at the "hot" threshold: the temperature classes
-        # only distinguish 0 / 1 / >= 2 hits, and a bounded counter
-        # keeps the replay digest space finite (an ever-growing count
-        # would make every set digest unique and starve the memo).
+        # only distinguish 0 / 1 / >= 2 hits.
         count = reuse.get(key, 0)
         if count < 2:
             reuse[key] = count + 1
 
-    def victim(self, index: int, entries: Mapping[Key, object]) -> Key:
-        meta = self._meta[index]
-        while True:
-            for key in entries:
-                if meta.get(key, RRPV_MAX) >= RRPV_MAX:
-                    return key
-            for key in entries:
-                meta[key] = min(meta.get(key, RRPV_MAX) + 1, RRPV_MAX)
-
     def on_evict(self, index: int, key: Key) -> None:
-        self._meta[index].pop(key, None)
+        super().on_evict(index, key)
         history = self._history[index]
         history.pop(key, None)
         history[key] = self._reuse[index].pop(key, 0)
@@ -283,29 +230,10 @@ class TRRIPPolicy(ReplacementPolicy):
             history.pop(next(iter(history)))
 
     def on_flush(self) -> None:
+        super().on_flush()
         for index in range(self.num_sets):
-            self._meta[index].clear()
             self._reuse[index].clear()
             self._history[index].clear()
-
-    # -- replay surface ------------------------------------------------
-
-    def state_digest(self, index: int) -> tuple:
-        # _history is digested in dict order, not sorted: its FIFO age
-        # order decides which entry the bound drops next, so the order
-        # is part of the state the digest must pin.
-        return (tuple(sorted(self._meta[index].items())),
-                tuple(sorted(self._reuse[index].items())),
-                tuple(self._history[index].items()))
-
-    def restore(self, index: int, digest: tuple) -> None:
-        meta, reuse, history = digest
-        self._meta[index].clear()
-        self._meta[index].update(meta)
-        self._reuse[index].clear()
-        self._reuse[index].update(reuse)
-        self._history[index].clear()
-        self._history[index].update(history)
 
 
 _POLICIES: Dict[str, Callable[[int], ReplacementPolicy]] = {

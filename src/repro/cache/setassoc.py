@@ -52,7 +52,7 @@ class SetAssocCache:
     Recency is maintained per set via insertion-ordered dicts
     (move-to-end on hit), which is both exact and fast in CPython; the
     replacement policy picks victims on top of that order and may keep
-    metadata of its own (digested alongside the tags for replay).
+    metadata of its own.
     """
 
     def __init__(self, size_bytes: int, assoc: int, line_size: int,
@@ -76,12 +76,9 @@ class SetAssocCache:
         # set index -> {tag: None}, insertion order == recency order.
         self._sets: List[Dict[int, None]] = [
             dict() for _ in range(self.num_sets)]
-        #: victim selection + replay-digested metadata; its per-set
-        #: state rides in set_digest/restore_set next to the tags.
+        #: victim selection and its per-set metadata
         self.policy: ReplacementPolicy = make_policy(policy, self.num_sets)
-        #: hit/access counters; delta-captured per instance by
-        #: the replay controller's attribute cells (the L1I runs
-        #: live on both paths and is deliberately uncaptured)
+        #: hit/access/eviction counters
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -151,33 +148,6 @@ class SetAssocCache:
 
     def resident_lines(self) -> int:
         return sum(len(entries) for entries in self._sets)
-
-    # -- replay context surface -----------------------------------------
-
-    def set_index(self, addr: int) -> int:
-        """Index of the set that *addr* maps to."""
-        return (addr >> self._line_shift) & self._set_mask
-
-    def set_digest(self, index: int) -> Tuple[Tuple[int, ...], tuple]:
-        """Recency-ordered resident tags of set *index* (oldest first)
-        plus the replacement policy's metadata snapshot for the set.
-
-        Tags are absolute (address-derived), not cycle-relative: cache
-        residency transitions depend only on the reference sequence,
-        never on cycle numbers, so the digest is position-independent
-        and doubles as the post-visit snapshot for
-        :meth:`restore_set`."""
-        return tuple(self._sets[index]), self.policy.state_digest(index)
-
-    def restore_set(self, index: int,
-                    digest: Tuple[Tuple[int, ...], tuple]) -> None:
-        """Install a :meth:`set_digest` snapshot into set *index*."""
-        tags, policy_state = digest
-        entries = self._sets[index]
-        entries.clear()
-        for tag in tags:
-            entries[tag] = None
-        self.policy.restore(index, policy_state)
 
     def __repr__(self) -> str:
         return (f"SetAssocCache({self.name}: {self.size_bytes}B, "

@@ -394,14 +394,8 @@ def cmd_analyze(args) -> int:
     opportunity bounds, and lint findings. Optionally compare lint
     counts against a checked-in baseline and cross-check the dynamic
     optimizers against the static opportunity oracle; exits nonzero
-    on lint errors, baseline regressions or oracle violations.
-
-    With ``--self`` the target flips from the workloads to the
-    simulator's own source: delegates to :func:`cmd_audit`."""
+    on lint errors, baseline regressions or oracle violations."""
     import json
-
-    if getattr(args, "self_audit", False):
-        return cmd_audit(args)
 
     from repro.analysis.static import analyze_program
     from repro.core.export import ANALYSIS_SCHEMA_VERSION, analysis_to_dict
@@ -577,57 +571,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_audit(args) -> int:
-    """Run the replay-soundness self-audit: static state-model
-    extraction over the simulator's own source, digest-coverage and
-    determinism lints, seeded hole mutants, and (unless ``--no-fuzz``)
-    the live mutation-fuzz oracle. Exits nonzero on any new error
-    finding vs the baseline, any blind field, any uncaught seeded
-    hole, or loosened digest coverage."""
-    import json
-
-    from repro.analysis.selfcheck import run_self_audit
-    from repro.core.export import selfaudit_to_dict
-
-    with_fuzz = not getattr(args, "no_fuzz", False)
-    report = run_self_audit(with_fuzz=with_fuzz)
-    print(report.summary())
-
-    show = getattr(args, "show", 10)
-    for finding in report.findings[:show]:
-        print(finding.render())
-    if len(report.findings) > show:
-        print(f"  ... {len(report.findings) - show} more finding(s)")
-
-    json_path = getattr(args, "json", None)
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(selfaudit_to_dict(report), handle, indent=1)
-        print(f"wrote self-audit report to {json_path}")
-
-    write_baseline = getattr(args, "write_baseline", None)
-    baseline_path = getattr(args, "baseline", None)
-    baseline = None
-    if write_baseline:
-        with open(write_baseline, "w") as handle:
-            json.dump(report.baseline_payload(), handle, indent=1,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote self-audit baseline to {write_baseline}")
-    elif baseline_path:
-        with open(baseline_path) as handle:
-            baseline = json.load(handle)
-
-    failures = report.failures(baseline)
-    if failures:
-        print("\nFAIL:")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print("self-audit passed")
-    return 0
-
-
 def cmd_asm(args) -> int:
     from repro.asm import assemble
     from repro.machine.executor import Executor
@@ -766,34 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--show", type=int, default=10,
                        help="lint findings to print per benchmark "
                             "(default 10)")
-    p_ana.add_argument("--self", dest="self_audit",
-                       action="store_true",
-                       help="audit the simulator's own source instead "
-                            "of the workloads (alias of the audit "
-                            "verb; honors --json/--baseline/"
-                            "--write-baseline/--show)")
     p_ana.set_defaults(func=cmd_analyze)
-
-    p_audit = sub.add_parser(
-        "audit",
-        help="replay-soundness self-audit: state-model extraction, "
-             "digest-coverage + determinism lints, mutation-fuzz "
-             "oracle with seeded holes")
-    p_audit.add_argument("--json", metavar="FILE",
-                         help="write the schema-versioned self-audit "
-                              "report to FILE")
-    p_audit.add_argument("--baseline", metavar="FILE",
-                         help="fail on new findings or loosened "
-                              "digest coverage vs this baseline JSON")
-    p_audit.add_argument("--write-baseline", metavar="FILE",
-                         help="record current finding counts and "
-                              "digest coverage as the new baseline")
-    p_audit.add_argument("--no-fuzz", action="store_true",
-                         help="skip the live mutation-fuzz oracle "
-                              "(static extraction and lints only)")
-    p_audit.add_argument("--show", type=int, default=10,
-                         help="findings to print (default 10)")
-    p_audit.set_defaults(func=cmd_audit)
 
     p_asm = sub.add_parser("asm", help="assemble and run a .s file")
     p_asm.add_argument("file")

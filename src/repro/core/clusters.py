@@ -11,15 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 import heapq
-from typing import List, Optional, Set, Tuple
-
-#: occupancy at or below ``base + 1`` can never constrain a claim made
-#: by a group fetched at ``base`` (every reserve/admit/acquire in that
-#: group starts at ``base + 2`` or later, and fetch cycles only grow),
-#: so the replay digests cut there: such entries are invisible to the
-#: timing model and stay out of both the context key and the restored
-#: state. See docs/architecture.md ("Timing memo").
-_DIGEST_SLACK = 1
+from typing import List, Optional, Set
 
 
 class FunctionalUnits:
@@ -55,69 +47,6 @@ class FunctionalUnits:
         self._busy[fu] = {c for c in self._busy[fu] if c >= floor}
         self._floor[fu] = max(self._floor[fu], floor)
 
-    # -- replay context surface -----------------------------------------
-
-    def prune_below(self, cycle: int) -> None:
-        """Drop reservations below *cycle* without raising the floor.
-
-        Sound whenever every future claim's *earliest* is at least
-        *cycle*: ``reserve`` only probes cycles >= earliest, so the
-        dropped entries could never have been consulted again. The
-        replay controller calls this once per fetch group (with
-        ``cycle = fetch_cycle + 2``), which keeps the busy sets at
-        in-flight size and the compaction floor at zero.
-        """
-        for fu, busy in enumerate(self._busy):
-            if busy and min(busy) < cycle:
-                self._busy[fu] = {c for c in busy if c >= cycle}
-
-    def context_digest(self, base: int) -> Tuple[Tuple[Tuple[int, ...],
-                                                       ...],
-                                                 Tuple[int, ...]]:
-        """Hashable occupancy relative to *base* (a group's fetch
-        cycle): per-FU sorted busy cycles above the digest cut, plus
-        the (almost always zero) normalized compaction floors. Doubles
-        as the post-visit snapshot :meth:`restore` replays."""
-        cut = base + _DIGEST_SLACK
-        return (
-            tuple(tuple(sorted(c - base for c in busy if c > cut))
-                  for busy in self._busy),
-            tuple(max(f - base - _DIGEST_SLACK, 0) for f in self._floor),
-        )
-
-    @staticmethod
-    def shift_digest(snap: Tuple[Tuple[Tuple[int, ...], ...],
-                                 Tuple[int, ...]],
-                     delta: int) -> Tuple[Tuple[Tuple[int, ...], ...],
-                                          Tuple[int, ...]]:
-        """Re-normalize a digest taken at some base to ``base + delta``
-        (*delta* >= 0, no intervening mutation): bit-identical to
-        calling :meth:`context_digest` at the later base. The replay
-        controller uses this to carry one group's post-visit digest
-        forward as the next group's pre-visit key component instead of
-        re-walking the busy sets."""
-        per_fu, floors = snap
-        cut = _DIGEST_SLACK + delta
-        return (
-            tuple(tuple(c - delta for c in vals if c > cut)
-                  for vals in per_fu),
-            floors if not any(floors)
-            else tuple(max(f - delta, 0) for f in floors),
-        )
-
-    def restore(self, base: int, snap: Tuple[Tuple[Tuple[int, ...], ...],
-                                             Tuple[int, ...]]) -> None:
-        """Install a :meth:`context_digest` snapshot taken at *base*.
-
-        Entries at or below the digest cut are discarded — they are
-        invisible to every future claim (see :data:`_DIGEST_SLACK`).
-        Floors are left untouched: a digest match guarantees they are
-        either equal or equally inert.
-        """
-        per_fu, _floors = snap
-        for fu, entries in enumerate(per_fu):
-            self._busy[fu] = {c + base for c in entries}
-
 
 class ReservationStations:
     """Per-FU RS occupancy.
@@ -147,35 +76,6 @@ class ReservationStations:
         """Record an entry resident until *until* (its dispatch cycle)."""
         heapq.heappush(self._release[fu], until)
 
-    # -- replay context surface -----------------------------------------
-
-    def context_digest(self, base: int) -> Tuple[Tuple[int, ...], ...]:
-        """Per-FU sorted release cycles above the digest cut, relative
-        to *base*. Entries at or below ``base + 1`` are invisible:
-        every future ``admit`` pops them before its capacity check
-        (enter cycles are at least ``base + 2``), so they are excluded
-        here and dropped on :meth:`restore`."""
-        cut = base + _DIGEST_SLACK
-        return tuple(tuple(sorted(c - base for c in heap if c > cut))
-                     for heap in self._release)
-
-    @staticmethod
-    def shift_digest(snap: Tuple[Tuple[int, ...], ...],
-                     delta: int) -> Tuple[Tuple[int, ...], ...]:
-        """Re-normalize a digest to a base *delta* cycles later (no
-        intervening mutation); see
-        :meth:`FunctionalUnits.shift_digest`."""
-        cut = _DIGEST_SLACK + delta
-        return tuple(tuple(c - delta for c in vals if c > cut)
-                     for vals in snap)
-
-    def restore(self, base: int,
-                snap: Tuple[Tuple[int, ...], ...]) -> None:
-        """Install a :meth:`context_digest` snapshot taken at *base*
-        (a sorted list is a valid min-heap)."""
-        for heap, entries in zip(self._release, snap):
-            heap[:] = [c + base for c in entries]
-
 
 class BypassNetwork:
     """Operand availability across the cluster bypass network."""
@@ -184,8 +84,6 @@ class BypassNetwork:
         self.cluster_size = cluster_size
         self.penalty = penalty
         #: operand deliveries that paid the cross-cluster penalty
-        #: [replay: counter] — delta-captured by the controller's
-        #: attribute cells, not digested
         self.crossings = 0
 
     def cluster_of_slot(self, slot: int) -> int:
@@ -221,7 +119,7 @@ class CheckpointStore:
         self.capacity = capacity
         self._outstanding: "deque[int]" = deque()
         self._last_free = 0
-        #: [replay: counter] acquisitions delayed by a full store
+        #: acquisitions delayed by a full store
         self.stalls = 0
 
     def acquire(self, rename_cycle: int) -> int:
@@ -245,38 +143,6 @@ class CheckpointStore:
         """
         self._last_free = max(self._last_free, resolve_cycle)
         self._outstanding.append(self._last_free)
-
-    # -- replay context surface -----------------------------------------
-
-    def context_digest(self, base: int) -> Tuple[Tuple[int, ...], int]:
-        """Outstanding-checkpoint digest relative to *base*: resolve
-        cycles above the digest cut (older entries are popped by any
-        future ``acquire`` before its capacity check — acquire cycles
-        are at least ``base + 2``) plus the clamped ``last_free``
-        high-water mark (inert at or below the cut: a future commit's
-        resolve cycle always dominates it)."""
-        cut = base + _DIGEST_SLACK
-        return (tuple(c - base for c in self._outstanding if c > cut),
-                max(self._last_free - base - _DIGEST_SLACK, 0))
-
-    @staticmethod
-    def shift_digest(snap: Tuple[Tuple[int, ...], int],
-                     delta: int) -> Tuple[Tuple[int, ...], int]:
-        """Re-normalize a digest to a base *delta* cycles later (no
-        intervening mutation); see
-        :meth:`FunctionalUnits.shift_digest`."""
-        outstanding, last_free = snap
-        cut = _DIGEST_SLACK + delta
-        return (tuple(c - delta for c in outstanding if c > cut),
-                max(last_free - delta, 0))
-
-    def restore(self, base: int,
-                snap: Tuple[Tuple[int, ...], int]) -> None:
-        """Install a :meth:`context_digest` snapshot taken at *base*."""
-        outstanding, last_free = snap
-        self._outstanding = deque(c + base for c in outstanding)
-        if last_free > 0:
-            self._last_free = last_free + base + _DIGEST_SLACK
 
 
 __all__ = ["FunctionalUnits", "ReservationStations", "BypassNetwork",

@@ -78,25 +78,6 @@ class SimConfig:
     #: isolation so a violation names the offending pass.
     verify_each_pass: bool = False
 
-    # Segment-level timing replay (macro-simulation).
-    #: memoize trace-cache segment visits and replay their timing
-    #: deltas when the full context matches (bit-identical results;
-    #: see docs/architecture.md "Segment-level timing replay")
-    timing_memo: bool = True
-    #: memoized visit records retained before FIFO eviction
-    memo_capacity: int = 8192
-    #: re-simulate every Nth replay hit through the slow path and
-    #: assert bit-for-bit equality with the memo (0 disables shadowing)
-    replay_shadow_every: int = 0
-    #: run-level capture back-off: once a full assessment window of
-    #: eligible segment visits replays below this hit rate, keying and
-    #: capture stop for the rest of the run (cycles are unaffected —
-    #: replay never changes timing — only the memo bookkeeping cost)
-    memo_breakeven: float = 0.15
-    #: eligible visits per break-even assessment window (0 disables
-    #: the back-off entirely)
-    memo_breakeven_window: int = 1024
-
     def __post_init__(self) -> None:
         if self.num_clusters * self.cluster_size > self.fetch_width:
             raise ConfigError(
@@ -112,15 +93,6 @@ class SimConfig:
         if self.verify_each_pass and not self.verify_fill:
             raise ConfigError(
                 "verify_each_pass requires verify_fill")
-        if self.memo_capacity < 1:
-            raise ConfigError("memo capacity is at least one entry")
-        if self.replay_shadow_every < 0:
-            raise ConfigError("replay_shadow_every cannot be negative")
-        if not 0.0 <= self.memo_breakeven < 1.0:
-            raise ConfigError("memo_breakeven must be in [0, 1)")
-        if self.memo_breakeven_window < 0:
-            raise ConfigError(
-                "memo_breakeven_window cannot be negative")
 
     # ------------------------------------------------------------------
 

@@ -19,6 +19,8 @@ The engine is deliberately dumb: all microarchitectural behaviour
 lives in the stages, and the engine only sequences them. Extra
 observer stages may be appended to ``engine.stages`` before ``run()``
 (they see every state transition but must not mutate timing state).
+There is one path through the loop: every group runs the stage chain
+instruction by instruction, observed or not.
 
 Observability: every run counts against a hierarchical telemetry
 registry (the engine's own, or the one of an attached
@@ -45,7 +47,6 @@ from repro.core.clusters import (
 from repro.core.config import SimConfig
 from repro.core.memsched import MemoryScheduler
 from repro.core.rename import RenameUnit, RetireUnit
-from repro.core.replay import ReplayController
 from repro.core.results import SimResult
 from repro.core.stages.base import (
     InstrSlot,
@@ -147,16 +148,6 @@ class Engine:
                         extra_is_tc_miss=self.trace_cache is not None),
             FillStage(self.fill_unit, registry_arg),
         ]
-        #: the canonical stage tuple the replay controller's
-        #: eligibility check compares against (appended observer
-        #: stages must see every per-instruction transition, so their
-        #: presence forces the slow path).
-        self._core_stages: Tuple[PipelineStage, ...] = tuple(self.stages)
-        #: segment-level timing replay (macro-simulation); None when
-        #: disabled or without a trace cache to anchor memo keys on.
-        self.replay: Optional[ReplayController] = None
-        if config.timing_memo and self.trace_cache is not None:
-            self.replay = ReplayController(self)
         #: program image the TRRIP hints were last derived from
         #: (identity-compared so repeated runs skip the CFG walk).
         self._hint_source: Optional[Any] = None
@@ -234,9 +225,6 @@ class Engine:
             wrong_path=wrong_path)
 
         stages = self.stages
-        replay = self.replay
-        if replay is not None and not replay.run_eligible(state):
-            replay = None
         # The hook chains, built once per run: a stage joins a hook's
         # chain only if its class overrides that hook. Fetch has no
         # per-instruction work, so the per-instruction chain is rename
@@ -258,21 +246,14 @@ class Engine:
             if not group.entries:   # defensive; not seen on real traces
                 state.index += 1
                 continue
-            if replay is not None and replay.on_group(state):
-                state.index += group.consumed
-                continue
             for entry in group.entries:
                 slot = InstrSlot(entry, len(retire_cycles))
                 for process in chain:
                     process(state, slot)
             for hook in end_group:
                 hook(state)
-            if replay is not None:
-                replay.after_group(state)
             state.index += group.consumed
 
-        if replay is not None:
-            replay.finish_run()
         result.cycles = state.retire_cycles[-1]
         if wrong_path is not None:
             result.wrong_path_fetches = wrong_path.instructions

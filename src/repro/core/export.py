@@ -16,7 +16,6 @@ from repro.core.results import OptCoverage, SimResult
 
 SCHEMA_VERSION = 1
 ANALYSIS_SCHEMA_VERSION = 2
-SELFAUDIT_SCHEMA_VERSION = 1
 
 
 def result_to_dict(result: SimResult) -> dict:
@@ -117,72 +116,7 @@ def analysis_from_dict(payload: dict):
     return AnalysisReport(**data)
 
 
-def selfaudit_to_dict(report) -> dict:
-    """A JSON-safe dict of one :class:`~repro.analysis.selfcheck.
-    report.SelfAuditReport` (schema-versioned)."""
-    payload = asdict(report)
-    payload["schema"] = SELFAUDIT_SCHEMA_VERSION
-    payload["derived"] = {
-        "rule_counts": {
-            "error": report.rule_counts("error"),
-            "warning": report.rule_counts("warning"),
-        },
-        "errors": len(report.errors()),
-        "warnings": len(report.warnings()),
-        "static_holes_caught": sum(
-            1 for h in report.static_holes if h.caught),
-        "static_holes_total": len(report.static_holes),
-    }
-    if report.fuzz is not None:
-        payload["derived"]["fuzz_ok"] = report.fuzz.ok()
-        payload["derived"]["fuzz_holes_caught"] = sum(
-            1 for h in report.fuzz.holes if h.caught)
-        payload["derived"]["fuzz_holes_total"] = \
-            len(report.fuzz.holes)
-    return payload
-
-
-def selfaudit_from_dict(payload: dict):
-    """Rebuild a ``SelfAuditReport`` from :func:`selfaudit_to_dict`.
-
-    Raises:
-        ValueError: on an unknown schema version.
-    """
-    from repro.analysis.selfcheck.findings import AuditFinding
-    from repro.analysis.selfcheck.fuzz import (
-        FieldResult,
-        FuzzReport,
-        HoleResult,
-    )
-    from repro.analysis.selfcheck.report import (
-        ComponentSummary,
-        SelfAuditReport,
-        StaticHoleResult,
-    )
-    if payload.get("schema") != SELFAUDIT_SCHEMA_VERSION:
-        raise ValueError(
-            f"unknown self-audit schema {payload.get('schema')!r}")
-    data = {k: v for k, v in payload.items()
-            if k not in ("schema", "derived")}
-    data["components"] = [ComponentSummary(**c)
-                          for c in data.get("components", [])]
-    data["findings"] = [AuditFinding(**f)
-                        for f in data.get("findings", [])]
-    data["static_holes"] = [StaticHoleResult(**h)
-                            for h in data.get("static_holes", [])]
-    if data.get("fuzz") is not None:
-        fuzz = dict(data["fuzz"])
-        fuzz["results"] = [FieldResult(**r)
-                           for r in fuzz.get("results", [])]
-        fuzz["holes"] = [HoleResult(**h)
-                         for h in fuzz.get("holes", [])]
-        data["fuzz"] = FuzzReport(**fuzz)
-    return SelfAuditReport(**data)
-
-
 __all__ = ["result_to_dict", "result_from_dict", "dump_results",
            "load_results", "diff_results", "SCHEMA_VERSION",
            "analysis_to_dict", "analysis_from_dict",
-           "ANALYSIS_SCHEMA_VERSION",
-           "selfaudit_to_dict", "selfaudit_from_dict",
-           "SELFAUDIT_SCHEMA_VERSION"]
+           "ANALYSIS_SCHEMA_VERSION"]

@@ -14,14 +14,9 @@ paying the cache path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.cache.hierarchy import MemoryHierarchy
-
-#: forwarding-window entries older than this can never fire again for
-#: a group fetched at ``base`` (loads start at ``base + 3`` at the
-#: earliest), so the replay digest folds them into one "stale" token.
-_OLD = "old"
 
 
 class MemoryScheduler:
@@ -33,12 +28,11 @@ class MemoryScheduler:
         self.forward_window = forward_window
         self._all_store_addrs_known = 0
         self._forward: Dict[int, int] = {}  # word addr -> data-ready
-        #: [replay: counter] traffic counters, delta-captured by
-        #: the replay controller's attribute cells
+        #: traffic counters
         self.loads = 0
-        self.stores = 0              # [replay: counter]
-        self.forwarded_loads = 0     # [replay: counter]
-        #: [replay: counter] delayed by an unknown store address
+        self.stores = 0
+        self.forwarded_loads = 0
+        #: loads delayed by an unknown store address
         self.blocked_loads = 0
 
     # ------------------------------------------------------------------
@@ -82,74 +76,6 @@ class MemoryScheduler:
         horizon = now - self.forward_window
         self._forward = {w: t for w, t in self._forward.items()
                          if t >= horizon}
-
-    # -- replay context surface -----------------------------------------
-
-    def forward_entries(self) -> int:
-        """Current size of the forwarding window (replay controller's
-        bypass guard: near the size-triggered :meth:`_prune` threshold
-        the controller falls back to the slow path, because that prune
-        keys off absolute cycle numbers)."""
-        return len(self._forward)
-
-    def context_digest(self, base: int,
-                       load_words: Iterable[int]) -> tuple:
-        """Scheduler state relative to *base* (a group's fetch cycle),
-        restricted to what the group can observe.
-
-        The address-known horizon is clamped to zero at *base*: every
-        load in the group starts at ``base + 3`` or later (agen needs
-        at least fetch + rename + one execute cycle), so a horizon at
-        or below *base* never blocks it. A forwarding entry for one of
-        the group's *load_words* digests to its exact normalized
-        data-ready cycle unless it can no longer fire for any load
-        starting at ``base + 3`` or later (``t + window < base + 3``),
-        in which case it merges with "absent" into the shared stale
-        token — both behave identically (cache path taken).
-        Words the group never loads from are omitted entirely.
-        """
-        horizon = max(self._all_store_addrs_known - base, 0)
-        stale_cut = base + 2 - self.forward_window
-        words = []
-        for word in load_words:
-            ready = self._forward.get(word)
-            if ready is None or ready <= stale_cut:
-                words.append(_OLD)
-            else:
-                words.append(ready - base)
-        return (horizon, tuple(words))
-
-    def capture_delta(self, base: int,
-                      store_words: Iterable[int]) -> tuple:
-        """Post-visit effects relative to *base*: the new horizon (or
-        ``None`` when the visit left it at or below *base*, i.e.
-        unchanged as far as any future group can tell) and the exact
-        data-ready cycle of every word the visit stored to (store
-        completion is always past *base*, so these are exact)."""
-        horizon = self._all_store_addrs_known
-        return (horizon - base if horizon > base else None,
-                tuple((w, self._forward[w] - base) for w in store_words))
-
-    def apply_delta(self, base: int, delta: tuple) -> None:
-        """Apply a :meth:`capture_delta` record at a new *base*."""
-        horizon, words = delta
-        if horizon is not None:
-            self._all_store_addrs_known = horizon + base
-        for word, ready in words:
-            self._forward[word] = ready + base
-
-    def prune_stale(self, before: int) -> None:
-        """Drop forwarding entries that cannot fire for any group
-        fetched at *before* or later (see :meth:`context_digest`'s
-        stale cut). Called once per fetch group by the replay
-        controller when the window grows large; keeps digests small
-        and pre-empts the size-triggered :meth:`_prune` (whose floor
-        depends on absolute cycle numbers)."""
-        if len(self._forward) <= 2048:
-            return
-        cut = before + 2 - self.forward_window
-        self._forward = {w: t for w, t in self._forward.items()
-                         if t > cut}
 
 
 __all__ = ["MemoryScheduler"]

@@ -13,13 +13,6 @@ functional unit is involved — the paper's §4.2 mechanism.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-#: digest token for "the next request will reset this unit anyway":
-#: bandwidth state strictly behind the requesting group's fetch cycle
-#: is unobservable, so all such states share one key form.
-_IDLE: Tuple[str] = ("idle",)
-
 
 class RenameUnit:
     """Assigns each instruction its rename cycle, in program order."""
@@ -32,11 +25,10 @@ class RenameUnit:
         self._cycle = 0
         self._count = 0
         self._blocks = 0
-        #: [replay: counter] the three stall taxonomies are
-        #: delta-captured by the replay controller, not digested
+        #: the three stall taxonomies
         self.window_stalls = 0
-        self.block_limit_stalls = 0  # [replay: counter]
-        self.width_stalls = 0        # [replay: counter]
+        self.block_limit_stalls = 0
+        self.width_stalls = 0
 
     def rename(self, fetch_cycle: int, is_block_end: bool,
                window_release: int, not_before: int = 0) -> int:
@@ -71,36 +63,6 @@ class RenameUnit:
             self._blocks += 1
         return self._cycle
 
-    # -- replay context surface -----------------------------------------
-
-    def context_digest(self, base: int) -> tuple:
-        """Bandwidth state relative to *base* (a group's fetch cycle).
-
-        A group fetched at *base* renames no earlier than ``base + 1``,
-        so any ``_cycle <= base`` is reset on first use and digests to
-        the shared idle token; later states carry exact normalized
-        cycle plus the within-cycle counters."""
-        if self._cycle <= base:
-            return _IDLE
-        return (self._cycle - base, self._count, self._blocks)
-
-    @staticmethod
-    def shift_digest(snap: tuple, delta: int) -> tuple:
-        """Re-normalize a digest taken at some base to ``base + delta``
-        (*delta* >= 0, no intervening mutation): bit-identical to
-        calling :meth:`context_digest` at the later base."""
-        if snap is _IDLE or snap == _IDLE or snap[0] <= delta:
-            return _IDLE
-        return (snap[0] - delta, snap[1], snap[2])
-
-    def restore(self, base: int, snap: tuple) -> None:
-        """Install a post-visit :meth:`context_digest` snapshot (always
-        the exact form: a recorded group renamed at least once past
-        *base*)."""
-        self._cycle = snap[0] + base
-        self._count = snap[1]
-        self._blocks = snap[2]
-
 
 class RetireUnit:
     """In-order retirement, bounded by retire width."""
@@ -122,31 +84,6 @@ class RetireUnit:
             self._count = 0
         self._count += 1
         return self._cycle
-
-    # -- replay context surface -----------------------------------------
-
-    def context_digest(self, base: int) -> tuple:
-        """Bandwidth state relative to *base*: a group fetched at
-        *base* completes no instruction before ``base + 1``, so retire
-        requests arrive at ``base + 2`` or later and any
-        ``_cycle <= base + 1`` resets on first use (idle token)."""
-        if self._cycle <= base + 1:
-            return _IDLE
-        return (self._cycle - base, self._count)
-
-    @staticmethod
-    def shift_digest(snap: tuple, delta: int) -> tuple:
-        """Re-normalize a digest to a base *delta* cycles later (no
-        intervening mutation); see :meth:`RenameUnit.shift_digest`."""
-        if snap is _IDLE or snap == _IDLE or snap[0] <= delta + 1:
-            return _IDLE
-        return (snap[0] - delta, snap[1])
-
-    def restore(self, base: int, snap: tuple) -> None:
-        """Install a post-visit :meth:`context_digest` snapshot (exact
-        form: a recorded group retired at least once past the cut)."""
-        self._cycle = snap[0] + base
-        self._count = snap[1]
 
 
 __all__ = ["RenameUnit", "RetireUnit"]

@@ -83,9 +83,6 @@ class FetchGroup:
     serialize_after: Optional[int] = None
     #: committed-stream records this group consumed (phantoms excluded)
     consumed: int = 0
-    #: the trace-cache segment this group was assembled from (None for
-    #: I-cache fetches) — the replay controller's memo anchor
-    segment: Optional[Any] = None
 
 
 class InstrSlot:

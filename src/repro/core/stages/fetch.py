@@ -69,8 +69,7 @@ class FetchStage(PipelineStage):
         requested = state.fetch_ready
         entries, fetch_cycle, segment, consumed = self._fetch_group(
             state.records, state.index, state.fetch_ready)
-        group = FetchGroup(entries=entries, fetch_cycle=fetch_cycle,
-                           segment=segment)
+        group = FetchGroup(entries=entries, fetch_cycle=fetch_cycle)
         state.group = group
         if not entries:     # defensive; cannot happen on real traces
             return

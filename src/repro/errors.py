@@ -40,9 +40,3 @@ class ConfigError(ReproError):
 
 class SegmentError(ReproError):
     """Raised when a trace segment violates a structural invariant."""
-
-
-class ReplayMismatchError(ReproError):
-    """Raised by the timing-replay shadow checker when a re-simulated
-    segment visit does not reproduce its memoized timing delta
-    bit-for-bit (see :mod:`repro.core.replay`)."""

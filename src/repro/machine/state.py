@@ -2,13 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.isa.registers import NUM_REGS, ZERO_REG, reg_name
 from repro.isa.semantics import to_s32
-
-#: a recorded architectural effect: ``((reg, value), ...), pc``
-ArchDelta = Tuple[Tuple[Tuple[int, int], ...], int]
 
 
 class ArchState:
@@ -47,43 +42,5 @@ class ArchState:
                    for idx, value in enumerate(self.regs) if value}
         return f"ArchState(pc={self.pc:#x}, {nonzero})"
 
-    # -- snapshot / digest / delta surface ------------------------------
 
-    def snapshot(self) -> Tuple[Tuple[int, ...], int]:
-        """An immutable copy of the full state: ``(regs, pc)``."""
-        return (tuple(self.regs), self.pc)
-
-    def restore(self, snap: Tuple[Tuple[int, ...], int]) -> None:
-        """Install a :meth:`snapshot`."""
-        regs, pc = snap
-        self.regs = list(regs)
-        self.pc = pc
-
-    def digest(self) -> Tuple[Tuple[int, ...], int]:
-        """Hashable identity of the architectural state. Register
-        values are position-independent (no cycle numbers), so the
-        snapshot itself is the digest."""
-        return self.snapshot()
-
-    def delta_from(self, snap: Tuple[Tuple[int, ...], int]) -> ArchDelta:
-        """Changes since *snap* as ``((reg, new_value), ...), new_pc``.
-
-        Applying the result to any state equal to *snap* (via
-        :meth:`apply_delta`) reproduces this state exactly — the
-        round-trip contract the replay layer's property tests pin.
-        """
-        regs, _pc = snap
-        changed = tuple((idx, value)
-                        for idx, value in enumerate(self.regs)
-                        if value != regs[idx])
-        return (changed, self.pc)
-
-    def apply_delta(self, delta: ArchDelta) -> None:
-        """Apply a :meth:`delta_from` record."""
-        changed, pc = delta
-        for idx, value in changed:
-            self.regs[idx] = value
-        self.pc = pc
-
-
-__all__ = ["ArchState", "ArchDelta"]
+__all__ = ["ArchState"]

@@ -20,7 +20,7 @@ Two properties the timing model depends on:
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.errors import ConfigError
 
@@ -144,8 +144,6 @@ class TelemetryRegistry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._metrics: Dict[str, Any] = {}
-        #: memoized ``counters()`` result, keyed by registry size
-        self._counter_cache: Tuple[int, List[Counter]] = (-1, [])
 
     # ------------------------------------------------------------------
 
@@ -187,26 +185,6 @@ class TelemetryRegistry:
         """The current value of one scope (0 when never registered)."""
         metric = self._metrics.get(scope)
         return default if metric is None else metric.snapshot_value()
-
-    def counters(self) -> List[Counter]:
-        """Live :class:`Counter` handles, in registration order.
-
-        Registration order is deterministic for a fixed code path (the
-        engine constructs and first-touches metrics in a fixed
-        sequence), which is all the replay layer needs: it records
-        *(handle, delta)* pairs against the live objects themselves,
-        so ordering only affects record layout, not meaning.
-
-        The replay layer calls this on every armed fetch group, so the
-        result is memoized until a new metric registers (metrics are
-        never removed); treat the returned list as read-only.
-        """
-        size, cached = self._counter_cache
-        if size == len(self._metrics):
-            return cached
-        out = [m for m in self._metrics.values() if m.kind == "counter"]
-        self._counter_cache = (len(self._metrics), out)
-        return out
 
     def flat(self) -> Dict[str, Any]:
         """``{scope: value}`` over every registered metric, sorted by

@@ -85,10 +85,7 @@ class TraceCache:
         # insertion order == recency order.
         self._sets: List[Dict[Tuple[int, tuple], TraceSegment]] = [
             dict() for _ in range(self.config.num_sets)]
-        #: victim selection + metadata (TRRIP reuse history etc.); the
-        #: trace cache runs live on both replay paths, so the policy
-        #: state needs no digest plumbing here — it evolves under the
-        #: exact same lookup/insert sequence either way.
+        #: victim selection + metadata (TRRIP reuse history etc.)
         self.policy: ReplacementPolicy = make_policy(
             self.config.policy, self.config.num_sets)
         self.stats = TraceCacheStats()
@@ -102,16 +99,13 @@ class TraceCache:
         #: at fill time (instruction-mix axis of the reuse report).
         self.mix_by_pc: Dict[int, List[int]] = {}
         #: optional telemetry event stream (set by the pipeline when a
-        #: Telemetry session is attached); evictions are reported
-        #: here. [replay: presentational]
+        #: Telemetry session is attached); evictions are reported here.
         self.events: Optional[Any] = None
         #: optional span recorder (set by the engine when the session
-        #: traces spans); residency spans + reuse/evict instants land
-        #: on the "tracecache" track. None keeps lookup/insert
-        #: branch-lean. [replay: presentational]
+        #: traces spans); residency spans + reuse/evict instants land on
+        #: the "tracecache" track. None keeps lookup/insert branch-lean.
         self.spans: Optional[Any] = None
         #: (start_pc, path_key) -> open tc.residency SpanHandle.
-        #: [replay: presentational]
         self._residency: Dict[Tuple[int, tuple], Any] = {}
 
     def _index_for(self, pc: int) -> int:

@@ -20,16 +20,10 @@ retained for the memory scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SegmentError
 from repro.isa.decoded import Decoded
-
-#: process-wide allocator for segment memo tokens (see
-#: :attr:`TraceSegment.memo_token`). Starts at 1 so 0 can mean
-#: "unassigned" in the dataclass default.
-_MEMO_TOKENS = count(1)
 
 
 @dataclass
@@ -58,13 +52,6 @@ class TraceSegment:
     #: by the fill unit's dedup (passes may remove branch records —
     #: e.g. predication — so the live list cannot be compared).
     build_promo: Tuple[bool, ...] = ()
-    #: process-unique identity for the timing memo: two visits share a
-    #: memo key only if they hit the *same finalized segment object*
-    #: (same instruction rewrites, slots, promotions). Assigned at
-    #: construction, never reused — a rebuilt segment after eviction
-    #: gets a fresh token, which soundly invalidates stale memo
-    #: entries instead of aliasing them.
-    memo_token: int = 0
     #: fetch facts, recorded by :meth:`seal`: branch records by logical
     #: index, and whether any instruction is predicated (guarded)
     branch_at: Dict[int, BranchInfo] = field(
@@ -74,8 +61,6 @@ class TraceSegment:
     def __post_init__(self) -> None:
         if not self.slots:
             self.slots = list(range(len(self.instrs)))
-        if not self.memo_token:
-            self.memo_token = next(_MEMO_TOKENS)
 
     # ------------------------------------------------------------------
 

@@ -1,9 +1,7 @@
 """Unit tests for the pluggable replacement-policy layer.
 
 The policies are exercised directly (victim selection, metadata
-transitions) and through :class:`SetAssocCache` (eviction accounting),
-plus the run-level :class:`CaptureBackoff` profitability guard the
-replay controller consults before keying a visit.
+transitions) and through :class:`SetAssocCache` (eviction accounting).
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from repro.cache.policy import (
     make_policy,
 )
 from repro.cache.setassoc import SetAssocCache
-from repro.core.replay import CaptureBackoff
 from repro.errors import ConfigError
 
 
@@ -54,7 +51,7 @@ def test_true_lru_victim_is_oldest_and_stateless():
     # Move-to-end (the container's hit behaviour) changes the victim.
     entries[10] = entries.pop(10)
     assert policy.victim(0, entries) == 20
-    assert policy.state_digest(0) == ()
+    assert vars(policy) == {"num_sets": 1}     # no per-set metadata
 
 
 # -- SRRIP --------------------------------------------------------------
@@ -63,18 +60,17 @@ def test_srrip_insert_promote_and_age():
     policy = SRRIPPolicy(1)
     for key in (1, 2, 3):
         policy.on_insert(0, key)
-    assert policy.state_digest(0) == tuple(
-        (k, RRPV_LONG) for k in (1, 2, 3))
+    assert policy._meta[0] == {k: RRPV_LONG for k in (1, 2, 3)}
     policy.on_hit(0, 2)
     entries = {1: None, 2: None, 3: None}
     # No way is "distant" yet: the aging loop bumps every RRPV until
     # one is, then the first distant way in recency order is evicted.
     assert policy.victim(0, entries) == 1
-    meta = dict(policy.state_digest(0))
+    meta = policy._meta[0]
     assert meta[1] == RRPV_MAX
     assert meta[2] == RRPV_IMMEDIATE + 1
     policy.on_evict(0, 1)
-    assert 1 not in dict(policy.state_digest(0))
+    assert 1 not in policy._meta[0]
 
 
 def test_srrip_prefers_distant_over_recency():
@@ -120,14 +116,13 @@ def test_trrip_eviction_feeds_history_and_reuse_saturates():
     policy.on_insert(0, 7)
     for _ in range(10):
         policy.on_hit(0, 7)
-    # The reuse counter saturates at the hot threshold so the replay
-    # digest space stays finite.
-    assert dict(policy.state_digest(0)[1])[7] == 2
+    # The reuse counter saturates at the hot threshold.
+    assert policy._reuse[0][7] == 2
     policy.on_evict(0, 7)
     assert policy._history[0][7] == 2
     # The next generation of key 7 inserts hot.
     policy.on_insert(0, 7)
-    assert dict(policy.state_digest(0)[0])[7] == RRPV_IMMEDIATE
+    assert policy._meta[0][7] == RRPV_IMMEDIATE
 
 
 def test_trrip_history_is_fifo_bounded():
@@ -172,37 +167,3 @@ def test_setassoc_srrip_differs_from_lru():
     assert not srrip.access(192)  # dummy to keep streams same length
     assert lru.stats.evictions >= 1
     assert srrip.stats.evictions >= 1
-
-
-# -- capture back-off ---------------------------------------------------
-
-def test_backoff_trips_below_threshold():
-    guard = CaptureBackoff(threshold=0.5, window=4)
-    for hit in (True, False, False, False):    # 25% < 50%
-        guard.note(hit)
-    assert guard.off
-    # Once off, further outcomes are ignored...
-    guard.note(True)
-    assert guard.off and guard.visits == 0
-    # ...until the next run resets the window.
-    guard.reset()
-    assert not guard.off
-
-
-def test_backoff_stays_on_at_or_above_threshold():
-    guard = CaptureBackoff(threshold=0.5, window=4)
-    for hit in (True, True, False, False):     # exactly 50%
-        guard.note(hit)
-    assert not guard.off
-    assert guard.visits == 0                   # window re-opened
-    # A later bad window still trips it.
-    for hit in (False, False, False, True):
-        guard.note(hit)
-    assert guard.off
-
-
-def test_backoff_window_zero_disables_the_guard():
-    guard = CaptureBackoff(threshold=0.99, window=0)
-    for _ in range(64):
-        guard.note(False)
-    assert not guard.off and guard.visits == 0

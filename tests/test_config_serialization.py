@@ -58,11 +58,6 @@ def _non_default_config() -> SimConfig:
             reassoc_cross_flow_only=False, max_scale_shift=2),
         verify_fill=True,
         verify_each_pass=True,
-        timing_memo=False,
-        memo_capacity=512,
-        replay_shadow_every=3,
-        memo_breakeven=0.25,
-        memo_breakeven_window=256,
     )
 
 
@@ -148,8 +143,12 @@ def test_unknown_policy_rejected():
         SimConfig.from_dict(payload)
 
 
-def test_breakeven_knobs_validated():
-    with pytest.raises(ConfigError, match="memo_breakeven"):
-        SimConfig(memo_breakeven=1.0)
-    with pytest.raises(ConfigError, match="memo_breakeven_window"):
-        SimConfig(memo_breakeven_window=-1)
+def test_retired_memo_knobs_rejected():
+    """The timing-memo knobs are gone; a sweep declaring one fails
+    loudly instead of silently running a different machine."""
+    for knob in ("timing_memo", "memo_capacity", "replay_shadow_every",
+                 "memo_breakeven", "memo_breakeven_window"):
+        payload = SimConfig().to_dict()
+        payload[knob] = 0
+        with pytest.raises(ConfigError, match=knob):
+            SimConfig.from_dict(payload)

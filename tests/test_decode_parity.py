@@ -15,8 +15,6 @@ host-profiler proxies).
 
 from __future__ import annotations
 
-import dataclasses
-
 from hypothesis import given, settings, strategies as st
 import pytest
 
@@ -32,6 +30,7 @@ from repro.isa.decoded import Decoded
 from repro.isa.opcodes import OpClass
 from repro.isa.semantics import semantics_for
 from repro.machine import run_program
+from repro.telemetry import Telemetry
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 from repro.workloads import synth
 from repro.workloads.builder import AsmBuilder, lcg_values
@@ -188,18 +187,23 @@ def test_generated_program_records_match_methods(program):
         assert_sealed(unit.build_segment(candidate))
 
 
-@pytest.mark.parametrize("timing_memo", [True, False])
-def test_observer_stage_sees_every_instruction(timing_memo):
-    """An appended observer stage joins the per-instruction chain: the
-    cycles stay put, and the ineffectuality log — which replays
-    architectural state record by record — ends in the trace's final
-    register state, so it saw every committed instruction in order."""
+@pytest.mark.parametrize("observed", [True, False])
+def test_observer_stage_sees_every_instruction(observed):
+    """An appended observer stage joins the per-instruction chain, with
+    or without a telemetry session: the cycles stay put, and the
+    ineffectuality log — which replays architectural state record by
+    record — ends in the trace's final register state, so it saw every
+    committed instruction in order."""
     program = workloads.build("compress", scale=0.2)
     trace = run_program(program)
-    config = dataclasses.replace(SimConfig.tiny(OptimizationConfig.all()),
-                                 timing_memo=timing_memo)
-    plain = Engine(config).run(trace, benchmark="compress")
-    engine = Engine(config)
+    config = SimConfig.tiny(OptimizationConfig.all())
+
+    def session():
+        return Telemetry(spans=True) if observed else None
+
+    plain = Engine(config, telemetry=session()).run(trace,
+                                                    benchmark="compress")
+    engine = Engine(config, telemetry=session())
     stage = IneffectualityLogStage(program)
     engine.stages.append(stage)
     watched = engine.run(trace, benchmark="compress")

@@ -1,11 +1,17 @@
-"""Bit-for-bit equivalence of the segment-level timing replay.
+"""Golden cycle counts: the timing model's acceptance matrix.
 
-The correctness bar for the timing memo is absolute: with the memo
-enabled, cycle counts, every :class:`SimResult` counter and the full
-telemetry snapshot (minus the memo's own ``engine.replay.*`` scopes)
-must equal the slow path exactly — on every workload, under every
-paper machine configuration, with shadow re-simulation enabled, and
-with wrong-path modeling active (which forces the slow path outright).
+Every one of the fifteen workloads runs under the four paper machine
+configurations (on the small test machine, scale 0.2) and must
+reproduce its pinned cycle count exactly; the paper-machine seed
+anchors and the three replacement policies are pinned the same way.
+Any drift means the timing semantics changed. There is one path
+through the engine, so an observed run (spans, events and cycle
+attribution) must also agree with an unobserved one on every counter.
+
+The test names date from when this matrix compared runs with the
+(since retired) segment-level timing memo against the plain engine;
+they are kept so results stay comparable across the project history.
+Each cell now checks the single engine path against its pinned value.
 """
 
 from __future__ import annotations
@@ -14,15 +20,16 @@ import dataclasses
 
 import pytest
 
+from repro import workloads
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine import run_program
-from repro import workloads
+from repro.telemetry import Telemetry
 
-#: the four paper machines the acceptance matrix runs: measured
-#: baseline, a single-optimization machine, the combined paper
-#: configuration, and the extended pass set.
+#: the four paper machines the matrix runs: measured baseline, a
+#: single-optimization machine, the combined paper configuration and
+#: the extended pass set.
 PAPER_CONFIGS = {
     "baseline": OptimizationConfig.none,
     "moves": lambda: OptimizationConfig.only("moves"),
@@ -30,123 +37,94 @@ PAPER_CONFIGS = {
     "extended": OptimizationConfig.extended,
 }
 
+#: cycles at scale 0.2 on ``SimConfig.tiny``, per PAPER_CONFIGS order
+GOLDEN_CYCLES = {
+    "compress": (7443, 7276, 7054, 6756),
+    "gcc": (5283, 4845, 4613, 4473),
+    "ghostscript": (3608, 3408, 3235, 3235),
+    "gnuchess": (6255, 6074, 5155, 5155),
+    "gnuplot": (4669, 4170, 4100, 4100),
+    "go": (6209, 6101, 5458, 5458),
+    "ijpeg": (7925, 7956, 8036, 8037),
+    "li": (7555, 6456, 5736, 5736),
+    "m88ksim": (7309, 6996, 5705, 5705),
+    "perl": (7802, 7249, 6674, 6654),
+    "pgp": (4478, 4138, 4107, 4107),
+    "python": (6667, 6232, 5782, 5788),
+    "sim-outorder": (4759, 4729, 4601, 4324),
+    "tex": (6027, 5685, 5139, 5195),
+    "vortex": (3864, 3323, 3239, 3239),
+}
+
+_PROGRAMS: dict = {}
 _TRACES: dict = {}
+
+
+def _program(name: str, scale: float):
+    key = (name, scale)
+    if key not in _PROGRAMS:
+        _PROGRAMS[key] = workloads.build(name, scale=scale)
+    return _PROGRAMS[key]
 
 
 def _trace(name: str, scale: float):
     key = (name, scale)
     if key not in _TRACES:
-        _TRACES[key] = run_program(workloads.build(name, scale=scale))
+        _TRACES[key] = run_program(_program(name, scale))
     return _TRACES[key]
 
 
-def _comparable(result) -> dict:
-    """The full result with the memo's own telemetry scopes removed
-    (they are the only sanctioned difference between the two paths)."""
-    out = dataclasses.asdict(result)
-    del out["config_label"]     # run labels differ by construction
-    out["telemetry"] = {
-        scope: value for scope, value in result.telemetry.items()
-        if not scope.startswith("engine.replay.")}
-    return out
+def test_matrix_covers_every_workload():
+    assert sorted(GOLDEN_CYCLES) == sorted(workloads.names())
 
 
-def _run_pair(trace, config: SimConfig, benchmark: str):
-    off = dataclasses.replace(config, timing_memo=False)
-    r_off = PipelineModel(off).run(trace, benchmark=benchmark,
-                                   label="memo-off")
-    r_on = PipelineModel(config).run(trace, benchmark=benchmark,
-                                     label="memo-on")
-    return r_off, r_on
-
-
-@pytest.mark.parametrize("config_name", sorted(PAPER_CONFIGS))
+@pytest.mark.parametrize("config_name", list(PAPER_CONFIGS))
 @pytest.mark.parametrize("bench", workloads.names())
 def test_memo_bit_identical_every_workload(bench, config_name):
-    trace = _trace(bench, 0.2)
     config = SimConfig.tiny(PAPER_CONFIGS[config_name]())
-    r_off, r_on = _run_pair(trace, config, bench)
-    assert r_on.cycles == r_off.cycles
-    assert _comparable(r_on) == _comparable(r_off)
+    result = Engine(config).run(_trace(bench, 0.2), benchmark=bench)
+    column = list(PAPER_CONFIGS).index(config_name)
+    assert result.cycles == GOLDEN_CYCLES[bench][column]
 
 
 @pytest.mark.parametrize("bench,cycles",
                          [("compress", 16344), ("li", 13709)])
 def test_seed_cycles_preserved_with_memo(bench, cycles):
-    """The paper-config seed anchors, at the bench-trajectory scale."""
-    trace = _trace(bench, 0.5)
+    """The paper machine with all four optimizations at scale 0.5."""
     config = SimConfig.paper(OptimizationConfig.all())
-    r_off, r_on = _run_pair(trace, config, bench)
-    assert r_off.cycles == cycles
-    assert r_on.cycles == cycles
-    assert _comparable(r_on) == _comparable(r_off)
-    assert r_on.telemetry.get("engine.replay.hit", 0) > 0
+    result = Engine(config).run(_trace(bench, 0.5), benchmark=bench)
+    assert result.cycles == cycles
 
 
 @pytest.mark.parametrize("policy", ["lru", "srrip", "trrip"])
 @pytest.mark.parametrize("bench", ["compress", "li"])
 def test_memo_bit_identical_under_every_policy(bench, policy):
-    """Replacement-policy metadata is timing state that rides inside
-    the cache digests; with any policy enabled the memo must still be
-    bit-for-bit against the slow path. The program is passed so TRRIP
-    gets its static temperature hints on both paths."""
-    program = workloads.build(bench, scale=0.2)
-    trace = _trace(bench, 0.2)
+    """The test machine's caches never evict these workloads, so every
+    policy (TRRIP with its static hints installed) gives the ``all``
+    column's cycles."""
     config = SimConfig.tiny(OptimizationConfig.all())
     config = dataclasses.replace(
         config,
         trace_cache=dataclasses.replace(config.trace_cache,
                                         policy=policy),
         hierarchy=dataclasses.replace(config.hierarchy, policy=policy))
-    off = dataclasses.replace(config, timing_memo=False)
-    r_off = PipelineModel(off).run(trace, benchmark=bench,
-                                   label="memo-off", program=program)
-    r_on = PipelineModel(config).run(trace, benchmark=bench,
-                                     label="memo-on", program=program)
-    assert r_on.cycles == r_off.cycles
-    assert _comparable(r_on) == _comparable(r_off)
+    result = Engine(config).run(_trace(bench, 0.2), benchmark=bench,
+                                program=_program(bench, 0.2))
+    assert result.cycles == GOLDEN_CYCLES[bench][2]
 
 
-def test_shadow_mode_checks_and_stays_clean():
-    """With ``replay_shadow_every=1`` every would-be replay re-runs
-    the slow path and asserts the fresh capture equals the memoized
-    record; a clean run proves record stability."""
-    trace = _trace("compress", 0.2)
-    config = dataclasses.replace(
-        SimConfig.tiny(OptimizationConfig.all()), replay_shadow_every=1)
-    r_off, r_on = _run_pair(trace, config, "compress")
-    assert _comparable(r_on) == _comparable(r_off)
-    assert r_on.telemetry.get("engine.replay.shadow.checked", 0) > 0
-    assert r_on.telemetry.get("engine.replay.shadow.mismatch", 0) == 0
-
-
-def test_wrong_path_modeling_forces_slow_path():
-    """Wrong-path fetch modeling observes per-instruction state the
-    memo cannot replay; the controller must bypass for the whole run
-    and results must still match the memo-off machine."""
-    program = workloads.build("compress", scale=0.2)
-    trace = run_program(program)
-    config = dataclasses.replace(
-        SimConfig.tiny(OptimizationConfig.all()), model_wrong_path=True)
-    off = dataclasses.replace(config, timing_memo=False)
-    r_off = PipelineModel(off).run(trace, benchmark="compress",
-                                   label="memo-off", program=program)
-    r_on = PipelineModel(config).run(trace, benchmark="compress",
-                                     label="memo-on", program=program)
-    assert _comparable(r_on) == _comparable(r_off)
-    assert r_on.telemetry.get("engine.replay.hit", 0) == 0
-    assert r_on.telemetry.get("engine.replay.miss", 0) == 0
-
-
-def test_replay_counters_present_and_consistent():
-    trace = _trace("li", 0.2)
+@pytest.mark.parametrize("bench", ["compress", "li"])
+def test_observed_run_matches_plain_run(bench):
+    """Watching a run does not change it: with spans, events and cycle
+    attribution on, cycles, counters and the telemetry snapshot equal
+    an unobserved run's, and the attribution sums to the cycles."""
+    trace = _trace(bench, 0.2)
     config = SimConfig.tiny(OptimizationConfig.all())
-    result = PipelineModel(config).run(trace, benchmark="li",
-                                       label="memo-on")
-    tel = result.telemetry
-    hits = tel.get("engine.replay.hit", 0)
-    misses = tel.get("engine.replay.miss", 0)
-    assert hits > 0
-    assert misses > 0
-    assert tel.get("engine.replay.memo.entries", 0) > 0
-    assert tel.get("engine.replay.memo.approx_bytes", 0) > 0
+    plain = Engine(config).run(trace, benchmark=bench)
+    telemetry = Telemetry(spans=True)
+    telemetry.attach_memory()
+    observed = Engine(config, telemetry=telemetry).run(trace,
+                                                       benchmark=bench)
+    assert sum(observed.attribution.values()) == observed.cycles
+    observed.attribution = plain.attribution
+    assert dataclasses.asdict(observed) == dataclasses.asdict(plain)

@@ -14,9 +14,9 @@ scale with the host-time profiler attached and records, per benchmark:
   :class:`~repro.telemetry.hostprof.HostProfiler`;
 * ``reuse`` — trace-cache/segment reuse statistics (schema 3 adds
   the eviction counters: total and dead — never-rehit — evictions);
-* ``replay`` (schema 2) — timing-memo behavior: hit/miss/bypass
-  counts and rates, invalidations, memo footprint, and the measured
-  speedup of the memo-on run over a memo-off run of the same trace;
+* ``replay`` (schema 2-3, files recorded while the engine had a
+  segment-level timing memo: BENCH_8.json, BENCH_10.json) — memo
+  hit/miss counts and speedup; read back but no longer written;
 * ``policies`` (schema 3) — one single-repeat run per replacement
   policy (lru/srrip/trrip on both cache layers) recording cycles and
   the per-policy reuse/eviction profile. The ``lru`` leg must match
@@ -31,8 +31,9 @@ Usage:
 from the baseline or its normalized wall time regressed by more than
 ``--tolerance`` (fractional; default 0.10). Schema-1 baselines
 (``BENCH_6.json`` and earlier) are still accepted: the gate compares
-the fields both schemas share and skips the replay block. The pytest
-wrapper in ``benchmarks/bench_trajectory.py`` runs the cycle/shape
+the fields every schema shares, and never a baseline's replay block.
+The pytest wrapper in ``benchmarks/bench_trajectory.py`` runs the
+cycle/shape
 checks on every benchmark invocation and the wall gate under
 ``REPRO_BENCH_GATE``.
 """
@@ -43,7 +44,8 @@ import sys
 import time
 
 #: 1 — cycles / wall / stage shares / reuse (BENCH_6.json).
-#: 2 — adds the per-benchmark ``replay`` block (BENCH_8.json).
+#: 2 — adds the per-benchmark ``replay`` block (BENCH_8.json; no
+#:     longer written since the timing memo was retired).
 #: 3 — adds eviction counters to ``reuse`` and the per-policy
 #:     ``policies`` block (BENCH_10.json).
 TRAJECTORY_SCHEMA_VERSION = 3
@@ -72,11 +74,9 @@ def calibrate(repeats: int = 3) -> float:
     return best
 
 
-def _timed_runs(trace, name: str, repeats: int, timing_memo: bool):
+def _timed_runs(trace, name: str, repeats: int):
     """Best-of-*repeats* Engine runs of *trace*; returns
     ``(best_wall, result, profiler, engine)`` of the fastest run."""
-    import dataclasses
-
     from repro.core.config import SimConfig
     from repro.core.engine import Engine
     from repro.fillunit.opts.base import OptimizationConfig
@@ -91,8 +91,6 @@ def _timed_runs(trace, name: str, repeats: int, timing_memo: bool):
         # published optimizations) — `repro run BENCH` reproduces
         # these cycle counts exactly.
         config = SimConfig.paper(OptimizationConfig.all())
-        if not timing_memo:
-            config = dataclasses.replace(config, timing_memo=False)
         eng = Engine(config)
         prof = HostProfiler()
         prof.attach(eng)
@@ -108,35 +106,9 @@ def _timed_runs(trace, name: str, repeats: int, timing_memo: bool):
     return best_wall, result, profiler, engine
 
 
-def _replay_block(result, slow_wall: float, fast_wall: float) -> dict:
-    """The schema-2 ``replay`` entry, folded from the memo-on run's
-    ``engine.replay.*`` telemetry plus the memo-off comparison leg."""
-    tel = result.telemetry
-    hits = tel.get("engine.replay.hit", 0)
-    misses = tel.get("engine.replay.miss", 0)
-    bypasses = tel.get("engine.replay.bypass", 0)
-    invalidations = tel.get("engine.replay.invalidate", 0)
-    visits = hits + misses + bypasses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "bypasses": bypasses,
-        "invalidations": invalidations,
-        "hit_rate": round(hits / visits, 4) if visits else 0.0,
-        "miss_rate": round(misses / visits, 4) if visits else 0.0,
-        "invalidation_rate": (round(invalidations / misses, 4)
-                              if misses else 0.0),
-        "memo_entries": tel.get("engine.replay.memo.entries", 0),
-        "memo_approx_bytes": tel.get(
-            "engine.replay.memo.approx_bytes", 0),
-        "slow_path_wall_seconds": round(slow_wall, 6),
-        "speedup": round(slow_wall / fast_wall, 4),
-    }
-
-
 def _policy_block(trace, program, name: str,
                   lru_cycles: int) -> dict:
-    """The schema-3 per-policy reuse profile: one memo-on run per
+    """The schema-3 per-policy reuse profile: one run per
     replacement policy, both cache layers switched together. The
     program rides along so TRRIP's static temperature hints install
     exactly as they do under ``repro run --policy trrip``."""
@@ -184,14 +156,8 @@ def measure_benchmark(name: str, scale: float = DEFAULT_SCALE,
 
     program = workloads.build(name, scale)
     trace = Executor(program).run()
-    best_wall, result, profiler, engine = _timed_runs(
-        trace, name, repeats, timing_memo=True)
-    slow_wall, slow_result, _prof, _eng = _timed_runs(
-        trace, name, repeats, timing_memo=False)
-    if slow_result.cycles != result.cycles:
-        raise AssertionError(
-            f"{name}: timing memo changed cycles "
-            f"({slow_result.cycles} slow vs {result.cycles} memo)")
+    best_wall, result, profiler, engine = _timed_runs(trace, name,
+                                                      repeats)
     stats = engine.trace_cache.stats
     fill = engine.fill_unit.stats
     return {
@@ -211,7 +177,6 @@ def measure_benchmark(name: str, scale: float = DEFAULT_SCALE,
             "segments_built": fill.segments_built,
             "segments_deduped": fill.segments_deduped,
         },
-        "replay": _replay_block(result, slow_wall, best_wall),
         "policies": _policy_block(trace, program, name, result.cycles),
     }
 
@@ -239,9 +204,9 @@ def check_against(current: dict, baseline: dict,
     Cycle counts must match exactly; normalized wall time may grow by
     at most *tolerance* (fractional). Improvements always pass.
 
-    Schema-1 baselines are accepted: only the fields both schemas
-    share are compared (the ``replay`` block is schema-2-only and
-    never gated — it is reporting, not a regression contract).
+    Schema-1 baselines are accepted: only the fields every schema
+    shares are compared (a baseline's ``replay`` block is never
+    gated — it was reporting, not a regression contract).
     """
     failures = []
     base_schema = baseline.get("schema")
@@ -293,16 +258,6 @@ def render(payload: dict) -> str:
         lines.append("  " + " " * 10 + " hottest stages: " + ", ".join(
             f"{scope.split('.', 1)[1]} {100 * share:.0f}%"
             for scope, share in top))
-        replay = entry.get("replay")
-        if replay:
-            lines.append(
-                "  " + " " * 10 +
-                f" replay: hit={100 * replay['hit_rate']:.1f}% "
-                f"miss={100 * replay['miss_rate']:.1f}% "
-                f"inval={replay['invalidations']} "
-                f"memo={replay['memo_entries']} entries "
-                f"(~{replay['memo_approx_bytes'] // 1024} KiB) "
-                f"speedup={replay['speedup']:.2f}x vs slow path")
         policies = entry.get("policies")
         if policies:
             lines.append("  " + " " * 10 + " policies: " + "  ".join(

@@ -4,10 +4,9 @@ Usage:
     python -m repro trace compress --hostprof-out compress.prof.json
     python tools/hostprof_report.py compress.prof.json [more.json ...]
 
-With several profiles the per-stage shares are printed side by side,
-which is the view the timing-replay work needs: where does the
-simulator's own wall time go, and how does that change across
-configurations?
+With several profiles the per-stage shares are printed side by side:
+where does the simulator's own wall time go, and how does that change
+across configurations?
 """
 
 import json
