@@ -4,16 +4,10 @@ CFG + dominators + natural loops (:mod:`~repro.analysis.static.cfg`),
 a generic iterative dataflow framework
 (:mod:`~repro.analysis.static.dataflow`), the fill-unit opportunity
 detectors (:mod:`~repro.analysis.static.opportunities`), the workload
-lint pass (:mod:`~repro.analysis.static.lint`) and the
-:class:`AnalysisReport` facade (:mod:`~repro.analysis.static.report`).
-
-The interprocedural layer: a call graph with SCC condensation
-(:mod:`~repro.analysis.static.callgraph`), constant/value-range
-propagation with a store→load channel
-(:mod:`~repro.analysis.static.valueflow`), value-flow-driven
-supergraph refinement (:mod:`~repro.analysis.static.interproc`) and
-the ineffectuality oracle
-(:mod:`~repro.analysis.static.ineffectuality`).
+lint pass (:mod:`~repro.analysis.static.lint`) with the call graph its
+function-level rules read (:mod:`~repro.analysis.static.callgraph`),
+and the :class:`AnalysisReport` facade
+(:mod:`~repro.analysis.static.report`).
 See ``docs/static-analysis.md``.
 """
 
@@ -39,17 +33,6 @@ from repro.analysis.static.dataflow import (
     def_use_chains,
     solve,
 )
-from repro.analysis.static.ineffectuality import (
-    INEFF_CLASSES,
-    IneffectualitySites,
-    MustUse,
-    classify_ineffectuality,
-    ineffectuality_sites,
-)
-from repro.analysis.static.interproc import (
-    InterprocAnalysis,
-    interprocedural_analysis,
-)
 from repro.analysis.static.lint import LintFinding, lint_program
 from repro.analysis.static.opportunities import (
     BlockPressure,
@@ -61,18 +44,10 @@ from repro.analysis.static.opportunities import (
 )
 from repro.analysis.static.report import (
     AnalysisReport,
-    InterprocReport,
     analyze_program,
-)
-from repro.analysis.static.valueflow import (
-    AbstractValue,
-    ValueFlow,
-    ValueFlowAnalysis,
-    solve_valueflow,
 )
 
 __all__ = [
-    "AbstractValue",
     "AnalysisReport",
     "BasicBlock",
     "BlockPressure",
@@ -84,30 +59,19 @@ __all__ = [
     "ENTRY_DEF",
     "ENTRY_REGS",
     "FunctionInfo",
-    "INEFF_CLASSES",
-    "IneffectualitySites",
-    "InterprocAnalysis",
-    "InterprocReport",
     "LintFinding",
     "Liveness",
     "Loop",
-    "MustUse",
     "OpportunitySites",
     "ReachingDefinitions",
-    "ValueFlow",
-    "ValueFlowAnalysis",
     "analyze_program",
     "block_pressure",
     "build_call_graph",
     "build_cfg",
-    "classify_ineffectuality",
     "def_use_chains",
     "find_opportunities",
-    "ineffectuality_sites",
-    "interprocedural_analysis",
     "lint_program",
     "placement_pressure",
     "possible_move_sources",
     "solve",
-    "solve_valueflow",
 ]

@@ -1,32 +1,25 @@
 """Call graph over the static CFG.
 
 Functions are discovered symbolically, the way a binary analyzer would
-see them: every ``JAL`` target is a function entry, the program entry
-anchors the root function, and resolved indirect-call targets (from the
-value-flow layer, when available) add more. Function *extents* follow
-the layout convention the workload generators obey — each function's
-code is the contiguous address range from its entry to the next entry
-(or the end of text) — which keeps membership deterministic and
-independent of how precisely indirect jumps were resolved.
+see them: every ``JAL`` target is a function entry and the program
+entry anchors the root function. Function *extents* follow the layout
+convention the workload generators obey — each function's code is the
+contiguous address range from its entry to the next entry (or the end
+of text) — which keeps membership deterministic.
 
-Edges are over-approximate in exactly one direction: an unresolved
-indirect call (``JALR`` with no value-flow facts) edges to *every*
-known entry, and a non-return ``JR`` (jump table) edges to every
-function owning one of its over-approximate CFG successors. Extra
-edges can only make more functions reachable, so the
-``unreachable-function`` lint built on this graph never reports a
+Edges are over-approximate in exactly one direction: an indirect call
+(``JALR``) edges to *every* known entry, and a non-return ``JR`` (jump
+table) edges to every function owning one of its over-approximate CFG
+successors. Extra edges can only make more functions reachable, so
+the ``unreachable-function`` lint built on this graph never reports a
 function some real path could still reach.
-
-Recursion is summarised by Tarjan SCC condensation (iterative — the
-workloads' recursive walkers would blow the interpreter stack under a
-naive recursive DFS).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.static.cfg import ControlFlowGraph, direct_target
 from repro.isa.opcodes import Op
@@ -72,7 +65,6 @@ class CallGraph:
         self._succs: Dict[int, List[int]] = {f: [] for f in functions}
         for src, dst in sorted(edges):
             self._succs[src].append(dst)
-        self._sccs: Optional[List[FrozenSet[int]]] = None
 
     # -- navigation ----------------------------------------------------
 
@@ -83,9 +75,6 @@ class CallGraph:
             return None
         entry = self._entries[index]
         return entry if pc < self.functions[entry].end else None
-
-    def callees(self, entry: int) -> List[int]:
-        return self._succs[entry]
 
     # -- reachability --------------------------------------------------
 
@@ -102,73 +91,6 @@ class CallGraph:
                     stack.append(succ)
         return seen
 
-    # -- recursion (SCC condensation) ----------------------------------
-
-    def sccs(self) -> List[FrozenSet[int]]:
-        """Strongly connected components of the call graph (Tarjan,
-        iterative), in reverse topological order of the condensation."""
-        if self._sccs is not None:
-            return self._sccs
-        index_of: Dict[int, int] = {}
-        low: Dict[int, int] = {}
-        on_stack: Set[int] = set()
-        stack: List[int] = []
-        sccs: List[FrozenSet[int]] = []
-        counter = 0
-        for root in self._entries:
-            if root in index_of:
-                continue
-            work: List[Tuple[int, int]] = [(root, 0)]
-            while work:
-                node, child = work[-1]
-                if child == 0:
-                    index_of[node] = low[node] = counter
-                    counter += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                succs = self._succs[node]
-                advanced = False
-                while child < len(succs):
-                    succ = succs[child]
-                    child += 1
-                    if succ not in index_of:
-                        work[-1] = (node, child)
-                        work.append((succ, 0))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        low[node] = min(low[node], index_of[succ])
-                if advanced:
-                    continue
-                work[-1] = (node, child)
-                if child >= len(succs):
-                    if low[node] == index_of[node]:
-                        component = []
-                        while True:
-                            member = stack.pop()
-                            on_stack.discard(member)
-                            component.append(member)
-                            if member == node:
-                                break
-                        sccs.append(frozenset(component))
-                    work.pop()
-                    if work:
-                        parent = work[-1][0]
-                        low[parent] = min(low[parent], low[node])
-        self._sccs = sccs
-        return sccs
-
-    def recursive_functions(self) -> FrozenSet[int]:
-        """Entries inside a recursive SCC (size > 1 or a self edge)."""
-        out: Set[int] = set()
-        for component in self.sccs():
-            if len(component) > 1:
-                out |= component
-        for entry in self.functions:
-            if (entry, entry) in self.edges:
-                out.add(entry)
-        return frozenset(out)
-
 
 def _function_name(cfg: ControlFlowGraph, entry: int) -> str:
     for name, addr in cfg.program.symbols.items():
@@ -177,20 +99,13 @@ def _function_name(cfg: ControlFlowGraph, entry: int) -> str:
     return f"fn_{entry:#x}"
 
 
-def build_call_graph(
-        cfg: ControlFlowGraph,
-        resolved_calls: Optional[Dict[int, Tuple[int, ...]]] = None
-        ) -> CallGraph:
+def build_call_graph(cfg: ControlFlowGraph) -> CallGraph:
     """Build the call graph of *cfg*.
 
-    *resolved_calls* optionally maps an indirect-call PC (``JALR``) to
-    its value-flow-resolved callee entry PCs; without it (or for PCs
-    absent from it) an indirect call over-approximates to every known
-    entry — and to *no* entry at all when the program defines none
-    beyond the root, the zero-candidate case the caller must tolerate.
+    An indirect call (``JALR``) over-approximates to every known entry
+    — the root alone when the program defines no other function.
     """
     program = cfg.program
-    resolved = resolved_calls or {}
     root = cfg.blocks[cfg.entry].start
 
     entries: Set[int] = {root}
@@ -200,10 +115,6 @@ def build_call_graph(
                 target = direct_target(instr)
                 if target is not None and program.contains_pc(target):
                     entries.add(target)
-            elif instr.op is Op.JALR:
-                for target in resolved.get(instr.pc or 0, ()):
-                    if program.contains_pc(target):
-                        entries.add(target)
 
     ordered = sorted(entries)
     ends = {entry: (ordered[i + 1] if i + 1 < len(ordered)
@@ -234,9 +145,7 @@ def build_call_graph(
                                and program.contains_pc(target) else ())
                     call_sites.append(CallSite(pc, entry, callees, True))
                 elif instr.op is Op.JALR:
-                    callees = tuple(sorted(
-                        resolved.get(pc, all_entries)))
-                    call_sites.append(CallSite(pc, entry, callees,
+                    call_sites.append(CallSite(pc, entry, all_entries,
                                                False))
             last = block.last
             last_pc = last.pc or 0

@@ -1,6 +1,6 @@
 """Workload lint: structural sanity checks over the static CFG.
 
-Four rules, each an honest whole-program property of the assembled
+Six rules, each an honest whole-program property of the assembled
 image (no execution involved):
 
 * ``bad-branch-target`` (error) — a direct branch or jump whose target
@@ -18,7 +18,7 @@ image (no execution involved):
   states deadness never, but ABI-style bookkeeping (saving a register
   that is only conditionally reused) is legitimate.
 
-Two more rules activate when the caller supplies a call graph
+Two more rules read the call graph
 (:func:`repro.analysis.static.callgraph.build_call_graph`):
 
 * ``unreachable-function`` (warning) — a discovered function entry no
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.static.callgraph import CallGraph
+from repro.analysis.static.callgraph import CallGraph, build_call_graph
 from repro.analysis.static.cfg import ControlFlowGraph
 from repro.analysis.static.dataflow import (
     Liveness,
@@ -63,23 +63,17 @@ class LintFinding:
         return f"[{self.severity}] {where}{self.rule}: {self.message}"
 
 
-def lint_program(cfg: ControlFlowGraph,
-                 call_graph: Optional[CallGraph] = None
-                 ) -> List[LintFinding]:
-    """Run every rule over *cfg*; findings sorted by address.
-
-    With a *call_graph* the two interprocedural rules
-    (``unreachable-function``, ``missing-return``) run as well.
-    """
+def lint_program(cfg: ControlFlowGraph) -> List[LintFinding]:
+    """Run every rule over *cfg*; findings sorted by address."""
     findings: List[LintFinding] = []
     findings.extend(_bad_branch_targets(cfg))
     reachable = cfg.reachable()
     findings.extend(_unreachable_blocks(cfg, reachable))
     findings.extend(_undefined_reads(cfg, reachable))
     findings.extend(_dead_writes(cfg, reachable))
-    if call_graph is not None:
-        findings.extend(_unreachable_functions(call_graph))
-        findings.extend(_missing_returns(call_graph))
+    call_graph = build_call_graph(cfg)
+    findings.extend(_unreachable_functions(call_graph))
+    findings.extend(_missing_returns(call_graph))
     findings.sort(key=lambda f: (f.pc if f.pc is not None else -1, f.rule))
     return findings
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.analysis.static.callgraph import build_call_graph
 from repro.analysis.static.cfg import build_cfg
 from repro.analysis.static.lint import (
     ERROR,
@@ -28,54 +27,6 @@ from repro.analysis.static.opportunities import (
     placement_pressure,
 )
 from repro.program.image import Program
-
-
-@dataclass
-class InterprocReport:
-    """The interprocedural layer's contribution to one report.
-
-    ``*_sites`` are the value-flow-tightened opportunity bounds —
-    guaranteed subsets of the intraprocedural site lists in the parent
-    :class:`AnalysisReport`. The ``dead_write``/``silent_store``/
-    ``predictable`` lists are the ineffectuality oracle's candidate
-    PCs (``constant_sites`` ⊆ ``predictable_sites`` are the PCs whose
-    result is a single known constant).
-    """
-
-    functions: int = 0
-    call_edges: int = 0
-    recursive_functions: int = 0
-    indirect_jumps: int = 0          # JR/JALR instructions in text
-    resolved_jumps: int = 0          # ... with value-flow-exact targets
-    decided_branches: int = 0        # provably one-way conditionals
-    refine_rounds: int = 0
-
-    move_sites: List[int] = field(default_factory=list)
-    reassoc_sites: List[int] = field(default_factory=list)
-    scaled_sites: List[int] = field(default_factory=list)
-
-    dead_write_sites: List[int] = field(default_factory=list)
-    silent_store_sites: List[int] = field(default_factory=list)
-    predictable_sites: List[int] = field(default_factory=list)
-    constant_sites: List[int] = field(default_factory=list)
-
-    def site_sets(self) -> Dict[str, FrozenSet[int]]:
-        moves = frozenset(self.move_sites)
-        reassoc = frozenset(self.reassoc_sites)
-        scaled = frozenset(self.scaled_sites)
-        return {"moves": moves, "reassoc": reassoc, "scaled": scaled,
-                "any_opt": moves | reassoc | scaled}
-
-    def static_bounds(self) -> Dict[str, int]:
-        return {name: len(pcs) for name, pcs in self.site_sets().items()}
-
-    def ineff_sets(self) -> Dict[str, FrozenSet[int]]:
-        return {"dead_write": frozenset(self.dead_write_sites),
-                "silent_store": frozenset(self.silent_store_sites),
-                "predictable": frozenset(self.predictable_sites)}
-
-    def ineff_counts(self) -> Dict[str, int]:
-        return {name: len(pcs) for name, pcs in self.ineff_sets().items()}
 
 
 @dataclass
@@ -101,9 +52,6 @@ class AnalysisReport:
     dep_height_max: int = 0
 
     lint: List[LintFinding] = field(default_factory=list)
-
-    #: present when the analysis ran with ``interprocedural=True``.
-    interproc: Optional[InterprocReport] = None
 
     # ------------------------------------------------------------------
 
@@ -132,68 +80,24 @@ class AnalysisReport:
 
     def summary(self) -> str:
         bounds = self.static_bounds()
-        line = (f"{self.benchmark:12s} instrs={self.instructions:5d} "
+        return (f"{self.benchmark:12s} instrs={self.instructions:5d} "
                 f"blocks={self.blocks:4d} edges={self.edges:4d} "
                 f"loops={self.loops:3d} | sites: "
                 f"mv={bounds['moves']:4d} ra={bounds['reassoc']:4d} "
                 f"sc={bounds['scaled']:4d} any={bounds['any_opt']:4d} | "
                 f"lint: {len(self.lint_errors())} errors, "
                 f"{len(self.lint_warnings())} warnings")
-        ip = self.interproc
-        if ip is not None:
-            tight = ip.static_bounds()
-            ineff = ip.ineff_counts()
-            line += (f"\n{'':12s} interproc: funcs={ip.functions} "
-                     f"edges={ip.call_edges} rec={ip.recursive_functions} "
-                     f"jr-resolved={ip.resolved_jumps}/"
-                     f"{ip.indirect_jumps} | tight any="
-                     f"{tight['any_opt']:4d} | ineff: "
-                     f"dw={ineff['dead_write']} "
-                     f"ss={ineff['silent_store']} "
-                     f"pv={ineff['predictable']}")
-        return line
 
 
 def analyze_program(program: Program, benchmark: str = "",
                     max_shift: int = 3, num_clusters: int = 4,
-                    cluster_size: int = 4,
-                    interprocedural: bool = False) -> AnalysisReport:
-    """Run the full static analysis over *program*.
-
-    With ``interprocedural=True`` the value-flow layer runs as well and
-    the report gains an :class:`InterprocReport`. The interprocedural
-    lint rules always run — over the *unresolved* call graph, so lint
-    output is identical in both modes.
-    """
+                    cluster_size: int = 4) -> AnalysisReport:
+    """Run the full static analysis over *program*."""
     cfg = build_cfg(program)
     sites = find_opportunities(cfg, max_shift=max_shift)
     pressure: List[BlockPressure] = placement_pressure(
         cfg, num_clusters, cluster_size)
-    findings = lint_program(cfg, build_call_graph(cfg))
     reachable = cfg.reachable()
-    interproc: Optional[InterprocReport] = None
-    if interprocedural:
-        from repro.analysis.static.interproc import (
-            interprocedural_analysis,
-        )
-        ia = interprocedural_analysis(program, max_shift=max_shift)
-        graph = ia.call_graph
-        interproc = InterprocReport(
-            functions=len(graph.functions),
-            call_edges=len(graph.edges),
-            recursive_functions=len(graph.recursive_functions()),
-            indirect_jumps=ia.indirect_jumps,
-            resolved_jumps=len(ia.resolved_jumps),
-            decided_branches=len(ia.decided_branches),
-            refine_rounds=ia.rounds,
-            move_sites=sorted(ia.sites.moves & sites.moves),
-            reassoc_sites=sorted(ia.sites.reassoc & sites.reassoc),
-            scaled_sites=sorted(ia.sites.scaled & sites.scaled),
-            dead_write_sites=sorted(ia.ineff.dead_writes),
-            silent_store_sites=sorted(ia.ineff.silent_stores),
-            predictable_sites=sorted(ia.ineff.predictable),
-            constant_sites=sorted(ia.ineff.constants),
-        )
     return AnalysisReport(
         benchmark=benchmark or program.name,
         instructions=len(program.instructions),
@@ -207,9 +111,8 @@ def analyze_program(program: Program, benchmark: str = "",
         dep_edges=sum(p.dep_edges for p in pressure),
         cross_cluster_edges=sum(p.cross_cluster_edges for p in pressure),
         dep_height_max=max((p.dep_height for p in pressure), default=0),
-        lint=findings,
-        interproc=interproc,
+        lint=lint_program(cfg),
     )
 
 
-__all__ = ["AnalysisReport", "InterprocReport", "analyze_program"]
+__all__ = ["AnalysisReport", "analyze_program"]

@@ -411,8 +411,7 @@ def cmd_analyze(args) -> int:
     for name in names:
         program = workloads.build(name, args.scale)
         report = analyze_program(program, name,
-                                 max_shift=args.max_shift,
-                                 interprocedural=args.interprocedural)
+                                 max_shift=args.max_shift)
         reports[name] = report
         print(report.summary())
         for finding in report.lint[:args.show]:
@@ -428,17 +427,11 @@ def cmd_analyze(args) -> int:
         print(f"wrote {len(reports)} analysis reports to {args.json}")
 
     def _bench_payload(report):
-        payload = {
+        return {
             "lint": {"errors": report.lint_rule_counts("error"),
                      "warnings": report.lint_rule_counts("warning")},
             "sites": report.static_bounds(),
         }
-        if report.interproc is not None:
-            payload["interprocedural"] = {
-                "sites": report.interproc.static_bounds(),
-                "ineffectuality": report.interproc.ineff_counts(),
-            }
-        return payload
 
     baseline_payload = {
         "schema": ANALYSIS_SCHEMA_VERSION,
@@ -467,22 +460,16 @@ def cmd_analyze(args) -> int:
                 print(f"  {name}: not in baseline (new benchmark?)")
                 continue
             old_lint = recorded.get("lint", {})
-            if "errors" in old_lint or "warnings" in old_lint:
-                severities = (("errors", "error"),
-                              ("warnings", "warning"))
-            else:
-                # legacy flat baseline: one undifferentiated count map
-                severities = (("", None),)
-            for key, severity in severities:
-                old_counts = old_lint.get(key, {}) if key else old_lint
+            for key, severity in (("errors", "error"),
+                                  ("warnings", "warning")):
+                old_counts = old_lint.get(key, {})
                 new_counts = report.lint_rule_counts(severity)
-                label = f"{severity} " if severity else ""
                 for rule in sorted(set(new_counts) | set(old_counts)):
                     new_n = new_counts.get(rule, 0)
                     old_n = old_counts.get(rule, 0)
                     if new_n > old_n:
                         failures.append(
-                            f"{name}: lint {label}rule '{rule}' "
+                            f"{name}: lint {severity} rule '{rule}' "
                             f"regressed {old_n} -> {new_n}")
             old_sites = recorded.get("sites", {})
             new_sites = report.static_bounds()
@@ -492,33 +479,10 @@ def cmd_analyze(args) -> int:
             if drift:
                 print(f"  {name}: site counts drifted vs baseline: "
                       f"{drift} (informational)")
-            old_ip = recorded.get("interprocedural")
-            if old_ip is not None and report.interproc is not None:
-                for section, new_counts in (
-                        ("sites", report.interproc.static_bounds()),
-                        ("ineffectuality",
-                         report.interproc.ineff_counts())):
-                    old_counts = old_ip.get(section, {})
-                    for key in sorted(set(new_counts) | set(old_counts)):
-                        new_n = new_counts.get(key, 0)
-                        old_n = old_counts.get(key, 0)
-                        if new_n > old_n:
-                            failures.append(
-                                f"{name}: interprocedural {section} "
-                                f"'{key}' grew {old_n} -> {new_n} "
-                                f"(bound loosened)")
-                        elif new_n < old_n:
-                            print(f"  {name}: interprocedural "
-                                  f"{section} '{key}' tightened "
-                                  f"{old_n} -> {new_n} "
-                                  f"(informational)")
 
     if args.cross_check:
         from repro.errors import ConfigError
-        from repro.harness.crosscheck import (
-            cross_check,
-            ineffectuality_cross_check,
-        )
+        from repro.harness.crosscheck import cross_check
         config = SimConfig.paper(_opt_config(args.opts),
                                  args.fill_latency)
         print()
@@ -536,32 +500,6 @@ def cmd_analyze(args) -> int:
                 failures.append(
                     f"{name}: {len(check.violations)} oracle "
                     f"violations")
-            interproc = reports[name].interproc
-            if interproc is None:
-                continue
-            from repro.analysis.static.ineffectuality import (
-                IneffectualitySites,
-            )
-            static_ineff = IneffectualitySites(
-                dead_writes=frozenset(interproc.dead_write_sites),
-                silent_stores=frozenset(interproc.silent_store_sites),
-                predictable=frozenset(interproc.predictable_sites),
-                constants=frozenset(interproc.constant_sites))
-            ineff_check = ineffectuality_cross_check(
-                static_ineff, trace, config, program, name, args.opts)
-            print(ineff_check.render())
-            if not ineff_check.ok:
-                failures.append(
-                    f"{name}: {len(ineff_check.violations)} "
-                    f"ineffectuality oracle violations")
-            intra = reports[name].static_bounds()
-            tight = interproc.static_bounds()
-            loose = {k: (tight[k], intra[k]) for k in tight
-                     if tight[k] > intra[k]}
-            if loose:
-                failures.append(
-                    f"{name}: interprocedural bounds looser than "
-                    f"intraprocedural: {loose}")
 
     if failures:
         print("\nFAIL:")
@@ -697,15 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--write-baseline", metavar="FILE",
                        help="record the current lint/site counts as "
                             "the new baseline")
-    p_ana.add_argument("--interprocedural", action="store_true",
-                       help="run the interprocedural value-flow layer: "
-                            "call graph, tightened opportunity bounds "
-                            "and the ineffectuality oracle")
     p_ana.add_argument("--cross-check", action="store_true",
                        help="simulate each benchmark and check dynamic "
-                            "transformed PCs against the static bounds "
-                            "(with --interprocedural, also check "
-                            "observed ineffectual PCs)")
+                            "transformed PCs against the static bounds")
     p_ana.add_argument("--show", type=int, default=10,
                        help="lint findings to print per benchmark "
                             "(default 10)")

@@ -9,13 +9,13 @@ static analyzer's reports into the CI baseline
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Optional
 
 from repro.core.results import OptCoverage, SimResult
 
 SCHEMA_VERSION = 1
-ANALYSIS_SCHEMA_VERSION = 2
+ANALYSIS_SCHEMA_VERSION = 3
 
 
 def result_to_dict(result: SimResult) -> dict:
@@ -89,11 +89,6 @@ def analysis_to_dict(report) -> dict:
         "lint_errors": len(report.lint_errors()),
         "lint_warnings": len(report.lint_warnings()),
     }
-    if report.interproc is not None:
-        payload["derived"]["interproc_bounds"] = \
-            report.interproc.static_bounds()
-        payload["derived"]["ineff_counts"] = \
-            report.interproc.ineff_counts()
     return payload
 
 
@@ -101,18 +96,19 @@ def analysis_from_dict(payload: dict):
     """Rebuild an ``AnalysisReport`` from :func:`analysis_to_dict`.
 
     Raises:
-        ValueError: on an unknown schema version.
+        ValueError: on an unknown schema version or an unknown key.
     """
     from repro.analysis.static.lint import LintFinding
-    from repro.analysis.static.report import AnalysisReport, InterprocReport
+    from repro.analysis.static.report import AnalysisReport
     if payload.get("schema") != ANALYSIS_SCHEMA_VERSION:
         raise ValueError(
             f"unknown analysis schema {payload.get('schema')!r}")
     data = {k: v for k, v in payload.items()
             if k not in ("schema", "derived")}
+    unknown = sorted(set(data) - {f.name for f in fields(AnalysisReport)})
+    if unknown:
+        raise ValueError(f"unknown analysis key(s) {', '.join(unknown)}")
     data["lint"] = [LintFinding(**f) for f in data.get("lint", [])]
-    if data.get("interproc") is not None:
-        data["interproc"] = InterprocReport(**data["interproc"])
     return AnalysisReport(**data)
 
 

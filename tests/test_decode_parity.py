@@ -22,7 +22,7 @@ from repro import workloads
 from repro.branch.bias import BiasTable
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
-from repro.core.stages.ineff import IneffectualityLogStage
+from repro.core.stages import PipelineStage
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.fillunit.unit import FillUnit, FillUnitConfig
@@ -187,16 +187,38 @@ def test_generated_program_records_match_methods(program):
         assert_sealed(unit.build_segment(candidate))
 
 
-@pytest.mark.parametrize("observed", [True, False])
-def test_observer_stage_sees_every_instruction(observed):
+class PcLogStage(PipelineStage):
+    """Observer stage recording the PC of every committed slot it sees
+    (phantoms are counted, not logged: they carry no record)."""
+
+    name = "pc-log"
+
+    def __init__(self) -> None:
+        self.pcs = []
+        self.phantoms = 0
+
+    def process(self, state, slot) -> None:
+        entry = slot.entry
+        if entry.phantom:
+            self.phantoms += 1
+        else:
+            self.pcs.append(entry.record.pc)
+
+
+@pytest.mark.parametrize("observed,opts", [
+    pytest.param(True, OptimizationConfig.all, id="True"),
+    pytest.param(False, OptimizationConfig.all, id="False"),
+    pytest.param(True, OptimizationConfig.extended, id="extended-True"),
+    pytest.param(False, OptimizationConfig.extended, id="extended-False"),
+])
+def test_observer_stage_sees_every_instruction(observed, opts):
     """An appended observer stage joins the per-instruction chain, with
-    or without a telemetry session: the cycles stay put, and the
-    ineffectuality log — which replays architectural state record by
-    record — ends in the trace's final register state, so it saw every
-    committed instruction in order."""
-    program = workloads.build("compress", scale=0.2)
-    trace = run_program(program)
-    config = SimConfig.tiny(OptimizationConfig.all())
+    or without a telemetry session: the cycles stay put and it sees
+    every committed instruction exactly once, in order — predicated
+    phantoms (the extended set) included in the chain but not in the
+    committed stream."""
+    trace = run_program(workloads.build("compress", scale=0.2))
+    config = SimConfig.tiny(opts())
 
     def session():
         return Telemetry(spans=True) if observed else None
@@ -204,9 +226,10 @@ def test_observer_stage_sees_every_instruction(observed):
     plain = Engine(config, telemetry=session()).run(trace,
                                                     benchmark="compress")
     engine = Engine(config, telemetry=session())
-    stage = IneffectualityLogStage(program)
+    stage = PcLogStage()
     engine.stages.append(stage)
     watched = engine.run(trace, benchmark="compress")
     assert watched.cycles == plain.cycles
-    assert stage.log.state.regs == trace.final_state.regs
-    assert stage.log.occurrences["dead_write"] > 0
+    assert stage.pcs == [r.pc for r in trace.records]
+    if opts is OptimizationConfig.extended:
+        assert stage.phantoms > 0

@@ -108,25 +108,15 @@ def test_analysis_report_roundtrip():
     assert rebuilt == report
 
 
-def test_analysis_report_roundtrip_interprocedural():
-    from repro import workloads
-    from repro.analysis.static import analyze_program
-    from repro.core.export import analysis_from_dict, analysis_to_dict
-
-    report = analyze_program(workloads.build("li", 0.2), "li",
-                             interprocedural=True)
-    assert report.interproc is not None
-    payload = analysis_to_dict(report)
-    assert payload["derived"]["interproc_bounds"] \
-        == report.interproc.static_bounds()
-    assert payload["derived"]["ineff_counts"] \
-        == report.interproc.ineff_counts()
-    rebuilt = analysis_from_dict(payload)
-    assert rebuilt == report
-    assert rebuilt.interproc == report.interproc
-
-
 def test_analysis_schema_version_checked():
-    from repro.core.export import analysis_from_dict
+    from repro.core.export import ANALYSIS_SCHEMA_VERSION, analysis_from_dict
     with pytest.raises(ValueError):
         analysis_from_dict({"schema": 999})
+    # a key the report does not have is rejected by name, not passed on
+    # to the dataclass constructor as a raw TypeError.
+    with pytest.raises(ValueError, match="tightened_sites"):
+        analysis_from_dict({"schema": ANALYSIS_SCHEMA_VERSION,
+                            "benchmark": "compress", "instructions": 0,
+                            "blocks": 0, "edges": 0, "loops": 0,
+                            "unreachable_blocks": 0,
+                            "tightened_sites": []})

@@ -1,4 +1,4 @@
-"""Call graph construction, SCCs and the two interprocedural lints."""
+"""Call graph construction and the two function-level lints."""
 
 from repro import workloads
 from repro.analysis.static.callgraph import build_call_graph
@@ -15,50 +15,6 @@ main:
     halt
 helper:
     addi $t0, $t0, 1
-    jr   $ra
-"""
-
-RECURSIVE = """
-main:
-    li   $a0, 3
-    jal  down
-    halt
-down:
-    blez $a0, done
-    addi $a0, $a0, -1
-    addi $sp, $sp, -4
-    sw   $ra, 0($sp)
-    jal  down
-    lw   $ra, 0($sp)
-    addi $sp, $sp, 4
-done:
-    jr   $ra
-"""
-
-MUTUAL = """
-main:
-    li   $a0, 4
-    jal  even
-    halt
-even:
-    blez $a0, even_done
-    addi $a0, $a0, -1
-    addi $sp, $sp, -4
-    sw   $ra, 0($sp)
-    jal  odd
-    lw   $ra, 0($sp)
-    addi $sp, $sp, 4
-even_done:
-    jr   $ra
-odd:
-    blez $a0, odd_done
-    addi $a0, $a0, -1
-    addi $sp, $sp, -4
-    sw   $ra, 0($sp)
-    jal  even
-    lw   $ra, 0($sp)
-    addi $sp, $sp, 4
-odd_done:
     jr   $ra
 """
 
@@ -96,7 +52,7 @@ def test_direct_calls_resolved():
     helper = cfg.program.symbols["helper"]
     main = cfg.program.symbols["main"]
     assert set(graph.functions) == {main, helper}
-    assert graph.callees(main) == [helper]
+    assert graph.edges == {(main, helper)}
     info = graph.functions[main]
     assert len(info.call_sites) == 2
     assert all(site.direct and site.callees == (helper,)
@@ -112,26 +68,6 @@ def test_containing_maps_pcs_to_extents():
     assert graph.containing(helper + 4) == helper
     assert graph.containing(cfg.program.symbols["main"] + 4) \
         == cfg.program.symbols["main"]
-
-
-def test_self_recursion_is_an_scc_self_loop():
-    cfg, graph = _graph(RECURSIVE)
-    down = cfg.program.symbols["down"]
-    assert (down, down) in graph.edges
-    assert down in graph.recursive_functions()
-    # a self loop alone is a singleton SCC: recursion is detected via
-    # the explicit self edge, not component size.
-    assert frozenset({down}) in graph.sccs()
-
-
-def test_mutual_recursion_scc():
-    cfg, graph = _graph(MUTUAL)
-    even = cfg.program.symbols["even"]
-    odd = cfg.program.symbols["odd"]
-    recursive = graph.recursive_functions()
-    assert even in recursive and odd in recursive
-    assert any(component >= {even, odd}
-               for component in graph.sccs())
 
 
 def test_reachability_from_root():
@@ -150,9 +86,7 @@ used:
 orphan_caller_nothing:
     jr   $ra
 """
-    cfg = build_cfg(assemble(src))
-    graph = build_call_graph(cfg)
-    findings = lint_program(cfg, graph)
+    findings = lint_program(build_cfg(assemble(src)))
     counts = lint_counts(findings)
     assert counts.get("unreachable-function", 0) == 0
 
@@ -174,8 +108,7 @@ lonely:
     jal  dead_fn_target
     jr   $ra
 """))
-    graph2 = build_call_graph(cfg2)
-    findings2 = lint_program(cfg2, graph2)
+    findings2 = lint_program(cfg2)
     rules = {(f.rule, f.pc) for f in findings2}
     dead = cfg2.program.symbols["dead_fn_target"]
     assert ("unreachable-function", dead) in rules
@@ -186,15 +119,15 @@ def test_missing_return_lint():
     graph = build_call_graph(cfg)
     leaky = cfg.program.symbols["leaky"]
     assert graph.functions[leaky].fall_off
-    findings = lint_program(cfg, graph)
+    findings = lint_program(cfg)
     assert any(f.rule == "missing-return"
                and graph.containing(f.pc) == leaky
                for f in findings)
 
 
 def test_indirect_call_with_zero_label_candidates():
-    # A jalr with no resolution over-approximates to every known entry;
-    # with no entries beyond the root that is the root alone.
+    # A jalr over-approximates to every known entry; with no entries
+    # beyond the root that is the root alone.
     cfg = build_cfg(assemble("""
 main:
     la   $t0, main
@@ -210,55 +143,11 @@ main:
     assert graph.reachable() == {main}
 
 
-def test_resolved_indirect_calls_narrow_the_edges():
-    src = """
-main:
-    la   $t0, target
-    jalr $ra, $t0
-    li   $v0, 10
-    syscall
-    halt
-target:
-    jr   $ra
-decoy:
-    jr   $ra
-"""
-    cfg = build_cfg(assemble(src))
-    target = cfg.program.symbols["target"]
-    decoy = cfg.program.symbols["decoy"]
-    # force `decoy` to be discovered as a function via an unrelated jal
-    src2 = src.replace("main:", "main:\n    beq $t1, $zero, skipcall\n"
-                                "    jal decoy\nskipcall:")
-    cfg2 = build_cfg(assemble(src2))
-    jalr_pc = next(i.pc for i in cfg2.program.instructions
-                   if i.op.value == "jalr")
-    unresolved = build_call_graph(cfg2)
-    resolved = build_call_graph(
-        cfg2, {jalr_pc: (cfg2.program.symbols["target"],)})
-    main2 = cfg2.program.symbols["main"]
-    target2 = cfg2.program.symbols["target"]
-    decoy2 = cfg2.program.symbols["decoy"]
-    # unresolved: the jalr over-approximates to every *known* entry
-    # (target is not one — only a resolution makes it a function).
-    assert target2 not in unresolved.functions
-    assert set(unresolved.callees(main2)) == set(unresolved.functions)
-    assert decoy2 in unresolved.callees(main2)
-    # resolved: target becomes a discovered function and the only
-    # indirect callee.
-    assert target2 in resolved.functions
-    assert target2 in resolved.callees(main2)
-    (site,) = [s for s in resolved.functions[main2].call_sites
-               if not s.direct]
-    assert site.callees == (target2,)
-    del target, decoy
-
-
 def test_all_workloads_have_connected_call_graphs():
     for name in workloads.names():
         cfg = build_cfg(workloads.build(name, 0.2))
-        graph = build_call_graph(cfg)
-        findings = lint_program(cfg, graph)
-        counts = lint_counts(findings)
+        counts = lint_counts(lint_program(cfg))
         assert counts.get("unreachable-function", 0) == 0, name
         assert counts.get("missing-return", 0) == 0, name
+        graph = build_call_graph(cfg)
         assert graph.reachable() == set(graph.functions), name

@@ -9,15 +9,10 @@ and the total transformed-instruction coverage from
 :class:`~repro.core.results.OptCoverage` (which may exceed the site
 count — one hot PC is fetched many times).
 
-With ``--interprocedural`` the table gains the value-flow-tightened
-bound per class, and a second table compares the ineffectuality
-oracle's static candidate sets against the dynamic ineffectuality
-log (distinct PCs and total events).
-
 Usage::
 
     PYTHONPATH=src python tools/analyze_report.py [BENCH ...]
-        [--scale 0.5] [--opts all] [--interprocedural]
+        [--scale 0.5] [--opts all]
 """
 
 from __future__ import annotations
@@ -30,16 +25,8 @@ from repro.analysis.static import analyze_program
 from repro.core.config import SimConfig
 from repro.core.simulator import Simulator
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.harness.crosscheck import (
-    collect_dynamic_sites,
-    collect_ineffectual_sites,
-)
+from repro.harness.crosscheck import collect_dynamic_sites
 from repro.harness.tables import TableResult
-
-#: (display label, IneffectualitySites attribute)
-INEFF_ROWS = (("dead_write", "dead_write_sites"),
-              ("silent_store", "silent_store_sites"),
-              ("predictable", "predictable_sites"))
 
 #: (display label, site-set key, OptCoverage attribute)
 CLASSES = (("moves", "moves", "moves"),
@@ -49,8 +36,7 @@ CLASSES = (("moves", "moves", "moves"),
 
 
 def opportunity_table(benchmarks: list, scale: float,
-                      opts: str = "all",
-                      interprocedural: bool = False) -> TableResult:
+                      opts: str = "all") -> TableResult:
     """Build the static-vs-dynamic table for *benchmarks*."""
     config = SimConfig.paper(
         OptimizationConfig.all() if opts == "all"
@@ -58,62 +44,24 @@ def opportunity_table(benchmarks: list, scale: float,
     rows = []
     for name in benchmarks:
         program = workloads.build(name, scale)
-        report = analyze_program(program, name,
-                                 interprocedural=interprocedural)
-        static = report.site_sets()
-        tight = (report.interproc.site_sets()
-                 if report.interproc is not None else None)
+        static = analyze_program(program, name).site_sets()
         trace = Simulator(config).trace_program(program)
         result, dynamic = collect_dynamic_sites(trace, config, name,
                                                 opts)
         for label, key, attr in CLASSES:
             covered = getattr(result.coverage, attr)
-            row = [name, label, len(static[key])]
-            if tight is not None:
-                row.append(len(tight[key]))
-            row.extend([
+            rows.append([
+                name, label, len(static[key]),
                 len(dynamic[key]), covered,
                 f"{100.0 * covered / result.instructions:.1f}",
             ])
-            rows.append(row)
-    columns = ["benchmark", "class", "static sites"]
-    if interprocedural:
-        columns.append("interproc sites")
-    columns.extend(["dynamic PCs", "covered instrs", "% of instrs"])
     return TableResult(
         "Opportunity oracle", "static bounds vs dynamic transformations",
-        columns, rows,
+        ["benchmark", "class", "static sites", "dynamic PCs",
+         "covered instrs", "% of instrs"],
+        rows,
         "dynamic PCs <= static sites is the oracle invariant; covered "
         "instrs counts every fetch of a transformed PC")
-
-
-def ineffectuality_table(benchmarks: list, scale: float,
-                         opts: str = "all") -> TableResult:
-    """Static ineffectuality candidates vs the dynamic log."""
-    config = SimConfig.paper(
-        OptimizationConfig.all() if opts == "all"
-        else OptimizationConfig.only(opts))
-    rows = []
-    for name in benchmarks:
-        program = workloads.build(name, scale)
-        report = analyze_program(program, name, interprocedural=True)
-        interproc = report.interproc
-        trace = Simulator(config).trace_program(program)
-        _, dynamic, occurrences = collect_ineffectual_sites(
-            trace, config, program, name, opts)
-        for label, attr in INEFF_ROWS:
-            rows.append([
-                name, label, len(getattr(interproc, attr)),
-                len(dynamic[label]), occurrences[label],
-            ])
-    return TableResult(
-        "Ineffectuality oracle",
-        "static candidate sets vs the dynamic ineffectuality log",
-        ["benchmark", "class", "static candidates", "dynamic PCs",
-         "events"],
-        rows,
-        "dynamic PCs <= static candidates is the oracle invariant; "
-        "events counts every observed ineffectual execution")
 
 
 def main(argv=None) -> int:
@@ -126,10 +74,6 @@ def main(argv=None) -> int:
         "--opts", default="all",
         choices=["moves", "reassoc", "scaled_adds", "placement", "all"],
         help="optimization set for the dynamic leg (default all)")
-    parser.add_argument(
-        "--interprocedural", action="store_true",
-        help="add the interprocedural tightened bounds and the "
-             "ineffectuality table")
     args = parser.parse_args(argv)
 
     names = args.benchmarks or ["compress", "li"]
@@ -137,12 +81,7 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown benchmark(s): {', '.join(unknown)}")
         return 2
-    print(opportunity_table(names, args.scale, args.opts,
-                            args.interprocedural).render())
-    if args.interprocedural:
-        print()
-        print(ineffectuality_table(names, args.scale,
-                                   args.opts).render())
+    print(opportunity_table(names, args.scale, args.opts).render())
     return 0
 
 
