@@ -167,10 +167,7 @@ def cmd_profile(args) -> int:
             value = (f"count={value['count']} mean={value['mean']:.1f} "
                      f"min={value['min']} max={value['max']}")
         print(f"  {scope:42s} {value}")
-    stream = telemetry.events
-    print(f"\nevents: {stream.emitted} emitted, "
-          f"{len(stream)} retained, {stream.dropped} aged out of the "
-          f"ring buffer")
+    print(f"\nevents: {telemetry.events.emitted} emitted")
     _close_telemetry(telemetry, sink)
     return 0
 

@@ -1,28 +1,15 @@
 """Pipeline debugging aids: per-instruction timing capture.
 
-Attach a :class:`TimingTrace` to a :class:`PipelineModel` to record
-when every committed instruction was fetched, renamed, completed and
+Append a :class:`TimingTrace` to an engine's stage list to record when
+every committed instruction was fetched, renamed, completed and
 retired — the raw material for understanding *why* a configuration is
-faster (which chain shrank, where the bypass penalty went).
+faster (which chain shrank, where the bypass penalty went)::
 
-Two equivalent attachment points share one capture path:
-
-* directly, as the model's ``timing_hook`` callable::
-
-      model = PipelineModel(config)
-      capture = TimingTrace(limit=200)
-      model.timing_hook = capture
-      model.run(trace)
-      print(capture.render())
-
-* as a sink on a telemetry event stream (it declares
-  ``wants_instr_timing``, which turns on the pipeline's per-instruction
-  ``instr.retired`` events)::
-
-      telemetry = Telemetry()
-      capture = TimingTrace(limit=200)
-      telemetry.attach(capture)
-      Simulator(config, telemetry=telemetry).run(program)
+    engine = Engine(config)
+    capture = TimingTrace(limit=200)
+    engine.stages.append(capture)
+    engine.run(trace)
+    print(capture.render())
 
 Records past ``limit`` are not silently discarded: the ``dropped``
 counter says how many were seen but not kept, and ``render()`` reports
@@ -32,7 +19,9 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
+
+from repro.core.stages.base import InstrSlot, MachineState, PipelineStage
 
 
 @dataclass(frozen=True)
@@ -56,49 +45,43 @@ class TimingRecord:
         return self.retire - self.fetch
 
 
-class TimingTrace:
-    """Bounded per-instruction timing capture.
+class TimingTrace(PipelineStage):
+    """Bounded per-instruction timing capture, as an observer stage.
 
-    Usable both as the pipeline's ``timing_hook`` callable and as a
-    telemetry event sink (``handle``); both paths funnel into the same
-    capture logic.
+    Runs after retire: each committed instruction's record is read off
+    its slot, its fetch entry and its fetch group. Records accumulate
+    across runs of the engine it is attached to.
     """
 
-    #: as an event sink, ask the pipeline for ``instr.retired`` events.
-    wants_instr_timing = True
+    name = "timing_trace"
 
     def __init__(self, limit: int = 1000, start_seq: int = 0) -> None:
         self.limit = limit
         self.start_seq = start_seq
-        self.records: list = []
+        self.records: List[TimingRecord] = []
         #: records seen after the limit was reached (not retained)
         self.dropped = 0
 
-    def _capture(self, fields: dict) -> None:
-        if fields["seq"] < self.start_seq:
+    def process(self, state: MachineState, slot: InstrSlot) -> None:
+        entry = slot.entry
+        if entry.phantom or slot.seq < self.start_seq:
             return
         if len(self.records) >= self.limit:
             self.dropped += 1
             return
-        self.records.append(TimingRecord(**fields))
-
-    def __call__(self, *, seq: int, pc: int, op: str, fetch: int,
-                 rename: int, complete: int, retire: int, slot: int,
-                 from_tc: bool, mispredicted: bool) -> None:
-        self._capture(dict(seq=seq, pc=pc, op=op, fetch=fetch,
-                           rename=rename, complete=complete,
-                           retire=retire, slot=slot, from_tc=from_tc,
-                           mispredicted=mispredicted))
-
-    def handle(self, event) -> None:
-        """Telemetry-sink entry point for ``instr.retired`` events."""
-        if event.kind == "instr.retired":
-            self._capture(event.data)
+        group = state.group
+        assert group is not None
+        self.records.append(TimingRecord(
+            seq=slot.seq, pc=entry.record.pc, op=entry.instr.op.value,
+            fetch=group.fetch_cycle, rename=slot.renamed,
+            complete=slot.complete, retire=slot.retire_cycle,
+            slot=entry.slot, from_tc=entry.from_tc,
+            mispredicted=entry.mispredicted))
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def find(self, pc: int) -> list:
+    def find(self, pc: int) -> List[TimingRecord]:
         """All captured records for the static instruction at *pc*."""
         return [r for r in self.records if r.pc == pc]
 

@@ -16,11 +16,11 @@ inside the same trace segment along the correct path, which is exactly
 the inactive-issue benefit of the baseline machine.
 
 The engine is deliberately dumb: all microarchitectural behaviour
-lives in the stages, and the engine only sequences them. Extra
-observer stages may be appended to ``engine.stages`` before ``run()``
-(they see every state transition but must not mutate timing state).
-There is one path through the loop: every group runs the stage chain
-instruction by instruction, observed or not.
+lives in the stages, and the engine only sequences them. Observers
+are stages too: they are appended to ``engine.stages`` before
+``run()`` (they see every state transition but must not mutate timing
+state). There is one path through the loop: every group runs the
+stage chain instruction by instruction, observed or not.
 
 Observability: every run counts against a hierarchical telemetry
 registry (the engine's own, or the one of an attached
@@ -28,8 +28,9 @@ registry (the engine's own, or the one of an attached
 source of truth behind :class:`~repro.core.results.SimResult`'s
 counters. With a session attached the stages additionally emit
 structured events (mispredicts, trace cache misfetches, checkpoint
-repairs, fill-unit activity) and feed the top-down cycle-accounting
-pass; without one, those paths collapse to null-object no-ops.
+repairs, fill-unit activity), and the cycle-accounting stage joins the
+stage list when the session asks for attribution; without one, event
+emission collapses to a null-object no-op.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from repro.core.config import SimConfig
 from repro.core.memsched import MemoryScheduler
 from repro.core.rename import RenameUnit, RetireUnit
 from repro.core.results import SimResult
+from repro.core.stages.attribution import CycleAccountant
 from repro.core.stages.base import (
     InstrSlot,
     MachineState,
@@ -60,7 +62,6 @@ from repro.core.stages.issue import IssueStage
 from repro.core.stages.rename import RenameStage
 from repro.core.stages.retire import RetireStage
 from repro.fillunit.unit import FillUnit, FillUnitConfig
-from repro.telemetry.attribution import CycleAccountant
 from repro.telemetry.events import (
     NULL_EVENT_STREAM,
     RUN_FINISHED,
@@ -78,7 +79,7 @@ class Engine:
                  telemetry: Optional[Any] = None) -> None:
         self.config = config
         self.telemetry = telemetry
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             self.registry = telemetry.registry
             self.events = telemetry.events
         else:
@@ -87,7 +88,7 @@ class Engine:
             self.registry = TelemetryRegistry()
             self.events = NULL_EVENT_STREAM
         registry_arg = self.registry
-        events_arg = self.events if self.events.enabled else None
+        events_arg = self.events if telemetry is not None else None
         #: span recorder when the session traces spans, else None —
         #: instrumented components guard on `is not None` so the
         #: untraced hot path pays a single attribute check at most.
@@ -128,12 +129,9 @@ class Engine:
         self.retire_unit = RetireUnit(config.retire_width)
         self.memsched = MemoryScheduler(self.hierarchy,
                                         config.store_forward_window)
-        #: optional per-instruction timing callback; see
-        #: :class:`repro.core.debug.TimingTrace`.
-        self.timing_hook: Optional[Any] = None
-
         #: the stage list, in pipeline order. Owned by the engine;
-        #: tests may append observer stages before ``run()``.
+        #: observer stages (e.g. :class:`repro.core.debug.TimingTrace`)
+        #: may be appended before ``run()``.
         self.stages: List[PipelineStage] = [
             FetchStage(config, self.hierarchy, self.predictor,
                        self.trace_cache, self.fill_unit,
@@ -144,10 +142,13 @@ class Engine:
                        registry_arg),
             ExecuteStage(self.memsched, registry_arg),
             RetireStage(config, self.retire_unit, self.checkpoints,
-                        self.predictor, registry_arg, self.events,
-                        extra_is_tc_miss=self.trace_cache is not None),
+                        self.predictor, registry_arg, self.events),
             FillStage(self.fill_unit, registry_arg),
         ]
+        if telemetry is not None and telemetry.attribution:
+            self.stages.append(CycleAccountant(
+                config.cross_cluster_penalty,
+                extra_is_tc_miss=self.trace_cache is not None))
         #: program image the TRRIP hints were last derived from
         #: (identity-compared so repeated runs skip the CFG walk).
         self._hint_source: Optional[Any] = None
@@ -210,25 +211,15 @@ class Engine:
                         label=label, instructions=0, cycles=0, ipc=0.0)
             return result
 
-        accountant: Optional[CycleAccountant] = None
-        if self.telemetry is not None and self.telemetry.attribution:
-            accountant = CycleAccountant(config.cross_cluster_penalty)
         reg_ready: List[Tuple[int, Optional[int]]] = [(0, None)] * 32
-        state = MachineState(
-            records=records, n=n, result=result,
-            reg_ready=reg_ready,
-            accountant=accountant,
-            timing_hook=self.timing_hook,
-            want_payload=((self.timing_hook is not None)
-                          or events.wants_instr_timing),
-            emit_retired=events.wants_instr_timing,
-            wrong_path=wrong_path)
+        state = MachineState(records=records, n=n, result=result,
+                             reg_ready=reg_ready, wrong_path=wrong_path)
 
         stages = self.stages
         # The hook chains, built once per run: a stage joins a hook's
         # chain only if its class overrides that hook. Fetch has no
         # per-instruction work, so the per-instruction chain is rename
-        # -> fill plus any appended observer stages.
+        # -> fill plus the appended observer stages.
         begin_group = [stage.begin_group for stage in stages
                        if stage.overrides("begin_group")]
         chain = [stage.process for stage in stages
@@ -262,8 +253,6 @@ class Engine:
             # (trace-cache residency spans of still-resident segments).
             self.spans.end_open(float(result.cycles))
         self._finish_stats(state, result)
-        if accountant is not None:
-            result.attribution = accountant.finish(result.cycles)
         events.emit(RUN_FINISHED, result.cycles, benchmark=benchmark,
                     label=label, instructions=n, cycles=result.cycles,
                     ipc=result.ipc,

@@ -10,17 +10,13 @@ handoff.
 ``PipelineModel`` remains the stable name existing callers and tests
 construct — it *is* the engine, with the machine's components
 (``predictor``, ``trace_cache``, ``fill_unit``, ``checkpoints``, …)
-and the ``timing_hook`` attachment point exposed exactly as before,
-and is bit-for-bit equivalent to the pre-refactor model.
+and its ``stages`` list exposed, and is bit-for-bit equivalent to the
+pre-refactor model.
 """
 
 from __future__ import annotations
 
 from repro.core.engine import Engine
-from repro.core.stages.base import FetchEntry
-
-#: historical private name, kept for any external pickles/tooling.
-_FetchEntry = FetchEntry
 
 
 class PipelineModel(Engine):

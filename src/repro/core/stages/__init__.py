@@ -3,12 +3,15 @@
 The engine's stage list, in order::
 
     FetchStage -> RenameStage -> IssueStage -> ExecuteStage
-        -> RetireStage -> FillStage
+        -> RetireStage -> FillStage [-> observer stages]
 
 Each stage implements the :class:`PipelineStage` contract and
 communicates only through the :class:`MachineState` handoff object.
+Observers are stages too: with a telemetry session asking for
+attribution, the engine appends :class:`CycleAccountant`.
 """
 
+from repro.core.stages.attribution import CycleAccountant
 from repro.core.stages.base import (
     FetchEntry,
     FetchGroup,
@@ -37,4 +40,5 @@ __all__ = [
     "ExecuteStage",
     "RetireStage",
     "FillStage",
+    "CycleAccountant",
 ]

@@ -24,7 +24,7 @@ granularity through :meth:`PipelineStage.begin_group` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.results import SimResult
 from repro.telemetry.registry import TelemetryRegistry
@@ -60,11 +60,10 @@ class FetchGroup:
     """One assembled fetch group plus its group-scoped delay ledger.
 
     ``recovery``/``serialize``/``fetch_extra`` are the front-end delay
-    decomposition the cycle accountant debits once, on the group's
-    first retiring instruction (the retire stage zeroes them after
-    use). ``next_fetch`` is the running earliest fetch cycle for the
-    *next* group; mispredict redirects and serialization drains push
-    it back.
+    decomposition the cycle-accounting stage debits once, on the
+    group's first retiring instruction (and zeroes after use).
+    ``next_fetch`` is the running earliest fetch cycle for the *next*
+    group; mispredict redirects and serialization drains push it back.
     """
 
     entries: List[FetchEntry] = field(default_factory=list)
@@ -122,7 +121,8 @@ class MachineState:
     the committed stream and the fetch cursor, the architectural
     dataflow scoreboard, retirement history (bounding the in-flight
     window), the front-end delay carried into the next group, and the
-    run-scoped observers (accountant, timing hook, wrong-path model).
+    wrong-path model. Observers are not state: they are stages (see
+    :class:`PipelineStage`).
     """
 
     records: List[Any]
@@ -138,10 +138,6 @@ class MachineState:
     #: serialization delay debited to the *next* group's fetch cycle
     pending_serialize: int = 0
     group: Optional[FetchGroup] = None
-    accountant: Optional[Any] = None
-    timing_hook: Optional[Callable[..., None]] = None
-    want_payload: bool = False
-    emit_retired: bool = False
     wrong_path: Optional[Any] = None
 
 

@@ -3,9 +3,9 @@
 Owns the retire unit (retire-width bound), the checkpoint store's
 commit side, branch-outcome accounting (including promoted and
 predicated-away branches), mispredict redirect pushback on the next
-fetch group, wrong-path pollution, and the per-instruction observers:
-the cycle accountant, the timing hook and opt-in ``instr.retired``
-events.
+fetch group and wrong-path pollution. Retire is pure timing: observers
+of the retirement stream (cycle attribution, timing capture) are
+stages of their own, appended after this one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.core.stages.base import (
     MetricBlock,
     PipelineStage,
 )
-from repro.telemetry.events import BRANCH_MISPREDICT, INSTR_RETIRED
+from repro.telemetry.events import BRANCH_MISPREDICT
 from repro.telemetry.registry import TelemetryRegistry
 
 _SCOPES = {
@@ -40,14 +40,12 @@ class RetireStage(PipelineStage):
 
     def __init__(self, config: SimConfig, retire_unit: Any,
                  checkpoints: Any, predictor: Any,
-                 registry: TelemetryRegistry, events: Any,
-                 extra_is_tc_miss: bool) -> None:
+                 registry: TelemetryRegistry, events: Any) -> None:
         self.retire_unit = retire_unit
         self.checkpoints = checkpoints
         self.predictor = predictor
         self.events = events
         self.redirect = config.mispredict_redirect
-        self.extra_is_tc_miss = extra_is_tc_miss
         self._m = m = MetricBlock(registry, _SCOPES)
         self._cond_branches = m.cond_branches
         self._mispredicts = m.mispredicts
@@ -69,30 +67,6 @@ class RetireStage(PipelineStage):
         retire_cycle = self.retire_unit.retire(complete)
         state.retire_cycles.append(retire_cycle)
         slot.retire_cycle = retire_cycle
-        if state.accountant is not None:
-            # Group-level delays are debited once, on the group's
-            # first retiring instruction.
-            state.accountant.on_retire(
-                group.fetch_cycle, complete, retire_cycle,
-                recovery=group.recovery,
-                fetch_extra=group.fetch_extra,
-                extra_is_tc_miss=self.extra_is_tc_miss,
-                serialize=group.serialize,
-                bypass_penalized=slot.penalized)
-            group.recovery = 0
-            group.serialize = 0
-            group.fetch_extra = 0
-        if state.want_payload:
-            payload = dict(
-                seq=slot.seq, pc=record.pc, op=entry.instr.op.value,
-                fetch=group.fetch_cycle, rename=slot.renamed,
-                complete=complete, retire=retire_cycle,
-                slot=entry.slot, from_tc=entry.from_tc,
-                mispredicted=entry.mispredicted)
-            if state.timing_hook is not None:
-                state.timing_hook(**payload)
-            if state.emit_retired:
-                self.events.emit(INSTR_RETIRED, retire_cycle, **payload)
 
         # Branch accounting follows the architected instruction, which
         # the segment may carry predicated away (as a NOP).

@@ -5,9 +5,10 @@ One :class:`Telemetry` session bundles the three layers:
 * a hierarchical metric registry (:mod:`repro.telemetry.registry`) —
   named-scope counters, gauges and histograms;
 * a structured event stream (:mod:`repro.telemetry.events`) — typed
-  events with bounded ring-buffer retention and pluggable sinks;
+  events fanned out to pluggable sinks;
 * cycle attribution (:mod:`repro.telemetry.attribution`) — a top-down
-  classification of every pipeline cycle.
+  classification of every pipeline cycle, computed by an observer
+  stage the engine appends to its stage list.
 
 Usage::
 
@@ -24,33 +25,26 @@ Usage::
 
 Passing no session costs (almost) nothing: the pipeline still keeps
 its own registry (the single source of truth behind ``SimResult``'s
-counters) but emits no events and skips cycle accounting entirely.
+counters) but emits no events and runs no attribution stage.
 """
 
 from __future__ import annotations
 
+from typing import Any, Iterable, List, Optional
+
 from repro.telemetry.attribution import (
     CYCLE_CLASSES,
-    CycleAccountant,
     diff_attribution,
     render_attribution,
 )
 from repro.telemetry.events import (
+    NULL_EVENT_STREAM,
     EventStream,
     JsonlSink,
     MemorySink,
-    CallbackSink,
-    NULL_EVENT_STREAM,
-    read_jsonl,
 )
-from repro.telemetry.registry import (
-    NULL_REGISTRY,
-    TelemetryRegistry,
-)
-from repro.telemetry.spans import (
-    NULL_SPANS,
-    SpanRecorder,
-)
+from repro.telemetry.registry import TelemetryRegistry
+from repro.telemetry.spans import NULL_SPANS, SpanRecorder
 
 
 class Telemetry:
@@ -59,54 +53,37 @@ class Telemetry:
     A session may span several runs (e.g. every leg of a ``compare``);
     registry counters then accumulate across them, while each
     :class:`~repro.core.results.SimResult` still reports per-run
-    deltas. *attribution* turns the per-instruction cycle-accounting
-    feed on (a few percent of replay time); *event_capacity* bounds
-    the ring buffer; *spans* attaches a
+    deltas. *attribution* appends the cycle-accounting stage to every
+    engine built with this session; *spans* attaches a
     :class:`~repro.telemetry.spans.SpanRecorder` capturing the segment
     lifecycle and execution-service jobs as exportable timelines (off
     by default — span capture retains every record).
     """
 
-    def __init__(self, enabled: bool = True, event_capacity: int = 4096,
-                 attribution: bool = True, spans: bool = False) -> None:
-        self.enabled = enabled
-        self.registry = (TelemetryRegistry() if enabled
-                         else NULL_REGISTRY)
-        self.events = (EventStream(event_capacity) if enabled
-                       else NULL_EVENT_STREAM)
-        self.attribution = bool(attribution and enabled)
-        self.spans = (SpanRecorder() if spans and enabled
-                      else NULL_SPANS)
-        self._sinks: list = []
+    def __init__(self, attribution: bool = True,
+                 spans: bool = False) -> None:
+        self.registry = TelemetryRegistry()
+        self.events = EventStream()
+        self.attribution = attribution
+        self.spans: Any = SpanRecorder() if spans else NULL_SPANS
+        self._sinks: List[Any] = []
 
     # ------------------------------------------------------------------
 
-    def enable_spans(self) -> SpanRecorder:
-        """Attach (or return the existing) span recorder. Must happen
-        before the instrumented components are constructed — they
-        capture the recorder at construction time."""
-        if not self.enabled:
-            raise RuntimeError("cannot record spans on a disabled "
-                               "telemetry session")
-        if not self.spans.enabled:
-            self.spans = SpanRecorder()
-        recorder: SpanRecorder = self.spans
-        return recorder
-
-    # ------------------------------------------------------------------
-
-    def attach(self, sink) -> None:
+    def attach(self, sink: Any) -> None:
         """Attach any event sink (``handle(event)``) to the stream."""
         self.events.attach(sink)
         self._sinks.append(sink)
 
-    def attach_jsonl(self, path, kinds=None) -> JsonlSink:
+    def attach_jsonl(self, path: Any,
+                     kinds: Optional[Iterable[str]] = None) -> JsonlSink:
         """Attach a JSONL file sink; returns it (for ``close()``)."""
         sink = JsonlSink(path, kinds=kinds)
         self.attach(sink)
         return sink
 
-    def attach_memory(self, kinds=None) -> MemorySink:
+    def attach_memory(self,
+                      kinds: Optional[Iterable[str]] = None) -> MemorySink:
         """Attach and return an in-memory sink."""
         sink = MemorySink(kinds=kinds)
         self.attach(sink)
@@ -121,7 +98,6 @@ class Telemetry:
 
 
 __all__ = ["Telemetry", "TelemetryRegistry", "EventStream", "JsonlSink",
-           "MemorySink", "CallbackSink", "CycleAccountant",
-           "CYCLE_CLASSES", "render_attribution", "diff_attribution",
-           "read_jsonl", "NULL_REGISTRY", "NULL_EVENT_STREAM",
-           "SpanRecorder", "NULL_SPANS"]
+           "MemorySink", "CYCLE_CLASSES", "render_attribution",
+           "diff_attribution", "NULL_EVENT_STREAM", "SpanRecorder",
+           "NULL_SPANS"]

@@ -32,23 +32,15 @@ delta:
     bandwidth, in-order commit backpressure, serialization drain).
 
 The accounting is **exact**: the classes always sum to the run's total
-cycle count. It is computed online from the in-order retirement
-stream — between two consecutive retirement cycles every skipped cycle
-is attributed by walking the *next* retiring instruction's own
-timeline (its fetch / complete / retire cycles plus the front-end
-delay decomposition of its fetch group), newest cause first.
-
-Front-end delays that *overlap* retirement of earlier instructions
-(common on this machine: a one-cycle mispredict redirect hides behind
-the previous group draining) are carried as *debts* — when the
-pipeline later stalls refilling, those waiting cycles are charged to
-the original cause (``mispredict_recovery``, ``tc_miss``, ``drain``)
-rather than generic ``issue_bound``.
+cycle count. The classifier itself is a pipeline stage,
+:class:`repro.core.stages.attribution.CycleAccountant`, which the engine
+appends to its stage list when the telemetry session asks for
+attribution; this module holds the taxonomy and its renderers.
 """
 
 from __future__ import annotations
 
-from repro.errors import ConfigError
+from typing import Dict, Optional
 
 #: the taxonomy, in report order.
 CYCLE_CLASSES = ("base", "fetch_starved", "tc_miss",
@@ -56,115 +48,8 @@ CYCLE_CLASSES = ("base", "fetch_starved", "tc_miss",
                  "drain")
 
 
-class CycleAccountant:
-    """Online cycle classifier fed from the retirement stream.
-
-    The pipeline calls :meth:`on_retire` for every committed
-    instruction, in program order; :meth:`finish` validates the
-    partition against the run's final cycle count and returns it.
-    """
-
-    def __init__(self, bypass_penalty: int = 1) -> None:
-        self.bypass_penalty = bypass_penalty
-        self.classes = {name: 0 for name in CYCLE_CLASSES}
-        self._last_retire = 0
-        self.instructions = 0
-        # Front-end delays not yet charged to a stall gap (see module
-        # docstring): redirect, fetch-latency, serialization.
-        self._recovery_debt = 0
-        self._extra_debt = 0
-        self._serialize_debt = 0
-
-    def on_retire(self, fetch: int, complete: int, retire: int,
-                  recovery: int = 0, fetch_extra: int = 0,
-                  extra_is_tc_miss: bool = True, serialize: int = 0,
-                  bypass_penalized: bool = False) -> None:
-        """Account the cycles up to and including *retire*.
-
-        *recovery*, *fetch_extra* and *serialize* are the front-end
-        delay decomposition of this instruction's fetch group: cycles
-        its fetch was pushed back by mispredict redirect, by
-        instruction-fetch latency (trace cache miss), and by
-        serialization drain respectively — pass them on the group's
-        first retiring instruction only. *bypass_penalized* marks an
-        instruction whose last-arriving source paid the cross-cluster
-        bypass penalty.
-        """
-        self.instructions += 1
-        self._recovery_debt += recovery
-        self._extra_debt += fetch_extra
-        self._serialize_debt += serialize
-        classes = self.classes
-        extra_class = "tc_miss" if extra_is_tc_miss else "fetch_starved"
-        last = self._last_retire
-        if retire <= last:      # shares an already-counted retire cycle
-            return
-        classes["base"] += 1    # the retire cycle itself is productive
-        stalls_end = retire - 1
-        # Cycles in (last, min(fetch, stalls_end)]: front-end bound.
-        frontend = min(fetch, stalls_end) - last
-        if frontend > 0:
-            take = min(frontend, self._extra_debt)
-            classes[extra_class] += take
-            self._extra_debt -= take
-            frontend -= take
-            take = min(frontend, self._recovery_debt)
-            classes["mispredict_recovery"] += take
-            self._recovery_debt -= take
-            frontend -= take
-            take = min(frontend, self._serialize_debt)
-            classes["drain"] += take
-            self._serialize_debt -= take
-            frontend -= take
-            classes["fetch_starved"] += frontend
-        # Cycles in (max(last, fetch), min(complete, stalls_end)]:
-        # fetched but not yet complete — back-end bound. The pipeline
-        # may be here *because* fetch restarted late (the delay hid
-        # behind the previous group's retirement): settle those debts
-        # before calling the remainder issue-bound.
-        backend = min(complete, stalls_end) - max(last, fetch)
-        if backend > 0:
-            if bypass_penalized:
-                take = min(backend, self.bypass_penalty)
-                classes["bypass_delay"] += take
-                backend -= take
-            take = min(backend, self._recovery_debt)
-            classes["mispredict_recovery"] += take
-            self._recovery_debt -= take
-            backend -= take
-            take = min(backend, self._extra_debt)
-            classes[extra_class] += take
-            self._extra_debt -= take
-            backend -= take
-            take = min(backend, self._serialize_debt)
-            classes["drain"] += take
-            self._serialize_debt -= take
-            backend -= take
-            classes["issue_bound"] += backend
-        # Cycles in (max(last, complete), stalls_end]: complete but
-        # not retired — commit backpressure.
-        drain = stalls_end - max(last, complete)
-        if drain > 0:
-            classes["drain"] += drain
-        self._last_retire = retire
-
-    # ------------------------------------------------------------------
-
-    @property
-    def total(self) -> int:
-        return sum(self.classes.values())
-
-    def finish(self, cycles: int) -> dict:
-        """The final attribution; raises if it does not partition
-        *cycles* exactly (an accounting bug, never data-dependent)."""
-        if self.total != cycles:
-            raise ConfigError(
-                f"cycle attribution lost cycles: classes sum to "
-                f"{self.total}, run took {cycles}")
-        return dict(self.classes)
-
-
-def render_attribution(attribution: dict, cycles: int = None,
+def render_attribution(attribution: Dict[str, int],
+                       cycles: Optional[int] = None,
                        title: str = "cycle attribution") -> str:
     """A readable table of one attribution (classes in report order)."""
     if cycles is None:
@@ -183,7 +68,8 @@ def render_attribution(attribution: dict, cycles: int = None,
     return "\n".join(lines)
 
 
-def diff_attribution(label_a: str, a: dict, label_b: str, b: dict) -> str:
+def diff_attribution(label_a: str, a: Dict[str, int], label_b: str,
+                     b: Dict[str, int]) -> str:
     """A side-by-side attribution comparison of two runs."""
     total_a = sum(a.values()) or 1
     total_b = sum(b.values()) or 1
@@ -205,5 +91,4 @@ def diff_attribution(label_a: str, a: dict, label_b: str, b: dict) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["CYCLE_CLASSES", "CycleAccountant", "render_attribution",
-           "diff_attribution"]
+__all__ = ["CYCLE_CLASSES", "render_attribution", "diff_attribution"]

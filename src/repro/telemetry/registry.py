@@ -7,14 +7,9 @@ of truth for run statistics: :class:`~repro.core.results.SimResult`'s
 counter fields are *derived from* it at the end of a run, and the full
 per-scope snapshot is folded into ``SimResult.telemetry``.
 
-Two properties the timing model depends on:
-
-* **Determinism.** ``flat()`` and ``snapshot()`` iterate scopes in
-  sorted order, so two identical runs produce identical snapshots.
-* **Near-zero overhead when disabled.** A registry constructed with
-  ``enabled=False`` hands out shared null metrics whose mutators are
-  no-ops; callers cache the handle once and pay only an empty method
-  call on the hot path.
+**Determinism**, which the timing model depends on: ``flat()`` and
+``snapshot()`` iterate scopes in sorted order, so two identical runs
+produce identical snapshots.
 """
 
 from __future__ import annotations
@@ -109,47 +104,18 @@ class Histogram:
         }
 
 
-class _NullMetric:
-    """Shared do-nothing metric for disabled registries."""
-
-    __slots__ = ()
-
-    scope = ""
-    value = 0
-    count = 0
-    total = 0
-    mean = 0.0
-
-    def add(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: int) -> None:
-        pass
-
-    def snapshot_value(self) -> int:
-        return 0
-
-
-NULL_METRIC = _NullMetric()
-
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 class TelemetryRegistry:
     """Named-scope metric storage with get-or-create semantics."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
 
     def _get(self, scope: str, kind: str) -> Any:
-        if not self.enabled:
-            return NULL_METRIC
         metric = self._metrics.get(scope)
         if metric is None:
             if not _SCOPE_RE.match(scope):
@@ -205,8 +171,4 @@ class TelemetryRegistry:
         return tree
 
 
-#: a process-wide disabled registry: every handle is :data:`NULL_METRIC`.
-NULL_REGISTRY = TelemetryRegistry(enabled=False)
-
-__all__ = ["Counter", "Gauge", "Histogram", "TelemetryRegistry",
-           "NULL_METRIC", "NULL_REGISTRY"]
+__all__ = ["Counter", "Gauge", "Histogram", "TelemetryRegistry"]

@@ -15,11 +15,11 @@ loop:
 """
 
 
-def capture(limit=50, start_seq=0):
+def capture(limit=50, start_seq=0, telemetry=None):
     _, trace = run_asm(LOOP)
-    model = PipelineModel(SimConfig.tiny())
+    model = PipelineModel(SimConfig.tiny(), telemetry=telemetry)
     hook = TimingTrace(limit=limit, start_seq=start_seq)
-    model.timing_hook = hook
+    model.stages.append(hook)
     result = model.run(trace, "t", "r")
     return hook, result, trace
 
@@ -78,33 +78,32 @@ def test_dropped_counts_overflow():
     assert "dropped" not in full.render()
 
 
-def test_as_event_sink():
-    from repro.telemetry import Telemetry
-
-    _, trace = run_asm(LOOP)
-    telemetry = Telemetry()
-    sink = TimingTrace(limit=10_000)
-    telemetry.attach(sink)
-    model = PipelineModel(SimConfig.tiny(), telemetry=telemetry)
-    result = model.run(trace, "t", "r")
-    assert len(sink) == result.instructions
-    for r in sink.records:
-        assert r.fetch < r.rename <= r.complete < r.retire
-
-
 def test_sink_and_hook_agree():
+    """The capture is the same with and without a telemetry session
+    (whose attribution stage runs next to it), and neither observer
+    changes the run's cycles."""
     from repro.telemetry import Telemetry
 
-    _, trace = run_asm(LOOP)
-    hook, _, _ = capture(limit=10_000)
-    telemetry = Telemetry()
-    sink = TimingTrace(limit=10_000)
-    telemetry.attach(sink)
-    model = PipelineModel(SimConfig.tiny(), telemetry=telemetry)
-    model.run(trace, "t", "r")
-    assert sink.records == hook.records
+    bare, bare_result, trace = capture(limit=10_000)
+    observed, observed_result, _ = capture(
+        limit=10_000, telemetry=Telemetry(spans=True))
+    assert observed.records == bare.records
+    assert len(bare) == bare_result.instructions
+    plain = PipelineModel(SimConfig.tiny()).run(trace, "t", "r")
+    assert bare_result.cycles == observed_result.cycles == plain.cycles
 
 
 def test_default_hook_is_none():
-    model = PipelineModel(SimConfig.tiny())
-    assert model.timing_hook is None
+    """No observer stage runs unless asked for: a bare engine has the
+    six pipeline stages; a session adds only the attribution stage."""
+    from repro.telemetry import Telemetry
+
+    pipeline = ["fetch", "rename", "issue", "execute", "retire", "fill"]
+    bare = PipelineModel(SimConfig.tiny())
+    assert [stage.name for stage in bare.stages] == pipeline
+    observed = PipelineModel(SimConfig.tiny(), telemetry=Telemetry())
+    assert [stage.name for stage in observed.stages] == \
+        pipeline + ["attribution"]
+    quiet = PipelineModel(SimConfig.tiny(),
+                          telemetry=Telemetry(attribution=False))
+    assert [stage.name for stage in quiet.stages] == pipeline

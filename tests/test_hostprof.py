@@ -80,6 +80,27 @@ def test_attach_profiles_stages_and_passes():
     assert abs(sum(shares.values()) - 1.0) < 1e-9
 
 
+def test_attach_profiles_attribution_stage():
+    """With a telemetry session the cycle-accounting stage rides the
+    stage chain, so the profiler times it like any other stage."""
+    from repro.telemetry import Telemetry
+
+    program = workloads.build("compress", 0.1)
+    trace = Executor(program).run()
+    config = SimConfig.paper(OptimizationConfig.all())
+
+    engine = Engine(config, telemetry=Telemetry())
+    prof = HostProfiler()
+    prof.attach(engine)
+    result = engine.run(trace, "compress")
+
+    assert sum(result.attribution.values()) == result.cycles
+    calls, seconds = prof.totals["stage.attribution"]
+    # once per committed instruction (no phantoms on compress), plus
+    # begin_run and finish_run
+    assert calls == result.instructions + 2 and seconds > 0.0
+
+
 def test_hostprof_report_tool_roundtrip(tmp_path):
     import importlib.util
     from pathlib import Path

@@ -3,13 +3,17 @@ to the run's total cycles, always."""
 
 import pytest
 
+from repro import workloads
 from repro.core.config import SimConfig
 from repro.core.pipeline import PipelineModel
+from repro.core.simulator import Simulator
+from repro.core.stages.attribution import CycleAccountant
 from repro.errors import ConfigError
+from repro.fillunit.opts.base import OptimizationConfig
+from repro.machine.tracing import CommittedTrace
 from repro.telemetry import Telemetry
 from repro.telemetry.attribution import (
     CYCLE_CLASSES,
-    CycleAccountant,
     diff_attribution,
     render_attribution,
 )
@@ -70,10 +74,9 @@ def test_frontend_gap_split_newest_first():
 
 
 def test_extra_without_trace_cache_is_fetch_starved():
-    acct = CycleAccountant()
+    acct = CycleAccountant(extra_is_tc_miss=False)
     acct.on_retire(fetch=0, complete=0, retire=1)
-    acct.on_retire(fetch=5, complete=5, retire=6,
-                   fetch_extra=4, extra_is_tc_miss=False)
+    acct.on_retire(fetch=5, complete=5, retire=6, fetch_extra=4)
     attribution = acct.finish(6)
     assert attribution["tc_miss"] == 0
     assert attribution["fetch_starved"] == 4
@@ -147,12 +150,43 @@ def test_telemetry_session_does_not_change_timing():
     _, trace = run_asm(LOOP)
     plain = PipelineModel(SimConfig.tiny()).run(trace, "t", "r")
     observed = run_with_attribution()
-    disabled = PipelineModel(
-        SimConfig.tiny(),
-        telemetry=Telemetry(enabled=False)).run(trace, "t", "r")
-    assert plain.cycles == observed.cycles == disabled.cycles
-    assert plain.ipc == observed.ipc == disabled.ipc
+    assert plain.cycles == observed.cycles
+    assert plain.ipc == observed.ipc
     assert plain.mispredicts == observed.mispredicts
+
+
+def test_empty_trace_has_no_attribution():
+    trace = CommittedTrace([], None, [])
+    result = PipelineModel(SimConfig.tiny(), telemetry=Telemetry()).run(
+        trace, "t", "r")
+    assert result.cycles == 0
+    assert result.attribution == {}
+
+
+# -- anchors: the paper config on the seed workloads --------------------
+
+#: exact classes for SimConfig.paper(OptimizationConfig.all()) at scale
+#: 0.5 — bypass_delay is the cross-cluster penalty placement removes
+#: (Figure 7), mispredict_recovery the stalls promotion avoids.
+ANCHOR_ATTRIBUTION = {
+    "compress": (16344, {"base": 11723, "fetch_starved": 0,
+                         "tc_miss": 273, "mispredict_recovery": 1662,
+                         "bypass_delay": 2566, "issue_bound": 120,
+                         "drain": 0}),
+    "li": (13709, {"base": 8330, "fetch_starved": 0, "tc_miss": 426,
+                   "mispredict_recovery": 1488, "bypass_delay": 3405,
+                   "issue_bound": 60, "drain": 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANCHOR_ATTRIBUTION))
+def test_anchor_attribution_is_pinned(name):
+    cycles, classes = ANCHOR_ATTRIBUTION[name]
+    config = SimConfig.paper(OptimizationConfig.all())
+    result = Simulator(config, telemetry=Telemetry()).run(
+        workloads.build(name, 0.5), name, "all")
+    assert result.cycles == cycles
+    assert result.attribution == classes
 
 
 # -- rendering ----------------------------------------------------------

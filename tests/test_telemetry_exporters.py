@@ -108,7 +108,7 @@ def test_instants_are_thread_scoped():
 
 def test_events_to_span_records_filters_kinds():
     events = [Event("segment.built", 10, {"start_pc": 64}),
-              Event("instr.retired", 11, {"pc": 4}),     # high-freq: out
+              Event("branch.mispredict", 11, {"pc": 4}),  # high-freq: out
               Event("tc.evict", 12, {"start_pc": 8})]
     records = events_to_span_records(events)
     assert [r["name"] for r in records] == ["segment.built", "tc.evict"]

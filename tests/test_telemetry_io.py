@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.telemetry.events import Event, JsonlSink, read_jsonl
+from repro.telemetry.events import Event, JsonlSink
 from repro.telemetry.io import (
     MalformedLineError,
     load_attribution_runs,
@@ -76,13 +76,6 @@ def test_unknown_mode_rejected(tmp_path):
     path.write_text(GOOD)
     with pytest.raises(ValueError, match="on_error"):
         read_events(path, on_error="ignore")
-
-
-def test_events_read_jsonl_delegates(tmp_path):
-    path = tmp_path / "events.jsonl"
-    path.write_text(GOOD + '{"cycle": 1}\n')
-    with pytest.raises(MalformedLineError):
-        read_jsonl(path)        # historical entry point: raise mode
 
 
 def test_load_attribution_runs(tmp_path):

@@ -1,14 +1,10 @@
-"""Telemetry registry tests: scoped metrics, the disabled fast path,
-and snapshot determinism."""
+"""Telemetry registry tests: scoped metrics and snapshot
+determinism."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.telemetry.registry import (
-    NULL_METRIC,
-    NULL_REGISTRY,
-    TelemetryRegistry,
-)
+from repro.telemetry.registry import TelemetryRegistry
 
 
 def test_counter_scoping_and_get_or_create():
@@ -62,21 +58,6 @@ def test_kind_conflict_raises():
         registry.gauge("fetch.tc.hits")
     with pytest.raises(ConfigError):
         registry.histogram("fetch.tc.hits")
-
-
-def test_disabled_registry_is_noop():
-    registry = TelemetryRegistry(enabled=False)
-    counter = registry.counter("fetch.tc.hits")
-    assert counter is NULL_METRIC
-    counter.add(100)
-    registry.gauge("g").set(5)
-    registry.histogram("h").observe(3)
-    assert counter.value == 0
-    assert len(registry) == 0
-    assert registry.flat() == {}
-    assert registry.snapshot() == {}
-    # the shared process-wide instance behaves the same
-    assert NULL_REGISTRY.counter("x.y") is NULL_METRIC
 
 
 def _populate(registry):
