@@ -11,13 +11,21 @@ cuts them into trace-segment candidates under the paper's rules:
 * with **trace packing** (the baseline), instructions fill the segment
   without regard to block boundaries; without it, only whole blocks are
   appended.
+
+Most candidates are dropped as duplicates of a resident line, so a
+candidate carries only what the dedup probe reads: its records, its
+branches and a running count of unpromoted branches. Block and flow
+ids are derived (:meth:`PendingSegment.region_ids`) only when a
+candidate is assembled into a segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 from repro.branch.bias import BiasTable
+from repro.machine.tracing import CommittedInstr
 
 
 @dataclass
@@ -34,19 +42,35 @@ class PendingBranch:
 class PendingSegment:
     """A finalized segment candidate (still in record form)."""
 
-    records: list = field(default_factory=list)
-    branches: list = field(default_factory=list)
-    block_ids: list = field(default_factory=list)
-    flow_ids: list = field(default_factory=list)
-    block_count: int = 1
+    records: List[CommittedInstr] = field(default_factory=list)
+    branches: List[PendingBranch] = field(default_factory=list)
+    #: how many of :attr:`branches` are not promoted
+    unpromoted: int = 0
 
     @property
     def start_pc(self) -> int:
         return self.records[0].pc
 
     @property
-    def path_key(self) -> tuple:
+    def path_key(self) -> Tuple[int, ...]:
         return tuple(record.pc for record in self.records)
+
+    def region_ids(self) -> Tuple[List[int], List[int]]:
+        """Per-record checkpoint-block and control-flow ids, counted
+        from the first record: the block id advances after every
+        conditional branch, the flow id after every transfer."""
+        block_ids: List[int] = []
+        flow_ids: List[int] = []
+        block = flow = 0
+        for record in self.records:
+            block_ids.append(block)
+            flow_ids.append(flow)
+            decoded = record.instr.decoded
+            if decoded.is_ctrl:
+                flow += 1
+                if decoded.is_cond_branch:
+                    block += 1
+        return block_ids, flow_ids
 
     def __len__(self) -> int:
         return len(self.records)
@@ -64,14 +88,12 @@ class FillCollector:
         self.trace_packing = trace_packing
         self._pending = PendingSegment()
         self._block = PendingSegment()     # used only when not packing
-        self._block_id = 0
-        self._flow_id = 0
         # Fetch addresses that recently missed in the trace cache. The
         # fill unit aligns segment starts to these so the segments it
         # builds begin exactly where fetch will next look them up —
         # the standard miss-driven trace-construction policy. Bounded
         # FIFO so stale requests age out.
-        self._miss_points: dict = {}
+        self._miss_points: Dict[int, None] = {}
         self._miss_capacity = 64
 
     def note_fetch_miss(self, pc: int) -> None:
@@ -83,7 +105,7 @@ class FillCollector:
 
     # ------------------------------------------------------------------
 
-    def add(self, record) -> list:
+    def add(self, record: CommittedInstr) -> List[PendingSegment]:
         """Feed one retired instruction; returns the (possibly empty)
         list of segment candidates finalized by it.
 
@@ -95,62 +117,57 @@ class FillCollector:
             return self._add_packed(record)
         return self._add_block_granular(record)
 
-    def flush(self) -> list:
+    def flush(self) -> List[PendingSegment]:
         """Finalize whatever is pending (end of simulation); returns
         zero, one or two candidates (block-granular collection may hold
         a partial block that does not fit the pending segment)."""
-        out = []
+        out: List[PendingSegment] = []
         if not self.trace_packing and len(self._block):
-            fits = (len(self._pending) + len(self._block)
-                    <= self.max_instrs
-                    and (self._pending_unpromoted()
-                         + self._block_unpromoted())
-                    <= self.max_cond_branches)
-            if not fits and len(self._pending):
+            if not self._block_fits() and len(self._pending):
                 out.append(self._finalize())
             self._append_block_to_pending()
         if len(self._pending):
             out.append(self._finalize())
-        self._reset()
         return out
 
     # -- packed mode -----------------------------------------------------
 
-    def _add_packed(self, record) -> list:
+    def _add_packed(self, record: CommittedInstr) -> List[PendingSegment]:
         decoded = record.instr.decoded
-        out = []
+        out: List[PendingSegment] = []
         if self._pending.records and record.pc in self._miss_points:
             # Align a fresh segment to an outstanding fetch-miss point.
             del self._miss_points[record.pc]
             out.append(self._finalize())
-        promoted = False
         if decoded.is_cond_branch:
             promoted = self.bias.is_promoted(record.pc)
-            if (not promoted
-                    and self._pending_unpromoted() >= self.max_cond_branches):
+            if (not promoted and self._pending.unpromoted
+                    >= self.max_cond_branches):
                 out.append(self._finalize())
-        self._append(self._pending, record, promoted)
+            self._add_branch(self._pending, record, promoted)
+        records = self._pending.records
+        records.append(record)
         if (decoded.terminates_segment
-                or len(self._pending.records) >= self.max_instrs):
+                or len(records) >= self.max_instrs):
             out.append(self._finalize())
         return out
 
     # -- block-granular mode ----------------------------------------------
 
-    def _add_block_granular(self, record) -> list:
+    def _add_block_granular(
+            self, record: CommittedInstr) -> List[PendingSegment]:
         decoded = record.instr.decoded
-        promoted = (decoded.is_cond_branch
-                    and self.bias.is_promoted(record.pc))
-        self._append(self._block, record, promoted)
+        block = self._block
+        if decoded.is_cond_branch:
+            self._add_branch(block, record,
+                             self.bias.is_promoted(record.pc))
+        block.records.append(record)
         block_done = (decoded.is_ctrl or decoded.terminates_segment
-                      or len(self._block) >= self.max_instrs)
+                      or len(block) >= self.max_instrs)
         if not block_done:
             return []
-        out = []
-        fits = (len(self._pending) + len(self._block) <= self.max_instrs
-                and (self._pending_unpromoted()
-                     + self._block_unpromoted()) <= self.max_cond_branches)
-        if not fits and len(self._pending):
+        out: List[PendingSegment] = []
+        if not self._block_fits() and len(self._pending):
             out.append(self._finalize())
         self._append_block_to_pending()
         last = self._pending.records[-1].instr.decoded
@@ -160,53 +177,38 @@ class FillCollector:
 
     # ------------------------------------------------------------------
 
-    def _append(self, target: PendingSegment, record,
-                promoted: bool) -> None:
-        decoded = record.instr.decoded
-        index = len(target.records)
-        target.records.append(record)
-        target.block_ids.append(self._block_id)
-        target.flow_ids.append(self._flow_id)
-        if decoded.is_cond_branch:
-            target.branches.append(
-                PendingBranch(index, record.pc, record.taken, promoted))
-            self._block_id += 1
-            self._flow_id += 1
-        elif decoded.is_ctrl:
-            self._flow_id += 1
+    @staticmethod
+    def _add_branch(target: PendingSegment, record: CommittedInstr,
+                    promoted: bool) -> None:
+        """Record the conditional branch *record* is about to append
+        to *target*."""
+        target.branches.append(PendingBranch(
+            len(target.records), record.pc, record.taken, promoted))
+        if not promoted:
+            target.unpromoted += 1
+
+    def _block_fits(self) -> bool:
+        """Whether the collected block fits the pending segment."""
+        pending, block = self._pending, self._block
+        return (len(pending) + len(block) <= self.max_instrs
+                and pending.unpromoted + block.unpromoted
+                <= self.max_cond_branches)
 
     def _append_block_to_pending(self) -> None:
-        base = len(self._pending.records)
-        self._pending.records.extend(self._block.records)
-        self._pending.block_ids.extend(self._block.block_ids)
-        self._pending.flow_ids.extend(self._block.flow_ids)
+        pending = self._pending
+        base = len(pending.records)
+        pending.records.extend(self._block.records)
         for branch in self._block.branches:
-            self._pending.branches.append(PendingBranch(
+            pending.branches.append(PendingBranch(
                 branch.index + base, branch.pc, branch.direction,
                 branch.promoted))
+        pending.unpromoted += self._block.unpromoted
         self._block = PendingSegment()
-
-    def _pending_unpromoted(self) -> int:
-        return sum(1 for b in self._pending.branches if not b.promoted)
-
-    def _block_unpromoted(self) -> int:
-        return sum(1 for b in self._block.branches if not b.promoted)
 
     def _finalize(self) -> PendingSegment:
         candidate = self._pending
-        base_block = candidate.block_ids[0]
-        base_flow = candidate.flow_ids[0]
-        candidate.block_ids = [b - base_block for b in candidate.block_ids]
-        candidate.flow_ids = [f - base_flow for f in candidate.flow_ids]
-        candidate.block_count = candidate.block_ids[-1] + 1
         self._pending = PendingSegment()
         return candidate
-
-    def _reset(self) -> None:
-        self._pending = PendingSegment()
-        self._block = PendingSegment()
-        self._block_id = 0
-        self._flow_id = 0
 
 
 __all__ = ["FillCollector", "PendingSegment", "PendingBranch"]

@@ -10,14 +10,17 @@ live-out flags for a segment.
 
 The marking is annotation-aware: it runs after the rewriting passes, so
 a marked move contributes only its move source and a scaled add reads
-the shift's source register.
+the shift's source register. It reads each instruction's decoded
+record, so a segment's rewritten entries must be re-decoded first
+(:meth:`~repro.tracecache.segment.TraceSegment.redecode`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.isa.registers import ZERO_REG
+from repro.isa.instruction import Instruction
 
 
 @dataclass
@@ -26,44 +29,43 @@ class DependencyInfo:
 
     #: per instruction: source register -> producing instruction index,
     #: or ``None`` when the value is live-in to the segment.
-    producer: list = field(default_factory=list)
+    producer: List[Dict[int, Optional[int]]] = field(default_factory=list)
     #: per instruction: destination is live-out of the segment.
-    liveout: list = field(default_factory=list)
+    liveout: List[bool] = field(default_factory=list)
     #: per instruction: number of live-in source operands.
-    livein_counts: list = field(default_factory=list)
+    livein_counts: List[int] = field(default_factory=list)
 
-    def internal_producers(self, index: int) -> set:
+    def internal_producers(self, index: int) -> Set[int]:
         """Indices of segment-internal producers feeding instruction
         *index*."""
         return {p for p in self.producer[index].values() if p is not None}
 
-    def consumers_of(self, index: int) -> list:
+    def consumers_of(self, index: int) -> List[int]:
         """Indices of instructions consuming instruction *index*'s value."""
         return [i for i in range(len(self.producer))
                 if index in self.producer[i].values()]
 
 
-def mark_dependencies(instrs: list) -> DependencyInfo:
+def mark_dependencies(instrs: Sequence[Instruction]) -> DependencyInfo:
     """Compute :class:`DependencyInfo` for *instrs* in logical order.
 
     Register zero never creates a dependence (it is a hardwired
-    constant, always "ready").
+    constant, always "ready"); the decoded sources already omit it.
     """
     info = DependencyInfo()
-    last_def: dict = {}
+    last_def: Dict[int, int] = {}
     for idx, instr in enumerate(instrs):
-        producers: dict = {}
+        decoded = instr.decoded
+        producers: Dict[int, Optional[int]] = {}
         livein = 0
-        for reg in instr.sources():
-            if reg == ZERO_REG:
-                continue
+        for reg in decoded.sources:
             producer = last_def.get(reg)
             producers[reg] = producer
             if producer is None:
                 livein += 1
         info.producer.append(producers)
         info.livein_counts.append(livein)
-        dest = instr.dest()
+        dest = decoded.dest
         if dest is not None:
             last_def[dest] = idx
     # Live-out: the last writer of each register whose value survives

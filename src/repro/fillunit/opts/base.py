@@ -140,7 +140,12 @@ class OptimizationPass(abc.ABC):
 
     @abc.abstractmethod
     def apply(self, segment: TraceSegment, ctx: PassContext) -> dict:
-        """Transform *segment* in place; return ``{stat: count}``."""
+        """Transform *segment* in place; return ``{stat: count}``.
+
+        An entry is rewritten only through
+        :meth:`~repro.tracecache.segment.TraceSegment.rewrite`, which
+        marks it for re-decoding; its decoded record is stale until
+        then, except for ``dest``, which no pass changes."""
 
 
 class PassManager:
@@ -234,6 +239,7 @@ class PassManager:
             # Placement consumes the dependence structure produced by
             # the rewriting passes, so (re)mark just before it.
             if opt_pass.name == "placement":
+                segment.redecode()
                 segment.deps = mark_dependencies(segment.instrs)
             snapshot = segment.clone() if need_snapshot else None
             for hook in self.pre_pass_hooks:
@@ -272,6 +278,7 @@ class PassManager:
                                  reason=reason, count=count,
                                  start_pc=segment.start_pc)
         if segment.deps is None:
+            segment.redecode()
             segment.deps = mark_dependencies(segment.instrs)
         for key, count in stats.items():
             self.totals[key] = self.totals.get(key, 0) + count

@@ -57,8 +57,8 @@ class CommonSubexpressionPass(OptimizationPass):
 
         available: dict = {}       # expression key -> producing register
         eliminated = 0
-        for instr in segment.instrs:
-            dest = instr.dest()
+        for index, instr in enumerate(segment.instrs):
+            dest = instr.decoded.dest
             key = None
             # Guarded (predicated) instructions write conditionally:
             # their result is not a reusable expression value, and
@@ -79,11 +79,8 @@ class CommonSubexpressionPass(OptimizationPass):
                 if prior is not None and prior != dest:
                     # Rewrite into the canonical move idiom; the move
                     # pass (run next) marks and bypasses it.
-                    instr.op = Op.ADDI
-                    instr.rs = prior
-                    instr.rt = None
-                    instr.imm = 0
-                    instr.reassociated = False
+                    segment.rewrite(index, op=Op.ADDI, rs=prior, rt=None,
+                                    imm=0, reassociated=False)
                     eliminated += 1
                     key = None     # the move produces no new expression
             if dest is not None:

@@ -24,44 +24,37 @@ value as register ``s``. Aliases die when either side is redefined.
 from __future__ import annotations
 
 from repro.fillunit.opts.base import OptimizationPass, PassContext
-from repro.isa.instruction import Instruction, move_source
+from repro.isa.instruction import move_source
 from repro.isa.opcodes import Format
 from repro.tracecache.segment import TraceSegment
 
+#: The register-operand fields a move's dependents read, by format.
+#: Indirect-jump sources (``JR``/``JALR``) are left alone: rewriting
+#: them is architecturally sound but would obscure return-vs-indirect
+#: classification, which both the RAS and the segment-termination rule
+#: depend on.
+_SOURCE_FIELDS = {
+    Format.R3: ("rs", "rt"), Format.LOADX: ("rs", "rt"),
+    Format.BR2: ("rs", "rt"), Format.STORE: ("rs", "rt"),
+    Format.R2I: ("rs",), Format.SHIFT: ("rs",), Format.LOAD: ("rs",),
+    Format.BR1: ("rs",), Format.STOREX: ("rd", "rs", "rt"),
+}
 
-def _rewrite_sources(instr: Instruction, alias: dict) -> int:
-    """Rewrite *instr*'s register sources through *alias*; returns the
-    number of operands changed.
 
-    Indirect-jump sources (``JR``/``JALR``) are left alone: rewriting
-    them is architecturally sound but would obscure return-vs-indirect
-    classification, which both the RAS and the segment-termination rule
-    depend on.
-    """
-    fmt = instr.format
-    if fmt in (Format.JR, Format.JALR, Format.J, Format.NONE):
-        return 0
-    changed = 0
-
-    def map_reg(reg):
-        nonlocal changed
+def _rewrite_sources(segment: TraceSegment, index: int,
+                     alias: dict) -> int:
+    """Rewrite entry *index*'s register sources through *alias*;
+    returns the number of operands changed."""
+    instr = segment.instrs[index]
+    fields: dict = {}
+    for name in _SOURCE_FIELDS.get(instr.format, ()):
+        reg = getattr(instr, name)
         new = alias.get(reg, reg)
         if new != reg:
-            changed += 1
-        return new
-
-    if fmt in (Format.R3, Format.LOADX, Format.BR2, Format.STORE):
-        instr.rs = map_reg(instr.rs)
-        instr.rt = map_reg(instr.rt)
-    elif fmt in (Format.R2I, Format.SHIFT, Format.LOAD, Format.BR1):
-        instr.rs = map_reg(instr.rs)
-    elif fmt is Format.STOREX:
-        instr.rd = map_reg(instr.rd)
-        instr.rs = map_reg(instr.rs)
-        instr.rt = map_reg(instr.rt)
-    if changed:
-        instr.move_bypassed = True
-    return changed
+            fields[name] = new
+    if fields:
+        segment.rewrite(index, move_bypassed=True, **fields)
+    return len(fields)
 
 
 class RegisterMovePass(OptimizationPass):
@@ -75,18 +68,20 @@ class RegisterMovePass(OptimizationPass):
         alias: dict = {}
         marked = 0
         rewritten_operands = 0
-        for instr in segment.instrs:
+        for index, instr in enumerate(segment.instrs):
             # Rewrite sources first so detection sees final operands
             # (a move of a move chains to the ultimate source).
-            rewritten_operands += _rewrite_sources(instr, alias)
+            if alias:
+                rewritten_operands += _rewrite_sources(segment, index,
+                                                       alias)
             src = move_source(instr)
             # A guarded instruction only conditionally updates its
             # destination; rename cannot complete it as an
             # unconditional mapping copy, so it is never a move.
             if src is not None and instr.guard is None:
-                instr.move_flag = True
+                segment.rewrite(index, move_flag=True)
                 marked += 1
-            dest = instr.dest()
+            dest = instr.decoded.dest
             if dest is None:
                 continue
             # Redefinition of `dest` kills aliases on both sides.

@@ -33,27 +33,29 @@ class PlacementPass(OptimizationPass):
         deps = segment.deps
         if deps is None:  # defensive: the manager marks before placement
             from repro.fillunit.dependency import mark_dependencies
+            segment.redecode()
             segment.deps = deps = mark_dependencies(segment.instrs)
         count = len(segment.instrs)
+        producers = [deps.internal_producers(index)
+                     for index in range(count)]
         cluster_size = ctx.cluster_size
         num_clusters = ctx.num_clusters
         slots = [0] * count
-        cluster_of: dict = {}      # logical index -> assigned cluster
+        # per cluster: the logical indices placed in it so far
+        placed_in: list = [set() for _ in range(num_clusters)]
         unplaced = list(range(count))
         moved = 0
         for slot in range(count):
-            cluster = (slot // cluster_size) % num_clusters
-            pick = None
-            for candidate in unplaced:
-                producers = deps.internal_producers(candidate)
-                if any(cluster_of.get(p) == cluster for p in producers):
-                    pick = candidate
-                    break
-            if pick is None:
-                pick = unplaced[0]
+            members = placed_in[(slot // cluster_size) % num_clusters]
+            pick = unplaced[0]
+            if members:
+                for candidate in unplaced:
+                    if not producers[candidate].isdisjoint(members):
+                        pick = candidate
+                        break
             unplaced.remove(pick)
             slots[pick] = slot
-            cluster_of[pick] = cluster
+            members.add(pick)
             if pick != slot:
                 moved += 1
         segment.slots = slots

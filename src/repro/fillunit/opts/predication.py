@@ -56,11 +56,10 @@ class PredicationPass(OptimizationPass):
             idx = info.index
             if self._convertible(segment, info, ctx):
                 branch = segment.instrs[idx]
-                body = segment.instrs[idx + 1]
-                body.guard = GuardAnnotation(
+                segment.rewrite(idx + 1, guard=GuardAnnotation(
                     reg=branch.rs,
                     # BEQ skips when rs == 0: the body runs when rs != 0.
-                    execute_if_zero=(branch.op is Op.BNE))
+                    execute_if_zero=(branch.op is Op.BNE)))
                 squashed = make_nop()
                 squashed.pc = branch.pc
                 squashed.block_id = branch.block_id

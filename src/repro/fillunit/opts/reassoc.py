@@ -40,7 +40,7 @@ class ReassociationPass(OptimizationPass):
         cross_only = ctx.config.reassoc_cross_flow_only
         prov: dict = {}
         rewritten = 0
-        for instr in segment.instrs:
+        for index, instr in enumerate(segment.instrs):
             if instr.op is Op.ADDI and not instr.move_flag:
                 entry = prov.get(instr.rs)
                 if entry is not None:
@@ -57,11 +57,10 @@ class ReassociationPass(OptimizationPass):
                         # basic block (paper methodology).
                         ctx.reject(self.name, "same_flow")
                     else:
-                        instr.rs = base
-                        instr.imm = combined
-                        instr.reassociated = True
+                        segment.rewrite(index, rs=base, imm=combined,
+                                        reassociated=True)
                         rewritten += 1
-            dest = instr.dest()
+            dest = instr.decoded.dest
             if dest is None:
                 continue
             # Redefinition invalidates provenance based on `dest` ...

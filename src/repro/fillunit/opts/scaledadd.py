@@ -43,11 +43,11 @@ class ScaledAddPass(OptimizationPass):
         # (source << amount) and neither register was redefined since.
         shift_prov: dict = {}
         created = 0
-        for instr in segment.instrs:
-            if (instr.op in SCALED_ADD_TARGETS and instr.scale is None
-                    and not instr.move_flag):
-                created += self._try_annotate(instr, shift_prov)
-            dest = instr.dest()
+        for index, instr in enumerate(segment.instrs):
+            if (shift_prov and instr.op in SCALED_ADD_TARGETS
+                    and instr.scale is None and not instr.move_flag):
+                created += self._try_annotate(segment, index, shift_prov)
+            dest = instr.decoded.dest
             if dest is None:
                 continue
             for key in [k for k, v in shift_prov.items() if v[0] == dest]:
@@ -67,19 +67,22 @@ class ScaledAddPass(OptimizationPass):
         return {"scaled_adds": created}
 
     @staticmethod
-    def _try_annotate(instr, shift_prov: dict) -> int:
-        """Annotate *instr* if one of its address/sum operands is a
-        live shift result; returns 1 on success."""
+    def _try_annotate(segment: TraceSegment, index: int,
+                      shift_prov: dict) -> int:
+        """Annotate entry *index* if one of its address/sum operands is
+        a live shift result; returns 1 on success."""
+        instr = segment.instrs[index]
         entry = shift_prov.get(instr.rs)
+        swap: dict = {}
         if entry is None and instr.format in _SWAPPABLE:
-            other = shift_prov.get(instr.rt)
-            if other is not None:
-                # Move the shifted value into the scaled (rs) slot.
-                instr.rs, instr.rt = instr.rt, instr.rs
-                entry = other
+            entry = shift_prov.get(instr.rt)
+            # Move the shifted value into the scaled (rs) slot.
+            swap = {"rs": instr.rt, "rt": instr.rs}
         if entry is None:
             return 0
-        instr.scale = ScaleAnnotation(src=entry[0], shamt=entry[1])
+        segment.rewrite(index, scale=ScaleAnnotation(src=entry[0],
+                                                     shamt=entry[1]),
+                        **swap)
         return 1
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.branch.bias import BiasTable
 from repro.fillunit.collector import FillCollector, PendingSegment
-from repro.fillunit.dependency import mark_dependencies
 from repro.fillunit.opts.base import OptimizationConfig, PassManager
 from repro.tracecache.cache import TraceCache
 from repro.tracecache.segment import BranchInfo, TraceSegment
@@ -131,19 +130,23 @@ class FillUnit:
     def assemble_segment(self, candidate: PendingSegment) -> TraceSegment:
         """Assemble the *unoptimized* :class:`TraceSegment` a candidate
         describes (the fill unit's input; also what the verifier and
-        ``tools/lint_segments.py`` treat as the original)."""
+        ``tools/lint_segments.py`` treat as the original).
+
+        Each entry is a copy of the program instruction and shares its
+        decoded record until a pass rewrites it."""
+        block_ids, flow_ids = candidate.region_ids()
         instrs = []
         for idx, record in enumerate(candidate.records):
             instr = record.instr.copy()
-            instr.block_id = candidate.block_ids[idx]
-            instr.flow_id = candidate.flow_ids[idx]
+            instr.block_id = block_ids[idx]
+            instr.flow_id = flow_ids[idx]
             instr.orig_index = idx
             instrs.append(instr)
         branches = [BranchInfo(b.index, b.pc, b.direction, b.promoted)
                     for b in candidate.branches]
         return TraceSegment(
             start_pc=candidate.start_pc, instrs=instrs, branches=branches,
-            block_count=candidate.block_count,
+            block_count=block_ids[-1] + 1,
             build_promo=tuple(b.promoted for b in candidate.branches))
 
     def build_segment(self, candidate: PendingSegment,
@@ -155,8 +158,6 @@ class FillUnit:
         original = (segment.clone() if self.verifier is not None
                     else None)
         self.passes.run(segment, cycle)
-        if segment.deps is None:
-            segment.deps = mark_dependencies(segment.instrs)
         segment.seal()
         log = self.opt_site_log
         if log is not None:

@@ -16,15 +16,22 @@ Invariants (see ``docs/architecture.md``, "Decoded records"):
 
 * A record is keyed on its instruction *object*
   (``Instruction.decoded``), so records scale with static
-  instructions and segment copies, never with dynamic records.
+  instructions and rewritten segment entries, never with dynamic
+  records.
 * Program-image instructions are decoded once per static instruction,
   on first read (the executor's first visit).
-* Trace-segment instructions are decoded when the fill unit seals the
-  segment, after its last pass (:meth:`~repro.tracecache.segment.
-  TraceSegment.seal`), which replaces any earlier record.
-* Nothing rewrites an instruction after it is decoded: the fill unit
-  rewrites only its private copies, and only before sealing. A record
-  is therefore never stale.
+* Records are shared by copies: :meth:`~repro.isa.instruction.
+  Instruction.copy` keeps the record, so a trace-segment entry shares
+  its program instruction's record until a pass rewrites it.
+* Only rewritten entries, and fresh entries with no record yet (the
+  NOPs of dead-code removal and predication), are re-decoded:
+  :meth:`~repro.tracecache.segment.TraceSegment.redecode` does it
+  before dependency marking and when the fill unit seals the segment.
+* "Never stale" rests on one rule: a pass rewrites an entry only
+  through :meth:`~repro.tracecache.segment.TraceSegment.rewrite`,
+  which marks it for re-decoding, and never rewrites the program
+  image. Until the re-decode, only the entry's ``dest`` may be read
+  (no pass changes a destination). Nothing rewrites a sealed segment.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ information needed by the memory scheduler).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -88,15 +88,22 @@ class Instruction:
 
     def copy(self) -> "Instruction":
         """Return an independent copy (used by the fill unit, which must
-        never mutate the architected program image). The copy starts
-        undecoded."""
-        return replace(self)
+        never mutate the architected program image).
+
+        The copy shares this instruction's :class:`~repro.isa.decoded.
+        Decoded` record, if it has one: a segment entry keeps the
+        program instruction's record until a pass rewrites it through
+        :meth:`~repro.tracecache.segment.TraceSegment.rewrite`."""
+        clone = Instruction.__new__(Instruction)
+        clone.__dict__ = self.__dict__.copy()
+        return clone
 
     @cached_property
     def decoded(self) -> "Decoded":
         """This instruction's :class:`~repro.isa.decoded.Decoded`
-        record, built on first read (or assigned when the fill unit
-        seals a segment) and then a plain attribute load."""
+        record, built on first read (or shared by :meth:`copy`, or
+        assigned when the fill unit re-decodes a rewritten segment
+        entry) and then a plain attribute load."""
         from repro.isa.decoded import Decoded
         return Decoded(self)
 

@@ -256,9 +256,10 @@ class TraceCache:
             self.mix_by_pc[segment.start_pc] = row
         row[0] += len(segment.instrs)
         for instr in segment.instrs:
-            if instr.is_cond_branch():
+            decoded = instr.decoded
+            if decoded.is_cond_branch:
                 row[1] += 1
-            elif instr.is_mem():
+            elif decoded.is_load or decoded.is_store:
                 row[2] += 1
 
     def _end_residency(self, key: Tuple[int, tuple],

@@ -8,8 +8,11 @@ consume a predictor slot). Returns, indirect jumps and serializing
 instructions terminate a segment; calls and direct jumps do not.
 
 Instructions inside a segment are *copies* of the architected
-instructions: the fill unit annotates and rewrites them freely without
-touching the program image. ``slots[i]`` is the issue slot (and thus
+instructions: the fill unit annotates and rewrites them without
+touching the program image. A copy shares the program instruction's
+decoded record; a pass rewrites an entry only through
+:meth:`TraceSegment.rewrite`, which marks it for re-decoding.
+``slots[i]`` is the issue slot (and thus
 execution cluster) assigned to logical instruction ``i`` — identity
 until the placement pass reassigns it; the logical order itself is
 never permuted, mirroring the paper's alternative implementation where
@@ -20,7 +23,7 @@ retained for the memory scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SegmentError
 from repro.isa.decoded import Decoded
@@ -57,6 +60,9 @@ class TraceSegment:
     branch_at: Dict[int, BranchInfo] = field(
         default_factory=dict, compare=False, repr=False)
     predicated: bool = field(default=False, compare=False, repr=False)
+    #: indices of entries rewritten since the last :meth:`redecode`
+    rewritten: Set[int] = field(
+        default_factory=set, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.slots:
@@ -64,9 +70,34 @@ class TraceSegment:
 
     # ------------------------------------------------------------------
 
+    def rewrite(self, index: int, **fields: object) -> None:
+        """Set *fields* on entry *index* and mark it for re-decoding.
+
+        Every pass rewrites entries through this call, so
+        :meth:`redecode` rebuilds the records of exactly the rewritten
+        entries; the rest keep the record they share with the program
+        image.
+        """
+        instr = self.instrs[index]
+        for name, value in fields.items():
+            setattr(instr, name, value)
+        self.rewritten.add(index)
+
+    def redecode(self) -> None:
+        """Decode every entry rewritten since the last call, and every
+        entry that has no record yet (a fresh NOP from dead-code
+        removal or predication)."""
+        rewritten = self.rewritten
+        for index, instr in enumerate(self.instrs):
+            # ``decoded`` is a cached property: an entry has a record
+            # exactly when it sits in the instance dict.
+            if index in rewritten or "decoded" not in instr.__dict__:
+                instr.decoded = Decoded(instr)
+        rewritten.clear()
+
     def seal(self) -> None:
         """Finish the segment for fetch: record the fetch facts and
-        decode every instruction (replacing any earlier record).
+        re-decode the rewritten and fresh entries.
 
         The fill unit calls this once, after its last pass and next to
         dependency marking; nothing may rewrite the segment afterwards,
@@ -75,8 +106,7 @@ class TraceSegment:
         self.branch_at = {info.index: info for info in self.branches}
         self.predicated = any(instr.guard is not None
                               for instr in self.instrs)
-        for instr in self.instrs:
-            instr.decoded = Decoded(instr)
+        self.redecode()
 
     def __len__(self) -> int:
         return len(self.instrs)
@@ -95,7 +125,8 @@ class TraceSegment:
             block_count=self.block_count,
             fill_cycle=self.fill_cycle,
             deps=None,
-            build_promo=self.build_promo)
+            build_promo=self.build_promo,
+            rewritten=set(self.rewritten))
 
     @property
     def path_key(self) -> Tuple[int, ...]:
@@ -109,6 +140,10 @@ class TraceSegment:
     def validate(self, max_instrs: int = 16,
                  max_cond_branches: int = 3) -> None:
         """Check the structural invariants the fill unit must maintain.
+
+        Reads the decoded records, so a rewritten segment must be
+        sealed first (the trace cache validates on insert, and only
+        sealed segments reach it).
 
         Raises:
             SegmentError: on any violation.
@@ -126,7 +161,7 @@ class TraceSegment:
         if self.instrs[0].pc != self.start_pc:
             raise SegmentError("start_pc does not match first instruction")
         for instr in self.instrs[:-1]:
-            if instr.terminates_segment():
+            if instr.decoded.terminates_segment:
                 raise SegmentError(
                     f"{instr.op.value} at {instr.pc:#x} must terminate "
                     f"the segment but is not last")
@@ -137,7 +172,7 @@ class TraceSegment:
             raise SegmentError("branch records out of order")
         for info in self.branches:
             instr = self.instrs[info.index]
-            if not instr.is_cond_branch():
+            if not instr.decoded.is_cond_branch:
                 raise SegmentError(
                     f"branch record at index {info.index} does not point "
                     f"at a conditional branch")

@@ -2,18 +2,23 @@
 
 The timing engine, the fill collector and the functional executor read
 each instruction's facts from a :class:`~repro.isa.decoded.Decoded`
-record, built once per static instruction and once per segment copy
-when the fill unit seals the segment. The :class:`Instruction` query
-methods stay the reference definitions: these tests pin every record
-field to them over the fifteen workloads' program images, over every
-segment the fill unit builds with all optimizations (predication
-included), and over generated programs. They also pin that an
+record, built once per static instruction. A segment entry shares its
+program instruction's record until a pass rewrites it; the fill unit
+re-decodes exactly the rewritten (and freshly created) entries when it
+seals the segment. The :class:`Instruction` query methods stay the
+reference definitions: these tests pin every record field to them over
+the fifteen workloads' program images, over every segment the fill
+unit builds under each pass alone, the extended set and an evicting
+machine, and over generated programs. They pin the sharing itself and
+that the program image is never rewritten. They also pin that an
 appended observer stage joins the per-instruction chain with
 unchanged results (``tests/test_hostprof.py`` pins the same for
 host-profiler proxies).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -114,24 +119,102 @@ def _engine_capturing_segments(config: SimConfig):
     return engine, built
 
 
-def test_segment_records_match_methods():
-    """Every segment built on compress and li under every
-    optimization, predication included, checked after the runs: a
-    rewrite landing after the seal would leave a stale record behind."""
+def _evicting(config: SimConfig) -> SimConfig:
+    """*config* on the evicting ``tiny-evict`` geometry: a 16-set
+    trace cache and 1 KiB L1I/L1D, so lines are evicted and rebuilt."""
+    return dataclasses.replace(
+        config,
+        trace_cache=dataclasses.replace(config.trace_cache, num_sets=16),
+        hierarchy=dataclasses.replace(config.hierarchy, l1i_size=1024,
+                                      l1d_size=1024))
+
+
+PASS_NAMES = ("predication", "cse", "dead_code", "moves", "reassoc",
+              "scaled_adds", "placement")
+
+
+@pytest.mark.parametrize("opts,evicting", [
+    *[pytest.param(lambda name=name: OptimizationConfig.only(name), False,
+                   id=name) for name in PASS_NAMES],
+    pytest.param(OptimizationConfig.extended, False, id="extended"),
+    pytest.param(OptimizationConfig.extended, True,
+                 id="extended-evicting"),
+])
+def test_segment_records_match_methods(opts, evicting):
+    """Every segment built on compress and li, checked after the runs:
+    a pass that rewrites an entry without marking it, or a rewrite
+    landing after the seal, leaves a stale record behind and is named
+    by the parameter. The evicting machine also checks the rebuilds
+    after eviction and after promotion changes."""
     instrs = []
+    rebuilt = evictions = 0
     for bench in ("compress", "li"):
         trace = run_program(workloads.build(bench, scale=0.2))
+        config = SimConfig.tiny(opts())
         engine, built = _engine_capturing_segments(
-            SimConfig.tiny(OptimizationConfig.extended()))
+            _evicting(config) if evicting else config)
         engine.run(trace, benchmark=bench)
         assert built
         for segment in built:
             assert_sealed(segment)
             instrs += segment.instrs
-    assert any(instr.guard is not None for instr in instrs)
-    assert any(instr.move_flag for instr in instrs)
-    assert any(instr.reassociated for instr in instrs)
-    assert any(instr.scale is not None for instr in instrs)
+        paths = [(s.start_pc, s.path_key) for s in built]
+        rebuilt += len(paths) - len(set(paths))
+        evictions += engine.trace_cache.stats.evictions
+    if evicting:
+        assert evictions and rebuilt
+    enabled = opts()
+    if enabled.predication:
+        assert any(instr.guard is not None for instr in instrs)
+    if enabled.moves:
+        assert any(instr.move_flag for instr in instrs)
+    if enabled.reassoc:
+        assert any(instr.reassociated for instr in instrs)
+    if enabled.scaled_adds:
+        assert any(instr.scale is not None for instr in instrs)
+
+
+#: the fields a segment copy sets for itself; every other field equals
+#: the program instruction's until a pass rewrites the entry
+_REGION_FIELDS = ("block_id", "flow_id", "orig_index")
+
+
+def _image_fields(instr) -> dict:
+    return {f.name: getattr(instr, f.name)
+            for f in dataclasses.fields(instr)
+            if f.name not in _REGION_FIELDS}
+
+
+def _record_fields(decoded) -> dict:
+    return {name: getattr(decoded, name) for name in Decoded.__slots__}
+
+
+@pytest.mark.parametrize("bench", ["compress", "li"])
+def test_segments_share_records_and_leave_the_image_alone(bench):
+    """An extended run rewrites segment copies, never the program
+    image. An entry no pass rewrote shares its program instruction's
+    record; a rewritten entry holds its own, equal to a fresh decode."""
+    program = workloads.build(bench, scale=0.2)
+    trace = run_program(program)
+    image = [_image_fields(instr) for instr in program.instructions]
+    engine, built = _engine_capturing_segments(
+        SimConfig.tiny(OptimizationConfig.extended()))
+    engine.run(trace, benchmark=bench)
+    assert [_image_fields(instr)
+            for instr in program.instructions] == image
+    shared = rewritten = 0
+    for segment in built:
+        for entry in segment.instrs:
+            original = program.instr_at(entry.pc)
+            if _image_fields(entry) == _image_fields(original):
+                assert entry.decoded is original.decoded
+                shared += 1
+            else:
+                assert entry.decoded is not original.decoded
+                assert (_record_fields(entry.decoded)
+                        == _record_fields(Decoded(entry)))
+                rewritten += 1
+    assert shared and rewritten
 
 
 FRAGMENTS = {

@@ -158,8 +158,11 @@ def test_collector_segments_respect_invariants(records, packing):
         # 3. terminators only at the end
         for record in seg.records[:-1]:
             assert not record.instr.terminates_segment()
-        # 4. block ids normalized, monotone
-        assert seg.block_ids[0] == 0
-        assert all(b2 - b1 in (0, 1)
-                   for b1, b2 in zip(seg.block_ids, seg.block_ids[1:]))
-        assert seg.block_count == seg.block_ids[-1] + 1
+        # 4. block and flow ids normalized, monotone; a new
+        #    checkpoint block is also a new flow region
+        block_ids, flow_ids = seg.region_ids()
+        assert block_ids[0] == 0 and flow_ids[0] == 0
+        for ids in (block_ids, flow_ids):
+            assert all(b - a in (0, 1) for a, b in zip(ids, ids[1:]))
+        assert all(f2 - f1 >= b2 - b1 for b1, b2, f1, f2 in zip(
+            block_ids, block_ids[1:], flow_ids, flow_ids[1:]))
