@@ -28,14 +28,14 @@ registry (the engine's own, or the one of an attached
 source of truth behind :class:`~repro.core.results.SimResult`'s
 counters. With a session attached the stages additionally emit
 structured events (mispredicts, trace cache misfetches, checkpoint
-repairs, fill-unit activity), and the cycle-accounting stage joins the
-stage list when the session asks for attribution; without one, event
+repairs) and observer stages join the stage list (cycle accounting,
+segment events and spans, fed by segment hooks); without one, event
 emission collapses to a null-object no-op.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.branch.predictor import MultiBranchPredictor
 from repro.cache.hierarchy import MemoryHierarchy
@@ -59,6 +59,7 @@ from repro.core.stages.execute import ExecuteStage
 from repro.core.stages.fetch import FetchStage
 from repro.core.stages.fill import FillStage
 from repro.core.stages.issue import IssueStage
+from repro.core.stages.observers import EventStage, SpanStage
 from repro.core.stages.rename import RenameStage
 from repro.core.stages.retire import RetireStage
 from repro.fillunit.unit import FillUnit, FillUnitConfig
@@ -68,7 +69,6 @@ from repro.telemetry.events import (
     RUN_STARTED,
 )
 from repro.telemetry.registry import TelemetryRegistry
-from repro.telemetry.spans import active_or_none
 from repro.tracecache.cache import TraceCache
 
 
@@ -87,21 +87,12 @@ class Engine:
             # source of truth the SimResult counters derive from.
             self.registry = TelemetryRegistry()
             self.events = NULL_EVENT_STREAM
-        registry_arg = self.registry
-        events_arg = self.events if telemetry is not None else None
-        #: span recorder when the session traces spans, else None —
-        #: instrumented components guard on `is not None` so the
-        #: untraced hot path pays a single attribute check at most.
-        self.spans = active_or_none(getattr(telemetry, "spans", None)
-                                    if telemetry is not None else None)
         self.hierarchy = MemoryHierarchy(config.hierarchy)
         self.predictor = MultiBranchPredictor(config.predictor)
         self.trace_cache = (TraceCache(config.trace_cache)
                             if config.trace_cache_enabled else None)
         self.fill_unit: Optional[FillUnit] = None
         if self.trace_cache is not None:
-            self.trace_cache.events = events_arg
-            self.trace_cache.spans = self.spans
             fill_config = FillUnitConfig(
                 max_instrs=config.trace_cache.max_instrs,
                 max_cond_branches=config.trace_cache.max_cond_branches,
@@ -115,9 +106,7 @@ class Engine:
             )
             self.fill_unit = FillUnit(fill_config, self.trace_cache,
                                       self.predictor.bias,
-                                      registry=registry_arg,
-                                      events=events_arg,
-                                      spans=self.spans)
+                                      registry=self.registry)
         self.fus = FunctionalUnits(config.num_fus)
         self.rs = ReservationStations(config.num_fus, config.rs_per_fu)
         self.bypass = BypassNetwork(config.cluster_size,
@@ -135,20 +124,25 @@ class Engine:
         self.stages: List[PipelineStage] = [
             FetchStage(config, self.hierarchy, self.predictor,
                        self.trace_cache, self.fill_unit,
-                       registry_arg, self.events),
+                       self.registry, self.events),
             RenameStage(config, self.rename_unit, self.checkpoints,
-                        registry_arg, self.events),
+                        self.registry, self.events),
             IssueStage(config, self.fus, self.rs, self.bypass,
-                       registry_arg),
-            ExecuteStage(self.memsched, registry_arg),
+                       self.registry),
+            ExecuteStage(self.memsched, self.registry),
             RetireStage(config, self.retire_unit, self.checkpoints,
-                        self.predictor, registry_arg, self.events),
-            FillStage(self.fill_unit, registry_arg),
+                        self.predictor, self.registry, self.events),
+            FillStage(self.fill_unit, self.registry),
         ]
-        if telemetry is not None and telemetry.attribution:
-            self.stages.append(CycleAccountant(
-                config.cross_cluster_penalty,
-                extra_is_tc_miss=self.trace_cache is not None))
+        if telemetry is not None:
+            if telemetry.attribution:
+                self.stages.append(CycleAccountant(
+                    config.cross_cluster_penalty,
+                    extra_is_tc_miss=self.trace_cache is not None))
+            self.stages.append(EventStage(self.events))
+            if telemetry.spans.enabled:
+                self.stages.append(SpanStage(telemetry.spans,
+                                             self.fill_unit))
         #: program image the TRRIP hints were last derived from
         #: (identity-compared so repeated runs skip the CFG walk).
         self._hint_source: Optional[Any] = None
@@ -219,13 +213,23 @@ class Engine:
         # The hook chains, built once per run: a stage joins a hook's
         # chain only if its class overrides that hook. Fetch has no
         # per-instruction work, so the per-instruction chain is rename
-        # -> fill plus the appended observer stages.
-        begin_group = [stage.begin_group for stage in stages
-                       if stage.overrides("begin_group")]
-        chain = [stage.process for stage in stages
-                 if stage.overrides("process")]
-        end_group = [stage.end_group for stage in stages
-                     if stage.overrides("end_group")]
+        # -> fill plus the appended observer stages. The segment-hook
+        # chains go to the components that call them.
+
+        def hooks(name: str) -> Tuple[Callable[..., Any], ...]:
+            return tuple(getattr(stage, name) for stage in stages
+                         if stage.overrides(name))
+
+        begin_group = hooks("begin_group")
+        chain = hooks("process")
+        end_group = hooks("end_group")
+        fill_unit = self.fill_unit
+        if fill_unit is not None:
+            fill_unit.collect_hooks = hooks("segment_collected")
+            fill_unit.passes.pass_hooks = hooks("pass_applied")
+            fill_unit.verify_hooks = hooks("segment_verified")
+            fill_unit.trace_cache.displace_hooks = hooks("line_displaced")
+            fill_unit.build_hooks = hooks("segment_built")
         for stage in stages:
             stage.begin_run(state)
         retire_cycles = state.retire_cycles
@@ -248,10 +252,6 @@ class Engine:
         result.cycles = state.retire_cycles[-1]
         if wrong_path is not None:
             result.wrong_path_fetches = wrong_path.instructions
-        if self.spans is not None:
-            # Close whatever is still open on the simulated clock
-            # (trace-cache residency spans of still-resident segments).
-            self.spans.end_open(float(result.cycles))
         self._finish_stats(state, result)
         events.emit(RUN_FINISHED, result.cycles, benchmark=benchmark,
                     label=label, instructions=n, cycles=result.cycles,

@@ -7,8 +7,8 @@ The engine's stage list, in order::
 
 Each stage implements the :class:`PipelineStage` contract and
 communicates only through the :class:`MachineState` handoff object.
-Observers are stages too: with a telemetry session asking for
-attribution, the engine appends :class:`CycleAccountant`.
+Observers are stages too: with a telemetry session the engine appends
+:class:`CycleAccountant`, :class:`EventStage` and :class:`SpanStage`.
 """
 
 from repro.core.stages.attribution import CycleAccountant
@@ -24,6 +24,7 @@ from repro.core.stages.execute import ExecuteStage
 from repro.core.stages.fetch import FetchStage
 from repro.core.stages.fill import FillStage
 from repro.core.stages.issue import IssueStage
+from repro.core.stages.observers import EventStage, SpanStage
 from repro.core.stages.rename import RenameStage
 from repro.core.stages.retire import RetireStage
 
@@ -41,4 +42,6 @@ __all__ = [
     "RetireStage",
     "FillStage",
     "CycleAccountant",
+    "EventStage",
+    "SpanStage",
 ]

@@ -82,6 +82,8 @@ class FetchGroup:
     serialize_after: Optional[int] = None
     #: committed-stream records this group consumed (phantoms excluded)
     consumed: int = 0
+    #: the trace-cache segment the group came from, if any
+    segment: Optional[Any] = None
 
 
 class InstrSlot:
@@ -158,7 +160,9 @@ class PipelineStage:
     group was ever formed); stages must derive their result-counter
     contributions from their own components, not from the state.
 
-    The engine builds its hook chains once per run and drives only the
+    The segment hooks below report the fill unit's and trace cache's
+    work as it happens, from inside the fill stage's ``process``. The
+    engine builds its hook chains once per run and drives only the
     stages whose class overrides a hook (see :meth:`overrides`), so a
     stage without a ``process`` drops out of the per-instruction chain.
     """
@@ -187,6 +191,27 @@ class PipelineStage:
         """Fold this stage's statistics into *result* (and mirror any
         per-component stats into the registry)."""
 
+    def segment_collected(self, candidate: Any, cycle: int,
+                          deduped: bool) -> None:
+        """A candidate was finalized: resident already, or to build."""
+
+    def pass_applied(self, segment: Any, index: int, name: str,
+                     stats: Dict[str, int],
+                     rejections: Dict[Tuple[str, str], int],
+                     cycle: int) -> None:
+        """Pass *index* ran; the last one brings the rejections."""
+
+    def segment_verified(self, segment: Any, violations: List[Any],
+                         cycle: int) -> None:
+        """The verifier checked the optimized segment."""
+
+    def line_displaced(self, key: Tuple[int, tuple], cycle: int,
+                       incoming: Any, evicted: bool) -> None:
+        """Inserting *incoming* dropped line *key* (evicted or refilled)."""
+
+    def segment_built(self, segment: Any, cycle: int) -> None:
+        """A built segment was installed in the trace cache."""
+
 
 class MetricBlock:
     """Cached registry handles for a stage's hot-path counters.
@@ -198,7 +223,6 @@ class MetricBlock:
 
     def __init__(self, registry: TelemetryRegistry,
                  scopes: Dict[str, str]) -> None:
-        self._scopes = scopes
         for attr, scope in scopes.items():
             setattr(self, attr, registry.counter(scope))
         self._starts = {attr: getattr(self, attr).value

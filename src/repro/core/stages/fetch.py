@@ -69,7 +69,8 @@ class FetchStage(PipelineStage):
         requested = state.fetch_ready
         entries, fetch_cycle, segment, consumed = self._fetch_group(
             state.records, state.index, state.fetch_ready)
-        group = FetchGroup(entries=entries, fetch_cycle=fetch_cycle)
+        group = FetchGroup(entries=entries, fetch_cycle=fetch_cycle,
+                           segment=segment)
         state.group = group
         if not entries:     # defensive; cannot happen on real traces
             return

@@ -20,18 +20,27 @@ per-instruction fields and segment structures it is allowed to change.
 With :attr:`PassManager.verify_each`, the manager snapshots the
 segment around each pass and hands (snapshot, segment, pass, surface)
 to a segment verifier, so a violation names the offending pass rather
-than the whole pipeline; arbitrary pre/post hooks get the same
-snapshots.
+than the whole pipeline.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
+from repro.branch.bias import BiasTable
 from repro.errors import ConfigError
+from repro.telemetry.registry import TelemetryRegistry
 from repro.tracecache.segment import TraceSegment
+
+if TYPE_CHECKING:
+    from repro.verify import SegmentVerifier
+    from repro.verify.rules import Violation
+
+#: every optimization, in the order the pass manager runs them
+PASS_ORDER = ("predication", "cse", "dead_code", "moves", "reassoc",
+              "scaled_adds", "placement")
 
 
 @dataclass
@@ -79,18 +88,13 @@ class OptimizationConfig:
     @classmethod
     def only(cls, name: str) -> "OptimizationConfig":
         """Enable a single optimization by name (figure 3-6 runs)."""
-        valid = {"moves", "reassoc", "scaled_adds", "placement",
-                 "cse", "dead_code", "predication"}
-        if name not in valid:
+        if name not in PASS_ORDER:
             raise ValueError(f"unknown optimization {name!r}; "
-                             f"expected one of {sorted(valid)}")
+                             f"expected one of {sorted(PASS_ORDER)}")
         return cls(**{name: True})
 
     def enabled_names(self) -> list:
-        return [name for name in
-                ("predication", "cse", "dead_code", "moves", "reassoc",
-                 "scaled_adds", "placement")
-                if getattr(self, name)]
+        return [name for name in PASS_ORDER if getattr(self, name)]
 
 
 @dataclass
@@ -107,22 +111,20 @@ class PassContext:
     config: OptimizationConfig = field(default_factory=OptimizationConfig)
     #: the bias table, when available: lets passes ask whether a branch
     #: is strongly biased (predication skips well-predicted branches).
-    bias: object = None
-    #: optional telemetry registry; :meth:`reject` records why a pass
-    #: declined a candidate it matched (scope
-    #: ``fillunit.opts.<pass>.rejected.<reason>``).
-    registry: object = None
-    #: per-segment rejection counts ``{(pass, reason): n}``, drained by
-    #: the pass manager into ``opt.rejected`` events.
-    rejections: dict = field(default_factory=dict)
+    bias: Optional[BiasTable] = None
+    #: telemetry registry; :meth:`reject` records why a pass declined
+    #: a candidate it matched (``fillunit.opts.<pass>.rejected.<reason>``).
+    registry: TelemetryRegistry = field(default_factory=TelemetryRegistry)
+    #: per-segment rejection counts ``{(pass, reason): n}``, handed to
+    #: the ``pass_applied`` hooks with the last pass.
+    rejections: Dict[Tuple[str, str], int] = field(default_factory=dict)
 
     def reject(self, pass_name: str, reason: str) -> None:
         """A pass matched a candidate but could not transform it."""
         key = (pass_name, reason)
         self.rejections[key] = self.rejections.get(key, 0) + 1
-        if self.registry is not None:
-            self.registry.counter(
-                f"fillunit.opts.{pass_name}.rejected.{reason}").add()
+        self.registry.counter(
+            f"fillunit.opts.{pass_name}.rejected.{reason}").add()
 
 
 class OptimizationPass(abc.ABC):
@@ -153,9 +155,10 @@ class PassManager:
 
     def __init__(self, config: OptimizationConfig,
                  num_clusters: int = 4, cluster_size: int = 4,
-                 bias=None, registry=None, events=None,
-                 verifier=None, verify_each: bool = False,
-                 spans=None, span_window: float = 0.0) -> None:
+                 bias: Optional[BiasTable] = None,
+                 registry: Optional[TelemetryRegistry] = None,
+                 verifier: Optional[SegmentVerifier] = None,
+                 verify_each: bool = False) -> None:
         from repro.fillunit.opts.cse import CommonSubexpressionPass
         from repro.fillunit.opts.deadcode import DeadCodePass
         from repro.fillunit.opts.moves import RegisterMovePass
@@ -164,31 +167,17 @@ class PassManager:
         from repro.fillunit.opts.reassoc import ReassociationPass
         from repro.fillunit.opts.scaledadd import ScaledAddPass
 
+        self.registry = (registry if registry is not None
+                         else TelemetryRegistry())
         self.context = PassContext(num_clusters, cluster_size, config,
-                                   bias=bias, registry=registry)
-        self.registry = registry
-        self.events = events
-        #: optional span recorder; each pass gets an even slice of the
-        #: fill-pipeline window *span_window* (simulated cycles). The
-        #: subdivision is presentational — the paper models pass cost
-        #: only as the fill unit's total latency.
-        self.spans = spans
-        self.span_window = span_window
-        self.passes: list = []
-        if config.predication:
-            self.passes.append(PredicationPass())
-        if config.cse:
-            self.passes.append(CommonSubexpressionPass())
-        if config.dead_code:
-            self.passes.append(DeadCodePass())
-        if config.moves:
-            self.passes.append(RegisterMovePass())
-        if config.reassoc:
-            self.passes.append(ReassociationPass())
-        if config.scaled_adds:
-            self.passes.append(ScaledAddPass())
-        if config.placement:
-            self.passes.append(PlacementPass())
+                                   bias=bias, registry=self.registry)
+        classes: Dict[str, Callable[[], OptimizationPass]] = {
+            "predication": PredicationPass,
+            "cse": CommonSubexpressionPass, "dead_code": DeadCodePass,
+            "moves": RegisterMovePass, "reassoc": ReassociationPass,
+            "scaled_adds": ScaledAddPass, "placement": PlacementPass}
+        self.passes: List[OptimizationPass] = [
+            classes[name]() for name in config.enabled_names()]
         # Placement consumes the final dependence structure, so it must
         # run after every rewriting pass — including the extensions,
         # whose docstring drift once suggested otherwise.
@@ -196,92 +185,54 @@ class PassManager:
         if "placement" in names and names[-1] != "placement":
             raise ConfigError(
                 f"placement must be the final pass, got order {names}")
-        self.totals: dict = {}
+        self.totals: Dict[str, int] = {}
         #: optional :class:`repro.verify.SegmentVerifier`; with
         #: *verify_each*, every pass is checked in isolation against a
         #: pre-pass snapshot so violations name the offending pass.
         self.verifier = verifier
         self.verify_each = bool(verify_each and verifier is not None)
-        #: hooks ``f(pass_name, segment)`` run before each pass.
-        self.pre_pass_hooks: list = []
-        #: hooks ``f(pass_name, snapshot, segment, stats)`` run after
-        #: each pass; *snapshot* is the pre-pass copy (``None`` unless
-        #: verify_each or a post hook is registered).
-        self.post_pass_hooks: list = []
+        #: the ``pass_applied`` hook chain, set by the engine per run
+        #: (see :class:`~repro.core.stages.base.PipelineStage`).
+        self.pass_hooks: Tuple[Callable[..., Any], ...] = ()
         #: violations found by per-pass verification in the last run().
-        self.last_violations: list = []
+        self.last_violations: List[Violation] = []
 
-    def run(self, segment: TraceSegment, cycle: int = 0) -> dict:
-        """Apply all passes to *segment*; accumulate and return stats.
-
-        When the manager was constructed with a telemetry registry /
-        event stream, per-pass counts are mirrored to
-        ``fillunit.opts.<pass>.<stat>`` scopes and ``opt.applied`` /
-        ``opt.rejected`` events are emitted (one per pass and stat,
-        tagged with the segment's start PC).
-        """
+    def run(self, segment: TraceSegment, cycle: int = 0) -> Dict[str, int]:
+        """Apply all passes to *segment*; accumulate and return stats,
+        counted per pass under ``fillunit.opts.<pass>.<stat>`` and
+        reported to the ``pass_applied`` hooks."""
         from repro.fillunit.dependency import mark_dependencies
 
-        stats: dict = {}
-        self.context.rejections.clear()
+        stats: Dict[str, int] = {}
+        rejections = self.context.rejections
+        rejections.clear()
         self.last_violations = []
-        need_snapshot = self.verify_each or bool(self.post_pass_hooks)
-        # Span subdivision of the fill-pipeline window: the passes (and
-        # the verify step, when enabled) share [cycle, cycle+window)
-        # evenly. FillUnit._verify uses the same formula for the last
-        # slot — keep them in sync.
-        span_share = 0.0
-        if self.spans is not None:
-            slots = len(self.passes) + (1 if self.verifier is not None
-                                        else 0)
-            span_share = self.span_window / max(slots, 1)
-        for pass_index, opt_pass in enumerate(self.passes):
+        verifier = self.verifier if self.verify_each else None
+        last = len(self.passes) - 1
+        for index, opt_pass in enumerate(self.passes):
             # Placement consumes the dependence structure produced by
             # the rewriting passes, so (re)mark just before it.
             if opt_pass.name == "placement":
                 segment.redecode()
                 segment.deps = mark_dependencies(segment.instrs)
-            snapshot = segment.clone() if need_snapshot else None
-            for hook in self.pre_pass_hooks:
-                hook(opt_pass.name, segment)
+            snapshot = segment.clone() if verifier is not None else None
             pass_stats = opt_pass.apply(segment, self.context)
-            if self.spans is not None:
-                self.spans.span(
-                    "fillunit", f"pass.{opt_pass.name}",
-                    cycle + pass_index * span_share, span_share,
-                    start_pc=segment.start_pc,
-                    **{k: v for k, v in pass_stats.items() if v})
-            for hook in self.post_pass_hooks:
-                hook(opt_pass.name, snapshot, segment, pass_stats)
-            if self.verify_each:
-                self.last_violations += self.verifier.check(
+            if verifier is not None and snapshot is not None:
+                self.last_violations += verifier.check(
                     snapshot, segment, pass_name=opt_pass.name,
                     surface=opt_pass.surface, record=False)
             for key, count in pass_stats.items():
                 stats[key] = stats.get(key, 0) + count
-            if self.registry is not None:
-                for key, count in pass_stats.items():
-                    if count:
-                        self.registry.counter(
-                            f"fillunit.opts.{opt_pass.name}.{key}"
-                        ).add(count)
-            if self.events is not None:
-                for key, count in pass_stats.items():
-                    if count:
-                        self.events.emit(
-                            "opt.applied", cycle,
-                            opt=opt_pass.name, stat=key, count=count,
-                            start_pc=segment.start_pc)
-        if self.events is not None:
-            for (name, reason), count in self.context.rejections.items():
-                self.events.emit("opt.rejected", cycle, opt=name,
-                                 reason=reason, count=count,
-                                 start_pc=segment.start_pc)
+                self.totals[key] = self.totals.get(key, 0) + count
+                if count:
+                    self.registry.counter(
+                        f"fillunit.opts.{opt_pass.name}.{key}").add(count)
+            for hook in self.pass_hooks:
+                hook(segment, index, opt_pass.name, pass_stats,
+                     rejections if index == last else {}, cycle)
         if segment.deps is None:
             segment.redecode()
             segment.deps = mark_dependencies(segment.instrs)
-        for key, count in stats.items():
-            self.totals[key] = self.totals.get(key, 0) + count
         return stats
 
 

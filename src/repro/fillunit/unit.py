@@ -11,12 +11,20 @@ through this structure have negligible performance impact (Figure 8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.branch.bias import BiasTable
 from repro.fillunit.collector import FillCollector, PendingSegment
 from repro.fillunit.opts.base import OptimizationConfig, PassManager
+from repro.machine.tracing import CommittedInstr
+from repro.telemetry.registry import TelemetryRegistry
 from repro.tracecache.cache import TraceCache
 from repro.tracecache.segment import BranchInfo, TraceSegment
+
+if TYPE_CHECKING:
+    from repro.verify import SegmentVerifier
+
+Hooks = Tuple[Callable[..., Any], ...]     # bound observer-stage hooks
 
 
 @dataclass
@@ -50,77 +58,48 @@ class FillUnit:
     """Collect retired blocks, optimize, install into the trace cache."""
 
     def __init__(self, config: FillUnitConfig, trace_cache: TraceCache,
-                 bias: BiasTable, registry=None, events=None,
-                 spans=None) -> None:
+                 bias: BiasTable,
+                 registry: Optional[TelemetryRegistry] = None) -> None:
         self.config = config
         self.trace_cache = trace_cache
         self.bias = bias
         self.collector = FillCollector(
             bias, config.max_instrs, config.max_cond_branches,
             config.trace_packing)
-        self.verifier = None
+        self.verifier: Optional[SegmentVerifier] = None
         if config.verify:
-            from repro.verify import SegmentVerifier
-            self.verifier = SegmentVerifier(config.optimizations)
+            from repro import verify
+            self.verifier = verify.SegmentVerifier(config.optimizations)
+        if registry is None:
+            registry = TelemetryRegistry()
+        self.registry = registry
         self.passes = PassManager(config.optimizations,
                                   config.num_clusters, config.cluster_size,
                                   bias=bias, registry=registry,
-                                  events=events, verifier=self.verifier,
-                                  verify_each=config.verify_each,
-                                  spans=spans,
-                                  span_window=float(config.latency))
+                                  verifier=self.verifier,
+                                  verify_each=config.verify_each)
         self.stats = FillUnitStats()
-        self.registry = registry
-        self.events = events
-        #: optional span recorder (timeline tracing; see
-        #: repro.telemetry.spans). None keeps the retire path branch-free
-        #: beyond a single test per instruction.
-        self.spans = spans
-        #: retire cycle at which the currently-collecting segment
-        #: started (span bookkeeping only).
-        self._collect_start = None
-        #: optional {"moves"|"reassoc"|"scaled": set of PCs} sink; when
-        #: set (by the harness cross-checker), every built segment's
-        #: transformed instruction addresses are recorded per opt
-        #: class. Plain Python bookkeeping outside the timing model:
-        #: modelled cycle counts are unaffected.
-        self.opt_site_log = None
-        if registry is not None:
-            self._m_built = registry.counter("fillunit.segments.built")
-            self._m_deduped = registry.counter("fillunit.segments.deduped")
-            self._m_promoted = registry.counter(
-                "fillunit.branches.promoted")
-            self._h_length = registry.histogram("fillunit.segment.length")
-            if self.verifier is not None:
-                self._m_checked = registry.counter(
-                    "fillunit.verify.segments_checked")
-                self._m_clean = registry.counter(
-                    "fillunit.verify.segments_clean")
+        #: segment-hook chains, set by the engine for each run
+        self.collect_hooks: Hooks = ()
+        self.verify_hooks: Hooks = ()
+        self.build_hooks: Hooks = ()
+        self._m_built = registry.counter("fillunit.segments.built")
+        self._m_deduped = registry.counter("fillunit.segments.deduped")
+        self._m_promoted = registry.counter("fillunit.branches.promoted")
+        self._h_length = registry.histogram("fillunit.segment.length")
+        if self.verifier is not None:
+            self._m_checked = registry.counter(
+                "fillunit.verify.segments_checked")
+            self._m_clean = registry.counter(
+                "fillunit.verify.segments_clean")
 
     # ------------------------------------------------------------------
 
-    def retire(self, record, cycle: int) -> None:
+    def retire(self, record: CommittedInstr, cycle: int) -> None:
         """Feed one retired instruction at retirement *cycle*."""
         self.stats.instructions_collected += 1
-        if self.spans is None:
-            for candidate in self.collector.add(record):
-                self._build(candidate, cycle)
-            return
-        # Traced path: bracket each candidate with its collection
-        # window (first contributing retire -> finalizing retire).
-        if self._collect_start is None:
-            self._collect_start = cycle
-        candidates = self.collector.add(record)
-        for candidate in candidates:
-            self.spans.span(
-                "fillunit", "segment.collect", self._collect_start,
-                cycle - self._collect_start,
-                start_pc=candidate.start_pc, instrs=len(candidate))
+        for candidate in self.collector.add(record):
             self._build(candidate, cycle)
-        if candidates:
-            # The current retire may already have opened the next
-            # pending segment; approximate its window start as now.
-            self._collect_start = cycle
 
     def note_fetch_miss(self, pc: int) -> None:
         """The fetch engine missed the trace cache at *pc*: align an
@@ -155,25 +134,16 @@ class FillUnit:
         candidate, without touching the trace cache (exposed for tests
         and the optimization-tour example)."""
         segment = self.assemble_segment(candidate)
-        original = (segment.clone() if self.verifier is not None
-                    else None)
+        verifier = self.verifier
+        original = segment.clone() if verifier is not None else None
         self.passes.run(segment, cycle)
         segment.seal()
-        log = self.opt_site_log
-        if log is not None:
-            for instr in segment.instrs:
-                if instr.move_flag:
-                    log["moves"].add(instr.pc)
-                if instr.reassociated:
-                    log["reassoc"].add(instr.pc)
-                if instr.scale is not None:
-                    log["scaled"].add(instr.pc)
-        if self.verifier is not None:
-            self._verify(original, segment, cycle)
+        if verifier is not None and original is not None:
+            self._verify(verifier, original, segment, cycle)
         return segment
 
-    def _verify(self, original: TraceSegment, optimized: TraceSegment,
-                cycle: int) -> None:
+    def _verify(self, verifier: SegmentVerifier, original: TraceSegment,
+                optimized: TraceSegment, cycle: int) -> None:
         """Validate one rewrite; mirror outcomes to telemetry.
 
         With per-pass verification the pass manager already checked
@@ -185,85 +155,47 @@ class FillUnit:
         if self.passes.verify_each:
             violations = list(self.passes.last_violations)
         else:
-            violations = self.verifier.check(original, optimized,
-                                             record=False)
-        self.verifier.report.record(violations)
-        if self.spans is not None:
-            # The verify step takes the last slot of the fill-pipeline
-            # window (the passes share the preceding slots; see
-            # PassManager.run — same subdivision).
-            share = self.config.latency / (len(self.passes.passes) + 1)
-            start = cycle + len(self.passes.passes) * share
-            self.spans.span(
-                "fillunit", "segment.verify", start,
-                cycle + self.config.latency - start,
-                start_pc=optimized.start_pc,
-                violations=len(violations))
-        if self.registry is not None:
-            self._m_checked.add()
-            if not any(v.severity == "error" for v in violations):
-                self._m_clean.add()
-            for violation in violations:
-                scope_rule = violation.rule.replace("-", "_")
-                self.registry.counter(
-                    f"fillunit.verify.violations.{scope_rule}").add()
-        if self.events is not None:
-            for violation in violations:
-                self.events.emit(
-                    "verify.violation", cycle,
-                    start_pc=optimized.start_pc,
-                    opt=violation.pass_name or "(pipeline)",
-                    rule=violation.rule, severity=violation.severity,
-                    index=violation.index, message=violation.message)
+            violations = verifier.check(original, optimized, record=False)
+        verifier.report.record(violations)
+        self._m_checked.add()
+        if not any(v.severity == "error" for v in violations):
+            self._m_clean.add()
+        for violation in violations:
+            scope_rule = violation.rule.replace("-", "_")
+            self.registry.counter(
+                f"fillunit.verify.violations.{scope_rule}").add()
+        for hook in self.verify_hooks:
+            hook(optimized, violations, cycle)
 
     def _build(self, candidate: PendingSegment, cycle: int) -> None:
         path_key = candidate.path_key
         resident = self.trace_cache.probe(candidate.start_pc, path_key)
-        if resident is not None:
-            promo = tuple(b.promoted for b in candidate.branches)
-            if promo == resident.build_promo:
-                # Identical segment already resident: the rebuild is
-                # redundant; keep the line hot instead of re-optimizing.
-                self.trace_cache.touch(candidate.start_pc, path_key)
-                self.stats.segments_deduped += 1
-                if self.registry is not None:
-                    self._m_deduped.add()
-                if self.events is not None:
-                    self.events.emit("segment.deduped", cycle,
-                                     start_pc=candidate.start_pc)
-                return
-            # Same path but promotion state changed: rebuild so the
-            # line's embedded static predictions track the bias table.
-        if self.spans is not None:
-            # The fill pipeline occupies [cycle, cycle + latency); the
-            # per-pass (and verify) sub-spans nest inside this window.
-            self.spans.span(
-                "fillunit", "segment.optimize", cycle,
-                self.config.latency, start_pc=candidate.start_pc,
-                instrs=len(candidate))
+        # A resident line of the same path whose promotion state changed
+        # is rebuilt, so its embedded static predictions track the bias
+        # table; an identical one makes the rebuild redundant.
+        deduped = resident is not None and resident.build_promo == tuple(
+            b.promoted for b in candidate.branches)
+        for hook in self.collect_hooks:
+            hook(candidate, cycle, deduped)
+        if deduped:
+            # Keep the line hot instead of re-optimizing.
+            self.trace_cache.touch(candidate.start_pc, path_key)
+            self.stats.segments_deduped += 1
+            self._m_deduped.add()
+            return
         segment = self.build_segment(candidate, cycle)
         self.trace_cache.insert(segment, cycle, self.config.latency)
         self.stats.segments_built += 1
+        self._m_built.add()
+        self._h_length.observe(len(segment.instrs))
         promoted = sum(1 for b in segment.branches if b.promoted)
-        if self.registry is not None:
-            self._m_built.add()
-            self._h_length.observe(len(segment.instrs))
-            if promoted:
-                self._m_promoted.add(promoted)
-        if self.events is not None:
-            self.events.emit(
-                "segment.built", cycle, start_pc=segment.start_pc,
-                instrs=len(segment.instrs), blocks=segment.block_count,
-                branches=len(segment.branches), promoted=promoted)
-            for info in segment.branches:
-                if info.promoted:
-                    self.events.emit("branch.promoted", cycle,
-                                     pc=info.pc,
-                                     direction=info.direction,
-                                     start_pc=segment.start_pc)
+        if promoted:
+            self._m_promoted.add(promoted)
+        for hook in self.build_hooks:
+            hook(segment, cycle)
 
     @property
-    def pass_totals(self) -> dict:
+    def pass_totals(self) -> Dict[str, int]:
         """Accumulated optimization counts across all built segments."""
         return dict(self.passes.totals)
 

@@ -18,12 +18,13 @@ extended configuration is an error, not a violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.analysis.static.report import AnalysisReport
 from repro.core.config import SimConfig
 from repro.core.pipeline import PipelineModel
 from repro.core.results import SimResult
+from repro.core.stages.base import PipelineStage
 from repro.errors import ConfigError
 from repro.machine.tracing import CommittedTrace
 
@@ -77,6 +78,27 @@ def _require_paper_opts(config: SimConfig) -> None:
             "passes; disable cse/dead_code/predication to cross-check")
 
 
+class SiteLog(PipelineStage):
+    """Observer stage: every built segment's transformed PCs per opt
+    class (bookkeeping only; modelled cycle counts are unaffected)."""
+
+    name = "sites"
+
+    def __init__(self) -> None:
+        self.moves: Set[int] = set()
+        self.reassoc: Set[int] = set()
+        self.scaled: Set[int] = set()
+
+    def segment_built(self, segment: Any, cycle: int) -> None:
+        for instr in segment.instrs:
+            if instr.move_flag:
+                self.moves.add(instr.pc)
+            if instr.reassociated:
+                self.reassoc.add(instr.pc)
+            if instr.scale is not None:
+                self.scaled.add(instr.pc)
+
+
 def collect_dynamic_sites(trace: CommittedTrace, config: SimConfig,
                           benchmark: str = "bench",
                           label: str = "crosscheck"
@@ -84,9 +106,8 @@ def collect_dynamic_sites(trace: CommittedTrace, config: SimConfig,
     """Replay *trace* while recording per-class transformed PCs.
 
     Returns the run's :class:`SimResult` plus
-    ``{opt class: set of PCs}`` (``any_opt`` is the union). Uses the
-    fill unit's :attr:`~repro.fillunit.unit.FillUnit.opt_site_log`
-    side channel, which leaves modelled timing untouched.
+    ``{opt class: set of PCs}`` (``any_opt`` is the union), recorded by
+    a :class:`SiteLog` stage appended to the engine.
 
     Raises:
         ConfigError: without a trace cache (no fill unit to observe)
@@ -97,13 +118,12 @@ def collect_dynamic_sites(trace: CommittedTrace, config: SimConfig,
     if model.fill_unit is None:
         raise ConfigError("cross-check requires the trace cache "
                           "(and with it the fill unit) enabled")
-    sites: Dict[str, Set[int]] = {"moves": set(), "reassoc": set(),
-                                  "scaled": set()}
-    model.fill_unit.opt_site_log = sites
+    log = SiteLog()
+    model.stages.append(log)
     result = model.run(trace, benchmark=benchmark, label=label)
-    sites["any_opt"] = (sites["moves"] | sites["reassoc"]
-                        | sites["scaled"])
-    return result, sites
+    return result, {"moves": log.moves, "reassoc": log.reassoc,
+                    "scaled": log.scaled,
+                    "any_opt": log.moves | log.reassoc | log.scaled}
 
 
 def cross_check(report: AnalysisReport, trace: CommittedTrace,
@@ -129,5 +149,5 @@ def cross_check(report: AnalysisReport, trace: CommittedTrace,
         violations=violations)
 
 
-__all__ = ["OPT_CLASSES", "OracleCheck", "OracleViolation",
+__all__ = ["OPT_CLASSES", "OracleCheck", "OracleViolation", "SiteLog",
            "collect_dynamic_sites", "cross_check"]

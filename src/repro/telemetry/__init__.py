@@ -25,7 +25,8 @@ Usage::
 
 Passing no session costs (almost) nothing: the pipeline still keeps
 its own registry (the single source of truth behind ``SimResult``'s
-counters) but emits no events and runs no attribution stage.
+counters) but emits no events and runs no observer stage (cycle
+attribution, segment events, segment spans).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Structured event stream.
 
-Instrumented components emit typed events — a segment finalized by the
-fill unit, an optimization applied or rejected (with its reason), a
-branch promotion, a trace cache misfetch, a checkpoint-repair stall —
-into one :class:`EventStream` per run. The stream forwards every event
-to its attached sinks (a JSONL file or an in-memory list); sinks are
-the one way to keep events.
+Pipeline and observer stages emit typed events — a segment finalized
+by the fill unit, an optimization applied or rejected (with its
+reason), a branch promotion, a trace cache misfetch, a checkpoint
+repair — into one :class:`EventStream` per run. The stream forwards
+every event to its attached sinks (a JSONL file or an in-memory list);
+sinks are the one way to keep events.
 
 Event kinds and payload schemas are documented in
 ``docs/observability.md``. Per-instruction observation is not an

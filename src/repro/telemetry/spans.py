@@ -16,19 +16,18 @@ Spans are export-format-agnostic records; the Chrome-trace/Perfetto
 serialization lives in :mod:`repro.telemetry.exporters.chrometrace`.
 
 Cost model: recording is allocation-light (one dict per finished
-span), and a *detached* recorder — :data:`NULL_SPANS`, what every
-instrumented component holds by default — is a shared null object
-whose methods are no-ops, exactly like the null event stream. The
-instrumented components additionally guard their span emission behind
-``spans is not None`` so the simulated machine's hot paths pay nothing
-when tracing is off; simulated cycle counts are bit-for-bit identical
-with spans on or off (spans only observe, never sequence).
+span), and a *detached* recorder — :data:`NULL_SPANS` — is a shared
+null object whose methods are no-ops, like the null event stream.
+The segment lifecycle is recorded by an observer stage that the
+engine appends only when the session captures spans; simulated cycle
+counts are bit-for-bit identical with spans on or off (spans only
+observe, never sequence).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 #: timebase tag: timestamps are simulated cycles.
 CYCLES = "cycles"
@@ -205,15 +204,5 @@ class _NullSpanRecorder:
 NULL_SPANS = _NullSpanRecorder()
 
 
-def active_or_none(recorder: Optional[Any]) -> Optional[SpanRecorder]:
-    """*recorder* if it is a live :class:`SpanRecorder`, else ``None``
-    — the form hot-path components store so their guard is a single
-    ``is not None`` check."""
-    if recorder is None or not getattr(recorder, "enabled", False):
-        return None
-    out: SpanRecorder = recorder
-    return out
-
-
 __all__ = ["CYCLES", "WALL", "TIMEBASES", "SpanHandle", "SpanRecorder",
-           "NULL_SPANS", "NULL_SPAN_HANDLE", "active_or_none"]
+           "NULL_SPANS", "NULL_SPAN_HANDLE"]

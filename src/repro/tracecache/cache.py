@@ -89,24 +89,12 @@ class TraceCache:
         self.policy: ReplacementPolicy = make_policy(
             self.config.policy, self.config.num_sets)
         self.stats = TraceCacheStats()
-        #: (start_pc, path_key) -> lookup hits since its last fill;
-        #: feeds dead-eviction accounting and the reuse report.
+        #: (start_pc, path_key) -> lookup hits since its last fill
+        #: (dead-eviction accounting).
         self._seg_hits: Dict[Tuple[int, tuple], int] = {}
-        #: start_pc -> [fills, hits, evictions, dead evictions],
-        #: aggregated across paths and generations (reuse report).
-        self.reuse_by_pc: Dict[int, List[int]] = {}
-        #: start_pc -> [instrs, cond branches, mem ops], accumulated
-        #: at fill time (instruction-mix axis of the reuse report).
-        self.mix_by_pc: Dict[int, List[int]] = {}
-        #: optional telemetry event stream (set by the pipeline when a
-        #: Telemetry session is attached); evictions are reported here.
-        self.events: Optional[Any] = None
-        #: optional span recorder (set by the engine when the session
-        #: traces spans); residency spans + reuse/evict instants land on
-        #: the "tracecache" track. None keeps lookup/insert branch-lean.
-        self.spans: Optional[Any] = None
-        #: (start_pc, path_key) -> open tc.residency SpanHandle.
-        self._residency: Dict[Tuple[int, tuple], Any] = {}
+        #: the ``line_displaced`` hook chain, set by the engine per run
+        #: (see :class:`~repro.core.stages.base.PipelineStage`).
+        self.displace_hooks: Tuple[Callable[..., Any], ...] = ()
 
     def _index_for(self, pc: int) -> int:
         return (pc >> 2) & self._set_mask
@@ -114,14 +102,6 @@ class TraceCache:
     def _set_for(self, pc: int) -> Dict[Tuple[int, tuple],
                                         TraceSegment]:
         return self._sets[self._index_for(pc)]
-
-    def _note_reuse(self, pc: int, slot: int) -> None:
-        """Bump one column of the per-pc reuse aggregate."""
-        row = self.reuse_by_pc.get(pc)
-        if row is None:
-            row = [0, 0, 0, 0]
-            self.reuse_by_pc[pc] = row
-        row[slot] += 1
 
     # ------------------------------------------------------------------
 
@@ -157,10 +137,6 @@ class TraceCache:
         self.policy.on_hit(self._index_for(pc), key)
         self.stats.hits += 1
         self._seg_hits[key] = self._seg_hits.get(key, 0) + 1
-        self._note_reuse(pc, 1)
-        if self.spans is not None:
-            self.spans.instant("tracecache", "tc.reuse", float(now),
-                               start_pc=pc, instrs=len(segment.instrs))
         return segment
 
     def probe(self, pc: int, path_key: Optional[tuple] = None
@@ -211,9 +187,8 @@ class TraceCache:
             # but it is not a capacity eviction — stats stay quiet.
             entries.pop(key)
             self.policy.on_evict(index, key)
-            self._seg_hits.pop(key, None)
-            if self.spans is not None:
-                self._end_residency(key, now)
+            for hook in self.displace_hooks:
+                hook(key, now, segment, False)
         elif len(entries) >= self.config.assoc:
             victim_key = self.policy.victim(index, entries)
             entries.pop(victim_key)
@@ -221,70 +196,13 @@ class TraceCache:
             self.stats.evictions += 1
             if self._seg_hits.pop(victim_key, 0) == 0:
                 self.stats.dead_evictions += 1
-                self._note_reuse(victim_key[0], 3)
-            self._note_reuse(victim_key[0], 2)
-            if self.spans is not None:
-                self._end_residency(victim_key, now)
-                self.spans.instant("tracecache", "tc.evict", float(now),
-                                   start_pc=victim_key[0],
-                                   for_pc=segment.start_pc)
-            if self.events is not None:
-                from repro.telemetry.events import TC_EVICT
-                self.events.emit(TC_EVICT, now, start_pc=victim_key[0],
-                                 for_pc=segment.start_pc)
+            for hook in self.displace_hooks:
+                hook(victim_key, now, segment, True)
         segment.fill_cycle = now + fill_latency
         entries[key] = segment
         self.policy.on_insert(index, key)
         self._seg_hits[key] = 0
-        self._note_reuse(segment.start_pc, 0)
-        self._note_mix(segment)
         self.stats.fills += 1
-        if self.spans is not None:
-            fill_cycle = float(segment.fill_cycle)
-            self.spans.instant("tracecache", "tc.insert", fill_cycle,
-                               start_pc=segment.start_pc,
-                               instrs=len(segment.instrs))
-            self._residency[key] = self.spans.begin(
-                "tracecache", "tc.residency", fill_cycle,
-                start_pc=segment.start_pc, instrs=len(segment.instrs))
-
-    def _note_mix(self, segment: TraceSegment) -> None:
-        """Accumulate the instruction-type mix of a fill by start pc."""
-        row = self.mix_by_pc.get(segment.start_pc)
-        if row is None:
-            row = [0, 0, 0]
-            self.mix_by_pc[segment.start_pc] = row
-        row[0] += len(segment.instrs)
-        for instr in segment.instrs:
-            decoded = instr.decoded
-            if decoded.is_cond_branch:
-                row[1] += 1
-            elif decoded.is_load or decoded.is_store:
-                row[2] += 1
-
-    def _end_residency(self, key: Tuple[int, tuple],
-                       now: int) -> None:
-        """Close the open residency span for *key*, if any."""
-        handle = self._residency.pop(key, None)
-        if handle is not None:
-            handle.end(float(now))
-
-    def invalidate(self, pc: int) -> int:
-        """Drop every path starting at *pc*; returns how many."""
-        index = self._index_for(pc)
-        entries = self._sets[index]
-        victims = [key for key in entries if key[0] == pc]
-        for key in victims:
-            del entries[key]
-            self.policy.on_evict(index, key)
-            self._seg_hits.pop(key, None)
-        return len(victims)
-
-    def flush(self) -> None:
-        for entries in self._sets:
-            entries.clear()
-        self.policy.on_flush()
-        self._seg_hits.clear()
 
     def resident_segments(self) -> int:
         return sum(len(entries) for entries in self._sets)

@@ -24,11 +24,7 @@ See ``docs/verification.md``.
 
 from __future__ import annotations
 
-from repro.verify.checker import (
-    SegmentVerifier,
-    VerificationReport,
-    snapshot_segment,
-)
+from repro.verify.checker import SegmentVerifier, VerificationReport
 from repro.verify.equivalence import check_equivalence
 from repro.verify.rules import (
     ERROR,
@@ -40,7 +36,6 @@ from repro.verify.rules import (
 )
 from repro.verify.symbolic import evaluate_segment, render_term
 
-__all__ = ["SegmentVerifier", "VerificationReport", "snapshot_segment",
-           "check_equivalence", "Violation", "RuleInput", "RULES",
-           "rule", "run_rules", "evaluate_segment", "render_term",
-           "ERROR"]
+__all__ = ["SegmentVerifier", "VerificationReport", "check_equivalence",
+           "Violation", "RuleInput", "RULES", "rule", "run_rules",
+           "evaluate_segment", "render_term", "ERROR"]

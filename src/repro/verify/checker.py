@@ -25,12 +25,6 @@ from repro.verify.rules import (
 )
 
 
-def snapshot_segment(segment: TraceSegment) -> TraceSegment:
-    """An independent pre-rewrite copy of *segment* (no shared mutable
-    state with the live segment the passes will rewrite)."""
-    return segment.clone()
-
-
 @dataclass
 class VerificationReport:
     """Accumulated verification outcomes across many segments."""
@@ -118,4 +112,4 @@ class SegmentVerifier:
         return violations
 
 
-__all__ = ["SegmentVerifier", "VerificationReport", "snapshot_segment"]
+__all__ = ["SegmentVerifier", "VerificationReport"]

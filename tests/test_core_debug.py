@@ -95,7 +95,9 @@ def test_sink_and_hook_agree():
 
 def test_default_hook_is_none():
     """No observer stage runs unless asked for: a bare engine has the
-    six pipeline stages; a session adds only the attribution stage."""
+    six pipeline stages; a session adds the attribution stage and the
+    segment-event stage, and the span stage only when it captures
+    spans."""
     from repro.telemetry import Telemetry
 
     pipeline = ["fetch", "rename", "issue", "execute", "retire", "fill"]
@@ -103,7 +105,11 @@ def test_default_hook_is_none():
     assert [stage.name for stage in bare.stages] == pipeline
     observed = PipelineModel(SimConfig.tiny(), telemetry=Telemetry())
     assert [stage.name for stage in observed.stages] == \
-        pipeline + ["attribution"]
+        pipeline + ["attribution", "events"]
     quiet = PipelineModel(SimConfig.tiny(),
                           telemetry=Telemetry(attribution=False))
-    assert [stage.name for stage in quiet.stages] == pipeline
+    assert [stage.name for stage in quiet.stages] == pipeline + ["events"]
+    traced = PipelineModel(SimConfig.tiny(),
+                           telemetry=Telemetry(spans=True))
+    assert [stage.name for stage in traced.stages] == \
+        pipeline + ["attribution", "events", "spans"]

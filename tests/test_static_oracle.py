@@ -82,8 +82,9 @@ def test_no_trace_cache_is_rejected():
 
 
 def test_site_log_does_not_change_timing():
-    """The opt_site_log side channel must leave cycle counts exactly
-    as they were — it is bookkeeping, not modelling."""
+    """The site-recording observer stage must leave cycle counts
+    exactly as they were — it is bookkeeping, not modelling — and it
+    sees built segments, so the site sets stay as pinned."""
     config = SimConfig.paper(OptimizationConfig.all())
     program = workloads.build("compress", SCALE)
     trace = Simulator(config).trace_program(program)
@@ -94,6 +95,8 @@ def test_site_log_does_not_change_timing():
     assert logged.coverage == plain.coverage
     assert sites["any_opt"] == (sites["moves"] | sites["reassoc"]
                                 | sites["scaled"])
+    assert {name: len(pcs) for name, pcs in sites.items()} == {
+        "moves": 18, "reassoc": 3, "scaled": 2, "any_opt": 23}
 
 
 def test_violation_render():

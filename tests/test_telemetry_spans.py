@@ -5,10 +5,11 @@ import pytest
 from repro import workloads
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
+from repro.core.stages import PipelineStage
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine.executor import Executor
 from repro.telemetry import NULL_SPANS, SpanRecorder, Telemetry
-from repro.telemetry.spans import CYCLES, WALL, active_or_none
+from repro.telemetry.spans import CYCLES, WALL
 
 
 # -- recorder API -------------------------------------------------------
@@ -78,13 +79,6 @@ def test_null_recorder_is_inert():
     assert NULL_SPANS.records == []
     assert NULL_SPANS.end_open(5.0) == 0
     assert not NULL_SPANS.enabled
-
-
-def test_active_or_none():
-    live = SpanRecorder()
-    assert active_or_none(live) is live
-    assert active_or_none(NULL_SPANS) is None
-    assert active_or_none(None) is None
 
 
 def test_telemetry_session_spans_flag():
@@ -173,7 +167,45 @@ def test_cycles_identical_with_spans_on_and_off(traced_run):
 
 
 def test_engine_without_session_has_no_spans():
+    """A plain engine runs the six pipeline stages only, and the
+    components it observes through hooks hold no telemetry handles."""
     engine = Engine(SimConfig.paper())
-    assert engine.spans is None
-    assert engine.fill_unit.spans is None
-    assert engine.trace_cache.spans is None
+    assert [stage.name for stage in engine.stages] == [
+        "fetch", "rename", "issue", "execute", "retire", "fill"]
+    for component in (engine.fill_unit, engine.fill_unit.passes,
+                      engine.trace_cache):
+        assert not hasattr(component, "events")
+        assert not hasattr(component, "spans")
+
+
+class _CountingStage(PipelineStage):
+    """Counts segment-built and pass-applied hook calls."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.built = 0
+        self.passes = 0
+
+    def segment_built(self, segment, cycle):
+        self.built += 1
+
+    def pass_applied(self, segment, index, name, stats, rejections,
+                     cycle):
+        self.passes += 1
+
+
+def test_stage_appended_after_construction_sees_segment_hooks():
+    trace = Executor(workloads.build("compress", 0.1)).run()
+    config = SimConfig.paper(OptimizationConfig.all())
+    plain = Engine(config).run(trace, "compress")
+
+    engine = Engine(config)
+    counter = _CountingStage()
+    engine.stages.append(counter)
+    result = engine.run(trace, "compress")
+
+    assert result.cycles == plain.cycles
+    assert counter.built == result.segments_built > 0
+    assert counter.passes == (result.segments_built
+                              * len(engine.fill_unit.passes.passes))

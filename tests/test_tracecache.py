@@ -217,17 +217,6 @@ def test_probe_without_path_key_returns_mru_match():
         is tc.probe(0x1000, taken.path_key)
 
 
-def test_invalidate_drops_all_paths():
-    tc = make_tc()
-    a = make_segment(0x1000, branch_at={1}, direction=True)
-    b = make_segment(0x1000, branch_at={1}, direction=False)
-    b.instrs[2].pc = 0x1100
-    tc.insert(a, now=0)
-    tc.insert(b, now=0)
-    assert tc.invalidate(0x1000) == 2
-    assert tc.lookup(0x1000, now=1) is None
-
-
 def test_insert_validates_segment():
     tc = make_tc()
     bad = make_segment(length=17)
@@ -244,10 +233,3 @@ def test_touch_refreshes_lru():
     tc.insert(make_segment(0x3000), now=0)
     assert tc.probe(0x1000) is not None
     assert tc.probe(0x2000) is None
-
-
-def test_flush():
-    tc = make_tc()
-    tc.insert(make_segment(0x1000), now=0)
-    tc.flush()
-    assert tc.resident_segments() == 0

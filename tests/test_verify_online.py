@@ -3,6 +3,7 @@
 import pytest
 
 from repro.branch.bias import BiasTable
+from repro.core.stages import EventStage
 from repro.errors import ConfigError
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig, \
@@ -32,12 +33,15 @@ next:
 
 def build_unit(opts, verify=True, verify_each=False, telemetry=None):
     registry = telemetry.registry if telemetry is not None else None
-    events = telemetry.events if telemetry is not None else None
-    return FillUnit(
+    unit = FillUnit(
         FillUnitConfig(latency=1, optimizations=opts, verify=verify,
                        verify_each=verify_each),
         TraceCache(TraceCacheConfig(num_sets=64, assoc=4)),
-        BiasTable(64, threshold=64), registry=registry, events=events)
+        BiasTable(64, threshold=64), registry=registry)
+    if telemetry is not None:
+        # Outside an engine, wire the event stage's hook by hand.
+        unit.verify_hooks = (EventStage(telemetry.events).segment_verified,)
+    return unit
 
 
 def feed(unit, trace):

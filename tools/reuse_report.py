@@ -1,9 +1,10 @@
 """Loop-aware trace-reuse characterization report.
 
 Joins the *static* view of a workload (natural-loop nesting depth per
-pc, from :mod:`repro.cache.hints`) with the *dynamic* reuse telemetry
-the trace cache now records per start pc (fills, hits, evictions,
-dead evictions) and the instruction mix of the segments built there.
+pc, from :mod:`repro.cache.hints`) with the *dynamic* reuse of the
+trace cache per start pc (fills, hits, evictions, dead evictions) and
+the instruction mix of the segments built there, recorded by the
+:class:`ReuseLog` observer stage.
 
 The per-depth aggregation answers the question the TRRIP policy bets
 on: do segments rooted in deeper loops actually see more reuse per
@@ -23,15 +24,63 @@ import argparse
 import dataclasses
 import json
 import pathlib
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import workloads
 from repro.cache.hints import pc_loop_depths
 from repro.cache.policy import POLICY_NAMES
 from repro.core.config import SimConfig
 from repro.core.pipeline import PipelineModel
+from repro.core.stages import MachineState, PipelineStage
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine import run_program
+
+
+class ReuseLog(PipelineStage):
+    """Observer stage: trace-cache reuse and fill mix per start pc."""
+
+    name = "reuse"
+
+    def __init__(self) -> None:
+        #: start_pc -> [fills, hits, evictions, dead evictions],
+        #: aggregated across paths and generations
+        self.reuse_by_pc: Dict[int, List[int]] = {}
+        #: start_pc -> [instrs, cond branches, mem ops] over its fills
+        self.mix_by_pc: Dict[int, List[int]] = {}
+        #: (start_pc, path_key) -> lookup hits since its last fill
+        self._hits: Dict[Tuple[int, tuple], int] = {}
+
+    def _row(self, pc: int) -> List[int]:
+        return self.reuse_by_pc.setdefault(pc, [0, 0, 0, 0])
+
+    def begin_group(self, state: MachineState) -> None:
+        assert state.group is not None
+        segment = state.group.segment
+        if segment is not None:         # a trace-cache hit
+            self._row(segment.start_pc)[1] += 1
+            key = (segment.start_pc, segment.path_key)
+            self._hits[key] = self._hits.get(key, 0) + 1
+
+    def line_displaced(self, key: Tuple[int, tuple], cycle: int,
+                       incoming: Any, evicted: bool) -> None:
+        hits = self._hits.pop(key, 0)
+        if evicted:
+            row = self._row(key[0])
+            row[2] += 1
+            if hits == 0:
+                row[3] += 1
+
+    def segment_built(self, segment: Any, cycle: int) -> None:
+        self._row(segment.start_pc)[0] += 1
+        self._hits[(segment.start_pc, segment.path_key)] = 0
+        mix = self.mix_by_pc.setdefault(segment.start_pc, [0, 0, 0])
+        mix[0] += len(segment.instrs)
+        for instr in segment.instrs:
+            decoded = instr.decoded
+            if decoded.is_cond_branch:
+                mix[1] += 1
+            elif decoded.is_load or decoded.is_store:
+                mix[2] += 1
 
 
 def characterize(benchmark: str, scale: float,
@@ -46,16 +95,16 @@ def characterize(benchmark: str, scale: float,
                                         policy=policy),
         hierarchy=dataclasses.replace(config.hierarchy, policy=policy))
     model = PipelineModel(config)
+    log = ReuseLog()
+    model.stages.append(log)
     result = model.run(trace, benchmark=benchmark, label=policy,
                        program=program)
-    tc = model.trace_cache
-    assert tc is not None
     depths = pc_loop_depths(program)
 
     by_depth: Dict[int, Dict[str, int]] = {}
     segments: List[Dict[str, object]] = []
     for pc, (fills, hits, evictions, dead) in \
-            sorted(tc.reuse_by_pc.items()):
+            sorted(log.reuse_by_pc.items()):
         depth = depths.get(pc, 0)
         agg = by_depth.setdefault(depth, {
             "pcs": 0, "fills": 0, "hits": 0, "evictions": 0,
@@ -65,7 +114,7 @@ def characterize(benchmark: str, scale: float,
         agg["hits"] += hits
         agg["evictions"] += evictions
         agg["dead_evictions"] += dead
-        instrs, branches, mems = tc.mix_by_pc.get(pc, [0, 0, 0])
+        instrs, branches, mems = log.mix_by_pc.get(pc, [0, 0, 0])
         segments.append({
             "pc": pc, "loop_depth": depth, "fills": fills,
             "hits": hits, "evictions": evictions,
