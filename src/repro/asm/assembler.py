@@ -8,11 +8,10 @@ constants and data-word initializers).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from typing import Optional
+import re
+from typing import List, Optional
 
-from repro.errors import AssemblerError
 from repro.asm import pseudo
 from repro.asm.tokenizer import (
     SourceLine,
@@ -21,10 +20,12 @@ from repro.asm.tokenizer import (
     parse_symbol_expr,
     tokenize,
 )
+from repro.errors import AssemblerError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Format, Op, op_by_mnemonic, op_info
 from repro.isa.registers import reg_number
 from repro.program.image import Program
+from repro.program.loader import STACK_TOP
 
 _HI_RE = re.compile(r"^%hi\((.+)\)$")
 _LO_RE = re.compile(r"^%lo\((.+)\)$")
@@ -133,11 +134,11 @@ class _Pass1State:
                 raise AssemblerError(".equ expects name, value", line)
             self.equates[operands[0]] = parse_int(operands[1], line)
         elif name == ".word":
-            self._align(4)
+            self._align(4, line)
             for operand in operands:
                 self._emit_word(operand, line)
         elif name == ".half":
-            self._align(2)
+            self._align(2, line)
             for operand in operands:
                 value = self._const(operand, line)
                 self.data += (value & 0xFFFF).to_bytes(2, "little")
@@ -148,22 +149,31 @@ class _Pass1State:
         elif name == ".space":
             if len(operands) != 1:
                 raise AssemblerError(".space expects a size", line)
-            self.data += bytes(self._const(operands[0], line))
+            self._reserve(self._const(operands[0], line), line)
         elif name == ".align":
             if len(operands) != 1:
                 raise AssemblerError(".align expects a size", line)
-            self._align(self._const(operands[0], line))
+            self._align(self._const(operands[0], line), line)
         elif name == ".asciiz":
             raise AssemblerError(".asciiz is not supported; use .byte",
                                  line)
         else:
             raise AssemblerError(f"unknown directive {name!r}", line)
 
-    def _align(self, boundary: int) -> None:
+    def _align(self, boundary: int, line: int) -> None:
         if self.section != "data" or boundary <= 1:
             return
-        while len(self.data) % boundary:
-            self.data.append(0)
+        self._reserve(-len(self.data) % boundary, line)
+
+    def _reserve(self, count: int, line: int) -> None:
+        """Append *count* zero bytes; the data section must stay in
+        the data region, which ends where the loader puts the stack."""
+        end = self.data_base + len(self.data) + count
+        if count < 0 or (count and end > STACK_TOP):
+            raise AssemblerError(
+                f"cannot reserve {count} bytes in the data region "
+                f"{self.data_base:#x}-{STACK_TOP:#x}", line)
+        self.data += bytes(count)
 
     def _emit_word(self, operand: str, line: int) -> None:
         sym = parse_symbol_expr(operand)
@@ -233,21 +243,24 @@ def _need(operands: list, count: int, op: Op, line: int) -> None:
             line)
 
 
-def _build_r3(state, op, operands, line, index):
+def _build_r3(state: _Pass1State, op: Op, operands: List[str], line: int,
+              index: int) -> Instruction:
     _need(operands, 3, op, line)
     return Instruction(op, rd=_reg(operands[0], line),
                        rs=_reg(operands[1], line),
                        rt=_reg(operands[2], line))
 
 
-def _build_r2i(state, op, operands, line, index):
+def _build_r2i(state: _Pass1State, op: Op, operands: List[str], line: int,
+               index: int) -> Instruction:
     _need(operands, 3, op, line)
     imm = state._imm_or_fixup(operands[2], line, index, "imm")
     return Instruction(op, rd=_reg(operands[0], line),
                        rs=_reg(operands[1], line), imm=imm)
 
 
-def _build_shift(state, op, operands, line, index):
+def _build_shift(state: _Pass1State, op: Op, operands: List[str], line: int,
+                 index: int) -> Instruction:
     _need(operands, 3, op, line)
     shamt = parse_int(operands[2], line)
     if not 0 <= shamt <= 31:
@@ -256,13 +269,15 @@ def _build_shift(state, op, operands, line, index):
                        rs=_reg(operands[1], line), imm=shamt)
 
 
-def _build_lui(state, op, operands, line, index):
+def _build_lui(state: _Pass1State, op: Op, operands: List[str], line: int,
+               index: int) -> Instruction:
     _need(operands, 2, op, line)
     imm = state._imm_or_fixup(operands[1], line, index, "imm")
     return Instruction(op, rd=_reg(operands[0], line), imm=imm)
 
 
-def _build_load(state, op, operands, line, index):
+def _build_load(state: _Pass1State, op: Op, operands: List[str], line: int,
+                index: int) -> Instruction:
     _need(operands, 2, op, line)
     disp, base = parse_mem_operand(operands[1], line)
     imm = state._imm_or_fixup(disp, line, index, "imm")
@@ -270,7 +285,8 @@ def _build_load(state, op, operands, line, index):
                        rs=_reg(base, line), imm=imm)
 
 
-def _build_store(state, op, operands, line, index):
+def _build_store(state: _Pass1State, op: Op, operands: List[str], line: int,
+                 index: int) -> Instruction:
     _need(operands, 2, op, line)
     disp, base = parse_mem_operand(operands[1], line)
     imm = state._imm_or_fixup(disp, line, index, "imm")
@@ -278,38 +294,44 @@ def _build_store(state, op, operands, line, index):
                        rs=_reg(base, line), imm=imm)
 
 
-def _build_loadx(state, op, operands, line, index):
+def _build_loadx(state: _Pass1State, op: Op, operands: List[str], line: int,
+                 index: int) -> Instruction:
     _need(operands, 3, op, line)
     return Instruction(op, rd=_reg(operands[0], line),
                        rs=_reg(operands[1], line),
                        rt=_reg(operands[2], line))
 
 
-def _build_br2(state, op, operands, line, index):
+def _build_br2(state: _Pass1State, op: Op, operands: List[str], line: int,
+               index: int) -> Instruction:
     _need(operands, 3, op, line)
     imm = state._imm_or_fixup(operands[2], line, index, "branch")
     return Instruction(op, rs=_reg(operands[0], line),
                        rt=_reg(operands[1], line), imm=imm)
 
 
-def _build_br1(state, op, operands, line, index):
+def _build_br1(state: _Pass1State, op: Op, operands: List[str], line: int,
+               index: int) -> Instruction:
     _need(operands, 2, op, line)
     imm = state._imm_or_fixup(operands[1], line, index, "branch")
     return Instruction(op, rs=_reg(operands[0], line), imm=imm)
 
 
-def _build_j(state, op, operands, line, index):
+def _build_j(state: _Pass1State, op: Op, operands: List[str], line: int,
+             index: int) -> Instruction:
     _need(operands, 1, op, line)
     imm = state._imm_or_fixup(operands[0], line, index, "jump")
     return Instruction(op, imm=imm)
 
 
-def _build_jr(state, op, operands, line, index):
+def _build_jr(state: _Pass1State, op: Op, operands: List[str], line: int,
+              index: int) -> Instruction:
     _need(operands, 1, op, line)
     return Instruction(op, rs=_reg(operands[0], line))
 
 
-def _build_jalr(state, op, operands, line, index):
+def _build_jalr(state: _Pass1State, op: Op, operands: List[str], line: int,
+                index: int) -> Instruction:
     if len(operands) == 1:
         return Instruction(op, rd=31, rs=_reg(operands[0], line))
     _need(operands, 2, op, line)
@@ -317,7 +339,8 @@ def _build_jalr(state, op, operands, line, index):
                        rs=_reg(operands[1], line))
 
 
-def _build_none(state, op, operands, line, index):
+def _build_none(state: _Pass1State, op: Op, operands: List[str], line: int,
+                index: int) -> Instruction:
     _need(operands, 0, op, line)
     return Instruction(op)
 

@@ -11,8 +11,10 @@ Expansion happens before operand resolution: each expanded line is a
 
 from __future__ import annotations
 
-from repro.errors import AssemblerError
+from typing import Tuple
+
 from repro.asm.tokenizer import parse_int, parse_symbol_expr
+from repro.errors import AssemblerError
 from repro.isa.semantics import to_s32
 
 #: Assembler temporary used by compare-and-branch expansions.
@@ -24,7 +26,7 @@ PSEUDO_MNEMONICS = frozenset({
 })
 
 
-def _hi_lo(value: int):
+def _hi_lo(value: int) -> Tuple[int, int]:
     """Split a 32-bit value for a ``lui``/``addi`` pair.
 
     ``addi`` sign-extends, so the high half is adjusted to compensate:

@@ -8,9 +8,9 @@ expressions; memory operands use the ``imm(reg)`` shape.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Optional
+import re
+from typing import Optional, Tuple
 
 from repro.errors import AssemblerError
 
@@ -109,11 +109,14 @@ def parse_int(text: str, line: int) -> int:
     if len(text) == 3 and text[0] == "'" and text[2] == "'":
         return ord(text[1])
     if _INT_RE.match(text):
-        return int(text, 0)
+        try:
+            return int(text, 0)
+        except ValueError:
+            pass    # e.g. "0123": a leading zero is not a base prefix
     raise AssemblerError(f"invalid integer literal {text!r}", line)
 
 
-def parse_mem_operand(text: str, line: int):
+def parse_mem_operand(text: str, line: int) -> Tuple[str, str]:
     """Parse an ``disp(base)`` memory operand into (disp_text, base_text).
 
     The displacement may be empty (meaning zero), an integer, or a
@@ -126,7 +129,7 @@ def parse_mem_operand(text: str, line: int):
     return disp, match.group("base").strip()
 
 
-def parse_symbol_expr(text: str):
+def parse_symbol_expr(text: str) -> Optional[Tuple[str, int, str]]:
     """Split ``sym``, ``sym+off`` or ``sym-off`` into (symbol, offset_text).
 
     Returns ``None`` if *text* is not symbol-shaped (e.g. pure integer).

@@ -226,7 +226,7 @@ class Engine:
         fill_unit = self.fill_unit
         if fill_unit is not None:
             fill_unit.collect_hooks = hooks("segment_collected")
-            fill_unit.passes.pass_hooks = hooks("pass_applied")
+            fill_unit.pass_hooks = hooks("pass_applied")
             fill_unit.verify_hooks = hooks("segment_verified")
             fill_unit.trace_cache.displace_hooks = hooks("line_displaced")
             fill_unit.build_hooks = hooks("segment_built")

@@ -199,7 +199,12 @@ class PipelineStage:
                      stats: Dict[str, int],
                      rejections: Dict[Tuple[str, str], int],
                      cycle: int) -> None:
-        """Pass *index* ran; the last one brings the rejections."""
+        """Pass *index* ran; the last one brings the rejections.
+
+        *segment* is the sealed result after the last pass, not the
+        segment between passes: the fill unit reports a build's passes
+        once it is sealed, and a rebuild of an identical input reuses
+        that sealed segment and reports the same passes again."""
 
     def segment_verified(self, segment: Any, violations: List[Any],
                          cycle: int) -> None:

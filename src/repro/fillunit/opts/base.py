@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.branch.bias import BiasTable
 from repro.errors import ConfigError
-from repro.telemetry.registry import TelemetryRegistry
 from repro.tracecache.segment import TraceSegment
 
 if TYPE_CHECKING:
@@ -112,19 +111,33 @@ class PassContext:
     #: the bias table, when available: lets passes ask whether a branch
     #: is strongly biased (predication skips well-predicted branches).
     bias: Optional[BiasTable] = None
-    #: telemetry registry; :meth:`reject` records why a pass declined
-    #: a candidate it matched (``fillunit.opts.<pass>.rejected.<reason>``).
-    registry: TelemetryRegistry = field(default_factory=TelemetryRegistry)
-    #: per-segment rejection counts ``{(pass, reason): n}``, handed to
-    #: the ``pass_applied`` hooks with the last pass.
+    #: per-segment rejection counts ``{(pass, reason): n}``: why a pass
+    #: declined a candidate it matched. Each build starts a fresh dict
+    #: and hands it over in its :class:`BuildRecord`.
     rejections: Dict[Tuple[str, str], int] = field(default_factory=dict)
 
     def reject(self, pass_name: str, reason: str) -> None:
         """A pass matched a candidate but could not transform it."""
         key = (pass_name, reason)
         self.rejections[key] = self.rejections.get(key, 0) + 1
-        self.registry.counter(
-            f"fillunit.opts.{pass_name}.rejected.{reason}").add()
+
+
+@dataclass
+class BuildRecord:
+    """What one build reports, for the fill unit to account.
+
+    The fill unit applies a record once per installed segment, whether
+    it ran the passes or reused the sealed result of an identical
+    earlier build, so both paths count alike.
+    """
+
+    #: each pass's ``(name, stats)``, in the order the passes ran
+    passes: List[Tuple[str, Dict[str, int]]]
+    #: the segment's rejections ``{(pass, reason): n}``
+    rejections: Dict[Tuple[str, str], int]
+    #: under verification, the violations found (per pass with
+    #: ``verify_each``, else filled in by the fill unit after sealing)
+    violations: List[Violation] = field(default_factory=list)
 
 
 class OptimizationPass(abc.ABC):
@@ -156,7 +169,6 @@ class PassManager:
     def __init__(self, config: OptimizationConfig,
                  num_clusters: int = 4, cluster_size: int = 4,
                  bias: Optional[BiasTable] = None,
-                 registry: Optional[TelemetryRegistry] = None,
                  verifier: Optional[SegmentVerifier] = None,
                  verify_each: bool = False) -> None:
         from repro.fillunit.opts.cse import CommonSubexpressionPass
@@ -167,10 +179,8 @@ class PassManager:
         from repro.fillunit.opts.reassoc import ReassociationPass
         from repro.fillunit.opts.scaledadd import ScaledAddPass
 
-        self.registry = (registry if registry is not None
-                         else TelemetryRegistry())
         self.context = PassContext(num_clusters, cluster_size, config,
-                                   bias=bias, registry=self.registry)
+                                   bias=bias)
         classes: Dict[str, Callable[[], OptimizationPass]] = {
             "predication": PredicationPass,
             "cse": CommonSubexpressionPass, "dead_code": DeadCodePass,
@@ -185,56 +195,40 @@ class PassManager:
         if "placement" in names and names[-1] != "placement":
             raise ConfigError(
                 f"placement must be the final pass, got order {names}")
-        self.totals: Dict[str, int] = {}
         #: optional :class:`repro.verify.SegmentVerifier`; with
         #: *verify_each*, every pass is checked in isolation against a
         #: pre-pass snapshot so violations name the offending pass.
         self.verifier = verifier
         self.verify_each = bool(verify_each and verifier is not None)
-        #: the ``pass_applied`` hook chain, set by the engine per run
-        #: (see :class:`~repro.core.stages.base.PipelineStage`).
-        self.pass_hooks: Tuple[Callable[..., Any], ...] = ()
-        #: violations found by per-pass verification in the last run().
-        self.last_violations: List[Violation] = []
 
-    def run(self, segment: TraceSegment, cycle: int = 0) -> Dict[str, int]:
-        """Apply all passes to *segment*; accumulate and return stats,
-        counted per pass under ``fillunit.opts.<pass>.<stat>`` and
-        reported to the ``pass_applied`` hooks."""
+    def run(self, segment: TraceSegment) -> BuildRecord:
+        """Apply all passes to *segment*; return what they did.
+
+        The manager only records: the fill unit turns the record into
+        counters, totals and ``pass_applied`` hooks."""
         from repro.fillunit.dependency import mark_dependencies
 
-        stats: Dict[str, int] = {}
-        rejections = self.context.rejections
-        rejections.clear()
-        self.last_violations = []
+        record = BuildRecord([], {})
+        self.context.rejections = record.rejections
         verifier = self.verifier if self.verify_each else None
-        last = len(self.passes) - 1
-        for index, opt_pass in enumerate(self.passes):
+        for opt_pass in self.passes:
             # Placement consumes the dependence structure produced by
             # the rewriting passes, so (re)mark just before it.
             if opt_pass.name == "placement":
                 segment.redecode()
                 segment.deps = mark_dependencies(segment.instrs)
             snapshot = segment.clone() if verifier is not None else None
-            pass_stats = opt_pass.apply(segment, self.context)
+            record.passes.append(
+                (opt_pass.name, opt_pass.apply(segment, self.context)))
             if verifier is not None and snapshot is not None:
-                self.last_violations += verifier.check(
+                record.violations += verifier.check(
                     snapshot, segment, pass_name=opt_pass.name,
                     surface=opt_pass.surface, record=False)
-            for key, count in pass_stats.items():
-                stats[key] = stats.get(key, 0) + count
-                self.totals[key] = self.totals.get(key, 0) + count
-                if count:
-                    self.registry.counter(
-                        f"fillunit.opts.{opt_pass.name}.{key}").add(count)
-            for hook in self.pass_hooks:
-                hook(segment, index, opt_pass.name, pass_stats,
-                     rejections if index == last else {}, cycle)
         if segment.deps is None:
             segment.redecode()
             segment.deps = mark_dependencies(segment.instrs)
-        return stats
+        return record
 
 
-__all__ = ["OptimizationConfig", "OptimizationPass", "PassManager",
-           "PassContext"]
+__all__ = ["BuildRecord", "OptimizationConfig", "OptimizationPass",
+           "PassManager", "PassContext"]

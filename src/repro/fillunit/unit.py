@@ -6,16 +6,27 @@ cache after the configured fill-pipeline latency. The fill unit sits
 *behind* retirement — off the critical path — which is the paper's
 entire argument for doing optimization work here: multi-cycle latencies
 through this structure have negligible performance impact (Figure 8).
+
+The passes are deterministic in their input, so the fill unit runs them
+once per distinct input: it keeps each sealed segment with the record
+of its build, and a rebuild of the same input (typically after an
+eviction) reuses that segment in a fresh shell and accounts the same
+record again. Only host time changes; the installed segment, the
+counters and the hooks are those of a fresh build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.branch.bias import BiasTable
 from repro.fillunit.collector import FillCollector, PendingSegment
-from repro.fillunit.opts.base import OptimizationConfig, PassManager
+from repro.fillunit.opts.base import (
+    BuildRecord,
+    OptimizationConfig,
+    PassManager,
+)
 from repro.machine.tracing import CommittedInstr
 from repro.telemetry.registry import TelemetryRegistry
 from repro.tracecache.cache import TraceCache
@@ -51,6 +62,8 @@ class FillUnitConfig:
 class FillUnitStats:
     segments_built: int = 0
     segments_deduped: int = 0
+    #: builds that reused the sealed segment of an identical input
+    segments_reused: int = 0
     instructions_collected: int = 0
 
 
@@ -75,12 +88,17 @@ class FillUnit:
         self.registry = registry
         self.passes = PassManager(config.optimizations,
                                   config.num_clusters, config.cluster_size,
-                                  bias=bias, registry=registry,
-                                  verifier=self.verifier,
+                                  bias=bias, verifier=self.verifier,
                                   verify_each=config.verify_each)
         self.stats = FillUnitStats()
+        #: pass stats summed over every installed build
+        self.totals: Dict[str, int] = {}
+        #: sealed segments and their build records, by build input
+        self._built: Dict[Tuple[Any, ...],
+                          Tuple[TraceSegment, BuildRecord]] = {}
         #: segment-hook chains, set by the engine for each run
         self.collect_hooks: Hooks = ()
+        self.pass_hooks: Hooks = ()
         self.verify_hooks: Hooks = ()
         self.build_hooks: Hooks = ()
         self._m_built = registry.counter("fillunit.segments.built")
@@ -132,40 +150,78 @@ class FillUnit:
                       cycle: int = 0) -> TraceSegment:
         """Construct and optimize a :class:`TraceSegment` from a
         candidate, without touching the trace cache (exposed for tests
-        and the optimization-tour example)."""
-        segment = self.assemble_segment(candidate)
-        verifier = self.verifier
-        original = segment.clone() if verifier is not None else None
-        self.passes.run(segment, cycle)
-        segment.seal()
-        if verifier is not None and original is not None:
-            self._verify(verifier, original, segment, cycle)
+        and the optimization-tour example).
+
+        The first build of each distinct input is kept. A later
+        candidate with the same input gets a fresh shell around that
+        sealed segment, sharing everything but ``fill_cycle`` (sealed
+        segments are never rewritten), and the first build's record
+        is accounted again, so counters, totals and hooks read as if
+        the passes had run."""
+        is_promoted = self.bias.is_promoted
+        # Every input a build reads: the path, each branch's direction
+        # (a segment can end on a conditional branch, which the path
+        # does not fix), its collect-time promotion (BranchInfo and
+        # build_promo) and its live promotion (predication asks the
+        # bias table at build time, after retirement may have flipped
+        # it). Everything else a pass reads — the optimization config,
+        # the cluster geometry and the static instruction at each pc —
+        # is fixed for the life of the fill unit.
+        key = (candidate.path_key,
+               tuple((b.direction, b.promoted, is_promoted(b.pc))
+                     for b in candidate.branches))
+        built = self._built.get(key)
+        if built is None:
+            segment = self.assemble_segment(candidate)
+            # Per-pass checks compose (equivalence is transitive) and
+            # name the offending pass; without them, check the whole
+            # pipeline in one step.
+            whole = None if self.passes.verify_each else self.verifier
+            original = segment.clone() if whole is not None else None
+            record = self.passes.run(segment)
+            segment.seal()
+            if whole is not None and original is not None:
+                record.violations = whole.check(original, segment,
+                                                record=False)
+            self._built[key] = (segment, record)
+        else:
+            segment, record = replace(built[0]), built[1]
+            self.stats.segments_reused += 1
+        self._account(segment, record, cycle)
         return segment
 
-    def _verify(self, verifier: SegmentVerifier, original: TraceSegment,
-                optimized: TraceSegment, cycle: int) -> None:
-        """Validate one rewrite; mirror outcomes to telemetry.
-
-        With per-pass verification the pass manager already checked
-        every (snapshot, pass) transition — and equivalence is
-        transitive, so those checks subsume the whole-pipeline one
-        while naming the offending pass. Otherwise validate the whole
-        pipeline's composition in one step.
-        """
-        if self.passes.verify_each:
-            violations = list(self.passes.last_violations)
-        else:
-            violations = verifier.check(original, optimized, record=False)
+    def _account(self, segment: TraceSegment, record: BuildRecord,
+                 cycle: int) -> None:
+        """Count one installed segment's build record and report it to
+        the ``pass_applied`` and ``segment_verified`` hooks."""
+        registry, totals = self.registry, self.totals
+        last = len(record.passes) - 1
+        for index, (name, stats) in enumerate(record.passes):
+            for key, count in stats.items():
+                totals[key] = totals.get(key, 0) + count
+                if count:
+                    registry.counter(f"fillunit.opts.{name}.{key}").add(
+                        count)
+            for hook in self.pass_hooks:
+                hook(segment, index, name, stats,
+                     record.rejections if index == last else {}, cycle)
+        for (name, reason), count in record.rejections.items():
+            registry.counter(
+                f"fillunit.opts.{name}.rejected.{reason}").add(count)
+        verifier = self.verifier
+        if verifier is None:
+            return
+        violations = record.violations
         verifier.report.record(violations)
         self._m_checked.add()
         if not any(v.severity == "error" for v in violations):
             self._m_clean.add()
         for violation in violations:
             scope_rule = violation.rule.replace("-", "_")
-            self.registry.counter(
+            registry.counter(
                 f"fillunit.verify.violations.{scope_rule}").add()
         for hook in self.verify_hooks:
-            hook(optimized, violations, cycle)
+            hook(segment, violations, cycle)
 
     def _build(self, candidate: PendingSegment, cycle: int) -> None:
         path_key = candidate.path_key
@@ -197,7 +253,7 @@ class FillUnit:
     @property
     def pass_totals(self) -> Dict[str, int]:
         """Accumulated optimization counts across all built segments."""
-        return dict(self.passes.totals)
+        return dict(self.totals)
 
 
 __all__ = ["FillUnit", "FillUnitConfig", "FillUnitStats"]

@@ -40,7 +40,7 @@ def reg_number(name: str) -> int:
     text = name.strip().lower()
     if text.startswith("$"):
         text = text[1:]
-    if text.isdigit():
+    if text.isascii() and text.isdigit():     # not "²": int() rejects it
         num = int(text)
         if 0 <= num < NUM_REGS:
             return num

@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.asm import assemble
 from repro.branch.bias import BiasTable
+from repro.core.config import SimConfig
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.machine.executor import Executor
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
+
+
+def evicting_config(opts: OptimizationConfig, policy: str) -> SimConfig:
+    """The paper machine on the evicting ``tiny-evict`` geometry under
+    *policy*: a 16-set trace cache and 1 KiB L1I/L1D, so lines are
+    evicted and rebuilt and the replacement policies differ."""
+    base = SimConfig.paper(opts)
+    return dataclasses.replace(
+        base,
+        trace_cache=dataclasses.replace(base.trace_cache, num_sets=16,
+                                        policy=policy),
+        hierarchy=dataclasses.replace(base.hierarchy, l1i_size=1024,
+                                      l1d_size=1024, policy=policy))
 
 
 def run_asm(source: str, max_instructions: int = 200_000):

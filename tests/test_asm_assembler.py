@@ -237,3 +237,26 @@ def test_listing_contains_addresses():
     listing = prog.listing()
     assert f"{prog.text_base:08x}" in listing
     assert "halt" in listing
+
+
+@pytest.mark.parametrize("source,line", [
+    ("li r2, 0123", 1),                                 # int() rejects
+    ("buf: .space -5", 1),                              # negative count
+    ("nop\nbuf: .space 99999999999999999999999", 2),    # overflows
+    (".data\nbuf: .space 34702064133516", 2),            # out of memory
+    (".data\n.byte 1\n.align 99999999999", 3),           # huge padding
+    ("add $\u00b2, $t0, $t1", 1),                       # "²".isdigit()
+])
+def test_malformed_source_raises_assembler_error(source, line):
+    with pytest.raises(AssemblerError) as err:
+        assemble(source)
+    assert err.value.line == line
+
+
+def test_space_fills_data_region_up_to_the_stack():
+    from repro.program.loader import STACK_TOP
+    room = STACK_TOP - 0x100000
+    prog = assemble(f".data\nbuf: .space {room}\n.text\nhalt\n")
+    assert len(prog.data) == room
+    with pytest.raises(AssemblerError):
+        assemble(f".data\nbuf: .space {room + 1}\n.text\nhalt\n")

@@ -70,6 +70,15 @@ def test_parse_int_rejects_garbage():
         parse_int("0x", 1)
 
 
+def test_parse_int_rejects_leading_zero_decimal():
+    """The literal pattern accepts "0123", but Python's base-0 parse
+    does not (a leading zero is no base prefix): still a clean error."""
+    with pytest.raises(AssemblerError) as err:
+        parse_int("0123", 7)
+    assert err.value.line == 7
+    assert parse_int("00", 1) == 0
+
+
 def test_parse_mem_operand():
     assert parse_mem_operand("8($sp)", 1) == ("8", "$sp")
     assert parse_mem_operand("($t0)", 1) == ("0", "$t0")

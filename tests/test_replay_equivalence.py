@@ -3,7 +3,9 @@
 Every one of the fifteen workloads runs under the four paper machine
 configurations (on the small test machine, scale 0.2) and must
 reproduce its pinned cycle count exactly; the paper-machine seed
-anchors and the three replacement policies are pinned the same way.
+anchors and the three replacement policies are pinned the same way,
+and so is an evicting column: every workload under each policy on a
+machine small enough that its caches evict.
 Any drift means the timing semantics changed. There is one path
 through the engine, so an observed run (spans, events and cycle
 attribution) must also agree with an unobserved one on every counter.
@@ -26,6 +28,7 @@ from repro.core.engine import Engine
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine import run_program
 from repro.telemetry import Telemetry
+from tests.helpers import evicting_config
 
 #: the four paper machines the matrix runs: measured baseline, a
 #: single-optimization machine, the combined paper configuration and
@@ -56,6 +59,28 @@ GOLDEN_CYCLES = {
     "vortex": (3864, 3323, 3239, 3239),
 }
 
+#: cycles at scale 0.15 on the evicting ``tiny-evict`` machine (the
+#: paper machine with a 16-set trace cache and 1 KiB L1I/L1D, combined
+#: optimizations), per replacement policy in EVICTING_POLICIES order
+EVICTING_POLICIES = ("lru", "srrip", "trrip")
+EVICTING_CYCLES = {
+    "compress": (5739, 5735, 5721),
+    "gcc": (3409, 3396, 3419),
+    "ghostscript": (2523, 2523, 2404),
+    "gnuchess": (4432, 4426, 4459),
+    "gnuplot": (2709, 2630, 2566),
+    "go": (3721, 3511, 3655),
+    "ijpeg": (5356, 5399, 5410),
+    "li": (4280, 4302, 4265),
+    "m88ksim": (5701, 5701, 5574),
+    "perl": (5031, 5010, 4974),
+    "pgp": (2210, 2157, 2156),
+    "python": (4622, 4626, 4646),
+    "sim-outorder": (3265, 3276, 3336),
+    "tex": (3570, 3472, 3507),
+    "vortex": (2693, 2229, 2393),
+}
+
 _PROGRAMS: dict = {}
 _TRACES: dict = {}
 
@@ -76,6 +101,7 @@ def _trace(name: str, scale: float):
 
 def test_matrix_covers_every_workload():
     assert sorted(GOLDEN_CYCLES) == sorted(workloads.names())
+    assert sorted(EVICTING_CYCLES) == sorted(workloads.names())
 
 
 @pytest.mark.parametrize("config_name", list(PAPER_CONFIGS))
@@ -111,6 +137,18 @@ def test_memo_bit_identical_under_every_policy(bench, policy):
     result = Engine(config).run(_trace(bench, 0.2), benchmark=bench,
                                 program=_program(bench, 0.2))
     assert result.cycles == GOLDEN_CYCLES[bench][2]
+
+
+@pytest.mark.parametrize("policy", EVICTING_POLICIES)
+@pytest.mark.parametrize("bench", workloads.names())
+def test_evicting_column(bench, policy):
+    """Every workload at scale 0.15 on the evicting machine, with the
+    program passed so TRRIP's static hints install."""
+    config = evicting_config(OptimizationConfig.all(), policy)
+    result = Engine(config).run(_trace(bench, 0.15), benchmark=bench,
+                                program=_program(bench, 0.15))
+    column = EVICTING_POLICIES.index(policy)
+    assert result.cycles == EVICTING_CYCLES[bench][column]
 
 
 @pytest.mark.parametrize("bench", ["compress", "li"])
