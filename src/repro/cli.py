@@ -33,10 +33,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import List, Optional
 
 from repro import workloads
 from repro.core.config import SimConfig
 from repro.core.simulator import Simulator
+from repro.errors import ReproError
 from repro.fillunit.opts.base import OptimizationConfig
 
 
@@ -651,9 +653,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as err:
+        print(f"repro: error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":   # pragma: no cover

@@ -1,12 +1,18 @@
 """Pure functional semantics for the ISA.
 
 :func:`evaluate` computes the architectural effect of one instruction
-given a register-read callback, *without* mutating any state. The
-functional machine (:mod:`repro.machine.executor`) applies the returned
-:class:`Effect`. Keeping semantics pure lets the test suite verify the
-fill-unit optimizations' semantic equivalence directly: a transformed
-instruction must evaluate to the same effect as the original whenever
-its enabling conditions hold.
+given a register-read callback, *without* mutating any state. It is the
+one definition of what an instruction does: the functional machine
+(:mod:`repro.machine.executor`) applies the returned :class:`Effect`,
+calling an unguarded instruction's handler directly (``evaluate`` adds
+only the predication guard in front of it). Keeping semantics pure lets
+the test suite verify the fill-unit optimizations' semantic equivalence
+directly: a transformed instruction must evaluate to the same effect as
+the original whenever its enabling conditions hold.
+
+Every executed instruction builds an :class:`Effect`, and every memory
+access a :class:`MemOp`, so both are named tuples; the handlers build
+them positionally, the hot ones through ``tuple.__new__``.
 
 All arithmetic is 32-bit two's complement. Immediates are sign-extended
 16-bit values uniformly (including the logical immediates; this is an
@@ -16,8 +22,7 @@ across the assembler, encoder and executor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional
 
 from repro.errors import ExecutionError
 from repro.isa.instruction import Instruction
@@ -40,8 +45,7 @@ def to_s32(value: int) -> int:
     return value - 0x100000000 if value & 0x80000000 else value
 
 
-@dataclass(frozen=True)
-class MemOp:
+class MemOp(NamedTuple):
     """A memory access computed by :func:`evaluate`."""
 
     is_store: bool
@@ -51,8 +55,7 @@ class MemOp:
     store_value: int = 0
 
 
-@dataclass(frozen=True)
-class Effect:
+class Effect(NamedTuple):
     """The architectural effect of one instruction.
 
     Exactly the fields relevant to the opcode are populated:
@@ -111,9 +114,8 @@ def evaluate(instr: Instruction, read: ReadReg) -> Effect:
         is_zero = to_s32(read(guard.reg)) == 0
         if is_zero != guard.execute_if_zero:
             dest = decoded.dest
-            return Effect(dest=dest,
-                          value=to_s32(read(dest)) if dest is not None
-                          else None)
+            return Effect(dest,
+                          to_s32(read(dest)) if dest is not None else None)
     handler: Handler = decoded.semantics
     return handler(instr, decoded, read)
 
@@ -130,6 +132,11 @@ _NO_EFFECT = Effect()
 _HALT = Effect(halt=True, serialize=True)
 _SERIALIZE = Effect(serialize=True)
 
+#: builds an :class:`Effect` or :class:`MemOp` from all of its fields
+#: in order, skipping the named tuple's argument handling (the hot
+#: handlers below run once per executed instruction)
+_new: Callable[..., Any] = tuple.__new__
+
 
 def _undefined(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
     raise ExecutionError(f"no semantics for opcode {instr.op.name}")
@@ -137,24 +144,26 @@ def _undefined(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
 
 def _alu3(fn: Callable[[int, int], int]) -> Handler:
     def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
-        return Effect(dest=d.dest,
-                      value=fn(_rs_value(instr, read),
-                               to_s32(read(instr.rt or 0))))
+        value = fn(_rs_value(instr, read), to_s32(read(instr.rt or 0)))
+        return _new(Effect,
+                    (d.dest, value, None, False, False, None, False, False))
     return handler
 
 
 def _alui(fn: Callable[[int, int], int]) -> Handler:
     def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
-        return Effect(dest=d.dest,
-                      value=fn(_rs_value(instr, read), instr.imm or 0))
+        value = fn(_rs_value(instr, read), instr.imm or 0)
+        return _new(Effect,
+                    (d.dest, value, None, False, False, None, False, False))
     return handler
 
 
 def _shift_imm(op: Op) -> Handler:
     def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
         a = to_s32(read(instr.rs or 0))
-        return Effect(dest=d.dest,
-                      value=_shift(op, a, (instr.imm or 0) & 0x1F))
+        value = _shift(op, a, (instr.imm or 0) & 0x1F)
+        return _new(Effect,
+                    (d.dest, value, None, False, False, None, False, False))
     return handler
 
 
@@ -162,13 +171,12 @@ def _shift_var(op: Op) -> Handler:
     def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
         a = to_s32(read(instr.rs or 0))
         amount = read(instr.rt or 0) & 0x1F
-        return Effect(dest=d.dest, value=_shift(op, a, amount))
+        return Effect(d.dest, _shift(op, a, amount))
     return handler
 
 
 def _lui(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
-    return Effect(dest=d.dest,
-                  value=to_s32(((instr.imm or 0) & 0xFFFF) << 16))
+    return Effect(d.dest, to_s32(((instr.imm or 0) & 0xFFFF) << 16))
 
 
 def _load(size: int, signed: bool, indexed: bool) -> Handler:
@@ -178,7 +186,9 @@ def _load(size: int, signed: bool, indexed: bool) -> Handler:
                           + to_s32(read(instr.rt or 0)))
         else:
             addr = to_u32(_rs_value(instr, read) + (instr.imm or 0))
-        return Effect(dest=d.dest, mem=MemOp(False, addr, size, signed))
+        mem = _new(MemOp, (False, addr, size, signed, 0))
+        return _new(Effect,
+                    (d.dest, None, mem, False, False, None, False, False))
     return handler
 
 
@@ -191,7 +201,9 @@ def _store(size: int, indexed: bool) -> Handler:
         else:
             addr = to_u32(_rs_value(instr, read) + (instr.imm or 0))
             value = to_u32(read(instr.rt or 0))
-        return Effect(mem=MemOp(True, addr, size, False, value))
+        mem = _new(MemOp, (True, addr, size, False, value))
+        return _new(Effect,
+                    (None, None, mem, False, False, None, False, False))
     return handler
 
 
@@ -202,7 +214,8 @@ def _branch(taken_if: Callable[[int, Instruction, ReadReg], bool]
         taken = taken_if(to_s32(read(instr.rs or 0)), instr, read)
         target = (to_u32(pc + (instr.imm or 0)) if taken
                   else to_u32(pc + 4))
-        return Effect(is_ctrl=True, taken=taken, target=target)
+        return _new(Effect,
+                    (None, None, None, True, taken, target, False, False))
     return handler
 
 
@@ -211,24 +224,24 @@ def _rt_s32(instr: Instruction, read: ReadReg) -> int:
 
 
 def _j(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
-    return Effect(is_ctrl=True, taken=True, target=to_u32(instr.imm or 0))
+    return Effect(None, None, None, True, True, to_u32(instr.imm or 0))
 
 
 def _jal(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
     pc = instr.pc if instr.pc is not None else 0
-    return Effect(dest=31, value=to_s32(pc + 4), is_ctrl=True, taken=True,
-                  target=to_u32(instr.imm or 0))
+    return Effect(31, to_s32(pc + 4), None, True, True,
+                  to_u32(instr.imm or 0))
 
 
 def _jr(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
-    return Effect(is_ctrl=True, taken=True,
-                  target=to_u32(read(instr.rs or 0)))
+    return Effect(None, None, None, True, True,
+                  to_u32(read(instr.rs or 0)))
 
 
 def _jalr(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
     pc = instr.pc if instr.pc is not None else 0
-    return Effect(dest=d.dest, value=to_s32(pc + 4), is_ctrl=True,
-                  taken=True, target=to_u32(read(instr.rs or 0)))
+    return Effect(d.dest, to_s32(pc + 4), None, True, True,
+                  to_u32(read(instr.rs or 0)))
 
 
 def _shift(op: Op, a: int, amount: int) -> int:

@@ -9,6 +9,8 @@ memory system assumes naturally aligned accesses.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.errors import ExecutionError
 
 PAGE_SHIFT = 12
@@ -20,7 +22,7 @@ class Memory:
     """Byte-addressable sparse memory with natural-alignment checking."""
 
     def __init__(self) -> None:
-        self._pages: dict = {}
+        self._pages: Dict[int, bytearray] = {}
 
     def _page(self, addr: int) -> bytearray:
         key = addr >> PAGE_SHIFT
@@ -60,17 +62,19 @@ class Memory:
     def load(self, addr: int, size: int, signed: bool) -> int:
         """Aligned little-endian load of 1, 2 or 4 bytes.
 
+        An aligned access never straddles a page.
+
         Raises:
             ExecutionError: on misaligned access.
         """
-        self._check_align(addr, size)
-        offset = addr & PAGE_MASK
-        if offset + size <= PAGE_SIZE:
+        if addr % size:
+            self._check_align(addr, size)
+        page = self._pages.get(addr >> PAGE_SHIFT)
+        if page is None:
             page = self._page(addr)
-            raw = bytes(page[offset:offset + size])
-        else:  # pragma: no cover - aligned accesses never straddle
-            raw = self.read_bytes(addr, size)
-        return int.from_bytes(raw, "little", signed=signed)
+        offset = addr & PAGE_MASK
+        return int.from_bytes(page[offset:offset + size], "little",
+                              signed=signed)
 
     def store(self, addr: int, value: int, size: int) -> None:
         """Aligned little-endian store of 1, 2 or 4 bytes.
@@ -78,10 +82,13 @@ class Memory:
         Raises:
             ExecutionError: on misaligned access.
         """
-        self._check_align(addr, size)
-        value &= (1 << (8 * size)) - 1
+        if addr % size:
+            self._check_align(addr, size)
+        page = self._pages.get(addr >> PAGE_SHIFT)
+        if page is None:
+            page = self._page(addr)
         offset = addr & PAGE_MASK
-        page = self._page(addr)
+        value &= (1 << (8 * size)) - 1
         page[offset:offset + size] = value.to_bytes(size, "little")
 
     def load_word(self, addr: int) -> int:
@@ -104,7 +111,7 @@ class Memory:
         """Number of pages allocated so far (test/debug aid)."""
         return len(self._pages)
 
-    def snapshot(self) -> dict:
+    def snapshot(self) -> Dict[int, bytes]:
         """A deep copy of all touched pages, for state-equality checks."""
         return {key: bytes(page) for key, page in self._pages.items()}
 

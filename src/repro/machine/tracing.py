@@ -8,9 +8,10 @@ instruction stream.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, List, Optional, Union
 
 from repro.isa.instruction import Instruction
+from repro.machine.state import ArchState
 
 
 class CommittedInstr:
@@ -39,7 +40,9 @@ class CommittedInstr:
 class CommittedTrace:
     """The full committed stream of one program run."""
 
-    def __init__(self, records: list, final_state, output: list) -> None:
+    def __init__(self, records: List[CommittedInstr],
+                 final_state: ArchState,
+                 output: List[Union[int, str]]) -> None:
         self.records = records
         self.final_state = final_state
         self.output = output
@@ -47,10 +50,10 @@ class CommittedTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __getitem__(self, index):
+    def __getitem__(self, index: int) -> CommittedInstr:
         return self.records[index]
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[CommittedInstr]:
         return iter(self.records)
 
     def dynamic_op_mix(self) -> dict:

@@ -97,6 +97,25 @@ def test_asm_command(tmp_path, capsys):
     assert "[9]" in out and "IPC" in out
 
 
+@pytest.mark.parametrize("source, extra, message", [
+    ("main: lw $t1, 1($zero)\n", [],
+     "misaligned 4-byte access at 0x1"),
+    ("main:\n    bogus $t1\n", [], "line 2: unknown mnemonic"),
+    ("loop: j loop\n", ["--max-instructions", "100"],
+     "program did not halt within 100 instructions"),
+])
+def test_asm_typed_error_is_one_line(tmp_path, capsys, source, extra,
+                                     message):
+    path = tmp_path / "f.s"
+    path.write_text(source)
+    code = main(["asm", str(path), *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("repro: error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_unknown_benchmark_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "doom"])

@@ -1,7 +1,10 @@
 """Functional executor tests."""
 
+import hashlib
+
 import pytest
 
+from repro import workloads
 from repro.errors import ExecutionError
 from repro.asm import assemble
 from repro.machine import ArchState, Executor, Memory, run_program
@@ -236,3 +239,52 @@ def test_dynamic_op_mix():
     mix = trace.dynamic_op_mix()
     assert mix["load"] == 1 and mix["store"] == 1
     assert trace.conditional_branch_count() == 0
+
+
+#: sha256 prefixes of each workload's committed stream at scale 0.1:
+#: every record's fields, the final registers and pc, the output and
+#: the memory image. Recorded before the executor's run loop was
+#: rewritten, so the loop is checked against a fixed record.
+STREAM_DIGESTS = {
+    "compress": "2afe04aa89771c81",
+    "gcc": "a4a5f198d9371198",
+    "go": "05ffccee36cbfcc8",
+    "ijpeg": "700fdabe26bf9685",
+    "li": "f1959b4cc566b6ad",
+    "m88ksim": "8527cf7797620c05",
+    "perl": "b1ad68da4ddcf2d5",
+    "vortex": "bde3d58da3aa7441",
+    "gnuchess": "59f3f32b44263b7e",
+    "ghostscript": "a72fa1d77d422674",
+    "pgp": "4c65b3a378789393",
+    "gnuplot": "5e2b80b6db1ad14c",
+    "python": "9396240d5a926cbb",
+    "sim-outorder": "f53a7cf73b37fd44",
+    "tex": "02aeca782f884f8e",
+}
+
+
+def _stream_digest(name: str) -> str:
+    executor = Executor(workloads.build(name, 0.1))
+    trace = executor.run()
+    digest = hashlib.sha256()
+    for r in trace:
+        digest.update(repr((r.seq, r.pc, r.instr.op.value, r.next_pc,
+                            r.taken, r.mem_addr, r.mem_size,
+                            r.is_store)).encode())
+    final = trace.final_state
+    digest.update(repr((final.regs, final.pc)).encode())
+    digest.update(repr(trace.output).encode())
+    for key, page in sorted(executor.memory.snapshot().items()):
+        digest.update(repr(key).encode())
+        digest.update(page)
+    return digest.hexdigest()[:16]
+
+
+def test_stream_digests_cover_every_workload():
+    assert sorted(STREAM_DIGESTS) == sorted(workloads.names())
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
+def test_committed_stream_matches_pinned_digest(name):
+    assert _stream_digest(name) == STREAM_DIGESTS[name]
