@@ -21,7 +21,7 @@ import pytest
 
 from repro.analysis.stats import arithmetic_mean
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.fillunit.opts.base import OptimizationConfig
 
 SUBSET = ["m88ksim", "go", "li", "ijpeg"]
@@ -30,7 +30,7 @@ ALL = OptimizationConfig.all()
 
 
 def run_config(runner, bench, config, label):
-    model = PipelineModel(config)
+    model = Engine(config)
     return model.run(runner.trace(bench), benchmark=bench, label=label)
 
 
@@ -183,7 +183,7 @@ def test_ablation_wrong_path_pollution(benchmark, runner, emit):
             trace = runner.trace(bench)
             plain = runner.baseline(bench)
             cfg = replace(SimConfig.paper(), model_wrong_path=True)
-            polluted = PipelineModel(cfg).run(trace, bench, "wrong-path",
+            polluted = Engine(cfg).run(trace, bench, "wrong-path",
                                               program=program)
             rows[bench] = (plain.ipc, polluted.ipc,
                            polluted.wrong_path_fetches)

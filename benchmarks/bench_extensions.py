@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.stats import arithmetic_mean
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.fillunit.opts.base import OptimizationConfig
 
 SUBSET = ["compress", "m88ksim", "li", "gnuplot", "python"]
@@ -32,7 +32,7 @@ def test_extension_passes(benchmark, runner, emit):
         for bench in SUBSET:
             base = runner.baseline(bench)
             four = runner.run(bench, OptimizationConfig.all())
-            six = PipelineModel(SimConfig.paper(extended)).run(
+            six = Engine(SimConfig.paper(extended)).run(
                 runner.trace(bench), benchmark=bench, label="extended")
             rows[bench] = (four.improvement_over(base),
                            six.improvement_over(base),

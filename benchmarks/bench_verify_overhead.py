@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from repro import workloads
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.machine.executor import Executor
 
 SCALE = 0.3
@@ -34,7 +34,7 @@ def _one_replay(trace, config) -> float:
     """Wall time of one replay (model construction excluded; the trace
     is shared). A GC sweep beforehand keeps collection pauses out of
     the timed region."""
-    model = PipelineModel(config)
+    model = Engine(config)
     gc.collect()
     start = time.perf_counter()
     model.run(trace, "compress", "bench")

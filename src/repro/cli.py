@@ -36,10 +36,11 @@ import sys
 from typing import List, Optional
 
 from repro import workloads
+from repro.cache.policy import POLICY_NAMES
 from repro.core.config import SimConfig
 from repro.core.simulator import Simulator
 from repro.errors import ReproError
-from repro.fillunit.opts.base import OptimizationConfig
+from repro.fillunit.opts.base import PASS_ORDER, OptimizationConfig
 
 
 def _opt_config(name: str) -> OptimizationConfig:
@@ -57,14 +58,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="workload length multiplier (default 0.5)")
     parser.add_argument(
         "--opts", default="all",
-        choices=["none", "moves", "reassoc", "scaled_adds", "placement",
-                 "cse", "dead_code", "all", "extended"],
+        choices=["none", *PASS_ORDER, "all", "extended"],
         help="fill-unit optimization set (default all)")
     parser.add_argument("--fill-latency", type=int, default=5,
                         help="fill pipeline latency in cycles (default 5)")
     parser.add_argument(
-        "--policy", default="lru",
-        choices=["lru", "srrip", "trrip"],
+        "--policy", default="lru", choices=POLICY_NAMES,
         help="replacement policy for the trace cache and memory "
              "hierarchy (default lru; trrip adds loop-aware static "
              "temperature hints)")
@@ -576,8 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--fill-latency", type=int, default=5)
     p_cmp.add_argument("--extended", action="store_true",
                        help="also run the future-work passes")
-    p_cmp.add_argument("--policy", default="lru",
-                       choices=["lru", "srrip", "trrip"],
+    p_cmp.add_argument("--policy", default="lru", choices=POLICY_NAMES,
                        help="replacement policy for every leg "
                             "(default lru)")
     _add_telemetry_out(p_cmp)

@@ -3,7 +3,7 @@
 :func:`simulate` takes an assembled program (or a pre-computed
 committed trace) and a :class:`SimConfig`, runs the functional machine
 to obtain the committed stream, then replays it through a fresh
-:class:`PipelineModel`.
+:class:`Engine`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.core.results import SimResult
 from repro.machine.executor import DEFAULT_MAX_INSTRUCTIONS, Executor
 from repro.machine.tracing import CommittedTrace
@@ -56,7 +56,7 @@ class Simulator:
                 benchmark = program.name
         else:
             trace = program_or_trace
-        model = PipelineModel(self.config, telemetry=self.telemetry)
+        model = Engine(self.config, telemetry=self.telemetry)
         return model.run(trace, benchmark=benchmark, label=label,
                          program=program)
 

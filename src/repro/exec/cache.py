@@ -59,9 +59,10 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            # A torn or outdated entry: treat as a miss and clear it so
-            # the slot can be refilled cleanly.
+        except (ValueError, KeyError, TypeError, AttributeError):
+            # A torn or outdated entry, or valid JSON of the wrong shape
+            # (``.get`` on a list or null): treat as a miss and clear it
+            # so the slot can be refilled cleanly.
             path.unlink(missing_ok=True)
             self.misses += 1
             return None

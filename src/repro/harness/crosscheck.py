@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Set, Tuple
 
 from repro.analysis.static.report import AnalysisReport
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.core.results import SimResult
 from repro.core.stages.base import PipelineStage
 from repro.errors import ConfigError
@@ -114,7 +114,7 @@ def collect_dynamic_sites(trace: CommittedTrace, config: SimConfig,
             or under an extended optimization configuration.
     """
     _require_paper_opts(config)
-    model = PipelineModel(config)
+    model = Engine(config)
     if model.fill_unit is None:
         raise ConfigError("cross-check requires the trace cache "
                           "(and with it the fill unit) enabled")

@@ -7,8 +7,8 @@ committed stream) and dynamically (transformed-instruction coverage
 under the combined optimizations) — and scores it against the target.
 
 Used by the test suite to pin the generators against drift, by
-``tools/calibrate.py`` during tuning, and available to users adding
-their own workloads::
+``repro validate``, and available to users adding their own
+workloads::
 
     from repro.workloads.validate import validate_benchmark
     report = validate_benchmark("m88ksim", scale=0.5)
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.isa.instruction import move_source
 from repro.isa.opcodes import Op
@@ -140,8 +140,8 @@ def validate_benchmark(name: str, scale: float = 0.3,
     spec = workloads.spec(name)
     if trace is None:
         trace = Executor(workloads.build(name, scale)).run()
-    baseline = PipelineModel(SimConfig.paper()).run(trace, name, "base")
-    optimized = PipelineModel(
+    baseline = Engine(SimConfig.paper()).run(trace, name, "base")
+    optimized = Engine(
         SimConfig.paper(OptimizationConfig.all())).run(trace, name, "all")
     target_row = spec.paper_table2
     return ValidationReport(

@@ -25,6 +25,13 @@ def test_run(capsys):
     assert "IPC" in out and "transformed" in out
 
 
+def test_run_opts_predication(capsys):
+    code, out = run_cli(capsys, "run", "li", "--scale", "0.05",
+                        "--opts", "predication")
+    assert code == 0
+    assert "IPC" in out
+
+
 def test_compare(capsys):
     code, out = run_cli(capsys, "compare", "tex", "--scale", "0.1")
     assert code == 0

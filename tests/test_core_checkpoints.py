@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.clusters import CheckpointStore
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.errors import ConfigError
 from tests.helpers import run_asm
 
@@ -72,8 +72,8 @@ b:  addi $t0, $t0, 1
 
 def test_scarce_checkpoints_throttle_pipeline():
     _, trace = run_asm(BRANCHY)
-    plenty = PipelineModel(SimConfig.tiny()).run(trace, "t", "r")
-    scarce = PipelineModel(replace(SimConfig.tiny(),
+    plenty = Engine(SimConfig.tiny()).run(trace, "t", "r")
+    scarce = Engine(replace(SimConfig.tiny(),
                                    max_checkpoints=2)).run(trace, "t", "r")
     assert scarce.cycles >= plenty.cycles
     assert scarce.ipc <= plenty.ipc
@@ -83,7 +83,7 @@ def test_more_checkpoints_never_hurt():
     _, trace = run_asm(BRANCHY)
     cycles = []
     for capacity in (1, 4, 64):
-        model = PipelineModel(replace(SimConfig.tiny(),
+        model = Engine(replace(SimConfig.tiny(),
                                       max_checkpoints=capacity))
         cycles.append(model.run(trace, "t", "r").cycles)
     assert cycles[0] >= cycles[1] >= cycles[2]
@@ -91,6 +91,6 @@ def test_more_checkpoints_never_hurt():
 
 def test_stall_counter_visible():
     _, trace = run_asm(BRANCHY)
-    model = PipelineModel(replace(SimConfig.tiny(), max_checkpoints=1))
+    model = Engine(replace(SimConfig.tiny(), max_checkpoints=1))
     model.run(trace, "t", "r")
     assert model.checkpoints.stalls > 0

@@ -2,7 +2,7 @@
 
 from repro.core.config import SimConfig
 from repro.core.debug import TimingTrace
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from tests.helpers import run_asm
 
 LOOP = """
@@ -17,7 +17,7 @@ loop:
 
 def capture(limit=50, start_seq=0, telemetry=None):
     _, trace = run_asm(LOOP)
-    model = PipelineModel(SimConfig.tiny(), telemetry=telemetry)
+    model = Engine(SimConfig.tiny(), telemetry=telemetry)
     hook = TimingTrace(limit=limit, start_seq=start_seq)
     model.stages.append(hook)
     result = model.run(trace, "t", "r")
@@ -89,7 +89,7 @@ def test_sink_and_hook_agree():
         limit=10_000, telemetry=Telemetry(spans=True))
     assert observed.records == bare.records
     assert len(bare) == bare_result.instructions
-    plain = PipelineModel(SimConfig.tiny()).run(trace, "t", "r")
+    plain = Engine(SimConfig.tiny()).run(trace, "t", "r")
     assert bare_result.cycles == observed_result.cycles == plain.cycles
 
 
@@ -101,15 +101,15 @@ def test_default_hook_is_none():
     from repro.telemetry import Telemetry
 
     pipeline = ["fetch", "rename", "issue", "execute", "retire", "fill"]
-    bare = PipelineModel(SimConfig.tiny())
+    bare = Engine(SimConfig.tiny())
     assert [stage.name for stage in bare.stages] == pipeline
-    observed = PipelineModel(SimConfig.tiny(), telemetry=Telemetry())
+    observed = Engine(SimConfig.tiny(), telemetry=Telemetry())
     assert [stage.name for stage in observed.stages] == \
         pipeline + ["attribution", "events"]
-    quiet = PipelineModel(SimConfig.tiny(),
+    quiet = Engine(SimConfig.tiny(),
                           telemetry=Telemetry(attribution=False))
     assert [stage.name for stage in quiet.stages] == pipeline + ["events"]
-    traced = PipelineModel(SimConfig.tiny(),
+    traced = Engine(SimConfig.tiny(),
                            telemetry=Telemetry(spans=True))
     assert [stage.name for stage in traced.stages] == \
         pipeline + ["attribution", "events", "spans"]

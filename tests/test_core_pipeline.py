@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.fillunit.opts.base import OptimizationConfig
 from tests.helpers import run_asm
 
@@ -24,7 +24,7 @@ loop:
 def simulate(source, config=None, opts=None):
     config = config or SimConfig.tiny(opts)
     _, trace = run_asm(source)
-    return PipelineModel(config).run(trace, "test", "run"), trace
+    return Engine(config).run(trace, "test", "run"), trace
 
 
 def test_cycles_and_instructions_positive():

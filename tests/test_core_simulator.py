@@ -6,7 +6,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.core.simulator import Simulator, simulate
 from repro.fillunit.opts.base import OptimizationConfig
 from tests.helpers import run_asm
@@ -57,7 +57,7 @@ def test_fresh_microarchitectural_state_per_run():
 
 def run_with(config, source=PROGRAM_SRC):
     _, trace = run_asm(source)
-    return PipelineModel(config).run(trace, "t", "r")
+    return Engine(config).run(trace, "t", "r")
 
 
 def test_wider_window_never_hurts():

@@ -7,7 +7,7 @@ import pytest
 from repro.asm import assemble
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.core.simulator import Simulator
 from repro.core.wrongpath import WrongPathFetcher
 from repro.errors import ConfigError
@@ -106,7 +106,7 @@ def test_requires_program_image():
     _, trace = run_asm("main:\n    halt\n")
     config = replace(SimConfig.tiny(), model_wrong_path=True)
     with pytest.raises(ConfigError):
-        PipelineModel(config).run(trace, "t", "r")
+        Engine(config).run(trace, "t", "r")
 
 
 def test_end_to_end_pollution_costs_cycles():

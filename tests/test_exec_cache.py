@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.core.results import OptCoverage, SimResult
 from repro.exec.cache import ResultCache
 
@@ -44,10 +46,12 @@ def test_missing_entry_is_a_miss(tmp_path):
     assert cache.misses == 1
 
 
-def test_corrupt_entry_is_a_miss_and_removed(tmp_path):
+@pytest.mark.parametrize("content", [
+    "{ not json", "[]", "null", '{"envelope": 1, "result": []}'])
+def test_corrupt_entry_is_a_miss_and_removed(tmp_path, content):
     cache = ResultCache(tmp_path)
     path = cache.put(FP, _result())
-    path.write_text("{ not json")
+    path.write_text(content)
     assert cache.get(FP) is None
     assert not path.exists()
     # the slot can be refilled and read again

@@ -4,7 +4,7 @@ the real workload suite (reduced scale to keep the suite fast)."""
 import pytest
 
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.harness.experiment import ExperimentRunner
 from repro import workloads

@@ -186,7 +186,7 @@ def test_extended_config_runs_all_seven():
 
 def test_dead_code_improves_or_holds_ipc():
     from repro.core.config import SimConfig
-    from repro.core.pipeline import PipelineModel
+    from repro.core.engine import Engine
     from tests.helpers import run_asm
     source = """
     main:
@@ -200,7 +200,7 @@ def test_dead_code_improves_or_holds_ipc():
         halt
     """
     _, trace = run_asm(source)
-    base = PipelineModel(SimConfig.tiny()).run(trace, "t", "base")
-    dce = PipelineModel(SimConfig.tiny(
+    base = Engine(SimConfig.tiny()).run(trace, "t", "base")
+    dce = Engine(SimConfig.tiny(
         OptimizationConfig.only("dead_code"))).run(trace, "t", "dce")
     assert dce.ipc >= base.ipc

@@ -155,7 +155,7 @@ def test_pipeline_removes_mispredicts():
     """End to end: an unpredictable single-instruction hammock stops
     mispredicting once predicated, and IPC improves."""
     from repro.core.config import SimConfig
-    from repro.core.pipeline import PipelineModel
+    from repro.core.engine import Engine
     from tests.helpers import run_asm
     source = """
     main:
@@ -175,8 +175,8 @@ def test_pipeline_removes_mispredicts():
         halt
     """
     _, trace = run_asm(source)
-    base = PipelineModel(SimConfig.paper()).run(trace, "t", "base")
-    pred = PipelineModel(SimConfig.paper(PRED)).run(trace, "t", "pred")
+    base = Engine(SimConfig.paper()).run(trace, "t", "base")
+    pred = Engine(SimConfig.paper(PRED)).run(trace, "t", "pred")
     assert pred.mispredicts < base.mispredicts / 4
     assert pred.ipc > base.ipc
     assert pred.predicated_branches > 100

@@ -3,9 +3,10 @@
 Every one of the fifteen workloads runs under the four paper machine
 configurations (on the small test machine, scale 0.2) and must
 reproduce its pinned cycle count exactly; the paper-machine seed
-anchors and the three replacement policies are pinned the same way,
-and so is an evicting column: every workload under each policy on a
-machine small enough that its caches evict.
+anchors (with their trace-cache and fill-unit reuse profile, under
+each replacement policy) and the three replacement policies are
+pinned the same way, and so is an evicting column: every workload
+under each policy on a machine small enough that its caches evict.
 Any drift means the timing semantics changed. There is one path
 through the engine, so an observed run (spans, events and cycle
 attribution) must also agree with an unobserved one on every counter.
@@ -113,13 +114,37 @@ def test_memo_bit_identical_every_workload(bench, config_name):
     assert result.cycles == GOLDEN_CYCLES[bench][column]
 
 
-@pytest.mark.parametrize("bench,cycles",
-                         [("compress", 16344), ("li", 13709)])
-def test_seed_cycles_preserved_with_memo(bench, cycles):
-    """The paper machine with all four optimizations at scale 0.5."""
+#: the paper machine with all four optimizations at scale 0.5: cycles,
+#: instructions, trace-cache lookups and hits, and the fill unit's
+#: built and deduped segments. No policy evicts anything here.
+SEED_PINS = {
+    "compress": (16344, 23152, 2989, 2935, 94, 1432),
+    "li": (13709, 31954, 3111, 2956, 80, 2130),
+}
+
+
+@pytest.mark.parametrize("policy", EVICTING_POLICIES)
+@pytest.mark.parametrize("bench", list(SEED_PINS))
+def test_seed_cycles_preserved_with_memo(bench, policy):
+    """The seed anchors and their reuse profile, under every policy
+    with the program passed so TRRIP's static hints install."""
     config = SimConfig.paper(OptimizationConfig.all())
-    result = Engine(config).run(_trace(bench, 0.5), benchmark=bench)
-    assert result.cycles == cycles
+    config = dataclasses.replace(
+        config,
+        trace_cache=dataclasses.replace(config.trace_cache,
+                                        policy=policy),
+        hierarchy=dataclasses.replace(config.hierarchy, policy=policy))
+    engine = Engine(config)
+    result = engine.run(_trace(bench, 0.5), benchmark=bench,
+                        program=_program(bench, 0.5))
+    tc = engine.trace_cache.stats
+    fill = engine.fill_unit.stats
+    assert (result.cycles, result.instructions, tc.lookups, tc.hits,
+            fill.segments_built,
+            fill.segments_deduped) == SEED_PINS[bench]
+    assert (tc.evictions, tc.dead_evictions,
+            engine.hierarchy.l1d.stats.evictions,
+            engine.hierarchy.l2.stats.evictions) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("policy", ["lru", "srrip", "trrip"])

@@ -5,7 +5,7 @@ import pytest
 
 from repro import workloads
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.core.simulator import Simulator
 from repro.core.stages.attribution import CycleAccountant
 from repro.errors import ConfigError
@@ -36,7 +36,7 @@ loop:
 def run_with_attribution(source=LOOP, config=None):
     _, trace = run_asm(source)
     telemetry = Telemetry()
-    model = PipelineModel(config or SimConfig.tiny(), telemetry=telemetry)
+    model = Engine(config or SimConfig.tiny(), telemetry=telemetry)
     return model.run(trace, "t", "r")
 
 
@@ -141,14 +141,14 @@ def test_sum_exact_without_trace_cache():
 
 def test_attribution_empty_without_session():
     _, trace = run_asm(LOOP)
-    result = PipelineModel(SimConfig.tiny()).run(trace, "t", "r")
+    result = Engine(SimConfig.tiny()).run(trace, "t", "r")
     assert result.attribution == {}
 
 
 def test_telemetry_session_does_not_change_timing():
     """The bit-for-bit requirement: observing a run must not alter it."""
     _, trace = run_asm(LOOP)
-    plain = PipelineModel(SimConfig.tiny()).run(trace, "t", "r")
+    plain = Engine(SimConfig.tiny()).run(trace, "t", "r")
     observed = run_with_attribution()
     assert plain.cycles == observed.cycles
     assert plain.ipc == observed.ipc
@@ -157,7 +157,7 @@ def test_telemetry_session_does_not_change_timing():
 
 def test_empty_trace_has_no_attribution():
     trace = CommittedTrace([], None, [])
-    result = PipelineModel(SimConfig.tiny(), telemetry=Telemetry()).run(
+    result = Engine(SimConfig.tiny(), telemetry=Telemetry()).run(
         trace, "t", "r")
     assert result.cycles == 0
     assert result.attribution == {}

@@ -4,7 +4,7 @@ event emission."""
 import pytest
 
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.telemetry import Telemetry
 from repro.telemetry.events import (
     BRANCH_MISPREDICT,
@@ -68,7 +68,7 @@ def test_pipeline_emits_lifecycle_and_component_events():
     _, trace = run_asm(LOOP)
     telemetry = Telemetry()
     sink = telemetry.attach_memory()
-    result = PipelineModel(SimConfig.tiny(), telemetry=telemetry).run(
+    result = Engine(SimConfig.tiny(), telemetry=telemetry).run(
         trace, "t", "r")
     kinds = {e.kind for e in sink.events}
     assert RUN_STARTED in kinds

@@ -92,7 +92,7 @@ def test_nested_snapshot_structure():
 
 def test_real_run_snapshot_is_deterministic():
     from repro.core.config import SimConfig
-    from repro.core.pipeline import PipelineModel
+    from repro.core.engine import Engine
     from tests.helpers import run_asm
 
     source = """
@@ -108,7 +108,7 @@ def test_real_run_snapshot_is_deterministic():
     _, trace = run_asm(source)
     results = []
     for _ in range(2):
-        model = PipelineModel(SimConfig.tiny())
+        model = Engine(SimConfig.tiny())
         results.append(model.run(trace, "t", "r"))
     assert results[0].telemetry == results[1].telemetry
     assert results[0].telemetry  # non-empty even without a session

@@ -147,12 +147,12 @@ def test_every_pass_declares_a_surface():
 
 def test_sim_config_plumbs_verify_flags():
     from repro.core.config import SimConfig
-    from repro.core.pipeline import PipelineModel
+    from repro.core.engine import Engine
 
     config = SimConfig.tiny(OptimizationConfig.all())
     config.verify_fill = True
     config.verify_each_pass = True
-    model = PipelineModel(config)
+    model = Engine(config)
     assert model.fill_unit.verifier is not None
     assert model.fill_unit.passes.verify_each
 

@@ -30,7 +30,7 @@ from repro import workloads
 from repro.cache.hints import pc_loop_depths
 from repro.cache.policy import POLICY_NAMES
 from repro.core.config import SimConfig
-from repro.core.pipeline import PipelineModel
+from repro.core.engine import Engine
 from repro.core.stages import MachineState, PipelineStage
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine import run_program
@@ -94,7 +94,7 @@ def characterize(benchmark: str, scale: float,
         trace_cache=dataclasses.replace(config.trace_cache,
                                         policy=policy),
         hierarchy=dataclasses.replace(config.hierarchy, policy=policy))
-    model = PipelineModel(config)
+    model = Engine(config)
     log = ReuseLog()
     model.stages.append(log)
     result = model.run(trace, benchmark=benchmark, label=policy,
