@@ -3,104 +3,73 @@
 16 universal functional units in four symmetric clusters of four.
 Results forward back-to-back within a cluster; crossing clusters costs
 an extra cycle through the operand bypass network — the latency the
-placement optimization attacks. Each FU is fully pipelined (accepts one
-instruction per cycle) and fronted by a 32-entry reservation station.
+placement optimization attacks (the issue stage applies it). Each FU
+is fully pipelined (accepts one instruction per cycle) and fronted by
+a 32-entry reservation station; :class:`FunctionalUnit` models the
+pair, so issuing an instruction is one call.
 """
 
 from __future__ import annotations
 
 from collections import deque
-import heapq
-from typing import List, Optional, Set
+from heapq import heappop, heappush
+from typing import List, Set
 
 
-class FunctionalUnits:
-    """Issue-slot-to-FU pipeline occupancy.
+class FunctionalUnit:
+    """One slot-wired functional unit and the reservation station in
+    front of it.
 
     Issue slot *k* of a fetch group feeds functional unit *k* (the
     paper's design point: placement moves the routing crossbar into the
-    fill unit, so the issue path is slot-wired). A FU accepts at most
+    fill unit, so the issue path is slot-wired). The FU accepts at most
     one instruction per cycle.
+
+    An RS entry is held from dispatch-into-RS until issue-to-execute.
+    The replay model applies the capacity as an issue-time constraint:
+    when the RS is full, the incoming instruction cannot begin
+    execution before the earliest resident entry vacates. That entry
+    is not retired early, so a stream that keeps the RS full can hold
+    more than *rs_entries* release cycles at once.
     """
 
-    def __init__(self, num_fus: int) -> None:
-        self.num_fus = num_fus
-        self._busy: List[Set[int]] = [set() for _ in range(num_fus)]
-        #: cycles below this are forgotten
-        self._floor: List[int] = [0] * num_fus
+    __slots__ = ("rs_entries", "_busy", "_floor", "_release")
 
-    def reserve(self, fu: int, earliest: int) -> int:
-        """Claim the first free issue cycle of *fu* at or after
-        *earliest*; returns the claimed cycle."""
-        busy = self._busy[fu]
-        cycle = max(earliest, self._floor[fu])
+    def __init__(self, rs_entries: int) -> None:
+        self.rs_entries = rs_entries
+        #: claimed issue cycles
+        self._busy: Set[int] = set()
+        #: cycles below this are forgotten
+        self._floor = 0
+        #: min-heap of resident entries' release (issue) cycles
+        self._release: List[int] = []
+
+    def issue(self, renamed: int, ready: int) -> int:
+        """Admit an instruction renamed at *renamed* whose operands are
+        ready at *ready*; claim and return its issue cycle: the first
+        free cycle of the FU at or after ``renamed + 1``, *ready* and,
+        with the RS full, the earliest resident entry's release."""
+        release = self._release
+        while release and release[0] <= renamed:
+            heappop(release)
+        earliest = renamed + 1
+        if ready > earliest:
+            earliest = ready
+        if len(release) >= self.rs_entries and release[0] > earliest:
+            earliest = release[0]
+        cycle = earliest if earliest > self._floor else self._floor
+        busy = self._busy
         while cycle in busy:
             cycle += 1
         busy.add(cycle)
         if len(busy) > 4096:
-            self._compact(fu, cycle)
+            # Forget reservations far in the past (bounded memory).
+            floor = cycle - 512
+            self._busy = {c for c in busy if c >= floor}
+            if floor > self._floor:
+                self._floor = floor
+        heappush(release, cycle)
         return cycle
-
-    def _compact(self, fu: int, now: int) -> None:
-        """Forget reservations far in the past (bounded memory)."""
-        floor = now - 512
-        self._busy[fu] = {c for c in self._busy[fu] if c >= floor}
-        self._floor[fu] = max(self._floor[fu], floor)
-
-
-class ReservationStations:
-    """Per-FU RS occupancy.
-
-    An entry is held from dispatch-into-RS until issue-to-execute. The
-    replay model applies the capacity as an issue-time constraint: when
-    the RS is full, the incoming instruction cannot begin execution
-    before the earliest resident entry vacates.
-    """
-
-    def __init__(self, num_fus: int, entries_per_fu: int) -> None:
-        self.entries_per_fu = entries_per_fu
-        #: per-FU min-heaps of release cycles
-        self._release: List[List[int]] = [[] for _ in range(num_fus)]
-
-    def admit(self, fu: int, enter: int) -> int:
-        """Earliest cycle an instruction entering FU *fu*'s RS at
-        *enter* may dispatch, considering only RS capacity."""
-        heap = self._release[fu]
-        while heap and heap[0] <= enter:
-            heapq.heappop(heap)
-        if len(heap) >= self.entries_per_fu:
-            return heap[0]
-        return enter
-
-    def occupy(self, fu: int, until: int) -> None:
-        """Record an entry resident until *until* (its dispatch cycle)."""
-        heapq.heappush(self._release[fu], until)
-
-
-class BypassNetwork:
-    """Operand availability across the cluster bypass network."""
-
-    def __init__(self, cluster_size: int, penalty: int) -> None:
-        self.cluster_size = cluster_size
-        self.penalty = penalty
-        #: operand deliveries that paid the cross-cluster penalty
-        self.crossings = 0
-
-    def cluster_of_slot(self, slot: int) -> int:
-        return slot // self.cluster_size
-
-    def effective_ready(self, ready: int, producer_cluster: Optional[int],
-                        consumer_cluster: int) -> int:
-        """When a value produced at *ready* in *producer_cluster* can be
-        consumed in *consumer_cluster*.
-
-        ``producer_cluster is None`` means the value predates the
-        window (architected state): available everywhere.
-        """
-        if producer_cluster is None or producer_cluster == consumer_cluster:
-            return ready
-        self.crossings += 1
-        return ready + self.penalty
 
 
 class CheckpointStore:
@@ -145,5 +114,4 @@ class CheckpointStore:
         self._outstanding.append(self._last_free)
 
 
-__all__ = ["FunctionalUnits", "ReservationStations", "BypassNetwork",
-           "CheckpointStore"]
+__all__ = ["FunctionalUnit", "CheckpointStore"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.stages.base import InstrSlot, MachineState, PipelineStage
+from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class TimingTrace(PipelineStage):
     """Bounded per-instruction timing capture, as an observer stage.
 
     Runs after retire: each committed instruction's record is read off
-    its slot, its fetch entry and its fetch group. Records accumulate
+    its fetch entry and its fetch group. Records accumulate
     across runs of the engine it is attached to.
     """
 
@@ -62,9 +62,8 @@ class TimingTrace(PipelineStage):
         #: records seen after the limit was reached (not retained)
         self.dropped = 0
 
-    def process(self, state: MachineState, slot: InstrSlot) -> None:
-        entry = slot.entry
-        if entry.phantom or slot.seq < self.start_seq:
+    def process(self, state: MachineState, entry: FetchEntry) -> None:
+        if entry.phantom or entry.seq < self.start_seq:
             return
         if len(self.records) >= self.limit:
             self.dropped += 1
@@ -72,9 +71,9 @@ class TimingTrace(PipelineStage):
         group = state.group
         assert group is not None
         self.records.append(TimingRecord(
-            seq=slot.seq, pc=entry.record.pc, op=entry.instr.op.value,
-            fetch=group.fetch_cycle, rename=slot.renamed,
-            complete=slot.complete, retire=slot.retire_cycle,
+            seq=entry.seq, pc=entry.record.pc, op=entry.instr.op.value,
+            fetch=group.fetch_cycle, rename=entry.renamed,
+            complete=entry.complete, retire=entry.retire_cycle,
             slot=entry.slot, from_tc=entry.from_tc,
             mispredicted=entry.mispredicted))
 

@@ -39,22 +39,13 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.branch.predictor import MultiBranchPredictor
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.core.clusters import (
-    BypassNetwork,
-    CheckpointStore,
-    FunctionalUnits,
-    ReservationStations,
-)
+from repro.core.clusters import CheckpointStore, FunctionalUnit
 from repro.core.config import SimConfig
 from repro.core.memsched import MemoryScheduler
 from repro.core.rename import RenameUnit, RetireUnit
 from repro.core.results import SimResult
 from repro.core.stages.attribution import CycleAccountant
-from repro.core.stages.base import (
-    InstrSlot,
-    MachineState,
-    PipelineStage,
-)
+from repro.core.stages.base import MachineState, PipelineStage
 from repro.core.stages.execute import ExecuteStage
 from repro.core.stages.fetch import FetchStage
 from repro.core.stages.fill import FillStage
@@ -62,6 +53,7 @@ from repro.core.stages.issue import IssueStage
 from repro.core.stages.observers import EventStage, SpanStage
 from repro.core.stages.rename import RenameStage
 from repro.core.stages.retire import RetireStage
+from repro.errors import ConfigError, ReproError
 from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.telemetry.events import (
     NULL_EVENT_STREAM,
@@ -107,10 +99,10 @@ class Engine:
             self.fill_unit = FillUnit(fill_config, self.trace_cache,
                                       self.predictor.bias,
                                       registry=self.registry)
-        self.fus = FunctionalUnits(config.num_fus)
-        self.rs = ReservationStations(config.num_fus, config.rs_per_fu)
-        self.bypass = BypassNetwork(config.cluster_size,
-                                    config.cross_cluster_penalty)
+        #: functional unit *k*, behind its reservation station, takes
+        #: issue slot *k*
+        self.fus = [FunctionalUnit(config.rs_per_fu)
+                    for _ in range(config.num_fus)]
         self.rename_unit = RenameUnit(config.issue_width,
                                       config.max_blocks_per_cycle,
                                       config.window_size)
@@ -127,8 +119,7 @@ class Engine:
                        self.registry, self.events),
             RenameStage(config, self.rename_unit, self.checkpoints,
                         self.registry, self.events),
-            IssueStage(config, self.fus, self.rs, self.bypass,
-                       self.registry),
+            IssueStage(config, self.fus, self.registry),
             ExecuteStage(self.memsched, self.registry),
             RetireStage(config, self.retire_unit, self.checkpoints,
                         self.predictor, self.registry, self.events),
@@ -143,21 +134,18 @@ class Engine:
             if telemetry.spans.enabled:
                 self.stages.append(SpanStage(telemetry.spans,
                                              self.fill_unit))
-        #: program image the TRRIP hints were last derived from
-        #: (identity-compared so repeated runs skip the CFG walk).
-        self._hint_source: Optional[Any] = None
+        #: set by the first ``run()``: the components keep their state
+        #: (clocks, caches, counters), so an engine replays one trace
+        self._ran = False
 
     def _install_policy_hints(self, program: Any) -> None:
         """Feed static temperature hints to a hint-capable trace cache
-        replacement policy (TRRIP), once per program image."""
+        replacement policy (TRRIP)."""
         tc = self.trace_cache
         if tc is None or not hasattr(tc.policy, "set_static_hints"):
             return
-        if self._hint_source is program:
-            return
         from repro.cache.hints import static_temperature_hints
         tc.policy.set_static_hints(static_temperature_hints(program))
-        self._hint_source = program
 
     # ==================================================================
     # The replay loop
@@ -167,7 +155,8 @@ class Engine:
             label: str = "run", program: Optional[Any] = None
             ) -> SimResult:
         """Replay *trace* (a :class:`CommittedTrace`) and return the
-        per-run statistics.
+        per-run statistics. An engine runs once; build a fresh one
+        for every run.
 
         *program* (the static image) is required when
         ``config.model_wrong_path`` is set — wrong-path instructions
@@ -179,16 +168,20 @@ class Engine:
         Raises:
             ConfigError: when wrong-path modeling is requested without
                 a program image.
+            ReproError: when this engine has already run.
         """
         config = self.config
+        if self._ran:
+            raise ReproError("an Engine runs once: its components keep "
+                             "the first run's state; build a new Engine")
+        if config.model_wrong_path and program is None:
+            raise ConfigError(
+                "model_wrong_path requires the program image")
+        self._ran = True
         if program is not None:
             self._install_policy_hints(program)
         wrong_path: Optional[Any] = None
         if config.model_wrong_path:
-            if program is None:
-                from repro.errors import ConfigError
-                raise ConfigError(
-                    "model_wrong_path requires the program image")
             from repro.core.wrongpath import WrongPathFetcher
             wrong_path = WrongPathFetcher(program, self.hierarchy,
                                           config.ic_fetch_width)
@@ -213,8 +206,9 @@ class Engine:
         # The hook chains, built once per run: a stage joins a hook's
         # chain only if its class overrides that hook. Fetch has no
         # per-instruction work, so the per-instruction chain is rename
-        # -> fill plus the appended observer stages. The segment-hook
-        # chains go to the components that call them.
+        # -> fill plus the appended observer stages; each link gets
+        # the fetch entry, which carries the instruction's timeline.
+        # The segment-hook chains go to the components that call them.
 
         def hooks(name: str) -> Tuple[Callable[..., Any], ...]:
             return tuple(getattr(stage, name) for stage in stages
@@ -232,7 +226,6 @@ class Engine:
             fill_unit.build_hooks = hooks("segment_built")
         for stage in stages:
             stage.begin_run(state)
-        retire_cycles = state.retire_cycles
         while state.index < n:
             for hook in begin_group:
                 hook(state)
@@ -242,9 +235,8 @@ class Engine:
                 state.index += 1
                 continue
             for entry in group.entries:
-                slot = InstrSlot(entry, len(retire_cycles))
                 for process in chain:
-                    process(state, slot)
+                    process(state, entry)
             for hook in end_group:
                 hook(state)
             state.index += group.consumed

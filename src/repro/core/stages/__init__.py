@@ -15,7 +15,6 @@ from repro.core.stages.attribution import CycleAccountant
 from repro.core.stages.base import (
     FetchEntry,
     FetchGroup,
-    InstrSlot,
     MachineState,
     MetricBlock,
     PipelineStage,
@@ -31,7 +30,6 @@ from repro.core.stages.retire import RetireStage
 __all__ = [
     "FetchEntry",
     "FetchGroup",
-    "InstrSlot",
     "MachineState",
     "MetricBlock",
     "PipelineStage",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.results import SimResult
-from repro.core.stages.base import InstrSlot, MachineState, PipelineStage
+from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
 from repro.errors import ConfigError
 from repro.telemetry.attribution import CYCLE_CLASSES
 
@@ -61,16 +61,16 @@ class CycleAccountant(PipelineStage):
     def begin_run(self, state: MachineState) -> None:
         self._reset()
 
-    def process(self, state: MachineState, slot: InstrSlot) -> None:
-        if slot.entry.phantom:
+    def process(self, state: MachineState, entry: FetchEntry) -> None:
+        if entry.phantom:
             return
         group = state.group
         assert group is not None
         # Group-level delays are debited once, on the group's first
         # retiring instruction.
-        self.on_retire(group.fetch_cycle, slot.complete,
-                       slot.retire_cycle, group.recovery,
-                       group.fetch_extra, group.serialize, slot.penalized)
+        self.on_retire(group.fetch_cycle, entry.complete,
+                       entry.retire_cycle, group.recovery,
+                       group.fetch_extra, group.serialize, entry.penalized)
         group.recovery = 0
         group.serialize = 0
         group.fetch_extra = 0

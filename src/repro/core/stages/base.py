@@ -6,9 +6,9 @@ list of :class:`PipelineStage` objects — fetch, rename, issue,
 execute, retire, fill — and drives them through one fetch group at a
 time. All shared, mutable replay state lives in one explicit
 :class:`MachineState` handoff object; a stage communicates with its
-neighbours only through that state (plus the per-instruction
-:class:`InstrSlot` it is currently advancing), never by reaching into
-another stage.
+neighbours only through that state (plus the :class:`FetchEntry`
+it is currently advancing, which carries the instruction's timeline),
+never by reaching into another stage.
 
 Granularity contract: rename, issue, execute, retire and fill are
 *per-instruction* stages — the engine runs the full stage chain over
@@ -31,10 +31,14 @@ from repro.telemetry.registry import TelemetryRegistry
 
 
 class FetchEntry:
-    """One instruction of a fetch group, ready for rename."""
+    """One instruction's trip through the pipeline: what fetch found,
+    then the timeline the per-instruction stages fill in."""
 
     __slots__ = ("record", "instr", "decoded", "slot", "from_tc",
-                 "mispredicted", "promoted", "phantom")
+                 "mispredicted", "promoted", "phantom", "seq",
+                 "is_branch", "renamed", "executed", "complete",
+                 "penalized", "cluster", "exec_start", "data_ready",
+                 "retire_cycle")
 
     def __init__(self, record: Any, instr: Any, slot: int, from_tc: bool,
                  phantom: bool = False) -> None:
@@ -53,50 +57,10 @@ class FetchEntry:
         #: path: it issues and executes (writing back its old value)
         #: but matches no committed record.
         self.phantom = phantom
-
-
-@dataclass
-class FetchGroup:
-    """One assembled fetch group plus its group-scoped delay ledger.
-
-    ``recovery``/``serialize``/``fetch_extra`` are the front-end delay
-    decomposition the cycle-accounting stage debits once, on the
-    group's first retiring instruction (and zeroes after use).
-    ``next_fetch`` is the running earliest fetch cycle for the *next*
-    group; mispredict redirects and serialization drains push it back.
-    """
-
-    entries: List[FetchEntry] = field(default_factory=list)
-    fetch_cycle: int = 0
-    #: fetch delay beyond the requested cycle (I-cache miss path)
-    fetch_extra: int = 0
-    #: mispredict-recovery share of this group's fetch delay
-    recovery: int = 0
-    #: serialization-drain share of this group's fetch delay
-    serialize: int = 0
-    #: earliest fetch cycle of the group that follows
-    next_fetch: int = 0
-    #: redirect pushback accumulated by this group's mispredicts
-    recovery_bump: int = 0
-    #: retire cycle of the group's last serializing instruction
-    serialize_after: Optional[int] = None
-    #: committed-stream records this group consumed (phantoms excluded)
-    consumed: int = 0
-    #: the trace-cache segment the group came from, if any
-    segment: Optional[Any] = None
-
-
-class InstrSlot:
-    """One instruction's trip through the per-instruction stages."""
-
-    __slots__ = ("entry", "seq", "is_branch", "renamed", "executed",
-                 "complete", "penalized", "cluster", "exec_start",
-                 "data_ready", "retire_cycle")
-
-    def __init__(self, entry: FetchEntry, seq: int) -> None:
-        self.entry = entry
-        #: committed-stream sequence number at entry (== retired count)
-        self.seq = seq
+        # -- the timeline, set by the per-instruction stages ----------
+        #: committed-stream sequence number at rename (== retired count)
+        self.seq = 0
+        #: holds a checkpoint (rename)
         self.is_branch = False
         self.renamed = 0
         #: set once a stage has produced the completion cycle (rename
@@ -112,7 +76,45 @@ class InstrSlot:
         self.exec_start = 0
         #: store-data readiness, joins in the store queue (issue stage)
         self.data_ready = 0
+        #: retirement cycle (retire stage; committed entries only)
         self.retire_cycle = 0
+
+
+class FetchGroup:
+    """One assembled fetch group plus its group-scoped delay ledger.
+
+    ``recovery``/``serialize``/``fetch_extra`` are the front-end delay
+    decomposition the cycle-accounting stage debits once, on the
+    group's first retiring instruction (and zeroes after use).
+    ``next_fetch`` is the running earliest fetch cycle for the *next*
+    group; mispredict redirects and serialization drains push it back.
+    """
+
+    __slots__ = ("entries", "fetch_cycle", "fetch_extra", "recovery",
+                 "serialize", "next_fetch", "recovery_bump",
+                 "serialize_after", "consumed", "segment")
+
+    def __init__(self, entries: List[FetchEntry], fetch_cycle: int,
+                 segment: Optional[Any] = None) -> None:
+        self.entries = entries
+        self.fetch_cycle = fetch_cycle
+        #: the trace-cache segment the group came from, if any
+        self.segment = segment
+        #: fetch delay beyond the requested cycle (I-cache miss path)
+        self.fetch_extra = 0
+        #: mispredict-recovery share of this group's fetch delay
+        self.recovery = 0
+        #: serialization-drain share of this group's fetch delay
+        self.serialize = 0
+        #: earliest fetch cycle of the group that follows
+        self.next_fetch = 0
+        #: redirect pushback accumulated by this group's mispredicts
+        self.recovery_bump = 0
+        #: retire cycle of the group's last serializing instruction
+        self.serialize_after: Optional[int] = None
+        #: committed-stream records this group consumed (phantoms
+        #: excluded)
+        self.consumed = 0
 
 
 @dataclass
@@ -152,7 +154,7 @@ class PipelineStage:
 
         begin_run(state)                  once per run
         begin_group(state)                once per fetch group
-        process(state, slot)              once per instruction
+        process(state, entry)             once per instruction
         end_group(state)                  once per fetch group
         finish_run(state, result)         once per run
 
@@ -179,8 +181,9 @@ class PipelineStage:
     def begin_group(self, state: MachineState) -> None:
         """Group-granular work (the fetch stage assembles the group)."""
 
-    def process(self, state: MachineState, slot: InstrSlot) -> None:
-        """Advance one instruction through this stage."""
+    def process(self, state: MachineState, entry: FetchEntry) -> None:
+        """Advance one instruction through this stage: read and set
+        its timeline fields on *entry*."""
 
     def end_group(self, state: MachineState) -> None:
         """Group-granular cleanup (the fetch stage sequences the next
@@ -244,5 +247,5 @@ class MetricBlock:
         return value - self._starts[attr]
 
 
-__all__ = ["FetchEntry", "FetchGroup", "InstrSlot", "MachineState",
+__all__ = ["FetchEntry", "FetchGroup", "MachineState",
            "PipelineStage", "MetricBlock"]

@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 from repro.core.results import SimResult
 from repro.core.stages.base import (
-    InstrSlot,
+    FetchEntry,
     MachineState,
     MetricBlock,
     PipelineStage,
@@ -42,23 +42,22 @@ class ExecuteStage(PipelineStage):
         self._phantoms = m.phantoms
         self._registry = registry
 
-    def process(self, state: MachineState, slot: InstrSlot) -> None:
-        entry = slot.entry
-        if not slot.executed:
+    def process(self, state: MachineState, entry: FetchEntry) -> None:
+        if not entry.executed:
             decoded = entry.decoded
             if decoded.is_load:
                 complete = self.memsched.load_timing(
-                    entry.record.mem_addr, slot.exec_start + 1)
+                    entry.record.mem_addr, entry.exec_start + 1)
             elif decoded.is_store:
                 complete = self.memsched.store_timing(
-                    entry.record.mem_addr, slot.exec_start + 1,
-                    slot.data_ready)
+                    entry.record.mem_addr, entry.exec_start + 1,
+                    entry.data_ready)
             else:
-                complete = slot.exec_start + decoded.latency
+                complete = entry.exec_start + decoded.latency
             if decoded.dest is not None:
-                state.reg_ready[decoded.dest] = (complete, slot.cluster)
-            slot.complete = complete
-            slot.executed = True
+                state.reg_ready[decoded.dest] = (complete, entry.cluster)
+            entry.complete = complete
+            entry.executed = True
         if entry.phantom:
             self._phantoms.value += 1
 

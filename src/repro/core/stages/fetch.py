@@ -69,8 +69,7 @@ class FetchStage(PipelineStage):
         requested = state.fetch_ready
         entries, fetch_cycle, segment, consumed = self._fetch_group(
             state.records, state.index, state.fetch_ready)
-        group = FetchGroup(entries=entries, fetch_cycle=fetch_cycle,
-                           segment=segment)
+        group = FetchGroup(entries, fetch_cycle, segment)
         state.group = group
         if not entries:     # defensive; cannot happen on real traces
             return
@@ -80,21 +79,11 @@ class FetchStage(PipelineStage):
         group.next_fetch = fetch_cycle + 1
         group.consumed = consumed
         self._group_size.observe(len(entries))
-        # Fetch-source accounting (coverage) over the consumed entries.
+        # Fetch-source accounting; the segment walk counts coverage.
         if segment is None:
             self._ic_instrs.value += consumed
-            return
-        self._tc_instrs.value += consumed
-        for entry in entries:
-            decoded = entry.decoded
-            if decoded.optimized and not entry.phantom:
-                self._cov_any.value += 1
-                if decoded.move:
-                    self._cov_moves.value += 1
-                if decoded.reassociated:
-                    self._cov_reassoc.value += 1
-                if decoded.scaled:
-                    self._cov_scaled.value += 1
+        else:
+            self._tc_instrs.value += consumed
 
     def end_group(self, state: MachineState) -> None:
         """Sequence the next group: serialization drains and the
@@ -165,13 +154,15 @@ class FetchStage(PipelineStage):
                             start: int) -> Tuple[List[FetchEntry], int]:
         """Consume the leading portion of *segment* that matches the
         actual path; all of it issues this cycle (inactive issue).
-        Returns ``(entries, consumed)``."""
+        Returns ``(entries, consumed)``, and counts the optimization
+        coverage of the consumed entries."""
         entries: List[FetchEntry] = []
         branch_at = segment.branch_at
         slots = segment.slots
         predictor = self.predictor
         position = 0        # unpromoted-branch predictor slot
         consumed = 0
+        optimized = moves = reassoc = scaled = 0
         n = len(records)
         for logical, instr in enumerate(segment.instrs):
             stream_idx = start + consumed
@@ -191,6 +182,14 @@ class FetchStage(PipelineStage):
             entries.append(entry)
             consumed += 1
             decoded = entry.decoded
+            if decoded.optimized:
+                optimized += 1
+                if decoded.move:
+                    moves += 1
+                if decoded.reassociated:
+                    reassoc += 1
+                if decoded.scaled:
+                    scaled += 1
             if decoded.is_cond_branch:
                 info = branch_at.get(logical)
                 if info is not None and info.promoted:
@@ -205,6 +204,11 @@ class FetchStage(PipelineStage):
             elif decoded.is_call or decoded.is_indirect \
                     or decoded.is_return:
                 self._handle_unconditional(entry, decoded)
+        if optimized:
+            self._cov_any.value += optimized
+            self._cov_moves.value += moves
+            self._cov_reassoc.value += reassoc
+            self._cov_scaled.value += scaled
         return entries, consumed
 
     def _fetch_from_icache(self, records: List[Any], start: int,

@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from repro.core.results import SimResult
 from repro.core.stages.base import (
-    InstrSlot,
+    FetchEntry,
     MachineState,
     PipelineStage,
 )
@@ -21,20 +21,23 @@ from repro.telemetry.registry import TelemetryRegistry
 
 
 class FillStage(PipelineStage):
-    """Streams retired instructions into the fill unit."""
+    """Streams retired instructions into the fill unit's collector."""
 
     name = "fill"
 
     def __init__(self, fill_unit: Optional[Any],
                  registry: TelemetryRegistry) -> None:
         self.fill_unit = fill_unit
+        #: the collector's feed for its packing mode; it hands each
+        #: finalized candidate to the fill unit's build path
+        self._feed = (fill_unit.collector.feed if fill_unit is not None
+                      else None)
         self._registry = registry
 
-    def process(self, state: MachineState, slot: InstrSlot) -> None:
-        entry = slot.entry
-        if entry.phantom or self.fill_unit is None:
-            return
-        self.fill_unit.retire(entry.record, slot.retire_cycle)
+    def process(self, state: MachineState, entry: FetchEntry) -> None:
+        feed = self._feed
+        if feed is not None and not entry.phantom:
+            feed(entry.record, entry.retire_cycle)
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
@@ -44,7 +47,7 @@ class FillStage(PipelineStage):
         result.segments_deduped = self.fill_unit.stats.segments_deduped
         result.pass_totals = self.fill_unit.pass_totals
         self._registry.counter("fillunit.instructions_collected").add(
-            self.fill_unit.stats.instructions_collected)
+            self.fill_unit.collector.collected)
 
 
 __all__ = ["FillStage"]

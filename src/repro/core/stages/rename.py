@@ -14,7 +14,7 @@ from typing import Any, Optional, Tuple
 from repro.core.config import SimConfig
 from repro.core.results import SimResult
 from repro.core.stages.base import (
-    InstrSlot,
+    FetchEntry,
     MachineState,
     MetricBlock,
     PipelineStage,
@@ -49,18 +49,18 @@ class RenameStage(PipelineStage):
         self._moves_eliminated = m.moves_eliminated
         self._registry = registry
 
-    def process(self, state: MachineState, slot: InstrSlot) -> None:
-        entry = slot.entry
+    def process(self, state: MachineState, entry: FetchEntry) -> None:
         decoded = entry.decoded
         group = state.group
         assert group is not None
         fetch_cycle = group.fetch_cycle
-        seq = slot.seq
+        retire_cycles = state.retire_cycles
+        entry.seq = seq = len(retire_cycles)
         window = self.window
-        window_release = (state.retire_cycles[seq - window]
+        window_release = (retire_cycles[seq - window]
                           if seq >= window else 0)
         is_branch = decoded.is_cond_branch
-        slot.is_branch = is_branch
+        entry.is_branch = is_branch
         checkpoint_free = 0
         if is_branch:
             checkpoint_free = self.checkpoints.acquire(fetch_cycle + 1)
@@ -72,7 +72,7 @@ class RenameStage(PipelineStage):
                                  resume=checkpoint_free)
         renamed = self.rename_unit.rename(fetch_cycle, is_branch,
                                           window_release, checkpoint_free)
-        slot.renamed = renamed
+        entry.renamed = renamed
         if decoded.move and not entry.phantom:
             # A marked register move completes in rename: the
             # destination inherits the source's tag — same availability
@@ -84,9 +84,9 @@ class RenameStage(PipelineStage):
             ready = reg_ready[src] if src is not None else _ARCHITECTED
             if decoded.dest is not None:
                 reg_ready[decoded.dest] = ready
-            slot.complete = max(renamed, ready[0])
-            slot.penalized = False
-            slot.executed = True
+            entry.complete = max(renamed, ready[0])
+            entry.penalized = False
+            entry.executed = True
             self._moves_eliminated.value += 1
 
     def finish_run(self, state: Optional[MachineState],

@@ -15,7 +15,7 @@ from typing import Any, Optional
 from repro.core.config import SimConfig
 from repro.core.results import SimResult
 from repro.core.stages.base import (
-    InstrSlot,
+    FetchEntry,
     MachineState,
     MetricBlock,
     PipelineStage,
@@ -54,19 +54,18 @@ class RetireStage(PipelineStage):
         self._indirect_mispredicts = m.indirect_mispredicts
         self._predicated_branches = m.predicated_branches
 
-    def process(self, state: MachineState, slot: InstrSlot) -> None:
-        entry = slot.entry
+    def process(self, state: MachineState, entry: FetchEntry) -> None:
         if entry.phantom:
             return
         group = state.group
         assert group is not None
         record = entry.record
         decoded = entry.decoded
-        complete = slot.complete
+        complete = entry.complete
 
         retire_cycle = self.retire_unit.retire(complete)
         state.retire_cycles.append(retire_cycle)
-        slot.retire_cycle = retire_cycle
+        entry.retire_cycle = retire_cycle
 
         # Branch accounting follows the architected instruction, which
         # the segment may carry predicated away (as a NOP).
@@ -94,7 +93,7 @@ class RetireStage(PipelineStage):
                              pc=record.pc, taken=True,
                              promoted=False, indirect=True)
 
-        if slot.is_branch:
+        if entry.is_branch:
             self.checkpoints.commit(complete)
         if entry.mispredicted:
             resume = complete + self.redirect

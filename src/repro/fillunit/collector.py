@@ -22,7 +22,7 @@ candidate is assembled into a segment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.branch.bias import BiasTable
 from repro.machine.tracing import CommittedInstr
@@ -46,6 +46,8 @@ class PendingSegment:
     branches: List[PendingBranch] = field(default_factory=list)
     #: how many of :attr:`branches` are not promoted
     unpromoted: int = 0
+    _path_key: Optional[Tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def start_pc(self) -> int:
@@ -53,7 +55,14 @@ class PendingSegment:
 
     @property
     def path_key(self) -> Tuple[int, ...]:
-        return tuple(record.pc for record in self.records)
+        """The pcs along the candidate's path, computed on first use
+        (the candidate is finalized by then): the dedup probe and the
+        build key share it."""
+        key = self._path_key
+        if key is None:
+            key = self._path_key = tuple([record.pc
+                                          for record in self.records])
+        return key
 
     def region_ids(self) -> Tuple[List[int], List[int]]:
         """Per-record checkpoint-block and control-flow ids, counted
@@ -76,16 +85,35 @@ class PendingSegment:
         return len(self.records)
 
 
+Sink = Callable[[PendingSegment, int], None]
+
+
 class FillCollector:
-    """Accumulates retired instructions into segment candidates."""
+    """Accumulates retired instructions into segment candidates.
+
+    :meth:`feed` takes one retired instruction and its retirement cycle
+    and hands each candidate it finalizes to *sink* (the fill unit's
+    build path) with that cycle. The collection mode — packed or
+    block-granular — is chosen once, here: :attr:`feed` is bound to
+    its implementation. Without a *sink*, finalized candidates are
+    kept for :meth:`add` to return (standalone use)."""
 
     def __init__(self, bias: BiasTable, max_instrs: int = 16,
                  max_cond_branches: int = 3,
-                 trace_packing: bool = True) -> None:
+                 trace_packing: bool = True,
+                 sink: Optional[Sink] = None) -> None:
         self.bias = bias
         self.max_instrs = max_instrs
         self.max_cond_branches = max_cond_branches
         self.trace_packing = trace_packing
+        self._kept: List[PendingSegment] = []
+        self.sink: Sink = sink if sink is not None else self._keep
+        #: ``feed(record, cycle)``: one retired instruction
+        self.feed: Callable[[CommittedInstr, int], None] = (
+            self._feed_packed if trace_packing
+            else self._feed_block_granular)
+        #: retired instructions fed so far
+        self.collected = 0
         self._pending = PendingSegment()
         self._block = PendingSegment()     # used only when not packing
         # Fetch addresses that recently missed in the trace cache. The
@@ -107,15 +135,16 @@ class FillCollector:
 
     def add(self, record: CommittedInstr) -> List[PendingSegment]:
         """Feed one retired instruction; returns the (possibly empty)
-        list of segment candidates finalized by it.
+        list of segment candidates finalized by it (empty when the
+        collector has a sink, which receives them instead).
 
         Block-granular collection can finalize two candidates on one
         instruction (the pending segment is cut because the completed
         block does not fit, and the block itself then ends with a
         terminator), hence a list rather than an optional."""
-        if self.trace_packing:
-            return self._add_packed(record)
-        return self._add_block_granular(record)
+        self.feed(record, 0)
+        kept, self._kept = self._kept, []
+        return kept
 
     def flush(self) -> List[PendingSegment]:
         """Finalize whatever is pending (end of simulation); returns
@@ -130,50 +159,55 @@ class FillCollector:
             out.append(self._finalize())
         return out
 
+    def _keep(self, candidate: PendingSegment, cycle: int) -> None:
+        self._kept.append(candidate)
+
     # -- packed mode -----------------------------------------------------
 
-    def _add_packed(self, record: CommittedInstr) -> List[PendingSegment]:
-        decoded = record.instr.decoded
-        out: List[PendingSegment] = []
-        if self._pending.records and record.pc in self._miss_points:
+    def _feed_packed(self, record: CommittedInstr, cycle: int) -> None:
+        self.collected += 1
+        pending = self._pending
+        if pending.records and record.pc in self._miss_points:
             # Align a fresh segment to an outstanding fetch-miss point.
             del self._miss_points[record.pc]
-            out.append(self._finalize())
+            self.sink(self._finalize(), cycle)
+            pending = self._pending
+        decoded = record.instr.decoded
         if decoded.is_cond_branch:
             promoted = self.bias.is_promoted(record.pc)
-            if (not promoted and self._pending.unpromoted
-                    >= self.max_cond_branches):
-                out.append(self._finalize())
-            self._add_branch(self._pending, record, promoted)
-        records = self._pending.records
+            if not promoted:
+                if pending.unpromoted >= self.max_cond_branches:
+                    self.sink(self._finalize(), cycle)
+                    pending = self._pending
+                pending.unpromoted += 1
+            pending.branches.append(PendingBranch(
+                len(pending.records), record.pc, record.taken, promoted))
+        records = pending.records
         records.append(record)
         if (decoded.terminates_segment
                 or len(records) >= self.max_instrs):
-            out.append(self._finalize())
-        return out
+            self.sink(self._finalize(), cycle)
 
     # -- block-granular mode ----------------------------------------------
 
-    def _add_block_granular(
-            self, record: CommittedInstr) -> List[PendingSegment]:
+    def _feed_block_granular(self, record: CommittedInstr,
+                             cycle: int) -> None:
+        self.collected += 1
         decoded = record.instr.decoded
         block = self._block
         if decoded.is_cond_branch:
             self._add_branch(block, record,
                              self.bias.is_promoted(record.pc))
         block.records.append(record)
-        block_done = (decoded.is_ctrl or decoded.terminates_segment
-                      or len(block) >= self.max_instrs)
-        if not block_done:
-            return []
-        out: List[PendingSegment] = []
+        if not (decoded.is_ctrl or decoded.terminates_segment
+                or len(block) >= self.max_instrs):
+            return
         if not self._block_fits() and len(self._pending):
-            out.append(self._finalize())
+            self.sink(self._finalize(), cycle)
         self._append_block_to_pending()
         last = self._pending.records[-1].instr.decoded
         if last.terminates_segment or len(self._pending) >= self.max_instrs:
-            out.append(self._finalize())
-        return out
+            self.sink(self._finalize(), cycle)
 
     # ------------------------------------------------------------------
 

@@ -64,7 +64,6 @@ class FillUnitStats:
     segments_deduped: int = 0
     #: builds that reused the sealed segment of an identical input
     segments_reused: int = 0
-    instructions_collected: int = 0
 
 
 class FillUnit:
@@ -76,9 +75,11 @@ class FillUnit:
         self.config = config
         self.trace_cache = trace_cache
         self.bias = bias
+        # The collector hands every finalized candidate straight to
+        # the build path; the fill stage feeds it directly.
         self.collector = FillCollector(
             bias, config.max_instrs, config.max_cond_branches,
-            config.trace_packing)
+            config.trace_packing, sink=self._build)
         self.verifier: Optional[SegmentVerifier] = None
         if config.verify:
             from repro import verify
@@ -114,10 +115,9 @@ class FillUnit:
     # ------------------------------------------------------------------
 
     def retire(self, record: CommittedInstr, cycle: int) -> None:
-        """Feed one retired instruction at retirement *cycle*."""
-        self.stats.instructions_collected += 1
-        for candidate in self.collector.add(record):
-            self._build(candidate, cycle)
+        """Feed one retired instruction at retirement *cycle* (the
+        engine's fill stage calls ``collector.feed`` itself)."""
+        self.collector.feed(record, cycle)
 
     def note_fetch_miss(self, pc: int) -> None:
         """The fetch engine missed the trace cache at *pc*: align an

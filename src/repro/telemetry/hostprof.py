@@ -134,9 +134,9 @@ class _ProfiledStage:
         self._stage.begin_group(state)
         self._profiler.add(self._scope, time.perf_counter() - start)
 
-    def process(self, state: Any, slot: Any) -> None:
+    def process(self, state: Any, entry: Any) -> None:
         start = time.perf_counter()
-        self._stage.process(state, slot)
+        self._stage.process(state, entry)
         self._profiler.add(self._scope, time.perf_counter() - start)
 
     def end_group(self, state: Any) -> None:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
+from repro.errors import ReproError
 from repro.fillunit.opts.base import OptimizationConfig
 from tests.helpers import run_asm
 
@@ -44,6 +45,19 @@ def test_deterministic():
     b, _ = simulate(LOOP)
     assert a.cycles == b.cycles
     assert a.mispredicts == b.mispredicts
+
+
+def test_engine_runs_once():
+    """The components keep a run's state (rename and retire clocks,
+    caches, predictor, trace cache, counters), so a second run on the
+    same engine would return wrong numbers; it raises instead."""
+    _, trace = run_asm(LOOP)
+    config = SimConfig.tiny(OptimizationConfig.all())
+    engine = Engine(config)
+    first = engine.run(trace, "test", "run")
+    with pytest.raises(ReproError, match="runs once"):
+        engine.run(trace, "test", "run")
+    assert Engine(config).run(trace, "test", "run") == first
 
 
 def test_serial_chain_bounds_throughput():

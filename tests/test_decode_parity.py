@@ -271,7 +271,7 @@ def test_generated_program_records_match_methods(program):
 
 
 class PcLogStage(PipelineStage):
-    """Observer stage recording the PC of every committed slot it sees
+    """Observer stage recording the PC of every committed entry it sees
     (phantoms are counted, not logged: they carry no record)."""
 
     name = "pc-log"
@@ -280,8 +280,7 @@ class PcLogStage(PipelineStage):
         self.pcs = []
         self.phantoms = 0
 
-    def process(self, state, slot) -> None:
-        entry = slot.entry
+    def process(self, state, entry) -> None:
         if entry.phantom:
             self.phantoms += 1
         else:

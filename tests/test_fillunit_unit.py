@@ -84,7 +84,7 @@ def test_instructions_collected_counter():
     unit, _ = make_unit()
     _, trace = run_asm(LOOP)
     feed(unit, trace)
-    assert unit.stats.instructions_collected == len(trace)
+    assert unit.collector.collected == len(trace)
 
 
 def test_note_fetch_miss_propagates_to_collector():

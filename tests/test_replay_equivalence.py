@@ -20,6 +20,8 @@ Each cell now checks the single engine path against its pinned value.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -191,3 +193,54 @@ def test_observed_run_matches_plain_run(bench):
     assert sum(observed.attribution.values()) == observed.cycles
     observed.attribution = plain.attribution
     assert dataclasses.asdict(observed) == dataclasses.asdict(plain)
+
+
+#: sha256 of ``json.dumps(dataclasses.asdict(result), sort_keys=True)``
+#: for every workload at scale 0.1 on the paper machine with all four
+#: optimizations — the ``repro run`` shape. It covers every counter of
+#: the result and its telemetry snapshot, not just the cycles.
+SUITE_DIGESTS = {
+    "compress": ("109901fd8cf74b08345157baaadd5ea4"
+                 "cb1783ecdfe3577c3e5a161862a5a943"),
+    "gcc": ("0c995c473cf953f51a0e877bd1acffda"
+            "799650bb5fd8dabe09f7909287559e4b"),
+    "go": ("8c472dce6386a7cee735e13182fecae7"
+           "2a193faa3b5b1d962b10102c75600534"),
+    "ijpeg": ("2ad52d98ab147efc6c9e2c03adaac2c6"
+              "ecdeb9e3c44fe13c99b5e8eab617323b"),
+    "li": ("58a3d5926dda83650d67119b0384e5f5"
+           "acf333432763daa858f4eca249191265"),
+    "m88ksim": ("94a4004e215565265131340d9a32e176"
+                "9ddabf576335c68a3fdd456a9f7b2bb2"),
+    "perl": ("fefa7572a618bbce88c6a31461cb42c0"
+             "82071223d4ea3e7d5e1b7c2aa0290f9f"),
+    "vortex": ("27f4568e8e3a39a2b69c34ddd8cdef93"
+               "0c716924138599e0f9744d075d288143"),
+    "gnuchess": ("bc96a66482ec034086880bc850d6e38f"
+                 "94f396038da873d2f836126ecd09ad95"),
+    "ghostscript": ("82be125c62d5e7d294d51dc4fd8bf695"
+                    "99b60d3cee290f072cc5a33e0932170c"),
+    "pgp": ("16e8b9e5e66286424c268e4a8232218f"
+            "63b6dc1128490324d5189a16502cab0a"),
+    "gnuplot": ("a763fa148f5cd66e1f73447d2def574d"
+                "1ea8cb7e13bc3ab1b6b431d28e8beded"),
+    "python": ("06a41501343a464f23596e7d9b83bb9b"
+               "e7120c5307831ec70bb7bcd3c3e88e0a"),
+    "sim-outorder": ("05f1abc8e7424129555877ba69e78b00"
+                     "77f7e10b3385c71725c165a008ca4b7c"),
+    "tex": ("49ca71d4f9039edcc132ab642203ac16"
+            "5bd4e7062fe44e490fb98f0bb05a614b"),
+}
+
+
+@pytest.mark.parametrize("bench", workloads.names())
+def test_suite_result_digest(bench):
+    config = SimConfig.paper(OptimizationConfig.all())
+    result = Engine(config).run(_trace(bench, 0.1), benchmark=bench)
+    blob = json.dumps(dataclasses.asdict(result), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() \
+        == "".join(SUITE_DIGESTS[bench])
+
+
+def test_suite_digests_cover_every_workload():
+    assert sorted(SUITE_DIGESTS) == sorted(workloads.names())
