@@ -10,8 +10,8 @@ Commands:
   JSONL with ``--telemetry-out``).
 * ``trace BENCH`` — simulate with span tracing and the host-time
   profiler; writes a Chrome trace-event file (``--out``, loadable at
-  https://ui.perfetto.dev) and optionally an OpenMetrics snapshot
-  (``--metrics-out``) and a host-time profile (``--hostprof-out``).
+  https://ui.perfetto.dev) and optionally a host-time profile
+  (``--hostprof-out``).
 * ``compare BENCH`` — baseline vs each optimization vs combined.
 * ``figures`` — regenerate the paper's figures 3-8 (ASCII).
 * ``tables`` — regenerate tables 1-2.
@@ -93,8 +93,8 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
 
 def _add_telemetry_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--telemetry-out", metavar="FILE.jsonl",
-                        help="append structured telemetry events to "
-                             "FILE.jsonl")
+                        help="write structured telemetry events to "
+                             "FILE.jsonl (overwrites it)")
 
 
 def _make_telemetry(args):
@@ -175,7 +175,7 @@ def cmd_profile(args) -> int:
 
 def cmd_trace(args) -> int:
     """Simulate one benchmark with span tracing + the host-time
-    profiler; export the timeline (and optionally metrics/profile)."""
+    profiler; export the timeline (and optionally the host profile)."""
     from repro.core.engine import Engine
     from repro.telemetry import Telemetry
     from repro.telemetry.exporters import write_chrome_trace
@@ -207,11 +207,6 @@ def cmd_trace(args) -> int:
           f"tracks: {', '.join(recorder.tracks())}) to {args.out}")
     print("  open in https://ui.perfetto.dev (pid 1 = simulated "
           "cycles, pid 2 = host time)")
-    if args.metrics_out:
-        from repro.telemetry.exporters import render_openmetrics
-        with open(args.metrics_out, "w") as handle:
-            handle.write(render_openmetrics(telemetry.registry))
-        print(f"wrote OpenMetrics exposition to {args.metrics_out}")
     if args.hostprof_out:
         import json
         with open(args.hostprof_out, "w") as handle:
@@ -556,9 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="trace.json",
                          help="Chrome trace-event output file "
                               "(default trace.json)")
-    p_trace.add_argument("--metrics-out", metavar="FILE.prom",
-                         help="also write the metric registry in "
-                              "OpenMetrics text exposition format")
     p_trace.add_argument("--hostprof-out", metavar="FILE.json",
                          help="also write the host-time profile as JSON "
                               "(render with tools/hostprof_report.py)")

@@ -1,14 +1,15 @@
 """Result serialization: SimResult / AnalysisReport -> JSON and back.
 
-Lets runs be archived and diffed across code versions
-(``tools/compare_runs.py``), feeds external plotting, and carries the
-static analyzer's reports into the CI baseline
-(``tools/analysis_baseline.json``).
+:func:`result_to_dict` is the result half of the exec-cache envelope
+(:mod:`repro.exec.cache`) and of the worker pool's return value;
+:func:`diff_results` diffs two runs of one experiment, which is how
+``tools/compare_runs.py`` compares envelope sets across code versions.
+The analysis half carries the static analyzer's reports into the CI
+baseline (``tools/analysis_baseline.json``).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, fields
 from typing import Optional
 
@@ -46,22 +47,22 @@ def result_from_dict(payload: dict) -> SimResult:
     return SimResult(**data)
 
 
-def dump_results(results: list, path: str) -> None:
-    """Write a list of results to a JSON file."""
-    with open(path, "w") as handle:
-        json.dump([result_to_dict(r) for r in results], handle, indent=1)
+def _counters(result: SimResult) -> dict:
+    """Every scalar field of *result*, plus ``coverage.<name>`` and
+    ``pass_totals.<name>`` for its two counter dicts."""
+    flat = {}
+    for name, value in asdict(result).items():
+        if name in ("coverage", "pass_totals"):
+            flat.update((f"{name}.{k}", v) for k, v in value.items())
+        elif not isinstance(value, dict):
+            flat[name] = value
+    return flat
 
 
-def load_results(path: str) -> list:
-    """Read results written by :func:`dump_results`."""
-    with open(path) as handle:
-        return [result_from_dict(p) for p in json.load(handle)]
-
-
-def diff_results(old: SimResult, new: SimResult,
-                 threshold_pct: float = 1.0) -> Optional[str]:
-    """Human-readable IPC drift between two runs of the same experiment,
-    or ``None`` when within *threshold_pct*.
+def diff_results(old: SimResult, new: SimResult) -> Optional[str]:
+    """Every counter that differs between two runs of the same
+    experiment, one ``name: old -> new`` line each, or ``None`` when
+    all are equal.
 
     Raises:
         ValueError: when the runs are not the same experiment.
@@ -69,13 +70,13 @@ def diff_results(old: SimResult, new: SimResult,
     if (old.benchmark, old.config_label) != (new.benchmark,
                                              new.config_label):
         raise ValueError("results describe different experiments")
-    if old.ipc == 0:
+    before, after = _counters(old), _counters(new)
+    lines = [f"  {name}: {before.get(name, '-')} -> {after.get(name, '-')}"
+             for name in {**before, **after}
+             if before.get(name) != after.get(name)]
+    if not lines:
         return None
-    drift = 100.0 * (new.ipc - old.ipc) / old.ipc
-    if abs(drift) < threshold_pct:
-        return None
-    return (f"{old.benchmark}[{old.config_label}]: IPC "
-            f"{old.ipc:.3f} -> {new.ipc:.3f} ({drift:+.1f}%)")
+    return "\n".join([f"{old.benchmark}[{old.config_label}]:"] + lines)
 
 
 def analysis_to_dict(report) -> dict:
@@ -112,7 +113,6 @@ def analysis_from_dict(payload: dict):
     return AnalysisReport(**data)
 
 
-__all__ = ["result_to_dict", "result_from_dict", "dump_results",
-           "load_results", "diff_results", "SCHEMA_VERSION",
-           "analysis_to_dict", "analysis_from_dict",
+__all__ = ["result_to_dict", "result_from_dict", "diff_results",
+           "SCHEMA_VERSION", "analysis_to_dict", "analysis_from_dict",
            "ANALYSIS_SCHEMA_VERSION"]

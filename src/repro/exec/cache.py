@@ -7,6 +7,8 @@ included) plus a small provenance header. Writes are atomic
 (tmp-file + ``os.replace``) so concurrent worker processes racing on
 the same fingerprint can only ever leave a complete entry; corrupt or
 schema-incompatible entries read as misses and are quietly discarded.
+The envelope is the run record; ``tools/compare_runs.py`` diffs two
+directories of them (:meth:`ResultCache.envelopes`) by provenance.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import os
 from pathlib import Path
 import tempfile
-from typing import Dict, Optional, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.core.export import result_from_dict, result_to_dict
 from repro.core.results import SimResult
@@ -46,16 +48,21 @@ class ResultCache:
 
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def _read(path: Path) -> Tuple[Dict[str, object], SimResult]:
+        with open(path) as handle:
+            envelope = json.load(handle)
+        if envelope.get("envelope") != ENVELOPE_VERSION:
+            raise ValueError("envelope version mismatch")
+        return (envelope.get("provenance", {}),
+                result_from_dict(envelope["result"]))
+
     def get(self, fingerprint: str) -> Optional[SimResult]:
         """The cached result, or ``None`` on a miss (including corrupt
         or schema-incompatible entries, which are removed)."""
         path = self._path(fingerprint)
         try:
-            with open(path) as handle:
-                envelope = json.load(handle)
-            if envelope.get("envelope") != ENVELOPE_VERSION:
-                raise ValueError("envelope version mismatch")
-            result = result_from_dict(envelope["result"])
+            result = self._read(path)[1]
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -68,6 +75,17 @@ class ResultCache:
             return None
         self.hits += 1
         return result
+
+    def envelopes(self) -> Iterator[Tuple[Dict[str, object], SimResult]]:
+        """``(provenance, result)`` of every entry, in path order; an
+        unreadable entry raises ``ValueError`` naming it (and stays)."""
+        for path in sorted(self.root.glob("??/*.json")):
+            try:
+                entry = self._read(path)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(
+                    f"{path}: unreadable envelope ({exc})") from exc
+            yield entry
 
     def put(self, fingerprint: str, result: SimResult,
             provenance: Optional[Dict[str, object]] = None) -> Path:

@@ -1,12 +1,9 @@
 """Telemetry exporters: serialize sessions for external tooling.
 
-* :mod:`repro.telemetry.exporters.chrometrace` — Chrome trace-event
-  JSON for ``ui.perfetto.dev`` / ``chrome://tracing``: span timelines
-  on a simulated-cycle timebase (pipeline/segment lifecycle) and a
-  wall-clock timebase (execution-service jobs).
-* :mod:`repro.telemetry.exporters.openmetrics` — OpenMetrics /
-  Prometheus text exposition of the full metric registry, the format
-  the planned HTTP service will serve from ``/metrics``.
+:mod:`repro.telemetry.exporters.chrometrace` writes Chrome trace-event
+JSON for ``ui.perfetto.dev`` / ``chrome://tracing``: span timelines on
+a simulated-cycle timebase (pipeline/segment lifecycle) and a
+wall-clock timebase (execution-service jobs).
 """
 
 from __future__ import annotations
@@ -16,10 +13,5 @@ from repro.telemetry.exporters.chrometrace import (
     trace_events,
     write_chrome_trace,
 )
-from repro.telemetry.exporters.openmetrics import (
-    parse_openmetrics,
-    render_openmetrics,
-)
 
-__all__ = ["trace_events", "write_chrome_trace", "archive_to_trace",
-           "render_openmetrics", "parse_openmetrics"]
+__all__ = ["trace_events", "write_chrome_trace", "archive_to_trace"]

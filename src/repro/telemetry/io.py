@@ -1,8 +1,10 @@
 """Shared loading of JSONL telemetry event archives.
 
 One loader for every consumer of ``--telemetry-out`` files —
-``tools/attribution_report.py``, ``tools/compare_runs.py`` and the
-exporters — with uniform malformed-line reporting: a bad line raises
+``tools/attribution_report.py``, the ``.jsonl`` mode of
+``tools/compare_runs.py`` (the attribution diff: exec-cache envelopes
+carry no attribution) and the Chrome-trace exporter — with uniform
+malformed-line reporting: a bad line raises
 :class:`MalformedLineError` naming the file, the 1-based line number
 and a snippet, or (``on_error="skip"``/``"warn"``) is counted and
 skipped so one truncated line does not discard a whole archive.

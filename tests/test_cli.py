@@ -56,11 +56,9 @@ def test_tables(capsys):
 def test_trace_exports_perfetto_timeline(tmp_path, capsys):
     import json
     out = tmp_path / "trace.json"
-    metrics = tmp_path / "metrics.prom"
     hostprof = tmp_path / "prof.json"
     code, text = run_cli(capsys, "trace", "compress", "--scale", "0.1",
                          "--out", str(out),
-                         "--metrics-out", str(metrics),
                          "--hostprof-out", str(hostprof))
     assert code == 0
     assert "perfetto" in text and "host-time profile" in text
@@ -72,7 +70,6 @@ def test_trace_exports_perfetto_timeline(tmp_path, capsys):
     names = {e["name"] for e in events}
     assert {"segment.collect", "segment.optimize", "segment.verify",
             "tc.insert", "tc.reuse"} <= names
-    assert metrics.read_text().endswith("# EOF\n")
     prof = json.loads(hostprof.read_text())
     assert any(s.startswith("stage.") for s in prof["scopes"])
 

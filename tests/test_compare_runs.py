@@ -1,0 +1,115 @@
+"""``tools/compare_runs.py``: envelope-set and attribution diffs."""
+
+import json
+import sys
+
+import pytest
+
+from repro.cli import main as repro_main
+from repro.exec.cache import ResultCache
+from repro.exec.grid import expand, opt_variant
+from repro.exec.service import ExecutionService
+from repro.fillunit.opts.base import OptimizationConfig
+
+sys.path.insert(0, "tools")
+try:
+    import compare_runs
+finally:
+    sys.path.pop(0)
+
+
+def _write_grid(cache_dir):
+    jobs = expand(["compress"], [opt_variant(OptimizationConfig.none()),
+                                 opt_variant(OptimizationConfig.all())])
+    ExecutionService(scale=0.05, cache_dir=str(cache_dir)).run_many(jobs)
+    return cache_dir
+
+
+@pytest.fixture
+def dirs(tmp_path):
+    return _write_grid(tmp_path / "a"), _write_grid(tmp_path / "b")
+
+
+def _compare(capsys, *paths):
+    code = compare_runs.main([str(p) for p in paths])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _envelope(cache_dir, label):
+    for path in sorted(cache_dir.glob("??/*.json")):
+        if json.loads(path.read_text())["provenance"]["label"] == label:
+            return path
+    raise AssertionError(f"no envelope labelled {label}")
+
+
+def test_identical_envelope_sets_agree(dirs, capsys):
+    code, out, _ = _compare(capsys, *dirs)
+    assert code == 0
+    assert "0 drifted of 2 paired experiments, 0 unpaired" in out
+    # each side's code version is reported
+    assert out.count("code ") == 2
+
+
+def test_edited_cycles_drift_and_name_the_field(dirs, capsys):
+    path = _envelope(dirs[1], "moves+reassoc+scaled_adds+placement")
+    envelope = json.loads(path.read_text())
+    cycles = envelope["result"]["cycles"]
+    envelope["result"]["cycles"] = cycles + 1
+    path.write_text(json.dumps(envelope))
+    code, out, _ = _compare(capsys, *dirs)
+    assert code == 1
+    assert f"  cycles: {cycles} -> {cycles + 1}" in out
+    assert "1 drifted of 2 paired experiments" in out
+
+
+def test_key_in_one_dir_only_fails(dirs, capsys):
+    _envelope(dirs[0], "baseline").unlink()
+    code, out, _ = _compare(capsys, *dirs)
+    assert code == 1
+    assert f"only in {dirs[1]}: compress[baseline] @ 0.05" in out
+    assert "1 unpaired" in out
+
+
+def test_duplicate_key_in_one_dir_is_an_error(dirs, capsys):
+    cache = ResultCache(dirs[0])
+    provenance, result = next(cache.envelopes())
+    cache.put("ff" * 32, result, provenance=provenance)
+    code, _, err = _compare(capsys, *dirs)
+    assert code == 2
+    assert "appears twice" in err
+
+
+def test_missing_dir_is_an_error(dirs, capsys):
+    code, _, err = _compare(capsys, dirs[0], dirs[0].parent / "nonesuch")
+    assert code == 2
+    assert "not a directory" in err
+
+
+def test_jsonl_one_run_against_many_lists_the_unpaired(tmp_path, capsys):
+    one, many = tmp_path / "n.jsonl", tmp_path / "b.jsonl"
+    assert repro_main(["profile", "compress", "--scale", "0.05",
+                       "--opts", "none", "--telemetry-out",
+                       str(one)]) == 0
+    assert repro_main(["compare", "compress", "--scale", "0.05",
+                       "--telemetry-out", str(many)]) == 0
+    capsys.readouterr()
+    code, out, _ = _compare(capsys, one, many)
+    assert code == 1
+    assert f"only in {one}: compress/none" in out
+    for label in ("baseline", "all", "moves", "placement"):
+        assert f"only in {many}: compress/{label}" in out
+    assert "0 of 0 compared runs changed cycle count, 7 unpaired" in out
+
+
+def test_jsonl_single_runs_pair_across_labels(tmp_path, capsys):
+    none, every = tmp_path / "n.jsonl", tmp_path / "a.jsonl"
+    for opts, path in (("none", none), ("all", every)):
+        assert repro_main(["profile", "compress", "--scale", "0.05",
+                           "--opts", opts, "--telemetry-out",
+                           str(path)]) == 0
+    capsys.readouterr()
+    code, out, _ = _compare(capsys, none, every)
+    assert code == 1
+    assert "compress/none vs compress/all" in out
+    assert "1 of 1 compared runs changed cycle count, 0 unpaired" in out

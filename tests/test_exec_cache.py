@@ -59,6 +59,19 @@ def test_corrupt_entry_is_a_miss_and_removed(tmp_path, content):
     assert cache.get(FP).cycles == 300
 
 
+def test_envelopes_read_every_entry_and_reject_corrupt_ones(tmp_path):
+    cache = ResultCache(tmp_path)
+    cache.put(FP, _result(), provenance={"benchmark": "compress"})
+    path = cache.put(FP2, _result(200))
+    assert list(cache.envelopes()) == [
+        ({"benchmark": "compress"}, _result()), ({}, _result(200))]
+    path.write_text("{not json")
+    with pytest.raises(ValueError, match=FP2):
+        list(cache.envelopes())
+    # unlike a get, reading the set leaves the entry for inspection
+    assert path.exists()
+
+
 def test_stale_envelope_version_is_a_miss(tmp_path):
     cache = ResultCache(tmp_path)
     path = cache.put(FP, _result())

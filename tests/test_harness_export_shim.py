@@ -9,7 +9,7 @@ import importlib
 import pytest
 
 import repro.harness as harness
-from repro.core.export import SCHEMA_VERSION, dump_results
+from repro.core.export import SCHEMA_VERSION, result_to_dict
 
 
 def test_shim_module_is_gone():
@@ -24,5 +24,5 @@ def test_harness_does_not_expose_export():
 
 
 def test_core_export_is_the_canonical_home():
-    assert callable(dump_results)
+    assert callable(result_to_dict)
     assert isinstance(SCHEMA_VERSION, int)

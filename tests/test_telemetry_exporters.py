@@ -1,4 +1,4 @@
-"""Chrome trace-event and OpenMetrics exporters."""
+"""Chrome trace-event exporter."""
 
 import json
 
@@ -12,8 +12,6 @@ from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
 from repro.telemetry.events import Event
 from repro.telemetry.exporters import (
-    parse_openmetrics,
-    render_openmetrics,
     trace_events,
     write_chrome_trace,
 )
@@ -22,7 +20,6 @@ from repro.telemetry.exporters.chrometrace import (
     archive_to_trace,
     events_to_span_records,
 )
-from repro.telemetry.registry import TelemetryRegistry
 from repro.telemetry.spans import CYCLES, WALL, SpanRecorder
 
 REQUIRED_KEYS = ("ph", "ts", "pid", "tid", "name")
@@ -128,69 +125,3 @@ def test_archive_to_trace_roundtrip(tmp_path):
     assert len(events) == count
     names = {e["name"] for e in events}
     assert {"run.started", "run.finished"} <= names
-
-
-# -- openmetrics --------------------------------------------------------
-
-def _populated_registry() -> TelemetryRegistry:
-    registry = TelemetryRegistry()
-    registry.counter("fetch.tc.hits").add(41)
-    registry.counter("fetch.tc.hits").add()
-    registry.gauge("window.occupancy").set(17)
-    hist = registry.histogram("fillunit.segment.length")
-    for value in (1, 3, 9, 15, 15):
-        hist.observe(value)
-    return registry
-
-
-def test_openmetrics_rendering_shape():
-    text = render_openmetrics(_populated_registry())
-    assert text.endswith("# EOF\n")
-    assert "# TYPE repro_fetch_tc_hits counter" in text
-    assert "repro_fetch_tc_hits_total 42" in text
-    assert "# TYPE repro_window_occupancy gauge" in text
-    assert "repro_window_occupancy 17" in text
-    assert "# TYPE repro_fillunit_segment_length histogram" in text
-    assert 'repro_fillunit_segment_length_bucket{le="+Inf"} 5' in text
-    # HELP keeps the original dotted scope (reversible mapping).
-    assert "# HELP repro_fetch_tc_hits scope fetch.tc.hits" in text
-
-
-def test_openmetrics_roundtrip():
-    registry = _populated_registry()
-    parsed = parse_openmetrics(render_openmetrics(registry))
-    assert parsed["repro_fetch_tc_hits_total"] == 42
-    assert parsed["repro_window_occupancy"] == 17
-    hist = parsed["repro_fillunit_segment_length"]
-    assert hist["count"] == 5 and hist["sum"] == 43
-    assert hist["buckets"]["+Inf"] == 5
-    # Cumulative buckets are monotone nondecreasing.
-    finite = [v for k, v in sorted(
-        ((k, v) for k, v in hist["buckets"].items() if k != "+Inf"),
-        key=lambda kv: int(kv[0]))]
-    assert finite == sorted(finite)
-    assert finite[-1] <= hist["buckets"]["+Inf"]
-
-
-def test_openmetrics_roundtrip_full_run():
-    program = workloads.build("compress", 0.1)
-    trace = Executor(program).run()
-    telemetry = Telemetry()
-    Engine(SimConfig.paper(OptimizationConfig.all()),
-           telemetry=telemetry).run(trace, "compress")
-    text = render_openmetrics(telemetry.registry)
-    parsed = parse_openmetrics(text)
-    flat = telemetry.registry.flat()
-    for scope, value in flat.items():
-        name = "repro_" + scope.replace(".", "_")
-        if isinstance(value, dict):
-            assert parsed[name]["count"] == value["count"]
-        elif name + "_total" in parsed:
-            assert parsed[name + "_total"] == value
-        else:
-            assert parsed[name] == value
-
-
-def test_parse_requires_eof():
-    with pytest.raises(ValueError, match="EOF"):
-        parse_openmetrics("repro_x_total 1\n")

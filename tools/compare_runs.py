@@ -1,64 +1,103 @@
-"""Compare two archived run files (regression tracking).
+"""Compare two run records (regression tracking).
 
-Two formats are understood, chosen by file extension:
+Two forms are understood:
 
-* ``.json`` — result archives written by ``tools/run_and_save.py``;
-  counters are diffed field by field.
-* ``.jsonl`` — telemetry event archives written with
-  ``--telemetry-out``; the runs' cycle attributions are diffed
-  side by side.
+* two directories — exec-cache envelope sets, as written by
+  ``repro figures``/``repro tables``/``tools/run_experiments.py`` with
+  ``--cache-dir``. Envelopes pair by their provenance ``(benchmark,
+  label, scale)``; every counter that differs is listed, old -> new.
+* two ``.jsonl`` files — telemetry event archives written with
+  ``--telemetry-out``; the runs' cycle attributions are diffed side by
+  side (envelopes carry no attribution).
+
+Exit status 0 when every pair agrees, 1 on any drift or unpaired run,
+2 on bad arguments or a record set that cannot be read or paired.
 
 Usage:
-    python tools/run_and_save.py results_a.json   # on version A
-    python tools/run_and_save.py results_b.json   # on version B
-    python tools/compare_runs.py results_a.json results_b.json
+    python -m repro figures --scale 0.05 --cache-dir A   # on version A
+    python -m repro figures --scale 0.05 --cache-dir B   # on version B
+    python tools/compare_runs.py A B
 
     python -m repro profile compress --telemetry-out a.jsonl
     python -m repro profile compress --opts none --telemetry-out b.jsonl
     python tools/compare_runs.py a.jsonl b.jsonl
 """
 
+import os
 import sys
 
-from repro.core.export import diff_results, load_results
+from repro.core.export import diff_results
+from repro.exec.cache import ResultCache
 
 
-def compare_json(path_a: str, path_b: str) -> int:
-    old_results = {(r.benchmark, r.config_label): r
-                   for r in load_results(path_a)}
-    new_results = {(r.benchmark, r.config_label): r
-                   for r in load_results(path_b)}
+def _name(key) -> str:
+    benchmark, label, scale = key
+    return f"{benchmark}[{label}] @ {scale}"
+
+
+def _unpaired(name_a: str, runs_a: dict, name_b: str, runs_b: dict) -> list:
+    """``(name, key)`` of every key found on one side only."""
+    return [(name, key)
+            for name, runs, other in ((name_a, runs_a, runs_b),
+                                      (name_b, runs_b, runs_a))
+            for key in sorted(runs.keys() - other.keys(), key=str)]
+
+
+def load_envelopes(root: str) -> dict:
+    """``{(benchmark, label, scale): (code, result)}`` under *root*;
+    ``ValueError`` if it is no directory, is empty, holds an unreadable
+    envelope or holds two with one key."""
+    if not os.path.isdir(root):
+        raise ValueError(f"{root}: not a directory")
+    runs = {}
+    for provenance, result in ResultCache(root).envelopes():
+        key = tuple(provenance.get(k)
+                    for k in ("benchmark", "label", "scale"))
+        if key in runs:
+            raise ValueError(f"{root}: {_name(key)} appears twice (two "
+                             "code versions in one directory?)")
+        runs[key] = (provenance.get("code"), result)
+    if not runs:
+        raise ValueError(f"{root}: no envelopes")
+    return runs
+
+
+def compare_dirs(dir_a: str, dir_b: str) -> int:
+    runs_a, runs_b = load_envelopes(dir_a), load_envelopes(dir_b)
+    for root, runs in ((dir_a, runs_a), (dir_b, runs_b)):
+        codes = sorted({str(code) for code, _ in runs.values()})
+        print(f"{root}: {len(runs)} envelopes, code {', '.join(codes)}")
+    shared = sorted(runs_a.keys() & runs_b.keys(), key=str)
     drifted = 0
-    for key in sorted(old_results.keys() & new_results.keys()):
-        text = diff_results(old_results[key], new_results[key])
+    for key in shared:
+        text = diff_results(runs_a[key][1], runs_b[key][1])
         if text:
             print(text)
             drifted += 1
-    for key in sorted(old_results.keys() ^ new_results.keys()):
-        print(f"only in one file: {key}")
-    shared = len(old_results.keys() & new_results.keys())
-    print(f"{drifted} drifted of {shared} shared experiments")
-    return 1 if drifted else 0
+    unpaired = _unpaired(dir_a, runs_a, dir_b, runs_b)
+    for root, key in unpaired:
+        print(f"only in {root}: {_name(key)}")
+    print(f"{drifted} drifted of {len(shared)} paired experiments, "
+          f"{len(unpaired)} unpaired")
+    return 1 if drifted or unpaired else 0
 
 
 def compare_jsonl(path_a: str, path_b: str) -> int:
     from repro.telemetry.attribution import diff_attribution
     from repro.telemetry.io import load_attribution_runs
 
-    runs_a = {label: (cycles, attr)
-              for label, cycles, attr
-              in load_attribution_runs(path_a, on_error="warn")}
-    runs_b = {label: (cycles, attr)
-              for label, cycles, attr
-              in load_attribution_runs(path_b, on_error="warn")}
+    runs_a, runs_b = ({label: (cycles, attr) for label, cycles, attr
+                       in load_attribution_runs(path, on_error="warn")}
+                      for path in (path_a, path_b))
     shared = sorted(runs_a.keys() & runs_b.keys())
-    if not shared:
-        # Different benchmarks/labels in the two archives: fall back to
-        # positional pairing so `profile X` vs `profile X --opts none`
-        # (distinct labels) still compares.
-        pairs = list(zip(sorted(runs_a), sorted(runs_b)))
+    if len(runs_a) == len(runs_b) == 1 and not shared:
+        # One run each under distinct labels (`profile X` vs `profile
+        # X --opts none`): pair them.
+        pairs = [(*runs_a, *runs_b)]
+        unpaired = []
     else:
         pairs = [(key, key) for key in shared]
+        unpaired = _unpaired(path_a, runs_a, path_b, runs_b)
     drifted = 0
     for key_a, key_b in pairs:
         cycles_a, attr_a = runs_a[key_a]
@@ -69,22 +108,26 @@ def compare_jsonl(path_a: str, path_b: str) -> int:
         if cycles_a != cycles_b:
             drifted += 1
         print()
-    for key in sorted(runs_a.keys() ^ runs_b.keys()):
-        if not shared:
-            break
-        print(f"only in one file: {key}")
-    print(f"{drifted} of {len(pairs)} compared runs changed cycle count")
-    return 1 if drifted else 0
+    for path, key in unpaired:
+        print(f"only in {path}: {key}")
+    print(f"{drifted} of {len(pairs)} compared runs changed cycle count, "
+          f"{len(unpaired)} unpaired")
+    return 1 if drifted or unpaired else 0
 
 
-def main() -> int:
-    if len(sys.argv) != 3:
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
         print(__doc__)
         return 2
-    path_a, path_b = sys.argv[1], sys.argv[2]
-    if path_a.endswith(".jsonl") or path_b.endswith(".jsonl"):
-        return compare_jsonl(path_a, path_b)
-    return compare_json(path_a, path_b)
+    path_a, path_b = args
+    try:
+        if path_a.endswith(".jsonl") or path_b.endswith(".jsonl"):
+            return compare_jsonl(path_a, path_b)
+        return compare_dirs(path_a, path_b)
+    except (OSError, ValueError) as exc:
+        print(f"compare_runs: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
