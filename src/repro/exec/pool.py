@@ -24,6 +24,7 @@ from pathlib import Path
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.telemetry.events import EXEC_WORKER_RETRY, NULL_EVENT_STREAM
 from repro.telemetry.spans import NULL_SPANS, WALL
 
@@ -97,6 +98,8 @@ class WorkerPool:
         submission order.
 
         Raises:
+            ReproError: the first typed error a job raised (a bad
+                scale, say): it is deterministic, so it is not retried.
             RuntimeError: when a job keeps failing after ``retries``
                 resubmissions.
         """
@@ -116,16 +119,22 @@ class WorkerPool:
                        for idx in pending}
             failed: List[int] = []
             errors: Dict[int, BaseException] = {}
+            typed: Optional[ReproError] = None
             for future in as_completed(futures):
                 idx = futures[future]
                 try:
                     results[idx] = future.result()
+                except ReproError as exc:
+                    typed = typed or exc
+                    failed.append(idx)
                 except Exception as exc:  # incl. BrokenProcessPool
                     attempts[idx] += 1
                     errors[idx] = exc
                     failed.append(idx)
             executor.shutdown(wait=False)
             batch.end(spans.now_wall(), failed=len(failed))
+            if typed is not None:
+                raise typed
             exhausted = [idx for idx in failed
                          if attempts[idx] > self.retries]
             if exhausted:

@@ -15,8 +15,9 @@ cuts them into trace-segment candidates under the paper's rules:
 Most candidates are dropped as duplicates of a resident line, so a
 candidate carries only what the dedup probe reads: its records, its
 branches and a running count of unpromoted branches. Block and flow
-ids are derived (:meth:`PendingSegment.region_ids`) only when a
-candidate is assembled into a segment.
+ids are counted only when a candidate is assembled into a segment
+(:meth:`~repro.fillunit.unit.FillUnit.assemble_segment`;
+:meth:`PendingSegment.region_ids` is the reference definition).
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class PendingSegment:
     def region_ids(self) -> Tuple[List[int], List[int]]:
         """Per-record checkpoint-block and control-flow ids, counted
         from the first record: the block id advances after every
-        conditional branch, the flow id after every transfer."""
+        conditional branch, the flow id after every transfer (the
+        reference for the ids ``FillUnit.assemble_segment`` counts)."""
         block_ids: List[int] = []
         flow_ids: List[int] = []
         block = flow = 0

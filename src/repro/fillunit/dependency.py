@@ -34,6 +34,10 @@ class DependencyInfo:
     liveout: List[bool] = field(default_factory=list)
     #: per instruction: number of live-in source operands.
     livein_counts: List[int] = field(default_factory=list)
+    #: per instruction: its segment-internal producers as a bitmask
+    #: (bit ``p`` set when instruction ``p`` feeds it), which placement
+    #: tests against the members of a cluster.
+    producer_masks: List[int] = field(default_factory=list)
 
     def internal_producers(self, index: int) -> Set[int]:
         """Indices of segment-internal producers feeding instruction
@@ -57,14 +61,17 @@ def mark_dependencies(instrs: Sequence[Instruction]) -> DependencyInfo:
     for idx, instr in enumerate(instrs):
         decoded = instr.decoded
         producers: Dict[int, Optional[int]] = {}
-        livein = 0
+        livein = mask = 0
         for reg in decoded.sources:
             producer = last_def.get(reg)
             producers[reg] = producer
             if producer is None:
                 livein += 1
+            else:
+                mask |= 1 << producer
         info.producer.append(producers)
         info.livein_counts.append(livein)
+        info.producer_masks.append(mask)
         dest = decoded.dest
         if dest is not None:
             last_def[dest] = idx

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.branch.bias import BiasTable
 from repro.errors import ConfigError
+from repro.isa.decoded import Decoded
 from repro.tracecache.segment import TraceSegment
 
 if TYPE_CHECKING:
@@ -115,6 +116,9 @@ class PassContext:
     #: declined a candidate it matched. Each build starts a fresh dict
     #: and hands it over in its :class:`BuildRecord`.
     rejections: Dict[Tuple[str, str], int] = field(default_factory=dict)
+    #: the fill unit's decode table: one record per rewritten decode
+    #: shape (:meth:`~repro.tracecache.segment.TraceSegment.redecode`)
+    decodes: Dict[Tuple[Any, ...], Decoded] = field(default_factory=dict)
 
     def reject(self, pass_name: str, reason: str) -> None:
         """A pass matched a candidate but could not transform it."""
@@ -158,9 +162,11 @@ class OptimizationPass(abc.ABC):
         """Transform *segment* in place; return ``{stat: count}``.
 
         An entry is rewritten only through
-        :meth:`~repro.tracecache.segment.TraceSegment.rewrite`, which
-        marks it for re-decoding; its decoded record is stale until
-        then, except for ``dest``, which no pass changes."""
+        :meth:`~repro.tracecache.segment.TraceSegment.rewrite` (or
+        replaced through ``squash``), which marks it for re-decoding;
+        its decoded record is stale until then, except for ``dest``,
+        which no pass changes. The record of an entry not in
+        ``segment.rewritten`` is current."""
 
 
 class PassManager:
@@ -210,12 +216,13 @@ class PassManager:
 
         record = BuildRecord([], {})
         self.context.rejections = record.rejections
+        decodes = self.context.decodes
         verifier = self.verifier if self.verify_each else None
         for opt_pass in self.passes:
             # Placement consumes the dependence structure produced by
             # the rewriting passes, so (re)mark just before it.
             if opt_pass.name == "placement":
-                segment.redecode()
+                segment.redecode(decodes)
                 segment.deps = mark_dependencies(segment.instrs)
             snapshot = segment.clone() if verifier is not None else None
             record.passes.append(
@@ -225,7 +232,7 @@ class PassManager:
                     snapshot, segment, pass_name=opt_pass.name,
                     surface=opt_pass.surface, record=False)
         if segment.deps is None:
-            segment.redecode()
+            segment.redecode(decodes)
             segment.deps = mark_dependencies(segment.instrs)
         return record
 

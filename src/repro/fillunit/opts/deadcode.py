@@ -27,7 +27,6 @@ modelled here by dropping them from issue via the ``dead`` flag.
 from __future__ import annotations
 
 from repro.fillunit.opts.base import OptimizationPass, PassContext
-from repro.isa.instruction import make_nop
 from repro.tracecache.segment import TraceSegment
 
 
@@ -47,12 +46,7 @@ class DeadCodePass(OptimizationPass):
                 continue
             if not self._dead_within_block(instrs, idx, dest):
                 continue
-            replacement = make_nop()
-            replacement.pc = instr.pc
-            replacement.block_id = instr.block_id
-            replacement.flow_id = instr.flow_id
-            replacement.orig_index = instr.orig_index
-            instrs[idx] = replacement
+            segment.squash(idx)
             removed += 1
         return {"dead_code_removed": removed}
 

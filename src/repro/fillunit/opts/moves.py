@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.fillunit.opts.base import OptimizationPass, PassContext
 from repro.isa.instruction import move_source
-from repro.isa.opcodes import Format
+from repro.isa.opcodes import Format, Op, op_info
 from repro.tracecache.segment import TraceSegment
 
 #: The register-operand fields a move's dependents read, by format.
@@ -33,12 +33,16 @@ from repro.tracecache.segment import TraceSegment
 #: them is architecturally sound but would obscure return-vs-indirect
 #: classification, which both the RAS and the segment-termination rule
 #: depend on.
-_SOURCE_FIELDS = {
+_FORMAT_FIELDS = {
     Format.R3: ("rs", "rt"), Format.LOADX: ("rs", "rt"),
     Format.BR2: ("rs", "rt"), Format.STORE: ("rs", "rt"),
     Format.R2I: ("rs",), Format.SHIFT: ("rs",), Format.LOAD: ("rs",),
     Format.BR1: ("rs",), Format.STOREX: ("rd", "rs", "rt"),
 }
+
+#: the same fields by opcode, so the pass looks them up in one step
+_SOURCE_FIELDS = {op: _FORMAT_FIELDS.get(op_info(op).format, ())
+                  for op in Op}
 
 
 def _rewrite_sources(segment: TraceSegment, index: int,
@@ -47,7 +51,7 @@ def _rewrite_sources(segment: TraceSegment, index: int,
     returns the number of operands changed."""
     instr = segment.instrs[index]
     fields: dict = {}
-    for name in _SOURCE_FIELDS.get(instr.format, ()):
+    for name in _SOURCE_FIELDS[instr.op]:
         reg = getattr(instr, name)
         new = alias.get(reg, reg)
         if new != reg:
@@ -68,26 +72,32 @@ class RegisterMovePass(OptimizationPass):
         alias: dict = {}
         marked = 0
         rewritten_operands = 0
+        rewritten = segment.rewritten
         for index, instr in enumerate(segment.instrs):
             # Rewrite sources first so detection sees final operands
             # (a move of a move chains to the ultimate source).
             if alias:
                 rewritten_operands += _rewrite_sources(segment, index,
                                                        alias)
-            src = move_source(instr)
+            decoded = instr.decoded
+            # An entry no pass has rewritten matches its record; a
+            # rewritten one is detected from its fields.
+            src = (move_source(instr) if index in rewritten
+                   else decoded.move_candidate)
             # A guarded instruction only conditionally updates its
             # destination; rename cannot complete it as an
             # unconditional mapping copy, so it is never a move.
             if src is not None and instr.guard is None:
                 segment.rewrite(index, move_flag=True)
                 marked += 1
-            dest = instr.decoded.dest
+            dest = decoded.dest
             if dest is None:
                 continue
-            # Redefinition of `dest` kills aliases on both sides.
-            alias.pop(dest, None)
-            for key in [k for k, v in alias.items() if v == dest]:
-                alias.pop(key)
+            if alias:
+                # Redefinition of `dest` kills aliases on both sides.
+                alias.pop(dest, None)
+                for key in [k for k, v in alias.items() if v == dest]:
+                    alias.pop(key)
             if instr.move_flag and src != dest:
                 alias[dest] = alias.get(src, src)
         return {"moves_marked": marked,

@@ -33,29 +33,29 @@ class PlacementPass(OptimizationPass):
         deps = segment.deps
         if deps is None:  # defensive: the manager marks before placement
             from repro.fillunit.dependency import mark_dependencies
-            segment.redecode()
+            segment.redecode(ctx.decodes)
             segment.deps = deps = mark_dependencies(segment.instrs)
-        count = len(segment.instrs)
-        producers = [deps.internal_producers(index)
-                     for index in range(count)]
+        masks = deps.producer_masks
+        count = len(masks)
         cluster_size = ctx.cluster_size
         num_clusters = ctx.num_clusters
         slots = [0] * count
-        # per cluster: the logical indices placed in it so far
-        placed_in: list = [set() for _ in range(num_clusters)]
+        # per cluster: the logical indices placed in it so far, as bits
+        placed_in = [0] * num_clusters
         unplaced = list(range(count))
         moved = 0
         for slot in range(count):
-            members = placed_in[(slot // cluster_size) % num_clusters]
+            cluster = (slot // cluster_size) % num_clusters
+            members = placed_in[cluster]
             pick = unplaced[0]
             if members:
                 for candidate in unplaced:
-                    if not producers[candidate].isdisjoint(members):
+                    if masks[candidate] & members:
                         pick = candidate
                         break
             unplaced.remove(pick)
             slots[pick] = slot
-            members.add(pick)
+            placed_in[cluster] = members | 1 << pick
             if pick != slot:
                 moved += 1
         segment.slots = slots

@@ -38,7 +38,7 @@ Applicability (all conservative):
 from __future__ import annotations
 
 from repro.fillunit.opts.base import OptimizationPass, PassContext
-from repro.isa.instruction import GuardAnnotation, make_nop
+from repro.isa.instruction import GuardAnnotation
 from repro.isa.opcodes import Op
 from repro.tracecache.segment import TraceSegment
 
@@ -60,12 +60,7 @@ class PredicationPass(OptimizationPass):
                     reg=branch.rs,
                     # BEQ skips when rs == 0: the body runs when rs != 0.
                     execute_if_zero=(branch.op is Op.BNE)))
-                squashed = make_nop()
-                squashed.pc = branch.pc
-                squashed.block_id = branch.block_id
-                squashed.flow_id = branch.flow_id
-                squashed.orig_index = branch.orig_index
-                segment.instrs[idx] = squashed
+                segment.squash(idx)
                 converted += 1
             else:
                 keep_branches.append(info)

@@ -28,6 +28,7 @@ from repro.isa.opcodes import Op
 from repro.tracecache.segment import TraceSegment
 
 _IMM_MIN, _IMM_MAX = -32768, 32767
+_ADDI = Op.ADDI
 
 
 class ReassociationPass(OptimizationPass):
@@ -41,7 +42,8 @@ class ReassociationPass(OptimizationPass):
         prov: dict = {}
         rewritten = 0
         for index, instr in enumerate(segment.instrs):
-            if instr.op is Op.ADDI and not instr.move_flag:
+            is_addi = instr.op is _ADDI and not instr.move_flag
+            if is_addi:
                 entry = prov.get(instr.rs)
                 if entry is not None:
                     base, acc, def_flow = entry
@@ -64,15 +66,15 @@ class ReassociationPass(OptimizationPass):
             if dest is None:
                 continue
             # Redefinition invalidates provenance based on `dest` ...
-            for key in [k for k, v in prov.items() if v[0] == dest]:
-                prov.pop(key)
-            prov.pop(dest, None)
+            if prov:
+                for key in [k for k, v in prov.items() if v[0] == dest]:
+                    prov.pop(key)
+                prov.pop(dest, None)
             # ... then the ADDI itself establishes new provenance,
             # unless it consumed its own base (the old value is then
             # unreachable) or it is guarded (a predicated add only
             # conditionally equals base + imm).
-            if (instr.op is Op.ADDI and not instr.move_flag
-                    and instr.guard is None and instr.rs != dest):
+            if is_addi and instr.guard is None and instr.rs != dest:
                 prov[dest] = (instr.rs, instr.imm, instr.flow_id)
         return {"reassociated": rewritten}
 

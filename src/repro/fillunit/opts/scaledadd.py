@@ -29,6 +29,7 @@ from repro.tracecache.segment import TraceSegment
 #: Formats whose rs/rt operands are interchangeable for the address or
 #: sum computation (commutative operand slots).
 _SWAPPABLE = {Format.R3, Format.LOADX, Format.STOREX}
+_SLL = Op.SLL
 
 
 class ScaledAddPass(OptimizationPass):
@@ -50,12 +51,14 @@ class ScaledAddPass(OptimizationPass):
             dest = instr.decoded.dest
             if dest is None:
                 continue
-            for key in [k for k, v in shift_prov.items() if v[0] == dest]:
-                shift_prov.pop(key)
-            shift_prov.pop(dest, None)
+            if shift_prov:
+                for key in [k for k, v in shift_prov.items()
+                            if v[0] == dest]:
+                    shift_prov.pop(key)
+                shift_prov.pop(dest, None)
             # A guarded shift only conditionally holds its result, so
             # it cannot seed provenance.
-            if instr.op is Op.SLL and not instr.move_flag \
+            if instr.op is _SLL and not instr.move_flag \
                     and instr.guard is None:
                 if 1 <= (instr.imm or 0) <= max_shift \
                         and instr.rs != dest:

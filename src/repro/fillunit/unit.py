@@ -27,8 +27,9 @@ from repro.fillunit.opts.base import (
     OptimizationConfig,
     PassManager,
 )
+from repro.isa.decoded import Decoded
 from repro.machine.tracing import CommittedInstr
-from repro.telemetry.registry import TelemetryRegistry
+from repro.telemetry.registry import Counter, TelemetryRegistry
 from repro.tracecache.cache import TraceCache
 from repro.tracecache.segment import BranchInfo, TraceSegment
 
@@ -91,6 +92,11 @@ class FillUnit:
                                   config.num_clusters, config.cluster_size,
                                   bias=bias, verifier=self.verifier,
                                   verify_each=config.verify_each)
+        #: the decode table: one record per rewritten decode shape,
+        #: shared by every segment this unit builds (the passes reach
+        #: it through their context)
+        self.decodes: Dict[Tuple[Any, ...], Decoded] = (
+            self.passes.context.decodes)
         self.stats = FillUnitStats()
         #: pass stats summed over every installed build
         self.totals: Dict[str, int] = {}
@@ -106,6 +112,8 @@ class FillUnit:
         self._m_deduped = registry.counter("fillunit.segments.deduped")
         self._m_promoted = registry.counter("fillunit.branches.promoted")
         self._h_length = registry.histogram("fillunit.segment.length")
+        #: ``fillunit.opts.<pass>.<stat>`` counters, made on first use
+        self._opt_counters: Dict[Tuple[str, str], Counter] = {}
         if self.verifier is not None:
             self._m_checked = registry.counter(
                 "fillunit.verify.segments_checked")
@@ -130,20 +138,28 @@ class FillUnit:
         ``tools/lint_segments.py`` treat as the original).
 
         Each entry is a copy of the program instruction and shares its
-        decoded record until a pass rewrites it."""
-        block_ids, flow_ids = candidate.region_ids()
+        decoded record until a pass rewrites it. Its block and flow ids
+        are those of :meth:`PendingSegment.region_ids`, counted here as
+        the entries are copied."""
         instrs = []
+        block = flow = 0
         for idx, record in enumerate(candidate.records):
-            instr = record.instr.copy()
-            instr.block_id = block_ids[idx]
-            instr.flow_id = flow_ids[idx]
+            source = record.instr
+            instr = source.copy()
+            instr.block_id = block
+            instr.flow_id = flow
             instr.orig_index = idx
             instrs.append(instr)
+            decoded = source.decoded
+            if decoded.is_ctrl:
+                flow += 1
+                if decoded.is_cond_branch:
+                    block += 1
         branches = [BranchInfo(b.index, b.pc, b.direction, b.promoted)
                     for b in candidate.branches]
         return TraceSegment(
             start_pc=candidate.start_pc, instrs=instrs, branches=branches,
-            block_count=block_ids[-1] + 1,
+            block_count=instrs[-1].block_id + 1,
             build_promo=tuple(b.promoted for b in candidate.branches))
 
     def build_segment(self, candidate: PendingSegment,
@@ -179,7 +195,7 @@ class FillUnit:
             whole = None if self.passes.verify_each else self.verifier
             original = segment.clone() if whole is not None else None
             record = self.passes.run(segment)
-            segment.seal()
+            segment.seal(self.decodes)
             if whole is not None and original is not None:
                 record.violations = whole.check(original, segment,
                                                 record=False)
@@ -200,14 +216,12 @@ class FillUnit:
             for key, count in stats.items():
                 totals[key] = totals.get(key, 0) + count
                 if count:
-                    registry.counter(f"fillunit.opts.{name}.{key}").add(
-                        count)
+                    self._opt_counter(name, key).add(count)
             for hook in self.pass_hooks:
                 hook(segment, index, name, stats,
                      record.rejections if index == last else {}, cycle)
         for (name, reason), count in record.rejections.items():
-            registry.counter(
-                f"fillunit.opts.{name}.rejected.{reason}").add(count)
+            self._opt_counter(name, f"rejected.{reason}").add(count)
         verifier = self.verifier
         if verifier is None:
             return
@@ -223,19 +237,23 @@ class FillUnit:
         for hook in self.verify_hooks:
             hook(segment, violations, cycle)
 
+    def _opt_counter(self, name: str, stat: str) -> Counter:
+        """The ``fillunit.opts.<name>.<stat>`` counter."""
+        counter = self._opt_counters.get((name, stat))
+        if counter is None:
+            counter = self._opt_counters[(name, stat)] = (
+                self.registry.counter(f"fillunit.opts.{name}.{stat}"))
+        return counter
+
     def _build(self, candidate: PendingSegment, cycle: int) -> None:
-        path_key = candidate.path_key
-        resident = self.trace_cache.probe(candidate.start_pc, path_key)
-        # A resident line of the same path whose promotion state changed
-        # is rebuilt, so its embedded static predictions track the bias
-        # table; an identical one makes the rebuild redundant.
-        deduped = resident is not None and resident.build_promo == tuple(
-            b.promoted for b in candidate.branches)
+        # An identical resident line makes the rebuild redundant: the
+        # trace cache keeps it hot instead.
+        deduped = self.trace_cache.refresh(
+            candidate.start_pc, candidate.path_key,
+            tuple([b.promoted for b in candidate.branches]))
         for hook in self.collect_hooks:
             hook(candidate, cycle, deduped)
         if deduped:
-            # Keep the line hot instead of re-optimizing.
-            self.trace_cache.touch(candidate.start_pc, path_key)
             self.stats.segments_deduped += 1
             self._m_deduped.add()
             return

@@ -156,15 +156,29 @@ class TraceCache:
                 return entries[key]
         return None
 
-    def touch(self, pc: int, path_key: tuple) -> None:
-        """Refresh LRU for one exact segment (fill-unit dedup path:
-        rebuilding an identical resident segment keeps it hot)."""
-        entries = self._set_for(pc)
+    def refresh(self, pc: int, path_key: tuple,
+                build_promo: Tuple[bool, ...]) -> bool:
+        """The fill unit's dedup probe: is the line of this exact path
+        resident with this build-time promotion state?
+
+        If so, keep it hot instead of rebuilding it (move it to MRU,
+        tell the policy, count one refresh) and return True. A line
+        whose promotion state changed is rebuilt, so its embedded
+        static predictions track the bias table: return False and
+        leave recency, policy state and stats untouched, as for an
+        absent line.
+        """
+        index = (pc >> 2) & self._set_mask
+        entries = self._sets[index]
         key = (pc, path_key)
-        if key in entries:
-            entries[key] = entries.pop(key)
-            self.policy.on_hit(self._index_for(pc), key)
-            self.stats.refreshes += 1
+        segment = entries.get(key)
+        if segment is None or segment.build_promo != build_promo:
+            return False
+        del entries[key]
+        entries[key] = segment
+        self.policy.on_hit(index, key)
+        self.stats.refreshes += 1
+        return True
 
     def insert(self, segment: TraceSegment, now: int,
                fill_latency: int = 0) -> None:

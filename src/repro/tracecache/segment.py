@@ -11,7 +11,8 @@ Instructions inside a segment are *copies* of the architected
 instructions: the fill unit annotates and rewrites them without
 touching the program image. A copy shares the program instruction's
 decoded record; a pass rewrites an entry only through
-:meth:`TraceSegment.rewrite`, which marks it for re-decoding.
+:meth:`TraceSegment.rewrite` (or replaces it through
+:meth:`TraceSegment.squash`), which marks it for re-decoding.
 ``slots[i]`` is the issue slot (and thus
 execution cluster) assigned to logical instruction ``i`` — identity
 until the placement pass reassigns it; the logical order itself is
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SegmentError
-from repro.isa.decoded import Decoded
+from repro.isa.decoded import Decoded, decode_key
+from repro.isa.instruction import make_nop
 
 
 @dataclass
@@ -74,30 +76,43 @@ class TraceSegment:
         """Set *fields* on entry *index* and mark it for re-decoding.
 
         Every pass rewrites entries through this call, so
-        :meth:`redecode` rebuilds the records of exactly the rewritten
-        entries; the rest keep the record they share with the program
-        image.
+        :meth:`redecode` re-decodes exactly the rewritten entries; the
+        rest keep the record they share with the program image.
         """
-        instr = self.instrs[index]
-        for name, value in fields.items():
-            setattr(instr, name, value)
+        self.instrs[index].__dict__.update(fields)
         self.rewritten.add(index)
 
-    def redecode(self) -> None:
-        """Decode every entry rewritten since the last call, and every
-        entry that has no record yet (a fresh NOP from dead-code
-        removal or predication)."""
-        rewritten = self.rewritten
-        for index, instr in enumerate(self.instrs):
-            # ``decoded`` is a cached property: an entry has a record
-            # exactly when it sits in the instance dict.
-            if index in rewritten or "decoded" not in instr.__dict__:
-                instr.decoded = Decoded(instr)
-        rewritten.clear()
+    def squash(self, index: int) -> None:
+        """Replace entry *index* with a NOP at the same pc and region
+        ids, marked for re-decoding (dead-code removal and
+        predication)."""
+        old = self.instrs[index]
+        nop = make_nop()
+        nop.pc = old.pc
+        nop.block_id = old.block_id
+        nop.flow_id = old.flow_id
+        nop.orig_index = old.orig_index
+        self.instrs[index] = nop
+        self.rewritten.add(index)
 
-    def seal(self) -> None:
+    def redecode(self, records: Dict[Tuple[Any, ...], Decoded]) -> None:
+        """Give every entry rewritten since the last call its record
+        from *records*, the fill unit's decode table keyed on
+        :func:`~repro.isa.decoded.decode_key`: entries of one shape
+        share one record, decoded the first time the shape appears."""
+        instrs = self.instrs
+        for index in self.rewritten:
+            instr = instrs[index]
+            key = decode_key(instr)
+            decoded = records.get(key)
+            if decoded is None:
+                decoded = records[key] = Decoded(instr)
+            instr.decoded = decoded
+        self.rewritten.clear()
+
+    def seal(self, records: Dict[Tuple[Any, ...], Decoded]) -> None:
         """Finish the segment for fetch: record the fetch facts and
-        re-decode the rewritten and fresh entries.
+        re-decode the rewritten entries from *records*.
 
         The fill unit calls this once, after its last pass and next to
         dependency marking; nothing may rewrite the segment afterwards,
@@ -106,7 +121,7 @@ class TraceSegment:
         self.branch_at = {info.index: info for info in self.branches}
         self.predicated = any(instr.guard is not None
                               for instr in self.instrs)
-        self.redecode()
+        self.redecode(records)
 
     def __len__(self) -> int:
         return len(self.instrs)

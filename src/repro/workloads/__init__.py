@@ -26,6 +26,9 @@ Public API::
 
 from __future__ import annotations
 
+import math
+
+from repro.errors import ConfigError
 from repro.program.image import Program
 from repro.workloads import registry
 from repro.workloads.registry import BenchmarkSpec, PAPER_TABLE2
@@ -54,5 +57,12 @@ def build(name: str, scale: float = 1.0) -> Program:
     30k-80k committed instructions per benchmark — large enough for
     promotion, trace-cache warmup and stable IPC, small enough for
     laptop-scale sweeps).
+
+    Raises:
+        ConfigError: when *scale* is not a finite positive number.
     """
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigError(
+            f"workload scale must be a finite positive number, "
+            f"got {scale!r}")
     return registry.spec(name).build(scale)

@@ -120,6 +120,19 @@ def test_asm_typed_error_is_one_line(tmp_path, capsys, source, extra,
     assert "Traceback" not in captured.err + captured.out
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("verb", ["run", "profile", "compare", "figures"])
+def test_nonsense_scale_is_one_line(capsys, verb, scale):
+    argv = [verb, "--scale", scale]
+    argv += ["--only", "3"] if verb == "figures" else ["compress"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("repro: error: workload scale ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_unknown_benchmark_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "doom"])

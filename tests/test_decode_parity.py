@@ -4,13 +4,15 @@ The timing engine, the fill collector and the functional executor read
 each instruction's facts from a :class:`~repro.isa.decoded.Decoded`
 record, built once per static instruction. A segment entry shares its
 program instruction's record until a pass rewrites it; the fill unit
-re-decodes exactly the rewritten (and freshly created) entries when it
-seals the segment. The :class:`Instruction` query methods stay the
-reference definitions: these tests pin every record field to them over
-the fifteen workloads' program images, over every segment the fill
-unit builds under each pass alone, the extended set and an evicting
-machine, and over generated programs. They pin the sharing itself and
-that the program image is never rewritten. They also pin that an
+re-decodes exactly the rewritten (and squashed) entries when it seals
+the segment, taking one record per decode shape from its decode
+table. The :class:`Instruction` query methods stay the reference
+definitions: these tests pin every record field to them over the
+fifteen workloads' program images, over every segment the fill unit
+builds under each pass alone, the extended set and an evicting
+machine, and over generated programs. They pin the sharing itself
+(with the program image, and among rewritten entries of one shape)
+and that the program image is never rewritten. They also pin that an
 appended observer stage joins the per-instruction chain with
 unchanged results (``tests/test_hostprof.py`` pins the same for
 host-profiler proxies).
@@ -31,7 +33,8 @@ from repro.core.stages import PipelineStage
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.fillunit.unit import FillUnit, FillUnitConfig
-from repro.isa.decoded import Decoded
+from repro.isa.decoded import Decoded, decode_key
+from repro.isa.instruction import move_source
 from repro.isa.opcodes import OpClass
 from repro.isa.semantics import semantics_for
 from repro.machine import run_program
@@ -63,6 +66,7 @@ def reference(instr) -> dict:
         "move": instr.move_flag,
         "move_src": (sources[0] if instr.move_flag and sources
                      and sources[0] != 0 else None),
+        "move_candidate": move_source(instr),
         "reassociated": instr.reassociated,
         "scaled": instr.scale is not None,
         "optimized": optimized,
@@ -215,6 +219,38 @@ def test_segments_share_records_and_leave_the_image_alone(bench):
                         == _record_fields(Decoded(entry)))
                 rewritten += 1
     assert shared and rewritten
+
+
+@pytest.mark.parametrize("opts", [OptimizationConfig.all,
+                                  OptimizationConfig.extended],
+                         ids=["all", "extended"])
+def test_rewritten_entries_share_one_record_per_shape(opts):
+    """Within one fill unit, rewritten entries with equal decode fields
+    (:func:`decode_key`) share one record, taken from the unit's decode
+    table; entries that differ in any of those fields never do. Every
+    shared record equals a fresh decode field by field."""
+    rewritten = distinct = 0
+    for bench in workloads.names():
+        program = workloads.build(bench, scale=0.05)
+        engine, built = _engine_capturing_segments(SimConfig.tiny(opts()))
+        engine.run(run_program(program), benchmark=bench)
+        table = engine.fill_unit.decodes
+        record_of: dict = {}
+        key_of: dict = {}
+        for segment in built:
+            for entry in segment.instrs:
+                record = entry.decoded
+                if record is program.instr_at(entry.pc).decoded:
+                    continue
+                key = decode_key(entry)
+                assert table[key] is record
+                assert record_of.setdefault(key, record) is record
+                assert key_of.setdefault(id(record), key) == key
+                assert _record_fields(record) == _record_fields(
+                    Decoded(entry))
+                rewritten += 1
+        distinct += len(record_of)
+    assert rewritten > distinct > 0
 
 
 FRAGMENTS = {

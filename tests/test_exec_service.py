@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SimConfig
+from repro.errors import ConfigError
 from repro.exec.fingerprint import job_fingerprint
 from repro.exec.grid import JobSpec, expand, opt_variant
 from repro.exec.pool import WorkerPool, derive_seed, run_job_payload
@@ -156,3 +157,16 @@ def test_pool_gives_up_after_retries(tmp_path):
     with pytest.raises(RuntimeError, match="failed after"):
         pool.run([payload])
     assert pool.retry_count == 1
+
+
+def test_pool_raises_typed_error_without_retry():
+    """A typed error (here a nonsense scale) is deterministic: the pool
+    raises it as it is, after one attempt."""
+    config = SimConfig.paper()
+    payload = {"benchmark": "compress", "scale": float("nan"),
+               "config": config.to_dict(), "label": "baseline",
+               "fingerprint": "ff" * 32}
+    pool = WorkerPool(2)
+    with pytest.raises(ConfigError, match="got nan"):
+        pool.run([payload])
+    assert pool.retry_count == 0

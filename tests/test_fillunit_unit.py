@@ -1,8 +1,11 @@
 """Fill unit orchestration tests."""
 
+from repro import workloads
 from repro.branch.bias import BiasTable
+from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.fillunit.unit import FillUnit, FillUnitConfig
+from repro.machine import run_program
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 from tests.helpers import run_asm
 
@@ -78,6 +81,28 @@ def test_built_segments_are_valid():
         for seg in entries.values():
             seg.validate()
             assert seg.deps is not None
+
+
+def test_assembled_segments_carry_region_ids():
+    """assemble_segment counts block and flow ids while it copies the
+    entries: they equal the candidate's region_ids, and block_count is
+    one past the last block id."""
+    unit, _ = make_unit()
+    collector = FillCollector(unit.bias)
+    checked = 0
+    for record in run_program(workloads.build("compress", scale=0.05)):
+        if record.instr.is_cond_branch():
+            unit.bias.record(record.pc, record.taken)
+        for candidate in collector.add(record):
+            segment = unit.assemble_segment(candidate)
+            block_ids, flow_ids = candidate.region_ids()
+            assert [i.block_id for i in segment.instrs] == block_ids
+            assert [i.flow_id for i in segment.instrs] == flow_ids
+            assert [i.orig_index for i in segment.instrs] == list(
+                range(len(candidate)))
+            assert segment.block_count == block_ids[-1] + 1
+            checked += 1
+    assert checked > 100
 
 
 def test_instructions_collected_counter():

@@ -1,5 +1,8 @@
 """Instruction placement pass tests (paper §4.5)."""
 
+from hypothesis import given, settings, strategies as st
+import pytest
+
 from repro.fillunit.dependency import mark_dependencies
 from repro.fillunit.opts.base import OptimizationConfig, PassContext
 from repro.fillunit.opts.placement import PlacementPass
@@ -130,3 +133,70 @@ def test_placement_recomputes_missing_deps():
     PlacementPass().apply(
         seg, PassContext(4, 4, OptimizationConfig.only("placement")))
     assert seg.deps is not None
+
+
+def oracle_placement(deps, count, num_clusters, cluster_size):
+    """The paper's heuristic on producer *sets* (the pass's former
+    loop, before producer bitmasks): ``(slots, moved)``."""
+    producers = [deps.internal_producers(index) for index in range(count)]
+    slots = [0] * count
+    placed_in = [set() for _ in range(num_clusters)]
+    unplaced = list(range(count))
+    moved = 0
+    for slot in range(count):
+        members = placed_in[(slot // cluster_size) % num_clusters]
+        pick = unplaced[0]
+        if members:
+            for candidate in unplaced:
+                if not producers[candidate].isdisjoint(members):
+                    pick = candidate
+                    break
+        unplaced.remove(pick)
+        slots[pick] = slot
+        members.add(pick)
+        if pick != slot:
+            moved += 1
+    return slots, moved
+
+
+#: register-operand shapes: ADD reads two and writes one, ADDI reads
+#: one, SWX reads three (value, base, index) and writes none
+_SHAPES = {
+    Op.ADD: lambda regs: dict(rd=regs[0], rs=regs[1], rt=regs[2]),
+    Op.ADDI: lambda regs: dict(rd=regs[0], rs=regs[1], imm=1),
+    Op.SWX: lambda regs: dict(rd=regs[0], rs=regs[1], rt=regs[2]),
+}
+
+
+@st.composite
+def producer_structures(draw):
+    """Up to 16 entries over six registers (register zero included, so
+    some operands are constants), giving chains, fan-in, fan-out and
+    redefinitions."""
+    count = draw(st.integers(1, 16))
+    instrs = []
+    for _ in range(count):
+        op = draw(st.sampled_from(sorted(_SHAPES, key=lambda o: o.value)))
+        regs = draw(st.lists(st.integers(0, 5), min_size=3, max_size=3))
+        instrs.append(Instruction(op, **_SHAPES[op](regs)))
+    return instrs
+
+
+@pytest.mark.parametrize("num_clusters,cluster_size", [(4, 4), (2, 8)])
+@given(instrs=producer_structures())
+@settings(max_examples=200, deadline=None)
+def test_bitmask_placement_matches_set_oracle(instrs, num_clusters,
+                                              cluster_size):
+    """Placement on producer bitmasks assigns the slots, and reports the
+    movement, of the set-based heuristic; the masks name exactly the
+    segment-internal producers."""
+    deps = mark_dependencies(instrs)
+    for index, mask in enumerate(deps.producer_masks):
+        assert {bit for bit in range(len(instrs)) if mask >> bit & 1} \
+            == deps.internal_producers(index)
+    seg = TraceSegment(start_pc=0, instrs=instrs)
+    seg.deps = deps
+    stats = PlacementPass().apply(
+        seg, PassContext(num_clusters, cluster_size, PLACE))
+    assert (seg.slots, stats["placement_moved"]) == oracle_placement(
+        deps, len(instrs), num_clusters, cluster_size)

@@ -1,5 +1,8 @@
 """Trace segment and trace cache tests."""
 
+import copy
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError, SegmentError
@@ -116,8 +119,9 @@ def test_listing_mentions_slots():
 
 # --- trace cache -----------------------------------------------------------
 
-def make_tc(num_sets=16, assoc=2):
-    return TraceCache(TraceCacheConfig(num_sets=num_sets, assoc=assoc))
+def make_tc(num_sets=16, assoc=2, policy="lru"):
+    return TraceCache(TraceCacheConfig(num_sets=num_sets, assoc=assoc,
+                                       policy=policy))
 
 
 def test_config_validation():
@@ -148,7 +152,8 @@ def test_fill_latency_delays_visibility():
 def test_same_path_insert_replaces_content():
     """Re-inserting the same path replaces the line with fresh content
     and a fresh fill time (content may differ, e.g. promotion state);
-    dedup of *identical* rebuilds is the fill unit's job, via touch()."""
+    dedup of *identical* rebuilds is the fill unit's job, via
+    refresh()."""
     tc = make_tc()
     tc.insert(make_segment(0x1000), now=0)
     tc.insert(make_segment(0x1000), now=100, fill_latency=50)
@@ -209,8 +214,8 @@ def test_probe_without_path_key_returns_mru_match():
     tc.insert(fallthrough, now=0)
     # fallthrough was installed last, hence is MRU.
     assert tc.probe(0x1000) is tc.probe(0x1000, fallthrough.path_key)
-    # Touching the taken path makes it MRU; probe must follow.
-    tc.touch(0x1000, taken.path_key)
+    # Refreshing the taken path makes it MRU; probe must follow.
+    assert tc.refresh(0x1000, taken.path_key, taken.build_promo)
     assert tc.probe(0x1000) is tc.probe(0x1000, taken.path_key)
     # lookup's equal-score tie-break agrees with probe's answer.
     assert tc.lookup(0x1000, now=1, chooser=lambda seg: 1) \
@@ -224,12 +229,66 @@ def test_insert_validates_segment():
         tc.insert(bad, now=0)
 
 
-def test_touch_refreshes_lru():
-    tc = make_tc(num_sets=1, assoc=2)
-    seg_a = make_segment(0x1000)
+def _cache_state(tc):
+    """Everything a refresh may change: the recency order of every
+    set, the policy's metadata (TRRIP's RRPVs and reuse history) and
+    the stats."""
+    return ([list(entries) for entries in tc._sets],
+            copy.deepcopy(vars(tc.policy)), dataclasses.asdict(tc.stats))
+
+
+def _two_line_set(policy):
+    """A one-set, two-way cache holding a line with one unpromoted
+    branch at 0x1000 (the LRU way) and a plain line at 0x2000."""
+    tc = make_tc(num_sets=1, assoc=2, policy=policy)
+    seg_a = make_segment(0x1000, branch_at={1})
+    seg_a.build_promo = (False,)
     tc.insert(seg_a, now=0)
     tc.insert(make_segment(0x2000), now=0)
-    tc.touch(0x1000, seg_a.path_key)
+    return tc, seg_a
+
+
+@pytest.mark.parametrize("policy", ["lru", "trrip"])
+def test_refresh_match_moves_line_to_mru(policy):
+    """A resident line of the same path and promotion state is kept
+    hot instead of rebuilt: it becomes MRU (so the next fill evicts
+    the other way), the policy sees one hit and one refresh counts."""
+    tc, seg_a = _two_line_set(policy)
+    hits = []
+    on_hit = tc.policy.on_hit
+
+    def spy(index, key):
+        hits.append(key)
+        on_hit(index, key)
+
+    tc.policy.on_hit = spy
+    assert tc.refresh(0x1000, seg_a.path_key, (False,))
+    assert hits == [(0x1000, seg_a.path_key)]
+    assert tc.stats.refreshes == 1
+    assert list(tc._sets[0])[-1] == (0x1000, seg_a.path_key)
     tc.insert(make_segment(0x3000), now=0)
     assert tc.probe(0x1000) is not None
     assert tc.probe(0x2000) is None
+    assert tc.probe(0x3000) is not None
+
+
+@pytest.mark.parametrize("policy", ["lru", "trrip"])
+def test_refresh_promotion_mismatch_changes_nothing(policy):
+    """A line whose branch promotion state changed must be rebuilt:
+    refresh declines and leaves order, policy state and stats as they
+    were."""
+    tc, seg_a = _two_line_set(policy)
+    before = _cache_state(tc)
+    assert not tc.refresh(0x1000, seg_a.path_key, (True,))
+    assert _cache_state(tc) == before
+
+
+@pytest.mark.parametrize("policy", ["lru", "trrip"])
+def test_refresh_absent_key(policy):
+    tc, seg_a = _two_line_set(policy)
+    before = _cache_state(tc)
+    assert not tc.refresh(0x3000, (0x3000,), ())
+    # same start pc, another path
+    assert not tc.refresh(0x1000, seg_a.path_key[:2], (False,))
+    assert _cache_state(tc) == before
+

@@ -4,6 +4,7 @@ and exhibits its designed idiom mix."""
 import pytest
 
 from repro import workloads
+from repro.errors import ConfigError
 from repro.machine.executor import Executor
 from repro.workloads.builder import AsmBuilder, lcg_values
 from repro.workloads.registry import PAPER_TABLE2, specint_names
@@ -50,6 +51,16 @@ def test_benchmark_deterministic(name):
     b = Executor(workloads.build(name, scale=0.05)).run()
     assert a.output == b.output
     assert len(a) == len(b)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"),
+                                   float("-inf"), 0.0, -1.0])
+def test_build_rejects_nonsense_scale(scale):
+    """A scale that is not finite and positive is a typed error naming
+    the value, not a raw ValueError/OverflowError or a silently
+    clamped minimum program."""
+    with pytest.raises(ConfigError, match=f"got {scale!r}"):
+        workloads.build("compress", scale=scale)
 
 
 def test_scale_controls_length():
