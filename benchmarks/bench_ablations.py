@@ -22,20 +22,22 @@ import pytest
 from repro.analysis.stats import arithmetic_mean
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
+from repro.exec.grid import opt_job
 from repro.fillunit.opts.base import OptimizationConfig
 
 SUBSET = ["m88ksim", "go", "li", "ijpeg"]
+BASE = OptimizationConfig.none()
 PLACE = OptimizationConfig.only("placement")
 ALL = OptimizationConfig.all()
 
 
-def run_config(runner, bench, config, label):
+def run_config(service, bench, config, label):
     model = Engine(config)
-    return model.run(runner.trace(bench), benchmark=bench, label=label)
+    return model.run(service.trace(bench), benchmark=bench, label=label)
 
 
 @pytest.mark.figure
-def test_ablation_trace_cache_value(benchmark, runner, emit):
+def test_ablation_trace_cache_value(benchmark, service, emit):
     """Value of the whole trace-cache substrate: the optimized TC
     machine versus instruction-cache-only fetch. Also reports the
     *unplaced* TC baseline, which can trail IC fetch on latency-bound
@@ -44,12 +46,12 @@ def test_ablation_trace_cache_value(benchmark, runner, emit):
         rows = {}
         for bench in SUBSET:
             no_tc = run_config(
-                runner, bench,
+                service, bench,
                 replace(SimConfig.paper(), trace_cache_enabled=False),
                 "no-tc")
-            tc_base = runner.baseline(bench)
-            tc_placed = runner.run(bench, PLACE)
-            tc_full = runner.run(bench, ALL)
+            tc_base = service.run(opt_job(bench, BASE))
+            tc_placed = service.run(opt_job(bench, PLACE))
+            tc_full = service.run(opt_job(bench, ALL))
             rows[bench] = (
                 100.0 * (tc_base.ipc - no_tc.ipc) / no_tc.ipc,
                 100.0 * (tc_placed.ipc - no_tc.ipc) / no_tc.ipc,
@@ -75,7 +77,7 @@ def test_ablation_trace_cache_value(benchmark, runner, emit):
 
 
 @pytest.mark.figure
-def test_ablation_trace_packing(benchmark, runner, emit):
+def test_ablation_trace_packing(benchmark, service, emit):
     """Trace packing raises segment occupancy (more instructions per
     TC line). Compared under the combined optimizations, as the
     paper's baseline runs both packing and (in our case) placement,
@@ -83,9 +85,9 @@ def test_ablation_trace_packing(benchmark, runner, emit):
     def study():
         rows = {}
         for bench in SUBSET:
-            packed = runner.run(bench, ALL)
+            packed = service.run(opt_job(bench, ALL))
             unpacked = run_config(
-                runner, bench,
+                service, bench,
                 replace(SimConfig.paper(ALL), trace_packing=False),
                 "no-packing")
             rows[bench] = (packed.ipc, unpacked.ipc,
@@ -107,7 +109,7 @@ def test_ablation_trace_packing(benchmark, runner, emit):
 
 
 @pytest.mark.figure
-def test_ablation_same_block_reassociation(benchmark, runner, emit):
+def test_ablation_same_block_reassociation(benchmark, service, emit):
     """Paper §4.3: lifting the cross-block-only restriction showed "no
     significant performance increase" because the compiler already
     reassociates within blocks. Our kernels are written pre-reassociated
@@ -119,10 +121,10 @@ def test_ablation_same_block_reassociation(benchmark, runner, emit):
     def study():
         rows = {}
         for bench in SUBSET:
-            base = runner.baseline(bench)
-            cross = runner.run(bench, restricted)
+            base = service.run(opt_job(bench, BASE))
+            cross = service.run(opt_job(bench, restricted))
             full = run_config(
-                runner, bench, SimConfig.paper(unrestricted), "reassoc-all")
+                service, bench, SimConfig.paper(unrestricted), "reassoc-all")
             rows[bench] = (cross.improvement_over(base),
                            full.improvement_over(base))
         return rows
@@ -136,7 +138,7 @@ def test_ablation_same_block_reassociation(benchmark, runner, emit):
 
 
 @pytest.mark.figure
-def test_ablation_bypass_penalty_sensitivity(benchmark, runner, emit):
+def test_ablation_bypass_penalty_sensitivity(benchmark, service, emit):
     """With a free bypass network (penalty 0) placement loses most of
     its reason to exist; with the paper's 1-cycle penalty it pays.
     (A small residue remains even at penalty 0 from functional-unit
@@ -144,13 +146,13 @@ def test_ablation_bypass_penalty_sensitivity(benchmark, runner, emit):
     def study():
         rows = {}
         for bench in ("ijpeg", "gnuplot"):
-            base1 = runner.baseline(bench)
-            place1 = runner.run(bench, PLACE)
+            base1 = service.run(opt_job(bench, BASE))
+            place1 = service.run(opt_job(bench, PLACE))
             gain_with_penalty = place1.improvement_over(base1)
             cfg0 = replace(SimConfig.paper(), cross_cluster_penalty=0)
-            base0 = run_config(runner, bench, cfg0, "free-bypass")
+            base0 = run_config(service, bench, cfg0, "free-bypass")
             place0 = run_config(
-                runner, bench, cfg0.with_optimizations(PLACE),
+                service, bench, cfg0.with_optimizations(PLACE),
                 "free-bypass+placement")
             gain_free = place0.improvement_over(base0)
             rows[bench] = (gain_with_penalty, gain_free)
@@ -169,22 +171,18 @@ def test_ablation_bypass_penalty_sensitivity(benchmark, runner, emit):
 
 
 @pytest.mark.figure
-def test_ablation_wrong_path_pollution(benchmark, runner, emit):
+def test_ablation_wrong_path_pollution(benchmark, service, emit):
     """Opt-in wrong-path fetch pollution (repro.core.wrongpath): the
     replay methodology's documented gap, measured. On this machine the
     trace cache covers ~99% of fetch, so I-side pollution is a
     second-order effect — quantifying that is the point."""
-    from repro import workloads
-
     def study():
         rows = {}
         for bench in ("compress", "perl"):      # the mispredict-heavy pair
-            program = workloads.build(bench, runner.scale)
-            trace = runner.trace(bench)
-            plain = runner.baseline(bench)
+            plain = service.run(opt_job(bench, BASE))
             cfg = replace(SimConfig.paper(), model_wrong_path=True)
-            polluted = Engine(cfg).run(trace, bench, "wrong-path",
-                                              program=program)
+            polluted = Engine(cfg).run(service.trace(bench), bench,
+                                       "wrong-path")
             rows[bench] = (plain.ipc, polluted.ipc,
                            polluted.wrong_path_fetches)
         return rows

@@ -18,22 +18,23 @@ import pytest
 from repro.analysis.stats import arithmetic_mean
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
+from repro.exec.grid import opt_job
 from repro.fillunit.opts.base import OptimizationConfig
 
 SUBSET = ["compress", "m88ksim", "li", "gnuplot", "python"]
 
 
 @pytest.mark.figure
-def test_extension_passes(benchmark, runner, emit):
+def test_extension_passes(benchmark, service, emit):
     extended = OptimizationConfig.extended()
 
     def study():
         rows = {}
         for bench in SUBSET:
-            base = runner.baseline(bench)
-            four = runner.run(bench, OptimizationConfig.all())
+            base = service.run(opt_job(bench, OptimizationConfig.none()))
+            four = service.run(opt_job(bench, OptimizationConfig.all()))
             six = Engine(SimConfig.paper(extended)).run(
-                runner.trace(bench), benchmark=bench, label="extended")
+                service.trace(bench), benchmark=bench, label="extended")
             rows[bench] = (four.improvement_over(base),
                            six.improvement_over(base),
                            six.pass_totals.get("cse_eliminated", 0),

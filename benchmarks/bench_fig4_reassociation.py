@@ -13,8 +13,8 @@ from repro.harness import figures
 
 
 @pytest.mark.figure
-def test_figure4_reassociation(benchmark, runner, emit):
-    fig = benchmark.pedantic(figures.figure4, args=(runner,),
+def test_figure4_reassociation(benchmark, service, benchmarks, emit):
+    fig = benchmark.pedantic(figures.figure4, args=(service, benchmarks),
                              rounds=1, iterations=1)
     emit(fig.render())
 

@@ -11,8 +11,8 @@ from repro.harness import figures
 
 
 @pytest.mark.figure
-def test_figure5_scaled_adds(benchmark, runner, emit):
-    fig = benchmark.pedantic(figures.figure5, args=(runner,),
+def test_figure5_scaled_adds(benchmark, service, benchmarks, emit):
+    fig = benchmark.pedantic(figures.figure5, args=(service, benchmarks),
                              rounds=1, iterations=1)
     emit(fig.render())
 

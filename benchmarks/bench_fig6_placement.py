@@ -12,8 +12,8 @@ from repro.harness import figures
 
 
 @pytest.mark.figure
-def test_figure6_placement(benchmark, runner, emit):
-    fig = benchmark.pedantic(figures.figure6, args=(runner,),
+def test_figure6_placement(benchmark, service, benchmarks, emit):
+    fig = benchmark.pedantic(figures.figure6, args=(service, benchmarks),
                              rounds=1, iterations=1)
     emit(fig.render())
 

@@ -13,8 +13,8 @@ from repro.harness import figures
 
 
 @pytest.mark.figure
-def test_figure7_bypass_delay(benchmark, runner, emit):
-    fig = benchmark.pedantic(figures.figure7, args=(runner,),
+def test_figure7_bypass_delay(benchmark, service, benchmarks, emit):
+    fig = benchmark.pedantic(figures.figure7, args=(service, benchmarks),
                              rounds=1, iterations=1)
     emit(fig.render())
     emit(f"mean baseline {fig.extra['mean_baseline']:.1f}%  ->  "

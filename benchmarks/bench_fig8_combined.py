@@ -16,8 +16,8 @@ from repro.harness import figures
 
 
 @pytest.mark.figure
-def test_figure8_combined(benchmark, runner, emit):
-    fig = benchmark.pedantic(figures.figure8, args=(runner,),
+def test_figure8_combined(benchmark, service, benchmarks, emit):
+    fig = benchmark.pedantic(figures.figure8, args=(service, benchmarks),
                              rounds=1, iterations=1)
     emit(fig.render())
     emit(f"all-benchmark mean (5-cycle fill): {fig.mean:.1f}%   "
@@ -37,7 +37,7 @@ def test_figure8_combined(benchmark, runner, emit):
     ranked = sorted(headline, key=headline.get, reverse=True)
     assert {"m88ksim", "gnuchess"} & set(ranked[:4])
     # Shape claim 4: combined beats the single-optimization runs.
-    fig3 = figures.figure3(runner)
+    fig3 = figures.figure3(service, benchmarks)
     assert fig.mean > fig3.mean
     # Shape claim 5: fill latency 1 vs 10 cycles changes each
     # benchmark's improvement only marginally (paper: "negligible");

@@ -11,8 +11,8 @@ from repro.harness import tables
 
 
 @pytest.mark.figure
-def test_table1_benchmarks(benchmark, runner, emit):
-    table = benchmark.pedantic(tables.table1, args=(runner,),
+def test_table1_benchmarks(benchmark, service, benchmarks, emit):
+    table = benchmark.pedantic(tables.table1, args=(service, benchmarks),
                                rounds=1, iterations=1)
     emit(table.render())
     # All fifteen benchmarks present, every one with a nonempty trace.

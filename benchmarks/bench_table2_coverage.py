@@ -12,8 +12,8 @@ from repro.harness import tables
 
 
 @pytest.mark.figure
-def test_table2_coverage(benchmark, runner, emit):
-    table = benchmark.pedantic(tables.table2, args=(runner,),
+def test_table2_coverage(benchmark, service, benchmarks, emit):
+    table = benchmark.pedantic(tables.table2, args=(service, benchmarks),
                                rounds=1, iterations=1)
     emit(table.render())
 

@@ -1,8 +1,8 @@
 """Shared fixtures for the figure/table regeneration benchmarks.
 
-One :class:`ExperimentRunner` is shared across the whole benchmark
-session so the committed traces and per-configuration results are
-computed once and reused by every figure.
+One :class:`~repro.exec.service.ExecutionService` is shared across the
+whole benchmark session so the committed traces and per-configuration
+results are computed once and reused by every figure.
 
 Environment knobs:
 
@@ -18,7 +18,9 @@ import os
 
 import pytest
 
-from repro.harness.experiment import ExperimentRunner
+from repro import workloads
+from repro.exec import ExecutionService
+from repro.exec.grid import paper_grid
 
 
 def pytest_configure(config):
@@ -27,16 +29,20 @@ def pytest_configure(config):
 
 
 @pytest.fixture(scope="session")
-def runner():
+def benchmarks():
+    """Every workload, in registry order (the figures' row order)."""
+    return workloads.names()
+
+
+@pytest.fixture(scope="session")
+def service(benchmarks):
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.6"))
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     cache_dir = os.environ.get("REPRO_BENCH_CACHE") or None
-    runner = ExperimentRunner(scale=scale, jobs=jobs,
-                              cache_dir=cache_dir)
+    service = ExecutionService(scale=scale, jobs=jobs, cache_dir=cache_dir)
     if jobs > 1 or cache_dir:
-        from repro.exec.grid import paper_grid
-        runner.prefetch(paper_grid(runner.benchmarks))
-    return runner
+        service.run_many(paper_grid(benchmarks))
+    return service
 
 
 @pytest.fixture(scope="session")

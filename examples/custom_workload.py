@@ -12,7 +12,7 @@ find work.
 Run:  python examples/custom_workload.py
 """
 
-from repro import OptimizationConfig, SimConfig, Simulator, assemble
+from repro import Engine, Executor, OptimizationConfig, SimConfig, assemble
 
 SOURCE = """
     .equ  NKEYS, 48
@@ -62,19 +62,17 @@ miss:
 
 
 def main() -> None:
-    program = assemble(SOURCE, name="hash-join")
-    simulator = Simulator(SimConfig.paper())
-    trace = simulator.trace_program(program)
+    trace = Executor(assemble(SOURCE, name="hash-join")).run()
     print(f"hash-join: {len(trace)} committed instructions, "
           f"checksum {trace.output[0]}")
 
-    baseline = simulator.run(trace, "hash-join", "baseline")
+    baseline = Engine(SimConfig.paper()).run(trace, "hash-join", "baseline")
     print(baseline.summary())
     for opt in ("moves", "reassoc", "scaled_adds", "placement"):
-        result = Simulator(SimConfig.paper(
+        result = Engine(SimConfig.paper(
             OptimizationConfig.only(opt))).run(trace, "hash-join", opt)
         print(f"  {opt:12s} +{result.improvement_over(baseline):5.1f}%")
-    combined = Simulator(SimConfig.paper(
+    combined = Engine(SimConfig.paper(
         OptimizationConfig.all())).run(trace, "hash-join", "combined")
     print(f"  {'combined':12s} +{combined.improvement_over(baseline):5.1f}%")
 

@@ -11,20 +11,19 @@ Run:  python examples/fill_latency_sweep.py [benchmark]
 
 import sys
 
-from repro import OptimizationConfig, SimConfig, Simulator, workloads
+from repro import Engine, Executor, OptimizationConfig, SimConfig, workloads
 
 
 def main() -> None:
     bench = sys.argv[1] if len(sys.argv) > 1 else "gnuchess"
-    program = workloads.build(bench, scale=0.4)
-    trace = Simulator(SimConfig.paper()).trace_program(program)
+    trace = Executor(workloads.build(bench, scale=0.4)).run()
 
     print(f"{bench}: combined-optimization IPC vs fill-unit latency")
-    baseline = Simulator(SimConfig.paper()).run(trace, bench, "baseline")
+    baseline = Engine(SimConfig.paper()).run(trace, bench, "baseline")
     print(f"  baseline (no opts, 5-cycle fill): IPC {baseline.ipc:.3f}")
     for latency in (1, 2, 5, 10, 20, 50):
         config = SimConfig.paper(OptimizationConfig.all(), latency)
-        result = Simulator(config).run(trace, bench, f"lat{latency}")
+        result = Engine(config).run(trace, bench, f"lat{latency}")
         print(f"  fill latency {latency:3d} cycles: IPC {result.ipc:.3f} "
               f"(+{result.improvement_over(baseline):.1f}% over baseline)")
     print("\nthe improvement barely moves: the fill pipeline is "

@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py [benchmark] [scale]
 
 import sys
 
-from repro import OptimizationConfig, SimConfig, Simulator, workloads
+from repro import Engine, Executor, OptimizationConfig, SimConfig, workloads
 
 
 def main() -> None:
@@ -23,13 +23,12 @@ def main() -> None:
     print(f"  {len(program)} static instructions, "
           f"{len(program.data)} data bytes")
 
-    simulator = Simulator(SimConfig.paper())
-    trace = simulator.trace_program(program)
+    trace = Executor(program).run()
     print(f"  {len(trace)} committed instructions "
           f"(checksum {trace.output})")
 
-    baseline = simulator.run(trace, bench, "baseline")
-    optimized = Simulator(
+    baseline = Engine(SimConfig.paper()).run(trace, bench, "baseline")
+    optimized = Engine(
         SimConfig.paper(OptimizationConfig.all())).run(trace, bench,
                                                        "optimized")
 

@@ -19,29 +19,32 @@ evaluation rests on:
   (:mod:`repro.workloads`), and the experiment harness regenerating
   every table and figure (:mod:`repro.harness`).
 
-Quickstart::
+Quickstart — the one run path: execute a program into its committed
+trace, then replay the trace through a fresh timing engine::
 
-    from repro import SimConfig, Simulator, workloads
+    from repro import Engine, Executor, SimConfig, workloads
     from repro.fillunit.opts import OptimizationConfig
 
-    program = workloads.build("m88ksim")
-    simulator = Simulator(SimConfig.paper())
-    trace = simulator.trace_program(program)
+    trace = Executor(workloads.build("m88ksim")).run()
 
-    baseline = simulator.run(trace, "m88ksim", "baseline")
-    optimized = Simulator(
+    baseline = Engine(SimConfig.paper()).run(trace, "m88ksim", "baseline")
+    optimized = Engine(
         SimConfig.paper(OptimizationConfig.all())
     ).run(trace, "m88ksim", "optimized")
 
     print(f"IPC {baseline.ipc:.2f} -> {optimized.ipc:.2f} "
           f"(+{optimized.improvement_over(baseline):.1f}%)")
+
+Grids of runs (the figures, tables and sweeps) go through
+:class:`repro.exec.ExecutionService`, which adds a result cache and a
+worker pool around the same two calls.
 """
 
 from repro import workloads
 from repro.asm import assemble
-from repro.core import SimConfig, SimResult, Simulator, simulate
+from repro.core import Engine, SimConfig, SimResult
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.machine import Executor, run_program
+from repro.machine import Executor
 from repro.program import Program
 from repro.telemetry import Telemetry
 
@@ -51,11 +54,9 @@ __all__ = [
     "assemble",
     "Program",
     "Executor",
-    "run_program",
+    "Engine",
     "SimConfig",
     "SimResult",
-    "Simulator",
-    "simulate",
     "OptimizationConfig",
     "Telemetry",
     "workloads",

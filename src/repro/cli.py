@@ -32,15 +32,17 @@ Commands:
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 import sys
 from typing import List, Optional
 
 from repro import workloads
 from repro.cache.policy import POLICY_NAMES
 from repro.core.config import SimConfig
-from repro.core.simulator import Simulator
+from repro.core.engine import Engine
 from repro.errors import ReproError
 from repro.fillunit.opts.base import PASS_ORDER, OptimizationConfig
+from repro.machine.executor import Executor
 
 
 def _opt_config(name: str) -> OptimizationConfig:
@@ -69,17 +71,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "temperature hints)")
 
 
-def _apply_policy(config: SimConfig, args) -> SimConfig:
-    """Apply the ``--policy`` knob to a built config (no-op for lru,
-    the seed-identical default)."""
-    policy = getattr(args, "policy", "lru")
-    if policy == "lru":
-        return config
-    from dataclasses import replace
+def _config(args, opts: Optional[str] = None) -> SimConfig:
+    """The paper machine per the verb's ``--opts`` (or *opts*),
+    ``--fill-latency`` and ``--policy``; the policy applies to the
+    trace cache and the memory hierarchy alike."""
+    config = SimConfig.paper(_opt_config(opts or args.opts),
+                             args.fill_latency)
     return replace(
         config,
-        trace_cache=replace(config.trace_cache, policy=policy),
-        hierarchy=replace(config.hierarchy, policy=policy))
+        trace_cache=replace(config.trace_cache, policy=args.policy),
+        hierarchy=replace(config.hierarchy, policy=args.policy))
 
 
 def _add_exec(parser: argparse.ArgumentParser) -> None:
@@ -131,14 +132,12 @@ def cmd_list(args) -> int:
 
 
 def cmd_run(args) -> int:
-    program = workloads.build(args.benchmark, args.scale)
-    config = _apply_policy(
-        SimConfig.paper(_opt_config(args.opts), args.fill_latency), args)
+    trace = Executor(workloads.build(args.benchmark, args.scale)).run()
     telemetry = sink = None
     if args.telemetry_out:
         telemetry, sink = _make_telemetry(args)
-    result = Simulator(config, telemetry=telemetry).run(
-        program, args.benchmark, args.opts)
+    result = Engine(_config(args), telemetry=telemetry).run(
+        trace, args.benchmark, args.opts)
     print(result.summary())
     cov = result.coverage.as_percentages(result.instructions)
     print(f"transformed: {cov['total']:.1f}% "
@@ -152,12 +151,10 @@ def cmd_run(args) -> int:
 
 def cmd_profile(args) -> int:
     from repro.telemetry.attribution import render_attribution
-    program = workloads.build(args.benchmark, args.scale)
-    config = _apply_policy(
-        SimConfig.paper(_opt_config(args.opts), args.fill_latency), args)
+    trace = Executor(workloads.build(args.benchmark, args.scale)).run()
     telemetry, sink = _make_telemetry(args)
-    result = Simulator(config, telemetry=telemetry).run(
-        program, args.benchmark, args.opts)
+    result = Engine(_config(args), telemetry=telemetry).run(
+        trace, args.benchmark, args.opts)
     print(result.summary())
     print()
     print(render_attribution(result.attribution, result.cycles))
@@ -176,16 +173,13 @@ def cmd_profile(args) -> int:
 def cmd_trace(args) -> int:
     """Simulate one benchmark with span tracing + the host-time
     profiler; export the timeline (and optionally the host profile)."""
-    from repro.core.engine import Engine
     from repro.telemetry import Telemetry
     from repro.telemetry.exporters import write_chrome_trace
     from repro.telemetry.hostprof import HostProfiler
 
-    program = workloads.build(args.benchmark, args.scale)
-    config = _apply_policy(
-        SimConfig.paper(_opt_config(args.opts), args.fill_latency), args)
+    trace = Executor(workloads.build(args.benchmark, args.scale)).run()
+    config = _config(args)
     if args.verify:
-        from dataclasses import replace
         config = replace(config, verify_fill=True)
 
     telemetry = Telemetry(spans=True)
@@ -193,7 +187,6 @@ def cmd_trace(args) -> int:
     engine = Engine(config, telemetry=telemetry)
     profiler = HostProfiler()
     profiler.attach(engine)
-    trace = Simulator(config).trace_program(program)
     result = engine.run(trace, benchmark=args.benchmark,
                         label=args.opts)
 
@@ -220,7 +213,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    program = workloads.build(args.benchmark, args.scale)
+    trace = Executor(workloads.build(args.benchmark, args.scale)).run()
 
     handle = None
     written = 0
@@ -240,20 +233,16 @@ def cmd_compare(args) -> int:
         telemetry.attach(JsonlSink(handle))
         return telemetry
 
-    simulator = Simulator(
-        _apply_policy(SimConfig.paper(fill_latency=args.fill_latency),
-                      args),
-        telemetry=leg_telemetry())
-    trace = simulator.trace_program(program)
-    baseline = simulator.run(trace, args.benchmark, "baseline")
+    baseline = Engine(_config(args, "none"),
+                      telemetry=leg_telemetry()).run(
+        trace, args.benchmark, "baseline")
     print(baseline.summary())
     sets = ["moves", "reassoc", "scaled_adds", "placement", "all"]
     if args.extended:
         sets += ["cse", "dead_code", "extended"]
     for name in sets:
-        config = _apply_policy(
-            SimConfig.paper(_opt_config(name), args.fill_latency), args)
-        result = Simulator(config, telemetry=leg_telemetry()).run(
+        result = Engine(_config(args, name),
+                        telemetry=leg_telemetry()).run(
             trace, args.benchmark, name)
         print(f"  {name:12s} IPC {result.ipc:5.2f}  "
               f"({result.improvement_over(baseline):+5.1f}%)")
@@ -263,25 +252,26 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _grid_runner(args):
-    """An ExperimentRunner on the execution service, with the paper
-    grid prefetched (through the pool with ``--jobs N``, replayed from
-    ``--cache-dir`` when warm)."""
+def _grid_service(args):
+    """The execution service with the paper grid over every benchmark
+    prefetched (through the pool with ``--jobs N``, replayed from
+    ``--cache-dir`` when warm). Returns ``(service, benchmarks)``."""
     from repro.exec.grid import paper_grid
-    from repro.harness import ExperimentRunner
-    runner = ExperimentRunner(scale=args.scale, jobs=args.jobs,
-                              cache_dir=args.cache_dir)
+    from repro.exec.service import ExecutionService
+    service = ExecutionService(scale=args.scale, jobs=args.jobs,
+                               cache_dir=args.cache_dir)
+    benchmarks = workloads.names()
     if args.jobs > 1 or args.cache_dir:
-        runner.prefetch(paper_grid(runner.benchmarks))
-    return runner
+        service.run_many(paper_grid(benchmarks))
+    return service, benchmarks
 
 
 def cmd_figures(args) -> int:
     from repro.harness import figures
-    runner = _grid_runner(args)
+    service, benchmarks = _grid_service(args)
     if args.svg:
         from repro.harness.svgchart import write_all_figures
-        for path in write_all_figures(runner, args.svg):
+        for path in write_all_figures(service, benchmarks, args.svg):
             print(f"wrote {path}")
         return 0
     wanted = args.only or ["3", "4", "5", "6", "7", "8"]
@@ -289,17 +279,17 @@ def cmd_figures(args) -> int:
                   "5": figures.figure5, "6": figures.figure6,
                   "7": figures.figure7, "8": figures.figure8}
     for key in wanted:
-        print(generators[key](runner).render())
+        print(generators[key](service, benchmarks).render())
         print()
     return 0
 
 
 def cmd_tables(args) -> int:
     from repro.harness import tables
-    runner = _grid_runner(args)
-    print(tables.table1(runner).render())
+    service, benchmarks = _grid_service(args)
+    print(tables.table1(service, benchmarks).render())
     print()
-    print(tables.table2(runner).render())
+    print(tables.table2(service, benchmarks).render())
     return 0
 
 
@@ -325,8 +315,6 @@ def cmd_verify_traces(args) -> int:
     """Replay one or more benchmarks with online segment verification
     and report per-pass/per-rule violation counts; exit nonzero when
     any error-severity violation was found."""
-    from dataclasses import replace
-
     from repro.telemetry import Telemetry
     from repro.telemetry.events import VERIFY_VIOLATION
 
@@ -337,15 +325,13 @@ def cmd_verify_traces(args) -> int:
         return 2
     total_errors = 0
     for name in names:
-        program = workloads.build(name, args.scale)
-        config = replace(
-            SimConfig.paper(_opt_config(args.opts), args.fill_latency),
-            verify_fill=True,
-            verify_each_pass=not args.whole_pipeline)
+        trace = Executor(workloads.build(name, args.scale)).run()
+        config = replace(_config(args), verify_fill=True,
+                         verify_each_pass=not args.whole_pipeline)
         telemetry = Telemetry(attribution=False)
         sink = telemetry.attach_memory(kinds=(VERIFY_VIOLATION,))
-        result = Simulator(config, telemetry=telemetry).run(
-            program, name, args.opts)
+        result = Engine(config, telemetry=telemetry).run(
+            trace, name, args.opts)
         checked = result.telemetry.get(
             "fillunit.verify.segments_checked", 0)
         clean = result.telemetry.get(
@@ -476,12 +462,10 @@ def cmd_analyze(args) -> int:
     if args.cross_check:
         from repro.errors import ConfigError
         from repro.harness.crosscheck import cross_check
-        config = SimConfig.paper(_opt_config(args.opts),
-                                 args.fill_latency)
+        config = _config(args)
         print()
         for name in names:
-            program = workloads.build(name, args.scale)
-            trace = Simulator(config).trace_program(program)
+            trace = Executor(workloads.build(name, args.scale)).run()
             try:
                 check = cross_check(reports[name], trace, config,
                                     name, args.opts)
@@ -504,7 +488,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_asm(args) -> int:
     from repro.asm import assemble
-    from repro.machine.executor import Executor
     with open(args.file) as handle:
         source = handle.read()
     program = assemble(source, name=args.file)
@@ -512,9 +495,7 @@ def cmd_asm(args) -> int:
     print(f"{args.file}: {len(trace)} committed instructions, "
           f"output {trace.output}")
     if args.simulate:
-        config = SimConfig.paper(_opt_config(args.opts),
-                                 args.fill_latency)
-        result = Simulator(config).run(trace, args.file, args.opts)
+        result = Engine(_config(args)).run(trace, args.file, args.opts)
         print(result.summary())
     return 0
 

@@ -3,7 +3,7 @@ clustered execution backend, replayed over the committed instruction
 stream (see DESIGN.md §3 for the replay methodology)."""
 
 from repro.core.config import SimConfig
+from repro.core.engine import Engine
 from repro.core.results import SimResult
-from repro.core.simulator import Simulator, simulate
 
-__all__ = ["SimConfig", "SimResult", "Simulator", "simulate"]
+__all__ = ["Engine", "SimConfig", "SimResult"]

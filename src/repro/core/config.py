@@ -1,4 +1,4 @@
-"""Simulator configuration.
+"""Machine configuration: every parameter of the simulated processor.
 
 ``SimConfig.paper()`` reproduces the paper's machine (§3, Experimental
 model); ``SimConfig.tiny()`` is a scaled-down variant for fast unit
@@ -30,8 +30,9 @@ _NESTED_TYPES = {
 class SimConfig:
     """All machine parameters."""
 
-    # Fetch/issue/retire widths (paper: 16-wide front and back end).
-    fetch_width: int = 16
+    # Issue/retire widths (paper: 16-wide front and back end). Fetch
+    # width is the trace cache line (``trace_cache.max_instrs``) on a
+    # hit and ``ic_fetch_width`` on an instruction-cache fetch.
     issue_width: int = 16
     retire_width: int = 16
     #: checkpoints creatable per cycle, one per block supplied (paper: 3)
@@ -79,12 +80,12 @@ class SimConfig:
     verify_each_pass: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_clusters * self.cluster_size > self.fetch_width:
+        if self.num_clusters * self.cluster_size > self.issue_width:
             raise ConfigError(
                 "more functional units than issue slots: "
                 f"{self.num_clusters}x{self.cluster_size} vs "
-                f"{self.fetch_width}")
-        if self.window_size < self.fetch_width:
+                f"{self.issue_width}")
+        if self.window_size < self.trace_cache.max_instrs:
             raise ConfigError("window smaller than one fetch group")
         if self.fill_latency < 1:
             raise ConfigError("fill latency is at least one cycle")

@@ -158,32 +158,38 @@ class Engine:
         per-run statistics. An engine runs once; build a fresh one
         for every run.
 
-        *program* (the static image) is required when
+        The static image comes from ``trace.program`` (set by
+        :meth:`Executor.run`). It is required when
         ``config.model_wrong_path`` is set — wrong-path instructions
         are decoded from it — and, when present, also feeds static
         temperature hints (natural-loop membership joined with
         instruction mix) to a TRRIP-style trace cache replacement
-        policy.
+        policy. *program* may be passed too, but only as the trace's
+        own image.
 
         Raises:
-            ConfigError: when wrong-path modeling is requested without
-                a program image.
+            ConfigError: when *program* is not ``trace.program``, or
+                wrong-path modeling is requested without an image.
             ReproError: when this engine has already run.
         """
         config = self.config
         if self._ran:
             raise ReproError("an Engine runs once: its components keep "
                              "the first run's state; build a new Engine")
-        if config.model_wrong_path and program is None:
+        image = trace.program
+        if program is not None and program is not image:
+            raise ConfigError(
+                "program= must be the trace's own image (trace.program)")
+        if config.model_wrong_path and image is None:
             raise ConfigError(
                 "model_wrong_path requires the program image")
         self._ran = True
-        if program is not None:
-            self._install_policy_hints(program)
+        if image is not None:
+            self._install_policy_hints(image)
         wrong_path: Optional[Any] = None
         if config.model_wrong_path:
             from repro.core.wrongpath import WrongPathFetcher
-            wrong_path = WrongPathFetcher(program, self.hierarchy,
+            wrong_path = WrongPathFetcher(image, self.hierarchy,
                                           config.ic_fetch_width)
         records = trace.records
         n = len(records)

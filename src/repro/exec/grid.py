@@ -1,10 +1,8 @@
 """Grid expansion: the one place experiment grids are spelled out.
 
-The harness used to hand-roll its config-variant expansion twice
-(``harness/experiment.py`` and ``harness/sweeps.py``); every grid now
-flows through :class:`JobSpec` and the helpers here, so the figures,
-tables, sweeps and the CLI all dispatch the same job shapes to the
-execution service.
+Every grid flows through :class:`JobSpec` and the helpers here, so
+the figures, tables, sweeps and the CLI all dispatch the same job
+shapes to the execution service.
 """
 
 from __future__ import annotations
@@ -41,6 +39,14 @@ def opt_variant(opts: OptimizationConfig,
                 fill_latency: int = 5) -> Tuple[str, SimConfig]:
     """A ``(label, config)`` pair: the paper machine under *opts*."""
     return variant_label(opts), SimConfig.paper(opts, fill_latency)
+
+
+def opt_job(benchmark: str, opts: OptimizationConfig,
+            fill_latency: int = 5) -> JobSpec:
+    """One figure-style job: *benchmark* on the paper machine under
+    *opts* (``OptimizationConfig.none()`` is the measured baseline)."""
+    label, config = opt_variant(opts, fill_latency)
+    return JobSpec(benchmark, config, label)
 
 
 def expand(benchmarks: Sequence[str],
@@ -97,5 +103,5 @@ def with_label(job: JobSpec, label: str) -> JobSpec:
     return replace(job, label=label)
 
 
-__all__ = ["JobSpec", "variant_label", "opt_variant", "expand",
+__all__ = ["JobSpec", "variant_label", "opt_variant", "opt_job", "expand",
            "sweep_grid", "paper_grid", "with_label"]

@@ -148,20 +148,7 @@ class ExecutionService:
 
     def run(self, job: JobSpec) -> SimResult:
         """One job, through every tier."""
-        spans = self.spans
-        handle = spans.begin("exec", "exec.job", spans.now_wall(),
-                             timebase=WALL, benchmark=job.benchmark,
-                             label=job.label)
-        fp = self.fingerprint(job)
-        hit = self._lookup(job, fp)
-        if hit is not None:
-            handle.end(spans.now_wall(), source="cache",
-                       cycles=hit.cycles)
-            return hit
-        result = self._simulate_inline(job, fp)
-        handle.end(spans.now_wall(), source="simulated",
-                   cycles=result.cycles)
-        return result
+        return self.run_many([job])[0]
 
     def run_many(self, jobs: List[JobSpec]) -> List[SimResult]:
         """All *jobs*, results in submission order. Misses run through

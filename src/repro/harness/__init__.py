@@ -3,23 +3,25 @@ paper's evaluation section.
 
 Typical use::
 
-    from repro.harness import ExperimentRunner, figures, tables
+    from repro import workloads
+    from repro.exec import ExecutionService
+    from repro.harness import figures, tables
 
-    runner = ExperimentRunner(scale=1.0)
-    fig3 = figures.figure3(runner)
+    service = ExecutionService(scale=1.0)
+    fig3 = figures.figure3(service, workloads.names())
     print(fig3.render())
 
 Each ``figureN``/``tableN`` function returns a structured result with a
 ``render()`` method producing the ASCII equivalent of the paper's
 chart, with paper-reported reference numbers alongside for comparison.
+Each takes the execution service that resolves its jobs (memo, disk
+cache, worker pool) and the benchmarks to report.
 """
 
-from repro.harness.experiment import ExperimentRunner
 from repro.harness import figures, svgchart, sweeps, tables
 from repro.harness.report import render_bar_chart, render_table
 
 __all__ = [
-    "ExperimentRunner",
     "figures",
     "svgchart",
     "sweeps",

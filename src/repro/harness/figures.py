@@ -6,15 +6,20 @@ and whose ``render()`` prints an ASCII equivalent. Absolute numbers are
 not expected to match the paper (different workloads, see DESIGN.md §3)
 — the *shape* claims each figure makes are recorded in ``claim`` and
 checked by the benchmark suite.
+
+Every generator takes the :class:`~repro.exec.service.ExecutionService`
+that resolves its jobs and the benchmarks to report, in row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.analysis.stats import arithmetic_mean
+from repro.exec.grid import opt_job
+from repro.exec.service import ExecutionService
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.harness.experiment import ExperimentRunner
 from repro.harness.report import render_bar_chart, render_table
 from repro.workloads.registry import specint_names
 
@@ -42,58 +47,77 @@ class FigureResult:
                 f"mean: {self.mean:.1f}\npaper claim: {self.claim}")
 
 
-def _single_opt_figure(runner: ExperimentRunner, figure: str, title: str,
-                       opt_name: str, claim: str) -> FigureResult:
+def improvement(service: ExecutionService, bench: str,
+                opts: OptimizationConfig, fill_latency: int = 5) -> float:
+    """Percent IPC improvement of *opts* over the measured baseline."""
+    optimized = service.run(opt_job(bench, opts, fill_latency))
+    return optimized.improvement_over(service.run(
+        opt_job(bench, OptimizationConfig.none(), fill_latency)))
+
+
+def _single_opt_figure(service: ExecutionService, benchmarks: Sequence[str],
+                       figure: str, title: str, opt_name: str,
+                       claim: str) -> FigureResult:
     opts = OptimizationConfig.only(opt_name)
-    rows = {bench: runner.improvement(bench, opts)
-            for bench in runner.benchmarks}
+    rows = {bench: improvement(service, bench, opts)
+            for bench in benchmarks}
     return FigureResult(figure, title, rows,
                         arithmetic_mean(rows.values()), claim)
 
 
-def figure3(runner: ExperimentRunner) -> FigureResult:
+def figure3(service: ExecutionService,
+            benchmarks: Sequence[str]) -> FigureResult:
     """IPC improvement of register-move marking (paper: avg ~5%; moves
     are ~6% of the dynamic stream)."""
     return _single_opt_figure(
-        runner, "Figure 3", "IPC improvement of register move handling",
+        service, benchmarks, "Figure 3",
+        "IPC improvement of register move handling",
         "moves", "average improvement ~5% across all benchmarks")
 
 
-def figure4(runner: ExperimentRunner) -> FigureResult:
+def figure4(service: ExecutionService,
+            benchmarks: Sequence[str]) -> FigureResult:
     """IPC improvement of fill-unit reassociation (paper: 1-2% for most,
     ~23% for m88ksim and gnuchess, 6-8% for ijpeg and ghostscript)."""
     return _single_opt_figure(
-        runner, "Figure 4", "IPC improvement of fill unit reassociation",
+        service, benchmarks, "Figure 4",
+        "IPC improvement of fill unit reassociation",
         "reassoc",
         "little for most (1-2%); m88ksim and gnuchess far ahead (~23%)")
 
 
-def figure5(runner: ExperimentRunner) -> FigureResult:
+def figure5(service: ExecutionService,
+            benchmarks: Sequence[str]) -> FigureResult:
     """IPC improvement of scaled-add creation (paper: 1-8%, avg 3.7%,
     go and tex highest)."""
     return _single_opt_figure(
-        runner, "Figure 5", "IPC improvement of scaled add instructions",
+        service, benchmarks, "Figure 5",
+        "IPC improvement of scaled add instructions",
         "scaled_adds", "1-8% range, average 3.7%; go and tex highest")
 
 
-def figure6(runner: ExperimentRunner) -> FigureResult:
+def figure6(service: ExecutionService,
+            benchmarks: Sequence[str]) -> FigureResult:
     """IPC improvement of fill-unit instruction placement (paper: avg
     ~5%; ijpeg largest at ~11%, tex smallest at ~1%)."""
     return _single_opt_figure(
-        runner, "Figure 6", "IPC improvement of fill unit placement",
+        service, benchmarks, "Figure 6",
+        "IPC improvement of fill unit placement",
         "placement", "average ~5%; ijpeg largest (~11%), tex least (~1%)")
 
 
-def figure7(runner: ExperimentRunner) -> FigureResult:
+def figure7(service: ExecutionService,
+            benchmarks: Sequence[str]) -> FigureResult:
     """Fraction of on-path instructions whose last-arriving source was
     delayed by the bypass network, baseline vs placement (paper: 35%
     -> 29% on average)."""
     rows = {}
     base_vals = []
     placed_vals = []
-    for bench in runner.benchmarks:
-        base = runner.baseline(bench)
-        placed = runner.run(bench, OptimizationConfig.only("placement"))
+    for bench in benchmarks:
+        base = service.run(opt_job(bench, OptimizationConfig.none()))
+        placed = service.run(
+            opt_job(bench, OptimizationConfig.only("placement")))
         rows[bench] = (100.0 * base.bypass_delayed_fraction,
                        100.0 * placed.bypass_delayed_fraction)
         base_vals.append(rows[bench][0])
@@ -110,7 +134,7 @@ def figure7(runner: ExperimentRunner) -> FigureResult:
                "mean_placement": mean_placed})
 
 
-def figure8(runner: ExperimentRunner,
+def figure8(service: ExecutionService, benchmarks: Sequence[str],
             latencies: tuple = (1, 5, 10)) -> FigureResult:
     """Combined IPC improvement of all four optimizations at fill-unit
     latencies of 1, 5 and 10 cycles (paper: ~18% average for 5 cycles,
@@ -118,9 +142,9 @@ def figure8(runner: ExperimentRunner,
     negligible impact)."""
     all_opts = OptimizationConfig.all()
     rows = {}
-    for bench in runner.benchmarks:
+    for bench in benchmarks:
         rows[bench] = tuple(
-            runner.improvement(bench, all_opts, fill_latency=latency)
+            improvement(service, bench, all_opts, fill_latency=latency)
             for latency in latencies)
     headline_idx = latencies.index(5) if 5 in latencies else 0
     headline = {bench: values[headline_idx]
@@ -138,11 +162,14 @@ def figure8(runner: ExperimentRunner,
                                 if specint else 0.0)})
 
 
-def all_figures(runner: ExperimentRunner) -> list:
+def all_figures(service: ExecutionService,
+                benchmarks: Sequence[str]) -> list:
     """Regenerate every figure (3-8), in order."""
-    return [figure3(runner), figure4(runner), figure5(runner),
-            figure6(runner), figure7(runner), figure8(runner)]
+    return [figure(service, benchmarks)
+            for figure in (figure3, figure4, figure5, figure6, figure7,
+                           figure8)]
 
 
-__all__ = ["FigureResult", "figure3", "figure4", "figure5", "figure6",
-           "figure7", "figure8", "all_figures"]
+__all__ = ["FigureResult", "improvement", "figure3",
+           "figure4", "figure5", "figure6", "figure7", "figure8",
+           "all_figures"]

@@ -82,12 +82,13 @@ def figure_to_svg(figure: FigureResult, series_labels=None) -> str:
     return "\n".join(parts)
 
 
-def write_all_figures(runner, directory: str) -> list:
-    """Regenerate figures 3-8 and write one SVG each; returns paths."""
+def write_all_figures(service, benchmarks, directory: str) -> list:
+    """Regenerate figures 3-8 over *benchmarks* through the execution
+    *service* and write one SVG each; returns paths."""
     from repro.harness import figures as fig_mod
     os.makedirs(directory, exist_ok=True)
     paths = []
-    for fig in fig_mod.all_figures(runner):
+    for fig in fig_mod.all_figures(service, benchmarks):
         labels = fig.extra.get("columns")
         number = fig.figure.split()[-1]
         path = os.path.join(directory, f"figure{number}.svg")

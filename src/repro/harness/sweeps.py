@@ -5,7 +5,7 @@ release wants the neighbouring sensitivity studies too — how the
 combined optimization benefit responds to cluster geometry, bypass
 cost, window size, or trace cache capacity. Each sweep runs
 baseline-vs-optimized at every point and reports the improvement
-curve, reusing the runner's cached traces.
+curve, reusing the execution service's cached traces.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 from repro.analysis.stats import arithmetic_mean
 from repro.core.config import SimConfig
 from repro.exec.grid import sweep_grid
-from repro.harness.experiment import ExperimentRunner
+from repro.exec.service import ExecutionService
 from repro.harness.report import render_table
 from repro.tracecache.cache import TraceCacheConfig
 
@@ -53,12 +53,12 @@ class SweepResult:
                                   f"(combined-optimization gain, %)")
 
 
-def _run_sweep(runner: ExperimentRunner, name: str, knob: str,
+def _run_sweep(service: ExecutionService, name: str, knob: str,
                points: list, make_config: Callable,
                benchmarks: list) -> SweepResult:
     result = SweepResult(name=name, knob=knob, points=list(points))
     jobs = sweep_grid(benchmarks, points, make_config)
-    results = runner.service.run_many(jobs)
+    results = service.run_many(jobs)
     # sweep_grid's layout contract: benchmark-major, points in order,
     # baseline immediately before optimized.
     per_bench = 2 * len(points)
@@ -70,52 +70,52 @@ def _run_sweep(runner: ExperimentRunner, name: str, knob: str,
     return result
 
 
-def sweep_fill_latency(runner: ExperimentRunner, benchmarks: list,
+def sweep_fill_latency(service: ExecutionService, benchmarks: list,
                        points=(1, 2, 5, 10, 20)) -> SweepResult:
     """Figure 8's knob, on a wider range."""
     return _run_sweep(
-        runner, "fill-unit pipeline latency", "cycles", list(points),
+        service, "fill-unit pipeline latency", "cycles", list(points),
         lambda latency, opts: SimConfig.paper(opts, latency),
         benchmarks)
 
 
-def sweep_bypass_penalty(runner: ExperimentRunner, benchmarks: list,
+def sweep_bypass_penalty(service: ExecutionService, benchmarks: list,
                          points=(0, 1, 2, 3)) -> SweepResult:
     """Cross-cluster forwarding cost: what placement monetizes."""
     return _run_sweep(
-        runner, "cross-cluster bypass penalty", "cycles", list(points),
+        service, "cross-cluster bypass penalty", "cycles", list(points),
         lambda penalty, opts: replace(SimConfig.paper(opts),
                                       cross_cluster_penalty=penalty),
         benchmarks)
 
 
-def sweep_window(runner: ExperimentRunner, benchmarks: list,
+def sweep_window(service: ExecutionService, benchmarks: list,
                  points=(64, 128, 256, 512)) -> SweepResult:
     """In-flight window: chain-height savings matter more when the
     window cannot hide latency with parallelism."""
     return _run_sweep(
-        runner, "instruction window size", "entries", list(points),
+        service, "instruction window size", "entries", list(points),
         lambda window, opts: replace(SimConfig.paper(opts),
                                      window_size=window),
         benchmarks)
 
 
-def sweep_trace_cache_size(runner: ExperimentRunner, benchmarks: list,
+def sweep_trace_cache_size(service: ExecutionService, benchmarks: list,
                            points=(64, 128, 512)) -> SweepResult:
     """Trace cache sets (capacity): optimization coverage follows the
     fraction of the stream the TC supplies."""
     def make(num_sets, opts):
         return replace(SimConfig.paper(opts),
                        trace_cache=TraceCacheConfig(num_sets=num_sets))
-    return _run_sweep(runner, "trace cache capacity", "sets",
+    return _run_sweep(service, "trace cache capacity", "sets",
                       list(points), make, benchmarks)
 
 
-def sweep_checkpoints(runner: ExperimentRunner, benchmarks: list,
+def sweep_checkpoints(service: ExecutionService, benchmarks: list,
                       points=(4, 8, 16, 32)) -> SweepResult:
     """Checkpoint-repair storage: speculation depth in branches."""
     return _run_sweep(
-        runner, "checkpoint storage", "checkpoints", list(points),
+        service, "checkpoint storage", "checkpoints", list(points),
         lambda capacity, opts: replace(SimConfig.paper(opts),
                                        max_checkpoints=capacity),
         benchmarks)

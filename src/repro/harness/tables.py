@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.analysis.stats import arithmetic_mean
-from repro.fillunit.opts.base import OptimizationConfig
-from repro.harness.experiment import ExperimentRunner
-from repro.harness.report import render_table
 from repro import workloads
+from repro.analysis.stats import arithmetic_mean
+from repro.exec.grid import opt_job
+from repro.exec.service import ExecutionService
+from repro.fillunit.opts.base import OptimizationConfig
+from repro.harness.report import render_table
 from repro.workloads.registry import PAPER_TABLE1, PAPER_TABLE2
 
 
@@ -30,20 +32,18 @@ class TableResult:
         return out
 
 
-def table1(runner: ExperimentRunner = None,
-           scale: float = 1.0) -> TableResult:
+def table1(service: ExecutionService,
+           benchmarks: Sequence[str]) -> TableResult:
     """Table 1: the benchmark inventory.
 
     Reports the paper's simulated lengths/inputs next to this
     reproduction's synthetic stand-ins and their committed lengths.
     """
-    if runner is None:
-        runner = ExperimentRunner(scale=scale)
     rows = []
-    for name in runner.benchmarks:
+    for name in benchmarks:
         spec = workloads.spec(name)
         paper = PAPER_TABLE1[name]
-        committed = len(runner.trace(name))
+        committed = len(service.trace(name))
         rows.append([name, spec.suite, paper.inst_count, paper.input_set,
                      committed, spec.description])
     return TableResult(
@@ -55,14 +55,15 @@ def table1(runner: ExperimentRunner = None,
         "describe the synthetic stand-ins (DESIGN.md §3)")
 
 
-def table2(runner: ExperimentRunner) -> TableResult:
+def table2(service: ExecutionService,
+           benchmarks: Sequence[str]) -> TableResult:
     """Table 2: percentage of committed instructions transformed by the
     fill unit, per optimization, under the combined configuration."""
     all_opts = OptimizationConfig.all()
     rows = []
     totals = []
-    for name in runner.benchmarks:
-        result = runner.run(name, all_opts)
+    for name in benchmarks:
+        result = service.run(opt_job(name, all_opts))
         cov = result.coverage.as_percentages(result.instructions)
         paper = PAPER_TABLE2[name]
         rows.append([
@@ -77,13 +78,13 @@ def table2(runner: ExperimentRunner) -> TableResult:
     rows.append([
         "average",
         arithmetic_mean(r[1] for r in data_rows),
-        arithmetic_mean(PAPER_TABLE2[n].moves for n in runner.benchmarks),
+        arithmetic_mean(PAPER_TABLE2[n].moves for n in benchmarks),
         arithmetic_mean(r[3] for r in data_rows),
-        arithmetic_mean(PAPER_TABLE2[n].reassoc for n in runner.benchmarks),
+        arithmetic_mean(PAPER_TABLE2[n].reassoc for n in benchmarks),
         arithmetic_mean(r[5] for r in data_rows),
-        arithmetic_mean(PAPER_TABLE2[n].scaled for n in runner.benchmarks),
+        arithmetic_mean(PAPER_TABLE2[n].scaled for n in benchmarks),
         arithmetic_mean(totals),
-        arithmetic_mean(PAPER_TABLE2[n].total for n in runner.benchmarks),
+        arithmetic_mean(PAPER_TABLE2[n].total for n in benchmarks),
     ])
     return TableResult(
         "Table 2",

@@ -10,7 +10,7 @@ The functional machine serves two roles:
    sequences on two machines and require identical architectural state.
 """
 
-from repro.machine.executor import Executor, run_program
+from repro.machine.executor import Executor
 from repro.machine.memory import Memory
 from repro.machine.state import ArchState
 from repro.machine.tracing import CommittedInstr, CommittedTrace
@@ -19,7 +19,6 @@ __all__ = [
     "ArchState",
     "Memory",
     "Executor",
-    "run_program",
     "CommittedInstr",
     "CommittedTrace",
 ]

@@ -84,7 +84,8 @@ class Executor:
             raise ExecutionError(
                 f"program did not halt within {max_instructions} "
                 f"instructions (pc={self.state.pc:#x})")
-        return CommittedTrace(records, self.state, self.output)
+        return CommittedTrace(records, self.state, self.output,
+                              self.program)
 
     def _execute(self, stop: int,
                  append: Optional[Callable[[CommittedInstr], None]]
@@ -165,14 +166,6 @@ class Executor:
             self.halted = True
 
 
-def run_program(program: Program,
-                max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
-                ) -> CommittedTrace:
-    """Assemble-and-go convenience: execute *program* from a fresh
-    machine and return its committed trace."""
-    return Executor(program).run(max_instructions)
-
-
 def execute_sequence(instrs: List[Instruction], state: ArchState,
                      memory: Memory) -> None:
     """Execute a straight-line instruction sequence in order, mutating
@@ -198,5 +191,5 @@ def execute_sequence(instrs: List[Instruction], state: ArchState,
             state.write_reg(effect.dest, value)
 
 
-__all__ = ["Executor", "run_program", "execute_sequence",
+__all__ = ["Executor", "execute_sequence",
            "DEFAULT_MAX_INSTRUCTIONS"]

@@ -12,6 +12,7 @@ from typing import Iterator, List, Optional, Union
 
 from repro.isa.instruction import Instruction
 from repro.machine.state import ArchState
+from repro.program.image import Program
 
 
 class CommittedInstr:
@@ -38,14 +39,21 @@ class CommittedInstr:
 
 
 class CommittedTrace:
-    """The full committed stream of one program run."""
+    """The full committed stream of one program run.
+
+    *program* is the static image the stream was executed from; the
+    timing engine reads it for TRRIP's static temperature hints and
+    for wrong-path fetch.
+    """
 
     def __init__(self, records: List[CommittedInstr],
                  final_state: ArchState,
-                 output: List[Union[int, str]]) -> None:
+                 output: List[Union[int, str]],
+                 program: Optional[Program] = None) -> None:
         self.records = records
         self.final_state = final_state
         self.output = output
+        self.program = program
 
     def __len__(self) -> int:
         return len(self.records)

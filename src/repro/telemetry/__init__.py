@@ -12,13 +12,13 @@ One :class:`Telemetry` session bundles the three layers:
 
 Usage::
 
-    from repro import SimConfig, Simulator, workloads
+    from repro import Engine, Executor, SimConfig, workloads
     from repro.telemetry import Telemetry
 
     telemetry = Telemetry()
     telemetry.attach_jsonl("run.jsonl")
-    result = Simulator(SimConfig.paper(),
-                       telemetry=telemetry).run(workloads.build("li"))
+    trace = Executor(workloads.build("li")).run()
+    result = Engine(SimConfig.paper(), telemetry=telemetry).run(trace, "li")
     print(result.attribution)           # cycle classes, sum == cycles
     print(result.telemetry)             # flat {scope: value} snapshot
     telemetry.close()

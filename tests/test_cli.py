@@ -229,3 +229,40 @@ def test_analyze_json_export(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out_file.read_text())
     assert payload["compress"]["derived"]["lint_errors"] == 0
+
+
+@pytest.mark.parametrize("verb", ["run", "profile", "trace", "compare",
+                                  "verify-traces", "analyze", "asm"])
+def test_policy_reaches_every_engine(tmp_path, capsys, monkeypatch, verb):
+    """Every verb that takes ``--policy`` builds engines whose trace
+    cache and memory hierarchy run that policy."""
+    from repro.core.engine import Engine
+
+    engines = []
+    build = Engine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(Engine, "__init__", recording_init)
+    source = tmp_path / "kernel.s"
+    source.write_text("main:\n    li $t0, 3\n    halt\n")
+    argv = {
+        "run": ["run", "compress"],
+        "profile": ["profile", "compress"],
+        "trace": ["trace", "compress", "--out",
+                  str(tmp_path / "t.json")],
+        "compare": ["compare", "compress"],
+        "verify-traces": ["verify-traces", "compress"],
+        "analyze": ["analyze", "compress", "--cross-check"],
+        "asm": ["asm", str(source), "--simulate"],
+    }[verb]
+    if verb != "asm":
+        argv += ["--scale", "0.05"]
+    code, _ = run_cli(capsys, *argv, "--policy", "srrip")
+    assert code == 0
+    assert engines
+    for engine in engines:
+        assert engine.trace_cache.config.policy == "srrip"
+        assert engine.hierarchy.config.policy == "srrip"

@@ -23,7 +23,6 @@ from repro.tracecache.cache import TraceCacheConfig
 def _non_default_config() -> SimConfig:
     """A valid SimConfig with every field away from its default."""
     return SimConfig(
-        fetch_width=8,
         issue_width=8,
         retire_width=8,
         max_blocks_per_cycle=2,

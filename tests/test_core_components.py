@@ -318,7 +318,8 @@ def test_cold_load_pays_memory_latency():
 
 def test_paper_config_defaults():
     config = SimConfig.paper()
-    assert config.fetch_width == 16
+    assert config.issue_width == 16
+    assert config.trace_cache.max_instrs == 16
     assert config.num_fus == 16
     assert config.num_clusters == 4
     assert config.trace_cache.num_lines == 2048
@@ -328,7 +329,7 @@ def test_paper_config_defaults():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        SimConfig(num_clusters=8, cluster_size=4, fetch_width=16)
+        SimConfig(num_clusters=8, cluster_size=4, issue_width=16)
     with pytest.raises(ConfigError):
         SimConfig(window_size=4)
     with pytest.raises(ConfigError):

@@ -1,14 +1,13 @@
-"""Simulator facade and configuration-sensitivity tests."""
+"""The one run path (Executor then Engine) and configuration-sensitivity
+tests."""
 
 from dataclasses import replace
-
-import pytest
 
 from repro.asm import assemble
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
-from repro.core.simulator import Simulator, simulate
 from repro.fillunit.opts.base import OptimizationConfig
+from repro.machine.executor import Executor
 from tests.helpers import run_asm
 
 PROGRAM_SRC = """
@@ -25,31 +24,17 @@ loop:
 """
 
 
-def test_simulator_accepts_program_or_trace():
+def test_engine_takes_program_from_trace():
+    """The committed trace carries its program, so passing the image
+    again changes nothing."""
     program = assemble(PROGRAM_SRC, name="prog")
-    simulator = Simulator(SimConfig.tiny())
-    by_program = simulator.run(program)
-    trace = simulator.trace_program(program)
-    by_trace = simulator.run(trace, benchmark="prog")
-    assert by_program.cycles == by_trace.cycles
-    assert by_program.benchmark == "prog"
-
-
-def test_simulate_default_config_is_paper():
-    program = assemble(PROGRAM_SRC)
-    result = simulate(program)
-    assert result.instructions > 100
-
-
-def test_fresh_microarchitectural_state_per_run():
-    simulator = Simulator(SimConfig.tiny())
-    program = assemble(PROGRAM_SRC)
-    trace = simulator.trace_program(program)
-    first = simulator.run(trace)
-    second = simulator.run(trace)
-    # No warm state leaks between runs: identical results.
-    assert first.cycles == second.cycles
-    assert first.tc_hits == second.tc_hits
+    trace = Executor(program).run()
+    assert trace.program is program
+    plain = Engine(SimConfig.tiny()).run(trace, benchmark="prog")
+    passed = Engine(SimConfig.tiny()).run(trace, benchmark="prog",
+                                          program=program)
+    assert plain.cycles == passed.cycles
+    assert plain.benchmark == "prog"
 
 
 # --- configuration sensitivity -------------------------------------------
@@ -96,7 +81,5 @@ def test_single_cluster_machine():
 
 
 def test_extended_optimizations_run_through_simulator():
-    program = assemble(PROGRAM_SRC)
-    simulator = Simulator(SimConfig.tiny(OptimizationConfig.extended()))
-    result = simulator.run(program)
+    result = run_with(SimConfig.tiny(OptimizationConfig.extended()))
     assert result.ipc > 0

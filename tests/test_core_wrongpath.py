@@ -8,10 +8,10 @@ from repro.asm import assemble
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
-from repro.core.simulator import Simulator
 from repro.core.wrongpath import WrongPathFetcher
 from repro.errors import ConfigError
-from repro.machine.tracing import CommittedInstr
+from repro.machine.executor import Executor
+from repro.machine.tracing import CommittedInstr, CommittedTrace
 from tests.helpers import run_asm
 
 HARD_BRANCH = """
@@ -104,17 +104,33 @@ def test_cycle_budget_capped():
 
 def test_requires_program_image():
     _, trace = run_asm("main:\n    halt\n")
+    bare = CommittedTrace(trace.records, trace.final_state, trace.output)
     config = replace(SimConfig.tiny(), model_wrong_path=True)
     with pytest.raises(ConfigError):
-        Engine(config).run(trace, "t", "r")
+        Engine(config).run(bare, "t", "r")
+
+
+def test_program_must_be_the_traces_own_image():
+    """``program=`` is accepted only as the trace's own image."""
+    prog, trace = run_asm("main:\n    halt\n")
+    assert trace.program is prog
+    Engine(SimConfig.tiny()).run(trace, "t", "r", program=prog)
+    with pytest.raises(ConfigError):
+        Engine(SimConfig.tiny()).run(trace, "t", "r",
+                                     program=assemble("main:\n    halt\n"))
+
+
+def _run_both(prog):
+    """*prog* on the tiny machine without and with wrong-path fetch."""
+    trace = Executor(prog).run()
+    base = Engine(SimConfig.tiny()).run(trace, "t", "plain")
+    polluted = Engine(replace(SimConfig.tiny(),
+                              model_wrong_path=True)).run(trace, "t", "wp")
+    return base, polluted
 
 
 def test_end_to_end_pollution_costs_cycles():
-    prog = assemble(HARD_BRANCH)
-    base = Simulator(SimConfig.tiny()).run(prog, "t", "plain")
-    polluted = Simulator(replace(SimConfig.tiny(),
-                                 model_wrong_path=True)).run(prog, "t",
-                                                             "wp")
+    base, polluted = _run_both(assemble(HARD_BRANCH))
     assert polluted.wrong_path_fetches > 0
     assert base.wrong_path_fetches == 0
     # Pollution perturbs I-cache state; on a tiny loop it may even act
@@ -125,10 +141,6 @@ def test_end_to_end_pollution_costs_cycles():
 
 def test_committed_results_identical_shape():
     """Pollution changes timing, never the committed stream."""
-    prog = assemble(HARD_BRANCH)
-    base = Simulator(SimConfig.tiny()).run(prog, "t", "plain")
-    polluted = Simulator(replace(SimConfig.tiny(),
-                                 model_wrong_path=True)).run(prog, "t",
-                                                             "wp")
+    base, polluted = _run_both(assemble(HARD_BRANCH))
     assert polluted.instructions == base.instructions
     assert polluted.cond_branches == base.cond_branches

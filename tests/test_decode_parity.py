@@ -37,7 +37,7 @@ from repro.isa.decoded import Decoded, decode_key
 from repro.isa.instruction import move_source
 from repro.isa.opcodes import OpClass
 from repro.isa.semantics import semantics_for
-from repro.machine import run_program
+from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 from repro.workloads import synth
@@ -153,7 +153,7 @@ def test_segment_records_match_methods(opts, evicting):
     instrs = []
     rebuilt = evictions = 0
     for bench in ("compress", "li"):
-        trace = run_program(workloads.build(bench, scale=0.2))
+        trace = Executor(workloads.build(bench, scale=0.2)).run()
         config = SimConfig.tiny(opts())
         engine, built = _engine_capturing_segments(
             _evicting(config) if evicting else config)
@@ -199,7 +199,7 @@ def test_segments_share_records_and_leave_the_image_alone(bench):
     image. An entry no pass rewrote shares its program instruction's
     record; a rewritten entry holds its own, equal to a fresh decode."""
     program = workloads.build(bench, scale=0.2)
-    trace = run_program(program)
+    trace = Executor(program).run()
     image = [_image_fields(instr) for instr in program.instructions]
     engine, built = _engine_capturing_segments(
         SimConfig.tiny(OptimizationConfig.extended()))
@@ -233,7 +233,7 @@ def test_rewritten_entries_share_one_record_per_shape(opts):
     for bench in workloads.names():
         program = workloads.build(bench, scale=0.05)
         engine, built = _engine_capturing_segments(SimConfig.tiny(opts()))
-        engine.run(run_program(program), benchmark=bench)
+        engine.run(Executor(program).run(), benchmark=bench)
         table = engine.fill_unit.decodes
         record_of: dict = {}
         key_of: dict = {}
@@ -297,7 +297,7 @@ def test_generated_program_records_match_methods(program):
         TraceCache(TraceCacheConfig(num_sets=16, assoc=2)),
         BiasTable(64, threshold=2))
     collector = FillCollector(unit.bias)
-    for record in run_program(program).records:
+    for record in Executor(program).run().records:
         if record.instr.is_cond_branch():
             unit.bias.record(record.pc, record.taken)
         for candidate in collector.add(record):
@@ -335,7 +335,7 @@ def test_observer_stage_sees_every_instruction(observed, opts):
     every committed instruction exactly once, in order — predicated
     phantoms (the extended set) included in the chain but not in the
     committed stream."""
-    trace = run_program(workloads.build("compress", scale=0.2))
+    trace = Executor(workloads.build("compress", scale=0.2)).run()
     config = SimConfig.tiny(opts())
 
     def session():

@@ -25,7 +25,7 @@ from repro.fillunit.collector import (FillCollector, PendingBranch,
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.isa.decoded import Decoded
-from repro.machine import run_program
+from repro.machine.executor import Executor
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 from tests.helpers import evicting_config, run_asm
 
@@ -190,20 +190,19 @@ EVICTING_EXTENDED = {
 _RUNS: dict = {}
 
 
-def _program_and_trace(bench: str):
+def _trace(bench: str):
     if bench not in _RUNS:
-        program = workloads.build(bench, scale=0.15)
-        _RUNS[bench] = (program, run_program(program))
+        _RUNS[bench] = Executor(workloads.build(bench, scale=0.15)).run()
     return _RUNS[bench]
 
 
 @pytest.mark.parametrize("bench,policy", sorted(EVICTING_EXTENDED))
 def test_reused_segments_equal_fresh_builds(bench, policy):
-    program, trace = _program_and_trace(bench)
+    trace = _trace(bench)
     engine = Engine(evicting_config(OptimizationConfig.extended(), policy))
     check = ReuseCheck(engine.fill_unit)
     engine.stages.append(check)
-    result = engine.run(trace, benchmark=bench, program=program)
+    result = engine.run(trace, benchmark=bench)
 
     reused = engine.fill_unit.stats.segments_reused
     assert reused > 0

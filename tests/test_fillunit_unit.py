@@ -5,7 +5,7 @@ from repro.branch.bias import BiasTable
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.fillunit.unit import FillUnit, FillUnitConfig
-from repro.machine import run_program
+from repro.machine.executor import Executor
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 from tests.helpers import run_asm
 
@@ -90,7 +90,7 @@ def test_assembled_segments_carry_region_ids():
     unit, _ = make_unit()
     collector = FillCollector(unit.bias)
     checked = 0
-    for record in run_program(workloads.build("compress", scale=0.05)):
+    for record in Executor(workloads.build("compress", scale=0.05)).run():
         if record.instr.is_cond_branch():
             unit.bias.record(record.pc, record.taken)
         for candidate in collector.add(record):

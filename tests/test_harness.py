@@ -2,76 +2,79 @@
 
 import pytest
 
+from repro.exec.grid import opt_job
+from repro.exec.service import ExecutionService
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.harness import ExperimentRunner, figures, tables
+from repro.harness import figures, tables
+from repro.harness.figures import improvement
 from repro.harness.report import render_bar_chart, render_table
 
 SUBSET = ["compress", "m88ksim"]
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(scale=0.15, benchmarks=SUBSET)
+def service():
+    return ExecutionService(scale=0.15)
 
 
-def test_trace_cached(runner):
-    first = runner.trace("compress")
-    second = runner.trace("compress")
+def test_trace_cached(service):
+    first = service.trace("compress")
+    second = service.trace("compress")
     assert first is second
 
 
-def test_results_cached(runner):
-    a = runner.baseline("compress")
-    b = runner.baseline("compress")
+def test_results_cached(service):
+    a = service.run(opt_job("compress", OptimizationConfig.none()))
+    b = service.run(opt_job("compress", OptimizationConfig.none()))
     assert a is b
 
 
-def test_improvement_positive_for_combined(runner):
-    imp = runner.improvement("m88ksim", OptimizationConfig.all())
+def test_improvement_positive_for_combined(service):
+    imp = improvement(service, "m88ksim", OptimizationConfig.all())
     assert imp > 0
 
 
-def test_figure3_structure(runner):
-    fig = figures.figure3(runner)
+def test_figure3_structure(service):
+    fig = figures.figure3(service, SUBSET)
     assert set(fig.rows) == set(SUBSET)
     assert fig.figure == "Figure 3"
     text = fig.render()
     assert "register move" in text and "paper claim" in text
 
 
-def test_figure7_reports_pairs(runner):
-    fig = figures.figure7(runner)
+def test_figure7_reports_pairs(service):
+    fig = figures.figure7(service, SUBSET)
     for base_pct, placed_pct in fig.rows.values():
         assert 0 <= placed_pct <= 100 and 0 <= base_pct <= 100
     assert "mean_baseline" in fig.extra
 
 
-def test_figure8_latency_columns(runner):
-    fig = figures.figure8(runner, latencies=(1, 5))
+def test_figure8_latency_columns(service):
+    fig = figures.figure8(service, SUBSET, latencies=(1, 5))
     for values in fig.rows.values():
         assert len(values) == 2
     assert "specint_mean" in fig.extra
     assert "1-cycle" in fig.extra["columns"]
 
 
-def test_table1_lists_subset(runner):
-    table = tables.table1(runner)
+def test_table1_lists_subset(service):
+    table = tables.table1(service, SUBSET)
     names = [row[0] for row in table.rows]
     assert names == SUBSET
     assert "95M" in table.render()
 
 
-def test_table2_has_average_row(runner):
-    table = tables.table2(runner)
+def test_table2_has_average_row(service):
+    table = tables.table2(service, SUBSET)
     assert table.rows[-1][0] == "average"
     assert len(table.rows) == len(SUBSET) + 1
 
 
-def test_clear_resets_caches(runner):
-    runner.baseline("compress")
-    runner.clear()
-    assert runner.service._traces == {}
-    assert runner.service._memo == {}
+def test_clear_resets_caches(service):
+    service.run(opt_job("compress", OptimizationConfig.none()))
+    service.clear()
+    assert service._traces == {}
+    assert service._memo == {}
 
 
 # --- report rendering -------------------------------------------------------

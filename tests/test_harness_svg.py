@@ -50,9 +50,9 @@ def test_bar_widths_scale_with_peak():
 
 
 def test_write_all_figures(tmp_path):
-    from repro.harness.experiment import ExperimentRunner
-    runner = ExperimentRunner(scale=0.05, benchmarks=["compress"])
-    paths = write_all_figures(runner, str(tmp_path))
+    from repro.exec.service import ExecutionService
+    paths = write_all_figures(ExecutionService(scale=0.05), ["compress"],
+                              str(tmp_path))
     assert len(paths) == 6
     for path in paths:
         ET.parse(path)      # every file is well-formed XML

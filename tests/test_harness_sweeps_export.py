@@ -2,20 +2,22 @@
 
 import pytest
 
-from repro.harness.experiment import ExperimentRunner
 from repro.core.export import diff_results, result_from_dict, result_to_dict
+from repro.exec.grid import opt_job
+from repro.exec.service import ExecutionService
+from repro.fillunit.opts.base import OptimizationConfig
 from repro.harness import sweeps
 
 BENCHES = ["compress"]
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(scale=0.1, benchmarks=BENCHES)
+def service():
+    return ExecutionService(scale=0.1)
 
 
-def test_fill_latency_sweep_structure(runner):
-    result = sweeps.sweep_fill_latency(runner, BENCHES, points=(1, 10))
+def test_fill_latency_sweep_structure(service):
+    result = sweeps.sweep_fill_latency(service, BENCHES, points=(1, 10))
     assert result.points == [1, 10]
     assert set(result.rows) == set(BENCHES)
     imps = result.improvements("compress")
@@ -25,20 +27,20 @@ def test_fill_latency_sweep_structure(runner):
     assert "Sweep" in result.render()
 
 
-def test_bypass_penalty_sweep_monotone_opportunity(runner):
-    result = sweeps.sweep_bypass_penalty(runner, BENCHES, points=(0, 2))
+def test_bypass_penalty_sweep_monotone_opportunity(service):
+    result = sweeps.sweep_bypass_penalty(service, BENCHES, points=(0, 2))
     zero, expensive = result.mean_improvements()
     # a costlier bypass network gives the optimizations more to win
     assert expensive >= zero - 1.0
 
 
-def test_window_sweep_runs(runner):
-    result = sweeps.sweep_window(runner, BENCHES, points=(64, 256))
+def test_window_sweep_runs(service):
+    result = sweeps.sweep_window(service, BENCHES, points=(64, 256))
     assert all(len(pairs) == 2 for pairs in result.rows.values())
 
 
-def test_tc_capacity_sweep_runs(runner):
-    result = sweeps.sweep_trace_cache_size(runner, BENCHES,
+def test_tc_capacity_sweep_runs(service):
+    result = sweeps.sweep_trace_cache_size(service, BENCHES,
                                            points=(64, 512))
     base_small = result.rows["compress"][0][0]
     base_large = result.rows["compress"][1][0]
@@ -47,8 +49,8 @@ def test_tc_capacity_sweep_runs(runner):
 
 # --- export -----------------------------------------------------------
 
-def test_result_roundtrip(runner):
-    original = runner.baseline("compress")
+def test_result_roundtrip(service):
+    original = service.run(opt_job("compress", OptimizationConfig.none()))
     rebuilt = result_from_dict(result_to_dict(original))
     assert rebuilt == original
     assert rebuilt.ipc == original.ipc
@@ -59,8 +61,8 @@ def test_schema_version_checked():
         result_from_dict({"schema": 999})
 
 
-def test_diff_results(runner):
-    base = runner.baseline("compress")
+def test_diff_results(service):
+    base = service.run(opt_job("compress", OptimizationConfig.none()))
     assert diff_results(base, base) is None
     import dataclasses
     # a one-cycle drift is reported: the compare is exact, not a
@@ -76,16 +78,16 @@ def test_diff_results(runner):
         "  coverage.moves: 0 -> 7", "  pass_totals.moves: - -> 3"]
 
 
-def test_diff_rejects_mismatched_experiments(runner):
+def test_diff_rejects_mismatched_experiments(service):
     import dataclasses
-    base = runner.baseline("compress")
+    base = service.run(opt_job("compress", OptimizationConfig.none()))
     other = dataclasses.replace(base, benchmark="tex")
     with pytest.raises(ValueError):
         diff_results(base, other)
 
 
-def test_checkpoint_sweep_monotone(runner):
-    result = sweeps.sweep_checkpoints(runner, BENCHES, points=(2, 32))
+def test_checkpoint_sweep_monotone(service):
+    result = sweeps.sweep_checkpoints(service, BENCHES, points=(2, 32))
     scarce_pairs = [pairs[0] for pairs in result.rows.values()]
     plenty_pairs = [pairs[1] for pairs in result.rows.values()]
     # more checkpoints never slow the baseline machine

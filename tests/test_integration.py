@@ -5,68 +5,72 @@ import pytest
 
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
+from repro.exec.grid import opt_job
+from repro.exec.service import ExecutionService
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.figures import improvement
 from repro import workloads
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(scale=0.25,
-                            benchmarks=["compress", "m88ksim", "go",
-                                        "li", "ijpeg"])
+def service():
+    return ExecutionService(scale=0.25)
 
 
-def test_combined_optimizations_improve_every_benchmark(runner):
-    for bench in runner.benchmarks:
-        imp = runner.improvement(bench, OptimizationConfig.all())
+SUBSET = ["compress", "m88ksim", "go", "li", "ijpeg"]
+
+
+def test_combined_optimizations_improve_every_benchmark(service):
+    for bench in SUBSET:
+        imp = improvement(service, bench, OptimizationConfig.all())
         assert imp > 0, bench
 
 
-def test_each_optimization_alone_does_not_regress_mean(runner):
+def test_each_optimization_alone_does_not_regress_mean(service):
     from repro.analysis.stats import arithmetic_mean
     for opt in ("moves", "reassoc", "scaled_adds", "placement"):
-        imps = [runner.improvement(b, OptimizationConfig.only(opt))
-                for b in runner.benchmarks]
+        imps = [improvement(service, b, OptimizationConfig.only(opt))
+                for b in SUBSET]
         assert arithmetic_mean(imps) > -0.5, opt
 
 
-def test_combined_beats_each_single_opt_on_average(runner):
+def test_combined_beats_each_single_opt_on_average(service):
     from repro.analysis.stats import arithmetic_mean
     combined = arithmetic_mean(
-        [runner.improvement(b, OptimizationConfig.all())
-         for b in runner.benchmarks])
+        [improvement(service, b, OptimizationConfig.all())
+         for b in SUBSET])
     for opt in ("moves", "reassoc", "scaled_adds", "placement"):
         single = arithmetic_mean(
-            [runner.improvement(b, OptimizationConfig.only(opt))
-             for b in runner.benchmarks])
+            [improvement(service, b, OptimizationConfig.only(opt))
+             for b in SUBSET])
         assert combined > single, opt
 
 
-def test_m88ksim_leads_reassociation(runner):
+def test_m88ksim_leads_reassociation(service):
     """Figure 4's headline: m88ksim towers over the others."""
-    imps = {b: runner.improvement(b, OptimizationConfig.only("reassoc"))
-            for b in runner.benchmarks}
+    imps = {b: improvement(service, b, OptimizationConfig.only("reassoc"))
+            for b in SUBSET}
     assert imps["m88ksim"] == max(imps.values())
     assert imps["m88ksim"] > 3 * max(
         v for b, v in imps.items() if b != "m88ksim")
 
 
-def test_fill_latency_negligible(runner):
+def test_fill_latency_negligible(service):
     """Figure 8's second claim: 1/5/10-cycle fill pipelines perform
     within a few percent of each other."""
     for bench in ("compress", "m88ksim"):
-        ipcs = [runner.run(bench, OptimizationConfig.all(),
-                           fill_latency=lat).ipc
+        ipcs = [service.run(opt_job(bench, OptimizationConfig.all(),
+                                    fill_latency=lat)).ipc
                 for lat in (1, 5, 10)]
         spread = (max(ipcs) - min(ipcs)) / min(ipcs)
         assert spread < 0.05, (bench, ipcs)
 
 
-def test_placement_reduces_bypass_delay_fraction(runner):
+def test_placement_reduces_bypass_delay_fraction(service):
     """Figure 7's claim, on the placement-friendly benchmark."""
-    base = runner.baseline("ijpeg")
-    placed = runner.run("ijpeg", OptimizationConfig.only("placement"))
+    base = service.run(opt_job("ijpeg", OptimizationConfig.none()))
+    placed = service.run(
+        opt_job("ijpeg", OptimizationConfig.only("placement")))
     assert placed.bypass_delayed_fraction < base.bypass_delayed_fraction
 
 
@@ -112,29 +116,30 @@ def test_optimizations_never_change_architectural_results():
     assert checked > 50
 
 
-def test_simulator_facade_end_to_end():
-    from repro import SimConfig, Simulator
-    program = workloads.build("compress", scale=0.1)
-    simulator = Simulator(SimConfig.paper())
-    result = simulator.run(program)
+def test_package_run_path_end_to_end():
+    """The run path the package exports: execute, then replay."""
+    from repro import Engine, Executor, SimConfig
+    trace = Executor(workloads.build("compress", scale=0.1)).run()
+    result = Engine(SimConfig.paper()).run(trace, "compress")
     assert result.benchmark == "compress"
     assert result.ipc > 0
 
 
 def test_simulate_one_shot():
-    from repro import simulate
-    result = simulate(workloads.build("tex", scale=0.05),
-                      SimConfig.tiny())
+    """One run on the tiny machine, straight from a built workload."""
+    from repro import Executor
+    result = Engine(SimConfig.tiny()).run(
+        Executor(workloads.build("tex", scale=0.05)).run(), "tex")
     assert result.instructions > 0
 
 
-def test_table2_coverage_orders_like_paper(runner):
+def test_table2_coverage_orders_like_paper(service):
     """The reproduction's optimization-coverage ranking mirrors the
     paper's: m88ksim has the most transformed instructions; go leads
     scaled adds; li leads moves within this subset."""
     covs = {}
-    for bench in runner.benchmarks:
-        result = runner.run(bench, OptimizationConfig.all())
+    for bench in SUBSET:
+        result = service.run(opt_job(bench, OptimizationConfig.all()))
         covs[bench] = result.coverage.as_percentages(result.instructions)
     assert covs["m88ksim"]["total"] == max(c["total"] for c in covs.values())
     assert covs["m88ksim"]["reassoc"] == max(c["reassoc"]

@@ -7,7 +7,7 @@ import pytest
 from repro import workloads
 from repro.errors import ExecutionError
 from repro.asm import assemble
-from repro.machine import ArchState, Executor, Memory, run_program
+from repro.machine import ArchState, Executor, Memory
 from repro.machine.executor import execute_sequence
 from tests.helpers import run_asm
 
@@ -210,10 +210,11 @@ def test_r0_stays_zero():
     assert trace.output == [0]
 
 
-def test_run_program_convenience():
+def test_run_records_its_program():
     prog = assemble("main: halt\n")
-    trace = run_program(prog)
+    trace = Executor(prog).run()
     assert len(trace) == 1
+    assert trace.program is prog
 
 
 def test_execute_sequence_straight_line():

@@ -94,13 +94,12 @@ GOLDENS = {
 @pytest.mark.parametrize("key", sorted(GOLDENS))
 def test_observer_output_is_pinned(key, tmp_path):
     golden = GOLDENS[key]
-    program = workloads.build(golden["bench"], golden["scale"])
-    trace = Executor(program).run()
+    trace = Executor(workloads.build(golden["bench"], golden["scale"])).run()
     telemetry = Telemetry(spans=True)
     buffer = io.StringIO()
     telemetry.attach(JsonlSink(buffer))
     result = Engine(golden["config"](), telemetry=telemetry).run(
-        trace, golden["bench"], program=program)
+        trace, golden["bench"])
     assert result.cycles == golden["cycles"]
 
     jsonl = buffer.getvalue()

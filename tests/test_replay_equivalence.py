@@ -28,8 +28,10 @@ import pytest
 from repro import workloads
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
+from repro.exec.grid import JobSpec
+from repro.exec.service import ExecutionService
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.machine import run_program
+from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
 from tests.helpers import evicting_config
 
@@ -84,21 +86,15 @@ EVICTING_CYCLES = {
     "vortex": (2693, 2229, 2393),
 }
 
-_PROGRAMS: dict = {}
 _TRACES: dict = {}
 
 
-def _program(name: str, scale: float):
-    key = (name, scale)
-    if key not in _PROGRAMS:
-        _PROGRAMS[key] = workloads.build(name, scale=scale)
-    return _PROGRAMS[key]
-
-
 def _trace(name: str, scale: float):
+    """The committed trace of *name* at *scale*; it carries its program,
+    so TRRIP's static hints install."""
     key = (name, scale)
     if key not in _TRACES:
-        _TRACES[key] = run_program(_program(name, scale))
+        _TRACES[key] = Executor(workloads.build(name, scale=scale)).run()
     return _TRACES[key]
 
 
@@ -128,8 +124,7 @@ SEED_PINS = {
 @pytest.mark.parametrize("policy", EVICTING_POLICIES)
 @pytest.mark.parametrize("bench", list(SEED_PINS))
 def test_seed_cycles_preserved_with_memo(bench, policy):
-    """The seed anchors and their reuse profile, under every policy
-    with the program passed so TRRIP's static hints install."""
+    """The seed anchors and their reuse profile, under every policy."""
     config = SimConfig.paper(OptimizationConfig.all())
     config = dataclasses.replace(
         config,
@@ -137,8 +132,7 @@ def test_seed_cycles_preserved_with_memo(bench, policy):
                                         policy=policy),
         hierarchy=dataclasses.replace(config.hierarchy, policy=policy))
     engine = Engine(config)
-    result = engine.run(_trace(bench, 0.5), benchmark=bench,
-                        program=_program(bench, 0.5))
+    result = engine.run(_trace(bench, 0.5), benchmark=bench)
     tc = engine.trace_cache.stats
     fill = engine.fill_unit.stats
     assert (result.cycles, result.instructions, tc.lookups, tc.hits,
@@ -161,21 +155,36 @@ def test_memo_bit_identical_under_every_policy(bench, policy):
         trace_cache=dataclasses.replace(config.trace_cache,
                                         policy=policy),
         hierarchy=dataclasses.replace(config.hierarchy, policy=policy))
-    result = Engine(config).run(_trace(bench, 0.2), benchmark=bench,
-                                program=_program(bench, 0.2))
+    result = Engine(config).run(_trace(bench, 0.2), benchmark=bench)
     assert result.cycles == GOLDEN_CYCLES[bench][2]
 
 
 @pytest.mark.parametrize("policy", EVICTING_POLICIES)
 @pytest.mark.parametrize("bench", workloads.names())
 def test_evicting_column(bench, policy):
-    """Every workload at scale 0.15 on the evicting machine, with the
-    program passed so TRRIP's static hints install."""
+    """Every workload at scale 0.15 on the evicting machine."""
     config = evicting_config(OptimizationConfig.all(), policy)
-    result = Engine(config).run(_trace(bench, 0.15), benchmark=bench,
-                                program=_program(bench, 0.15))
+    result = Engine(config).run(_trace(bench, 0.15), benchmark=bench)
     column = EVICTING_POLICIES.index(policy)
     assert result.cycles == EVICTING_CYCLES[bench][column]
+
+
+def test_service_reproduces_evicting_trrip_column():
+    """The execution service installs TRRIP's static hints too: its
+    trace carries the program, inline and in a pool worker alike, so
+    the service reproduces the engine's evicting TRRIP column."""
+    config = evicting_config(OptimizationConfig.all(), "trrip")
+    column = EVICTING_POLICIES.index("trrip")
+    names = workloads.names()
+    inline = ExecutionService(scale=0.15).run_many(
+        [JobSpec(bench, config, "trrip") for bench in names])
+    assert ({bench: result.cycles for bench, result in zip(names, inline)}
+            == {bench: EVICTING_CYCLES[bench][column] for bench in names})
+    pooled = ("m88ksim", "vortex")
+    results = ExecutionService(scale=0.15, jobs=2).run_many(
+        [JobSpec(bench, config, "trrip") for bench in pooled])
+    assert ([result.cycles for result in results]
+            == [EVICTING_CYCLES[bench][column] for bench in pooled])
 
 
 @pytest.mark.parametrize("bench", ["compress", "li"])

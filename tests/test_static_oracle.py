@@ -5,7 +5,7 @@ import pytest
 from repro import workloads
 from repro.analysis.static import analyze_program
 from repro.core.config import SimConfig
-from repro.core.simulator import Simulator
+from repro.core.engine import Engine
 from repro.errors import ConfigError
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.harness.crosscheck import (
@@ -14,6 +14,7 @@ from repro.harness.crosscheck import (
     collect_dynamic_sites,
     cross_check,
 )
+from repro.machine.executor import Executor
 
 SCALE = 0.3
 
@@ -21,7 +22,7 @@ SCALE = 0.3
 def _trace_and_report(name, config):
     program = workloads.build(name, SCALE)
     report = analyze_program(program, name)
-    trace = Simulator(config).trace_program(program)
+    trace = Executor(program).run()
     return report, trace
 
 
@@ -75,8 +76,7 @@ def test_no_trace_cache_is_rejected():
     from dataclasses import replace
     config = replace(SimConfig.paper(OptimizationConfig.all()),
                      trace_cache_enabled=False)
-    program = workloads.build("compress", SCALE)
-    trace = Simulator(config).trace_program(program)
+    trace = Executor(workloads.build("compress", SCALE)).run()
     with pytest.raises(ConfigError):
         collect_dynamic_sites(trace, config, "compress", "all")
 
@@ -86,9 +86,8 @@ def test_site_log_does_not_change_timing():
     exactly as they were — it is bookkeeping, not modelling — and it
     sees built segments, so the site sets stay as pinned."""
     config = SimConfig.paper(OptimizationConfig.all())
-    program = workloads.build("compress", SCALE)
-    trace = Simulator(config).trace_program(program)
-    plain = Simulator(config).run(trace, "compress", "all")
+    trace = Executor(workloads.build("compress", SCALE)).run()
+    plain = Engine(config).run(trace, "compress", "all")
     logged, sites = collect_dynamic_sites(trace, config, "compress",
                                           "all")
     assert logged.cycles == plain.cycles

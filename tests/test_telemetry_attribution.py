@@ -6,10 +6,10 @@ import pytest
 from repro import workloads
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
-from repro.core.simulator import Simulator
 from repro.core.stages.attribution import CycleAccountant
 from repro.errors import ConfigError
 from repro.fillunit.opts.base import OptimizationConfig
+from repro.machine.executor import Executor
 from repro.machine.tracing import CommittedTrace
 from repro.telemetry import Telemetry
 from repro.telemetry.attribution import (
@@ -183,8 +183,8 @@ ANCHOR_ATTRIBUTION = {
 def test_anchor_attribution_is_pinned(name):
     cycles, classes = ANCHOR_ATTRIBUTION[name]
     config = SimConfig.paper(OptimizationConfig.all())
-    result = Simulator(config, telemetry=Telemetry()).run(
-        workloads.build(name, 0.5), name, "all")
+    result = Engine(config, telemetry=Telemetry()).run(
+        Executor(workloads.build(name, 0.5)).run(), name, "all")
     assert result.cycles == cycles
     assert result.attribution == classes
 

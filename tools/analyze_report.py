@@ -23,10 +23,10 @@ import sys
 from repro import workloads
 from repro.analysis.static import analyze_program
 from repro.core.config import SimConfig
-from repro.core.simulator import Simulator
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.harness.crosscheck import collect_dynamic_sites
 from repro.harness.tables import TableResult
+from repro.machine.executor import Executor
 
 #: (display label, site-set key, OptCoverage attribute)
 CLASSES = (("moves", "moves", "moves"),
@@ -45,7 +45,7 @@ def opportunity_table(benchmarks: list, scale: float,
     for name in benchmarks:
         program = workloads.build(name, scale)
         static = analyze_program(program, name).site_sets()
-        trace = Simulator(config).trace_program(program)
+        trace = Executor(program).run()
         result, dynamic = collect_dynamic_sites(trace, config, name,
                                                 opts)
         for label, key, attr in CLASSES:

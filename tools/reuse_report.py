@@ -33,7 +33,7 @@ from repro.core.config import SimConfig
 from repro.core.engine import Engine
 from repro.core.stages import MachineState, PipelineStage
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.machine import run_program
+from repro.machine.executor import Executor
 
 
 class ReuseLog(PipelineStage):
@@ -87,7 +87,7 @@ def characterize(benchmark: str, scale: float,
                  policy: str) -> Dict[str, object]:
     """Run *benchmark* and join loop depths with reuse telemetry."""
     program = workloads.build(benchmark, scale=scale)
-    trace = run_program(program)
+    trace = Executor(program).run()
     config = SimConfig.paper(OptimizationConfig.all())
     config = dataclasses.replace(
         config,
@@ -97,8 +97,7 @@ def characterize(benchmark: str, scale: float,
     model = Engine(config)
     log = ReuseLog()
     model.stages.append(log)
-    result = model.run(trace, benchmark=benchmark, label=policy,
-                       program=program)
+    result = model.run(trace, benchmark=benchmark, label=policy)
     depths = pc_loop_depths(program)
 
     by_depth: Dict[int, Dict[str, int]] = {}

@@ -12,8 +12,10 @@ import argparse
 import pathlib
 import time
 
+from repro import workloads
+from repro.exec import ExecutionService
 from repro.exec.grid import paper_grid
-from repro.harness import ExperimentRunner, figures, tables
+from repro.harness import figures, tables
 
 
 def parse_args(argv=None):
@@ -41,28 +43,29 @@ def parse_args(argv=None):
 def main(argv=None):
     args = parse_args(argv)
     t0 = time.time()
-    runner = ExperimentRunner(scale=args.scale, jobs=args.jobs,
-                              cache_dir=args.cache_dir)
-    runner.prefetch(paper_grid(runner.benchmarks))
+    service = ExecutionService(scale=args.scale, jobs=args.jobs,
+                               cache_dir=args.cache_dir)
+    benchmarks = workloads.names()
+    service.run_many(paper_grid(benchmarks))
     out = []
-    out.append(tables.table1(runner).render())
+    out.append(tables.table1(service, benchmarks).render())
     for fn in (figures.figure3, figures.figure4, figures.figure5,
                figures.figure6, figures.figure7, figures.figure8):
-        fig = fn(runner)
+        fig = fn(service, benchmarks)
         out.append(fig.render())
         if fig.figure == "Figure 7":
             out.append(f"(mean baseline {fig.extra['mean_baseline']:.1f}% "
                        f"-> placement {fig.extra['mean_placement']:.1f}%)")
         if fig.figure == "Figure 8":
             out.append(f"(SPECint95 mean {fig.extra['specint_mean']:.1f}%)")
-    out.append(tables.table2(runner).render())
-    stats = runner.service.stats
+    out.append(tables.table2(service, benchmarks).render())
+    stats = service.stats
     footer = (f"scale={args.scale}  jobs={args.jobs}  "
               f"elapsed={time.time()-t0:.0f}s\n"
               f"exec: simulated={stats['simulated']} "
               f"memo={stats['memo']} disk={stats['disk']} "
               f"(cache hit rate "
-              f"{100.0 * runner.service.cache_hit_rate:.0f}%)")
+              f"{100.0 * service.cache_hit_rate:.0f}%)")
     text = "\n\n".join(out) + f"\n\n{footer}\n"
     output = pathlib.Path(args.output)
     if output.parent != pathlib.Path("."):
