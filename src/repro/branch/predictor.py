@@ -35,6 +35,24 @@ class PredictorConfig:
     ras_depth: int = 16
     btb_entries: int = 512
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.pht_entries, (tuple, list)) \
+                or not self.pht_entries:
+            raise ConfigError(
+                f"pht_entries must be a non-empty sequence of table "
+                f"sizes, got {self.pht_entries!r}")
+        for entries in (*self.pht_entries, self.bias_entries,
+                        self.btb_entries):
+            if not isinstance(entries, int) or entries <= 0 \
+                    or entries & (entries - 1):
+                raise ConfigError(
+                    f"predictor table size {entries!r} must be a "
+                    f"positive power of two")
+        if self.history_bits < 0 or self.ras_depth < 0:
+            raise ConfigError("history_bits and ras_depth must be >= 0")
+        if self.promote_threshold < 1:
+            raise ConfigError("promotion threshold must be positive")
+
     def scaled(self, factor: int) -> "PredictorConfig":
         """A uniformly smaller configuration (for fast tests)."""
         return PredictorConfig(
@@ -69,8 +87,6 @@ class MultiBranchPredictor:
                  config: Optional[PredictorConfig] = None) -> None:
         self.config = config if config is not None else PredictorConfig()
         cfg = self.config
-        if len(cfg.pht_entries) < 1:
-            raise ConfigError("need at least one PHT")
         self.phts: List[PatternHistoryTable] = [
             PatternHistoryTable(entries, cfg.history_bits)
             for entries in cfg.pht_entries]

@@ -80,11 +80,28 @@ class SimConfig:
     verify_each_pass: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("issue_width", "retire_width", "max_blocks_per_cycle",
+                     "ic_fetch_width", "num_clusters", "cluster_size",
+                     "rs_per_fu"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
         if self.num_clusters * self.cluster_size > self.issue_width:
             raise ConfigError(
                 "more functional units than issue slots: "
                 f"{self.num_clusters}x{self.cluster_size} vs "
                 f"{self.issue_width}")
+        # Fetch entry k takes issue slot k, which feeds functional unit
+        # k: a fetch group may not be wider than the FU count.
+        if self.ic_fetch_width > self.num_fus:
+            raise ConfigError(
+                f"ic_fetch_width {self.ic_fetch_width} exceeds the "
+                f"{self.num_fus} functional units")
+        if self.trace_cache_enabled \
+                and self.trace_cache.max_instrs > self.num_fus:
+            raise ConfigError(
+                f"trace cache lines of {self.trace_cache.max_instrs} "
+                f"instructions exceed the {self.num_fus} functional units")
         if self.window_size < self.trace_cache.max_instrs:
             raise ConfigError("window smaller than one fetch group")
         if self.fill_latency < 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
+from repro.core.stages.base import MachineState, PipelineStage
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class TimingRecord:
 class TimingTrace(PipelineStage):
     """Bounded per-instruction timing capture, as an observer stage.
 
-    Runs after retire: each committed instruction's record is read off
-    its fetch entry and its fetch group. Records accumulate
+    Reads each finished fetch group: every committed instruction's
+    record comes off its fetch entry and the group. Records accumulate
     across runs of the engine it is attached to.
     """
 
@@ -62,20 +62,21 @@ class TimingTrace(PipelineStage):
         #: records seen after the limit was reached (not retained)
         self.dropped = 0
 
-    def process(self, state: MachineState, entry: FetchEntry) -> None:
-        if entry.phantom or entry.seq < self.start_seq:
-            return
-        if len(self.records) >= self.limit:
-            self.dropped += 1
-            return
+    def end_group(self, state: MachineState) -> None:
         group = state.group
         assert group is not None
-        self.records.append(TimingRecord(
-            seq=entry.seq, pc=entry.record.pc, op=entry.instr.op.value,
-            fetch=group.fetch_cycle, rename=entry.renamed,
-            complete=entry.complete, retire=entry.retire_cycle,
-            slot=entry.slot, from_tc=entry.from_tc,
-            mispredicted=entry.mispredicted))
+        for entry in group.entries:
+            if entry.phantom or entry.seq < self.start_seq:
+                continue
+            if len(self.records) >= self.limit:
+                self.dropped += 1
+                continue
+            self.records.append(TimingRecord(
+                seq=entry.seq, pc=entry.record.pc, op=entry.instr.op.value,
+                fetch=group.fetch_cycle, rename=entry.renamed,
+                complete=entry.complete, retire=entry.retire_cycle,
+                slot=entry.slot, from_tc=entry.from_tc,
+                mispredicted=entry.mispredicted))
 
     def __len__(self) -> int:
         return len(self.records)

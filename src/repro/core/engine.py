@@ -18,9 +18,10 @@ the inactive-issue benefit of the baseline machine.
 The engine is deliberately dumb: all microarchitectural behaviour
 lives in the stages, and the engine only sequences them. Observers
 are stages too: they are appended to ``engine.stages`` before
-``run()`` (they see every state transition but must not mutate timing
-state). There is one path through the loop: every group runs the
-stage chain instruction by instruction, observed or not.
+``run()`` and read each finished fetch group in ``end_group`` (they
+must not mutate timing state). There is one path through the loop:
+every group runs the five per-instruction stages instruction by
+instruction, observed or not.
 
 Observability: every run counts against a hierarchical telemetry
 registry (the engine's own, or the one of an attached
@@ -138,6 +139,18 @@ class Engine:
         #: (clocks, caches, counters), so an engine replays one trace
         self._ran = False
 
+    def hooks(self, name: str) -> Tuple[Callable[..., Any], ...]:
+        """The chain :meth:`run` drives for hook *name*: the bound hook
+        of every stage whose class overrides it, in stage-list order.
+
+        Fetch has no per-instruction work and observers read the
+        finished group, so the ``process`` chain is rename, issue,
+        execute, retire and fill whether the run is observed or not;
+        each link gets the fetch entry, which carries the
+        instruction's timeline."""
+        return tuple(getattr(stage, name) for stage in self.stages
+                     if stage.overrides(name))
+
     def _install_policy_hints(self, program: Any) -> None:
         """Feed static temperature hints to a hint-capable trace cache
         replacement policy (TRRIP)."""
@@ -209,17 +222,9 @@ class Engine:
                              reg_ready=reg_ready, wrong_path=wrong_path)
 
         stages = self.stages
-        # The hook chains, built once per run: a stage joins a hook's
-        # chain only if its class overrides that hook. Fetch has no
-        # per-instruction work, so the per-instruction chain is rename
-        # -> fill plus the appended observer stages; each link gets
-        # the fetch entry, which carries the instruction's timeline.
-        # The segment-hook chains go to the components that call them.
-
-        def hooks(name: str) -> Tuple[Callable[..., Any], ...]:
-            return tuple(getattr(stage, name) for stage in stages
-                         if stage.overrides(name))
-
+        # The hook chains, built once per run; the segment-hook chains
+        # go to the components that call them.
+        hooks = self.hooks
         begin_group = hooks("begin_group")
         chain = hooks("process")
         end_group = hooks("end_group")

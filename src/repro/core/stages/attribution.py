@@ -3,11 +3,12 @@
 :class:`CycleAccountant` classifies every cycle of a replay into the
 classes of :data:`repro.telemetry.attribution.CYCLE_CLASSES`, exactly:
 they always sum to the run's cycle count. The engine appends it to its
-stage list when the telemetry session asks for attribution; it runs
-after retire. Between two consecutive retirement cycles every skipped
-cycle is attributed by walking the *next* retiring instruction's own
-timeline (fetch / complete / retire cycles plus the front-end delay
-decomposition of its fetch group), newest cause first.
+stage list when the telemetry session asks for attribution; it reads
+each fetch group once the pipeline has finished it. Between two
+consecutive retirement cycles every skipped cycle is attributed by
+walking the *next* retiring instruction's own timeline (fetch /
+complete / retire cycles plus the front-end delay decomposition of
+its fetch group), newest cause first.
 
 Front-end delays that *overlap* retirement of earlier instructions
 (common on this machine: a one-cycle mispredict redirect hides behind
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.results import SimResult
-from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
+from repro.core.stages.base import MachineState, PipelineStage
 from repro.errors import ConfigError
 from repro.telemetry.attribution import CYCLE_CLASSES
 
@@ -30,12 +31,13 @@ from repro.telemetry.attribution import CYCLE_CLASSES
 class CycleAccountant(PipelineStage):
     """Online cycle classifier fed from the retirement stream.
 
-    As a stage it feeds :meth:`on_retire` once per committed
-    instruction, in program order, and writes ``result.attribution``
-    at the end of the run; :meth:`on_retire` and :meth:`finish` also
-    work directly on a synthetic retirement stream. Front-end fetch
-    latency is ``tc_miss`` when *extra_is_tc_miss* (a trace cache is
-    present), else ``fetch_starved``.
+    As a stage it reads each finished fetch group once, in
+    :meth:`end_group`, and feeds its committed instructions to the
+    classifier in program order; it writes ``result.attribution`` at
+    the end of the run. :meth:`on_retire` and :meth:`finish` also work
+    directly on a synthetic retirement stream. Front-end fetch latency
+    is ``tc_miss`` when *extra_is_tc_miss* (a trace cache is present),
+    else ``fetch_starved``.
     """
 
     name = "attribution"
@@ -61,19 +63,38 @@ class CycleAccountant(PipelineStage):
     def begin_run(self, state: MachineState) -> None:
         self._reset()
 
-    def process(self, state: MachineState, entry: FetchEntry) -> None:
-        if entry.phantom:
-            return
+    def end_group(self, state: MachineState) -> None:
+        """The group's retirements, as :meth:`on_retire` would take
+        them one by one. A retire one cycle past the last has empty
+        front-end, back-end and drain windows, so it is ``base``
+        inline; only a retire that skips cycles walks them."""
         group = state.group
         assert group is not None
-        # Group-level delays are debited once, on the group's first
-        # retiring instruction.
-        self.on_retire(group.fetch_cycle, entry.complete,
-                       entry.retire_cycle, group.recovery,
-                       group.fetch_extra, group.serialize, entry.penalized)
-        group.recovery = 0
-        group.serialize = 0
-        group.fetch_extra = 0
+        debited = False
+        last = self._last_retire
+        base = 0
+        for entry in group.entries:
+            if entry.phantom:
+                continue
+            if not debited:
+                # Group-level delays are debited once, on the group's
+                # first committed instruction.
+                debited = True
+                self._recovery_debt += group.recovery
+                self._extra_debt += group.fetch_extra
+                self._serialize_debt += group.serialize
+            retire = entry.retire_cycle
+            if retire <= last:      # shares an already-counted cycle
+                continue
+            if retire == last + 1:
+                base += 1
+            else:
+                self._last_retire = last
+                self.on_retire(group.fetch_cycle, entry.complete, retire,
+                               bypass_penalized=entry.penalized)
+            last = retire
+        self._last_retire = last
+        self.classes["base"] += base
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:

@@ -85,7 +85,8 @@ class FetchGroup:
 
     ``recovery``/``serialize``/``fetch_extra`` are the front-end delay
     decomposition the cycle-accounting stage debits once, on the
-    group's first retiring instruction (and zeroes after use).
+    group's first committed instruction; fetch sets them and nothing
+    writes them afterwards.
     ``next_fetch`` is the running earliest fetch cycle for the *next*
     group; mispredict redirects and serialization drains push it back.
     """
@@ -167,6 +168,8 @@ class PipelineStage:
     engine builds its hook chains once per run and drives only the
     stages whose class overrides a hook (see :meth:`overrides`), so a
     stage without a ``process`` drops out of the per-instruction chain.
+    Observer stages read the finished group in ``end_group`` instead:
+    only the five pipeline stages override ``process``.
     """
 
     name = "stage"

@@ -15,9 +15,8 @@ event: it is a pipeline stage appended to the engine's stage list (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 # -- event kinds --------------------------------------------------------
 
@@ -42,14 +41,13 @@ EXEC_JOB_CACHED = "exec.job.cached"
 EXEC_WORKER_RETRY = "exec.worker.retry"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One telemetry event: a kind, the cycle it occurred, and a
     kind-specific payload."""
 
     kind: str
     cycle: int
-    data: Dict[str, Any] = field(default_factory=dict)
+    data: Dict[str, Any]
 
     def to_dict(self) -> Dict[str, Any]:
         """The flat JSON-safe form written by :class:`JsonlSink`."""

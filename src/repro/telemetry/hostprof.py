@@ -114,8 +114,9 @@ class HostProfiler:
 class _ProfiledStage:
     """Delegating proxy timing one pipeline stage's hooks.
 
-    ``process`` dominates (once per instruction); the group hooks are
-    folded into the same scope so a stage's scope is its whole cost.
+    Every hook is folded into the same scope, so a stage's scope is
+    its whole cost: ``process`` for a pipeline stage, ``end_group``
+    for an observer.
     """
 
     def __init__(self, stage: Any, profiler: HostProfiler) -> None:

@@ -47,6 +47,10 @@ class TraceCacheConfig:
             raise ConfigError("trace cache set count must be a power of two")
         if self.assoc < 1:
             raise ConfigError("trace cache associativity must be >= 1")
+        if self.max_instrs < 1 or self.max_cond_branches < 1:
+            raise ConfigError(
+                "a trace cache line holds at least one instruction and "
+                "one conditional branch")
         if self.policy not in POLICY_NAMES:
             raise ConfigError(
                 f"unknown trace cache replacement policy "

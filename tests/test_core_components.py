@@ -7,6 +7,7 @@ import random
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from repro.branch.predictor import PredictorConfig
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.core.clusters import FunctionalUnit
 from repro.core.config import SimConfig
@@ -19,6 +20,7 @@ from repro.errors import ConfigError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.telemetry.registry import TelemetryRegistry
+from repro.tracecache.cache import TraceCacheConfig
 
 
 # --- bypass network (the issue stage's rule) --------------------------------
@@ -334,6 +336,35 @@ def test_config_validation():
         SimConfig(window_size=4)
     with pytest.raises(ConfigError):
         SimConfig(fill_latency=0)
+
+
+#: geometries that used to hang, run silently wrong or fail mid-run
+#: with a raw exception; each is a ConfigError at construction now
+UNRUNNABLE = {
+    "issue_width=0": lambda: SimConfig(issue_width=0),
+    "retire_width=0": lambda: SimConfig(retire_width=0),
+    "max_blocks_per_cycle=0": lambda: SimConfig(max_blocks_per_cycle=0),
+    "ic_fetch_width=0": lambda: SimConfig(ic_fetch_width=0),
+    "rs_per_fu=0": lambda: SimConfig(rs_per_fu=0),
+    "pht_entries=3": lambda: SimConfig(
+        predictor=PredictorConfig(pht_entries=3)),
+    "pht_entries=()": lambda: PredictorConfig(pht_entries=()),
+    "pht_entries=(3,)": lambda: PredictorConfig(pht_entries=(3,)),
+    "max_instrs>num_fus": lambda: SimConfig(
+        num_clusters=3, cluster_size=4, issue_width=12),
+    "ic_fetch_width>num_fus": lambda: SimConfig(
+        num_clusters=2, cluster_size=2, ic_fetch_width=8,
+        trace_cache_enabled=False),
+    "max_cond_branches=0": lambda: TraceCacheConfig(max_cond_branches=0),
+    "max_instrs=0": lambda: TraceCacheConfig(max_instrs=0),
+}
+
+
+@pytest.mark.parametrize("make", list(UNRUNNABLE.values()),
+                         ids=list(UNRUNNABLE))
+def test_config_rejects_unrunnable_geometry(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 def test_with_optimizations_copies():

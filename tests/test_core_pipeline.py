@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.config import SimConfig
+from repro.core.debug import TimingTrace
 from repro.core.engine import Engine
 from repro.errors import ReproError
 from repro.fillunit.opts.base import OptimizationConfig
+from repro.telemetry import Telemetry
 from tests.helpers import run_asm
 
 LOOP = """
@@ -58,6 +60,25 @@ def test_engine_runs_once():
     with pytest.raises(ReproError, match="runs once"):
         engine.run(trace, "test", "run")
     assert Engine(config).run(trace, "test", "run") == first
+
+
+def test_watching_does_not_change_the_chain():
+    """The per-instruction chain is the five pipeline stages whether a
+    run is observed or not: observers read the finished fetch group."""
+    _, trace = run_asm(LOOP)
+    config = SimConfig.tiny(OptimizationConfig.all())
+    plain = Engine(config)
+    observed = Engine(config, telemetry=Telemetry(spans=True))
+    capture = TimingTrace()
+    observed.stages.append(capture)
+    pipeline = ["rename", "issue", "execute", "retire", "fill"]
+    for engine in (plain, observed):
+        assert [hook.__self__.name
+                for hook in engine.hooks("process")] == pipeline
+    assert "attribution" in [stage.name for stage in observed.stages]
+    result = observed.run(trace, "test", "run")
+    assert result.cycles == plain.run(trace, "test", "run").cycles
+    assert len(capture) + capture.dropped == result.instructions
 
 
 def test_serial_chain_bounds_throughput():

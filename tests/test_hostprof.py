@@ -81,8 +81,8 @@ def test_attach_profiles_stages_and_passes():
 
 
 def test_attach_profiles_attribution_stage():
-    """With a telemetry session the cycle-accounting stage rides the
-    stage chain, so the profiler times it like any other stage."""
+    """With a telemetry session the cycle-accounting stage joins the
+    stage list, so the profiler times it like any other stage."""
     from repro.telemetry import Telemetry
 
     program = workloads.build("compress", 0.1)
@@ -96,9 +96,10 @@ def test_attach_profiles_attribution_stage():
 
     assert sum(result.attribution.values()) == result.cycles
     calls, seconds = prof.totals["stage.attribution"]
-    # once per committed instruction (no phantoms on compress), plus
+    # once per fetch group (it reads the finished group), plus
     # begin_run and finish_run
-    assert calls == result.instructions + 2 and seconds > 0.0
+    groups = result.telemetry["fetch.group.size"]["count"]
+    assert calls == groups + 2 and seconds > 0.0
 
 
 def test_hostprof_report_tool_roundtrip(tmp_path):

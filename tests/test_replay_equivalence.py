@@ -9,7 +9,8 @@ pinned the same way, and so is an evicting column: every workload
 under each policy on a machine small enough that its caches evict.
 Any drift means the timing semantics changed. There is one path
 through the engine, so an observed run (spans, events and cycle
-attribution) must also agree with an unobserved one on every counter.
+attribution) must also agree with an unobserved one on every counter,
+and every cycle class of three observed columns is pinned too.
 
 The test names date from when this matrix compared runs with the
 (since retired) segment-level timing memo against the plain engine;
@@ -33,6 +34,7 @@ from repro.exec.service import ExecutionService
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
+from repro.telemetry.attribution import CYCLE_CLASSES
 from tests.helpers import evicting_config
 
 #: the four paper machines the matrix runs: measured baseline, a
@@ -202,6 +204,112 @@ def test_observed_run_matches_plain_run(bench):
     assert sum(observed.attribution.values()) == observed.cycles
     observed.attribution = plain.attribution
     assert dataclasses.asdict(observed) == dataclasses.asdict(plain)
+
+
+#: cycle attribution, in ``CYCLE_CLASSES`` order, of three observed
+#: columns: ``all`` and ``extended`` at scale 0.2 on ``SimConfig.tiny``
+#: (the extended passes' predicated segments issue phantom entries)
+#: and the evicting machine under TRRIP at scale 0.15
+ATTRIBUTION_COLUMNS = ("all", "extended", "evicting-trrip")
+ATTRIBUTION = {
+    "compress": (
+        (4223, 0, 282, 1407, 1022, 120, 0),
+        (3970, 0, 273, 995, 1151, 367, 0),
+        (3172, 0, 273, 1426, 730, 120, 0),
+    ),
+    "gcc": (
+        (2484, 0, 640, 943, 462, 84, 0),
+        (2399, 0, 640, 907, 443, 84, 0),
+        (1537, 0, 606, 849, 375, 52, 0),
+    ),
+    "go": (
+        (3012, 0, 400, 635, 805, 606, 0),
+        (3012, 0, 400, 635, 805, 606, 0),
+        (1934, 0, 350, 343, 422, 606, 0),
+    ),
+    "ijpeg": (
+        (4667, 0, 552, 552, 2090, 175, 0),
+        (4667, 0, 552, 553, 2090, 175, 0),
+        (3235, 0, 391, 260, 1464, 60, 0),
+    ),
+    "li": (
+        (3494, 0, 415, 847, 901, 79, 0),
+        (3494, 0, 415, 847, 901, 79, 0),
+        (2297, 0, 391, 571, 946, 60, 0),
+    ),
+    "m88ksim": (
+        (3306, 0, 775, 831, 737, 56, 0),
+        (3306, 0, 775, 831, 737, 56, 0),
+        (3304, 0, 786, 804, 624, 56, 0),
+    ),
+    "perl": (
+        (3727, 0, 390, 1350, 1096, 111, 0),
+        (3721, 0, 390, 1344, 1088, 111, 0),
+        (2666, 0, 385, 997, 815, 111, 0),
+    ),
+    "vortex": (
+        (1718, 0, 482, 327, 652, 60, 0),
+        (1718, 0, 482, 327, 652, 60, 0),
+        (1424, 0, 403, 160, 346, 60, 0),
+    ),
+    "gnuchess": (
+        (2578, 0, 789, 828, 552, 408, 0),
+        (2578, 0, 789, 828, 552, 408, 0),
+        (2055, 0, 789, 912, 295, 408, 0),
+    ),
+    "ghostscript": (
+        (1408, 0, 659, 753, 360, 55, 0),
+        (1408, 0, 659, 753, 360, 55, 0),
+        (1036, 0, 625, 448, 240, 55, 0),
+    ),
+    "pgp": (
+        (2785, 0, 326, 178, 815, 3, 0),
+        (2785, 0, 326, 178, 815, 3, 0),
+        (1453, 0, 314, 40, 346, 3, 0),
+    ),
+    "gnuplot": (
+        (2175, 0, 317, 805, 704, 99, 0),
+        (2175, 0, 317, 805, 704, 99, 0),
+        (1235, 0, 364, 462, 420, 85, 0),
+    ),
+    "python": (
+        (2751, 0, 463, 1681, 776, 111, 0),
+        (2755, 0, 463, 1667, 792, 111, 0),
+        (2114, 0, 463, 1300, 658, 111, 0),
+    ),
+    "sim-outorder": (
+        (2750, 0, 397, 890, 510, 54, 0),
+        (2583, 0, 397, 714, 494, 136, 0),
+        (1857, 0, 248, 703, 474, 54, 0),
+    ),
+    "tex": (
+        (2960, 0, 351, 406, 829, 593, 0),
+        (2986, 0, 351, 402, 863, 593, 0),
+        (1712, 0, 351, 401, 429, 614, 0),
+    ),
+}
+
+
+def _attribution_config(column: str) -> SimConfig:
+    if column == "evicting-trrip":
+        return evicting_config(OptimizationConfig.all(), "trrip")
+    return SimConfig.tiny(PAPER_CONFIGS[column]())
+
+
+@pytest.mark.parametrize("column", ATTRIBUTION_COLUMNS)
+@pytest.mark.parametrize("bench", workloads.names())
+def test_attribution_pinned(bench, column):
+    """Every cycle class of an observed run, not just their sum."""
+    scale = 0.15 if column == "evicting-trrip" else 0.2
+    result = Engine(_attribution_config(column), telemetry=Telemetry()).run(
+        _trace(bench, scale), benchmark=bench)
+    expected = ATTRIBUTION[bench][ATTRIBUTION_COLUMNS.index(column)]
+    assert tuple(result.attribution[c] for c in CYCLE_CLASSES) == expected
+    assert sum(expected) == result.cycles
+
+
+def test_attribution_covers_every_workload():
+    assert sorted(ATTRIBUTION) == sorted(workloads.names())
 
 
 #: sha256 of ``json.dumps(dataclasses.asdict(result), sort_keys=True)``
