@@ -46,6 +46,18 @@ class SaturatingCounterArray:
         elif value > 0:
             self._counters[idx] = value - 1
 
+    def train(self, key: int, taken: bool) -> bool:
+        """:meth:`predict`, then :meth:`update`, in one call; returns
+        the prediction made before training."""
+        idx = key & self._mask
+        value = self._counters[idx]
+        if taken:
+            if value < self.max_value:
+                self._counters[idx] = value + 1
+        elif value > 0:
+            self._counters[idx] = value - 1
+        return value >= self.threshold
+
     def reset(self) -> None:
         self._counters = [self.threshold] * self.entries
 

@@ -28,6 +28,13 @@ class PatternHistoryTable:
     def update(self, pc: int, ghist: int, taken: bool) -> None:
         self.counters.update(self._index(pc, ghist), taken)
 
+    def train(self, pc: int, ghist: int, taken: bool) -> bool:
+        """:meth:`predict`, then :meth:`update`, in one call; returns
+        the prediction made before training."""
+        # the index of _index, computed inline: one call per branch
+        return self.counters.train(
+            (pc >> 2) ^ (ghist & self._history_mask), taken)
+
 
 class GlobalHistory:
     """The global direction-history shift register shared by the PHTs."""

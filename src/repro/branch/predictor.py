@@ -110,18 +110,22 @@ class MultiBranchPredictor:
         table = self.phts[min(position, len(self.phts) - 1)]
         return table.predict(pc, self.history.value)
 
-    def update_cond(self, pc: int, position: int, taken: bool) -> None:
-        """Train table and history with the committed outcome.
+    def update_cond(self, pc: int, position: int, taken: bool) -> bool:
+        """Predict the *position*-th unpromoted conditional branch of
+        the current fetch group, as :meth:`predict_cond` does, then
+        train table and history with the committed outcome; returns
+        the prediction.
 
         The replay model trains immediately at fetch with the true
         outcome (oracle update ordering); see DESIGN.md §3.
         """
         table = self.phts[min(position, len(self.phts) - 1)]
-        if table.predict(pc, self.history.value) != taken:
+        predicted = table.train(pc, self.history.value, taken)
+        if predicted != taken:
             self.stats.cond_mispredicts += 1
-        table.update(pc, self.history.value, taken)
         self.history.push(taken)
         self.stats.cond_predictions += 1
+        return predicted
 
     def record_outcome(self, pc: int, taken: bool) -> None:
         """Feed the bias table (promotion bookkeeping) at retire."""

@@ -26,6 +26,29 @@ _NESTED_TYPES = {
 }
 
 
+def _has_type(value: object, default: object) -> bool:
+    """Whether *value* has the type of the field whose default is
+    *default*: bool is not an int here, and a tuple may arrive as a
+    list (JSON has no tuples) of elements typed like the default's."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(
+            _has_type(item, default[0]) for item in value)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    return isinstance(value, type(default))
+
+
+def _check_types(prefix: str, data: dict, defaults: object) -> None:
+    """Raise ConfigError for the first value in *data* whose type is
+    not that of its field in *defaults*."""
+    for name, value in data.items():
+        default = getattr(defaults, name)
+        if not _has_type(value, default):
+            raise ConfigError(
+                f"{prefix}{name} must be {type(default).__name__}, "
+                f"got {value!r}")
+
+
 @dataclass
 class SimConfig:
     """All machine parameters."""
@@ -167,8 +190,11 @@ class SimConfig:
 
         Raises:
             ConfigError: on unknown keys (typo'd sweep declarations
-                must not silently fall back to defaults) or on values
-                rejected by the usual construction-time validation.
+                must not silently fall back to defaults), on a value
+                whose type is not its field's (a nested config must be
+                a dict, an int field takes no bool, float or string)
+                or on values rejected by the usual construction-time
+                validation.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
@@ -176,14 +202,20 @@ class SimConfig:
             raise ConfigError(
                 f"unknown SimConfig field(s): {sorted(unknown)}")
         kwargs = dict(data)
+        _check_types("", {name: value for name, value in kwargs.items()
+                          if name not in _NESTED_TYPES}, cls())
         for name, nested_type in _NESTED_TYPES.items():
             if name not in kwargs:
                 continue
+            if not isinstance(kwargs[name], dict):
+                raise ConfigError(
+                    f"{name} must be a dict, got {kwargs[name]!r}")
             nested = dict(kwargs[name])
             extra = set(nested) - {f.name for f in fields(nested_type)}
             if extra:
                 raise ConfigError(
                     f"unknown {name} field(s): {sorted(extra)}")
+            _check_types(f"{name}.", nested, nested_type())
             if name == "predictor" and "pht_entries" in nested:
                 nested["pht_entries"] = tuple(nested["pht_entries"])
             kwargs[name] = nested_type(**nested)

@@ -1,7 +1,7 @@
 """The replay engine: a stage list driven over the committed stream.
 
 :class:`Engine` owns the machine's components (predictor, memory
-hierarchy, trace cache + fill unit, rename/retire units, clustered
+hierarchy, trace cache + fill unit, checkpoint store, clustered
 backend) and an ordered list of :class:`~repro.core.stages.base.
 PipelineStage` objects — fetch, rename, issue, execute, retire, fill.
 One :class:`~repro.core.stages.base.MachineState` object is the
@@ -43,7 +43,6 @@ from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.clusters import CheckpointStore, FunctionalUnit
 from repro.core.config import SimConfig
 from repro.core.memsched import MemoryScheduler
-from repro.core.rename import RenameUnit, RetireUnit
 from repro.core.results import SimResult
 from repro.core.stages.attribution import CycleAccountant
 from repro.core.stages.base import MachineState, PipelineStage
@@ -104,11 +103,7 @@ class Engine:
         #: issue slot *k*
         self.fus = [FunctionalUnit(config.rs_per_fu)
                     for _ in range(config.num_fus)]
-        self.rename_unit = RenameUnit(config.issue_width,
-                                      config.max_blocks_per_cycle,
-                                      config.window_size)
         self.checkpoints = CheckpointStore(config.max_checkpoints)
-        self.retire_unit = RetireUnit(config.retire_width)
         self.memsched = MemoryScheduler(self.hierarchy,
                                         config.store_forward_window)
         #: the stage list, in pipeline order. Owned by the engine;
@@ -118,12 +113,12 @@ class Engine:
             FetchStage(config, self.hierarchy, self.predictor,
                        self.trace_cache, self.fill_unit,
                        self.registry, self.events),
-            RenameStage(config, self.rename_unit, self.checkpoints,
-                        self.registry, self.events),
+            RenameStage(config, self.checkpoints, self.registry,
+                        self.events),
             IssueStage(config, self.fus, self.registry),
             ExecuteStage(self.memsched, self.registry),
-            RetireStage(config, self.retire_unit, self.checkpoints,
-                        self.predictor, self.registry, self.events),
+            RetireStage(config, self.checkpoints, self.predictor,
+                        self.registry, self.events),
             FillStage(self.fill_unit, self.registry),
         ]
         if telemetry is not None:
@@ -150,6 +145,18 @@ class Engine:
         instruction's timeline."""
         return tuple(getattr(stage, name) for stage in self.stages
                      if stage.overrides(name))
+
+    def _segment_hooks(self, hooks: Callable[[str], Tuple[Any, ...]]
+                       ) -> None:
+        """Give the fill unit and trace cache the segment-hook chains
+        that *hooks* returns."""
+        fill_unit = self.fill_unit
+        if fill_unit is not None:
+            fill_unit.collect_hooks = hooks("segment_collected")
+            fill_unit.pass_hooks = hooks("pass_applied")
+            fill_unit.verify_hooks = hooks("segment_verified")
+            fill_unit.trace_cache.displace_hooks = hooks("line_displaced")
+            fill_unit.build_hooks = hooks("segment_built")
 
     def _install_policy_hints(self, program: Any) -> None:
         """Feed static temperature hints to a hint-capable trace cache
@@ -223,34 +230,34 @@ class Engine:
 
         stages = self.stages
         # The hook chains, built once per run; the segment-hook chains
-        # go to the components that call them.
+        # go to the components that call them, for this run only.
         hooks = self.hooks
         begin_group = hooks("begin_group")
         chain = hooks("process")
         end_group = hooks("end_group")
-        fill_unit = self.fill_unit
-        if fill_unit is not None:
-            fill_unit.collect_hooks = hooks("segment_collected")
-            fill_unit.pass_hooks = hooks("pass_applied")
-            fill_unit.verify_hooks = hooks("segment_verified")
-            fill_unit.trace_cache.displace_hooks = hooks("line_displaced")
-            fill_unit.build_hooks = hooks("segment_built")
+        self._segment_hooks(hooks)
         for stage in stages:
             stage.begin_run(state)
-        while state.index < n:
-            for hook in begin_group:
-                hook(state)
-            group = state.group
-            assert group is not None
-            if not group.entries:   # defensive; not seen on real traces
-                state.index += 1
-                continue
-            for entry in group.entries:
-                for process in chain:
-                    process(state, entry)
-            for hook in end_group:
-                hook(state)
-            state.index += group.consumed
+        try:
+            while state.index < n:
+                for hook in begin_group:
+                    hook(state)
+                group = state.group
+                assert group is not None
+                if not group.entries:   # defensive; not on real traces
+                    state.index += 1
+                    continue
+                for entry in group.entries:
+                    for process in chain:
+                        process(state, entry)
+                for hook in end_group:
+                    hook(state)
+                state.index += group.consumed
+        finally:
+            # A stage may hold the fill unit, so its chains would be a
+            # reference cycle: drop them, and the engine's parts are
+            # freed by reference counting once the engine is.
+            self._segment_hooks(lambda name: ())
 
         result.cycles = state.retire_cycles[-1]
         if wrong_path is not None:

@@ -32,13 +32,30 @@ from repro.telemetry.registry import TelemetryRegistry
 
 class FetchEntry:
     """One instruction's trip through the pipeline: what fetch found,
-    then the timeline the per-instruction stages fill in."""
+    then the timeline the per-instruction stages fill in.
+
+    Fetch sets ``record``, ``instr``, ``decoded``, ``slot``,
+    ``from_tc`` and ``phantom``, plus ``mispredicted`` and
+    ``promoted`` (False unless a branch sets them). ``executed`` and
+    ``retire_cycle`` start at False and 0, since a stage may read
+    them before any stage writes them. Every other field is written
+    before it is read, first by:
+
+    - rename: ``seq`` (committed-stream sequence number, the retired
+      count) and ``renamed`` (rename cycle); for a marked move also
+      ``complete``, ``penalized`` and ``executed``;
+    - issue: ``penalized`` (the last-arriving source paid the
+      cross-cluster penalty); for a dispatched instruction
+      ``cluster``, ``exec_start`` (FU issue cycle) and ``data_ready``
+      (store-data readiness); for a NOP ``complete`` and ``executed``;
+    - execute: ``complete`` and ``executed``;
+    - retire: ``retire_cycle``, of committed entries only.
+    """
 
     __slots__ = ("record", "instr", "decoded", "slot", "from_tc",
                  "mispredicted", "promoted", "phantom", "seq",
-                 "is_branch", "renamed", "executed", "complete",
-                 "penalized", "cluster", "exec_start", "data_ready",
-                 "retire_cycle")
+                 "renamed", "executed", "complete", "penalized",
+                 "cluster", "exec_start", "data_ready", "retire_cycle")
 
     def __init__(self, record: Any, instr: Any, slot: int, from_tc: bool,
                  phantom: bool = False) -> None:
@@ -51,32 +68,13 @@ class FetchEntry:
         #: issue slot -> functional unit
         self.slot = slot
         self.from_tc = from_tc
-        self.mispredicted = False
-        self.promoted = False
         #: a predicated instruction whose guard failed on the actual
         #: path: it issues and executes (writing back its old value)
         #: but matches no committed record.
         self.phantom = phantom
-        # -- the timeline, set by the per-instruction stages ----------
-        #: committed-stream sequence number at rename (== retired count)
-        self.seq = 0
-        #: holds a checkpoint (rename)
-        self.is_branch = False
-        self.renamed = 0
-        #: set once a stage has produced the completion cycle (rename
-        #: for marked moves, issue for NOPs, execute for everything
-        #: else)
+        self.mispredicted = False
+        self.promoted = False
         self.executed = False
-        self.complete = 0
-        #: last-arriving source paid the cross-cluster bypass penalty
-        self.penalized = False
-        #: executing cluster (issue stage; slot-wired)
-        self.cluster = 0
-        #: FU issue cycle (issue stage)
-        self.exec_start = 0
-        #: store-data readiness, joins in the store queue (issue stage)
-        self.data_ready = 0
-        #: retirement cycle (retire stage; committed entries only)
         self.retire_cycle = 0
 
 

@@ -23,6 +23,7 @@ from repro.core.stages.base import (
 )
 from repro.telemetry.events import FETCH_MISFETCH
 from repro.telemetry.registry import TelemetryRegistry
+from repro.tracecache.segment import PREDICTED, PROMOTED
 
 #: registry scope behind each hot-path counter this stage maintains.
 _SCOPES = {
@@ -60,15 +61,47 @@ class FetchStage(PipelineStage):
         self._cov_any = m.cov_any
         self._group_size = registry.histogram("fetch.group.size")
         self._registry = registry
+        #: the committed stream's pcs, which a line's path must match
+        self._pcs: List[int] = []
 
     # ==================================================================
     # Group assembly
     # ==================================================================
 
+    def begin_run(self, state: MachineState) -> None:
+        self._pcs = [record.pc for record in state.records]
+
     def begin_group(self, state: MachineState) -> None:
+        """Assemble the fetch group at the stream cursor: from a
+        resident trace-cache line that starts at its pc, else from the
+        I-cache. Phantom entries consume no stream record."""
+        records = state.records
+        start = state.index
         requested = state.fetch_ready
-        entries, fetch_cycle, segment, consumed = self._fetch_group(
-            state.records, state.index, state.fetch_ready)
+        pc = self._pcs[start]
+        segment: Optional[Any] = None
+        if self.trace_cache is not None:
+            segment = self.trace_cache.lookup(pc, requested,
+                                              self._path_chooser)
+            if segment is None:
+                assert self.fill_unit is not None
+                self.fill_unit.note_fetch_miss(pc)
+                self.events.emit(FETCH_MISFETCH, requested, pc=pc)
+        if segment is not None:
+            # The supporting I-cache is probed in parallel with the
+            # trace cache (figure 1's datapath); keep its line resident
+            # so the rare TC misses do not pay a full memory round trip
+            # for code that streams through the TC every cycle.
+            self.hierarchy.l1i.fill(pc)
+            entries, consumed = self._fetch_from_segment(segment, records,
+                                                         start)
+            fetch_cycle = requested
+            self._tc_instrs.value += consumed
+        else:
+            entries, fetch_cycle = self._fetch_from_icache(records, start,
+                                                           requested)
+            consumed = len(entries)
+            self._ic_instrs.value += consumed
         group = FetchGroup(entries, fetch_cycle, segment)
         state.group = group
         if not entries:     # defensive; cannot happen on real traces
@@ -79,11 +112,6 @@ class FetchStage(PipelineStage):
         group.next_fetch = fetch_cycle + 1
         group.consumed = consumed
         self._group_size.observe(len(entries))
-        # Fetch-source accounting; the segment walk counts coverage.
-        if segment is None:
-            self._ic_instrs.value += consumed
-        else:
-            self._tc_instrs.value += consumed
 
     def end_group(self, state: MachineState) -> None:
         """Sequence the next group: serialization drains and the
@@ -100,36 +128,6 @@ class FetchStage(PipelineStage):
         state.fetch_ready = group.next_fetch
 
     # ------------------------------------------------------------------
-
-    def _fetch_group(self, records: List[Any], start: int, cycle: int
-                     ) -> Tuple[List[FetchEntry], int, Optional[Any], int]:
-        """Assemble one fetch group starting at stream index *start*.
-
-        Returns ``(entries, fetch_cycle, segment, consumed)``:
-        *consumed* stream records were consumed (phantom entries
-        consume none), and *segment* is the trace-cache segment the
-        group came from (None on the I-cache path).
-        """
-        pc = records[start].pc
-        if self.trace_cache is not None:
-            segment = self.trace_cache.lookup(pc, cycle,
-                                              self._path_chooser)
-            if segment is not None:
-                # The supporting I-cache is probed in parallel with the
-                # trace cache (figure 1's datapath); keep its line
-                # resident so the rare TC misses do not pay a full
-                # memory round trip for code that streams through the
-                # TC every cycle.
-                self.hierarchy.l1i.fill(pc)
-                entries, consumed = self._fetch_from_segment(
-                    segment, records, start)
-                return entries, cycle, segment, consumed
-            assert self.fill_unit is not None
-            self.fill_unit.note_fetch_miss(pc)
-            self.events.emit(FETCH_MISFETCH, cycle, pc=pc)
-        entries, fetch_cycle = self._fetch_from_icache(records, start,
-                                                       cycle)
-        return entries, fetch_cycle, None, len(entries)
 
     def _path_chooser(self, segment: Any) -> int:
         """Way-selection score for path-associative lookup.
@@ -155,60 +153,92 @@ class FetchStage(PipelineStage):
         """Consume the leading portion of *segment* that matches the
         actual path; all of it issues this cycle (inactive issue).
         Returns ``(entries, consumed)``, and counts the optimization
-        coverage of the consumed entries."""
-        entries: List[FetchEntry] = []
-        branch_at = segment.branch_at
-        slots = segment.slots
-        predictor = self.predictor
+        coverage of the consumed entries.
+
+        Everything that depends only on the line comes from the fetch
+        plan :meth:`TraceSegment.seal` recorded: the path is matched
+        against the committed pcs, and only the control entries are
+        walked, for the predictor and the return-address stack.
+        """
+        if segment.predicated:
+            entries, consumed = self._walk_predicated(segment, records,
+                                                      start)
+        else:
+            pcs = segment.pcs
+            actual = self._pcs[start:start + len(pcs)]
+            if actual == pcs:
+                consumed = len(pcs)
+            else:
+                consumed = 0
+                for pc, committed in zip(pcs, actual):
+                    if pc != committed:
+                        break   # the line's path leaves the actual path
+                    consumed += 1
+            instrs = segment.instrs
+            slots = segment.slots
+            entries = [FetchEntry(record, instrs[index], slots[index], True)
+                       for index, record in enumerate(
+                           records[start:start + consumed])]
+        # entries[i] is logical entry i: a predicated line issues each
+        # entry it reaches, as a phantom when off the actual path
+        reached = len(entries)
         position = 0        # unpromoted-branch predictor slot
-        consumed = 0
-        optimized = moves = reassoc = scaled = 0
-        n = len(records)
-        for logical, instr in enumerate(segment.instrs):
-            stream_idx = start + consumed
-            if stream_idx >= n:
+        for index, kind, direction in segment.controls:
+            if index >= reached:
                 break
-            record = records[stream_idx]
-            if instr.pc != record.pc:
-                if instr.guard is not None:
-                    # Predicated instruction skipped on the actual path:
-                    # it still issues (guard false, old value kept) but
-                    # consumes no committed record.
-                    entries.append(FetchEntry(None, instr, slots[logical],
-                                              True, phantom=True))
-                    continue
-                break       # segment path diverges from the actual path
-            entry = FetchEntry(record, instr, slots[logical], True)
-            entries.append(entry)
-            consumed += 1
-            decoded = entry.decoded
-            if decoded.optimized:
-                optimized += 1
-                if decoded.move:
-                    moves += 1
-                if decoded.reassociated:
-                    reassoc += 1
-                if decoded.scaled:
-                    scaled += 1
-            if decoded.is_cond_branch:
-                info = branch_at.get(logical)
-                if info is not None and info.promoted:
-                    entry.promoted = True
-                    predicted = info.direction
-                else:
-                    predicted = predictor.predict_cond(record.pc, position)
-                    predictor.update_cond(record.pc, position,
-                                          record.taken)
-                    position += 1
-                entry.mispredicted = predicted != record.taken
-            elif decoded.is_call or decoded.is_indirect \
-                    or decoded.is_return:
-                self._handle_unconditional(entry, decoded)
+            entry = entries[index]
+            if entry.phantom:
+                continue
+            record = entry.record
+            if kind == PREDICTED:
+                entry.mispredicted = self.predictor.update_cond(
+                    record.pc, position, record.taken) != record.taken
+                position += 1
+            elif kind == PROMOTED:
+                entry.promoted = True
+                entry.mispredicted = direction != record.taken
+            else:
+                self._handle_unconditional(entry, entry.decoded)
+        optimized, moves, reassoc, scaled = segment.coverage[reached]
+        if reached != consumed:
+            for entry in entries:
+                if entry.phantom and entry.decoded.optimized:
+                    decoded = entry.decoded
+                    optimized -= 1
+                    moves -= decoded.move
+                    reassoc -= decoded.reassociated
+                    scaled -= decoded.scaled
         if optimized:
             self._cov_any.value += optimized
             self._cov_moves.value += moves
             self._cov_reassoc.value += reassoc
             self._cov_scaled.value += scaled
+        return entries, consumed
+
+    def _walk_predicated(self, segment: Any, records: List[Any],
+                         start: int) -> Tuple[List[FetchEntry], int]:
+        """Match a predicated line entry by entry: a guarded entry off
+        the actual path still issues, as a phantom, but consumes no
+        committed record. Returns ``(entries, consumed)``."""
+        pcs = segment.pcs
+        slots = segment.slots
+        committed = self._pcs
+        n = len(committed)
+        entries: List[FetchEntry] = []
+        consumed = 0
+        for index, instr in enumerate(segment.instrs):
+            stream = start + consumed
+            if stream >= n:
+                break
+            if pcs[index] != committed[stream]:
+                if instr.guard is None:
+                    break   # the line's path leaves the actual path
+                entries.append(FetchEntry(None, instr, slots[index], True,
+                                          phantom=True))
+                continue
+            entries.append(FetchEntry(records[stream], instr, slots[index],
+                                      True))
+            consumed += 1
         return entries, consumed
 
     def _fetch_from_icache(self, records: List[Any], start: int,
@@ -240,10 +270,9 @@ class FetchStage(PipelineStage):
             entries.append(entry)
             prev = record
             if decoded.is_cond_branch:
-                predicted = predictor.predict_cond(record.pc, cond_count)
-                predictor.update_cond(record.pc, cond_count, record.taken)
+                entry.mispredicted = predictor.update_cond(
+                    record.pc, cond_count, record.taken) != record.taken
                 cond_count += 1
-                entry.mispredicted = predicted != record.taken
                 if entry.mispredicted:
                     break
                 if record.taken:

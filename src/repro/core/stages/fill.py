@@ -28,10 +28,9 @@ class FillStage(PipelineStage):
     def __init__(self, fill_unit: Optional[Any],
                  registry: TelemetryRegistry) -> None:
         self.fill_unit = fill_unit
-        #: the collector's feed for its packing mode; it hands each
+        #: the fill unit's feed for its packing mode; it hands each
         #: finalized candidate to the fill unit's build path
-        self._feed = (fill_unit.collector.feed if fill_unit is not None
-                      else None)
+        self._feed = fill_unit.feed if fill_unit is not None else None
         self._registry = registry
 
     def process(self, state: MachineState, entry: FetchEntry) -> None:
@@ -47,7 +46,7 @@ class FillStage(PipelineStage):
         result.segments_deduped = self.fill_unit.stats.segments_deduped
         result.pass_totals = self.fill_unit.pass_totals
         self._registry.counter("fillunit.instructions_collected").add(
-            self.fill_unit.collector.collected)
+            self.fill_unit.collected)
 
 
 __all__ = ["FillStage"]

@@ -1,11 +1,12 @@
 """Retire stage: in-order retirement, branch resolution and recovery.
 
-Owns the retire unit (retire-width bound), the checkpoint store's
-commit side, branch-outcome accounting (including promoted and
-predicated-away branches), mispredict redirect pushback on the next
-fetch group and wrong-path pollution. Retire is pure timing: observers
-of the retirement stream (cycle attribution, timing capture) are
-stages of their own, appended after this one.
+Owns the retire bandwidth state (the retire cycle and how many
+instructions it has retired, bounded by the retire width), the
+checkpoint store's commit side, branch-outcome accounting (including
+promoted and predicated-away branches), mispredict redirect pushback
+on the next fetch group and wrong-path pollution. Retire is pure
+timing: observers of the retirement stream (cycle attribution, timing
+capture) are stages of their own, appended after this one.
 """
 
 from __future__ import annotations
@@ -38,10 +39,13 @@ class RetireStage(PipelineStage):
 
     name = "retire"
 
-    def __init__(self, config: SimConfig, retire_unit: Any,
-                 checkpoints: Any, predictor: Any,
-                 registry: TelemetryRegistry, events: Any) -> None:
-        self.retire_unit = retire_unit
+    def __init__(self, config: SimConfig, checkpoints: Any,
+                 predictor: Any, registry: TelemetryRegistry,
+                 events: Any) -> None:
+        self.width = config.retire_width
+        #: the cycle now retiring, and how many it has retired
+        self._cycle = 0
+        self._count = 0
         self.checkpoints = checkpoints
         self.predictor = predictor
         self.events = events
@@ -63,7 +67,17 @@ class RetireStage(PipelineStage):
         decoded = entry.decoded
         complete = entry.complete
 
-        retire_cycle = self.retire_unit.retire(complete)
+        # In order: no earlier than the previous retirement, and at
+        # most ``width`` per cycle.
+        if complete >= self._cycle:
+            retire_cycle = self._cycle = complete + 1
+            self._count = 1
+        elif self._count >= self.width:
+            retire_cycle = self._cycle = self._cycle + 1
+            self._count = 1
+        else:
+            retire_cycle = self._cycle
+            self._count += 1
         state.retire_cycles.append(retire_cycle)
         entry.retire_cycle = retire_cycle
 
@@ -93,7 +107,7 @@ class RetireStage(PipelineStage):
                              pc=record.pc, taken=True,
                              promoted=False, indirect=True)
 
-        if entry.is_branch:
+        if decoded.is_cond_branch:    # it holds a checkpoint (rename)
             self.checkpoints.commit(complete)
         if entry.mispredicted:
             resume = complete + self.redirect

@@ -87,33 +87,30 @@ class PendingSegment:
         return len(self.records)
 
 
-Sink = Callable[[PendingSegment, int], None]
-
-
 class FillCollector:
     """Accumulates retired instructions into segment candidates.
 
-    :meth:`feed` takes one retired instruction and its retirement cycle
-    and hands each candidate it finalizes to *sink* (the fill unit's
-    build path) with that cycle. The collection mode — packed or
-    block-granular — is chosen once, here: :attr:`feed` is bound to
-    its implementation. Without a *sink*, finalized candidates are
-    kept for :meth:`add` to return (standalone use)."""
+    :attr:`feed` takes one retired instruction and its retirement
+    cycle and hands each candidate it finalizes to :meth:`sink` with
+    that cycle. A standalone collector's sink keeps the candidates for
+    :meth:`add` to return; the fill unit, a collector itself,
+    overrides it with its build path. The collection mode — packed or
+    block-granular — is chosen once, at construction, and
+    :attr:`feed` gives its implementation.
+
+    No instance attribute refers back to the collector (``feed`` and
+    ``sink`` are resolved on the class), so a finished fill unit is
+    freed by reference counting, without waiting for a collection of
+    cyclic garbage."""
 
     def __init__(self, bias: BiasTable, max_instrs: int = 16,
                  max_cond_branches: int = 3,
-                 trace_packing: bool = True,
-                 sink: Optional[Sink] = None) -> None:
+                 trace_packing: bool = True) -> None:
         self.bias = bias
         self.max_instrs = max_instrs
         self.max_cond_branches = max_cond_branches
         self.trace_packing = trace_packing
         self._kept: List[PendingSegment] = []
-        self.sink: Sink = sink if sink is not None else self._keep
-        #: ``feed(record, cycle)``: one retired instruction
-        self.feed: Callable[[CommittedInstr, int], None] = (
-            self._feed_packed if trace_packing
-            else self._feed_block_granular)
         #: retired instructions fed so far
         self.collected = 0
         self._pending = PendingSegment()
@@ -126,6 +123,18 @@ class FillCollector:
         self._miss_points: Dict[int, None] = {}
         self._miss_capacity = 64
 
+    @property
+    def feed(self) -> Callable[[CommittedInstr, int], None]:
+        """``feed(record, cycle)``: one retired instruction, collected
+        in this collector's mode (callers on a hot path keep it)."""
+        if self.trace_packing:
+            return self._feed_packed
+        return self._feed_block_granular
+
+    def sink(self, candidate: PendingSegment, cycle: int) -> None:
+        """Take one finalized candidate: keep it for :meth:`add`."""
+        self._kept.append(candidate)
+
     def note_fetch_miss(self, pc: int) -> None:
         """Record that fetch missed the trace cache at *pc*."""
         self._miss_points.pop(pc, None)
@@ -137,8 +146,8 @@ class FillCollector:
 
     def add(self, record: CommittedInstr) -> List[PendingSegment]:
         """Feed one retired instruction; returns the (possibly empty)
-        list of segment candidates finalized by it (empty when the
-        collector has a sink, which receives them instead).
+        list of segment candidates finalized by it (empty for the
+        fill unit, whose sink builds them instead).
 
         Block-granular collection can finalize two candidates on one
         instruction (the pending segment is cut because the completed
@@ -160,9 +169,6 @@ class FillCollector:
         if len(self._pending):
             out.append(self._finalize())
         return out
-
-    def _keep(self, candidate: PendingSegment, cycle: int) -> None:
-        self._kept.append(candidate)
 
     # -- packed mode -----------------------------------------------------
 

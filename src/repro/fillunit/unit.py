@@ -28,7 +28,6 @@ from repro.fillunit.opts.base import (
     PassManager,
 )
 from repro.isa.decoded import Decoded
-from repro.machine.tracing import CommittedInstr
 from repro.telemetry.registry import Counter, TelemetryRegistry
 from repro.tracecache.cache import TraceCache
 from repro.tracecache.segment import BranchInfo, TraceSegment
@@ -67,20 +66,20 @@ class FillUnitStats:
     segments_reused: int = 0
 
 
-class FillUnit:
-    """Collect retired blocks, optimize, install into the trace cache."""
+class FillUnit(FillCollector):
+    """Collect retired blocks, optimize, install into the trace cache.
+
+    The fill unit is the collector whose :meth:`sink` is the build
+    path: every finalized candidate goes straight to it, and the fill
+    stage calls :attr:`feed` directly."""
 
     def __init__(self, config: FillUnitConfig, trace_cache: TraceCache,
                  bias: BiasTable,
                  registry: Optional[TelemetryRegistry] = None) -> None:
+        super().__init__(bias, config.max_instrs,
+                         config.max_cond_branches, config.trace_packing)
         self.config = config
         self.trace_cache = trace_cache
-        self.bias = bias
-        # The collector hands every finalized candidate straight to
-        # the build path; the fill stage feeds it directly.
-        self.collector = FillCollector(
-            bias, config.max_instrs, config.max_cond_branches,
-            config.trace_packing, sink=self._build)
         self.verifier: Optional[SegmentVerifier] = None
         if config.verify:
             from repro import verify
@@ -121,16 +120,6 @@ class FillUnit:
                 "fillunit.verify.segments_clean")
 
     # ------------------------------------------------------------------
-
-    def retire(self, record: CommittedInstr, cycle: int) -> None:
-        """Feed one retired instruction at retirement *cycle* (the
-        engine's fill stage calls ``collector.feed`` itself)."""
-        self.collector.feed(record, cycle)
-
-    def note_fetch_miss(self, pc: int) -> None:
-        """The fetch engine missed the trace cache at *pc*: align an
-        upcoming segment boundary to it (miss-driven construction)."""
-        self.collector.note_fetch_miss(pc)
 
     def assemble_segment(self, candidate: PendingSegment) -> TraceSegment:
         """Assemble the *unoptimized* :class:`TraceSegment` a candidate
@@ -245,9 +234,12 @@ class FillUnit:
                 self.registry.counter(f"fillunit.opts.{name}.{stat}"))
         return counter
 
-    def _build(self, candidate: PendingSegment, cycle: int) -> None:
-        # An identical resident line makes the rebuild redundant: the
-        # trace cache keeps it hot instead.
+    def sink(self, candidate: PendingSegment, cycle: int) -> None:
+        """Build a finalized candidate and install it.
+
+        An identical resident line makes the rebuild redundant: the
+        trace cache keeps it hot instead (one refresh, counted as
+        deduped)."""
         deduped = self.trace_cache.refresh(
             candidate.start_pc, candidate.path_key,
             tuple([b.promoted for b in candidate.branches]))

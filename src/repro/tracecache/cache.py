@@ -121,24 +121,34 @@ class TraceCache:
         recently used wins ties.
         """
         self.stats.lookups += 1
-        entries = self._set_for(pc)
-        candidates = [key for key, seg in entries.items()
-                      if key[0] == pc and seg.fill_cycle <= now]
-        if not candidates:
+        index = (pc >> 2) & self._set_mask
+        entries = self._sets[index]
+        # One pass over the set: the most recently used visible path,
+        # and the list of all of them only when several are resident.
+        key: Optional[Tuple[int, tuple]] = None
+        candidates: Optional[List[Tuple[int, tuple]]] = None
+        for resident, segment in entries.items():
+            if resident[0] == pc and segment.fill_cycle <= now:
+                if key is not None:
+                    if candidates is None:
+                        candidates = [key]
+                    candidates.append(resident)
+                key = resident
+        if key is None:
             return None
-        if len(candidates) > 1:
+        if candidates is not None:
             self.stats.multipath_hits += 1
             if chooser is not None:
-                scored = [(chooser(entries[key]), key)
-                          for key in candidates]
+                scored = [(chooser(entries[resident]), resident)
+                          for resident in candidates]
                 best = max(score for score, _ in scored)
                 if best > 0:
-                    candidates = [key for score, key in scored
-                                  if score == best]
-        key = candidates[-1]            # most recently used best path
+                    # the most recently used best path
+                    key = [resident for score, resident in scored
+                           if score == best][-1]
         segment = entries.pop(key)
         entries[key] = segment          # recency touch
-        self.policy.on_hit(self._index_for(pc), key)
+        self.policy.on_hit(index, key)
         self.stats.hits += 1
         self._seg_hits[key] = self._seg_hits.get(key, 0) + 1
         return segment

@@ -31,6 +31,12 @@ from repro.isa.decoded import Decoded, decode_key
 from repro.isa.instruction import make_nop
 
 
+#: kinds of a fetch plan's control entries (:attr:`TraceSegment.controls`)
+PREDICTED = 0       # conditional branch the predictor predicts
+PROMOTED = 1        # conditional branch with an embedded prediction
+UNCONDITIONAL = 2   # call, return or indirect jump
+
+
 @dataclass
 class BranchInfo:
     """Fetch-relevant facts about one conditional branch in a segment."""
@@ -57,10 +63,18 @@ class TraceSegment:
     #: by the fill unit's dedup (passes may remove branch records —
     #: e.g. predication — so the live list cannot be compared).
     build_promo: Tuple[bool, ...] = ()
-    #: fetch facts, recorded by :meth:`seal`: branch records by logical
-    #: index, and whether any instruction is predicated (guarded)
-    branch_at: Dict[int, BranchInfo] = field(
-        default_factory=dict, compare=False, repr=False)
+    #: the fetch plan, recorded by :meth:`seal` (fields, so a reuse
+    #: shell made by ``dataclasses.replace`` shares them): the path's
+    #: pcs; the control entries as ``(logical index, kind, embedded
+    #: direction)`` with kind :data:`PREDICTED`, :data:`PROMOTED` or
+    #: :data:`UNCONDITIONAL`; ``coverage[k]``, the optimized, move,
+    #: reassociated and scaled counts of the first *k* entries; and
+    #: whether any instruction is predicated (guarded)
+    pcs: List[int] = field(default_factory=list, compare=False, repr=False)
+    controls: List[Tuple[int, int, bool]] = field(
+        default_factory=list, compare=False, repr=False)
+    coverage: List[Tuple[int, int, int, int]] = field(
+        default_factory=list, compare=False, repr=False)
     predicated: bool = field(default=False, compare=False, repr=False)
     #: indices of entries rewritten since the last :meth:`redecode`
     rewritten: Set[int] = field(
@@ -111,17 +125,42 @@ class TraceSegment:
         self.rewritten.clear()
 
     def seal(self, records: Dict[Tuple[Any, ...], Decoded]) -> None:
-        """Finish the segment for fetch: record the fetch facts and
-        re-decode the rewritten entries from *records*.
+        """Finish the segment for fetch: re-decode the rewritten
+        entries from *records*, then record the fetch plan, every fact
+        fetch needs that depends only on the line.
 
         The fill unit calls this once, after its last pass and next to
         dependency marking; nothing may rewrite the segment afterwards,
-        so the records and facts are never stale.
+        so the records and the plan are never stale.
         """
-        self.branch_at = {info.index: info for info in self.branches}
-        self.predicated = any(instr.guard is not None
-                              for instr in self.instrs)
         self.redecode(records)
+        promoted = {info.index: info.direction
+                    for info in self.branches if info.promoted}
+        controls: List[Tuple[int, int, bool]] = []
+        coverage = [(0, 0, 0, 0)]
+        optimized = moves = reassoc = scaled = 0
+        predicated = False
+        for index, instr in enumerate(self.instrs):
+            decoded = instr.decoded
+            if decoded.is_cond_branch:
+                if index in promoted:
+                    controls.append((index, PROMOTED, promoted[index]))
+                else:
+                    controls.append((index, PREDICTED, False))
+            elif decoded.is_call or decoded.is_indirect \
+                    or decoded.is_return:
+                controls.append((index, UNCONDITIONAL, False))
+            if decoded.optimized:
+                optimized += 1
+                moves += decoded.move
+                reassoc += decoded.reassociated
+                scaled += decoded.scaled
+            coverage.append((optimized, moves, reassoc, scaled))
+            predicated = predicated or instr.guard is not None
+        self.pcs = [instr.pc for instr in self.instrs]
+        self.controls = controls
+        self.coverage = coverage
+        self.predicated = predicated
 
     def __len__(self) -> int:
         return len(self.instrs)
@@ -218,4 +257,5 @@ class TraceSegment:
         return "\n".join(lines)
 
 
-__all__ = ["TraceSegment", "BranchInfo"]
+__all__ = ["TraceSegment", "BranchInfo", "PREDICTED", "PROMOTED",
+           "UNCONDITIONAL"]

@@ -30,6 +30,28 @@ def test_counter_training():
     assert array.predict(5) is True
 
 
+def test_train_is_predict_then_update():
+    """``train`` returns what ``predict`` would have and leaves the
+    counters as ``update`` would, over every state and outcome."""
+    trained = SaturatingCounterArray(16)
+    reference = SaturatingCounterArray(16)
+    outcomes = [True, True, False, True, False, False, False, True] * 3
+    for key, taken in enumerate(outcomes):
+        key %= 3
+        expected = reference.predict(key)
+        reference.update(key, taken)
+        assert trained.train(key, taken) is expected
+        assert [trained.value(k) for k in range(3)] \
+            == [reference.value(k) for k in range(3)]
+
+
+def test_update_cond_returns_the_prediction():
+    predictor = MultiBranchPredictor(PredictorConfig().scaled(256))
+    for taken in [False, False, True, False, True, True, True]:
+        expected = predictor.predict_cond(0x3000, 1)
+        assert predictor.update_cond(0x3000, 1, taken) is expected
+
+
 def test_counter_saturation():
     array = SaturatingCounterArray(16)
     for _ in range(10):

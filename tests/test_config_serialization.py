@@ -151,3 +151,29 @@ def test_retired_memo_knobs_rejected():
         payload[knob] = 0
         with pytest.raises(ConfigError, match=knob):
             SimConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("issue_width", "16"),
+    ("issue_width", 16.5),
+    ("issue_width", True),
+    ("verify_fill", "no"),
+    ("verify_fill", 0),
+    ("trace_cache", None),
+    ("optimizations", []),
+    ("optimizations.moves", 1),
+    ("predictor.pht_entries", [65536, "16384", 8192]),
+    ("predictor.pht_entries", 4096),
+    ("hierarchy.l1d_size", 4096.0),
+], ids=repr)
+def test_from_dict_rejects_wrong_field_types(path, value):
+    """A field of the wrong type is a ConfigError, never a raw
+    TypeError and never silently accepted."""
+    payload = SimConfig().to_dict()
+    *owners, name = path.split(".")
+    target = payload
+    for owner in owners:
+        target = target[owner]
+    target[name] = value
+    with pytest.raises(ConfigError, match=name):
+        SimConfig.from_dict(payload)

@@ -1,24 +1,27 @@
 """Backend component tests: clusters, bypass, RS, rename, retire,
 memory scheduler, configuration."""
 
+import dataclasses
 import heapq
 import random
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from repro.branch.predictor import PredictorConfig
+from repro.branch.predictor import MultiBranchPredictor, PredictorConfig
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.core.clusters import FunctionalUnit
+from repro.core.clusters import CheckpointStore, FunctionalUnit
 from repro.core.config import SimConfig
 from repro.core.memsched import MemoryScheduler
-from repro.core.rename import RenameUnit, RetireUnit
 from repro.core.results import SimResult
-from repro.core.stages import (ExecuteStage, FetchEntry, IssueStage,
-                               MachineState)
+from repro.core.stages import (ExecuteStage, FetchEntry, FetchGroup,
+                               IssueStage, MachineState, RenameStage,
+                               RetireStage)
 from repro.errors import ConfigError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
+from repro.machine.tracing import CommittedInstr
+from repro.telemetry.events import NULL_EVENT_STREAM
 from repro.telemetry.registry import TelemetryRegistry
 from repro.tracecache.cache import TraceCacheConfig
 
@@ -239,43 +242,90 @@ def test_rs_frees_after_dispatch():
 
 # --- rename ------------------------------------------------------------------
 
+ADD = Instruction(Op.ADD, rd=T2, rs=T0, rt=T1)
+BEQ = Instruction(Op.BEQ, rs=T0, rt=T1, imm=4)
+
+
+def make_rename(**overrides):
+    """A rename stage on the paper machine with *overrides*, and a
+    state whose retirement history is empty."""
+    config = dataclasses.replace(SimConfig.paper(), **overrides)
+    stage = RenameStage(config, CheckpointStore(config.max_checkpoints),
+                        TelemetryRegistry(), NULL_EVENT_STREAM)
+    state = MachineState(records=[], n=0,
+                         result=SimResult("bench", "run", 0, 0),
+                         reg_ready=[(0, None)] * 32)
+    return stage, state
+
+
+def rename(stage, state, fetch_cycle, instr=ADD):
+    """Rename one instruction of a group fetched at *fetch_cycle*."""
+    state.group = FetchGroup([], fetch_cycle)
+    entry = FetchEntry(None, instr, 0, True)
+    stage.process(state, entry)
+    return entry.renamed
+
+
 def test_rename_width_limit():
-    rename = RenameUnit(issue_width=2, max_blocks_per_cycle=3,
-                        window_size=64)
-    cycles = [rename.rename(0, False, 0) for _ in range(5)]
+    # a two-wide machine: two FUs, two-instruction fetch groups
+    stage, state = make_rename(
+        issue_width=2, max_blocks_per_cycle=3, window_size=64,
+        num_clusters=1, cluster_size=2, ic_fetch_width=2,
+        trace_cache=TraceCacheConfig(max_instrs=2))
+    cycles = [rename(stage, state, 0) for _ in range(5)]
     assert cycles == [1, 1, 2, 2, 3]
 
 
 def test_rename_block_limit():
-    rename = RenameUnit(issue_width=16, max_blocks_per_cycle=2,
-                        window_size=64)
-    cycles = [rename.rename(0, True, 0) for _ in range(4)]
+    stage, state = make_rename(issue_width=16, max_blocks_per_cycle=2,
+                               window_size=64)
+    cycles = [rename(stage, state, 0, BEQ) for _ in range(4)]
     assert cycles == [1, 1, 2, 2]
-    assert rename.block_limit_stalls > 0
+    assert stage.block_limit_stalls > 0
 
 
 def test_rename_window_backpressure():
-    rename = RenameUnit(issue_width=16, max_blocks_per_cycle=3,
-                        window_size=8)
-    assert rename.rename(0, False, window_release=50) == 51
-    assert rename.window_stalls == 1
+    stage, state = make_rename(
+        issue_width=16, max_blocks_per_cycle=3, window_size=8,
+        trace_cache=TraceCacheConfig(max_instrs=8))
+    # the instruction eight older retires at cycle 50
+    state.retire_cycles = [50] + [0] * 7
+    assert rename(stage, state, 0) == 51
+    assert stage.window_stalls == 1
 
 
 def test_rename_never_goes_backward():
-    rename = RenameUnit(16, 3, 64)
-    first = rename.rename(10, False, 0)
-    second = rename.rename(5, False, 0)   # earlier fetch, later rename
+    stage, state = make_rename(issue_width=16, max_blocks_per_cycle=3,
+                               window_size=64)
+    first = rename(stage, state, 10)
+    second = rename(stage, state, 5)    # earlier fetch, later rename
     assert second >= first
 
 
-# --- retire --------------------------------------------------------------------
+# --- retire ----------------------------------------------------------------
 
 def test_retire_in_order_and_width():
-    retire = RetireUnit(retire_width=2)
-    assert retire.retire(10) == 11
-    assert retire.retire(5) == 11    # in-order: can't retire before prior
-    assert retire.retire(5) == 12    # width exhausted at 11
-    assert retire.retire(20) == 21
+    config = dataclasses.replace(SimConfig.paper(), retire_width=2)
+    stage = RetireStage(config, CheckpointStore(config.max_checkpoints),
+                        MultiBranchPredictor(config.predictor),
+                        TelemetryRegistry(), NULL_EVENT_STREAM)
+    state = MachineState(records=[], n=0,
+                         result=SimResult("bench", "run", 0, 0),
+                         reg_ready=[(0, None)] * 32)
+    state.group = FetchGroup([], 0)
+    record = CommittedInstr(0, 0x400000, ADD, 0x400004)
+
+    def retire(complete):
+        entry = FetchEntry(record, ADD, 0, True)
+        entry.complete = complete
+        stage.process(state, entry)
+        return entry.retire_cycle
+
+    assert retire(10) == 11
+    assert retire(5) == 11    # in-order: can't retire before prior
+    assert retire(5) == 12    # width exhausted at 11
+    assert retire(20) == 21
+    assert state.retire_cycles == [11, 11, 12, 21]
 
 
 # --- memory scheduler -------------------------------------------------------

@@ -2,12 +2,17 @@
 tests."""
 
 from dataclasses import replace
+import gc
+import weakref
+
+import pytest
 
 from repro.asm import assemble
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine.executor import Executor
+from repro.telemetry import Telemetry
 from tests.helpers import run_asm
 
 PROGRAM_SRC = """
@@ -35,6 +40,30 @@ def test_engine_takes_program_from_trace():
                                           program=program)
     assert plain.cycles == passed.cycles
     assert plain.benchmark == "prog"
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_finished_engine_is_not_cyclic_garbage(observed):
+    """A finished engine's trace cache, fill unit and segments are
+    freed as soon as the engine is, by reference counting: nothing in
+    them refers back to itself (the collector's feed and sink) or to
+    a stage holding them (the segment-hook chains)."""
+    trace = Executor(assemble(PROGRAM_SRC, name="prog")).run()
+    telemetry = Telemetry(spans=True) if observed else None
+    gc.collect()
+    gc.disable()
+    try:
+        engine = Engine(SimConfig.tiny(OptimizationConfig.extended()),
+                        telemetry=telemetry)
+        engine.run(trace, benchmark="prog")
+        assert engine.fill_unit.stats.segments_built > 0
+        trace_cache = weakref.ref(engine.trace_cache)
+        fill_unit = weakref.ref(engine.fill_unit)
+        del engine
+        assert trace_cache() is None
+        assert fill_unit() is None
+    finally:
+        gc.enable()
 
 
 # --- configuration sensitivity -------------------------------------------

@@ -12,10 +12,11 @@ fifteen workloads' program images, over every segment the fill unit
 builds under each pass alone, the extended set and an evicting
 machine, and over generated programs. They pin the sharing itself
 (with the program image, and among rewritten entries of one shape)
-and that the program image is never rewritten. They also pin that an
-appended observer stage joins the per-instruction chain with
-unchanged results (``tests/test_hostprof.py`` pins the same for
-host-profiler proxies).
+and that the program image is never rewritten, and that every sealed
+segment's fetch plan matches a reference computed from its entries.
+They also pin that an appended observer stage joins the
+per-instruction chain with unchanged results
+(``tests/test_hostprof.py`` pins the same for host-profiler proxies).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.isa.semantics import semantics_for
 from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
+from repro.tracecache.segment import PREDICTED, PROMOTED, UNCONDITIONAL
 from repro.workloads import synth
 from repro.workloads.builder import AsmBuilder, lcg_values
 
@@ -93,12 +95,37 @@ def assert_parity(instr) -> None:
     assert got == expected, f"decoded record of {instr} is stale"
 
 
+def reference_plan(segment) -> tuple:
+    """The fetch plan computed from the entries, one at a time."""
+    promoted = {b.index: b.direction for b in segment.branches
+                if b.promoted}
+    controls = []
+    for index, instr in enumerate(segment.instrs):
+        if instr.is_cond_branch():
+            if index in promoted:
+                controls.append((index, PROMOTED, promoted[index]))
+            else:
+                controls.append((index, PREDICTED, False))
+        elif instr.is_call() or instr.is_return() or instr.is_indirect():
+            controls.append((index, UNCONDITIONAL, False))
+    coverage = []
+    for k in range(len(segment.instrs) + 1):
+        prefix = segment.instrs[:k]
+        coverage.append((
+            sum(1 for i in prefix if i.move_flag or i.reassociated
+                or i.scale is not None),
+            sum(1 for i in prefix if i.move_flag),
+            sum(1 for i in prefix if i.reassociated),
+            sum(1 for i in prefix if i.scale is not None)))
+    return ([instr.pc for instr in segment.instrs], controls, coverage,
+            any(instr.guard is not None for instr in segment.instrs))
+
+
 def assert_sealed(segment) -> None:
     for instr in segment.instrs:
         assert_parity(instr)
-    assert segment.branch_at == {b.index: b for b in segment.branches}
-    assert segment.predicated == any(instr.guard is not None
-                                     for instr in segment.instrs)
+    assert (segment.pcs, segment.controls, segment.coverage,
+            segment.predicated) == reference_plan(segment)
 
 
 @pytest.mark.parametrize("bench", workloads.names())

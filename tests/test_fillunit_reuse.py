@@ -45,7 +45,8 @@ def content(segment) -> tuple:
               for instr in segment.instrs]
     return (segment.start_pc, segment.block_count, instrs, segment.slots,
             segment.branches, segment.deps, segment.build_promo,
-            segment.branch_at, segment.predicated)
+            segment.pcs, segment.controls, segment.coverage,
+            segment.predicated)
 
 
 # A fallthrough hammock: the branch is not taken, so the body is on

@@ -33,7 +33,7 @@ def feed(unit, trace):
     for cycle, record in enumerate(trace):
         if record.instr.is_cond_branch():
             unit.bias.record(record.pc, record.taken)
-        unit.retire(record, cycle)
+        unit.feed(record, cycle)
 
 
 def test_segments_installed_with_latency():
@@ -109,13 +109,13 @@ def test_instructions_collected_counter():
     unit, _ = make_unit()
     _, trace = run_asm(LOOP)
     feed(unit, trace)
-    assert unit.collector.collected == len(trace)
+    assert unit.collected == len(trace)
 
 
 def test_note_fetch_miss_propagates_to_collector():
     unit, _ = make_unit()
     unit.note_fetch_miss(0x1234)
-    assert 0x1234 in unit.collector._miss_points
+    assert 0x1234 in unit._miss_points
 
 
 def test_baseline_unit_keeps_annotations_clean():
