@@ -36,19 +36,9 @@ class SaturatingCounterArray:
         above the midpoint)."""
         return self._counters[key & self._mask] >= self.threshold
 
-    def update(self, key: int, taken: bool) -> None:
-        """Train toward the observed outcome."""
-        idx = key & self._mask
-        value = self._counters[idx]
-        if taken:
-            if value < self.max_value:
-                self._counters[idx] = value + 1
-        elif value > 0:
-            self._counters[idx] = value - 1
-
-    def train(self, key: int, taken: bool) -> bool:
-        """:meth:`predict`, then :meth:`update`, in one call; returns
-        the prediction made before training."""
+    def update(self, key: int, taken: bool) -> bool:
+        """Train toward the observed outcome; returns the prediction
+        made before training (what :meth:`predict` returned)."""
         idx = key & self._mask
         value = self._counters[idx]
         if taken:

@@ -25,15 +25,10 @@ class PatternHistoryTable:
     def predict(self, pc: int, ghist: int) -> bool:
         return self.counters.predict(self._index(pc, ghist))
 
-    def update(self, pc: int, ghist: int, taken: bool) -> None:
-        self.counters.update(self._index(pc, ghist), taken)
-
-    def train(self, pc: int, ghist: int, taken: bool) -> bool:
-        """:meth:`predict`, then :meth:`update`, in one call; returns
-        the prediction made before training."""
-        # the index of _index, computed inline: one call per branch
-        return self.counters.train(
-            (pc >> 2) ^ (ghist & self._history_mask), taken)
+    def update(self, pc: int, ghist: int, taken: bool) -> bool:
+        """Train with the committed outcome; returns the prediction
+        made before training."""
+        return self.counters.update(self._index(pc, ghist), taken)
 
 
 class GlobalHistory:

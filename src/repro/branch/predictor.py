@@ -120,7 +120,7 @@ class MultiBranchPredictor:
         outcome (oracle update ordering); see DESIGN.md §3.
         """
         table = self.phts[min(position, len(self.phts) - 1)]
-        predicted = table.train(pc, self.history.value, taken)
+        predicted = table.update(pc, self.history.value, taken)
         if predicted != taken:
             self.stats.cond_mispredicts += 1
         self.history.push(taken)

@@ -235,10 +235,10 @@ class Engine:
         begin_group = hooks("begin_group")
         chain = hooks("process")
         end_group = hooks("end_group")
-        self._segment_hooks(hooks)
-        for stage in stages:
-            stage.begin_run(state)
         try:
+            self._segment_hooks(hooks)
+            for stage in stages:
+                stage.begin_run(state)
             while state.index < n:
                 for hook in begin_group:
                     hook(state)

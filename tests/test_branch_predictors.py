@@ -30,19 +30,15 @@ def test_counter_training():
     assert array.predict(5) is True
 
 
-def test_train_is_predict_then_update():
-    """``train`` returns what ``predict`` would have and leaves the
-    counters as ``update`` would, over every state and outcome."""
-    trained = SaturatingCounterArray(16)
-    reference = SaturatingCounterArray(16)
+def test_update_returns_the_prior_prediction():
+    """``update`` returns what ``predict`` returned just before it, over
+    every counter state and outcome."""
+    array = SaturatingCounterArray(16)
     outcomes = [True, True, False, True, False, False, False, True] * 3
     for key, taken in enumerate(outcomes):
         key %= 3
-        expected = reference.predict(key)
-        reference.update(key, taken)
-        assert trained.train(key, taken) is expected
-        assert [trained.value(k) for k in range(3)] \
-            == [reference.value(k) for k in range(3)]
+        expected = array.predict(key)
+        assert array.update(key, taken) is expected
 
 
 def test_update_cond_returns_the_prediction():

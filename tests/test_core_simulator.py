@@ -10,6 +10,7 @@ import pytest
 from repro.asm import assemble
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
+from repro.core.stages.base import PipelineStage
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
@@ -62,6 +63,43 @@ def test_finished_engine_is_not_cyclic_garbage(observed):
         del engine
         assert trace_cache() is None
         assert fill_unit() is None
+    finally:
+        gc.enable()
+
+
+class _FailingStage(PipelineStage):
+    """Holds the fill unit and hooks its builds, then fails to start."""
+
+    name = "failing"
+
+    def __init__(self, fill_unit):
+        self.fill_unit = fill_unit
+
+    def segment_built(self, segment, cycle):
+        pass
+
+    def begin_run(self, state):
+        raise RuntimeError("begin_run failed")
+
+
+def test_engine_failing_to_start_is_not_cyclic_garbage():
+    """A stage that raises in ``begin_run`` leaves no segment-hook
+    chain behind, so the engine is still freed by reference counting."""
+    trace = Executor(assemble(PROGRAM_SRC, name="prog")).run()
+    gc.collect()
+    gc.disable()
+    try:
+        engine = Engine(SimConfig.tiny(OptimizationConfig.extended()))
+        engine.stages.append(_FailingStage(engine.fill_unit))
+        try:
+            engine.run(trace, benchmark="prog")
+        except RuntimeError:
+            pass
+        else:
+            raise AssertionError("begin_run did not raise")
+        trace_cache = weakref.ref(engine.trace_cache)
+        del engine
+        assert trace_cache() is None
     finally:
         gc.enable()
 
