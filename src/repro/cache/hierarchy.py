@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.cache.policy import POLICY_NAMES
-from repro.cache.setassoc import SetAssocCache
+from repro.cache.setassoc import SetAssocCache, check_geometry
 from repro.errors import ConfigError
 
 
@@ -40,6 +40,14 @@ class HierarchyConfig:
     policy: str = "lru"
 
     def __post_init__(self) -> None:
+        for level in ("l1i", "l1d", "l2"):
+            check_geometry(level.upper(), getattr(self, f"{level}_size"),
+                           getattr(self, f"{level}_assoc"),
+                           getattr(self, f"{level}_line"))
+        for name in ("l2_latency", "memory_latency"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"{name} must be at least 0, got {getattr(self, name)}")
         if self.policy not in POLICY_NAMES:
             raise ConfigError(
                 f"unknown hierarchy replacement policy {self.policy!r}; "

@@ -56,10 +56,18 @@ class ReplacementPolicy:
     The container calls the hooks at the obvious points (``on_insert``
     after installing a key, ``on_hit`` on a reuse, ``victim`` to pick
     the key to drop, ``on_evict`` after dropping it, ``on_flush`` when
-    the whole structure empties).
+    the whole structure empties). A container calls ``on_hit`` and
+    ``on_insert`` only if the policy's class overrides them (see
+    :meth:`overrides`): they run on every hit and fill, and a policy
+    without metadata (:class:`TrueLRU`) keeps the base no-ops.
     """
 
     name = "abstract"
+
+    def overrides(self, hook: str) -> bool:
+        """Whether this policy's class overrides the *hook* method."""
+        return (getattr(type(self), hook)
+                is not getattr(ReplacementPolicy, hook))
 
     def on_insert(self, index: int, key: Key) -> None:
         """A new generation of *key* was installed in set *index*."""

@@ -24,6 +24,29 @@ def _is_pow2(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
+def check_geometry(name: str, size_bytes: int, assoc: int,
+                   line_size: int) -> int:
+    """The set count of a *size_bytes* cache of *assoc* ways of
+    *line_size*-byte lines.
+
+    Raises:
+        ConfigError: unless the line size, the associativity and the
+            set count are powers of two and the size is a whole number
+            of sets.
+    """
+    if not (_is_pow2(line_size) and _is_pow2(assoc)):
+        raise ConfigError(f"{name}: line size and associativity must "
+                          f"be powers of two")
+    if size_bytes % (assoc * line_size):
+        raise ConfigError(f"{name}: size {size_bytes} not divisible by "
+                          f"assoc*line ({assoc}x{line_size})")
+    num_sets = size_bytes // (assoc * line_size)
+    if not _is_pow2(num_sets):
+        raise ConfigError(f"{name}: set count {num_sets} "
+                          f"must be a power of two")
+    return num_sets
+
+
 @dataclass
 class CacheStats:
     """Hit, miss and eviction counters."""
@@ -57,20 +80,11 @@ class SetAssocCache:
 
     def __init__(self, size_bytes: int, assoc: int, line_size: int,
                  name: str = "cache", policy: str = "lru") -> None:
-        if not (_is_pow2(line_size) and _is_pow2(assoc)):
-            raise ConfigError(f"{name}: line size and associativity must "
-                              f"be powers of two")
-        if size_bytes % (assoc * line_size):
-            raise ConfigError(f"{name}: size {size_bytes} not divisible by "
-                              f"assoc*line ({assoc}x{line_size})")
+        self.num_sets = check_geometry(name, size_bytes, assoc, line_size)
         self.name = name
         self.size_bytes = size_bytes
         self.assoc = assoc
         self.line_size = line_size
-        self.num_sets = size_bytes // (assoc * line_size)
-        if not _is_pow2(self.num_sets):
-            raise ConfigError(f"{name}: set count {self.num_sets} "
-                              f"must be a power of two")
         self._line_shift = line_size.bit_length() - 1
         self._set_mask = self.num_sets - 1
         # set index -> {tag: None}, insertion order == recency order.
@@ -78,6 +92,12 @@ class SetAssocCache:
             dict() for _ in range(self.num_sets)]
         #: victim selection and its per-set metadata
         self.policy: ReplacementPolicy = make_policy(policy, self.num_sets)
+        #: the policy's hit and install hooks, or None where it keeps
+        #: the base class's no-op (decided once: they run per access)
+        self._on_hit = (self.policy.on_hit
+                        if self.policy.overrides("on_hit") else None)
+        self._on_insert = (self.policy.on_insert
+                           if self.policy.overrides("on_insert") else None)
         #: hit/access/eviction counters
         self.stats = CacheStats()
 
@@ -100,28 +120,36 @@ class SetAssocCache:
         caller's concern) and the policy's victim in the set is
         evicted.
         """
-        entries, tag, index = self._locate(addr)
-        self.stats.accesses += 1
+        tag = addr >> self._line_shift
+        index = tag & self._set_mask
+        entries = self._sets[index]
+        stats = self.stats
+        stats.accesses += 1
         if tag in entries:
-            self.stats.hits += 1
+            stats.hits += 1
             entries[tag] = entries.pop(tag)  # move to MRU position
-            self.policy.on_hit(index, tag)
+            if self._on_hit is not None:
+                self._on_hit(index, tag)
             return True
         if len(entries) >= self.assoc:
             victim = self.policy.victim(index, entries)
             entries.pop(victim)
             self.policy.on_evict(index, victim)
-            self.stats.evictions += 1
+            stats.evictions += 1
         entries[tag] = None
-        self.policy.on_insert(index, tag)
+        if self._on_insert is not None:
+            self._on_insert(index, tag)
         return False
 
     def fill(self, addr: int) -> None:
         """Install the line containing *addr* without counting an access."""
-        entries, tag, index = self._locate(addr)
+        tag = addr >> self._line_shift
+        index = tag & self._set_mask
+        entries = self._sets[index]
         if tag in entries:
             entries[tag] = entries.pop(tag)
-            self.policy.on_hit(index, tag)
+            if self._on_hit is not None:
+                self._on_hit(index, tag)
             return
         if len(entries) >= self.assoc:
             victim = self.policy.victim(index, entries)
@@ -129,7 +157,8 @@ class SetAssocCache:
             self.policy.on_evict(index, victim)
             self.stats.evictions += 1
         entries[tag] = None
-        self.policy.on_insert(index, tag)
+        if self._on_insert is not None:
+            self._on_insert(index, tag)
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line containing *addr*; returns whether it was present."""
@@ -155,4 +184,4 @@ class SetAssocCache:
                 f"{self.policy.name})")
 
 
-__all__ = ["SetAssocCache", "CacheStats"]
+__all__ = ["SetAssocCache", "CacheStats", "check_geometry"]

@@ -109,6 +109,11 @@ class SimConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("cross_cluster_penalty", "mispredict_redirect",
+                     "store_forward_window"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"{name} must be at least 0, got {getattr(self, name)}")
         if self.num_clusters * self.cluster_size > self.issue_width:
             raise ConfigError(
                 "more functional units than issue slots: "

@@ -1,9 +1,9 @@
 """The replay engine: a stage list driven over the committed stream.
 
 :class:`Engine` owns the machine's components (predictor, memory
-hierarchy, trace cache + fill unit, checkpoint store, clustered
-backend) and an ordered list of :class:`~repro.core.stages.base.
-PipelineStage` objects — fetch, rename, issue, execute, retire, fill.
+hierarchy, trace cache + fill unit, checkpoint store) and an ordered
+list of :class:`~repro.core.stages.base.PipelineStage` objects —
+fetch, rename, issue, execute, retire, fill.
 One :class:`~repro.core.stages.base.MachineState` object is the
 explicit handoff between stages; see ``docs/architecture.md`` for the
 contract.
@@ -40,7 +40,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.branch.predictor import MultiBranchPredictor
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.core.clusters import CheckpointStore, FunctionalUnit
+from repro.core.clusters import CheckpointStore
 from repro.core.config import SimConfig
 from repro.core.memsched import MemoryScheduler
 from repro.core.results import SimResult
@@ -62,6 +62,10 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.registry import TelemetryRegistry
 from repro.tracecache.cache import TraceCache
+
+
+#: the stages whose ``process`` is the per-instruction chain, in order
+PIPELINE = ("rename", "issue", "execute", "retire", "fill")
 
 
 class Engine:
@@ -99,10 +103,6 @@ class Engine:
             self.fill_unit = FillUnit(fill_config, self.trace_cache,
                                       self.predictor.bias,
                                       registry=self.registry)
-        #: functional unit *k*, behind its reservation station, takes
-        #: issue slot *k*
-        self.fus = [FunctionalUnit(config.rs_per_fu)
-                    for _ in range(config.num_fus)]
         self.checkpoints = CheckpointStore(config.max_checkpoints)
         self.memsched = MemoryScheduler(self.hierarchy,
                                         config.store_forward_window)
@@ -115,7 +115,7 @@ class Engine:
                        self.registry, self.events),
             RenameStage(config, self.checkpoints, self.registry,
                         self.events),
-            IssueStage(config, self.fus, self.registry),
+            IssueStage(config, self.registry),
             ExecuteStage(self.memsched, self.registry),
             RetireStage(config, self.checkpoints, self.predictor,
                         self.registry, self.events),
@@ -140,9 +140,11 @@ class Engine:
 
         Fetch has no per-instruction work and observers read the
         finished group, so the ``process`` chain is rename, issue,
-        execute, retire and fill whether the run is observed or not;
-        each link gets the fetch entry, which carries the
-        instruction's timeline."""
+        execute, retire and fill whether the run is observed or not
+        (:meth:`run` refuses any other chain); each link gets the
+        fetch entry, which carries the instruction's timeline. The
+        fill link is the fill unit's own collection entry point (see
+        :class:`~repro.core.stages.fill.FillStage`)."""
         return tuple(getattr(stage, name) for stage in self.stages
                      if stage.overrides(name))
 
@@ -188,14 +190,24 @@ class Engine:
         own image.
 
         Raises:
-            ConfigError: when *program* is not ``trace.program``, or
-                wrong-path modeling is requested without an image.
+            ConfigError: when *program* is not ``trace.program``,
+                wrong-path modeling is requested without an image, or
+                a stage other than the five pipeline stages overrides
+                ``process`` (observers read the finished group in
+                ``end_group``).
             ReproError: when this engine has already run.
         """
         config = self.config
         if self._ran:
             raise ReproError("an Engine runs once: its components keep "
                              "the first run's state; build a new Engine")
+        owners = tuple(stage.name for stage in self.stages
+                       if stage.overrides("process"))
+        if owners != PIPELINE:
+            raise ConfigError(
+                f"the per-instruction chain must be {', '.join(PIPELINE)}"
+                f", got {', '.join(owners)}: an observer stage reads the "
+                f"finished group in end_group, not process")
         image = trace.program
         if program is not None and program is not image:
             raise ConfigError(
@@ -233,7 +245,7 @@ class Engine:
         # go to the components that call them, for this run only.
         hooks = self.hooks
         begin_group = hooks("begin_group")
-        chain = hooks("process")
+        rename, issue, execute, retire, fill = hooks("process")
         end_group = hooks("end_group")
         try:
             self._segment_hooks(hooks)
@@ -248,8 +260,11 @@ class Engine:
                     state.index += 1
                     continue
                 for entry in group.entries:
-                    for process in chain:
-                        process(state, entry)
+                    rename(state, entry)
+                    issue(state, entry)
+                    execute(state, entry)
+                    retire(state, entry)
+                    fill(state, entry)
                 for hook in end_group:
                     hook(state)
                 state.index += group.consumed

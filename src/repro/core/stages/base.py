@@ -167,7 +167,10 @@ class PipelineStage:
     stages whose class overrides a hook (see :meth:`overrides`), so a
     stage without a ``process`` drops out of the per-instruction chain.
     Observer stages read the finished group in ``end_group`` instead:
-    only the five pipeline stages override ``process``.
+    only the five pipeline stages override ``process``, and the engine
+    calls those five links by name. A stage list with any other
+    ``process`` chain is a :class:`~repro.errors.ConfigError` when the
+    run starts.
     """
 
     name = "stage"

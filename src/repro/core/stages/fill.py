@@ -21,22 +21,29 @@ from repro.telemetry.registry import TelemetryRegistry
 
 
 class FillStage(PipelineStage):
-    """Streams retired instructions into the fill unit's collector."""
+    """Streams retired instructions into the fill unit's collector.
+
+    With a fill unit, this stage's ``process`` link is the fill unit's
+    own collection entry point (:attr:`~repro.fillunit.collector.
+    FillCollector.collect`), bound at construction: it takes the
+    chain's ``(state, entry)``, skips phantoms and reads the entry's
+    record and retire cycle, so the stage adds no call of its own per
+    instruction. The class-level :meth:`process` is the no-op of a
+    machine without a trace cache; the stage stays a link of the
+    chain either way (:meth:`~PipelineStage.overrides` asks the
+    class)."""
 
     name = "fill"
 
     def __init__(self, fill_unit: Optional[Any],
                  registry: TelemetryRegistry) -> None:
         self.fill_unit = fill_unit
-        #: the fill unit's feed for its packing mode; it hands each
-        #: finalized candidate to the fill unit's build path
-        self._feed = fill_unit.feed if fill_unit is not None else None
+        if fill_unit is not None:
+            self.process = fill_unit.collect  # type: ignore[method-assign]
         self._registry = registry
 
     def process(self, state: MachineState, entry: FetchEntry) -> None:
-        feed = self._feed
-        if feed is not None and not entry.phantom:
-            feed(entry.record, entry.retire_cycle)
+        """No trace cache: nothing to fill."""
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:

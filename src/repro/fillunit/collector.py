@@ -22,8 +22,8 @@ ids are counted only when a candidate is assembled into a segment
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.branch.bias import BiasTable
 from repro.machine.tracing import CommittedInstr
@@ -39,20 +39,25 @@ class PendingBranch:
     promoted: bool
 
 
-@dataclass
 class PendingSegment:
     """A finalized segment candidate (still in record form)."""
 
-    records: List[CommittedInstr] = field(default_factory=list)
-    branches: List[PendingBranch] = field(default_factory=list)
-    #: how many of :attr:`branches` are not promoted
-    unpromoted: int = 0
-    _path_key: Optional[Tuple[int, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ("records", "branches", "unpromoted", "start_pc",
+                 "_path_key")
 
-    @property
-    def start_pc(self) -> int:
-        return self.records[0].pc
+    def __init__(self, records: Optional[List[CommittedInstr]] = None,
+                 branches: Optional[List[PendingBranch]] = None,
+                 unpromoted: int = 0) -> None:
+        self.records: List[CommittedInstr] = (
+            records if records is not None else [])
+        self.branches: List[PendingBranch] = (
+            branches if branches is not None else [])
+        #: how many of :attr:`branches` are not promoted
+        self.unpromoted = unpromoted
+        #: the first record's pc: set here for a candidate built from
+        #: records, and by the collector when it finalizes one
+        self.start_pc = self.records[0].pc if self.records else 0
+        self._path_key: Optional[Tuple[int, ...]] = None
 
     @property
     def path_key(self) -> Tuple[int, ...]:
@@ -87,21 +92,38 @@ class PendingSegment:
         return len(self.records)
 
 
+class _Retired:
+    """A bare record in the shape the collection entry point reads:
+    what a retired fetch entry offers (``phantom``, ``record``,
+    ``retire_cycle``)."""
+
+    __slots__ = ("record", "retire_cycle")
+    phantom = False
+
+    def __init__(self, record: CommittedInstr, cycle: int) -> None:
+        self.record = record
+        self.retire_cycle = cycle
+
+
 class FillCollector:
     """Accumulates retired instructions into segment candidates.
 
-    :attr:`feed` takes one retired instruction and its retirement
-    cycle and hands each candidate it finalizes to :meth:`sink` with
-    that cycle. A standalone collector's sink keeps the candidates for
-    :meth:`add` to return; the fill unit, a collector itself,
+    :attr:`collect` is the per-instruction entry point: it takes what
+    the engine's per-instruction chain passes, ``(state, entry)``,
+    skips a phantom entry and collects the entry's record, handing
+    each candidate it finalizes to :meth:`sink` with the entry's
+    retire cycle. The fill stage's ``process`` link *is* this entry
+    point. :meth:`feed` and :meth:`add` adapt a bare record to it
+    (tests, tools). A standalone collector's sink keeps the candidates
+    for :meth:`add` to return; the fill unit, a collector itself,
     overrides it with its build path. The collection mode — packed or
     block-granular — is chosen once, at construction, and
-    :attr:`feed` gives its implementation.
+    :attr:`collect` gives its implementation.
 
-    No instance attribute refers back to the collector (``feed`` and
-    ``sink`` are resolved on the class), so a finished fill unit is
-    freed by reference counting, without waiting for a collection of
-    cyclic garbage."""
+    No instance attribute refers back to the collector (``collect``
+    and ``sink`` are resolved on the class), so a finished fill unit
+    is freed by reference counting, without waiting for a collection
+    of cyclic garbage."""
 
     def __init__(self, bias: BiasTable, max_instrs: int = 16,
                  max_cond_branches: int = 3,
@@ -111,7 +133,7 @@ class FillCollector:
         self.max_cond_branches = max_cond_branches
         self.trace_packing = trace_packing
         self._kept: List[PendingSegment] = []
-        #: retired instructions fed so far
+        #: retired instructions collected so far
         self.collected = 0
         self._pending = PendingSegment()
         self._block = PendingSegment()     # used only when not packing
@@ -124,12 +146,18 @@ class FillCollector:
         self._miss_capacity = 64
 
     @property
-    def feed(self) -> Callable[[CommittedInstr, int], None]:
-        """``feed(record, cycle)``: one retired instruction, collected
-        in this collector's mode (callers on a hot path keep it)."""
+    def collect(self) -> Callable[[Any, Any], None]:
+        """``collect(state, entry)``: one retiring entry of the
+        per-instruction chain, collected in this collector's mode
+        unless it is a phantom (callers on a hot path keep it)."""
         if self.trace_packing:
-            return self._feed_packed
-        return self._feed_block_granular
+            return self._collect_packed
+        return self._collect_block_granular
+
+    def feed(self, record: CommittedInstr, cycle: int) -> None:
+        """Collect one retired instruction *record*, retired at
+        *cycle*."""
+        self.collect(None, _Retired(record, cycle))
 
     def sink(self, candidate: PendingSegment, cycle: int) -> None:
         """Take one finalized candidate: keep it for :meth:`add`."""
@@ -172,20 +200,23 @@ class FillCollector:
 
     # -- packed mode -----------------------------------------------------
 
-    def _feed_packed(self, record: CommittedInstr, cycle: int) -> None:
+    def _collect_packed(self, state: Any, entry: Any) -> None:
+        if entry.phantom:
+            return
+        record = entry.record
         self.collected += 1
         pending = self._pending
         if pending.records and record.pc in self._miss_points:
             # Align a fresh segment to an outstanding fetch-miss point.
             del self._miss_points[record.pc]
-            self.sink(self._finalize(), cycle)
+            self.sink(self._finalize(), entry.retire_cycle)
             pending = self._pending
         decoded = record.instr.decoded
         if decoded.is_cond_branch:
             promoted = self.bias.is_promoted(record.pc)
             if not promoted:
                 if pending.unpromoted >= self.max_cond_branches:
-                    self.sink(self._finalize(), cycle)
+                    self.sink(self._finalize(), entry.retire_cycle)
                     pending = self._pending
                 pending.unpromoted += 1
             pending.branches.append(PendingBranch(
@@ -194,12 +225,14 @@ class FillCollector:
         records.append(record)
         if (decoded.terminates_segment
                 or len(records) >= self.max_instrs):
-            self.sink(self._finalize(), cycle)
+            self.sink(self._finalize(), entry.retire_cycle)
 
     # -- block-granular mode ----------------------------------------------
 
-    def _feed_block_granular(self, record: CommittedInstr,
-                             cycle: int) -> None:
+    def _collect_block_granular(self, state: Any, entry: Any) -> None:
+        if entry.phantom:
+            return
+        record = entry.record
         self.collected += 1
         decoded = record.instr.decoded
         block = self._block
@@ -211,11 +244,11 @@ class FillCollector:
                 or len(block) >= self.max_instrs):
             return
         if not self._block_fits() and len(self._pending):
-            self.sink(self._finalize(), cycle)
+            self.sink(self._finalize(), entry.retire_cycle)
         self._append_block_to_pending()
         last = self._pending.records[-1].instr.decoded
         if last.terminates_segment or len(self._pending) >= self.max_instrs:
-            self.sink(self._finalize(), cycle)
+            self.sink(self._finalize(), entry.retire_cycle)
 
     # ------------------------------------------------------------------
 
@@ -249,6 +282,7 @@ class FillCollector:
 
     def _finalize(self) -> PendingSegment:
         candidate = self._pending
+        candidate.start_pc = candidate.records[0].pc
         self._pending = PendingSegment()
         return candidate
 

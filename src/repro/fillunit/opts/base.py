@@ -66,6 +66,11 @@ class OptimizationConfig:
     #: plus the ALU path-length argument give the paper's limit of 3).
     max_scale_shift: int = 3
 
+    def __post_init__(self) -> None:
+        if self.max_scale_shift < 0:
+            raise ConfigError(f"max_scale_shift must be at least 0, got "
+                              f"{self.max_scale_shift}")
+
     @classmethod
     def none(cls) -> "OptimizationConfig":
         """The baseline: no trace optimizations."""

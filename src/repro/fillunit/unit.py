@@ -71,7 +71,7 @@ class FillUnit(FillCollector):
 
     The fill unit is the collector whose :meth:`sink` is the build
     path: every finalized candidate goes straight to it, and the fill
-    stage calls :attr:`feed` directly."""
+    stage's per-instruction link is :attr:`collect` itself."""
 
     def __init__(self, config: FillUnitConfig, trace_cache: TraceCache,
                  bias: BiasTable,

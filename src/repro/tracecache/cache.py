@@ -92,6 +92,12 @@ class TraceCache:
         #: victim selection + metadata (TRRIP reuse history etc.)
         self.policy: ReplacementPolicy = make_policy(
             self.config.policy, self.config.num_sets)
+        #: the policy's hit and install hooks, or None where it keeps
+        #: the base class's no-op (decided once: they run per lookup)
+        self._on_hit = (self.policy.on_hit
+                        if self.policy.overrides("on_hit") else None)
+        self._on_insert = (self.policy.on_insert
+                           if self.policy.overrides("on_insert") else None)
         self.stats = TraceCacheStats()
         #: (start_pc, path_key) -> lookup hits since its last fill
         #: (dead-eviction accounting).
@@ -148,7 +154,8 @@ class TraceCache:
                            if score == best][-1]
         segment = entries.pop(key)
         entries[key] = segment          # recency touch
-        self.policy.on_hit(index, key)
+        if self._on_hit is not None:
+            self._on_hit(index, key)
         self.stats.hits += 1
         self._seg_hits[key] = self._seg_hits.get(key, 0) + 1
         return segment
@@ -190,7 +197,8 @@ class TraceCache:
             return False
         del entries[key]
         entries[key] = segment
-        self.policy.on_hit(index, key)
+        if self._on_hit is not None:
+            self._on_hit(index, key)
         self.stats.refreshes += 1
         return True
 
@@ -228,7 +236,8 @@ class TraceCache:
                 hook(victim_key, now, segment, True)
         segment.fill_cycle = now + fill_latency
         entries[key] = segment
-        self.policy.on_insert(index, key)
+        if self._on_insert is not None:
+            self._on_insert(index, key)
         self._seg_hits[key] = 0
         self.stats.fills += 1
 

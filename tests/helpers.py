@@ -27,6 +27,34 @@ def evicting_config(opts: OptimizationConfig, policy: str) -> SimConfig:
                                       l1d_size=1024, policy=policy))
 
 
+def record_policy_hooks(monkeypatch, name: str) -> None:
+    """Register, for the caches built from now on, a subclass of the
+    *name* replacement policy whose instances log the key of every
+    ``on_hit`` (``hits``) and ``on_insert`` (``inserts``) they get.
+
+    The subclass overrides both hooks, so a cache calls them even for
+    a policy (LRU) whose own hooks are the base class's no-ops."""
+    from repro.cache import policy as policies
+
+    base = policies._POLICIES[name]
+
+    class Recording(base):
+        def __init__(self, num_sets):
+            super().__init__(num_sets)
+            self.hits = []
+            self.inserts = []
+
+        def on_hit(self, index, key):
+            self.hits.append(key)
+            super().on_hit(index, key)
+
+        def on_insert(self, index, key):
+            self.inserts.append(key)
+            super().on_insert(index, key)
+
+    monkeypatch.setitem(policies._POLICIES, name, Recording)
+
+
 def run_asm(source: str, max_instructions: int = 200_000):
     """Assemble and functionally execute a program; returns
     (program, trace)."""

@@ -22,8 +22,13 @@ from repro.cache.policy import (
     TrueLRU,
     make_policy,
 )
+from repro import workloads
 from repro.cache.setassoc import SetAssocCache
+from repro.core.engine import Engine
 from repro.errors import ConfigError
+from repro.fillunit.opts.base import OptimizationConfig
+from repro.machine.executor import Executor
+from tests.helpers import evicting_config, record_policy_hooks
 
 
 # -- registry -----------------------------------------------------------
@@ -167,3 +172,39 @@ def test_setassoc_srrip_differs_from_lru():
     assert not srrip.access(192)  # dummy to keep streams same length
     assert lru.stats.evictions >= 1
     assert srrip.stats.evictions >= 1
+
+
+# -- the hooks a cache calls --------------------------------------------
+
+def test_overrides_names_the_hooks_a_policy_implements():
+    assert not TrueLRU(1).overrides("on_hit")
+    assert not TrueLRU(1).overrides("on_insert")
+    assert TrueLRU(1).overrides("victim")
+    for cls in (SRRIPPolicy, TRRIPPolicy):
+        assert cls(1).overrides("on_hit") and cls(1).overrides("on_insert")
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_caches_call_each_hit_and_insert_hook_once(name, monkeypatch):
+    """A cache calls ``on_hit`` and ``on_insert`` only when the policy's
+    class overrides them. A recording subclass of each policy does, so
+    it must see one ``on_hit`` per hit and one ``on_insert`` per
+    install: through a run on the evicting geometry (the L1D and L2
+    count every access, the trace cache its lookups and dedup
+    refreshes) and through ``SetAssocCache.fill``."""
+    record_policy_hooks(monkeypatch, name)
+    trace = Executor(workloads.build("compress", 0.1)).run()
+    engine = Engine(evicting_config(OptimizationConfig.all(), name))
+    engine.run(trace, "compress")
+    for cache in (engine.hierarchy.l1d, engine.hierarchy.l2):
+        assert len(cache.policy.hits) == cache.stats.hits > 0
+        assert len(cache.policy.inserts) == cache.stats.misses > 0
+    tc = engine.trace_cache
+    assert len(tc.policy.hits) == tc.stats.hits + tc.stats.refreshes > 0
+    assert len(tc.policy.inserts) == tc.stats.fills > 0
+
+    cache = SetAssocCache(128, 2, 32, policy=name)
+    cache.fill(0x40)            # install
+    cache.fill(0x40)            # resident: a hit
+    assert cache.policy.inserts == [0x40 >> 5]
+    assert cache.policy.hits == [0x40 >> 5]

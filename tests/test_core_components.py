@@ -10,7 +10,7 @@ import pytest
 
 from repro.branch.predictor import MultiBranchPredictor, PredictorConfig
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.core.clusters import CheckpointStore, FunctionalUnit
+from repro.core.clusters import CheckpointStore
 from repro.core.config import SimConfig
 from repro.core.memsched import MemoryScheduler
 from repro.core.results import SimResult
@@ -18,6 +18,7 @@ from repro.core.stages import (ExecuteStage, FetchEntry, FetchGroup,
                                IssueStage, MachineState, RenameStage,
                                RetireStage)
 from repro.errors import ConfigError
+from repro.fillunit.opts.base import OptimizationConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.machine.tracing import CommittedInstr
@@ -36,12 +37,11 @@ def make_issue():
     scoreboard (every register architected, ready at cycle 0)."""
     config = SimConfig.paper()
     registry = TelemetryRegistry()
-    fus = [FunctionalUnit(config.rs_per_fu) for _ in range(config.num_fus)]
     state = MachineState(records=[], n=0,
                          result=SimResult("bench", "run", 0, 0),
                          reg_ready=[(0, None)] * 32)
     # ALU ops never reach the memory scheduler
-    return IssueStage(config, fus, registry), \
+    return IssueStage(config, registry), \
         ExecuteStage(None, registry), state
 
 
@@ -103,9 +103,9 @@ def test_cluster_of_slot():
 # --- functional units behind their reservation stations ---------------------
 
 class OldComposition:
-    """The issue path the merged :class:`FunctionalUnit` replaced, kept
-    as its oracle: ``admit -> max(renamed + 1, ready, rs_free) ->
-    reserve -> occupy`` over per-FU RS heaps and busy-cycle sets."""
+    """The issue path the issue stage's inline claim replaced, kept as
+    its oracle: ``admit -> max(renamed + 1, ready, rs_free) -> reserve
+    -> occupy`` over per-FU RS heaps and busy-cycle sets."""
 
     def __init__(self, num_fus, entries_per_fu):
         self.entries_per_fu = entries_per_fu
@@ -143,6 +143,28 @@ class OldComposition:
         return cycle
 
 
+class Units:
+    """The issue stage of a paper machine with *entries* RS entries per
+    FU, driven one ``(fu, renamed, ready)`` at a time: an ALU op in
+    slot *fu* whose one source register (architected, so no bypass
+    penalty) becomes ready at *ready*."""
+
+    def __init__(self, entries):
+        config = dataclasses.replace(SimConfig.paper(), rs_per_fu=entries)
+        self.stage = IssueStage(config, TelemetryRegistry())
+        self.state = MachineState(records=[], n=0,
+                                  result=SimResult("bench", "run", 0, 0),
+                                  reg_ready=[(0, None)] * 32)
+
+    def issue(self, fu, renamed, ready):
+        self.state.reg_ready[T0] = (ready, None)
+        entry = FetchEntry(None, Instruction(Op.ADD, rd=T2, rs=T0, rt=T0),
+                           fu, True)
+        entry.renamed = renamed
+        self.stage.process(self.state, entry)
+        return entry.exec_start
+
+
 def issue_stream(seed, num_fus, length, stall, spread):
     """A random ``(fu, renamed, ready)`` stream: rename advances a cycle
     with probability ``1 - stall`` and operands arrive up to *spread*
@@ -157,12 +179,12 @@ def issue_stream(seed, num_fus, length, stall, spread):
 
 
 def replay_both(stream, num_fus, entries):
-    """Issue *stream* on the merged units and on the oracle; returns
-    the units after asserting every issue cycle agrees."""
-    units = [FunctionalUnit(entries) for _ in range(num_fus)]
+    """Issue *stream* through the issue stage and on the oracle;
+    returns the units after asserting every issue cycle agrees."""
+    units = Units(entries)
     oracle = OldComposition(num_fus, entries)
     for fu, renamed, ready in stream:
-        assert units[fu].issue(renamed, ready) \
+        assert units.issue(fu, renamed, ready) \
             == oracle.issue(fu, renamed, ready)
     return units
 
@@ -181,63 +203,63 @@ def test_issue_streams_reach_overfill_and_compaction():
     """The stream shapes the property draws from do over-fill the RS
     (more release cycles outstanding than entries) and cross the
     4096-cycle compaction."""
-    units = [FunctionalUnit(4)]
+    units = Units(4)
     oracle = OldComposition(1, 4)
     overfilled = False
     for fu, renamed, ready in issue_stream(7, 1, 6000, 0.9, 64):
-        assert units[0].issue(renamed, ready) \
+        assert units.issue(fu, renamed, ready) \
             == oracle.issue(fu, renamed, ready)
-        overfilled |= len(units[0]._release) > 4
+        overfilled |= len(units.stage._release[0]) > 4
     assert overfilled
-    assert units[0]._floor > 0
+    assert units.stage._floor[0] > 0
 
 
 def test_fu_accepts_one_per_cycle():
-    fus = [FunctionalUnit(32) for _ in range(2)]
-    assert fus[0].issue(9, 10) == 10
-    assert fus[0].issue(9, 10) == 11    # same FU, next cycle
-    assert fus[1].issue(9, 10) == 10    # other FU free
+    units = Units(32)
+    assert units.issue(0, 9, 10) == 10
+    assert units.issue(0, 9, 10) == 11  # same FU, next cycle
+    assert units.issue(1, 9, 10) == 10  # other FU free
 
 
 def test_fu_skips_reserved_cycles():
-    fu = FunctionalUnit(32)
-    fu.issue(4, 5)
-    fu.issue(4, 6)
-    assert fu.issue(4, 5) == 7
+    units = Units(32)
+    units.issue(0, 4, 5)
+    units.issue(0, 4, 6)
+    assert units.issue(0, 4, 5) == 7
 
 
 def test_fu_compaction_preserves_recent_state():
-    fu = FunctionalUnit(10**6)          # capacity out of the way
+    units = Units(10**6)                # capacity out of the way
     oracle = OldComposition(1, 10**6)
     for i in range(5000):
-        assert fu.issue(i * 2 - 1, i * 2) == oracle.issue(0, i * 2 - 1,
-                                                          i * 2)
-    assert fu._floor > 0                # compaction ran
+        assert units.issue(0, i * 2 - 1, i * 2) \
+            == oracle.issue(0, i * 2 - 1, i * 2)
+    assert units.stage._floor[0] > 0    # compaction ran
     # cycle 9998 is recent: still reserved after compaction
-    latest = fu.issue(9997, 9998)
+    latest = units.issue(0, 9997, 9998)
     assert latest == 9999
-    assert fu.issue(latest - 1, latest) == latest + 1
+    assert units.issue(0, latest - 1, latest) == latest + 1
 
 
 # --- reservation stations ----------------------------------------------------
 
 def test_rs_admits_until_full():
-    fu = FunctionalUnit(2)
-    assert fu.issue(0, 20) == 20
-    assert fu.issue(0, 30) == 30
+    units = Units(2)
+    assert units.issue(0, 0, 20) == 20
+    assert units.issue(0, 0, 30) == 30
     # full until cycle 20 (taken, so 21): a new entry waits for the
     # release instead of issuing at renamed + 1 = 15
-    assert fu.issue(14, 0) == 21
+    assert units.issue(0, 14, 0) == 21
 
 
 def test_rs_frees_after_dispatch():
-    fu = FunctionalUnit(2)
-    assert fu.issue(0, 12) == 12
-    assert fu.issue(0, 14) == 14
+    units = Units(2)
+    assert units.issue(0, 0, 12) == 12
+    assert units.issue(0, 0, 14) == 14
     # the entry dispatched at 12 freed up: no RS wait
-    assert fu.issue(12, 0) == 13
+    assert units.issue(0, 12, 0) == 13
     # everything drained by then
-    assert fu.issue(19, 0) == 20
+    assert units.issue(0, 19, 0) == 20
 
 
 # --- rename ------------------------------------------------------------------
@@ -417,8 +439,33 @@ def test_config_rejects_unrunnable_geometry(make):
         make()
 
 
+#: timing parameters that used to simulate silently (or, for a cache
+#: size, fail only when an Engine is built) when negative
+NEGATIVE = {
+    "cross_cluster_penalty=-1": lambda: SimConfig(cross_cluster_penalty=-1),
+    "mispredict_redirect=-3": lambda: SimConfig(mispredict_redirect=-3),
+    "store_forward_window=-1": lambda: SimConfig(store_forward_window=-1),
+    "l2_latency=-5": lambda: HierarchyConfig(l2_latency=-5),
+    "memory_latency=-50": lambda: HierarchyConfig(memory_latency=-50),
+    "l1d_size=-4": lambda: HierarchyConfig(l1d_size=-4),
+    "max_scale_shift=-1": lambda: OptimizationConfig(max_scale_shift=-1),
+}
+
+
+@pytest.mark.parametrize("make", list(NEGATIVE.values()), ids=list(NEGATIVE))
+def test_config_rejects_negative_timing(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
+def test_zero_timing_parameters_stay_valid():
+    SimConfig(cross_cluster_penalty=0, mispredict_redirect=0,
+              store_forward_window=0,
+              hierarchy=HierarchyConfig(l2_latency=0, memory_latency=0),
+              optimizations=OptimizationConfig(max_scale_shift=0))
+
+
 def test_with_optimizations_copies():
-    from repro.fillunit.opts.base import OptimizationConfig
     base = SimConfig.paper()
     opt = base.with_optimizations(OptimizationConfig.all())
     assert base.optimizations.enabled_names() == []
@@ -430,7 +477,6 @@ def test_with_fill_latency():
 
 
 def test_optimization_config_helpers():
-    from repro.fillunit.opts.base import OptimizationConfig
     assert OptimizationConfig.only("moves").enabled_names() == ["moves"]
     assert OptimizationConfig.all().enabled_names() == \
         ["moves", "reassoc", "scaled_adds", "placement"]

@@ -5,7 +5,8 @@ import pytest
 from repro.core.config import SimConfig
 from repro.core.debug import TimingTrace
 from repro.core.engine import Engine
-from repro.errors import ReproError
+from repro.core.stages.base import PipelineStage
+from repro.errors import ConfigError, ReproError
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.telemetry import Telemetry
 from tests.helpers import run_asm
@@ -73,12 +74,38 @@ def test_watching_does_not_change_the_chain():
     observed.stages.append(capture)
     pipeline = ["rename", "issue", "execute", "retire", "fill"]
     for engine in (plain, observed):
-        assert [hook.__self__.name
-                for hook in engine.hooks("process")] == pipeline
+        stages = {stage.name: stage for stage in engine.stages}
+        chain = engine.hooks("process")
+        assert chain == tuple(stages[name].process for name in pipeline)
+        # the fill link is the fill unit's own collection entry point
+        assert chain[-1].__self__ is engine.fill_unit
     assert "attribution" in [stage.name for stage in observed.stages]
     result = observed.run(trace, "test", "run")
     assert result.cycles == plain.run(trace, "test", "run").cycles
     assert len(capture) + capture.dropped == result.instructions
+
+
+def test_stage_overriding_process_is_refused():
+    """A stage appended to the list joins as an observer: one that
+    overrides ``process`` would be a sixth per-instruction link, so
+    ``run`` refuses it by name before any stage begins the run."""
+    _, trace = run_asm(LOOP)
+    begun = []
+
+    class Snoop(PipelineStage):
+        name = "snoop"
+
+        def begin_run(self, state):
+            begun.append(self.name)
+
+        def process(self, state, entry):
+            pass
+
+    engine = Engine(SimConfig.tiny(OptimizationConfig.all()))
+    engine.stages.append(Snoop())
+    with pytest.raises(ConfigError, match="snoop"):
+        engine.run(trace, "test", "run")
+    assert begun == []
 
 
 def test_serial_chain_bounds_throughput():

@@ -334,8 +334,9 @@ def test_generated_program_records_match_methods(program):
 
 
 class PcLogStage(PipelineStage):
-    """Observer stage recording the PC of every committed entry it sees
-    (phantoms are counted, not logged: they carry no record)."""
+    """Observer stage recording, from each finished fetch group, the PC
+    of every committed entry (phantoms are counted, not logged: they
+    carry no record)."""
 
     name = "pc-log"
 
@@ -343,11 +344,12 @@ class PcLogStage(PipelineStage):
         self.pcs = []
         self.phantoms = 0
 
-    def process(self, state, entry) -> None:
-        if entry.phantom:
-            self.phantoms += 1
-        else:
-            self.pcs.append(entry.record.pc)
+    def end_group(self, state) -> None:
+        for entry in state.group.entries:
+            if entry.phantom:
+                self.phantoms += 1
+            else:
+                self.pcs.append(entry.record.pc)
 
 
 @pytest.mark.parametrize("observed,opts", [
@@ -357,10 +359,10 @@ class PcLogStage(PipelineStage):
     pytest.param(False, OptimizationConfig.extended, id="extended-False"),
 ])
 def test_observer_stage_sees_every_instruction(observed, opts):
-    """An appended observer stage joins the per-instruction chain, with
+    """An appended observer stage reads every finished fetch group, with
     or without a telemetry session: the cycles stay put and it sees
     every committed instruction exactly once, in order — predicated
-    phantoms (the extended set) included in the chain but not in the
+    phantoms (the extended set) included in the groups but not in the
     committed stream."""
     trace = Executor(workloads.build("compress", scale=0.2)).run()
     config = SimConfig.tiny(opts())

@@ -80,6 +80,35 @@ def test_attach_profiles_stages_and_passes():
     assert abs(sum(shares.values()) - 1.0) < 1e-9
 
 
+def test_fill_scope_counts_every_chain_entry():
+    """The fill stage's ``process`` is the fill unit's collection entry
+    point, with no call of its own; the profiler's proxy still times
+    it as the fill stage: one ``stage.fill`` call per chain entry
+    (predicated phantoms included), plus begin_run and finish_run."""
+    from repro.core.stages.base import PipelineStage
+
+    class EntryCount(PipelineStage):
+        name = "entry-count"
+        entries = 0
+
+        def end_group(self, state):
+            self.entries += len(state.group.entries)
+
+    program = workloads.build("compress", 0.2)
+    trace = Executor(program).run()
+    engine = Engine(SimConfig.tiny(OptimizationConfig.extended()))
+    counter = EntryCount()
+    engine.stages.append(counter)
+    prof = HostProfiler()
+    prof.attach(engine)
+    result = engine.run(trace, "compress")
+
+    assert counter.entries > result.instructions     # phantoms ran too
+    assert engine.fill_unit.collected == result.instructions
+    calls, seconds = prof.totals["stage.fill"]
+    assert calls == counter.entries + 2 and seconds > 0.0
+
+
 def test_attach_profiles_attribution_stage():
     """With a telemetry session the cycle-accounting stage joins the
     stage list, so the profiler times it like any other stage."""

@@ -10,6 +10,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 from repro.tracecache.segment import BranchInfo, TraceSegment
+from tests.helpers import record_policy_hooks
 
 
 def make_segment(start_pc=0x1000, length=4, branch_at=None,
@@ -249,21 +250,14 @@ def _two_line_set(policy):
 
 
 @pytest.mark.parametrize("policy", ["lru", "trrip"])
-def test_refresh_match_moves_line_to_mru(policy):
+def test_refresh_match_moves_line_to_mru(policy, monkeypatch):
     """A resident line of the same path and promotion state is kept
     hot instead of rebuilt: it becomes MRU (so the next fill evicts
     the other way), the policy sees one hit and one refresh counts."""
+    record_policy_hooks(monkeypatch, policy)
     tc, seg_a = _two_line_set(policy)
-    hits = []
-    on_hit = tc.policy.on_hit
-
-    def spy(index, key):
-        hits.append(key)
-        on_hit(index, key)
-
-    tc.policy.on_hit = spy
     assert tc.refresh(0x1000, seg_a.path_key, (False,))
-    assert hits == [(0x1000, seg_a.path_key)]
+    assert tc.policy.hits == [(0x1000, seg_a.path_key)]
     assert tc.stats.refreshes == 1
     assert list(tc._sets[0])[-1] == (0x1000, seg_a.path_key)
     tc.insert(make_segment(0x3000), now=0)
