@@ -9,19 +9,21 @@ class SaturatingCounterArray:
     """An array of n-bit saturating up/down counters.
 
     Counters start at the weak side of the taken threshold (the usual
-    "weakly taken" initialization for 2-bit counters).
+    "weakly taken" initialization for 2-bit counters). They live in one
+    ``bytearray``, a byte per counter, so a counter is at most 8 bits.
     """
 
     def __init__(self, entries: int, bits: int = 2) -> None:
         if entries <= 0 or entries & (entries - 1):
             raise ConfigError(f"entry count {entries} must be a power of two")
-        if bits < 1:
-            raise ConfigError("counters need at least one bit")
+        if not 1 <= bits <= 8:
+            raise ConfigError(
+                f"counters are 1 to 8 bits wide, got {bits}")
         self.entries = entries
         self.bits = bits
         self.max_value = (1 << bits) - 1
         self.threshold = 1 << (bits - 1)
-        self._counters = [self.threshold] * entries
+        self._counters = bytearray([self.threshold]) * entries
         self._mask = entries - 1
 
     def index(self, key: int) -> int:
@@ -49,7 +51,7 @@ class SaturatingCounterArray:
         return value >= self.threshold
 
     def reset(self) -> None:
-        self._counters = [self.threshold] * self.entries
+        self._counters = bytearray([self.threshold]) * self.entries
 
 
 __all__ = ["SaturatingCounterArray"]

@@ -21,6 +21,7 @@ from repro.branch.bias import BiasTable
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.pht import GlobalHistory, PatternHistoryTable
 from repro.branch.ras import ReturnAddressStack
+from repro.configcheck import check_field_types
 from repro.errors import ConfigError
 
 
@@ -36,15 +37,14 @@ class PredictorConfig:
     btb_entries: int = 512
 
     def __post_init__(self) -> None:
-        if not isinstance(self.pht_entries, (tuple, list)) \
-                or not self.pht_entries:
+        check_field_types(self)
+        if not self.pht_entries:
             raise ConfigError(
                 f"pht_entries must be a non-empty sequence of table "
                 f"sizes, got {self.pht_entries!r}")
         for entries in (*self.pht_entries, self.bias_entries,
                         self.btb_entries):
-            if not isinstance(entries, int) or entries <= 0 \
-                    or entries & (entries - 1):
+            if entries <= 0 or entries & (entries - 1):
                 raise ConfigError(
                     f"predictor table size {entries!r} must be a "
                     f"positive power of two")

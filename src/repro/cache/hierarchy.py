@@ -18,6 +18,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.cache.policy import POLICY_NAMES
 from repro.cache.setassoc import SetAssocCache, check_geometry
+from repro.configcheck import check_field_types
 from repro.errors import ConfigError
 
 
@@ -40,6 +41,7 @@ class HierarchyConfig:
     policy: str = "lru"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for level in ("l1i", "l1d", "l2"):
             check_geometry(level.upper(), getattr(self, f"{level}_size"),
                            getattr(self, f"{level}_assoc"),

@@ -28,7 +28,8 @@ Three policies are provided:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Mapping, Tuple
+from collections import defaultdict
+from typing import Callable, DefaultDict, Dict, Hashable, Mapping, Tuple
 
 from repro.errors import ConfigError
 
@@ -116,9 +117,9 @@ class SRRIPPolicy(ReplacementPolicy):
     def __init__(self, num_sets: int) -> None:
         self.num_sets = num_sets
         #: per-set RRPV: key -> 0..RRPV_MAX; every resident key of the
-        #: owning container has an entry.
-        self._meta: List[Dict[Key, int]] = [
-            dict() for _ in range(num_sets)]
+        #: owning container has an entry. A set's dict is created the
+        #: first time the set is touched (so are TRRIP's below).
+        self._meta: DefaultDict[int, Dict[Key, int]] = defaultdict(dict)
 
     def insertion_rrpv(self, index: int, key: Key) -> int:
         return RRPV_LONG
@@ -142,7 +143,7 @@ class SRRIPPolicy(ReplacementPolicy):
         self._meta[index].pop(key, None)
 
     def on_flush(self) -> None:
-        for meta in self._meta:
+        for meta in self._meta.values():
             meta.clear()
 
 
@@ -174,13 +175,12 @@ class TRRIPPolicy(SRRIPPolicy):
     def __init__(self, num_sets: int) -> None:
         super().__init__(num_sets)
         #: per-set hits seen by each resident key's current generation.
-        self._reuse: List[Dict[Key, int]] = [
-            dict() for _ in range(num_sets)]
+        self._reuse: DefaultDict[int, Dict[Key, int]] = defaultdict(dict)
         #: per-set hits-before-eviction of each key's *previous*
         #: generation; FIFO-bounded to HISTORY_PER_SET entries (the
         #: dict's insertion order decides which entry falls off next).
-        self._history: List[Dict[Key, int]] = [
-            dict() for _ in range(num_sets)]
+        self._history: DefaultDict[int, Dict[Key, int]] = defaultdict(
+            dict)
         #: pc -> TEMP_* from static analysis (installed once per
         #: program before the run).
         self._hints: Dict[int, int] = {}
@@ -239,9 +239,10 @@ class TRRIPPolicy(SRRIPPolicy):
 
     def on_flush(self) -> None:
         super().on_flush()
-        for index in range(self.num_sets):
-            self._reuse[index].clear()
-            self._history[index].clear()
+        for reuse in self._reuse.values():
+            reuse.clear()
+        for history in self._history.values():
+            history.clear()
 
 
 _POLICIES: Dict[str, Callable[[int], ReplacementPolicy]] = {

@@ -13,8 +13,9 @@ set dict).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import DefaultDict, Dict, Tuple
 
 from repro.cache.policy import ReplacementPolicy, make_policy
 from repro.errors import ConfigError
@@ -87,9 +88,9 @@ class SetAssocCache:
         self.line_size = line_size
         self._line_shift = line_size.bit_length() - 1
         self._set_mask = self.num_sets - 1
-        # set index -> {tag: None}, insertion order == recency order.
-        self._sets: List[Dict[int, None]] = [
-            dict() for _ in range(self.num_sets)]
+        # set index -> {tag: None}, insertion order == recency order;
+        # a set's dict is created the first time the set is touched.
+        self._sets: DefaultDict[int, Dict[int, None]] = defaultdict(dict)
         #: victim selection and its per-set metadata
         self.policy: ReplacementPolicy = make_policy(policy, self.num_sets)
         #: the policy's hit and install hooks, or None where it keeps
@@ -171,12 +172,12 @@ class SetAssocCache:
 
     def flush(self) -> None:
         """Empty the cache (stats retained)."""
-        for entries in self._sets:
+        for entries in self._sets.values():
             entries.clear()
         self.policy.on_flush()
 
     def resident_lines(self) -> int:
-        return sum(len(entries) for entries in self._sets)
+        return sum(len(entries) for entries in self._sets.values())
 
     def __repr__(self) -> str:
         return (f"SetAssocCache({self.name}: {self.size_bytes}B, "

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from repro.branch.predictor import PredictorConfig
 from repro.cache.hierarchy import HierarchyConfig
+from repro.configcheck import check_field_types
 from repro.errors import ConfigError
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.tracecache.cache import TraceCacheConfig
@@ -24,29 +25,6 @@ _NESTED_TYPES = {
     "trace_cache": TraceCacheConfig,
     "optimizations": OptimizationConfig,
 }
-
-
-def _has_type(value: object, default: object) -> bool:
-    """Whether *value* has the type of the field whose default is
-    *default*: bool is not an int here, and a tuple may arrive as a
-    list (JSON has no tuples) of elements typed like the default's."""
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(
-            _has_type(item, default[0]) for item in value)
-    if isinstance(default, bool) or isinstance(value, bool):
-        return isinstance(value, bool) and isinstance(default, bool)
-    return isinstance(value, type(default))
-
-
-def _check_types(prefix: str, data: dict, defaults: object) -> None:
-    """Raise ConfigError for the first value in *data* whose type is
-    not that of its field in *defaults*."""
-    for name, value in data.items():
-        default = getattr(defaults, name)
-        if not _has_type(value, default):
-            raise ConfigError(
-                f"{prefix}{name} must be {type(default).__name__}, "
-                f"got {value!r}")
 
 
 @dataclass
@@ -103,6 +81,7 @@ class SimConfig:
     verify_each_pass: bool = False
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for name in ("issue_width", "retire_width", "max_blocks_per_cycle",
                      "ic_fetch_width", "num_clusters", "cluster_size",
                      "rs_per_fu"):
@@ -207,8 +186,6 @@ class SimConfig:
             raise ConfigError(
                 f"unknown SimConfig field(s): {sorted(unknown)}")
         kwargs = dict(data)
-        _check_types("", {name: value for name, value in kwargs.items()
-                          if name not in _NESTED_TYPES}, cls())
         for name, nested_type in _NESTED_TYPES.items():
             if name not in kwargs:
                 continue
@@ -220,10 +197,13 @@ class SimConfig:
             if extra:
                 raise ConfigError(
                     f"unknown {name} field(s): {sorted(extra)}")
-            _check_types(f"{name}.", nested, nested_type())
-            if name == "predictor" and "pht_entries" in nested:
+            if name == "predictor" \
+                    and isinstance(nested.get("pht_entries"), list):
                 nested["pht_entries"] = tuple(nested["pht_entries"])
-            kwargs[name] = nested_type(**nested)
+            try:
+                kwargs[name] = nested_type(**nested)
+            except ConfigError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
         return cls(**kwargs)
 
     def with_optimizations(self, opts: OptimizationConfig) -> "SimConfig":

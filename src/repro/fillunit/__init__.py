@@ -1,6 +1,8 @@
-"""The fill unit: collects retired blocks into trace segments, marks
-explicit dependency information, performs branch promotion, and runs
-the paper's four dynamic trace optimizations off the critical path."""
+"""The fill unit: collects retired blocks into trace segments, performs
+branch promotion, and runs the paper's four dynamic trace optimizations
+off the critical path. Explicit dependency marking
+(:func:`mark_dependencies`) is computed by its readers, placement and
+the pre-decode encoder."""
 
 from repro.fillunit.collector import FillCollector, PendingSegment
 from repro.fillunit.dependency import DependencyInfo, mark_dependencies

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.branch.bias import BiasTable
+from repro.configcheck import check_field_types
 from repro.errors import ConfigError
 from repro.isa.decoded import Decoded
 from repro.tracecache.segment import TraceSegment
@@ -67,6 +68,7 @@ class OptimizationConfig:
     max_scale_shift: int = 3
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.max_scale_shift < 0:
             raise ConfigError(f"max_scale_shift must be at least 0, got "
                               f"{self.max_scale_shift}")
@@ -216,19 +218,13 @@ class PassManager:
         """Apply all passes to *segment*; return what they did.
 
         The manager only records: the fill unit turns the record into
-        counters, totals and ``pass_applied`` hooks."""
-        from repro.fillunit.dependency import mark_dependencies
-
+        counters, totals and ``pass_applied`` hooks. It marks no
+        dependencies: placement, their one reader on the build path,
+        marks the segment it places."""
         record = BuildRecord([], {})
         self.context.rejections = record.rejections
-        decodes = self.context.decodes
         verifier = self.verifier if self.verify_each else None
         for opt_pass in self.passes:
-            # Placement consumes the dependence structure produced by
-            # the rewriting passes, so (re)mark just before it.
-            if opt_pass.name == "placement":
-                segment.redecode(decodes)
-                segment.deps = mark_dependencies(segment.instrs)
             snapshot = segment.clone() if verifier is not None else None
             record.passes.append(
                 (opt_pass.name, opt_pass.apply(segment, self.context)))
@@ -236,9 +232,6 @@ class PassManager:
                 record.violations += verifier.check(
                     snapshot, segment, pass_name=opt_pass.name,
                     surface=opt_pass.surface, record=False)
-        if segment.deps is None:
-            segment.redecode(decodes)
-            segment.deps = mark_dependencies(segment.instrs)
         return record
 
 

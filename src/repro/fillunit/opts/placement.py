@@ -19,6 +19,7 @@ cluster each instruction executes in.
 
 from __future__ import annotations
 
+from repro.fillunit.dependency import mark_dependencies
 from repro.fillunit.opts.base import OptimizationPass, PassContext
 from repro.tracecache.segment import TraceSegment
 
@@ -30,12 +31,10 @@ class PlacementPass(OptimizationPass):
     surface = frozenset({"slots"})
 
     def apply(self, segment: TraceSegment, ctx: PassContext) -> dict:
-        deps = segment.deps
-        if deps is None:  # defensive: the manager marks before placement
-            from repro.fillunit.dependency import mark_dependencies
-            segment.redecode(ctx.decodes)
-            segment.deps = deps = mark_dependencies(segment.instrs)
-        masks = deps.producer_masks
+        # Placement runs last, so the marking sees the final dataflow
+        # of the rewriting passes; it reads the decoded records.
+        segment.redecode(ctx.decodes)
+        masks = mark_dependencies(segment.instrs).producer_masks
         count = len(masks)
         cluster_size = ctx.cluster_size
         num_clusters = ctx.num_clusters

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SegmentError
-from repro.fillunit.dependency import DependencyInfo
+from repro.fillunit.dependency import mark_dependencies
 from repro.tracecache.segment import TraceSegment
 
 PREDECODE_BITS = 7
@@ -84,18 +84,16 @@ class PreDecode:
 
 def encode_segment(segment: TraceSegment) -> list:
     """Compute the packed pre-decode fields for every instruction of
-    *segment* from its dependency metadata.
+    *segment* from its dependency marking
+    (:func:`~repro.fillunit.dependency.mark_dependencies`, which reads
+    the decoded records: a rewritten segment must be sealed first).
 
     Raises:
-        SegmentError: if the segment has no dependency info or more
-            than four checkpoint blocks (the 2-bit field's capacity —
-            the fill unit's 3-conditional-branch limit guarantees at
-            most four).
+        SegmentError: if the segment has more than four checkpoint
+            blocks (the 2-bit field's capacity — the fill unit's
+            3-conditional-branch limit guarantees at most four).
     """
-    deps = segment.deps
-    if not isinstance(deps, DependencyInfo):
-        raise SegmentError("segment has no dependency metadata; run the "
-                           "fill unit's marking first")
+    deps = mark_dependencies(segment.instrs)
     fields = []
     for idx, instr in enumerate(segment.instrs):
         sources = [reg for reg in instr.sources() if reg != 0]

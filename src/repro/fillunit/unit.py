@@ -1,8 +1,10 @@
 """The fill unit proper.
 
-Ties together the collector, branch promotion, dependency marking and
-the optimization passes, and installs finished segments into the trace
-cache after the configured fill-pipeline latency. The fill unit sits
+Ties together the collector, branch promotion and the optimization
+passes, and installs finished segments into the trace cache after the
+configured fill-pipeline latency. Explicit dependency marking is
+computed where it is read: by the placement pass, and by the pre-decode
+encoder (:mod:`repro.fillunit.predecode`). The fill unit sits
 *behind* retirement — off the critical path — which is the paper's
 entire argument for doing optimization work here: multi-cycle latencies
 through this structure have negligible performance impact (Figure 8).

@@ -26,10 +26,10 @@ Invariants (see ``docs/architecture.md``, "Decoded records"):
   its program instruction's record until a pass rewrites it.
 * Only rewritten entries (squashed ones included) are re-decoded:
   :meth:`~repro.tracecache.segment.TraceSegment.redecode` does it
-  before dependency marking and when the fill unit seals the segment.
-  It takes the record from the fill unit's decode table, keyed on
-  :func:`decode_key`, so all rewritten entries of one shape share one
-  record per fill unit.
+  before placement marks dependencies and when the fill unit seals
+  the segment. It takes the record from the fill unit's decode table,
+  keyed on :func:`decode_key`, so all rewritten entries of one shape
+  share one record per fill unit.
 * "Never stale" rests on one rule: a pass rewrites an entry only
   through :meth:`~repro.tracecache.segment.TraceSegment.rewrite` (or
   :meth:`~repro.tracecache.segment.TraceSegment.squash`), which marks

@@ -20,14 +20,16 @@ Two fidelity details matter a great deal in practice and are modelled:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, DefaultDict, Dict, List, Optional, Tuple
 
 from repro.cache.policy import (
     POLICY_NAMES,
     ReplacementPolicy,
     make_policy,
 )
+from repro.configcheck import check_field_types
 from repro.errors import ConfigError
 from repro.tracecache.segment import TraceSegment
 
@@ -43,6 +45,7 @@ class TraceCacheConfig:
     policy: str = "lru"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.num_sets <= 0 or self.num_sets & (self.num_sets - 1):
             raise ConfigError("trace cache set count must be a power of two")
         if self.assoc < 1:
@@ -86,9 +89,10 @@ class TraceCache:
         self.config = config if config is not None else TraceCacheConfig()
         self._set_mask = self.config.num_sets - 1
         # set index -> {(start_pc, path_key): TraceSegment},
-        # insertion order == recency order.
-        self._sets: List[Dict[Tuple[int, tuple], TraceSegment]] = [
-            dict() for _ in range(self.config.num_sets)]
+        # insertion order == recency order; a set's dict is created the
+        # first time the set is touched.
+        self._sets: DefaultDict[
+            int, Dict[Tuple[int, tuple], TraceSegment]] = defaultdict(dict)
         #: victim selection + metadata (TRRIP reuse history etc.)
         self.policy: ReplacementPolicy = make_policy(
             self.config.policy, self.config.num_sets)
@@ -242,7 +246,7 @@ class TraceCache:
         self.stats.fills += 1
 
     def resident_segments(self) -> int:
-        return sum(len(entries) for entries in self._sets)
+        return sum(len(entries) for entries in self._sets.values())
 
 
 __all__ = ["TraceCache", "TraceCacheConfig", "TraceCacheStats"]

@@ -24,7 +24,7 @@ retained for the memory scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.errors import SegmentError
 from repro.isa.decoded import Decoded, decode_key
@@ -57,8 +57,6 @@ class TraceSegment:
     slots: List[int] = field(default_factory=list)
     block_count: int = 1
     fill_cycle: int = 0
-    #: DependencyInfo, set by the fill unit
-    deps: Optional[Any] = None
     #: promotion state of the candidate's branches at build time, used
     #: by the fill unit's dedup (passes may remove branch records —
     #: e.g. predication — so the live list cannot be compared).
@@ -129,9 +127,9 @@ class TraceSegment:
         entries from *records*, then record the fetch plan, every fact
         fetch needs that depends only on the line.
 
-        The fill unit calls this once, after its last pass and next to
-        dependency marking; nothing may rewrite the segment afterwards,
-        so the records and the plan are never stale.
+        The fill unit calls this once, after its last pass; nothing may
+        rewrite the segment afterwards, so the records and the plan are
+        never stale.
         """
         self.redecode(records)
         promoted = {info.index: info.direction
@@ -178,7 +176,6 @@ class TraceSegment:
             slots=list(self.slots),
             block_count=self.block_count,
             fill_cycle=self.fill_cycle,
-            deps=None,
             build_promo=self.build_promo,
             rewritten=set(self.rewritten))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.branch.predictor import PredictorConfig
@@ -177,3 +178,70 @@ def test_from_dict_rejects_wrong_field_types(path, value):
     target[name] = value
     with pytest.raises(ConfigError, match=name):
         SimConfig.from_dict(payload)
+
+
+#: what a mutation may put in a field: None, booleans, ints (negative
+#: and huge ones too), floats, strings, lists and dicts
+_MUTANTS = st.one_of(
+    st.none(), st.booleans(), st.integers(-4, 70000),
+    st.integers(-2 ** 70, 2 ** 70), st.floats(allow_nan=True),
+    st.text(max_size=4), st.lists(st.integers(-4, 70000), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def _swap_type(value):
+    """The same value in a neighbouring type (int -> float, str or
+    bool; bool -> int or str; a tuple's list -> tuple, scalar or
+    strings; a nested config's dict -> list, None or int)."""
+    if isinstance(value, bool):
+        return st.sampled_from([int(value), str(value).lower()])
+    if isinstance(value, int):
+        return st.sampled_from([float(value), str(value), bool(value),
+                                -value])
+    if isinstance(value, list):
+        return st.sampled_from([tuple(value), value[:1], len(value),
+                                [str(item) for item in value]])
+    if isinstance(value, dict):
+        return st.sampled_from([list(value), None, 0])
+    return st.sampled_from([None, 0, [value]])
+
+
+@st.composite
+def mutated_payloads(draw):
+    """``SimConfig.paper(...).to_dict()`` with one to four fields,
+    top-level or nested, dropped or replaced."""
+    opts = draw(st.sampled_from([OptimizationConfig.none(),
+                                 OptimizationConfig.all(),
+                                 OptimizationConfig.extended()]))
+    payload = SimConfig.paper(opts).to_dict()
+    paths = [(name,) for name in payload] + [
+        (name, inner) for name, value in payload.items()
+        if isinstance(value, dict) for inner in value]
+    for _ in range(draw(st.integers(1, 4))):
+        *owners, name = draw(st.sampled_from(paths))
+        target = payload
+        for owner in owners:
+            target = target.get(owner)
+        if not isinstance(target, dict) or name not in target:
+            continue
+        action = draw(st.sampled_from(["drop", "swap", "replace"]))
+        if action == "drop":
+            del target[name]
+        elif action == "swap":
+            target[name] = draw(_swap_type(target[name]))
+        else:
+            target[name] = draw(_MUTANTS)
+    return payload
+
+
+@given(payload=mutated_payloads())
+@settings(max_examples=400, deadline=None)
+def test_from_dict_fuzz_returns_config_or_raises_config_error(payload):
+    """Whatever a sweep declaration holds, ``from_dict`` returns a
+    config (which round-trips) or raises ConfigError, nothing else."""
+    try:
+        config = SimConfig.from_dict(payload)
+    except ConfigError:
+        return
+    assert isinstance(config, SimConfig)
+    assert SimConfig.from_dict(config.to_dict()) == config

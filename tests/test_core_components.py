@@ -458,6 +458,53 @@ def test_config_rejects_negative_timing(make):
         make()
 
 
+@pytest.fixture(scope="module")
+def compress_trace():
+    from repro import workloads
+    from repro.machine.executor import Executor
+    return Executor(workloads.build("compress", scale=0.05)).run()
+
+
+#: one field of the paper machine (all four optimizations) mistyped:
+#: each used to raise a raw TypeError or AttributeError, at
+#: construction or inside the engine, or to simulate silently
+MISTYPED = {
+    "issue_width='16'": {"issue_width": "16"},
+    "window_size=None": {"window_size": None},
+    "fill_latency='5'": {"fill_latency": "5"},
+    "trace_cache=None": {"trace_cache": None},
+    "optimizations=None": {"optimizations": None},
+    "issue_width=16.0": {"issue_width": 16.0},
+    "retire_width=True": {"retire_width": True},
+}
+
+
+@pytest.mark.parametrize("change", list(MISTYPED.values()),
+                         ids=list(MISTYPED))
+def test_config_rejects_mistyped_field(change, compress_trace):
+    """A mistyped field is a ConfigError when the config is built, so
+    no engine is built or run on it."""
+    from repro.core.engine import Engine
+    with pytest.raises(ConfigError, match=next(iter(change))):
+        config = dataclasses.replace(
+            SimConfig.paper(OptimizationConfig.all()), **change)
+        Engine(config).run(compress_trace, "compress")
+
+
+MISTYPED_NESTED = {
+    "l2_latency='6'": lambda: HierarchyConfig(l2_latency="6"),
+    "max_scale_shift='3'": lambda: OptimizationConfig(max_scale_shift="3"),
+    "moves='yes'": lambda: OptimizationConfig(moves="yes"),
+}
+
+
+@pytest.mark.parametrize("make", list(MISTYPED_NESTED.values()),
+                         ids=list(MISTYPED_NESTED))
+def test_nested_config_rejects_mistyped_field(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
 def test_zero_timing_parameters_stay_valid():
     SimConfig(cross_cluster_penalty=0, mispredict_redirect=0,
               store_forward_window=0,

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.errors import SegmentError
+from repro.fillunit.dependency import mark_dependencies
 from repro.fillunit.predecode import (PreDecode, PREDECODE_BITS,
                                       encode_segment, storage_cost_bytes)
 from repro.fillunit.opts.base import OptimizationConfig
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Op
+from repro.tracecache.segment import TraceSegment
 from tests.helpers import build_segments
 
 
@@ -68,11 +72,29 @@ def test_encode_block_numbers():
     assert [f.block for f in fields] == [0, 0, 1, 1, 2, 2]
 
 
-def test_encode_requires_dependency_info():
-    from repro.tracecache.segment import TraceSegment
-    from repro.isa.instruction import Instruction
-    from repro.isa.opcodes import Op
-    seg = TraceSegment(start_pc=0,
-                       instrs=[Instruction(Op.NOP, pc=0)])
-    with pytest.raises(SegmentError):
-        encode_segment(seg)
+def test_encode_bare_segment_marks_its_own_dependencies():
+    """The encoder computes the marking it reads: encoding a bare
+    segment gives the fields of ``mark_dependencies`` of its
+    entries."""
+    instrs = [
+        Instruction(Op.ADDI, rd=8, rs=16, imm=4, pc=0),
+        Instruction(Op.ADD, rd=9, rs=8, rt=17, pc=4),
+        Instruction(Op.SW, rt=9, rs=29, imm=0, pc=8),
+        Instruction(Op.ADDI, rd=8, rs=8, imm=1, pc=12),
+    ]
+    deps = mark_dependencies(instrs)
+    expected = []
+    for idx, instr in enumerate(instrs):
+        sources = [reg for reg in instr.sources() if reg != 0][:2]
+        internal = [deps.producer[idx][reg] is not None for reg in sources]
+        internal += [False] * (2 - len(internal))
+        has_dest = instr.dest() is not None
+        expected.append(PreDecode(
+            has_dest=has_dest, dest_liveout=deps.liveout[idx],
+            dest_overwritten_same_group=has_dest and not deps.liveout[idx],
+            src0_internal=internal[0], src1_internal=internal[1],
+            block=instr.block_id).pack())
+    assert encode_segment(TraceSegment(start_pc=0, instrs=instrs)) \
+        == expected
+    assert [PreDecode.unpack(f).src0_internal for f in expected] == [
+        False, True, False, True]

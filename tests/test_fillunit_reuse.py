@@ -22,6 +22,7 @@ from repro.core.engine import Engine
 from repro.core.stages.base import PipelineStage
 from repro.fillunit.collector import (FillCollector, PendingBranch,
                                       PendingSegment)
+from repro.fillunit.dependency import mark_dependencies
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.isa.decoded import Decoded
@@ -44,7 +45,8 @@ def content(segment) -> tuple:
                 for name in Decoded.__slots__})
               for instr in segment.instrs]
     return (segment.start_pc, segment.block_count, instrs, segment.slots,
-            segment.branches, segment.deps, segment.build_promo,
+            segment.branches, mark_dependencies(segment.instrs),
+            segment.build_promo,
             segment.pcs, segment.controls, segment.coverage,
             segment.predicated)
 

@@ -4,6 +4,7 @@ from repro import workloads
 from repro.branch.bias import BiasTable
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
+from repro.fillunit.predecode import encode_segment
 from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.machine.executor import Executor
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
@@ -77,10 +78,10 @@ def test_built_segments_are_valid():
     unit, tc = make_unit(OptimizationConfig.all())
     _, trace = run_asm(LOOP)
     feed(unit, trace)
-    for entries in tc._sets:
+    for entries in tc._sets.values():
         for seg in entries.values():
             seg.validate()
-            assert seg.deps is not None
+            assert len(encode_segment(seg)) == len(seg)
 
 
 def test_assembled_segments_carry_region_ids():
@@ -128,7 +129,7 @@ def test_baseline_unit_keeps_annotations_clean():
         halt
     """)
     feed(unit, trace)
-    for entries in tc._sets:
+    for entries in tc._sets.values():
         for seg in entries.values():
             assert not any(i.move_flag or i.scale or i.reassociated
                            for i in seg.instrs)

@@ -19,7 +19,6 @@ def place(instrs, num_clusters=4, cluster_size=4):
     for idx, instr in enumerate(instrs):
         instr.pc = 4 * idx
         instr.orig_index = idx
-    seg.deps = mark_dependencies(instrs)
     ctx = PassContext(num_clusters, cluster_size,
                       OptimizationConfig.only("placement"))
     PlacementPass().apply(seg, ctx)
@@ -112,7 +111,6 @@ def test_stats_report_movement():
     seg = TraceSegment(start_pc=0, instrs=instrs)
     for idx, instr in enumerate(instrs):
         instr.pc = 4 * idx
-    seg.deps = mark_dependencies(instrs)
     stats = PlacementPass().apply(
         seg, PassContext(4, 4, OptimizationConfig.only("placement")))
     assert stats["placed_instructions"] == 5
@@ -124,15 +122,24 @@ def test_single_instruction_segment():
     assert seg.slots == [0]
 
 
-def test_placement_recomputes_missing_deps():
-    seg = TraceSegment(start_pc=0, instrs=[
+def test_placement_of_a_bare_segment_follows_its_marking():
+    """Placement marks the segment it places: a bare segment is placed
+    as the heuristic places it on ``mark_dependencies`` of its
+    entries."""
+    instrs = [
         Instruction(Op.ADDI, rd=8, rs=0, imm=1, pc=0),
-        Instruction(Op.ADD, rd=9, rs=8, rt=8, pc=4),
-    ])
-    assert seg.deps is None
-    PlacementPass().apply(
-        seg, PassContext(4, 4, OptimizationConfig.only("placement")))
-    assert seg.deps is not None
+        Instruction(Op.ADDI, rd=20, rs=0, imm=0, pc=4),
+        Instruction(Op.ADDI, rd=21, rs=0, imm=0, pc=8),
+        Instruction(Op.ADDI, rd=22, rs=0, imm=0, pc=12),
+        Instruction(Op.ADDI, rd=23, rs=0, imm=0, pc=16),
+        Instruction(Op.ADD, rd=9, rs=8, rt=8, pc=20),
+    ]
+    seg = TraceSegment(start_pc=0, instrs=instrs)
+    stats = PlacementPass().apply(seg, PassContext(4, 4, PLACE))
+    expected = oracle_placement(mark_dependencies(instrs), len(instrs),
+                                4, 4)
+    assert (seg.slots, stats["placement_moved"]) == expected
+    assert expected[0] != list(range(len(instrs)))
 
 
 def oracle_placement(deps, count, num_clusters, cluster_size):
@@ -195,7 +202,6 @@ def test_bitmask_placement_matches_set_oracle(instrs, num_clusters,
         assert {bit for bit in range(len(instrs)) if mask >> bit & 1} \
             == deps.internal_producers(index)
     seg = TraceSegment(start_pc=0, instrs=instrs)
-    seg.deps = deps
     stats = PlacementPass().apply(
         seg, PassContext(num_clusters, cluster_size, PLACE))
     assert (seg.slots, stats["placement_moved"]) == oracle_placement(

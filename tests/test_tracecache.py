@@ -234,7 +234,7 @@ def _cache_state(tc):
     """Everything a refresh may change: the recency order of every
     set, the policy's metadata (TRRIP's RRPVs and reuse history) and
     the stats."""
-    return ([list(entries) for entries in tc._sets],
+    return ({index: list(entries) for index, entries in tc._sets.items()},
             copy.deepcopy(vars(tc.policy)), dataclasses.asdict(tc.stats))
 
 
