@@ -3,16 +3,14 @@
 Commands:
 
 * ``list`` — the fifteen benchmarks with their paper fingerprints.
-* ``run BENCH`` — simulate one benchmark under a chosen optimization
-  set and print the result summary.
-* ``profile BENCH`` — simulate with full telemetry: cycle attribution
-  table plus the hierarchical counter snapshot (optionally archived as
-  JSONL with ``--telemetry-out``).
-* ``trace BENCH`` — simulate with span tracing and the host-time
-  profiler; writes a Chrome trace-event file (``--out``, loadable at
-  https://ui.perfetto.dev) and optionally a host-time profile
-  (``--hostprof-out``).
-* ``compare BENCH`` — baseline vs each optimization vs combined.
+* ``run BENCH`` — simulate one benchmark under one or more
+  ``--opts`` sets (the first is the baseline of the ``+x%`` column)
+  and print each result summary. Observation flags choose what else a
+  run records: ``--attribution`` (cycle attribution table and counter
+  snapshot), ``--events FILE.jsonl`` (structured events of every leg),
+  ``--timeline FILE.json`` (a Chrome trace-event file of one run,
+  loadable at https://ui.perfetto.dev) and ``--hostprof FILE.json``
+  (the host-time profile, also printed).
 * ``figures`` — regenerate the paper's figures 3-8 (ASCII).
 * ``tables`` — regenerate tables 1-2.
 * ``validate [BENCH ...]`` — score workload fingerprints against the
@@ -55,13 +53,19 @@ def _opt_config(name: str) -> OptimizationConfig:
     return OptimizationConfig.only(name)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser,
+                legs: bool = False) -> None:
+    """The machine options; with *legs*, ``--opts`` takes one or more
+    names (a list) instead of exactly one."""
     parser.add_argument("--scale", type=float, default=0.5,
                         help="workload length multiplier (default 0.5)")
     parser.add_argument(
-        "--opts", default="all",
+        "--opts", nargs="+" if legs else None,
+        default=["all"] if legs else "all",
         choices=["none", *PASS_ORDER, "all", "extended"],
-        help="fill-unit optimization set (default all)")
+        help="fill-unit optimization set (default all)"
+             + ("; several names run one leg each, the first being the "
+                "baseline of the +x%% column" if legs else ""))
     parser.add_argument("--fill-latency", type=int, default=5,
                         help="fill pipeline latency in cycles (default 5)")
     parser.add_argument(
@@ -92,32 +96,6 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
                              "entries replay without simulating")
 
 
-def _add_telemetry_out(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--telemetry-out", metavar="FILE.jsonl",
-                        help="write structured telemetry events to "
-                             "FILE.jsonl (overwrites it)")
-
-
-def _make_telemetry(args):
-    """A Telemetry session per *args*, with an optional JSONL sink.
-
-    Returns ``(telemetry, sink)``; *sink* is None without
-    ``--telemetry-out``.
-    """
-    from repro.telemetry import Telemetry
-    telemetry = Telemetry()
-    sink = None
-    if getattr(args, "telemetry_out", None):
-        sink = telemetry.attach_jsonl(args.telemetry_out)
-    return telemetry, sink
-
-
-def _close_telemetry(telemetry, sink) -> None:
-    if sink is not None:
-        telemetry.close()
-        print(f"wrote {sink.written} telemetry events to {sink.path}")
-
-
 def cmd_list(args) -> int:
     print(f"{'benchmark':13s} {'suite':10s} "
           f"{'mv%':>5s} {'ra%':>5s} {'sc%':>5s} {'tot%':>5s}  kernel")
@@ -132,124 +110,87 @@ def cmd_list(args) -> int:
 
 
 def cmd_run(args) -> int:
+    """Simulate one benchmark once per ``--opts`` name, all legs on one
+    committed trace and, when any observation flag is given, one
+    telemetry session."""
+    if args.timeline and len(args.opts) > 1:
+        raise ReproError("--timeline records one run; give one --opts "
+                         f"name, not {len(args.opts)}")
     trace = Executor(workloads.build(args.benchmark, args.scale)).run()
-    telemetry = sink = None
-    if args.telemetry_out:
-        telemetry, sink = _make_telemetry(args)
-    result = Engine(_config(args), telemetry=telemetry).run(
-        trace, args.benchmark, args.opts)
-    print(result.summary())
-    cov = result.coverage.as_percentages(result.instructions)
-    print(f"transformed: {cov['total']:.1f}% "
-          f"(moves {cov['moves']:.1f}, reassoc {cov['reassoc']:.1f}, "
-          f"scaled {cov['scaled']:.1f})")
-    print(f"mispredict rate: {100 * result.mispredict_rate:.2f}%   "
-          f"segments built: {result.segments_built}")
-    _close_telemetry(telemetry, sink)
+    telemetry = sink = archive = profiler = None
+    if args.attribution or args.events or args.timeline or args.hostprof:
+        from repro.telemetry import Telemetry
+        telemetry = Telemetry(spans=bool(args.timeline))
+        if args.events:
+            sink = telemetry.attach_jsonl(args.events)
+        if args.timeline:
+            archive = telemetry.attach_memory()
+    if args.hostprof:
+        from repro.telemetry.hostprof import HostProfiler
+        profiler = HostProfiler()
+
+    baseline = None
+    for name in args.opts:
+        config = replace(_config(args, name), verify_fill=args.verify)
+        engine = Engine(config, telemetry=telemetry)
+        if profiler is not None:
+            profiler.attach(engine)
+        result = engine.run(trace, args.benchmark, name)
+        line = result.summary()
+        if baseline is None:
+            baseline = result
+        else:
+            line += f"  ({result.improvement_over(baseline):+5.1f}%)"
+        print(line)
+        cov = result.coverage.as_percentages(result.instructions)
+        print(f"transformed: {cov['total']:.1f}% "
+              f"(moves {cov['moves']:.1f}, reassoc {cov['reassoc']:.1f}, "
+              f"scaled {cov['scaled']:.1f})")
+        print(f"mispredict rate: {100 * result.mispredict_rate:.2f}%   "
+              f"segments built: {result.segments_built}")
+        if args.attribution:
+            _print_attribution(result)
+
+    if telemetry is not None:
+        telemetry.close()
+        if args.attribution:
+            print(f"events: {telemetry.events.emitted} emitted")
+    if sink is not None:
+        print(f"wrote {sink.written} telemetry events to {sink.path}")
+    if archive is not None:
+        from repro.telemetry.exporters import write_chrome_trace
+        count = write_chrome_trace(
+            args.timeline, telemetry.spans, events=archive.events,
+            metadata={"benchmark": args.benchmark, "opts": args.opts[0],
+                      "scale": args.scale, "cycles": baseline.cycles})
+        recorder = telemetry.spans
+        print(f"wrote {count} trace events ({len(recorder)} spans on "
+              f"tracks: {', '.join(recorder.tracks())}) to "
+              f"{args.timeline}")
+        print("  open in https://ui.perfetto.dev (pid 1 = simulated "
+              "cycles, pid 2 = host time)")
+    if profiler is not None:
+        import json
+        with open(args.hostprof, "w") as handle:
+            json.dump(profiler.to_dict(), handle, indent=1,
+                      sort_keys=True)
+            handle.write("\n")
+        print(f"wrote host-time profile to {args.hostprof}")
+        print(profiler.render(f"host-time profile ({args.benchmark})"))
     return 0
 
 
-def cmd_profile(args) -> int:
+def _print_attribution(result) -> None:
+    """One leg's cycle attribution table and counter snapshot."""
     from repro.telemetry.attribution import render_attribution
-    trace = Executor(workloads.build(args.benchmark, args.scale)).run()
-    telemetry, sink = _make_telemetry(args)
-    result = Engine(_config(args), telemetry=telemetry).run(
-        trace, args.benchmark, args.opts)
-    print(result.summary())
-    print()
     print(render_attribution(result.attribution, result.cycles))
-    print()
     print("telemetry counters")
     for scope, value in result.telemetry.items():
         if isinstance(value, dict):     # histogram snapshot
             value = (f"count={value['count']} mean={value['mean']:.1f} "
                      f"min={value['min']} max={value['max']}")
         print(f"  {scope:42s} {value}")
-    print(f"\nevents: {telemetry.events.emitted} emitted")
-    _close_telemetry(telemetry, sink)
-    return 0
-
-
-def cmd_trace(args) -> int:
-    """Simulate one benchmark with span tracing + the host-time
-    profiler; export the timeline (and optionally the host profile)."""
-    from repro.telemetry import Telemetry
-    from repro.telemetry.exporters import write_chrome_trace
-    from repro.telemetry.hostprof import HostProfiler
-
-    trace = Executor(workloads.build(args.benchmark, args.scale)).run()
-    config = _config(args)
-    if args.verify:
-        config = replace(config, verify_fill=True)
-
-    telemetry = Telemetry(spans=True)
-    archive = telemetry.attach_memory()
-    engine = Engine(config, telemetry=telemetry)
-    profiler = HostProfiler()
-    profiler.attach(engine)
-    result = engine.run(trace, benchmark=args.benchmark,
-                        label=args.opts)
-
-    print(result.summary())
-    count = write_chrome_trace(
-        args.out, telemetry.spans, events=archive.events,
-        metadata={"benchmark": args.benchmark, "opts": args.opts,
-                  "scale": args.scale, "cycles": result.cycles})
-    recorder = telemetry.spans
-    print(f"wrote {count} trace events ({len(recorder)} spans on "
-          f"tracks: {', '.join(recorder.tracks())}) to {args.out}")
-    print("  open in https://ui.perfetto.dev (pid 1 = simulated "
-          "cycles, pid 2 = host time)")
-    if args.hostprof_out:
-        import json
-        with open(args.hostprof_out, "w") as handle:
-            json.dump(profiler.to_dict(), handle, indent=1,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote host-time profile to {args.hostprof_out}")
     print()
-    print(profiler.render(f"host-time profile ({args.benchmark})"))
-    return 0
-
-
-def cmd_compare(args) -> int:
-    trace = Executor(workloads.build(args.benchmark, args.scale)).run()
-
-    handle = None
-    written = 0
-    if args.telemetry_out:
-        handle = open(args.telemetry_out, "w")
-
-    def leg_telemetry():
-        """A fresh session per leg; all legs share one JSONL file, so
-        each leg's counters and attribution stay independent while the
-        archive holds the whole comparison."""
-        nonlocal written
-        if handle is None:
-            return None
-        from repro.telemetry import Telemetry
-        from repro.telemetry.events import JsonlSink
-        telemetry = Telemetry()
-        telemetry.attach(JsonlSink(handle))
-        return telemetry
-
-    baseline = Engine(_config(args, "none"),
-                      telemetry=leg_telemetry()).run(
-        trace, args.benchmark, "baseline")
-    print(baseline.summary())
-    sets = ["moves", "reassoc", "scaled_adds", "placement", "all"]
-    if args.extended:
-        sets += ["cse", "dead_code", "extended"]
-    for name in sets:
-        result = Engine(_config(args, name),
-                        telemetry=leg_telemetry()).run(
-            trace, args.benchmark, name)
-        print(f"  {name:12s} IPC {result.ipc:5.2f}  "
-              f"({result.improvement_over(baseline):+5.1f}%)")
-    if handle is not None:
-        handle.close()
-        print(f"wrote telemetry for all legs to {args.telemetry_out}")
-    return 0
 
 
 def _grid_service(args):
@@ -510,49 +451,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list benchmarks").set_defaults(
         func=cmd_list)
 
-    p_run = sub.add_parser("run", help="simulate one benchmark")
+    p_run = sub.add_parser(
+        "run", help="simulate one benchmark under one or more "
+                    "optimization sets")
     p_run.add_argument("benchmark", choices=workloads.names())
-    _add_common(p_run)
-    _add_telemetry_out(p_run)
+    _add_common(p_run, legs=True)
+    p_run.add_argument("--attribution", action="store_true",
+                       help="print each leg's cycle attribution table "
+                            "and counter snapshot")
+    p_run.add_argument("--events", metavar="FILE.jsonl",
+                       help="write every leg's structured telemetry "
+                            "events to FILE.jsonl (overwrites it)")
+    p_run.add_argument("--timeline", metavar="FILE.json",
+                       help="write a Chrome trace-event timeline of the "
+                            "run (one --opts name only)")
+    p_run.add_argument("--hostprof", metavar="FILE.json",
+                       help="write the host-time profile as JSON (summed "
+                            "over the legs) and print it")
+    p_run.add_argument("--verify", action="store_true",
+                       help="verify every fill-unit segment online "
+                            "(adds verify spans to --timeline)")
     p_run.set_defaults(func=cmd_run)
-
-    p_prof = sub.add_parser(
-        "profile", help="simulate with cycle attribution and counters")
-    p_prof.add_argument("benchmark", choices=workloads.names())
-    _add_common(p_prof)
-    _add_telemetry_out(p_prof)
-    p_prof.set_defaults(func=cmd_profile)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="simulate with span tracing; export a Perfetto timeline")
-    p_trace.add_argument("benchmark", choices=workloads.names())
-    _add_common(p_trace)
-    p_trace.add_argument("--out", metavar="FILE.json",
-                         default="trace.json",
-                         help="Chrome trace-event output file "
-                              "(default trace.json)")
-    p_trace.add_argument("--hostprof-out", metavar="FILE.json",
-                         help="also write the host-time profile as JSON "
-                              "(render with tools/hostprof_report.py)")
-    p_trace.add_argument("--verify", default=True,
-                         action=argparse.BooleanOptionalAction,
-                         help="run online segment verification so "
-                              "verify spans appear (default on)")
-    p_trace.set_defaults(func=cmd_trace)
-
-    p_cmp = sub.add_parser("compare",
-                           help="baseline vs each optimization")
-    p_cmp.add_argument("benchmark", choices=workloads.names())
-    p_cmp.add_argument("--scale", type=float, default=0.5)
-    p_cmp.add_argument("--fill-latency", type=int, default=5)
-    p_cmp.add_argument("--extended", action="store_true",
-                       help="also run the future-work passes")
-    p_cmp.add_argument("--policy", default="lru", choices=POLICY_NAMES,
-                       help="replacement policy for every leg "
-                            "(default lru)")
-    _add_telemetry_out(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
 
     p_fig = sub.add_parser("figures", help="regenerate figures 3-8")
     p_fig.add_argument("--scale", type=float, default=0.5)

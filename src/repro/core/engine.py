@@ -23,15 +23,15 @@ must not mutate timing state). There is one path through the loop:
 every group runs the five per-instruction stages instruction by
 instruction, observed or not.
 
-Observability: every run counts against a hierarchical telemetry
-registry (the engine's own, or the one of an attached
-:class:`~repro.telemetry.Telemetry` session), which is the single
-source of truth behind :class:`~repro.core.results.SimResult`'s
-counters. With a session attached the stages additionally emit
-structured events (mispredicts, trace cache misfetches, checkpoint
-repairs) and observer stages join the stage list (cycle accounting,
-segment events and spans, fed by segment hooks); without one, event
-emission collapses to a null-object no-op.
+Observability: every run counts against the engine's own hierarchical
+telemetry registry, which is the single source of truth behind
+:class:`~repro.core.results.SimResult`'s counters; engines sharing a
+:class:`~repro.telemetry.Telemetry` session share only its event
+stream and span recorder. With a session attached the stages
+additionally emit structured events (mispredicts, trace cache
+misfetches, checkpoint repairs) and observer stages join the stage
+list (cycle accounting, segment events and spans, fed by segment
+hooks); without one, event emission collapses to a null-object no-op.
 """
 
 from __future__ import annotations
@@ -75,14 +75,11 @@ class Engine:
                  telemetry: Optional[Any] = None) -> None:
         self.config = config
         self.telemetry = telemetry
-        if telemetry is not None:
-            self.registry = telemetry.registry
-            self.events = telemetry.events
-        else:
-            # The registry stays live even without a session: it is the
-            # source of truth the SimResult counters derive from.
-            self.registry = TelemetryRegistry()
-            self.events = NULL_EVENT_STREAM
+        # Every engine counts into its own registry, session or not: it
+        # is the source of truth the SimResult counters derive from.
+        self.registry = TelemetryRegistry()
+        self.events = (telemetry.events if telemetry is not None
+                       else NULL_EVENT_STREAM)
         self.hierarchy = MemoryHierarchy(config.hierarchy)
         self.predictor = MultiBranchPredictor(config.predictor)
         self.trace_cache = (TraceCache(config.trace_cache)

@@ -226,29 +226,18 @@ class PipelineStage:
 
 
 class MetricBlock:
-    """Cached registry handles for a stage's hot-path counters.
-
-    A telemetry session may span several runs; start values are
-    captured at construction so one engine's run reports per-run
-    deltas even against a shared, accumulating registry.
-    """
+    """Cached registry handles for a stage's hot-path counters. The
+    registry is its engine's own, so a counter's value is the run's."""
 
     def __init__(self, registry: TelemetryRegistry,
                  scopes: Dict[str, str]) -> None:
         for attr, scope in scopes.items():
             setattr(self, attr, registry.counter(scope))
-        self._starts = {attr: getattr(self, attr).value
-                        for attr in scopes}
 
     def __getattr__(self, attr: str) -> Any:
         # Only reached for attrs not set in __init__; keeps mypy happy
         # about dynamic counter handles.
         raise AttributeError(attr)
-
-    def delta(self, attr: str) -> int:
-        """This run's contribution to one counter."""
-        value: int = getattr(self, attr).value
-        return value - self._starts[attr]
 
 
 __all__ = ["FetchEntry", "FetchGroup", "MachineState",

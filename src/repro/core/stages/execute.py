@@ -63,7 +63,7 @@ class ExecuteStage(PipelineStage):
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        result.predication_phantoms = self._m.delta("phantoms")
+        result.predication_phantoms = self._m.phantoms.value
         hierarchy = self.memsched.hierarchy
         result.dcache_hits = hierarchy.l1d.stats.hits
         result.dcache_misses = hierarchy.l1d.stats.misses

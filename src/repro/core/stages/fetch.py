@@ -309,13 +309,13 @@ class FetchStage(PipelineStage):
                    result: SimResult) -> None:
         m = self._m
         registry = self._registry
-        result.tc_fetched_instrs = m.delta("tc_instrs")
-        result.ic_fetched_instrs = m.delta("ic_instrs")
+        result.tc_fetched_instrs = m.tc_instrs.value
+        result.ic_fetched_instrs = m.ic_instrs.value
         cov = result.coverage
-        cov.moves = m.delta("cov_moves")
-        cov.reassoc = m.delta("cov_reassoc")
-        cov.scaled = m.delta("cov_scaled")
-        cov.any_opt = m.delta("cov_any")
+        cov.moves = m.cov_moves.value
+        cov.reassoc = m.cov_reassoc.value
+        cov.scaled = m.cov_scaled.value
+        cov.any_opt = m.cov_any.value
 
         # Per-component statistics (fresh per engine) mirrored into the
         # registry so one snapshot holds the whole machine.

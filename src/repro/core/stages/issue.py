@@ -172,8 +172,8 @@ class IssueStage(PipelineStage):
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        result.bypass_delayed = self._m.delta("bypass_delayed")
-        result.executed_with_sources = self._m.delta("exec_with_sources")
+        result.bypass_delayed = self._m.bypass_delayed.value
+        result.executed_with_sources = self._m.exec_with_sources.value
         self._registry.counter("backend.bypass.crossings").add(
             self.crossings)
 

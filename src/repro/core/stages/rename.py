@@ -127,7 +127,7 @@ class RenameStage(PipelineStage):
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        result.moves_eliminated = self._m.delta("moves_eliminated")
+        result.moves_eliminated = self._m.moves_eliminated.value
         registry = self._registry
         registry.counter("rename.window_stalls").add(self.window_stalls)
         registry.counter("rename.width_stalls").add(self.width_stalls)

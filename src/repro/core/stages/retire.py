@@ -124,12 +124,12 @@ class RetireStage(PipelineStage):
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
         m = self._m
-        result.cond_branches = m.delta("cond_branches")
-        result.mispredicts = m.delta("mispredicts")
-        result.promoted_fetches = m.delta("promoted_fetches")
-        result.promoted_mispredicts = m.delta("promoted_mispredicts")
-        result.indirect_mispredicts = m.delta("indirect_mispredicts")
-        result.predicated_branches = m.delta("predicated_branches")
+        result.cond_branches = m.cond_branches.value
+        result.mispredicts = m.mispredicts.value
+        result.promoted_fetches = m.promoted_fetches.value
+        result.promoted_mispredicts = m.promoted_mispredicts.value
+        result.indirect_mispredicts = m.indirect_mispredicts.value
+        result.predicated_branches = m.predicated_branches.value
 
 
 __all__ = ["RetireStage"]

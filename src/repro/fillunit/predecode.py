@@ -88,12 +88,19 @@ def encode_segment(segment: TraceSegment) -> list:
     (:func:`~repro.fillunit.dependency.mark_dependencies`, which reads
     the decoded records: a rewritten segment must be sealed first).
 
+    An entry's block number counts the conditional branches before it
+    less the promoted ones (``segment.build_promo``): the fill unit's
+    limit of three conditional branches counts unpromoted branches
+    only, and that limit is what sizes the 2-bit field.
+
     Raises:
-        SegmentError: if the segment has more than four checkpoint
-            blocks (the 2-bit field's capacity — the fill unit's
-            3-conditional-branch limit guarantees at most four).
+        SegmentError: if the segment has more than four such blocks
+            (the 2-bit field's capacity). A fill-unit segment has at
+            most four; a bare segment's block ids are taken as they
+            are.
     """
     deps = mark_dependencies(segment.instrs)
+    promoted = segment.build_promo
     fields = []
     for idx, instr in enumerate(segment.instrs):
         sources = [reg for reg in instr.sources() if reg != 0]
@@ -108,7 +115,7 @@ def encode_segment(segment: TraceSegment) -> list:
                                          and not deps.liveout[idx]),
             src0_internal=internal[0],
             src1_internal=internal[1],
-            block=min(instr.block_id, 3),
+            block=instr.block_id - sum(promoted[:instr.block_id]),
         ).pack())
     return fields
 

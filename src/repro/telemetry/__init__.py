@@ -1,9 +1,10 @@
 """Observability for the whole pipeline.
 
-One :class:`Telemetry` session bundles the three layers:
+Three layers:
 
 * a hierarchical metric registry (:mod:`repro.telemetry.registry`) —
-  named-scope counters, gauges and histograms;
+  named-scope counters, gauges and histograms; every engine keeps its
+  own, so a run's counters are its own;
 * a structured event stream (:mod:`repro.telemetry.events`) — typed
   events fanned out to pluggable sinks;
 * cycle attribution (:mod:`repro.telemetry.attribution`) — a top-down
@@ -23,10 +24,12 @@ Usage::
     print(result.telemetry)             # flat {scope: value} snapshot
     telemetry.close()
 
-Passing no session costs (almost) nothing: the pipeline still keeps
-its own registry (the single source of truth behind ``SimResult``'s
-counters) but emits no events and runs no observer stage (cycle
-attribution, segment events, segment spans).
+A :class:`Telemetry` session holds the event stream, the optional
+span recorder and the attribution switch. Passing no session costs
+(almost) nothing: the engine still counts into its registry (the
+single source of truth behind ``SimResult``'s counters) but emits no
+events and runs no observer stage (cycle attribution, segment events,
+segment spans).
 """
 
 from __future__ import annotations
@@ -51,10 +54,11 @@ from repro.telemetry.spans import NULL_SPANS, SpanRecorder
 class Telemetry:
     """One observability session.
 
-    A session may span several runs (e.g. every leg of a ``compare``);
-    registry counters then accumulate across them, while each
-    :class:`~repro.core.results.SimResult` still reports per-run
-    deltas. *attribution* appends the cycle-accounting stage to every
+    A session may span several runs (e.g. every leg of a multi-``--opts``
+    ``run``): their events share its sinks, while each engine counts
+    into its own registry, so each
+    :class:`~repro.core.results.SimResult` reports its own run's
+    counters. *attribution* appends the cycle-accounting stage to every
     engine built with this session; *spans* attaches a
     :class:`~repro.telemetry.spans.SpanRecorder` capturing the segment
     lifecycle and execution-service jobs as exportable timelines (off
@@ -63,7 +67,6 @@ class Telemetry:
 
     def __init__(self, attribution: bool = True,
                  spans: bool = False) -> None:
-        self.registry = TelemetryRegistry()
         self.events = EventStream()
         self.attribution = attribution
         self.spans: Any = SpanRecorder() if spans else NULL_SPANS

@@ -1,8 +1,8 @@
 """Top-down cycle accounting.
 
 Classifies every cycle of a replay into a seven-class taxonomy so a
-``compare`` can report *why* a configuration won, not just its IPC
-delta:
+comparison of configurations can report *why* one won, not just its
+IPC delta:
 
 ``base``
     A cycle in which at least one instruction retired — the productive

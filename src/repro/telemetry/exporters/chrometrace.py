@@ -90,7 +90,7 @@ def trace_events(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 
 def events_to_span_records(events: List[Any]) -> List[Dict[str, Any]]:
-    """Lower a structured-event list (e.g. a ``--telemetry-out``
+    """Lower a structured-event list (e.g. a ``run --events``
     archive loaded by :func:`repro.telemetry.io.read_events`) to
     span-recorder instant records on one simulated-time track per
     event kind family."""
@@ -129,7 +129,7 @@ def write_chrome_trace(path: Any, recorder: Any,
 
 
 def archive_to_trace(jsonl_path: Any, out_path: Any) -> int:
-    """Convert a ``--telemetry-out`` JSONL archive straight to a trace
+    """Convert a ``run --events`` JSONL archive straight to a trace
     file (no span recorder needed); returns the trace-event count."""
     from repro.telemetry.io import read_events
 

@@ -15,8 +15,8 @@ are bit-for-bit identical with or without the profiler attached; only
 wall time changes (instrumented replays run slower — that is the cost
 of asking). An unattached engine pays nothing.
 
-Reported by the ``trace`` CLI verb and rendered offline by
-``tools/hostprof_report.py``.
+Reported by ``repro run --hostprof FILE.json`` and rendered offline
+by ``tools/hostprof_report.py``.
 """
 
 from __future__ import annotations

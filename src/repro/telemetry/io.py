@@ -1,6 +1,6 @@
 """Shared loading of JSONL telemetry event archives.
 
-One loader for every consumer of ``--telemetry-out`` files —
+One loader for every consumer of ``run --events`` files —
 ``tools/attribution_report.py``, the ``.jsonl`` mode of
 ``tools/compare_runs.py`` (the attribution diff: exec-cache envelopes
 carry no attribution) and the Chrome-trace exporter — with uniform

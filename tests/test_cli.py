@@ -33,11 +33,32 @@ def test_run_opts_predication(capsys):
 
 
 def test_compare(capsys):
-    code, out = run_cli(capsys, "compare", "tex", "--scale", "0.1")
+    """Several ``--opts`` names run one leg each on one trace; every
+    leg after the first reports its IPC change over the first."""
+    legs = ["none", "moves", "reassoc", "scaled_adds", "placement", "all"]
+    code, out = run_cli(capsys, "run", "tex", "--scale", "0.1",
+                        "--opts", *legs)
     assert code == 0
-    assert "baseline" in out
-    for name in ("moves", "reassoc", "scaled_adds", "placement", "all"):
-        assert name in out
+    summaries = [line for line in out.splitlines()
+                 if line.startswith("tex ")]
+    assert [line.split("[")[1].split()[0] for line in summaries] == legs
+    assert "%)" not in summaries[0]
+    assert all(line.endswith("%)") for line in summaries[1:])
+
+
+def test_attribution_classes_sum_to_cycles(capsys):
+    code, out = run_cli(capsys, "run", "compress", "--scale", "0.05",
+                        "--attribution")
+    assert code == 0
+    lines = out.splitlines()
+    head = next(i for i, line in enumerate(lines)
+                if line.startswith("cycle attribution ("))
+    cycles = int(lines[head].split("(")[1].split()[0])
+    table = lines[head + 1:lines.index("telemetry counters")]
+    assert len(table) >= 6
+    assert sum(int(line.split()[1]) for line in table) == cycles
+    assert f"cycles={cycles:8d}" in out
+    assert "fetch.tc.hits" in out and "events:" in out
 
 
 def test_figures_subset(capsys):
@@ -57,9 +78,9 @@ def test_trace_exports_perfetto_timeline(tmp_path, capsys):
     import json
     out = tmp_path / "trace.json"
     hostprof = tmp_path / "prof.json"
-    code, text = run_cli(capsys, "trace", "compress", "--scale", "0.1",
-                         "--out", str(out),
-                         "--hostprof-out", str(hostprof))
+    code, text = run_cli(capsys, "run", "compress", "--scale", "0.1",
+                         "--verify", "--timeline", str(out),
+                         "--hostprof", str(hostprof))
     assert code == 0
     assert "perfetto" in text and "host-time profile" in text
     events = json.loads(out.read_text())["traceEvents"]
@@ -77,13 +98,73 @@ def test_trace_exports_perfetto_timeline(tmp_path, capsys):
 def test_trace_no_verify_drops_verify_spans(tmp_path, capsys):
     import json
     out = tmp_path / "trace.json"
-    code, _ = run_cli(capsys, "trace", "compress", "--scale", "0.05",
-                      "--no-verify", "--out", str(out))
+    code, _ = run_cli(capsys, "run", "compress", "--scale", "0.05",
+                      "--timeline", str(out))
     assert code == 0
     names = {e["name"]
              for e in json.loads(out.read_text())["traceEvents"]}
     assert "segment.verify" not in names
     assert "segment.optimize" in names
+
+
+def test_timeline_of_two_legs_is_one_line(tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    code = main(["run", "compress", "--scale", "0.05", "--opts", "none",
+                 "all", "--timeline", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("repro: error: --timeline ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["profile", "trace", "compare"])
+def test_removed_verbs_are_rejected(verb):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([verb, "compress"])
+
+
+def test_observed_run_matches_the_goldens(tmp_path, capsys):
+    """``run --events --timeline`` records what an engine on a session
+    records: the events byte for byte, and the observer goldens' event
+    and span counts."""
+    import io
+    import json
+    from collections import Counter
+
+    from repro import workloads
+    from repro.core.config import SimConfig
+    from repro.core.engine import Engine
+    from repro.fillunit.opts.base import OptimizationConfig
+    from repro.machine.executor import Executor
+    from repro.telemetry import Telemetry
+    from repro.telemetry.events import JsonlSink
+    from tests.test_observer_goldens import GOLDENS
+
+    golden = GOLDENS["compress-0.1"]
+    events, timeline = tmp_path / "e.jsonl", tmp_path / "t.json"
+    code, out = run_cli(capsys, "run", "compress", "--scale", "0.1",
+                        "--opts", "all", "--events", str(events),
+                        "--timeline", str(timeline))
+    assert code == 0
+    assert f"cycles={golden['cycles']:8d}" in out
+
+    trace = Executor(workloads.build("compress", 0.1)).run()
+    telemetry = Telemetry()
+    buffer = io.StringIO()
+    telemetry.attach(JsonlSink(buffer))
+    Engine(SimConfig.paper(OptimizationConfig.all()),
+           telemetry=telemetry).run(trace, "compress", "all")
+    jsonl = events.read_text()
+    assert jsonl == buffer.getvalue()
+    assert dict(Counter(json.loads(line)["kind"]
+                        for line in jsonl.splitlines())) \
+        == golden["events"]
+    # the archived events ride along as instants on "events.*" tracks
+    spans = Counter(
+        e["name"] for e in json.loads(timeline.read_text())["traceEvents"]
+        if e["ph"] != "M" and not e["cat"].startswith("events."))
+    assert dict(spans) == golden["spans"]
 
 
 def test_asm_command(tmp_path, capsys):
@@ -120,12 +201,20 @@ def test_asm_typed_error_is_one_line(tmp_path, capsys, source, extra,
     assert "Traceback" not in captured.err + captured.out
 
 
+#: argv shapes of the workload verbs; "profile" and "compare" are the
+#: observed and the several-leg ``run`` that replace those verbs
+SHAPES = {
+    "run": ["run", "compress"],
+    "profile": ["run", "compress", "--attribution"],
+    "compare": ["run", "compress", "--opts", "none", "all"],
+    "figures": ["figures", "--only", "3"],
+}
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize("verb", ["run", "profile", "compare", "figures"])
 def test_nonsense_scale_is_one_line(capsys, verb, scale):
-    argv = [verb, "--scale", scale]
-    argv += ["--only", "3"] if verb == "figures" else ["compress"]
-    code = main(argv)
+    code = main([*SHAPES[verb], "--scale", scale])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("repro: error: workload scale ")
@@ -235,7 +324,9 @@ def test_analyze_json_export(tmp_path, capsys):
                                   "verify-traces", "analyze", "asm"])
 def test_policy_reaches_every_engine(tmp_path, capsys, monkeypatch, verb):
     """Every verb that takes ``--policy`` builds engines whose trace
-    cache and memory hierarchy run that policy."""
+    cache and memory hierarchy run that policy, and so does ``run``
+    under every observation flag ("profile", "trace") and with several
+    legs ("compare")."""
     from repro.core.engine import Engine
 
     engines = []
@@ -250,10 +341,12 @@ def test_policy_reaches_every_engine(tmp_path, capsys, monkeypatch, verb):
     source.write_text("main:\n    li $t0, 3\n    halt\n")
     argv = {
         "run": ["run", "compress"],
-        "profile": ["profile", "compress"],
-        "trace": ["trace", "compress", "--out",
-                  str(tmp_path / "t.json")],
-        "compare": ["compare", "compress"],
+        "profile": ["run", "compress", "--attribution", "--events",
+                    str(tmp_path / "e.jsonl")],
+        "trace": ["run", "compress", "--timeline",
+                  str(tmp_path / "t.json"), "--hostprof",
+                  str(tmp_path / "hp.json")],
+        "compare": ["run", "compress", "--opts", "none", "all"],
         "verify-traces": ["verify-traces", "compress"],
         "analyze": ["analyze", "compress", "--cross-check"],
         "asm": ["asm", str(source), "--simulate"],
@@ -262,7 +355,7 @@ def test_policy_reaches_every_engine(tmp_path, capsys, monkeypatch, verb):
         argv += ["--scale", "0.05"]
     code, _ = run_cli(capsys, *argv, "--policy", "srrip")
     assert code == 0
-    assert engines
+    assert len(engines) == (2 if verb == "compare" else 1)
     for engine in engines:
         assert engine.trace_cache.config.policy == "srrip"
         assert engine.hierarchy.config.policy == "srrip"

@@ -88,26 +88,27 @@ def test_missing_dir_is_an_error(dirs, capsys):
 
 def test_jsonl_one_run_against_many_lists_the_unpaired(tmp_path, capsys):
     one, many = tmp_path / "n.jsonl", tmp_path / "b.jsonl"
-    assert repro_main(["profile", "compress", "--scale", "0.05",
-                       "--opts", "none", "--telemetry-out",
-                       str(one)]) == 0
-    assert repro_main(["compare", "compress", "--scale", "0.05",
-                       "--telemetry-out", str(many)]) == 0
+    assert repro_main(["run", "compress", "--scale", "0.05",
+                       "--opts", "none", "--events", str(one)]) == 0
+    assert repro_main(["run", "compress", "--scale", "0.05", "--opts",
+                       "none", "moves", "reassoc", "scaled_adds",
+                       "placement", "all", "--events", str(many)]) == 0
     capsys.readouterr()
     code, out, _ = _compare(capsys, one, many)
     assert code == 1
-    assert f"only in {one}: compress/none" in out
-    for label in ("baseline", "all", "moves", "placement"):
+    # the none runs pair; the other five legs have no partner
+    assert out.startswith("compress/none\n")
+    assert f"only in {one}" not in out
+    for label in ("all", "moves", "placement"):
         assert f"only in {many}: compress/{label}" in out
-    assert "0 of 0 compared runs changed cycle count, 7 unpaired" in out
+    assert "0 of 1 compared runs changed cycle count, 5 unpaired" in out
 
 
 def test_jsonl_single_runs_pair_across_labels(tmp_path, capsys):
     none, every = tmp_path / "n.jsonl", tmp_path / "a.jsonl"
     for opts, path in (("none", none), ("all", every)):
-        assert repro_main(["profile", "compress", "--scale", "0.05",
-                           "--opts", opts, "--telemetry-out",
-                           str(path)]) == 0
+        assert repro_main(["run", "compress", "--scale", "0.05",
+                           "--opts", opts, "--events", str(path)]) == 0
     capsys.readouterr()
     code, out, _ = _compare(capsys, none, every)
     assert code == 1

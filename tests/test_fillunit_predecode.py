@@ -98,3 +98,11 @@ def test_encode_bare_segment_marks_its_own_dependencies():
         == expected
     assert [PreDecode.unpack(f).src0_internal for f in expected] == [
         False, True, False, True]
+
+
+def test_encode_rejects_a_fifth_block():
+    """Block ids past 3 do not fit the 2-bit field: encoding raises
+    instead of clamping them to 3."""
+    instrs = [Instruction(Op.NOP, pc=4 * i, block_id=i) for i in range(6)]
+    with pytest.raises(SegmentError, match="block number 4"):
+        encode_segment(TraceSegment(start_pc=0, instrs=instrs))

@@ -83,3 +83,16 @@ def test_pipeline_emits_lifecycle_and_component_events():
     mispredicted = sink.by_kind(BRANCH_MISPREDICT)
     assert len(mispredicted) == (result.mispredicts
                                  + result.indirect_mispredicts)
+
+
+def test_shared_session_keeps_each_runs_counters_its_own():
+    """Two engines on one session count into registries of their own:
+    the same trace gives the same counters, not the sum of both runs."""
+    _, trace = run_asm(LOOP)
+    telemetry = Telemetry()
+    sink = telemetry.attach_memory(kinds=[RUN_FINISHED])
+    first, second = (Engine(SimConfig.tiny(), telemetry=telemetry).run(
+        trace, "t", label) for label in ("a", "b"))
+    assert first.telemetry["fetch.tc.hits"] > 0
+    assert first.telemetry == second.telemetry
+    assert [e.data["label"] for e in sink.events] == ["a", "b"]

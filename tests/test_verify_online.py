@@ -11,7 +11,7 @@ from repro.fillunit.opts.base import OptimizationConfig, \
 from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, TelemetryRegistry
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 from repro.verify import SegmentVerifier
 from tests.helpers import run_asm
@@ -31,8 +31,8 @@ next:
 """
 
 
-def build_unit(opts, verify=True, verify_each=False, telemetry=None):
-    registry = telemetry.registry if telemetry is not None else None
+def build_unit(opts, verify=True, verify_each=False, telemetry=None,
+               registry=None):
     unit = FillUnit(
         FillUnitConfig(latency=1, optimizations=opts, verify=verify,
                        verify_each=verify_each),
@@ -70,11 +70,12 @@ def test_verification_off_means_no_verifier():
 
 
 def test_counters_mirror_verification_outcomes():
-    telemetry = Telemetry()
+    registry = TelemetryRegistry()
     _, trace = run_asm(KERNEL)
-    unit = build_unit(OptimizationConfig.all(), telemetry=telemetry)
+    unit = build_unit(OptimizationConfig.all(), telemetry=Telemetry(),
+                      registry=registry)
     segments = feed(unit, trace)
-    counters = telemetry.registry.flat()
+    counters = registry.flat()
     assert counters["fillunit.verify.segments_checked"] == len(segments)
     assert counters["fillunit.verify.segments_clean"] == len(segments)
 
@@ -95,10 +96,12 @@ def test_violation_event_names_offending_pass():
             return {}
 
     telemetry = Telemetry()
+    registry = TelemetryRegistry()
     sink = telemetry.attach_memory(kinds=("verify.violation",))
     _, trace = run_asm(KERNEL)
     unit = build_unit(OptimizationConfig.only("placement"),
-                      verify_each=True, telemetry=telemetry)
+                      verify_each=True, telemetry=telemetry,
+                      registry=registry)
     unit.passes.passes.insert(0, BrokenPass())
     feed(unit, trace)
     assert unit.verifier.report.violations > 0
@@ -108,7 +111,7 @@ def test_violation_event_names_offending_pass():
     assert event.data["severity"] == "error"
     assert event.data["rule"] in ("equiv-registers", "equiv-memory",
                                   "pass-surface")
-    counters = telemetry.registry.flat()
+    counters = registry.flat()
     violation_scopes = [scope for scope in counters
                         if scope.startswith("fillunit.verify.violations.")]
     assert violation_scopes

@@ -1,7 +1,7 @@
 """Render cycle-attribution tables from archived telemetry JSONL.
 
 Usage:
-    python -m repro profile compress --opts all --telemetry-out a.jsonl
+    python -m repro run compress --opts all --events a.jsonl
     python tools/attribution_report.py a.jsonl [b.jsonl ...]
 
 Each ``run.finished`` event in the given file(s) is rendered as an

@@ -7,7 +7,7 @@ Two forms are understood:
   ``--cache-dir``. Envelopes pair by their provenance ``(benchmark,
   label, scale)``; every counter that differs is listed, old -> new.
 * two ``.jsonl`` files — telemetry event archives written with
-  ``--telemetry-out``; the runs' cycle attributions are diffed side by
+  ``repro run --events``; the runs' cycle attributions are diffed side by
   side (envelopes carry no attribution).
 
 Exit status 0 when every pair agrees, 1 on any drift or unpaired run,
@@ -18,8 +18,8 @@ Usage:
     python -m repro figures --scale 0.05 --cache-dir B   # on version B
     python tools/compare_runs.py A B
 
-    python -m repro profile compress --telemetry-out a.jsonl
-    python -m repro profile compress --opts none --telemetry-out b.jsonl
+    python -m repro run compress --events a.jsonl
+    python -m repro run compress --opts none --events b.jsonl
     python tools/compare_runs.py a.jsonl b.jsonl
 """
 
@@ -91,8 +91,8 @@ def compare_jsonl(path_a: str, path_b: str) -> int:
                       for path in (path_a, path_b))
     shared = sorted(runs_a.keys() & runs_b.keys())
     if len(runs_a) == len(runs_b) == 1 and not shared:
-        # One run each under distinct labels (`profile X` vs `profile
-        # X --opts none`): pair them.
+        # One run each under distinct labels (`run X --opts all` vs
+        # `run X --opts none`): pair them.
         pairs = [(*runs_a, *runs_b)]
         unpaired = []
     else:

@@ -1,7 +1,7 @@
-"""Render host-time profiles written by ``repro trace --hostprof-out``.
+"""Render host-time profiles written by ``repro run --hostprof``.
 
 Usage:
-    python -m repro trace compress --hostprof-out compress.prof.json
+    python -m repro run compress --hostprof compress.prof.json
     python tools/hostprof_report.py compress.prof.json [more.json ...]
 
 With several profiles the per-stage shares are printed side by side:
