@@ -116,6 +116,12 @@ def cmd_run(args) -> int:
     if args.timeline and len(args.opts) > 1:
         raise ReproError("--timeline records one run; give one --opts "
                          f"name, not {len(args.opts)}")
+    repeated = sorted({name for name in args.opts
+                       if args.opts.count(name) > 1})
+    if repeated:
+        # a leg is labelled by its name, and archives key legs by label
+        raise ReproError("each --opts name labels one leg; repeated: "
+                         + ", ".join(repeated))
     trace = Executor(workloads.build(args.benchmark, args.scale)).run()
     telemetry = sink = archive = profiler = None
     if args.attribution or args.events or args.timeline or args.hostprof:

@@ -47,7 +47,6 @@ from typing import Any, List, Optional, Tuple
 from repro.isa.instruction import Instruction, move_source
 from repro.isa.opcodes import Op, OpClass, op_info
 from repro.isa.registers import ZERO_REG
-from repro.isa.semantics import Handler, semantics_for
 
 
 class Decoded:
@@ -60,7 +59,7 @@ class Decoded:
         "is_nop", "is_load", "is_store",
         "is_cond_branch", "is_ctrl", "is_call", "is_return",
         "is_indirect", "is_serializing", "terminates_segment",
-        "guarded", "semantics",
+        "guarded",
     )
 
     op: Op
@@ -99,8 +98,6 @@ class Decoded:
     terminates_segment: bool
     #: carries a dynamic-predication guard
     guarded: bool
-    #: the opcode's handler in :func:`repro.isa.semantics.evaluate`
-    semantics: Handler
 
     def __init__(self, instr: Instruction) -> None:
         info = op_info(instr.op)
@@ -137,7 +134,6 @@ class Decoded:
         self.is_serializing = instr.is_serializing()
         self.terminates_segment = instr.terminates_segment()
         self.guarded = instr.guard is not None
-        self.semantics = semantics_for(instr.op)
 
 
 def decode_key(instr: Instruction) -> Tuple[Any, ...]:

@@ -2,17 +2,16 @@
 
 :func:`evaluate` computes the architectural effect of one instruction
 given a register-read callback, *without* mutating any state. It is the
-one definition of what an instruction does: the functional machine
-(:mod:`repro.machine.executor`) applies the returned :class:`Effect`,
-calling an unguarded instruction's handler directly (``evaluate`` adds
-only the predication guard in front of it). Keeping semantics pure lets
-the test suite verify the fill-unit optimizations' semantic equivalence
+one definition of what an instruction does. Each opcode's arithmetic
+lives in one per-opcode value table (:data:`ALU3`, :data:`ALUI`,
+:data:`SHIFT_IMM`, :data:`SHIFT_VAR`, :data:`LOADS`, :data:`STORES`,
+:data:`BRANCHES`); the handlers ``evaluate`` dispatches to are built
+from those tables, and so are the functional executor's compiled steps
+(:mod:`repro.machine.executor`), which call ``evaluate`` itself for a
+guarded, scaled or rare instruction. Keeping semantics pure lets the
+test suite verify the fill-unit optimizations' semantic equivalence
 directly: a transformed instruction must evaluate to the same effect as
 the original whenever its enabling conditions hold.
-
-Every executed instruction builds an :class:`Effect`, and every memory
-access a :class:`MemOp`, so both are named tuples; the handlers build
-them positionally, the hot ones through ``tuple.__new__``.
 
 All arithmetic is 32-bit two's complement. Immediates are sign-extended
 16-bit values uniformly (including the logical immediates; this is an
@@ -22,7 +21,7 @@ across the assembler, encoder and executor).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.isa.instruction import Instruction
@@ -98,9 +97,6 @@ def _rs_value(instr: Instruction, read: ReadReg) -> int:
 def evaluate(instr: Instruction, read: ReadReg) -> Effect:
     """Evaluate *instr* against register values supplied by *read*.
 
-    Dispatch goes through the instruction's decoded record, which
-    carries its opcode's handler (see :func:`semantics_for`).
-
     Raises:
         ExecutionError: for opcodes with no defined semantics (cannot
             happen for instructions produced by the assembler/decoder).
@@ -116,14 +112,7 @@ def evaluate(instr: Instruction, read: ReadReg) -> Effect:
             dest = decoded.dest
             return Effect(dest,
                           to_s32(read(dest)) if dest is not None else None)
-    handler: Handler = decoded.semantics
-    return handler(instr, decoded, read)
-
-
-def semantics_for(op: Op) -> Handler:
-    """The handler :func:`evaluate` dispatches to for *op*; looked up
-    once per instruction, when its decoded record is built."""
-    return _HANDLERS.get(op, _undefined)
+    return _HANDLERS.get(instr.op, _undefined)(instr, decoded, read)
 
 
 # -- handlers -----------------------------------------------------------
@@ -131,11 +120,6 @@ def semantics_for(op: Op) -> Handler:
 _NO_EFFECT = Effect()
 _HALT = Effect(halt=True, serialize=True)
 _SERIALIZE = Effect(serialize=True)
-
-#: builds an :class:`Effect` or :class:`MemOp` from all of its fields
-#: in order, skipping the named tuple's argument handling (the hot
-#: handlers below run once per executed instruction)
-_new: Callable[..., Any] = tuple.__new__
 
 
 def _undefined(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
@@ -145,33 +129,28 @@ def _undefined(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
 def _alu3(fn: Callable[[int, int], int]) -> Handler:
     def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
         value = fn(_rs_value(instr, read), to_s32(read(instr.rt or 0)))
-        return _new(Effect,
-                    (d.dest, value, None, False, False, None, False, False))
+        return Effect(d.dest, value)
     return handler
 
 
 def _alui(fn: Callable[[int, int], int]) -> Handler:
     def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
         value = fn(_rs_value(instr, read), instr.imm or 0)
-        return _new(Effect,
-                    (d.dest, value, None, False, False, None, False, False))
+        return Effect(d.dest, value)
     return handler
 
 
-def _shift_imm(op: Op) -> Handler:
+def _shift_imm(fn: Callable[[int, int], int]) -> Handler:
     def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
-        a = to_s32(read(instr.rs or 0))
-        value = _shift(op, a, (instr.imm or 0) & 0x1F)
-        return _new(Effect,
-                    (d.dest, value, None, False, False, None, False, False))
+        value = fn(to_s32(read(instr.rs or 0)), (instr.imm or 0) & 0x1F)
+        return Effect(d.dest, value)
     return handler
 
 
-def _shift_var(op: Op) -> Handler:
+def _shift_var(fn: Callable[[int, int], int]) -> Handler:
     def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
-        a = to_s32(read(instr.rs or 0))
         amount = read(instr.rt or 0) & 0x1F
-        return Effect(d.dest, _shift(op, a, amount))
+        return Effect(d.dest, fn(to_s32(read(instr.rs or 0)), amount))
     return handler
 
 
@@ -186,9 +165,7 @@ def _load(size: int, signed: bool, indexed: bool) -> Handler:
                           + to_s32(read(instr.rt or 0)))
         else:
             addr = to_u32(_rs_value(instr, read) + (instr.imm or 0))
-        mem = _new(MemOp, (False, addr, size, signed, 0))
-        return _new(Effect,
-                    (d.dest, None, mem, False, False, None, False, False))
+        return Effect(d.dest, None, MemOp(False, addr, size, signed))
     return handler
 
 
@@ -201,26 +178,19 @@ def _store(size: int, indexed: bool) -> Handler:
         else:
             addr = to_u32(_rs_value(instr, read) + (instr.imm or 0))
             value = to_u32(read(instr.rt or 0))
-        mem = _new(MemOp, (True, addr, size, False, value))
-        return _new(Effect,
-                    (None, None, mem, False, False, None, False, False))
+        return Effect(None, None, MemOp(True, addr, size, False, value))
     return handler
 
 
-def _branch(taken_if: Callable[[int, Instruction, ReadReg], bool]
-            ) -> Handler:
+def _branch(taken_if: Callable[[int, int], bool]) -> Handler:
     def handler(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
         pc = instr.pc if instr.pc is not None else 0
-        taken = taken_if(to_s32(read(instr.rs or 0)), instr, read)
+        taken = taken_if(to_s32(read(instr.rs or 0)),
+                         to_s32(read(instr.rt or 0)))
         target = (to_u32(pc + (instr.imm or 0)) if taken
                   else to_u32(pc + 4))
-        return _new(Effect,
-                    (None, None, None, True, taken, target, False, False))
+        return Effect(None, None, None, True, taken, target)
     return handler
-
-
-def _rt_s32(instr: Instruction, read: ReadReg) -> int:
-    return to_s32(read(instr.rt or 0))
 
 
 def _j(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
@@ -244,14 +214,6 @@ def _jalr(instr: Instruction, d: Decoded, read: ReadReg) -> Effect:
                   to_u32(read(instr.rs or 0)))
 
 
-def _shift(op: Op, a: int, amount: int) -> int:
-    if op is Op.SLL:
-        return to_s32(a << amount)
-    if op is Op.SRL:
-        return to_s32(to_u32(a) >> amount)
-    return to_s32(a >> amount)  # SRA on the signed value
-
-
 def _div(a: int, b: int) -> int:
     if b == 0:
         return 0  # architected: division by zero yields zero, no trap
@@ -260,7 +222,15 @@ def _div(a: int, b: int) -> int:
     return to_s32(-q if (a < 0) != (b < 0) else q)
 
 
-_ALU3: Dict[Op, Callable[[int, int], int]] = {
+# -- per-opcode value tables -------------------------------------------
+#
+# The handlers above are built from these tables, and so are the
+# functional executor's compiled steps (:mod:`repro.machine.executor`):
+# each opcode's arithmetic is written once, here. Register operands
+# arrive as signed 32-bit values; every value function returns one.
+
+#: ``(rs, rt) -> value`` of the three-register ALU ops
+ALU3: Dict[Op, Callable[[int, int], int]] = {
     Op.ADD: lambda a, b: to_s32(a + b),
     Op.SUB: lambda a, b: to_s32(a - b),
     Op.AND: lambda a, b: to_s32(a & b),
@@ -273,7 +243,8 @@ _ALU3: Dict[Op, Callable[[int, int], int]] = {
     Op.DIV: _div,
 }
 
-_ALUI: Dict[Op, Callable[[int, int], int]] = {
+#: ``(rs, imm) -> value`` of the immediate ALU ops
+ALUI: Dict[Op, Callable[[int, int], int]] = {
     Op.ADDI: lambda a, i: to_s32(a + i),
     Op.ANDI: lambda a, i: to_s32(a & i),
     Op.ORI: lambda a, i: to_s32(a | i),
@@ -282,42 +253,77 @@ _ALUI: Dict[Op, Callable[[int, int], int]] = {
     Op.SLTIU: lambda a, i: int(to_u32(a) < to_u32(i)),
 }
 
+
+def _sll(a: int, amount: int) -> int:
+    return to_s32(a << amount)
+
+
+def _srl(a: int, amount: int) -> int:
+    return to_s32(to_u32(a) >> amount)
+
+
+def _sra(a: int, amount: int) -> int:
+    return to_s32(a >> amount)      # on the signed value
+
+
+#: ``(rs, amount) -> value`` of the shifts by an immediate amount
+#: (``imm & 0x1F``) ...
+SHIFT_IMM: Dict[Op, Callable[[int, int], int]] = {
+    Op.SLL: _sll, Op.SRL: _srl, Op.SRA: _sra}
+#: ... and by a register amount (``rt & 0x1F``)
+SHIFT_VAR: Dict[Op, Callable[[int, int], int]] = {
+    Op.SLLV: _sll, Op.SRLV: _srl, Op.SRAV: _sra}
+
+#: loads: ``(size in bytes, sign-extend, indexed)``; an indexed
+#: address is ``rs + rt``, any other ``rs + imm``
+LOADS: Dict[Op, Tuple[int, bool, bool]] = {
+    Op.LW: (4, True, False),
+    Op.LH: (2, True, False),
+    Op.LHU: (2, False, False),
+    Op.LB: (1, True, False),
+    Op.LBU: (1, False, False),
+    Op.LWX: (4, True, True),
+    Op.LBX: (1, True, True),
+}
+
+#: stores: ``(size in bytes, indexed)``; an indexed store writes
+#: ``rd`` to ``rs + rt``, any other ``rt`` to ``rs + imm``
+STORES: Dict[Op, Tuple[int, bool]] = {
+    Op.SW: (4, False),
+    Op.SH: (2, False),
+    Op.SB: (1, False),
+    Op.SWX: (4, True),
+    Op.SBX: (1, True),
+}
+
+#: ``(rs, rt) -> taken`` of the conditional branches
+BRANCHES: Dict[Op, Callable[[int, int], bool]] = {
+    Op.BEQ: lambda a, b: a == b,
+    Op.BNE: lambda a, b: a != b,
+    Op.BLEZ: lambda a, b: a <= 0,
+    Op.BGTZ: lambda a, b: a > 0,
+    Op.BLTZ: lambda a, b: a < 0,
+    Op.BGEZ: lambda a, b: a >= 0,
+}
+
 _HANDLERS: Dict[Op, Handler] = {
     Op.NOP: lambda instr, d, read: _NO_EFFECT,
     Op.HALT: lambda instr, d, read: _HALT,
     Op.SYSCALL: lambda instr, d, read: _SERIALIZE,
-    **{op: _alu3(fn) for op, fn in _ALU3.items()},
-    **{op: _alui(fn) for op, fn in _ALUI.items()},
-    Op.SLL: _shift_imm(Op.SLL),
-    Op.SRL: _shift_imm(Op.SRL),
-    Op.SRA: _shift_imm(Op.SRA),
-    Op.SLLV: _shift_var(Op.SLL),
-    Op.SRLV: _shift_var(Op.SRL),
-    Op.SRAV: _shift_var(Op.SRA),
+    **{op: _alu3(fn) for op, fn in ALU3.items()},
+    **{op: _alui(fn) for op, fn in ALUI.items()},
+    **{op: _shift_imm(fn) for op, fn in SHIFT_IMM.items()},
+    **{op: _shift_var(fn) for op, fn in SHIFT_VAR.items()},
     Op.LUI: _lui,
-    Op.LW: _load(4, True, False),
-    Op.LH: _load(2, True, False),
-    Op.LHU: _load(2, False, False),
-    Op.LB: _load(1, True, False),
-    Op.LBU: _load(1, False, False),
-    Op.LWX: _load(4, True, True),
-    Op.LBX: _load(1, True, True),
-    Op.SW: _store(4, False),
-    Op.SH: _store(2, False),
-    Op.SB: _store(1, False),
-    Op.SWX: _store(4, True),
-    Op.SBX: _store(1, True),
-    Op.BEQ: _branch(lambda a, instr, read: a == _rt_s32(instr, read)),
-    Op.BNE: _branch(lambda a, instr, read: a != _rt_s32(instr, read)),
-    Op.BLEZ: _branch(lambda a, instr, read: a <= 0),
-    Op.BGTZ: _branch(lambda a, instr, read: a > 0),
-    Op.BLTZ: _branch(lambda a, instr, read: a < 0),
-    Op.BGEZ: _branch(lambda a, instr, read: a >= 0),
+    **{op: _load(*shape) for op, shape in LOADS.items()},
+    **{op: _store(*shape) for op, shape in STORES.items()},
+    **{op: _branch(fn) for op, fn in BRANCHES.items()},
     Op.J: _j,
     Op.JAL: _jal,
     Op.JR: _jr,
     Op.JALR: _jalr,
 }
 
-__all__ = ["Effect", "MemOp", "evaluate", "semantics_for", "to_u32",
-           "to_s32", "MASK32"]
+__all__ = ["Effect", "MemOp", "evaluate", "to_u32",
+           "to_s32", "MASK32", "ALU3", "ALUI", "SHIFT_IMM", "SHIFT_VAR",
+           "LOADS", "STORES", "BRANCHES"]

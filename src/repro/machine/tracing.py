@@ -16,15 +16,23 @@ from repro.program.image import Program
 
 
 class CommittedInstr:
-    """One committed (correct-path) dynamic instruction."""
+    """One committed (correct-path) dynamic instruction.
+
+    A record's sequence number is its index in the trace; the record
+    does not carry it. Records are shared: a load or store gets a fresh
+    record each time it executes, but every other record is fixed by
+    its pc and outcome, so the executor builds it once and commits the
+    same object again (one per pc, two per conditional branch, one per
+    indirect-jump target). A record is therefore read-only once made:
+    no consumer may write to one.
+    """
 
     __slots__ = ("pc", "instr", "next_pc", "taken", "mem_addr",
-                 "mem_size", "is_store", "seq")
+                 "mem_size", "is_store")
 
-    def __init__(self, seq: int, pc: int, instr: Instruction, next_pc: int,
+    def __init__(self, pc: int, instr: Instruction, next_pc: int,
                  taken: bool = False, mem_addr: Optional[int] = None,
                  mem_size: int = 0, is_store: bool = False) -> None:
-        self.seq = seq
         self.pc = pc
         self.instr = instr
         self.next_pc = next_pc
@@ -34,7 +42,7 @@ class CommittedInstr:
         self.is_store = is_store
 
     def __repr__(self) -> str:
-        return (f"CommittedInstr(#{self.seq} pc={self.pc:#x} "
+        return (f"CommittedInstr(pc={self.pc:#x} "
                 f"{self.instr.op.value} -> {self.next_pc:#x})")
 
 

@@ -3,14 +3,24 @@
 from __future__ import annotations
 
 import dataclasses
+from typing import List, Union, cast
 
 from repro.asm import assemble
 from repro.branch.bias import BiasTable
 from repro.core.config import SimConfig
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
+from repro.errors import ExecutionError
 from repro.fillunit.unit import FillUnit, FillUnitConfig
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Op
+from repro.isa.semantics import evaluate, to_s32
 from repro.machine.executor import Executor
+from repro.machine.memory import Memory
+from repro.machine.state import ArchState
+from repro.machine.tracing import CommittedInstr
+from repro.program.image import Program
+from repro.program.loader import load_program
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 
 
@@ -95,3 +105,100 @@ def build_segments(source: str, optimizations=None, max_instrs: int = 16,
         for candidate in collector.add(record):
             segments.append(unit.build_segment(candidate))
     return program, trace, segments
+
+
+class ReferenceMachine:
+    """A reference interpreter for the functional executor: one
+    :func:`~repro.isa.semantics.evaluate` call per instruction and a
+    fresh record per retired instruction, with no compiled steps and no
+    shared records. ``tests/test_prop_executor.py`` fuzzes
+    :meth:`Executor.run` against it.
+
+    It keeps the executor's public state (``state``, ``memory``,
+    ``output``, ``halted``, ``instructions_retired``) under the same
+    names, so a test reads both machines alike.
+    """
+
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        self.memory = Memory()
+        self.state = ArchState()
+        self.output: List[Union[int, str]] = []
+        self.halted = False
+        self.instructions_retired = 0
+        load_program(program, self.memory, self.state)
+
+    def run(self, max_instructions: int) -> List[CommittedInstr]:
+        """Execute until halt, returning the committed records; raise
+        :class:`ExecutionError` as :meth:`Executor.run` does. A faulting
+        instruction neither retires nor moves the pc."""
+        state, records = self.state, []
+        while not self.halted:
+            if self.instructions_retired >= max_instructions:
+                raise ExecutionError(
+                    f"program did not halt within {max_instructions} "
+                    f"instructions (pc={state.pc:#x})")
+            pc = state.pc
+            instr = self.program.instr_at(pc)
+            effect = evaluate(instr, state.read_reg)
+            value, mem = effect.value, effect.mem
+            mem_addr, mem_size, is_store = None, 0, False
+            if mem is not None:
+                mem_addr, mem_size, is_store = mem.addr, mem.size, \
+                    mem.is_store
+                if is_store:
+                    self.memory.store(mem.addr, mem.store_value, mem.size)
+                else:
+                    value = self.memory.load(mem.addr, mem.size,
+                                             mem.signed)
+            if effect.dest is not None:
+                state.write_reg(effect.dest, cast(int, value))
+            if instr.op is Op.SYSCALL:
+                self._syscall()
+            if effect.halt or self.halted:
+                self.halted = True
+                next_pc = pc
+            elif effect.is_ctrl:
+                next_pc = cast(int, effect.target)
+            else:
+                next_pc = pc + 4
+            records.append(CommittedInstr(
+                pc, instr, next_pc, effect.taken and effect.is_ctrl,
+                mem_addr, mem_size, is_store))
+            self.instructions_retired += 1
+            state.pc = next_pc
+        return records
+
+    def _syscall(self) -> None:
+        service, arg = self.state.read_reg(2), self.state.read_reg(4)
+        if service == 1:
+            self.output.append(to_s32(arg))
+        elif service == 11:
+            self.output.append(chr(arg & 0xFF))
+        elif service == 10:
+            self.halted = True
+
+
+def execute_sequence(instrs: List[Instruction], state: ArchState,
+                     memory: Memory) -> None:
+    """Execute a straight-line instruction sequence in order, mutating
+    *state*'s registers and *memory*.
+
+    The optimization-equivalence tests use it: a trace segment replayed
+    fully on-path must leave identical architectural state whether or
+    not the fill unit transformed it. Control-flow effects are ignored:
+    they neither redirect nor touch ``state.pc`` (the sequence itself
+    encodes the path). A link register write (``jal``/``jalr``) still
+    lands.
+    """
+    for instr in instrs:
+        effect = evaluate(instr, state.read_reg)
+        value = cast(int, effect.value)   # a load's is read below
+        if effect.mem is not None:
+            mem = effect.mem
+            if mem.is_store:
+                memory.store(mem.addr, mem.store_value, mem.size)
+            else:
+                value = memory.load(mem.addr, mem.size, mem.signed)
+        if effect.dest is not None:
+            state.write_reg(effect.dest, value)

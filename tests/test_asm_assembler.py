@@ -122,8 +122,7 @@ def test_la_loads_symbol_address():
     # la expands to lui+addi; run it to check the loaded address.
     from repro.machine import Executor
     ex = Executor(prog)
-    ex.step()  # lui
-    ex.step()  # addi
+    ex.run()
     assert ex.state.read_reg(8) == prog.symbols["arr"]
 
 

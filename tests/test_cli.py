@@ -118,6 +118,20 @@ def test_timeline_of_two_legs_is_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_opts_name_is_one_line(tmp_path, capsys):
+    """Legs are labelled by their --opts name, so a repeated name would
+    give two legs one label (and collapse them in an archive)."""
+    events = tmp_path / "events.jsonl"
+    code = main(["run", "compress", "--scale", "0.05", "--opts", "all",
+                 "none", "all", "--events", str(events)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("repro: error: each --opts name labels one "
+                            "leg; repeated: all\n")
+    assert captured.out == ""
+    assert not events.exists()
+
+
 @pytest.mark.parametrize("verb", ["profile", "trace", "compare"])
 def test_removed_verbs_are_rejected(verb):
     with pytest.raises(SystemExit):

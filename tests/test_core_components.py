@@ -335,7 +335,7 @@ def test_retire_in_order_and_width():
                          result=SimResult("bench", "run", 0, 0),
                          reg_ready=[(0, None)] * 32)
     state.group = FetchGroup([], 0)
-    record = CommittedInstr(0, 0x400000, ADD, 0x400004)
+    record = CommittedInstr(0x400000, ADD, 0x400004)
 
     def retire(complete):
         entry = FetchEntry(record, ADD, 0, True)

@@ -45,10 +45,10 @@ def test_wrong_target_direction():
     branch_pc = prog.symbols["loop"] + 16
     branch = prog.instr_at(branch_pc)
     assert branch.op.value == "beq"
-    taken = CommittedInstr(0, branch_pc, branch,
-                           branch_pc + branch.imm, taken=True)
-    not_taken = CommittedInstr(0, branch_pc, branch,
-                               branch_pc + 4, taken=False)
+    taken = CommittedInstr(branch_pc, branch, branch_pc + branch.imm,
+                           taken=True)
+    not_taken = CommittedInstr(branch_pc, branch, branch_pc + 4,
+                               taken=False)
     # predicted the opposite of actual in both cases
     assert fetcher.wrong_target(taken) == branch_pc + 4
     assert fetcher.wrong_target(not_taken) == branch_pc + branch.imm

@@ -37,7 +37,6 @@ from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.isa.decoded import Decoded, decode_key
 from repro.isa.instruction import move_source
 from repro.isa.opcodes import OpClass
-from repro.isa.semantics import semantics_for
 from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
@@ -83,7 +82,6 @@ def reference(instr) -> dict:
         "is_serializing": instr.is_serializing(),
         "terminates_segment": instr.terminates_segment(),
         "guarded": instr.guard is not None,
-        "semantics": semantics_for(instr.op),
     }
 
 

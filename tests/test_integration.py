@@ -82,10 +82,11 @@ def test_optimizations_never_change_architectural_results():
     from repro.branch.bias import BiasTable
     from repro.fillunit.collector import FillCollector
     from repro.fillunit.unit import FillUnit, FillUnitConfig
-    from repro.machine.executor import Executor, execute_sequence
+    from repro.machine.executor import Executor
     from repro.machine.memory import Memory
     from repro.machine.state import ArchState
     from repro.tracecache.cache import TraceCache, TraceCacheConfig
+    from tests.helpers import execute_sequence
 
     program = workloads.build("m88ksim", scale=0.05)
     trace = Executor(program).run()

@@ -7,9 +7,11 @@ import pytest
 from repro import workloads
 from repro.errors import ExecutionError
 from repro.asm import assemble
+from repro.core.config import SimConfig
+from repro.core.engine import Engine
+from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine import ArchState, Executor, Memory
-from repro.machine.executor import execute_sequence
-from tests.helpers import run_asm
+from tests.helpers import execute_sequence, run_asm
 
 
 def test_arithmetic_program():
@@ -173,21 +175,23 @@ def test_runaway_program_raises():
     assert "did not halt" in str(err.value)
 
 
-def test_stepping_halted_machine_raises():
+def test_running_a_halted_machine_retires_nothing():
     prog = assemble("halt\n")
     ex = Executor(prog)
-    ex.step()
+    assert len(ex.run()) == 1
     assert ex.halted
-    with pytest.raises(ExecutionError):
-        ex.step()
+    assert len(ex.run()) == 0
+    assert ex.instructions_retired == 1
 
 
 def test_fetch_outside_text_raises():
     prog = assemble("jr $t0\n")  # t0 = 0: jumps to unmapped address
     ex = Executor(prog)
-    ex.step()
-    with pytest.raises(ExecutionError):
-        ex.step()
+    with pytest.raises(ExecutionError, match="fetch outside text: 0x0"):
+        ex.run()
+    # the jump retired; the failed fetch neither retires nor moves on
+    assert ex.instructions_retired == 1
+    assert ex.state.pc == 0
 
 
 def test_loader_initializes_sp_gp_pc():
@@ -269,8 +273,8 @@ def _stream_digest(name: str) -> str:
     executor = Executor(workloads.build(name, 0.1))
     trace = executor.run()
     digest = hashlib.sha256()
-    for r in trace:
-        digest.update(repr((r.seq, r.pc, r.instr.op.value, r.next_pc,
+    for seq, r in enumerate(trace):
+        digest.update(repr((seq, r.pc, r.instr.op.value, r.next_pc,
                             r.taken, r.mem_addr, r.mem_size,
                             r.is_store)).encode())
     final = trace.final_state
@@ -289,3 +293,29 @@ def test_stream_digests_cover_every_workload():
 @pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
 def test_committed_stream_matches_pinned_digest(name):
     assert _stream_digest(name) == STREAM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["compress", "li", "m88ksim"])
+def test_only_memory_records_are_fresh(name):
+    """A load or store gets a fresh record each time it executes; every
+    other record is shared by all executions with its pc and next pc."""
+    trace = Executor(workloads.build(name, 0.1)).run()
+    memory = sum(1 for r in trace if r.mem_addr is not None)
+    edges = {(r.pc, r.next_pc) for r in trace if r.mem_addr is None}
+    assert len({id(r) for r in trace}) == memory + len(edges)
+
+
+def test_engine_writes_no_committed_record():
+    """Records are shared, so the timing model must only read them: a
+    full run leaves every record's fields as the executor made them."""
+    trace = Executor(workloads.build("compress", 0.1)).run()
+    assert len({id(r) for r in trace}) < len(trace) // 2   # shared
+
+    def fields():
+        return [(r.pc, id(r.instr), r.next_pc, r.taken, r.mem_addr,
+                 r.mem_size, r.is_store) for r in trace]
+
+    before = fields()
+    Engine(SimConfig.paper(OptimizationConfig.all())).run(
+        trace, "compress", "all")
+    assert fields() == before

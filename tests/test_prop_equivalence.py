@@ -17,10 +17,10 @@ from repro.fillunit.opts.base import OptimizationConfig
 from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
-from repro.machine.executor import execute_sequence
 from repro.machine.memory import Memory
 from repro.machine.state import ArchState
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
+from tests.helpers import execute_sequence
 
 # Generated programs use registers 8-15 and a data region at DATA_BASE.
 DATA_BASE = 0x10000
@@ -95,8 +95,8 @@ def fake_records(instrs):
     """Wrap static instructions as committed records (all branches
     not-taken by construction)."""
     from repro.machine.tracing import CommittedInstr
-    return [CommittedInstr(i, instr.pc, instr, instr.pc + 4)
-            for i, instr in enumerate(instrs)]
+    return [CommittedInstr(instr.pc, instr, instr.pc + 4)
+            for instr in instrs]
 
 
 OPT_SETS = [

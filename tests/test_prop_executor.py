@@ -1,4 +1,4 @@
-"""Random programs execute or fail cleanly, and stepping equals running.
+"""Random programs execute or fail cleanly, as the reference does.
 
 Hypothesis builds programs from random instructions: any opcode, with
 absent, zero or random register fields, immediates that include jump
@@ -6,8 +6,11 @@ targets inside and outside the text segment and misaligned offsets,
 an occasional dynamic-predication guard, and a final ``halt``. Each
 program runs under a small instruction limit. ``Executor.run`` either
 finishes or raises :class:`ExecutionError`; any other exception is a
-bug. Stepping the same program with ``Executor.step`` must give the
-same records, final state and error as running it.
+bug. The reference interpreter (``tests.helpers.ReferenceMachine``: one
+``evaluate`` call and a fresh record per instruction) must give the
+same records, field by field, the same registers, pc, retired count,
+output and memory image, and the same error text and machine state
+after a fault.
 """
 
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from repro.isa.instruction import GuardAnnotation, Instruction
 from repro.isa.opcodes import Op
 from repro.machine import Executor
 from repro.program import Program
+from tests.helpers import ReferenceMachine
 
 TEXT_BASE = 0x1000
 LIMIT = 500
@@ -66,43 +70,31 @@ def program(draw) -> Program:
     return Program(instrs, text_base=TEXT_BASE)
 
 
-def _fields(record) -> tuple:
-    return (record.seq, record.pc, id(record.instr), record.next_pc,
-            record.taken, record.mem_addr, record.mem_size,
-            record.is_store)
+def _fields(records) -> list:
+    return [(index, record.pc, id(record.instr), record.next_pc,
+             record.taken, record.mem_addr, record.mem_size,
+             record.is_store) for index, record in enumerate(records)]
 
 
-def _machine(executor: Executor) -> tuple:
-    return (executor.state.regs, executor.state.pc, executor.halted,
-            executor.instructions_retired, executor.output,
-            executor.memory.snapshot())
+def _machine(machine) -> tuple:
+    return (machine.state.regs, machine.state.pc, machine.halted,
+            machine.instructions_retired, machine.output,
+            machine.memory.snapshot())
 
 
-def _run(prog: Program):
-    executor = Executor(prog)
+def _run(machine, run):
     try:
-        trace = executor.run(max_instructions=LIMIT)
+        records = run(LIMIT)
     except ExecutionError as err:
-        return None, str(err), _machine(executor)
-    return [_fields(r) for r in trace], None, _machine(executor)
-
-
-def _step(prog: Program):
-    executor = Executor(prog)
-    records = []
-    try:
-        while not executor.halted:
-            if executor.instructions_retired >= LIMIT:
-                return None, (f"program did not halt within {LIMIT} "
-                              f"instructions (pc={executor.state.pc:#x})"
-                              ), _machine(executor)
-            records.append(_fields(executor.step()))
-    except ExecutionError as err:
-        return None, str(err), _machine(executor)
-    return records, None, _machine(executor)
+        return None, str(err), _machine(machine)
+    return _fields(records), None, _machine(machine)
 
 
 @settings(max_examples=150, deadline=None)
 @given(program())
-def test_step_and_run_agree_and_fail_only_with_execution_error(prog):
-    assert _run(prog) == _step(prog)
+def test_run_matches_the_reference_and_fails_only_with_execution_error(
+        prog):
+    executor = Executor(prog)
+    reference = ReferenceMachine(prog)
+    assert (_run(executor, lambda limit: executor.run(limit).records)
+            == _run(reference, reference.run))

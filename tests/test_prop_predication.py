@@ -89,8 +89,8 @@ def hammock_programs(draw):
 def committed_fallthrough(instrs):
     """Committed records for the all-fall-through execution (the path
     the fill unit would see when every hammock branch is not taken)."""
-    return [CommittedInstr(idx, instr.pc, instr, instr.pc + 4)
-            for idx, instr in enumerate(instrs)]
+    return [CommittedInstr(instr.pc, instr, instr.pc + 4)
+            for instr in instrs]
 
 
 def seed_state(seeds):
