@@ -35,7 +35,7 @@ trace, then replay the trace through a fresh timing engine::
     print(f"IPC {baseline.ipc:.2f} -> {optimized.ipc:.2f} "
           f"(+{optimized.improvement_over(baseline):.1f}%)")
 
-Grids of runs (the figures, tables and sweeps) go through
+Grids of runs (the figures and tables) go through
 :class:`repro.exec.ExecutionService`, which adds a result cache and a
 worker pool around the same two calls.
 """

@@ -7,20 +7,10 @@ simulation (CFG, dataflow, fill-unit opportunity bounds, lint) — see
 """
 
 from repro.analysis.static import AnalysisReport, analyze_program
-from repro.analysis.stats import (
-    arithmetic_mean,
-    geometric_mean,
-    harmonic_mean,
-    improvement_percent,
-    summarize_improvements,
-)
+from repro.analysis.stats import arithmetic_mean
 
 __all__ = [
     "AnalysisReport",
     "analyze_program",
     "arithmetic_mean",
-    "geometric_mean",
-    "harmonic_mean",
-    "improvement_percent",
-    "summarize_improvements",
 ]

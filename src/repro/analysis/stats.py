@@ -2,13 +2,11 @@
 
 The paper reports arithmetic means of per-benchmark percentage
 improvements ("improve performance ... by slightly more than 18%"), so
-that is the headline aggregator here; geometric and harmonic means are
-provided for completeness and for the ablation studies.
+the figures, tables and benchmarks average with :func:`arithmetic_mean`.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 
@@ -24,69 +22,4 @@ def arithmetic_mean(values: Iterable[float]) -> float:
     return sum(data) / len(data)
 
 
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values.
-
-    Computed as the mean of logs: a running product overflows to
-    ``inf`` on long inputs of large values (and underflows to 0.0 on
-    small ones) long before the true mean leaves float range. The log
-    sum uses :func:`math.fsum` so thousands of terms accumulate
-    without drift.
-
-    Raises:
-        ValueError: on an empty input or non-positive values.
-    """
-    data = list(values)
-    if not data:
-        raise ValueError("mean of empty sequence")
-    if any(value <= 0 for value in data):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(math.fsum(math.log(value) for value in data)
-                    / len(data))
-
-
-def harmonic_mean(values: Iterable[float]) -> float:
-    """Harmonic mean of positive values (the right mean for rates).
-
-    Raises:
-        ValueError: on an empty input or non-positive values.
-    """
-    data = list(values)
-    if not data:
-        raise ValueError("mean of empty sequence")
-    if any(value <= 0 for value in data):
-        raise ValueError("harmonic mean requires positive values")
-    return len(data) / sum(1.0 / value for value in data)
-
-
-def improvement_percent(baseline: float, improved: float) -> float:
-    """Percent change of *improved* relative to *baseline*."""
-    if baseline == 0:
-        return 0.0
-    return 100.0 * (improved - baseline) / baseline
-
-
-def summarize_improvements(rows: dict) -> dict:
-    """Aggregate a {benchmark: percent} mapping.
-
-    Returns arithmetic mean, min/max with their benchmarks, and the
-    sorted rows — the shape every figure summary needs.
-    """
-    if not rows:
-        raise ValueError("no rows to summarize")
-    ordered = sorted(rows.items(), key=lambda kv: kv[1])
-    return {
-        "mean": arithmetic_mean(rows.values()),
-        "min": ordered[0],
-        "max": ordered[-1],
-        "rows": ordered,
-    }
-
-
-__all__ = [
-    "arithmetic_mean",
-    "geometric_mean",
-    "harmonic_mean",
-    "improvement_percent",
-    "summarize_improvements",
-]
+__all__ = ["arithmetic_mean"]

@@ -101,10 +101,6 @@ class MemoryHierarchy:
         if not self.l1d.access(addr):
             self.l2.access(addr)
 
-    def flush(self) -> None:
-        for cache in (self.l1i, self.l1d, self.l2):
-            cache.flush()
-
     def stats_summary(self) -> Dict[str, Tuple[int, int]]:
         return {
             "l1i": (self.l1i.stats.hits, self.l1i.stats.misses),

@@ -56,11 +56,10 @@ class ReplacementPolicy:
 
     The container calls the hooks at the obvious points (``on_insert``
     after installing a key, ``on_hit`` on a reuse, ``victim`` to pick
-    the key to drop, ``on_evict`` after dropping it, ``on_flush`` when
-    the whole structure empties). A container calls ``on_hit`` and
-    ``on_insert`` only if the policy's class overrides them (see
-    :meth:`overrides`): they run on every hit and fill, and a policy
-    without metadata (:class:`TrueLRU`) keeps the base no-ops.
+    the key to drop, ``on_evict`` after dropping it). A container calls
+    ``on_hit`` and ``on_insert`` only if the policy's class overrides
+    them (see :meth:`overrides`): they run on every hit and fill, and a
+    policy without metadata (:class:`TrueLRU`) keeps the base no-ops.
     """
 
     name = "abstract"
@@ -81,10 +80,8 @@ class ReplacementPolicy:
         raise NotImplementedError
 
     def on_evict(self, index: int, key: Key) -> None:
-        """*key* left set *index* (capacity eviction or invalidate)."""
+        """*key* left set *index* (a capacity eviction)."""
 
-    def on_flush(self) -> None:
-        """The container dropped every resident key."""
 
 
 class TrueLRU(ReplacementPolicy):
@@ -141,10 +138,6 @@ class SRRIPPolicy(ReplacementPolicy):
 
     def on_evict(self, index: int, key: Key) -> None:
         self._meta[index].pop(key, None)
-
-    def on_flush(self) -> None:
-        for meta in self._meta.values():
-            meta.clear()
 
 
 class TRRIPPolicy(SRRIPPolicy):
@@ -236,13 +229,6 @@ class TRRIPPolicy(SRRIPPolicy):
         history[key] = self._reuse[index].pop(key, 0)
         if len(history) > HISTORY_PER_SET:
             history.pop(next(iter(history)))
-
-    def on_flush(self) -> None:
-        super().on_flush()
-        for reuse in self._reuse.values():
-            reuse.clear()
-        for history in self._history.values():
-            history.clear()
 
 
 _POLICIES: Dict[str, Callable[[int], ReplacementPolicy]] = {

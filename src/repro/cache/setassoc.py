@@ -161,21 +161,6 @@ class SetAssocCache:
         if self._on_insert is not None:
             self._on_insert(index, tag)
 
-    def invalidate(self, addr: int) -> bool:
-        """Drop the line containing *addr*; returns whether it was present."""
-        entries, tag, index = self._locate(addr)
-        if tag not in entries:
-            return False
-        entries.pop(tag)
-        self.policy.on_evict(index, tag)
-        return True
-
-    def flush(self) -> None:
-        """Empty the cache (stats retained)."""
-        for entries in self._sets.values():
-            entries.clear()
-        self.policy.on_flush()
-
     def resident_lines(self) -> int:
         return sum(len(entries) for entries in self._sets.values())
 

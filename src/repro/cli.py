@@ -553,7 +553,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as err:
+    except (ReproError, OSError) as err:
         print(f"repro: error: {err}", file=sys.stderr)
         return 1
 

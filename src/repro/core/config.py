@@ -154,7 +154,7 @@ class SimConfig:
         )
 
     # ------------------------------------------------------------------
-    # Serialization (JSON-declared sweeps, config fingerprinting)
+    # Serialization (pool payloads, config fingerprinting)
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -104,8 +104,9 @@ class Engine:
         self.memsched = MemoryScheduler(self.hierarchy,
                                         config.store_forward_window)
         #: the stage list, in pipeline order. Owned by the engine;
-        #: observer stages (e.g. :class:`repro.core.debug.TimingTrace`)
-        #: may be appended before ``run()``.
+        #: observer stages (e.g. the cycle accountant,
+        #: :class:`repro.core.stages.attribution.CycleAccountant`) may
+        #: be appended before ``run()``.
         self.stages: List[PipelineStage] = [
             FetchStage(config, self.hierarchy, self.predictor,
                        self.trace_cache, self.fill_unit,

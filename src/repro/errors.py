@@ -24,11 +24,6 @@ class AssemblerError(ReproError):
         super().__init__(message)
 
 
-class EncodingError(ReproError):
-    """Raised when an instruction cannot be encoded into, or decoded
-    from, its 32-bit binary form."""
-
-
 class ExecutionError(ReproError):
     """Raised when the functional machine cannot execute an instruction
     (unmapped memory, misaligned access, bad opcode, runaway program)."""

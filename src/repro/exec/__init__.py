@@ -15,7 +15,7 @@ simulation into an addressable *job*:
 * :mod:`repro.exec.pool` — a multiprocess worker pool with
   deterministic per-job seeding and retry-on-worker-crash;
 * :mod:`repro.exec.grid` — the one grid-expansion helper behind the
-  harness's figures, tables and sweeps;
+  harness's figures and tables;
 * :mod:`repro.exec.service` — the facade tying fingerprint -> cache
   -> pool together, with progress events on the telemetry stream.
 """
@@ -27,7 +27,6 @@ from repro.exec.grid import (
     expand,
     opt_variant,
     paper_grid,
-    sweep_grid,
     variant_label,
 )
 from repro.exec.service import ExecutionService
@@ -41,6 +40,5 @@ __all__ = [
     "expand",
     "opt_variant",
     "paper_grid",
-    "sweep_grid",
     "variant_label",
 ]

@@ -1,14 +1,14 @@
 """Grid expansion: the one place experiment grids are spelled out.
 
 Every grid flows through :class:`JobSpec` and the helpers here, so
-the figures, tables, sweeps and the CLI all dispatch the same job
+the figures, tables and the CLI all dispatch the same job
 shapes to the execution service.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.config import SimConfig
 from repro.fillunit.opts.base import OptimizationConfig
@@ -59,25 +59,6 @@ def expand(benchmarks: Sequence[str],
             for label, config in variant_list]
 
 
-def sweep_grid(benchmarks: Sequence[str], points: Sequence[object],
-               make_config: Callable[[object, OptimizationConfig],
-                                     SimConfig]) -> List[JobSpec]:
-    """The baseline-vs-optimized pair at every knob point, for every
-    benchmark — the shape every sensitivity sweep runs.
-
-    Returns jobs benchmark-major, points in order, baseline before
-    optimized; consumers rely on that layout to re-pair results.
-    """
-    variants: List[Tuple[str, SimConfig]] = []
-    for point in points:
-        variants.append(
-            (f"base@{point}",
-             make_config(point, OptimizationConfig.none())))
-        variants.append(
-            (f"all@{point}", make_config(point, OptimizationConfig.all())))
-    return expand(benchmarks, variants)
-
-
 def paper_grid(benchmarks: Sequence[str],
                latencies: Sequence[int] = (1, 5, 10)) -> List[JobSpec]:
     """Every job behind the paper's figures 3-8 and table 2: the four
@@ -98,10 +79,5 @@ def paper_grid(benchmarks: Sequence[str],
     return expand(benchmarks, variants)
 
 
-def with_label(job: JobSpec, label: str) -> JobSpec:
-    """*job* renamed (same machine, same fingerprint)."""
-    return replace(job, label=label)
-
-
 __all__ = ["JobSpec", "variant_label", "opt_variant", "opt_job", "expand",
-           "sweep_grid", "paper_grid", "with_label"]
+           "paper_grid"]

@@ -18,13 +18,12 @@ Each takes the execution service that resolves its jobs (memo, disk
 cache, worker pool) and the benchmarks to report.
 """
 
-from repro.harness import figures, svgchart, sweeps, tables
+from repro.harness import figures, svgchart, tables
 from repro.harness.report import render_bar_chart, render_table
 
 __all__ = [
     "figures",
     "svgchart",
-    "sweeps",
     "tables",
     "render_bar_chart",
     "render_table",

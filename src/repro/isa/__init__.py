@@ -11,7 +11,7 @@ Public surface:
   metadata (format, operation class, execution latency).
 * :mod:`repro.isa.instruction` -- :class:`Instruction`, the mutable
   in-pipeline representation carrying fill-unit annotations.
-* :mod:`repro.isa.encoding` -- 32-bit binary encode/decode.
+* :mod:`repro.isa.decoded` -- decode-once :class:`Decoded` records.
 * :mod:`repro.isa.semantics` -- pure functional evaluation.
 * :mod:`repro.isa.disasm` -- textual disassembly.
 """

@@ -3,8 +3,8 @@
 The simulator is Harvard-style at the modelling level: instruction
 *objects* are fetched from the program image by PC (instruction-cache
 behaviour is modelled by address), while data lives in the byte-level
-:class:`repro.machine.memory.Memory`. The binary encoding round-trip is
-still available (``encoded_text``) and property-tested.
+:class:`repro.machine.memory.Memory`. Instructions are never encoded
+to binary words.
 """
 
 from __future__ import annotations
@@ -64,11 +64,6 @@ class Program:
             KeyError: if undefined.
         """
         return self.symbols[name]
-
-    def encoded_text(self) -> list:
-        """The text segment as 32-bit words (annotations stripped)."""
-        from repro.isa.encoding import encode
-        return [encode(instr) for instr in self.instructions]
 
     def listing(self) -> str:
         """Human-readable disassembly listing of the text segment."""

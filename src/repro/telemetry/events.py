@@ -10,7 +10,7 @@ sinks are the one way to keep events.
 Event kinds and payload schemas are documented in
 ``docs/observability.md``. Per-instruction observation is not an
 event: it is a pipeline stage appended to the engine's stage list (see
-:class:`~repro.core.debug.TimingTrace`).
+:class:`~repro.core.stages.attribution.CycleAccountant`).
 """
 
 from __future__ import annotations

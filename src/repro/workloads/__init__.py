@@ -56,7 +56,7 @@ def build(name: str, scale: float = 1.0) -> Program:
     *scale* multiplies the dynamic-length knob (1.0 gives roughly
     30k-80k committed instructions per benchmark — large enough for
     promotion, trace-cache warmup and stable IPC, small enough for
-    laptop-scale sweeps).
+    laptop-scale grids).
 
     Raises:
         ConfigError: when *scale* is not a finite positive number.

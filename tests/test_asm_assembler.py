@@ -209,28 +209,6 @@ def test_jalr_one_operand_defaults_link_to_ra():
     assert prog.instructions[0].rd == 31
 
 
-def test_encoded_text_round_trips():
-    from repro.isa.encoding import decode
-    prog = assemble("""
-        .data
-    arr: .word 1, 2
-        .text
-    main:
-        la   $s0, arr
-        li   $t0, 2
-    loop:
-        lw   $t1, 0($s0)
-        addi $s0, $s0, 4
-        addi $t0, $t0, -1
-        bgtz $t0, loop
-        halt
-    """)
-    for instr, word in zip(prog.instructions, prog.encoded_text()):
-        decoded = decode(word)
-        assert decoded.op is instr.op
-        assert decoded.imm == instr.imm
-
-
 def test_listing_contains_addresses():
     prog = assemble("nop\nhalt\n")
     listing = prog.listing()

@@ -82,20 +82,6 @@ def test_fill_installs_without_counting():
     assert cache.access(0x40) is True
 
 
-def test_invalidate():
-    cache = make()
-    cache.access(0x80)
-    assert cache.invalidate(0x80) is True
-    assert cache.invalidate(0x80) is False
-    assert cache.access(0x80) is False
-
-
-def test_flush_keeps_stats():
-    cache = make()
-    cache.access(0)
-    cache.flush()
-    assert cache.resident_lines() == 0
-    assert cache.stats.accesses == 1
 
 
 def test_distinct_sets_do_not_conflict():

@@ -215,6 +215,40 @@ def test_asm_typed_error_is_one_line(tmp_path, capsys, source, extra,
     assert "Traceback" not in captured.err + captured.out
 
 
+#: a path argument that cannot be opened, per verb and flag: a missing
+#: file to read, or a file to write in a directory that does not exist
+BAD_PATHS = {
+    "asm": ["asm", "{missing}/f.s"],
+    "run-events": ["run", "compress", "--scale", "0.05",
+                   "--events", "{missing}/e.jsonl"],
+    "run-timeline": ["run", "compress", "--scale", "0.05",
+                     "--timeline", "{missing}/t.json"],
+    "run-hostprof": ["run", "compress", "--scale", "0.05",
+                     "--hostprof", "{missing}/h.json"],
+    "analyze-baseline": ["analyze", "compress",
+                         "--baseline", "{missing}/b.json"],
+    "analyze-json": ["analyze", "compress", "--json", "{missing}/a.json"],
+    "figures-cache-dir": ["figures", "--only", "3", "--scale", "0.05",
+                          "--cache-dir", "{file}/cache"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATHS))
+def test_bad_path_is_one_line(tmp_path, capsys, case):
+    """A path the OS refuses ends the verb with one ``repro: error:``
+    line and exit status 1, like any other typed error."""
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    argv = [arg.format(missing=tmp_path / "missing", file=blocker)
+            for arg in BAD_PATHS[case]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("repro: error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err + captured.out
+
+
 #: argv shapes of the workload verbs; "profile" and "compare" are the
 #: observed and the several-leg ``run`` that replace those verbs
 SHAPES = {

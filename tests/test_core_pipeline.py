@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro import workloads
 from repro.core.config import SimConfig
-from repro.core.debug import TimingTrace
 from repro.core.engine import Engine
 from repro.core.stages.base import PipelineStage
 from repro.errors import ConfigError, ReproError
 from repro.fillunit.opts.base import OptimizationConfig
+from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
 from tests.helpers import run_asm
 
@@ -23,6 +24,26 @@ loop:
     blt  $t0, $t9, loop
     halt
 """
+
+
+class GroupTimes(PipelineStage):
+    """Observer stage: every committed instruction's
+    ``(seq, fetch, rename, complete, retire, move)`` row, read off each
+    finished fetch group (``move``: rename eliminates it)."""
+
+    name = "group_times"
+
+    def __init__(self):
+        self.rows = []
+
+    def end_group(self, state):
+        group = state.group
+        for entry in group.entries:
+            if not entry.phantom:
+                self.rows.append((entry.seq, group.fetch_cycle,
+                                  entry.renamed, entry.complete,
+                                  entry.retire_cycle,
+                                  bool(entry.decoded.move)))
 
 
 def simulate(source, config=None, opts=None):
@@ -70,7 +91,7 @@ def test_watching_does_not_change_the_chain():
     config = SimConfig.tiny(OptimizationConfig.all())
     plain = Engine(config)
     observed = Engine(config, telemetry=Telemetry(spans=True))
-    capture = TimingTrace()
+    capture = GroupTimes()
     observed.stages.append(capture)
     pipeline = ["rename", "issue", "execute", "retire", "fill"]
     for engine in (plain, observed):
@@ -82,7 +103,64 @@ def test_watching_does_not_change_the_chain():
     assert "attribution" in [stage.name for stage in observed.stages]
     result = observed.run(trace, "test", "run")
     assert result.cycles == plain.run(trace, "test", "run").cycles
-    assert len(capture) + capture.dropped == result.instructions
+    assert len(capture.rows) == result.instructions
+    # the session's stages change no instruction's timeline
+    unobserved = Engine(config)
+    bare_capture = GroupTimes()
+    unobserved.stages.append(bare_capture)
+    unobserved.run(trace, "test", "run")
+    assert bare_capture.rows == capture.rows
+
+
+def test_observer_stages_only_when_asked():
+    """No observer stage runs unless asked for: a bare engine has the
+    six pipeline stages; a session adds the attribution stage and the
+    segment-event stage, and the span stage only when it captures
+    spans."""
+    pipeline = ["fetch", "rename", "issue", "execute", "retire", "fill"]
+    bare = Engine(SimConfig.tiny())
+    assert [stage.name for stage in bare.stages] == pipeline
+    observed = Engine(SimConfig.tiny(), telemetry=Telemetry())
+    assert [stage.name for stage in observed.stages] == \
+        pipeline + ["attribution", "events"]
+    quiet = Engine(SimConfig.tiny(), telemetry=Telemetry(attribution=False))
+    assert [stage.name for stage in quiet.stages] == pipeline + ["events"]
+    traced = Engine(SimConfig.tiny(), telemetry=Telemetry(spans=True))
+    assert [stage.name for stage in traced.stages] == \
+        pipeline + ["attribution", "events", "spans"]
+
+
+@pytest.fixture(scope="module", params=[
+    (bench, opts) for bench in ("compress", "li") for opts in ("none", "all")
+], ids=lambda param: "-".join(param))
+def workload_times(request):
+    """Every committed instruction's timeline from one paper-machine
+    run of a workload at scale 0.05, and the run's result."""
+    bench, opts = request.param
+    trace = Executor(workloads.build(bench, scale=0.05)).run()
+    engine = Engine(SimConfig.paper(getattr(OptimizationConfig, opts)()))
+    capture = GroupTimes()
+    engine.stages.append(capture)
+    result = engine.run(trace, bench, opts)
+    return capture.rows, result
+
+
+def test_every_instruction_moves_forward_through_the_stages(workload_times):
+    rows, result = workload_times
+    assert [seq for seq, *_ in rows] == list(range(result.instructions))
+    for seq, fetch, rename, complete, retire, move in rows:
+        assert fetch < rename <= complete < retire, seq
+        # only a move eliminated at rename may complete there; every
+        # other instruction takes at least one more cycle to execute
+        assert complete > rename or move, seq
+        assert retire - fetch >= (2 if move else 3), seq
+
+
+def test_retire_in_order(workload_times):
+    rows, result = workload_times
+    retires = [row[4] for row in rows]
+    assert retires == sorted(retires)
+    assert retires[-1] <= result.cycles
 
 
 def test_stage_overriding_process_is_refused():

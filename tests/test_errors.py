@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.errors import (AssemblerError, ConfigError, EncodingError,
-                          ExecutionError, ReproError, SegmentError)
+from repro.errors import (AssemblerError, ConfigError, ExecutionError,
+                          ReproError, SegmentError)
 
 
 def test_all_derive_from_repro_error():
-    for cls in (AssemblerError, EncodingError, ExecutionError,
-                ConfigError, SegmentError):
+    for cls in (AssemblerError, ExecutionError, ConfigError,
+                SegmentError):
         assert issubclass(cls, ReproError)
 
 

@@ -2,16 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.config import SimConfig
-from repro.exec.grid import (
-    JobSpec,
-    expand,
-    opt_variant,
-    paper_grid,
-    sweep_grid,
-    variant_label,
-    with_label,
-)
+from repro.exec.grid import expand, opt_variant, paper_grid, variant_label
 from repro.fillunit.opts.base import OptimizationConfig
 
 
@@ -40,20 +31,6 @@ def test_expand_is_benchmark_major():
         ("b", "baseline"), ("b", "moves+reassoc+scaled_adds+placement")]
 
 
-def test_sweep_grid_layout():
-    jobs = sweep_grid(
-        ["x", "y"], [1, 5],
-        lambda latency, opts: SimConfig.paper(opts, latency))
-    # benchmark-major, points in order, base before all at each point
-    assert [(j.benchmark, j.label) for j in jobs] == [
-        ("x", "base@1"), ("x", "all@1"), ("x", "base@5"), ("x", "all@5"),
-        ("y", "base@1"), ("y", "all@1"), ("y", "base@5"), ("y", "all@5")]
-    assert jobs[0].config.fill_latency == 1
-    assert not jobs[0].config.optimizations.placement
-    assert jobs[3].config.fill_latency == 5
-    assert jobs[3].config.optimizations.placement
-
-
 def test_paper_grid_covers_figures_and_table2():
     jobs = paper_grid(["compress"], latencies=(1, 5, 10))
     labels = {j.label for j in jobs}
@@ -65,10 +42,3 @@ def test_paper_grid_covers_figures_and_table2():
     assert {f"{combined}@1", combined, f"{combined}@10"} <= labels
     assert len(jobs) == 10
 
-
-def test_with_label_keeps_machine():
-    job = JobSpec("compress", SimConfig.paper(), "baseline")
-    renamed = with_label(job, "other")
-    assert renamed.label == "other"
-    assert renamed.config == job.config
-    assert renamed.benchmark == job.benchmark

@@ -131,7 +131,7 @@ def record_touched_sets(monkeypatch) -> dict:
             return method(self, segment, *args, **kwargs)
         return wrapper
 
-    for name in ("access", "fill", "probe", "invalidate"):
+    for name in ("access", "fill", "probe"):
         monkeypatch.setattr(SetAssocCache, name,
                             by_addr(getattr(SetAssocCache, name)))
     for name in ("lookup", "probe", "refresh"):
