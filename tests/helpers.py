@@ -8,6 +8,7 @@ from typing import List, Union, cast
 from repro.asm import assemble
 from repro.branch.bias import BiasTable
 from repro.core.config import SimConfig
+from repro.core.stages.base import PipelineStage
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.errors import ExecutionError
@@ -202,3 +203,23 @@ def execute_sequence(instrs: List[Instruction], state: ArchState,
                 value = memory.load(mem.addr, mem.size, mem.signed)
         if effect.dest is not None:
             state.write_reg(effect.dest, value)
+
+
+class GroupTimes(PipelineStage):
+    """Observer stage: every committed instruction's
+    ``(seq, fetch, rename, complete, retire, move)`` row, read off each
+    finished fetch group (``move``: rename eliminates it)."""
+
+    name = "group_times"
+
+    def __init__(self):
+        self.rows = []
+
+    def end_group(self, state):
+        group = state.group
+        for entry in group.entries:
+            if not entry.phantom:
+                self.rows.append((entry.seq, group.fetch_cycle,
+                                  entry.renamed, entry.complete,
+                                  entry.retire_cycle,
+                                  bool(entry.decoded.move)))

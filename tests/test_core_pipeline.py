@@ -10,7 +10,7 @@ from repro.errors import ConfigError, ReproError
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
-from tests.helpers import run_asm
+from tests.helpers import GroupTimes, run_asm
 
 LOOP = """
 main:
@@ -24,26 +24,6 @@ loop:
     blt  $t0, $t9, loop
     halt
 """
-
-
-class GroupTimes(PipelineStage):
-    """Observer stage: every committed instruction's
-    ``(seq, fetch, rename, complete, retire, move)`` row, read off each
-    finished fetch group (``move``: rename eliminates it)."""
-
-    name = "group_times"
-
-    def __init__(self):
-        self.rows = []
-
-    def end_group(self, state):
-        group = state.group
-        for entry in group.entries:
-            if not entry.phantom:
-                self.rows.append((entry.seq, group.fetch_cycle,
-                                  entry.renamed, entry.complete,
-                                  entry.retire_cycle,
-                                  bool(entry.decoded.move)))
 
 
 def simulate(source, config=None, opts=None):
