@@ -12,6 +12,12 @@ Environment knobs:
   worker pool; the paper grid is prefetched through it up front.
 * ``REPRO_BENCH_CACHE`` (unset by default) points the service at a
   content-addressed on-disk result cache shared between sessions.
+
+A reachability or coverage measurement over ``pytest benchmarks``
+must pass ``--benchmark-disable``: ``benchmark.pedantic`` clears
+``sys.setprofile`` while it runs the timed call, so without the flag
+code reached only inside timed calls (``core/wrongpath.py``,
+block-granular collection) wrongly shows as unreached.
 """
 
 import os

@@ -11,10 +11,10 @@ Commands:
   ``--timeline FILE.json`` (a Chrome trace-event file of one run,
   loadable at https://ui.perfetto.dev) and ``--hostprof FILE.json``
   (the host-time profile, also printed).
-* ``figures`` — regenerate the paper's figures 3-8 (ASCII).
-* ``tables`` — regenerate tables 1-2.
-* ``validate [BENCH ...]`` — score workload fingerprints against the
-  paper's Table 2 targets.
+* ``figures`` — simulate the paper's grid and print every table and
+  figure of its evaluation: Table 1, Figures 3-8 (ASCII) and Table 2,
+  whose last line names the benchmarks outside 3x of the paper's
+  coverage. ``--svg DIR`` also writes the figures as SVG files.
 * ``verify-traces [BENCH ...]`` — replay benchmarks with online
   segment verification (see ``docs/verification.md``); exits nonzero
   on any invariant or equivalence violation.
@@ -43,16 +43,6 @@ from repro.fillunit.opts.base import PASS_ORDER, OptimizationConfig
 from repro.machine.executor import Executor
 
 
-def _opt_config(name: str) -> OptimizationConfig:
-    if name == "none":
-        return OptimizationConfig.none()
-    if name == "all":
-        return OptimizationConfig.all()
-    if name == "extended":
-        return OptimizationConfig.extended()
-    return OptimizationConfig.only(name)
-
-
 def _add_common(parser: argparse.ArgumentParser,
                 legs: bool = False) -> None:
     """The machine options; with *legs*, ``--opts`` takes one or more
@@ -79,21 +69,12 @@ def _config(args, opts: Optional[str] = None) -> SimConfig:
     """The paper machine per the verb's ``--opts`` (or *opts*),
     ``--fill-latency`` and ``--policy``; the policy applies to the
     trace cache and the memory hierarchy alike."""
-    config = SimConfig.paper(_opt_config(opts or args.opts),
+    config = SimConfig.paper(OptimizationConfig.named(opts or args.opts),
                              args.fill_latency)
     return replace(
         config,
         trace_cache=replace(config.trace_cache, policy=args.policy),
         hierarchy=replace(config.hierarchy, policy=args.policy))
-
-
-def _add_exec(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the simulation grid "
-                             "(default 1: in-process)")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="content-addressed result cache; warm "
-                             "entries replay without simulating")
 
 
 def cmd_list(args) -> int:
@@ -199,62 +180,36 @@ def _print_attribution(result) -> None:
     print()
 
 
-def _grid_service(args):
-    """The execution service with the paper grid over every benchmark
-    prefetched (through the pool with ``--jobs N``, replayed from
-    ``--cache-dir`` when warm). Returns ``(service, benchmarks)``."""
+def cmd_figures(args) -> int:
+    """Simulate the paper grid through the execution service (inline
+    at ``--jobs 1``) and print Table 1, Figures 3-8 and Table 2. The
+    scale, elapsed time and job tally go to stderr, so stdout depends
+    only on the scale and the code."""
+    import time
+
     from repro.exec.grid import paper_grid
     from repro.exec.service import ExecutionService
+    from repro.harness import figures, tables
+
+    start = time.time()
     service = ExecutionService(scale=args.scale, jobs=args.jobs,
                                cache_dir=args.cache_dir)
     benchmarks = workloads.names()
-    if args.jobs > 1 or args.cache_dir:
-        service.run_many(paper_grid(benchmarks))
-    return service, benchmarks
-
-
-def cmd_figures(args) -> int:
-    from repro.harness import figures
-    service, benchmarks = _grid_service(args)
+    service.run_many(paper_grid(benchmarks))
+    results = [tables.table1(service, benchmarks),
+               *figures.all_figures(service, benchmarks),
+               tables.table2(service, benchmarks)]
+    print("\n\n".join(result.render() for result in results))
     if args.svg:
         from repro.harness.svgchart import write_all_figures
         for path in write_all_figures(service, benchmarks, args.svg):
-            print(f"wrote {path}")
-        return 0
-    wanted = args.only or ["3", "4", "5", "6", "7", "8"]
-    generators = {"3": figures.figure3, "4": figures.figure4,
-                  "5": figures.figure5, "6": figures.figure6,
-                  "7": figures.figure7, "8": figures.figure8}
-    for key in wanted:
-        print(generators[key](service, benchmarks).render())
-        print()
-    return 0
-
-
-def cmd_tables(args) -> int:
-    from repro.harness import tables
-    service, benchmarks = _grid_service(args)
-    print(tables.table1(service, benchmarks).render())
-    print()
-    print(tables.table2(service, benchmarks).render())
-    return 0
-
-
-def cmd_validate(args) -> int:
-    from repro.workloads.validate import validate_benchmark
-    names = args.benchmarks or workloads.names()
-    unknown = [n for n in names if n not in workloads.names()]
-    if unknown:
-        print(f"unknown benchmark(s): {', '.join(unknown)}")
-        return 2
-    off_target = 0
-    for name in names:
-        report = validate_benchmark(name, scale=args.scale)
-        print(report.render())
-        if not report.within():
-            off_target += 1
-            print("  ^ outside the 3x band")
-    print(f"\n{len(names) - off_target}/{len(names)} within the 3x band")
+            print(f"wrote {path}", file=sys.stderr)
+    stats = service.stats
+    print(f"scale={args.scale}  jobs={args.jobs}  "
+          f"elapsed={time.time() - start:.0f}s\n"
+          f"exec: simulated={stats['simulated']} memo={stats['memo']} "
+          f"disk={stats['disk']} (cache hit rate "
+          f"{100.0 * service.cache_hit_rate:.0f}%)", file=sys.stderr)
     return 0
 
 
@@ -479,25 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
                             "(adds verify spans to --timeline)")
     p_run.set_defaults(func=cmd_run)
 
-    p_fig = sub.add_parser("figures", help="regenerate figures 3-8")
-    p_fig.add_argument("--scale", type=float, default=0.5)
-    p_fig.add_argument("--only", nargs="*",
-                       choices=["3", "4", "5", "6", "7", "8"])
+    p_fig = sub.add_parser(
+        "figures", help="regenerate tables 1-2 and figures 3-8")
+    p_fig.add_argument("--scale", type=float, default=0.5,
+                       help="workload length multiplier (default 0.5; "
+                            "EXPERIMENTS.md is scale 1.0)")
     p_fig.add_argument("--svg", metavar="DIR",
-                       help="write figures as SVG files into DIR")
-    _add_exec(p_fig)
+                       help="also write figures 3-8 as SVG files into DIR")
+    p_fig.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the simulation grid "
+                            "(default 1: in-process)")
+    p_fig.add_argument("--cache-dir", metavar="DIR", default=None,
+                       help="content-addressed result cache; warm "
+                            "entries replay without simulating")
     p_fig.set_defaults(func=cmd_figures)
-
-    p_tab = sub.add_parser("tables", help="regenerate tables 1-2")
-    p_tab.add_argument("--scale", type=float, default=0.5)
-    _add_exec(p_tab)
-    p_tab.set_defaults(func=cmd_tables)
-
-    p_val = sub.add_parser("validate",
-                           help="score workload fingerprints vs Table 2")
-    p_val.add_argument("benchmarks", nargs="*", metavar="BENCH")
-    p_val.add_argument("--scale", type=float, default=0.3)
-    p_val.set_defaults(func=cmd_validate)
 
     p_ver = sub.add_parser(
         "verify-traces",

@@ -1,8 +1,9 @@
 """Grid expansion: the one place experiment grids are spelled out.
 
 Every grid flows through :class:`JobSpec` and the helpers here, so
-the figures, tables and the CLI all dispatch the same job
-shapes to the execution service.
+the harness's tables and figures, ``repro figures`` (which runs
+:func:`paper_grid` through the execution service before rendering)
+and the benchmark suite all dispatch the same job shapes.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from pathlib import Path
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.telemetry.events import EXEC_WORKER_RETRY, NULL_EVENT_STREAM
 from repro.telemetry.spans import NULL_SPANS, WALL
 
@@ -83,7 +83,7 @@ class WorkerPool:
                  events: Any = NULL_EVENT_STREAM,
                  spans: Any = NULL_SPANS) -> None:
         if jobs < 1:
-            raise ValueError("need at least one worker")
+            raise ConfigError(f"jobs must be at least 1, not {jobs}")
         self.jobs = jobs
         self.retries = retries
         self.events = events

@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.export import result_from_dict
 from repro.core.results import SimResult
+from repro.errors import ConfigError
 from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import code_version, job_fingerprint
 from repro.exec.grid import JobSpec
@@ -47,7 +48,7 @@ class ExecutionService:
                  telemetry: Optional[Any] = None,
                  retries: int = 2) -> None:
         if jobs < 1:
-            raise ValueError("jobs must be at least 1")
+            raise ConfigError(f"jobs must be at least 1, not {jobs}")
         self.scale = scale
         self.jobs = jobs
         self.cache = (ResultCache(cache_dir)

@@ -100,6 +100,14 @@ class OptimizationConfig:
                              f"expected one of {sorted(PASS_ORDER)}")
         return cls(**{name: True})
 
+    @classmethod
+    def named(cls, name: str) -> "OptimizationConfig":
+        """The set an ``--opts`` name stands for: ``none``, ``all``,
+        ``extended`` or a single pass name (see :meth:`only`)."""
+        if name in ("none", "all", "extended"):
+            return getattr(cls, name)()
+        return cls.only(name)
+
     def enabled_names(self) -> list:
         return [name for name in PASS_ORDER if getattr(self, name)]
 

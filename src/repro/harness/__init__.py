@@ -1,7 +1,8 @@
 """Experiment harness: regenerates every table and figure of the
 paper's evaluation section.
 
-Typical use::
+``python -m repro figures`` runs the paper grid and prints them all:
+Table 1, Figures 3-8 and Table 2. Typical use from Python::
 
     from repro import workloads
     from repro.exec import ExecutionService

@@ -61,17 +61,25 @@ def test_attribution_classes_sum_to_cycles(capsys):
     assert "fetch.tc.hits" in out and "events:" in out
 
 
-def test_figures_subset(capsys):
-    code, out = run_cli(capsys, "figures", "--scale", "0.05",
-                        "--only", "3")
-    assert code == 0
-    assert "Figure 3" in out and "paper claim" in out
-
-
-def test_tables(capsys):
-    code, out = run_cli(capsys, "tables", "--scale", "0.05")
-    assert code == 0
-    assert "Table 1" in out and "Table 2" in out
+def test_figures(tmp_path, capsys):
+    """``figures`` prints every table and figure in the paper's order;
+    a warm rerun replays all of it from the cache, and its stdout is
+    the cold run's byte for byte (the job tally is on stderr)."""
+    argv = ["figures", "--scale", "0.05", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr()
+    heads = ["Table 1:", "Figure 3:", "Figure 4:", "Figure 5:",
+             "Figure 6:", "Figure 7:", "(mean baseline ", "Figure 8:",
+             "(SPECint95 mean ", "Table 2:", "outside the 3x band "]
+    starts = [line for line in cold.out.splitlines()
+              if any(line.startswith(head) for head in heads)]
+    assert [next(h for h in heads if line.startswith(h))
+            for line in starts] == heads
+    assert "simulated=150 " in cold.err
+    assert main(argv) == 0
+    warm = capsys.readouterr()
+    assert warm.out == cold.out
+    assert "simulated=0 " in warm.err
 
 
 def test_trace_exports_perfetto_timeline(tmp_path, capsys):
@@ -132,7 +140,8 @@ def test_repeated_opts_name_is_one_line(tmp_path, capsys):
     assert not events.exists()
 
 
-@pytest.mark.parametrize("verb", ["profile", "trace", "compare"])
+@pytest.mark.parametrize("verb", ["profile", "trace", "compare", "tables",
+                                  "validate"])
 def test_removed_verbs_are_rejected(verb):
     with pytest.raises(SystemExit):
         build_parser().parse_args([verb, "compress"])
@@ -228,7 +237,7 @@ BAD_PATHS = {
     "analyze-baseline": ["analyze", "compress",
                          "--baseline", "{missing}/b.json"],
     "analyze-json": ["analyze", "compress", "--json", "{missing}/a.json"],
-    "figures-cache-dir": ["figures", "--only", "3", "--scale", "0.05",
+    "figures-cache-dir": ["figures", "--scale", "0.05",
                           "--cache-dir", "{file}/cache"],
 }
 
@@ -255,7 +264,7 @@ SHAPES = {
     "run": ["run", "compress"],
     "profile": ["run", "compress", "--attribution"],
     "compare": ["run", "compress", "--opts", "none", "all"],
-    "figures": ["figures", "--only", "3"],
+    "figures": ["figures"],
 }
 
 
@@ -268,6 +277,16 @@ def test_nonsense_scale_is_one_line(capsys, verb, scale):
     assert captured.err.startswith("repro: error: workload scale ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_nonsense_jobs_is_one_line(capsys, jobs):
+    code = main(["figures", "--scale", "0.05", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"repro: error: jobs must be at least 1, "
+                            f"not {jobs}\n")
+    assert captured.out == ""
 
 
 def test_unknown_benchmark_rejected():

@@ -38,9 +38,7 @@ CLASSES = (("moves", "moves", "moves"),
 def opportunity_table(benchmarks: list, scale: float,
                       opts: str = "all") -> TableResult:
     """Build the static-vs-dynamic table for *benchmarks*."""
-    config = SimConfig.paper(
-        OptimizationConfig.all() if opts == "all"
-        else OptimizationConfig.only(opts))
+    config = SimConfig.paper(OptimizationConfig.named(opts))
     rows = []
     for name in benchmarks:
         program = workloads.build(name, scale)

@@ -35,20 +35,10 @@ from repro.verify import SegmentVerifier
 from repro.verify.archive import read_pairs, write_pair
 
 
-def _opt_config(name: str) -> OptimizationConfig:
-    if name == "none":
-        return OptimizationConfig.none()
-    if name == "all":
-        return OptimizationConfig.all()
-    if name == "extended":
-        return OptimizationConfig.extended()
-    return OptimizationConfig.only(name)
-
-
 def cmd_capture(args: argparse.Namespace) -> int:
     program = workloads.build(args.benchmark, args.scale)
     trace = Executor(program).run()
-    opts = _opt_config(args.opts)
+    opts = OptimizationConfig.named(args.opts)
     bias = BiasTable(64, threshold=4)
     unit = FillUnit(
         FillUnitConfig(latency=1, optimizations=opts),
@@ -77,7 +67,7 @@ def cmd_capture(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    verifier = SegmentVerifier(_opt_config(args.opts))
+    verifier = SegmentVerifier(OptimizationConfig.named(args.opts))
     shown = 0
     for path in args.archives:
         for original, optimized, meta in read_pairs(path):
