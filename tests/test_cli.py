@@ -61,6 +61,20 @@ def test_attribution_classes_sum_to_cycles(capsys):
     assert "fetch.tc.hits" in out and "events:" in out
 
 
+def test_figures_subset(capsys):
+    """Figure 3 is in ``figures``' output, with its paper claim."""
+    code, out = run_cli(capsys, "figures", "--scale", "0.05")
+    assert code == 0
+    assert "Figure 3" in out and "paper claim" in out
+
+
+def test_tables(capsys):
+    """``figures`` prints both of the paper's tables."""
+    code, out = run_cli(capsys, "figures", "--scale", "0.05")
+    assert code == 0
+    assert "Table 1" in out and "Table 2" in out
+
+
 def test_figures(tmp_path, capsys):
     """``figures`` prints every table and figure in the paper's order;
     a warm rerun replays all of it from the cache, and its stdout is
