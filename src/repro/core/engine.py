@@ -23,9 +23,9 @@ must not mutate timing state). There is one path through the loop:
 every group runs the five per-instruction stages instruction by
 instruction, observed or not.
 
-Observability: every run counts against the engine's own hierarchical
-telemetry registry, which is the single source of truth behind
-:class:`~repro.core.results.SimResult`'s counters; engines sharing a
+Observability: every run publishes its counters, once it finishes, to
+the engine's own hierarchical telemetry registry, whose snapshot is
+:class:`~repro.core.results.SimResult`'s ``telemetry``; engines sharing a
 :class:`~repro.telemetry.Telemetry` session share only its event
 stream and span recorder. With a session attached the stages
 additionally emit structured events (mispredicts, trace cache
@@ -75,8 +75,8 @@ class Engine:
                  telemetry: Optional[Any] = None) -> None:
         self.config = config
         self.telemetry = telemetry
-        # Every engine counts into its own registry, session or not: it
-        # is the source of truth the SimResult counters derive from.
+        # Every engine publishes into its own registry, session or
+        # not, so its snapshot holds this run's counters only.
         self.registry = TelemetryRegistry()
         self.events = (telemetry.events if telemetry is not None
                        else NULL_EVENT_STREAM)
@@ -288,8 +288,8 @@ class Engine:
 
     def _finish_stats(self, state: Optional[MachineState],
                       result: SimResult) -> None:
-        """Let every stage fold its statistics into *result*, then
-        snapshot the registry — the single source of truth — into
+        """Let every stage fold its statistics into *result* and its
+        counters into the registry, then snapshot the registry into
         ``result.telemetry``."""
         for stage in self.stages:
             stage.finish_run(state, result)

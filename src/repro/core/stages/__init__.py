@@ -16,7 +16,6 @@ from repro.core.stages.base import (
     FetchEntry,
     FetchGroup,
     MachineState,
-    MetricBlock,
     PipelineStage,
 )
 from repro.core.stages.execute import ExecuteStage
@@ -31,7 +30,6 @@ __all__ = [
     "FetchEntry",
     "FetchGroup",
     "MachineState",
-    "MetricBlock",
     "PipelineStage",
     "FetchStage",
     "RenameStage",

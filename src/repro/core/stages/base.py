@@ -19,6 +19,10 @@ sequential resources whose interleaving is program-order-per-
 instruction, not stage-major). Fetch participates at *group*
 granularity through :meth:`PipelineStage.begin_group` /
 :meth:`PipelineStage.end_group`.
+
+Counting contract: a stage counts in plain int attributes of its own
+and publishes them once per run, in :meth:`PipelineStage.finish_run`,
+to the ``SimResult`` fields and its engine's telemetry registry.
 """
 
 from __future__ import annotations
@@ -27,18 +31,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.results import SimResult
-from repro.telemetry.registry import TelemetryRegistry
 
 
 class FetchEntry:
     """One instruction's trip through the pipeline: what fetch found,
     then the timeline the per-instruction stages fill in.
 
-    Fetch sets ``record``, ``instr``, ``decoded``, ``slot``,
-    ``from_tc`` and ``phantom``, plus ``mispredicted`` and
-    ``promoted`` (False unless a branch sets them). ``executed`` and
-    ``retire_cycle`` start at False and 0, since a stage may read
-    them before any stage writes them. Every other field is written
+    Fetch sets ``record``, ``instr``, ``decoded``, ``slot`` and
+    ``phantom``, plus ``mispredicted`` and ``promoted`` (False unless
+    a branch sets them). ``executed`` and ``retire_cycle`` start at
+    False and 0, since a stage may read them before any stage writes
+    them. Every other field is written
     before it is read, first by:
 
     - rename: ``seq`` (committed-stream sequence number, the retired
@@ -52,12 +55,12 @@ class FetchEntry:
     - retire: ``retire_cycle``, of committed entries only.
     """
 
-    __slots__ = ("record", "instr", "decoded", "slot", "from_tc",
-                 "mispredicted", "promoted", "phantom", "seq",
-                 "renamed", "executed", "complete", "penalized",
-                 "cluster", "exec_start", "data_ready", "retire_cycle")
+    __slots__ = ("record", "instr", "decoded", "slot", "mispredicted",
+                 "promoted", "phantom", "seq", "renamed", "executed",
+                 "complete", "penalized", "cluster", "exec_start",
+                 "data_ready", "retire_cycle")
 
-    def __init__(self, record: Any, instr: Any, slot: int, from_tc: bool,
+    def __init__(self, record: Any, instr: Any, slot: int,
                  phantom: bool = False) -> None:
         #: CommittedInstr (None for phantoms)
         self.record = record
@@ -67,7 +70,6 @@ class FetchEntry:
         self.decoded = instr.decoded
         #: issue slot -> functional unit
         self.slot = slot
-        self.from_tc = from_tc
         #: a predicated instruction whose guard failed on the actual
         #: path: it issues and executes (writing back its old value)
         #: but matches no committed record.
@@ -159,7 +161,8 @@ class PipelineStage:
 
     ``finish_run`` receives ``state=None`` for an empty trace (no
     group was ever formed); stages must derive their result-counter
-    contributions from their own components, not from the state.
+    contributions from their own counters and components, not from
+    the state. It is the one place a stage writes its registry.
 
     The segment hooks below report the fill unit's and trace cache's
     work as it happens, from inside the fill stage's ``process``. The
@@ -195,8 +198,8 @@ class PipelineStage:
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        """Fold this stage's statistics into *result* (and mirror any
-        per-component stats into the registry)."""
+        """Fold this stage's statistics into *result* and add its
+        counters (and any per-component stats) to the registry."""
 
     def segment_collected(self, candidate: Any, cycle: int,
                           deduped: bool) -> None:
@@ -225,20 +228,5 @@ class PipelineStage:
         """A built segment was installed in the trace cache."""
 
 
-class MetricBlock:
-    """Cached registry handles for a stage's hot-path counters. The
-    registry is its engine's own, so a counter's value is the run's."""
-
-    def __init__(self, registry: TelemetryRegistry,
-                 scopes: Dict[str, str]) -> None:
-        for attr, scope in scopes.items():
-            setattr(self, attr, registry.counter(scope))
-
-    def __getattr__(self, attr: str) -> Any:
-        # Only reached for attrs not set in __init__; keeps mypy happy
-        # about dynamic counter handles.
-        raise AttributeError(attr)
-
-
 __all__ = ["FetchEntry", "FetchGroup", "MachineState",
-           "PipelineStage", "MetricBlock"]
+           "PipelineStage"]

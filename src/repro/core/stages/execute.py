@@ -17,17 +17,8 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.results import SimResult
-from repro.core.stages.base import (
-    FetchEntry,
-    MachineState,
-    MetricBlock,
-    PipelineStage,
-)
+from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
 from repro.telemetry.registry import TelemetryRegistry
-
-_SCOPES = {
-    "phantoms": "predication.phantoms",
-}
 
 
 class ExecuteStage(PipelineStage):
@@ -38,8 +29,8 @@ class ExecuteStage(PipelineStage):
     def __init__(self, memsched: Any,
                  registry: TelemetryRegistry) -> None:
         self.memsched = memsched
-        self._m = m = MetricBlock(registry, _SCOPES)
-        self._phantoms = m.phantoms
+        #: phantoms executed
+        self.phantoms = 0
         self._registry = registry
 
     def process(self, state: MachineState, entry: FetchEntry) -> None:
@@ -59,16 +50,17 @@ class ExecuteStage(PipelineStage):
             entry.complete = complete
             entry.executed = True
         if entry.phantom:
-            self._phantoms.value += 1
+            self.phantoms += 1
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        result.predication_phantoms = self._m.phantoms.value
+        result.predication_phantoms = self.phantoms
         hierarchy = self.memsched.hierarchy
         result.dcache_hits = hierarchy.l1d.stats.hits
         result.dcache_misses = hierarchy.l1d.stats.misses
         result.forwarded_loads = self.memsched.forwarded_loads
         registry = self._registry
+        registry.counter("predication.phantoms").add(self.phantoms)
         registry.counter("mem.l1d.hits").add(result.dcache_hits)
         registry.counter("mem.l1d.misses").add(result.dcache_misses)
         registry.counter("mem.forwarded_loads").add(

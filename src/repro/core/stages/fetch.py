@@ -18,23 +18,11 @@ from repro.core.stages.base import (
     FetchEntry,
     FetchGroup,
     MachineState,
-    MetricBlock,
     PipelineStage,
 )
 from repro.telemetry.events import FETCH_MISFETCH
 from repro.telemetry.registry import TelemetryRegistry
 from repro.tracecache.segment import PREDICTED, PROMOTED
-
-#: registry scope behind each hot-path counter this stage maintains.
-_SCOPES = {
-    "tc_instrs": "fetch.tc.instrs",
-    "ic_instrs": "fetch.ic.instrs",
-    "cov_moves": "fetch.tc.opt.moves",
-    "cov_reassoc": "fetch.tc.opt.reassoc",
-    "cov_scaled": "fetch.tc.opt.scaled",
-    "cov_any": "fetch.tc.opt.any",
-}
-
 
 class FetchStage(PipelineStage):
     """Assembles fetch groups; owns predictor fetch-time training."""
@@ -52,13 +40,16 @@ class FetchStage(PipelineStage):
         self.fill_unit = fill_unit
         self.events = events
         self._ic_line_mask = ~(config.hierarchy.l1i_line - 1)
-        self._m = m = MetricBlock(registry, _SCOPES)
-        self._tc_instrs = m.tc_instrs
-        self._ic_instrs = m.ic_instrs
-        self._cov_moves = m.cov_moves
-        self._cov_reassoc = m.cov_reassoc
-        self._cov_scaled = m.cov_scaled
-        self._cov_any = m.cov_any
+        #: committed instructions fetched from the trace cache and
+        #: from the I-cache
+        self.tc_instrs = 0
+        self.ic_instrs = 0
+        #: of the trace-cache ones, those a pass optimized, in all and
+        #: by moves, reassociation and scaled adds
+        self.cov_any = 0
+        self.cov_moves = 0
+        self.cov_reassoc = 0
+        self.cov_scaled = 0
         self._group_size = registry.histogram("fetch.group.size")
         self._registry = registry
         #: the committed stream's pcs, which a line's path must match
@@ -96,12 +87,12 @@ class FetchStage(PipelineStage):
             entries, consumed = self._fetch_from_segment(segment, records,
                                                          start)
             fetch_cycle = requested
-            self._tc_instrs.value += consumed
+            self.tc_instrs += consumed
         else:
             entries, fetch_cycle = self._fetch_from_icache(records, start,
                                                            requested)
             consumed = len(entries)
-            self._ic_instrs.value += consumed
+            self.ic_instrs += consumed
         group = FetchGroup(entries, fetch_cycle, segment)
         state.group = group
         if not entries:     # defensive; cannot happen on real traces
@@ -176,7 +167,7 @@ class FetchStage(PipelineStage):
                     consumed += 1
             instrs = segment.instrs
             slots = segment.slots
-            entries = [FetchEntry(record, instrs[index], slots[index], True)
+            entries = [FetchEntry(record, instrs[index], slots[index])
                        for index, record in enumerate(
                            records[start:start + consumed])]
         # entries[i] is logical entry i: a predicated line issues each
@@ -209,10 +200,10 @@ class FetchStage(PipelineStage):
                     reassoc -= decoded.reassociated
                     scaled -= decoded.scaled
         if optimized:
-            self._cov_any.value += optimized
-            self._cov_moves.value += moves
-            self._cov_reassoc.value += reassoc
-            self._cov_scaled.value += scaled
+            self.cov_any += optimized
+            self.cov_moves += moves
+            self.cov_reassoc += reassoc
+            self.cov_scaled += scaled
         return entries, consumed
 
     def _walk_predicated(self, segment: Any, records: List[Any],
@@ -233,11 +224,10 @@ class FetchStage(PipelineStage):
             if pcs[index] != committed[stream]:
                 if instr.guard is None:
                     break   # the line's path leaves the actual path
-                entries.append(FetchEntry(None, instr, slots[index], True,
+                entries.append(FetchEntry(None, instr, slots[index],
                                           phantom=True))
                 continue
-            entries.append(FetchEntry(records[stream], instr, slots[index],
-                                      True))
+            entries.append(FetchEntry(records[stream], instr, slots[index]))
             consumed += 1
         return entries, consumed
 
@@ -266,7 +256,7 @@ class FetchStage(PipelineStage):
             if decoded.is_cond_branch and cond_count >= \
                     predictor.max_dynamic_branches:
                 break
-            entry = FetchEntry(record, record.instr, len(entries), False)
+            entry = FetchEntry(record, record.instr, len(entries))
             entries.append(entry)
             prev = record
             if decoded.is_cond_branch:
@@ -307,15 +297,20 @@ class FetchStage(PipelineStage):
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        m = self._m
         registry = self._registry
-        result.tc_fetched_instrs = m.tc_instrs.value
-        result.ic_fetched_instrs = m.ic_instrs.value
+        result.tc_fetched_instrs = self.tc_instrs
+        result.ic_fetched_instrs = self.ic_instrs
         cov = result.coverage
-        cov.moves = m.cov_moves.value
-        cov.reassoc = m.cov_reassoc.value
-        cov.scaled = m.cov_scaled.value
-        cov.any_opt = m.cov_any.value
+        cov.moves = self.cov_moves
+        cov.reassoc = self.cov_reassoc
+        cov.scaled = self.cov_scaled
+        cov.any_opt = self.cov_any
+        registry.counter("fetch.tc.instrs").add(self.tc_instrs)
+        registry.counter("fetch.ic.instrs").add(self.ic_instrs)
+        registry.counter("fetch.tc.opt.any").add(self.cov_any)
+        registry.counter("fetch.tc.opt.moves").add(self.cov_moves)
+        registry.counter("fetch.tc.opt.reassoc").add(self.cov_reassoc)
+        registry.counter("fetch.tc.opt.scaled").add(self.cov_scaled)
 
         # Per-component statistics (fresh per engine) mirrored into the
         # registry so one snapshot holds the whole machine.

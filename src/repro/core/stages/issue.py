@@ -19,23 +19,12 @@ they complete here at their rename cycle.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import List, Optional, Set
 
 from repro.core.config import SimConfig
 from repro.core.results import SimResult
-from repro.core.stages.base import (
-    FetchEntry,
-    MachineState,
-    MetricBlock,
-    PipelineStage,
-)
+from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
 from repro.telemetry.registry import TelemetryRegistry
-
-_SCOPES = {
-    "bypass_delayed": "backend.bypass.cross_cluster",
-    "exec_with_sources": "backend.exec.with_sources",
-}
 
 
 class IssueStage(PipelineStage):
@@ -49,8 +38,16 @@ class IssueStage(PipelineStage):
     issue-time constraint: when the RS is full, the incoming
     instruction cannot begin execution before the earliest resident
     entry vacates. That entry is not retired early, so a stream that
-    keeps the RS full can hold more than ``rs_per_fu`` release cycles
-    at once.
+    keeps the RS full can hold more than ``rs_per_fu`` entries at
+    once.
+
+    The stage keeps one set per FU: the issue cycles it has claimed.
+    Rename is in order, so the claims after the current rename cycle
+    are exactly the resident RS entries, and no claim at or before it
+    can collide with a new one, which issues after its rename cycle.
+    When a set reaches ``min(rs_per_fu, window_size)`` claims it is
+    trimmed to the resident entries, so its size is bounded by the
+    instructions in flight, not by the run.
     """
 
     name = "issue"
@@ -60,19 +57,17 @@ class IssueStage(PipelineStage):
         self.cluster_size = config.cluster_size
         self.penalty = config.cross_cluster_penalty
         self.rs_entries = config.rs_per_fu
-        num_fus = config.num_fus
+        #: a claim set this large is trimmed to its resident entries
+        self._trim_at = min(config.rs_per_fu, config.window_size)
         #: per functional unit: claimed issue cycles
-        self._busy: List[Set[int]] = [set() for _ in range(num_fus)]
-        #: per functional unit: cycles below this are forgotten
-        self._floor = [0] * num_fus
-        #: per functional unit: min-heap of resident RS entries'
-        #: release (issue) cycles
-        self._release: List[List[int]] = [[] for _ in range(num_fus)]
+        self._claims: List[Set[int]] = [set()
+                                        for _ in range(config.num_fus)]
         #: operand deliveries that paid the cross-cluster penalty
         self.crossings = 0
-        self._m = m = MetricBlock(registry, _SCOPES)
-        self._bypass_delayed = m.bypass_delayed
-        self._exec_with_sources = m.exec_with_sources
+        #: instructions whose last-arriving source paid the penalty
+        self.bypass_delayed = 0
+        #: dispatched instructions with at least one source operand
+        self.exec_with_sources = 0
         self._registry = registry
 
     def process(self, state: MachineState, entry: FetchEntry) -> None:
@@ -139,43 +134,40 @@ class IssueStage(PipelineStage):
                     elif effective == ready and penalizes:
                         last_penalized = True
             self.crossings += crossings
-            self._exec_with_sources.value += 1
+            self.exec_with_sources += 1
             if last_penalized:
-                self._bypass_delayed.value += 1
+                self.bypass_delayed += 1
 
         # Claim the issue cycle: the first free cycle of the FU at or
         # after ``renamed + 1``, *ready* and, with the RS full, the
         # earliest resident entry's release.
-        release = self._release[fu]
-        while release and release[0] <= renamed:
-            heappop(release)
         if ready <= renamed:
             ready = renamed + 1
-        if len(release) >= self.rs_entries and release[0] > ready:
-            ready = release[0]
-        floor = self._floor[fu]
-        cycle = ready if ready > floor else floor
-        busy = self._busy[fu]
-        while cycle in busy:
+        claims = self._claims[fu]
+        if len(claims) >= self._trim_at:
+            claims = self._claims[fu] = {c for c in claims if c > renamed}
+            if len(claims) >= self.rs_entries:
+                first = min(claims)
+                if first > ready:
+                    ready = first
+        cycle = ready
+        while cycle in claims:
             cycle += 1
-        busy.add(cycle)
-        if len(busy) > 4096:
-            # Forget reservations far in the past (bounded memory).
-            floor = cycle - 512
-            self._busy[fu] = {c for c in busy if c >= floor}
-            if floor > self._floor[fu]:
-                self._floor[fu] = floor
-        heappush(release, cycle)
+        claims.add(cycle)
         entry.exec_start = cycle
         entry.data_ready = data_ready
         entry.penalized = last_penalized
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        result.bypass_delayed = self._m.bypass_delayed.value
-        result.executed_with_sources = self._m.exec_with_sources.value
-        self._registry.counter("backend.bypass.crossings").add(
-            self.crossings)
+        result.bypass_delayed = self.bypass_delayed
+        result.executed_with_sources = self.exec_with_sources
+        registry = self._registry
+        registry.counter("backend.bypass.cross_cluster").add(
+            self.bypass_delayed)
+        registry.counter("backend.exec.with_sources").add(
+            self.exec_with_sources)
+        registry.counter("backend.bypass.crossings").add(self.crossings)
 
 
 __all__ = ["IssueStage"]

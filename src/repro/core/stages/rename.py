@@ -20,23 +20,13 @@ from typing import Any, Optional, Tuple
 
 from repro.core.config import SimConfig
 from repro.core.results import SimResult
-from repro.core.stages.base import (
-    FetchEntry,
-    MachineState,
-    MetricBlock,
-    PipelineStage,
-)
+from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
 from repro.telemetry.events import CHECKPOINT_REPAIR
 from repro.telemetry.registry import TelemetryRegistry
 
 #: scoreboard entry of a value that predates the window (or register
 #: zero): ready at cycle 0, available in every cluster
 _ARCHITECTED: Tuple[int, Optional[int]] = (0, None)
-
-_SCOPES = {
-    "checkpoint_stalls": "rename.checkpoint.stalls",
-    "moves_eliminated": "rename.moves.eliminated",
-}
 
 
 class RenameStage(PipelineStage):
@@ -56,13 +46,14 @@ class RenameStage(PipelineStage):
         self._cycle = 0
         self._count = 0
         self._blocks = 0
-        #: the three stall taxonomies
+        #: the three stall taxonomies, and branches that waited for a
+        #: checkpoint
         self.window_stalls = 0
         self.width_stalls = 0
         self.block_limit_stalls = 0
-        self._m = m = MetricBlock(registry, _SCOPES)
-        self._checkpoint_stalls = m.checkpoint_stalls
-        self._moves_eliminated = m.moves_eliminated
+        self.checkpoint_stalls = 0
+        #: marked moves completed here
+        self.moves_eliminated = 0
         self._registry = registry
 
     def process(self, state: MachineState, entry: FetchEntry) -> None:
@@ -82,7 +73,7 @@ class RenameStage(PipelineStage):
         if is_branch:
             checkpoint_free = self.checkpoints.acquire(fetch_cycle + 1)
             if checkpoint_free > fetch_cycle + 1:
-                self._checkpoint_stalls.value += 1
+                self.checkpoint_stalls += 1
                 record = entry.record
                 self.events.emit(CHECKPOINT_REPAIR, fetch_cycle,
                                  pc=record.pc if record else 0,
@@ -123,12 +114,16 @@ class RenameStage(PipelineStage):
             entry.complete = max(renamed, ready[0])
             entry.penalized = False
             entry.executed = True
-            self._moves_eliminated.value += 1
+            self.moves_eliminated += 1
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        result.moves_eliminated = self._m.moves_eliminated.value
+        result.moves_eliminated = self.moves_eliminated
         registry = self._registry
+        registry.counter("rename.checkpoint.stalls").add(
+            self.checkpoint_stalls)
+        registry.counter("rename.moves.eliminated").add(
+            self.moves_eliminated)
         registry.counter("rename.window_stalls").add(self.window_stalls)
         registry.counter("rename.width_stalls").add(self.width_stalls)
         registry.counter("rename.block_limit_stalls").add(

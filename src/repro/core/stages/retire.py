@@ -15,24 +15,9 @@ from typing import Any, Optional
 
 from repro.core.config import SimConfig
 from repro.core.results import SimResult
-from repro.core.stages.base import (
-    FetchEntry,
-    MachineState,
-    MetricBlock,
-    PipelineStage,
-)
+from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
 from repro.telemetry.events import BRANCH_MISPREDICT
 from repro.telemetry.registry import TelemetryRegistry
-
-_SCOPES = {
-    "cond_branches": "branch.cond.seen",
-    "mispredicts": "branch.cond.mispredicts",
-    "promoted_fetches": "branch.promoted.fetches",
-    "promoted_mispredicts": "branch.promoted.mispredicts",
-    "indirect_mispredicts": "branch.indirect.mispredicts",
-    "predicated_branches": "predication.branches",
-}
-
 
 class RetireStage(PipelineStage):
     """In-order retirement plus control-flow bookkeeping."""
@@ -50,13 +35,16 @@ class RetireStage(PipelineStage):
         self.predictor = predictor
         self.events = events
         self.redirect = config.mispredict_redirect
-        self._m = m = MetricBlock(registry, _SCOPES)
-        self._cond_branches = m.cond_branches
-        self._mispredicts = m.mispredicts
-        self._promoted_fetches = m.promoted_fetches
-        self._promoted_mispredicts = m.promoted_mispredicts
-        self._indirect_mispredicts = m.indirect_mispredicts
-        self._predicated_branches = m.predicated_branches
+        #: conditional branches retired, and how many the segment
+        #: carried predicated away, promoted or mispredicted
+        self.cond_branches = 0
+        self.predicated_branches = 0
+        self.promoted_fetches = 0
+        self.promoted_mispredicts = 0
+        self.mispredicts = 0
+        #: mispredicted indirect jumps and returns
+        self.indirect_mispredicts = 0
+        self._registry = registry
 
     def process(self, state: MachineState, entry: FetchEntry) -> None:
         if entry.phantom:
@@ -85,24 +73,24 @@ class RetireStage(PipelineStage):
         # the segment may carry predicated away (as a NOP).
         arch_cond_branch = record.instr.decoded.is_cond_branch
         if arch_cond_branch:
-            self._cond_branches.value += 1
+            self.cond_branches += 1
             # The bias table keeps learning from the architected
             # branch even when the segment carries it predicated away.
             self.predictor.record_outcome(record.pc, record.taken)
             if not decoded.guarded and not decoded.is_cond_branch:
-                self._predicated_branches.value += 1
+                self.predicated_branches += 1
             if entry.promoted:
-                self._promoted_fetches.value += 1
+                self.promoted_fetches += 1
                 if entry.mispredicted:
-                    self._promoted_mispredicts.value += 1
+                    self.promoted_mispredicts += 1
             if entry.mispredicted:
-                self._mispredicts.value += 1
+                self.mispredicts += 1
                 self.events.emit(BRANCH_MISPREDICT, complete,
                                  pc=record.pc, taken=record.taken,
                                  promoted=entry.promoted,
                                  indirect=False)
         elif entry.mispredicted:
-            self._indirect_mispredicts.value += 1
+            self.indirect_mispredicts += 1
             self.events.emit(BRANCH_MISPREDICT, complete,
                              pc=record.pc, taken=True,
                              promoted=False, indirect=True)
@@ -123,13 +111,23 @@ class RetireStage(PipelineStage):
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        m = self._m
-        result.cond_branches = m.cond_branches.value
-        result.mispredicts = m.mispredicts.value
-        result.promoted_fetches = m.promoted_fetches.value
-        result.promoted_mispredicts = m.promoted_mispredicts.value
-        result.indirect_mispredicts = m.indirect_mispredicts.value
-        result.predicated_branches = m.predicated_branches.value
+        result.cond_branches = self.cond_branches
+        result.mispredicts = self.mispredicts
+        result.promoted_fetches = self.promoted_fetches
+        result.promoted_mispredicts = self.promoted_mispredicts
+        result.indirect_mispredicts = self.indirect_mispredicts
+        result.predicated_branches = self.predicated_branches
+        registry = self._registry
+        registry.counter("branch.cond.seen").add(self.cond_branches)
+        registry.counter("branch.cond.mispredicts").add(self.mispredicts)
+        registry.counter("branch.promoted.fetches").add(
+            self.promoted_fetches)
+        registry.counter("branch.promoted.mispredicts").add(
+            self.promoted_mispredicts)
+        registry.counter("branch.indirect.mispredicts").add(
+            self.indirect_mispredicts)
+        registry.counter("predication.branches").add(
+            self.predicated_branches)
 
 
 __all__ = ["RetireStage"]

@@ -26,8 +26,8 @@ Usage::
 
 A :class:`Telemetry` session holds the event stream, the optional
 span recorder and the attribution switch. Passing no session costs
-(almost) nothing: the engine still counts into its registry (the
-single source of truth behind ``SimResult``'s counters) but emits no
+(almost) nothing: the engine still fills its registry (the counters
+behind ``SimResult.telemetry``) but emits no
 events and runs no observer stage (cycle attribution, segment events,
 segment spans).
 """

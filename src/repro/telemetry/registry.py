@@ -2,9 +2,10 @@
 
 Every instrumented component records against dot-separated scopes
 (``fetch.tc.hits``, ``fillunit.opts.reassoc.applied``,
-``backend.bypass.cross_cluster``). The registry is the single source
-of truth for run statistics: :class:`~repro.core.results.SimResult`'s
-counter fields are *derived from* it at the end of a run, and the full
+``backend.bypass.cross_cluster``). The registry holds every run
+statistic: at the end of a run each pipeline stage adds its counts to
+it (the same counts it writes to
+:class:`~repro.core.results.SimResult`'s counter fields), and the full
 per-scope snapshot is folded into ``SimResult.telemetry``.
 
 **Determinism**, which the timing model depends on: ``flat()`` and

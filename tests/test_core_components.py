@@ -47,7 +47,7 @@ def make_issue():
 
 def dispatch(stages, state, instr, slot, renamed=1):
     """Run one entry through issue and execute; returns the entry."""
-    entry = FetchEntry(None, instr, slot, True)
+    entry = FetchEntry(None, instr, slot)
     entry.renamed = renamed
     for stage in stages:
         stage.process(state, entry)
@@ -158,8 +158,7 @@ class Units:
 
     def issue(self, fu, renamed, ready):
         self.state.reg_ready[T0] = (ready, None)
-        entry = FetchEntry(None, Instruction(Op.ADD, rd=T2, rs=T0, rt=T0),
-                           fu, True)
+        entry = FetchEntry(None, Instruction(Op.ADD, rd=T2, rs=T0, rt=T0), fu)
         entry.renamed = renamed
         self.stage.process(self.state, entry)
         return entry.exec_start
@@ -201,17 +200,21 @@ def test_functional_unit_matches_old_composition(seed, num_fus, entries,
 
 def test_issue_streams_reach_overfill_and_compaction():
     """The stream shapes the property draws from do over-fill the RS
-    (more release cycles outstanding than entries) and cross the
-    4096-cycle compaction."""
+    (more resident entries than RS entries), trim the claim set and
+    cross the oracle's 4096-claim compaction."""
     units = Units(4)
     oracle = OldComposition(1, 4)
-    overfilled = False
+    overfilled = trimmed = False
     for fu, renamed, ready in issue_stream(7, 1, 6000, 0.9, 64):
+        before = len(units.stage._claims[0])
         assert units.issue(fu, renamed, ready) \
             == oracle.issue(fu, renamed, ready)
-        overfilled |= len(units.stage._release[0]) > 4
+        resident = [c for c in units.stage._claims[0] if c > renamed]
+        overfilled |= len(resident) > 4
+        trimmed |= len(units.stage._claims[0]) <= before
     assert overfilled
-    assert units.stage._floor[0] > 0
+    assert trimmed
+    assert oracle.floor[0] > 0
 
 
 def test_fu_accepts_one_per_cycle():
@@ -231,14 +234,30 @@ def test_fu_skips_reserved_cycles():
 def test_fu_compaction_preserves_recent_state():
     units = Units(10**6)                # capacity out of the way
     oracle = OldComposition(1, 10**6)
+    window = units.stage._trim_at
+    assert window == SimConfig.paper().window_size
     for i in range(5000):
         assert units.issue(0, i * 2 - 1, i * 2) \
             == oracle.issue(0, i * 2 - 1, i * 2)
-    assert units.stage._floor[0] > 0    # compaction ran
-    # cycle 9998 is recent: still reserved after compaction
+        # the window bounds the set, not the RS
+        assert len(units.stage._claims[0]) <= window
+    assert oracle.floor[0] > 0          # the oracle compacted
+    # cycle 9998 is recent: still claimed after the trims
     latest = units.issue(0, 9997, 9998)
     assert latest == 9999
     assert units.issue(0, latest - 1, latest) == latest + 1
+
+
+def test_far_claim_does_not_raise_later_issues():
+    """A claim far ahead of the rest forgets nothing it should not:
+    the old composition compacted to 512 cycles before it and then
+    issued every later instruction at that floor (99488 here)."""
+    units = Units(32)
+    for i in range(4096):
+        assert units.issue(0, i, i + 1) == i + 1
+    assert units.issue(0, 4096, 100000) == 100000
+    assert units.issue(0, 4097, 4098) == 4098
+    assert len(units.stage._claims[0]) <= 32
 
 
 # --- reservation stations ----------------------------------------------------
@@ -283,7 +302,7 @@ def make_rename(**overrides):
 def rename(stage, state, fetch_cycle, instr=ADD):
     """Rename one instruction of a group fetched at *fetch_cycle*."""
     state.group = FetchGroup([], fetch_cycle)
-    entry = FetchEntry(None, instr, 0, True)
+    entry = FetchEntry(None, instr, 0)
     stage.process(state, entry)
     return entry.renamed
 
@@ -338,7 +357,7 @@ def test_retire_in_order_and_width():
     record = CommittedInstr(0x400000, ADD, 0x400004)
 
     def retire(complete):
-        entry = FetchEntry(record, ADD, 0, True)
+        entry = FetchEntry(record, ADD, 0)
         entry.complete = complete
         stage.process(state, entry)
         return entry.retire_cycle

@@ -35,11 +35,17 @@ def test_improvement_positive(service):
 
 
 def test_render(service):
-    """Table 2's last line is the band verdict, naming each benchmark
+    """Table 2's note quotes the paper average of its own average row,
+    and its last line is the band verdict, naming each benchmark
     outside it."""
     coverage = m88ksim_coverage(service)
     outside = not tables.within_band(coverage, PAPER_TABLE2["m88ksim"])
-    band = tables.table2(service, ["m88ksim"]).render().splitlines()[-1]
+    lines = tables.table2(service, ["m88ksim"]).render().splitlines()
+    average = next(line for line in lines if line.startswith("average"))
+    paper_total = average.split()[-1]
+    assert paper_total == f"{PAPER_TABLE2['m88ksim'].total:.1f}"
+    assert lines[-2].startswith(f"paper average is {paper_total}%; ")
+    band = lines[-1]
     assert band.startswith("outside the 3x band of the paper ")
     assert band.endswith(" 1 of 1 (m88ksim)" if outside else " 0 of 1")
 
