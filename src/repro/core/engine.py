@@ -23,9 +23,9 @@ must not mutate timing state). There is one path through the loop:
 every group runs the five per-instruction stages instruction by
 instruction, observed or not.
 
-Observability: every run publishes its counters, once it finishes, to
-the engine's own hierarchical telemetry registry, whose snapshot is
-:class:`~repro.core.results.SimResult`'s ``telemetry``; engines sharing a
+Observability: once a run finishes, every stage writes its counts to
+:class:`~repro.core.results.SimResult`'s ``telemetry`` dict, and the
+typed counters are read from it; engines sharing a
 :class:`~repro.telemetry.Telemetry` session share only its event
 stream and span recorder. With a session attached the stages
 additionally emit structured events (mispredicts, trace cache
@@ -60,7 +60,6 @@ from repro.telemetry.events import (
     RUN_FINISHED,
     RUN_STARTED,
 )
-from repro.telemetry.registry import TelemetryRegistry
 from repro.tracecache.cache import TraceCache
 
 
@@ -75,9 +74,6 @@ class Engine:
                  telemetry: Optional[Any] = None) -> None:
         self.config = config
         self.telemetry = telemetry
-        # Every engine publishes into its own registry, session or
-        # not, so its snapshot holds this run's counters only.
-        self.registry = TelemetryRegistry()
         self.events = (telemetry.events if telemetry is not None
                        else NULL_EVENT_STREAM)
         self.hierarchy = MemoryHierarchy(config.hierarchy)
@@ -98,8 +94,7 @@ class Engine:
                 verify_each=config.verify_each_pass,
             )
             self.fill_unit = FillUnit(fill_config, self.trace_cache,
-                                      self.predictor.bias,
-                                      registry=self.registry)
+                                      self.predictor.bias)
         self.checkpoints = CheckpointStore(config.max_checkpoints)
         self.memsched = MemoryScheduler(self.hierarchy,
                                         config.store_forward_window)
@@ -109,15 +104,13 @@ class Engine:
         #: be appended before ``run()``.
         self.stages: List[PipelineStage] = [
             FetchStage(config, self.hierarchy, self.predictor,
-                       self.trace_cache, self.fill_unit,
-                       self.registry, self.events),
-            RenameStage(config, self.checkpoints, self.registry,
-                        self.events),
-            IssueStage(config, self.registry),
-            ExecuteStage(self.memsched, self.registry),
+                       self.trace_cache, self.fill_unit, self.events),
+            RenameStage(config, self.checkpoints, self.events),
+            IssueStage(config),
+            ExecuteStage(self.memsched),
             RetireStage(config, self.checkpoints, self.predictor,
-                        self.registry, self.events),
-            FillStage(self.fill_unit, self.registry),
+                        self.events),
+            FillStage(self.fill_unit),
         ]
         if telemetry is not None:
             if telemetry.attribution:
@@ -288,12 +281,12 @@ class Engine:
 
     def _finish_stats(self, state: Optional[MachineState],
                       result: SimResult) -> None:
-        """Let every stage fold its statistics into *result* and its
-        counters into the registry, then snapshot the registry into
-        ``result.telemetry``."""
+        """Let every stage write its counts to ``result.telemetry``,
+        sort that by scope, and read the typed counters from it."""
         for stage in self.stages:
             stage.finish_run(state, result)
-        result.telemetry = self.registry.flat()
+        result.telemetry = dict(sorted(result.telemetry.items()))
+        result.fill_counters()
 
 
 __all__ = ["Engine"]

@@ -11,9 +11,9 @@ baseline (``tools/analysis_baseline.json``).
 from __future__ import annotations
 
 from dataclasses import asdict, fields
-from typing import Optional
+from typing import Any, Optional
 
-from repro.core.results import OptCoverage, SimResult
+from repro.core.results import COUNTER_SCOPES, OptCoverage, SimResult
 
 SCHEMA_VERSION = 1
 ANALYSIS_SCHEMA_VERSION = 3
@@ -47,15 +47,29 @@ def result_from_dict(payload: dict) -> SimResult:
     return SimResult(**data)
 
 
+def _flatten(name: str, value: Any, flat: dict) -> None:
+    """Add *value* to *flat* under *name*, a dict one leaf at a time
+    (``name.key``, recursively)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _flatten(f"{name}.{key}", item, flat)
+    else:
+        flat[name] = value
+
+
 def _counters(result: SimResult) -> dict:
-    """Every scalar field of *result*, plus ``coverage.<name>`` and
-    ``pass_totals.<name>`` for its two counter dicts."""
-    flat = {}
+    """Every scalar field of *result*, and every leaf of its dicts:
+    ``coverage.<name>``, ``pass_totals.<name>``, ``attribution.<class>``
+    and ``telemetry.<scope>`` (``telemetry.<scope>.<field>`` for a
+    histogram). A scope that a typed field mirrors
+    (:data:`~repro.core.results.COUNTER_SCOPES`) is left to the field."""
+    mirrored = set(COUNTER_SCOPES.values())
+    flat: dict = {}
     for name, value in asdict(result).items():
-        if name in ("coverage", "pass_totals"):
-            flat.update((f"{name}.{k}", v) for k, v in value.items())
-        elif not isinstance(value, dict):
-            flat[name] = value
+        if name == "telemetry":
+            value = {scope: count for scope, count in value.items()
+                     if scope not in mirrored}
+        _flatten(name, value, flat)
     return flat
 
 

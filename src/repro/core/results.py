@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Dict
 
 
 @dataclass
@@ -82,8 +83,10 @@ class SimResult:
 
     coverage: OptCoverage = field(default_factory=OptCoverage)
 
-    # Telemetry (see repro.telemetry): the flat {scope: value} registry
-    # snapshot this run produced, and the top-down cycle attribution
+    # Telemetry (see repro.telemetry): this run's counts, one
+    # {scope: value} dict in sorted scope order that the stages write
+    # once the run finishes (the typed counters above are read from
+    # it through COUNTER_SCOPES), and the top-down cycle attribution
     # (classes sum exactly to `cycles`; empty unless a Telemetry
     # session with attribution enabled was attached to the run).
     telemetry: dict = field(default_factory=dict)
@@ -117,6 +120,18 @@ class SimResult:
         return (self.mispredicts / self.cond_branches
                 if self.cond_branches else 0.0)
 
+    def fill_counters(self) -> None:
+        """Set the typed counters from :attr:`telemetry` through
+        :data:`COUNTER_SCOPES`. A field whose scope the run did not
+        write (the trace cache's, on a machine without one) keeps its
+        zero."""
+        telemetry = self.telemetry
+        for name, scope in COUNTER_SCOPES.items():
+            if scope in telemetry:
+                owner, _, attr = name.rpartition(".")
+                setattr(self.coverage if owner else self, attr,
+                        telemetry[scope])
+
     def improvement_over(self, baseline: "SimResult") -> float:
         """Percent IPC improvement relative to *baseline*."""
         if baseline.ipc == 0:
@@ -131,4 +146,57 @@ class SimResult:
                 f"bypass={100 * self.bypass_delayed_fraction:5.1f}%")
 
 
-__all__ = ["SimResult", "OptCoverage"]
+#: typed counter -> the telemetry scope it is read from
+#: (``coverage.<name>`` is an :class:`OptCoverage` field). The stages
+#: write only scopes; this table is the one place that knows both
+#: names.
+COUNTER_SCOPES: Dict[str, str] = {
+    "tc_fetched_instrs": "fetch.tc.instrs",
+    "ic_fetched_instrs": "fetch.ic.instrs",
+    "tc_lookups": "fetch.tc.lookups",
+    "tc_hits": "fetch.tc.hits",
+    "cond_branches": "branch.cond.seen",
+    "mispredicts": "branch.cond.mispredicts",
+    "promoted_fetches": "branch.promoted.fetches",
+    "promoted_mispredicts": "branch.promoted.mispredicts",
+    "indirect_mispredicts": "branch.indirect.mispredicts",
+    "bypass_delayed": "backend.bypass.cross_cluster",
+    "executed_with_sources": "backend.exec.with_sources",
+    "moves_eliminated": "rename.moves.eliminated",
+    "predicated_branches": "predication.branches",
+    "predication_phantoms": "predication.phantoms",
+    "dcache_hits": "mem.l1d.hits",
+    "dcache_misses": "mem.l1d.misses",
+    "icache_misses": "mem.l1i.misses",
+    "forwarded_loads": "mem.forwarded_loads",
+    "segments_built": "fillunit.segments.built",
+    "segments_deduped": "fillunit.segments.deduped",
+    "coverage.moves": "fetch.tc.opt.moves",
+    "coverage.reassoc": "fetch.tc.opt.reassoc",
+    "coverage.scaled": "fetch.tc.opt.scaled",
+    "coverage.any_opt": "fetch.tc.opt.any",
+}
+
+
+def histogram(counts: Dict[int, int]) -> Dict[str, Any]:
+    """The telemetry summary of a ``{value: times seen}`` distribution
+    of non-negative ints: count, total, min, max, mean and power-of-two
+    buckets (bucket ``k`` counts the values whose ``bit_length()`` is
+    ``k``, so zero lands in bucket 0)."""
+    buckets: Dict[int, int] = {}
+    for value, seen in counts.items():
+        bucket = value.bit_length()
+        buckets[bucket] = buckets.get(bucket, 0) + seen
+    count = sum(counts.values())
+    total = sum(value * seen for value, seen in counts.items())
+    return {
+        "count": count,
+        "total": total,
+        "min": min(counts) if counts else None,
+        "max": max(counts) if counts else None,
+        "mean": total / count if count else 0.0,
+        "buckets": {str(k): buckets[k] for k in sorted(buckets)},
+    }
+
+
+__all__ = ["SimResult", "OptCoverage", "COUNTER_SCOPES", "histogram"]

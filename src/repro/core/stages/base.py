@@ -21,8 +21,10 @@ granularity through :meth:`PipelineStage.begin_group` /
 :meth:`PipelineStage.end_group`.
 
 Counting contract: a stage counts in plain int attributes of its own
-and publishes them once per run, in :meth:`PipelineStage.finish_run`,
-to the ``SimResult`` fields and its engine's telemetry registry.
+and writes them once per run, in :meth:`PipelineStage.finish_run`, to
+``SimResult.telemetry``, one scope each. No stage sets a typed
+counter field: the engine reads those from the dict
+(:data:`~repro.core.results.COUNTER_SCOPES`).
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class PipelineStage:
     ``finish_run`` receives ``state=None`` for an empty trace (no
     group was ever formed); stages must derive their result-counter
     contributions from their own counters and components, not from
-    the state. It is the one place a stage writes its registry.
+    the state. It is the one place a stage writes its counts.
 
     The segment hooks below report the fill unit's and trace cache's
     work as it happens, from inside the fill stage's ``process``. The
@@ -198,8 +200,8 @@ class PipelineStage:
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        """Fold this stage's statistics into *result* and add its
-        counters (and any per-component stats) to the registry."""
+        """Write this stage's counts (and any per-component stats) to
+        ``result.telemetry``, once each."""
 
     def segment_collected(self, candidate: Any, cycle: int,
                           deduped: bool) -> None:

@@ -18,7 +18,6 @@ from typing import Any, Optional
 
 from repro.core.results import SimResult
 from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
-from repro.telemetry.registry import TelemetryRegistry
 
 
 class ExecuteStage(PipelineStage):
@@ -26,12 +25,10 @@ class ExecuteStage(PipelineStage):
 
     name = "execute"
 
-    def __init__(self, memsched: Any,
-                 registry: TelemetryRegistry) -> None:
+    def __init__(self, memsched: Any) -> None:
         self.memsched = memsched
         #: phantoms executed
         self.phantoms = 0
-        self._registry = registry
 
     def process(self, state: MachineState, entry: FetchEntry) -> None:
         if not entry.executed:
@@ -54,17 +51,13 @@ class ExecuteStage(PipelineStage):
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        result.predication_phantoms = self.phantoms
-        hierarchy = self.memsched.hierarchy
-        result.dcache_hits = hierarchy.l1d.stats.hits
-        result.dcache_misses = hierarchy.l1d.stats.misses
-        result.forwarded_loads = self.memsched.forwarded_loads
-        registry = self._registry
-        registry.counter("predication.phantoms").add(self.phantoms)
-        registry.counter("mem.l1d.hits").add(result.dcache_hits)
-        registry.counter("mem.l1d.misses").add(result.dcache_misses)
-        registry.counter("mem.forwarded_loads").add(
-            result.forwarded_loads)
+        l1d = self.memsched.hierarchy.l1d.stats
+        result.telemetry.update({
+            "predication.phantoms": self.phantoms,
+            "mem.l1d.hits": l1d.hits,
+            "mem.l1d.misses": l1d.misses,
+            "mem.forwarded_loads": self.memsched.forwarded_loads,
+        })
 
 
 __all__ = ["ExecuteStage"]

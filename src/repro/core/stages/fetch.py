@@ -10,10 +10,10 @@ and serialization drains.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import SimConfig
-from repro.core.results import SimResult
+from repro.core.results import SimResult, histogram
 from repro.core.stages.base import (
     FetchEntry,
     FetchGroup,
@@ -21,7 +21,6 @@ from repro.core.stages.base import (
     PipelineStage,
 )
 from repro.telemetry.events import FETCH_MISFETCH
-from repro.telemetry.registry import TelemetryRegistry
 from repro.tracecache.segment import PREDICTED, PROMOTED
 
 class FetchStage(PipelineStage):
@@ -31,8 +30,7 @@ class FetchStage(PipelineStage):
 
     def __init__(self, config: SimConfig, hierarchy: Any,
                  predictor: Any, trace_cache: Optional[Any],
-                 fill_unit: Optional[Any],
-                 registry: TelemetryRegistry, events: Any) -> None:
+                 fill_unit: Optional[Any], events: Any) -> None:
         self.config = config
         self.hierarchy = hierarchy
         self.predictor = predictor
@@ -50,8 +48,8 @@ class FetchStage(PipelineStage):
         self.cov_moves = 0
         self.cov_reassoc = 0
         self.cov_scaled = 0
-        self._group_size = registry.histogram("fetch.group.size")
-        self._registry = registry
+        #: fetch groups by size: ``{entries: groups}``
+        self.group_sizes: Dict[int, int] = {}
         #: the committed stream's pcs, which a line's path must match
         self._pcs: List[int] = []
 
@@ -102,7 +100,9 @@ class FetchStage(PipelineStage):
         group.serialize = state.pending_serialize
         group.next_fetch = fetch_cycle + 1
         group.consumed = consumed
-        self._group_size.observe(len(entries))
+        sizes = self.group_sizes
+        size = len(entries)
+        sizes[size] = sizes.get(size, 0) + 1
 
     def end_group(self, state: MachineState) -> None:
         """Sequence the next group: serialization drains and the
@@ -297,49 +297,37 @@ class FetchStage(PipelineStage):
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        registry = self._registry
-        result.tc_fetched_instrs = self.tc_instrs
-        result.ic_fetched_instrs = self.ic_instrs
-        cov = result.coverage
-        cov.moves = self.cov_moves
-        cov.reassoc = self.cov_reassoc
-        cov.scaled = self.cov_scaled
-        cov.any_opt = self.cov_any
-        registry.counter("fetch.tc.instrs").add(self.tc_instrs)
-        registry.counter("fetch.ic.instrs").add(self.ic_instrs)
-        registry.counter("fetch.tc.opt.any").add(self.cov_any)
-        registry.counter("fetch.tc.opt.moves").add(self.cov_moves)
-        registry.counter("fetch.tc.opt.reassoc").add(self.cov_reassoc)
-        registry.counter("fetch.tc.opt.scaled").add(self.cov_scaled)
-
-        # Per-component statistics (fresh per engine) mirrored into the
-        # registry so one snapshot holds the whole machine.
+        pred = self.predictor.stats
+        telemetry = result.telemetry
+        telemetry.update({
+            "fetch.tc.instrs": self.tc_instrs,
+            "fetch.ic.instrs": self.ic_instrs,
+            "fetch.tc.opt.any": self.cov_any,
+            "fetch.tc.opt.moves": self.cov_moves,
+            "fetch.tc.opt.reassoc": self.cov_reassoc,
+            "fetch.tc.opt.scaled": self.cov_scaled,
+            "fetch.group.size": histogram(self.group_sizes),
+            "mem.l1i.misses": self.hierarchy.l1i.stats.misses,
+            "branch.pht.predictions": pred.cond_predictions,
+            "branch.pht.mispredicts": pred.cond_mispredicts,
+            "branch.indirect.predictions": pred.indirect_predictions,
+        })
+        # The trace cache's own statistics (fresh per engine), so one
+        # dict holds the whole machine.
         if self.trace_cache is not None:
             tc = self.trace_cache.stats
-            result.tc_lookups = tc.lookups
-            result.tc_hits = tc.hits
-            registry.counter("fetch.tc.lookups").add(tc.lookups)
-            registry.counter("fetch.tc.hits").add(tc.hits)
-            registry.counter("fetch.tc.misses").add(tc.lookups - tc.hits)
-            registry.counter("fetch.tc.fills").add(tc.fills)
-            registry.counter("fetch.tc.refreshes").add(tc.refreshes)
-            registry.counter("fetch.tc.multipath_hits").add(
-                tc.multipath_hits)
-            registry.counter("fetch.tc.evictions").add(tc.evictions)
-            registry.counter("fetch.tc.dead_evictions").add(
-                tc.dead_evictions)
-            registry.gauge("fetch.tc.resident_segments").set(
-                self.trace_cache.resident_segments())
-        result.icache_misses = self.hierarchy.l1i.stats.misses
-        registry.counter("mem.l1i.misses").add(result.icache_misses)
-
-        pred = self.predictor.stats
-        registry.counter("branch.pht.predictions").add(
-            pred.cond_predictions)
-        registry.counter("branch.pht.mispredicts").add(
-            pred.cond_mispredicts)
-        registry.counter("branch.indirect.predictions").add(
-            pred.indirect_predictions)
+            telemetry.update({
+                "fetch.tc.lookups": tc.lookups,
+                "fetch.tc.hits": tc.hits,
+                "fetch.tc.misses": tc.lookups - tc.hits,
+                "fetch.tc.fills": tc.fills,
+                "fetch.tc.refreshes": tc.refreshes,
+                "fetch.tc.multipath_hits": tc.multipath_hits,
+                "fetch.tc.evictions": tc.evictions,
+                "fetch.tc.dead_evictions": tc.dead_evictions,
+                "fetch.tc.resident_segments":
+                    self.trace_cache.resident_segments(),
+            })
 
 
 __all__ = ["FetchStage"]

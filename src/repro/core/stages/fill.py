@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.core.results import SimResult
+from repro.core.results import SimResult, histogram
 from repro.core.stages.base import (
     FetchEntry,
     MachineState,
     PipelineStage,
 )
-from repro.telemetry.registry import TelemetryRegistry
 
 
 class FillStage(PipelineStage):
@@ -35,25 +34,29 @@ class FillStage(PipelineStage):
 
     name = "fill"
 
-    def __init__(self, fill_unit: Optional[Any],
-                 registry: TelemetryRegistry) -> None:
+    def __init__(self, fill_unit: Optional[Any]) -> None:
         self.fill_unit = fill_unit
         if fill_unit is not None:
             self.process = fill_unit.collect  # type: ignore[method-assign]
-        self._registry = registry
 
     def process(self, state: MachineState, entry: FetchEntry) -> None:
         """No trace cache: nothing to fill."""
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        if self.fill_unit is None:
+        unit = self.fill_unit
+        if unit is None:
             return
-        result.segments_built = self.fill_unit.stats.segments_built
-        result.segments_deduped = self.fill_unit.stats.segments_deduped
-        result.pass_totals = self.fill_unit.pass_totals
-        self._registry.counter("fillunit.instructions_collected").add(
-            self.fill_unit.collected)
+        stats = unit.stats
+        result.pass_totals = unit.pass_totals
+        result.telemetry.update({
+            "fillunit.instructions_collected": unit.collected,
+            "fillunit.segments.built": stats.segments_built,
+            "fillunit.segments.deduped": stats.segments_deduped,
+            "fillunit.branches.promoted": stats.branches_promoted,
+            "fillunit.segment.length": histogram(stats.segment_lengths),
+            **unit.counts,
+        })
 
 
 __all__ = ["FillStage"]

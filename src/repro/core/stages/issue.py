@@ -24,7 +24,6 @@ from typing import List, Optional, Set
 from repro.core.config import SimConfig
 from repro.core.results import SimResult
 from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
-from repro.telemetry.registry import TelemetryRegistry
 
 
 class IssueStage(PipelineStage):
@@ -52,8 +51,7 @@ class IssueStage(PipelineStage):
 
     name = "issue"
 
-    def __init__(self, config: SimConfig,
-                 registry: TelemetryRegistry) -> None:
+    def __init__(self, config: SimConfig) -> None:
         self.cluster_size = config.cluster_size
         self.penalty = config.cross_cluster_penalty
         self.rs_entries = config.rs_per_fu
@@ -68,7 +66,6 @@ class IssueStage(PipelineStage):
         self.bypass_delayed = 0
         #: dispatched instructions with at least one source operand
         self.exec_with_sources = 0
-        self._registry = registry
 
     def process(self, state: MachineState, entry: FetchEntry) -> None:
         if entry.executed:
@@ -160,14 +157,11 @@ class IssueStage(PipelineStage):
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        result.bypass_delayed = self.bypass_delayed
-        result.executed_with_sources = self.exec_with_sources
-        registry = self._registry
-        registry.counter("backend.bypass.cross_cluster").add(
-            self.bypass_delayed)
-        registry.counter("backend.exec.with_sources").add(
-            self.exec_with_sources)
-        registry.counter("backend.bypass.crossings").add(self.crossings)
+        result.telemetry.update({
+            "backend.bypass.cross_cluster": self.bypass_delayed,
+            "backend.exec.with_sources": self.exec_with_sources,
+            "backend.bypass.crossings": self.crossings,
+        })
 
 
 __all__ = ["IssueStage"]

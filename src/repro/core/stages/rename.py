@@ -22,7 +22,6 @@ from repro.core.config import SimConfig
 from repro.core.results import SimResult
 from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
 from repro.telemetry.events import CHECKPOINT_REPAIR
-from repro.telemetry.registry import TelemetryRegistry
 
 #: scoreboard entry of a value that predates the window (or register
 #: zero): ready at cycle 0, available in every cluster
@@ -35,7 +34,7 @@ class RenameStage(PipelineStage):
     name = "rename"
 
     def __init__(self, config: SimConfig, checkpoints: Any,
-                 registry: TelemetryRegistry, events: Any) -> None:
+                 events: Any) -> None:
         self.checkpoints = checkpoints
         self.events = events
         self.width = config.issue_width
@@ -54,7 +53,6 @@ class RenameStage(PipelineStage):
         self.checkpoint_stalls = 0
         #: marked moves completed here
         self.moves_eliminated = 0
-        self._registry = registry
 
     def process(self, state: MachineState, entry: FetchEntry) -> None:
         decoded = entry.decoded
@@ -118,16 +116,13 @@ class RenameStage(PipelineStage):
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        result.moves_eliminated = self.moves_eliminated
-        registry = self._registry
-        registry.counter("rename.checkpoint.stalls").add(
-            self.checkpoint_stalls)
-        registry.counter("rename.moves.eliminated").add(
-            self.moves_eliminated)
-        registry.counter("rename.window_stalls").add(self.window_stalls)
-        registry.counter("rename.width_stalls").add(self.width_stalls)
-        registry.counter("rename.block_limit_stalls").add(
-            self.block_limit_stalls)
+        result.telemetry.update({
+            "rename.checkpoint.stalls": self.checkpoint_stalls,
+            "rename.moves.eliminated": self.moves_eliminated,
+            "rename.window_stalls": self.window_stalls,
+            "rename.width_stalls": self.width_stalls,
+            "rename.block_limit_stalls": self.block_limit_stalls,
+        })
 
 
 __all__ = ["RenameStage"]

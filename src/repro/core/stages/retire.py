@@ -17,7 +17,6 @@ from repro.core.config import SimConfig
 from repro.core.results import SimResult
 from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
 from repro.telemetry.events import BRANCH_MISPREDICT
-from repro.telemetry.registry import TelemetryRegistry
 
 class RetireStage(PipelineStage):
     """In-order retirement plus control-flow bookkeeping."""
@@ -25,8 +24,7 @@ class RetireStage(PipelineStage):
     name = "retire"
 
     def __init__(self, config: SimConfig, checkpoints: Any,
-                 predictor: Any, registry: TelemetryRegistry,
-                 events: Any) -> None:
+                 predictor: Any, events: Any) -> None:
         self.width = config.retire_width
         #: the cycle now retiring, and how many it has retired
         self._cycle = 0
@@ -44,7 +42,6 @@ class RetireStage(PipelineStage):
         self.mispredicts = 0
         #: mispredicted indirect jumps and returns
         self.indirect_mispredicts = 0
-        self._registry = registry
 
     def process(self, state: MachineState, entry: FetchEntry) -> None:
         if entry.phantom:
@@ -111,23 +108,14 @@ class RetireStage(PipelineStage):
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        result.cond_branches = self.cond_branches
-        result.mispredicts = self.mispredicts
-        result.promoted_fetches = self.promoted_fetches
-        result.promoted_mispredicts = self.promoted_mispredicts
-        result.indirect_mispredicts = self.indirect_mispredicts
-        result.predicated_branches = self.predicated_branches
-        registry = self._registry
-        registry.counter("branch.cond.seen").add(self.cond_branches)
-        registry.counter("branch.cond.mispredicts").add(self.mispredicts)
-        registry.counter("branch.promoted.fetches").add(
-            self.promoted_fetches)
-        registry.counter("branch.promoted.mispredicts").add(
-            self.promoted_mispredicts)
-        registry.counter("branch.indirect.mispredicts").add(
-            self.indirect_mispredicts)
-        registry.counter("predication.branches").add(
-            self.predicated_branches)
+        result.telemetry.update({
+            "branch.cond.seen": self.cond_branches,
+            "branch.cond.mispredicts": self.mispredicts,
+            "branch.promoted.fetches": self.promoted_fetches,
+            "branch.promoted.mispredicts": self.promoted_mispredicts,
+            "branch.indirect.mispredicts": self.indirect_mispredicts,
+            "predication.branches": self.predicated_branches,
+        })
 
 
 __all__ = ["RetireStage"]

@@ -30,7 +30,6 @@ from repro.fillunit.opts.base import (
     PassManager,
 )
 from repro.isa.decoded import Decoded
-from repro.telemetry.registry import Counter, TelemetryRegistry
 from repro.tracecache.cache import TraceCache
 from repro.tracecache.segment import BranchInfo, TraceSegment
 
@@ -66,6 +65,10 @@ class FillUnitStats:
     segments_deduped: int = 0
     #: builds that reused the sealed segment of an identical input
     segments_reused: int = 0
+    #: promoted branches in the installed segments
+    branches_promoted: int = 0
+    #: installed segments by length: ``{instructions: segments}``
+    segment_lengths: Dict[int, int] = field(default_factory=dict)
 
 
 class FillUnit(FillCollector):
@@ -76,8 +79,7 @@ class FillUnit(FillCollector):
     stage's per-instruction link is :attr:`collect` itself."""
 
     def __init__(self, config: FillUnitConfig, trace_cache: TraceCache,
-                 bias: BiasTable,
-                 registry: Optional[TelemetryRegistry] = None) -> None:
+                 bias: BiasTable) -> None:
         super().__init__(bias, config.max_instrs,
                          config.max_cond_branches, config.trace_packing)
         self.config = config
@@ -86,9 +88,6 @@ class FillUnit(FillCollector):
         if config.verify:
             from repro import verify
             self.verifier = verify.SegmentVerifier(config.optimizations)
-        if registry is None:
-            registry = TelemetryRegistry()
-        self.registry = registry
         self.passes = PassManager(config.optimizations,
                                   config.num_clusters, config.cluster_size,
                                   bias=bias, verifier=self.verifier,
@@ -100,7 +99,13 @@ class FillUnit(FillCollector):
             self.passes.context.decodes)
         self.stats = FillUnitStats()
         #: pass stats summed over every installed build
-        self.totals: Dict[str, int] = {}
+        self.pass_totals: Dict[str, int] = {}
+        #: the ``fillunit.opts.*`` and ``fillunit.verify.*`` telemetry
+        #: counts, by scope
+        self.counts: Dict[str, int] = {}
+        if self.verifier is not None:
+            self.counts["fillunit.verify.segments_checked"] = 0
+            self.counts["fillunit.verify.segments_clean"] = 0
         #: sealed segments and their build records, by build input
         self._built: Dict[Tuple[Any, ...],
                           Tuple[TraceSegment, BuildRecord]] = {}
@@ -109,17 +114,6 @@ class FillUnit(FillCollector):
         self.pass_hooks: Hooks = ()
         self.verify_hooks: Hooks = ()
         self.build_hooks: Hooks = ()
-        self._m_built = registry.counter("fillunit.segments.built")
-        self._m_deduped = registry.counter("fillunit.segments.deduped")
-        self._m_promoted = registry.counter("fillunit.branches.promoted")
-        self._h_length = registry.histogram("fillunit.segment.length")
-        #: ``fillunit.opts.<pass>.<stat>`` counters, made on first use
-        self._opt_counters: Dict[Tuple[str, str], Counter] = {}
-        if self.verifier is not None:
-            self._m_checked = registry.counter(
-                "fillunit.verify.segments_checked")
-            self._m_clean = registry.counter(
-                "fillunit.verify.segments_clean")
 
     # ------------------------------------------------------------------
 
@@ -201,40 +195,34 @@ class FillUnit(FillCollector):
                  cycle: int) -> None:
         """Count one installed segment's build record and report it to
         the ``pass_applied`` and ``segment_verified`` hooks."""
-        registry, totals = self.registry, self.totals
+        counts, totals = self.counts, self.pass_totals
         last = len(record.passes) - 1
         for index, (name, stats) in enumerate(record.passes):
             for key, count in stats.items():
                 totals[key] = totals.get(key, 0) + count
                 if count:
-                    self._opt_counter(name, key).add(count)
+                    scope = f"fillunit.opts.{name}.{key}"
+                    counts[scope] = counts.get(scope, 0) + count
             for hook in self.pass_hooks:
                 hook(segment, index, name, stats,
                      record.rejections if index == last else {}, cycle)
         for (name, reason), count in record.rejections.items():
-            self._opt_counter(name, f"rejected.{reason}").add(count)
+            scope = f"fillunit.opts.{name}.rejected.{reason}"
+            counts[scope] = counts.get(scope, 0) + count
         verifier = self.verifier
         if verifier is None:
             return
         violations = record.violations
         verifier.report.record(violations)
-        self._m_checked.add()
+        counts["fillunit.verify.segments_checked"] += 1
         if not any(v.severity == "error" for v in violations):
-            self._m_clean.add()
+            counts["fillunit.verify.segments_clean"] += 1
         for violation in violations:
-            scope_rule = violation.rule.replace("-", "_")
-            registry.counter(
-                f"fillunit.verify.violations.{scope_rule}").add()
+            scope = ("fillunit.verify.violations."
+                     + violation.rule.replace("-", "_"))
+            counts[scope] = counts.get(scope, 0) + 1
         for hook in self.verify_hooks:
             hook(segment, violations, cycle)
-
-    def _opt_counter(self, name: str, stat: str) -> Counter:
-        """The ``fillunit.opts.<name>.<stat>`` counter."""
-        counter = self._opt_counters.get((name, stat))
-        if counter is None:
-            counter = self._opt_counters[(name, stat)] = (
-                self.registry.counter(f"fillunit.opts.{name}.{stat}"))
-        return counter
 
     def sink(self, candidate: PendingSegment, cycle: int) -> None:
         """Build a finalized candidate and install it.
@@ -247,25 +235,20 @@ class FillUnit(FillCollector):
             tuple([b.promoted for b in candidate.branches]))
         for hook in self.collect_hooks:
             hook(candidate, cycle, deduped)
+        stats = self.stats
         if deduped:
-            self.stats.segments_deduped += 1
-            self._m_deduped.add()
+            stats.segments_deduped += 1
             return
         segment = self.build_segment(candidate, cycle)
         self.trace_cache.insert(segment, cycle, self.config.latency)
-        self.stats.segments_built += 1
-        self._m_built.add()
-        self._h_length.observe(len(segment.instrs))
-        promoted = sum(1 for b in segment.branches if b.promoted)
-        if promoted:
-            self._m_promoted.add(promoted)
+        stats.segments_built += 1
+        lengths = stats.segment_lengths
+        length = len(segment.instrs)
+        lengths[length] = lengths.get(length, 0) + 1
+        stats.branches_promoted += sum(1 for b in segment.branches
+                                       if b.promoted)
         for hook in self.build_hooks:
             hook(segment, cycle)
-
-    @property
-    def pass_totals(self) -> Dict[str, int]:
-        """Accumulated optimization counts across all built segments."""
-        return dict(self.totals)
 
 
 __all__ = ["FillUnit", "FillUnitConfig", "FillUnitStats"]

@@ -1,12 +1,14 @@
 """Observability for the whole pipeline.
 
-Three layers:
+Three layers, beside the counts every run records on its own (the
+``{scope: value}`` dict :attr:`SimResult.telemetry
+<repro.core.results.SimResult.telemetry>`, which the stages write
+once the run finishes):
 
-* a hierarchical metric registry (:mod:`repro.telemetry.registry`) —
-  named-scope counters, gauges and histograms; every engine keeps its
-  own, so a run's counters are its own;
 * a structured event stream (:mod:`repro.telemetry.events`) — typed
   events fanned out to pluggable sinks;
+* span tracing (:mod:`repro.telemetry.spans`) — the segment lifecycle
+  and execution-service jobs as exportable timelines;
 * cycle attribution (:mod:`repro.telemetry.attribution`) — a top-down
   classification of every pipeline cycle, computed by an observer
   stage the engine appends to its stage list.
@@ -21,15 +23,14 @@ Usage::
     trace = Executor(workloads.build("li")).run()
     result = Engine(SimConfig.paper(), telemetry=telemetry).run(trace, "li")
     print(result.attribution)           # cycle classes, sum == cycles
-    print(result.telemetry)             # flat {scope: value} snapshot
+    print(result.telemetry)             # flat {scope: value} counts
     telemetry.close()
 
 A :class:`Telemetry` session holds the event stream, the optional
 span recorder and the attribution switch. Passing no session costs
-(almost) nothing: the engine still fills its registry (the counters
-behind ``SimResult.telemetry``) but emits no
-events and runs no observer stage (cycle attribution, segment events,
-segment spans).
+(almost) nothing: the run still records its counts in
+``SimResult.telemetry``, but the engine emits no events and runs no
+observer stage (cycle attribution, segment events, segment spans).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from repro.telemetry.events import (
     JsonlSink,
     MemorySink,
 )
-from repro.telemetry.registry import TelemetryRegistry
 from repro.telemetry.spans import NULL_SPANS, SpanRecorder
 
 
@@ -55,10 +55,9 @@ class Telemetry:
     """One observability session.
 
     A session may span several runs (e.g. every leg of a multi-``--opts``
-    ``run``): their events share its sinks, while each engine counts
-    into its own registry, so each
+    ``run``): their events share its sinks, while each
     :class:`~repro.core.results.SimResult` reports its own run's
-    counters. *attribution* appends the cycle-accounting stage to every
+    counts. *attribution* appends the cycle-accounting stage to every
     engine built with this session; *spans* attaches a
     :class:`~repro.telemetry.spans.SpanRecorder` capturing the segment
     lifecycle and execution-service jobs as exportable timelines (off
@@ -101,7 +100,7 @@ class Telemetry:
                 close()
 
 
-__all__ = ["Telemetry", "TelemetryRegistry", "EventStream", "JsonlSink",
+__all__ = ["Telemetry", "EventStream", "JsonlSink",
            "MemorySink", "CYCLE_CLASSES", "render_attribution",
            "diff_attribution", "NULL_EVENT_STREAM", "SpanRecorder",
            "NULL_SPANS"]

@@ -23,7 +23,6 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.machine.tracing import CommittedInstr
 from repro.telemetry.events import NULL_EVENT_STREAM
-from repro.telemetry.registry import TelemetryRegistry
 from repro.tracecache.cache import TraceCacheConfig
 
 
@@ -36,13 +35,11 @@ def make_issue():
     """The paper machine's issue and execute stages over a fresh
     scoreboard (every register architected, ready at cycle 0)."""
     config = SimConfig.paper()
-    registry = TelemetryRegistry()
     state = MachineState(records=[], n=0,
                          result=SimResult("bench", "run", 0, 0),
                          reg_ready=[(0, None)] * 32)
     # ALU ops never reach the memory scheduler
-    return IssueStage(config, registry), \
-        ExecuteStage(None, registry), state
+    return IssueStage(config), ExecuteStage(None), state
 
 
 def dispatch(stages, state, instr, slot, renamed=1):
@@ -151,7 +148,7 @@ class Units:
 
     def __init__(self, entries):
         config = dataclasses.replace(SimConfig.paper(), rs_per_fu=entries)
-        self.stage = IssueStage(config, TelemetryRegistry())
+        self.stage = IssueStage(config)
         self.state = MachineState(records=[], n=0,
                                   result=SimResult("bench", "run", 0, 0),
                                   reg_ready=[(0, None)] * 32)
@@ -292,7 +289,7 @@ def make_rename(**overrides):
     state whose retirement history is empty."""
     config = dataclasses.replace(SimConfig.paper(), **overrides)
     stage = RenameStage(config, CheckpointStore(config.max_checkpoints),
-                        TelemetryRegistry(), NULL_EVENT_STREAM)
+                        NULL_EVENT_STREAM)
     state = MachineState(records=[], n=0,
                          result=SimResult("bench", "run", 0, 0),
                          reg_ready=[(0, None)] * 32)
@@ -349,7 +346,7 @@ def test_retire_in_order_and_width():
     config = dataclasses.replace(SimConfig.paper(), retire_width=2)
     stage = RetireStage(config, CheckpointStore(config.max_checkpoints),
                         MultiBranchPredictor(config.predictor),
-                        TelemetryRegistry(), NULL_EVENT_STREAM)
+                        NULL_EVENT_STREAM)
     state = MachineState(records=[], n=0,
                          result=SimResult("bench", "run", 0, 0),
                          reg_ready=[(0, None)] * 32)

@@ -42,6 +42,36 @@ def test_diff_results(service):
         "  coverage.moves: 0 -> 7", "  pass_totals.moves: - -> 3"]
 
 
+def test_diff_results_reads_telemetry_and_attribution(service):
+    import dataclasses
+    base = service.run(opt_job("compress", OptimizationConfig.all()))
+    old = dataclasses.replace(
+        base, telemetry={**base.telemetry,
+                         "rename.checkpoint.stalls": 191},
+        attribution={"base": 10, "tc_miss": 2})
+    size = dict(old.telemetry["fetch.group.size"])
+    size["buckets"] = {**size["buckets"], "5": size["buckets"]["5"] + 1}
+    new = dataclasses.replace(
+        old, tc_hits=old.tc_hits + 1,
+        telemetry={**old.telemetry, "rename.checkpoint.stalls": 123,
+                   "fetch.group.size": {**size, "max": 17},
+                   "fetch.tc.hits": old.tc_hits + 1},
+        attribution={"base": 9, "tc_miss": 3})
+    buckets = old.telemetry["fetch.group.size"]["buckets"]["5"]
+    # a mirrored scope is named once, by its typed field
+    assert sorted(diff_results(old, new).splitlines()[1:]) == sorted([
+        f"  tc_hits: {old.tc_hits} -> {old.tc_hits + 1}",
+        "  telemetry.rename.checkpoint.stalls: 191 -> 123",
+        f"  telemetry.fetch.group.size.max: {size['max']} -> 17",
+        f"  telemetry.fetch.group.size.buckets.5: {buckets} -> "
+        f"{buckets + 1}",
+        "  attribution.base: 10 -> 9",
+        "  attribution.tc_miss: 2 -> 3"])
+    only_stalls = dataclasses.replace(
+        old, telemetry={**old.telemetry, "rename.checkpoint.stalls": 123})
+    assert diff_results(old, only_stalls) is not None
+
+
 def test_diff_rejects_mismatched_experiments(service):
     import dataclasses
     base = service.run(opt_job("compress", OptimizationConfig.none()))

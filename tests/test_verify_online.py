@@ -11,7 +11,7 @@ from repro.fillunit.opts.base import OptimizationConfig, \
 from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
-from repro.telemetry import Telemetry, TelemetryRegistry
+from repro.telemetry import Telemetry
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 from repro.verify import SegmentVerifier
 from tests.helpers import run_asm
@@ -31,13 +31,12 @@ next:
 """
 
 
-def build_unit(opts, verify=True, verify_each=False, telemetry=None,
-               registry=None):
+def build_unit(opts, verify=True, verify_each=False, telemetry=None):
     unit = FillUnit(
         FillUnitConfig(latency=1, optimizations=opts, verify=verify,
                        verify_each=verify_each),
         TraceCache(TraceCacheConfig(num_sets=64, assoc=4)),
-        BiasTable(64, threshold=64), registry=registry)
+        BiasTable(64, threshold=64))
     if telemetry is not None:
         # Outside an engine, wire the event stage's hook by hand.
         unit.verify_hooks = (EventStage(telemetry.events).segment_verified,)
@@ -70,12 +69,10 @@ def test_verification_off_means_no_verifier():
 
 
 def test_counters_mirror_verification_outcomes():
-    registry = TelemetryRegistry()
     _, trace = run_asm(KERNEL)
-    unit = build_unit(OptimizationConfig.all(), telemetry=Telemetry(),
-                      registry=registry)
+    unit = build_unit(OptimizationConfig.all(), telemetry=Telemetry())
     segments = feed(unit, trace)
-    counters = registry.flat()
+    counters = unit.counts
     assert counters["fillunit.verify.segments_checked"] == len(segments)
     assert counters["fillunit.verify.segments_clean"] == len(segments)
 
@@ -96,12 +93,10 @@ def test_violation_event_names_offending_pass():
             return {}
 
     telemetry = Telemetry()
-    registry = TelemetryRegistry()
     sink = telemetry.attach_memory(kinds=("verify.violation",))
     _, trace = run_asm(KERNEL)
     unit = build_unit(OptimizationConfig.only("placement"),
-                      verify_each=True, telemetry=telemetry,
-                      registry=registry)
+                      verify_each=True, telemetry=telemetry)
     unit.passes.passes.insert(0, BrokenPass())
     feed(unit, trace)
     assert unit.verifier.report.violations > 0
@@ -111,7 +106,7 @@ def test_violation_event_names_offending_pass():
     assert event.data["severity"] == "error"
     assert event.data["rule"] in ("equiv-registers", "equiv-memory",
                                   "pass-surface")
-    counters = registry.flat()
+    counters = unit.counts
     violation_scopes = [scope for scope in counters
                         if scope.startswith("fillunit.verify.violations.")]
     assert violation_scopes

@@ -4,8 +4,9 @@ Two forms are understood:
 
 * two directories — exec-cache envelope sets, as written by
   ``repro figures --cache-dir``. Envelopes pair by their provenance
-  ``(benchmark, label, scale)``; every counter that differs is
-  listed, old -> new.
+  ``(benchmark, label, scale)``; every counter that differs (a typed
+  field, a telemetry scope or an attribution class) is listed,
+  old -> new.
 * two ``.jsonl`` files — telemetry event archives written with
   ``repro run --events``; the runs' cycle attributions are diffed side by
   side (envelopes carry no attribution).
