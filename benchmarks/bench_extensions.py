@@ -1,16 +1,13 @@
-"""Extension passes beyond the paper's four measured optimizations:
-
-* common-subexpression elimination and dead-code elimination (§5's
-  proposed future work, in always-safe conservative subsets);
-* dynamic predication of hard-to-predict short forward branches (the
-  transformation class §1 names as an example of what the fill unit
-  can do).
+"""The predication extension beyond the paper's four measured
+optimizations: dynamic predication of hard-to-predict short forward
+branches (the transformation class §1 names as an example of what the
+fill unit can do).
 
 Measured on top of the paper's four optimizations.
 
-The paper only *proposes* these ("may yield further improvements"), so
-there is no reference number; the bench documents what the conservative
-always-safe subsets buy on this suite and asserts they never regress.
+The paper does not measure predication, so there is no reference
+number; the bench documents what the conservative always-safe pass
+buys on this suite and asserts it never regresses.
 """
 
 import pytest
@@ -33,25 +30,23 @@ def test_extension_passes(benchmark, service, emit):
         for bench in SUBSET:
             base = service.run(opt_job(bench, OptimizationConfig.none()))
             four = service.run(opt_job(bench, OptimizationConfig.all()))
-            six = Engine(SimConfig.paper(extended)).run(
+            five = Engine(SimConfig.paper(extended)).run(
                 service.trace(bench), benchmark=bench, label="extended")
             rows[bench] = (four.improvement_over(base),
-                           six.improvement_over(base),
-                           six.pass_totals.get("cse_eliminated", 0),
-                           six.pass_totals.get("dead_code_removed", 0),
-                           six.pass_totals.get("predicated_branches", 0))
+                           five.improvement_over(base),
+                           five.pass_totals.get("predicated_branches", 0))
         return rows
     rows = benchmark.pedantic(study, rounds=1, iterations=1)
-    emit("Extensions: the paper's four passes vs + predication/CSE/DCE\n"
+    emit("Extensions: the paper's four passes vs + predication\n"
          + "\n".join(
              f"  {name:10s} four {a:+6.1f}%   extended {b:+6.1f}%   "
-             f"(cse x{c}, dce x{d}, pred x{e} per build)"
-             for name, (a, b, c, d, e) in rows.items()))
-    # Safety claim: adding the conservative extensions never loses
-    # meaningfully (their rewrites strictly reduce work or convert
-    # mispredict-prone control into data dependences).
-    for name, (four, ext, _, _, _) in rows.items():
+             f"(pred x{e} over all builds)"
+             for name, (a, b, e) in rows.items()))
+    # Safety claim: adding the conservative extension never loses
+    # meaningfully (it converts mispredict-prone control into data
+    # dependences).
+    for name, (four, ext, _) in rows.items():
         assert ext >= four - 1.0, name
     # Predication should pay off visibly on the hammock-rich hash codes.
-    mean_delta = arithmetic_mean(b - a for a, b, _, _, _ in rows.values())
+    mean_delta = arithmetic_mean(b - a for a, b, _ in rows.values())
     assert 0.0 <= mean_delta < 15.0

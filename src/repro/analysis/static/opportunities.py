@@ -21,9 +21,9 @@ because a rewritten operand can expose a chain the original hid):
 * ``H`` — registers that may hold a live short-shift result
   (``SLL`` by 1..max_shift, propagated through possible moves).
 
-The oracle only covers the paper's four passes: the extension passes
-(CSE, dead-code, predication) synthesise new moves and rewrite
-opcodes, deliberately breaking the static bound.
+The oracle only covers the paper's four passes: the predication
+extension squashes branches and guards instructions, outside the
+static bound.
 """
 
 from __future__ import annotations

@@ -266,8 +266,6 @@ class Engine:
             self._segment_hooks(lambda name: ())
 
         result.cycles = state.retire_cycles[-1]
-        if wrong_path is not None:
-            result.wrong_path_fetches = wrong_path.instructions
         self._finish_stats(state, result)
         events.emit(RUN_FINISHED, result.cycles, benchmark=benchmark,
                     label=label, instructions=n, cycles=result.cycles,

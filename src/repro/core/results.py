@@ -160,6 +160,7 @@ COUNTER_SCOPES: Dict[str, str] = {
     "promoted_fetches": "branch.promoted.fetches",
     "promoted_mispredicts": "branch.promoted.mispredicts",
     "indirect_mispredicts": "branch.indirect.mispredicts",
+    "wrong_path_fetches": "branch.wrong_path.fetches",
     "bypass_delayed": "backend.bypass.cross_cluster",
     "executed_with_sources": "backend.exec.with_sources",
     "moves_eliminated": "rename.moves.eliminated",

@@ -12,7 +12,7 @@ The bypass rule: a value produced in another cluster arrives
 cluster, or one that predates the window (architected state, no
 producer), is available at its ready cycle.
 
-NOPs (including instructions squashed by dead-code elimination) occupy
+NOPs (including branches squashed by predication) occupy
 their trace cache slot but are never dispatched to a functional unit;
 they complete here at their rename cycle.
 """

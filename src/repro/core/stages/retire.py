@@ -108,7 +108,8 @@ class RetireStage(PipelineStage):
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
-        result.telemetry.update({
+        telemetry = result.telemetry
+        telemetry.update({
             "branch.cond.seen": self.cond_branches,
             "branch.cond.mispredicts": self.mispredicts,
             "branch.promoted.fetches": self.promoted_fetches,
@@ -116,6 +117,10 @@ class RetireStage(PipelineStage):
             "branch.indirect.mispredicts": self.indirect_mispredicts,
             "predication.branches": self.predicated_branches,
         })
+        # only a run that models the wrong path has the scope
+        if state is not None and state.wrong_path is not None:
+            telemetry["branch.wrong_path.fetches"] = \
+                state.wrong_path.instructions
 
 
 __all__ = ["RetireStage"]

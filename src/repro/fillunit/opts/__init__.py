@@ -1,4 +1,5 @@
-"""The paper's four dynamic trace optimizations, as fill-unit passes."""
+"""The paper's four dynamic trace optimizations, plus dynamic
+predication, as fill-unit passes."""
 
 from repro.fillunit.opts.base import (
     OptimizationConfig,
@@ -6,8 +7,6 @@ from repro.fillunit.opts.base import (
     PassManager,
     PassContext,
 )
-from repro.fillunit.opts.cse import CommonSubexpressionPass
-from repro.fillunit.opts.deadcode import DeadCodePass
 from repro.fillunit.opts.moves import RegisterMovePass
 from repro.fillunit.opts.reassoc import ReassociationPass
 from repro.fillunit.opts.scaledadd import ScaledAddPass
@@ -19,8 +18,6 @@ __all__ = [
     "OptimizationPass",
     "PassManager",
     "PassContext",
-    "CommonSubexpressionPass",
-    "DeadCodePass",
     "RegisterMovePass",
     "ReassociationPass",
     "ScaledAddPass",

@@ -3,9 +3,9 @@
 Each of the paper's four trace optimizations is a pass over a
 :class:`~repro.tracecache.segment.TraceSegment`; the
 :class:`PassManager` applies the enabled subset in a fixed order: the
-extension passes first (predication, CSE, dead code — they create and
-consume the move idioms the published passes then exploit), then the
-paper's order (moves, reassociation, scaled adds, then placement).
+predication extension first (it converts only unannotated
+instructions, so it runs before the paper's passes annotate any), then
+the paper's order (moves, reassociation, scaled adds, then placement).
 Placement always runs last, whatever subset is enabled, because it
 consumes the final dependence structure; the constructor enforces
 this.
@@ -40,25 +40,23 @@ if TYPE_CHECKING:
     from repro.verify.rules import Violation
 
 #: every optimization, in the order the pass manager runs them
-PASS_ORDER = ("predication", "cse", "dead_code", "moves", "reassoc",
-              "scaled_adds", "placement")
+PASS_ORDER = ("predication", "moves", "reassoc", "scaled_adds",
+              "placement")
 
 
 @dataclass
 class OptimizationConfig:
     """Which optimizations the fill unit performs.
 
-    The first four are the paper's contributions; ``cse`` and
-    ``dead_code`` are the conservative subsets of the extensions the
-    paper's conclusion proposes as future work (§5).
+    The first four are the paper's contributions; ``predication`` is
+    the dynamic predication its conclusion proposes as future work
+    (§5).
     """
 
     moves: bool = False
     reassoc: bool = False
     scaled_adds: bool = False
     placement: bool = False
-    cse: bool = False
-    dead_code: bool = False
     predication: bool = False
     #: the paper inhibits reassociation within a basic block (the
     #: compiler already does it there); disable for the ablation run.
@@ -87,10 +85,9 @@ class OptimizationConfig:
 
     @classmethod
     def extended(cls) -> "OptimizationConfig":
-        """The paper's four plus its proposed future-work passes."""
+        """The paper's four plus dynamic predication."""
         return cls(moves=True, reassoc=True, scaled_adds=True,
-                   placement=True, cse=True, dead_code=True,
-                   predication=True)
+                   placement=True, predication=True)
 
     @classmethod
     def only(cls, name: str) -> "OptimizationConfig":
@@ -192,8 +189,6 @@ class PassManager:
                  bias: Optional[BiasTable] = None,
                  verifier: Optional[SegmentVerifier] = None,
                  verify_each: bool = False) -> None:
-        from repro.fillunit.opts.cse import CommonSubexpressionPass
-        from repro.fillunit.opts.deadcode import DeadCodePass
         from repro.fillunit.opts.moves import RegisterMovePass
         from repro.fillunit.opts.placement import PlacementPass
         from repro.fillunit.opts.predication import PredicationPass
@@ -204,14 +199,12 @@ class PassManager:
                                    bias=bias)
         classes: Dict[str, Callable[[], OptimizationPass]] = {
             "predication": PredicationPass,
-            "cse": CommonSubexpressionPass, "dead_code": DeadCodePass,
             "moves": RegisterMovePass, "reassoc": ReassociationPass,
             "scaled_adds": ScaledAddPass, "placement": PlacementPass}
         self.passes: List[OptimizationPass] = [
             classes[name]() for name in config.enabled_names()]
         # Placement consumes the final dependence structure, so it must
-        # run after every rewriting pass — including the extensions,
-        # whose docstring drift once suggested otherwise.
+        # run after every rewriting pass, predication included.
         names = [opt_pass.name for opt_pass in self.passes]
         if "placement" in names and names[-1] != "placement":
             raise ConfigError(

@@ -9,10 +9,10 @@ pattern the sound static over-approximation says cannot exist, i.e.
 the eligibility test is unsound (or the analyzer's CFG missed an
 edge). The checker names the opt class and the offending PC.
 
-The oracle covers the paper's four passes only: the extension passes
-(CSE, dead-code elimination, dynamic predication) synthesise new move
-idioms and rewrite opcodes, so requesting a cross-check under an
-extended configuration is an error, not a violation.
+The oracle covers the paper's four passes only: the predication
+extension squashes branches and guards instructions, which the static
+site sets do not model, so requesting a cross-check under an extended
+configuration is an error, not a violation.
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ class OracleCheck:
 
 def _require_paper_opts(config: SimConfig) -> None:
     opts = config.optimizations
-    if opts.cse or opts.dead_code or opts.predication:
+    if opts.predication:
         raise ConfigError(
             "the opportunity oracle only covers the paper's four "
-            "passes; disable cse/dead_code/predication to cross-check")
+            "passes; disable predication to cross-check")
 
 
 class SiteLog(PipelineStage):

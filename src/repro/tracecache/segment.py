@@ -96,8 +96,7 @@ class TraceSegment:
 
     def squash(self, index: int) -> None:
         """Replace entry *index* with a NOP at the same pc and region
-        ids, marked for re-decoding (dead-code removal and
-        predication)."""
+        ids, marked for re-decoding (predication)."""
         old = self.instrs[index]
         nop = make_nop()
         nop.pc = old.pc

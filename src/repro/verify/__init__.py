@@ -1,7 +1,7 @@
 """Segment verifier: translation validation + invariant lint.
 
 The fill unit rewrites retired instructions — move marking,
-reassociation, scaled adds, placement, and the extension passes — and
+reassociation, scaled adds, placement, and predication — and
 the paper's whole premise is that those rewrites never change
 architectural semantics. This package *proves* that, statically, for
 every optimized :class:`~repro.tracecache.segment.TraceSegment`:

@@ -170,7 +170,7 @@ def _squashed(original: Instruction, optimized: Instruction) -> bool:
                   "surviving use or the segment exit",
       hint="only squash an instruction whose destination is redefined "
            "later in the same checkpoint block with no intervening "
-           "reader (DeadCodePass._dead_within_block)")
+           "reader")
 def _check_def_before_use(inp: RuleInput) -> Iterator[Violation]:
     orig, opt = inp.original.instrs, inp.optimized.instrs
     for idx in range(min(len(orig), len(opt))):
@@ -391,13 +391,10 @@ def _check_branch_preserved(inp: RuleInput) -> Iterator[Violation]:
                 # Predication-shaped removal: the body right after the
                 # squashed branch is guarded (guard-sound vets the
                 # guard's register and sense precisely — checking them
-                # here too would double-report one defect) or was
-                # itself squashed by a later dead-code pass.
+                # here too would double-report one defect).
                 follower = (opt.instrs[ob.index + 1]
                             if ob.index + 1 < len(opt.instrs) else None)
-                ok = follower is not None and (
-                    follower.op is Op.NOP
-                    or follower.guard is not None)
+                ok = follower is not None and follower.guard is not None
             if not ok:
                 yield inp.violation(
                     "branch-preserved", ob.index,

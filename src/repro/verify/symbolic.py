@@ -14,9 +14,9 @@ algebraic rewrites normalize to identical terms:
   scaled-add operand ``(src << shamt)`` equals the SLL+ADD pair it
   collapsed;
 * commutative operators sort their operand terms, so scaled-add's
-  operand swap and CSE's canonical source ordering are invisible;
-* marked moves evaluate to their source's term, so move marking,
-  bypass rewriting and CSE-to-move conversion are invisible.
+  operand swap is invisible;
+* marked moves evaluate to their source's term, so move marking and
+  bypass rewriting are invisible.
 
 A trace segment embeds one *path* of execution, so evaluation is
 path-sensitive: the recorded direction of each embedded branch becomes

@@ -303,9 +303,15 @@ def test_nonsense_jobs_is_one_line(capsys, jobs):
     assert captured.out == ""
 
 
-def test_unknown_benchmark_rejected():
+def test_unknown_benchmark_rejected(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "doom"])
+    # an unknown --opts name (here the retired CSE pass) is argparse's
+    # usage error too, not a traceback
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "compress", "--opts", "cse"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'cse'" in capsys.readouterr().err
 
 
 def test_parser_requires_command():

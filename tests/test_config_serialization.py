@@ -54,7 +54,7 @@ def _non_default_config() -> SimConfig:
         fill_latency=7,
         optimizations=OptimizationConfig(
             moves=True, reassoc=True, scaled_adds=True, placement=True,
-            cse=True, dead_code=True, predication=True,
+            predication=True,
             reassoc_cross_flow_only=False, max_scale_shift=2),
         verify_fill=True,
         verify_each_pass=True,
@@ -112,6 +112,12 @@ def test_unknown_nested_key_rejected():
     payload = SimConfig().to_dict()
     payload["predictor"]["pht_entires"] = [1, 2, 3]
     with pytest.raises(ConfigError, match="pht_entires"):
+        SimConfig.from_dict(payload)
+    # a config recorded when the fill unit still had its CSE and
+    # dead-code passes names both retired keys
+    payload = SimConfig().to_dict()
+    payload["optimizations"].update(cse=True, dead_code=False)
+    with pytest.raises(ConfigError, match=r"\['cse', 'dead_code'\]"):
         SimConfig.from_dict(payload)
 
 

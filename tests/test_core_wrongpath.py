@@ -133,6 +133,11 @@ def test_end_to_end_pollution_costs_cycles():
     base, polluted = _run_both(assemble(HARD_BRANCH))
     assert polluted.wrong_path_fetches > 0
     assert base.wrong_path_fetches == 0
+    # the retire stage writes the count's scope, and only when the run
+    # models the wrong path
+    assert polluted.telemetry["branch.wrong_path.fetches"] \
+        == polluted.wrong_path_fetches
+    assert "branch.wrong_path.fetches" not in base.telemetry
     # Pollution perturbs I-cache state; on a tiny loop it may even act
     # as a prefetch, so assert the timing moved only modestly in either
     # direction rather than a strict cost.

@@ -158,8 +158,8 @@ def _evicting(config: SimConfig) -> SimConfig:
                                       l1d_size=1024))
 
 
-PASS_NAMES = ("predication", "cse", "dead_code", "moves", "reassoc",
-              "scaled_adds", "placement")
+PASS_NAMES = ("predication", "moves", "reassoc", "scaled_adds",
+              "placement")
 
 
 @pytest.mark.parametrize("opts,evicting", [

@@ -170,24 +170,24 @@ class ReuseCheck(PipelineStage):
 #: JSON) at scale 0.15 on the evicting machine under ``extended()``,
 #: recorded before the fill unit reused segments
 EVICTING_EXTENDED = {
-    ("compress", "lru"): (5328, "e8c384fd5f2a24872bbf8a9cbcd6f85e"
-                                "ef7b5f7c566b20cae54bc373c4d7dbd4"),
-    ("compress", "srrip"): (5308, "4101dc68532bfaa095ed0ec58a1e75a6"
-                                  "741e1da15e350b2f8f9cb01eccd287a0"),
-    ("compress", "trrip"): (5305, "48030ae278821315b37cd83eae056381"
-                                  "72cc87e1d21cbc2f5ea60b5fbe78f244"),
-    ("li", "lru"): (4280, "fe86ea39507b510bf3053849b7a9d110"
-                          "2e76c596d54710099b80654c4f53316b"),
-    ("li", "srrip"): (4302, "d313daf0961c7e0a41194daf352105fc"
-                            "53aed89c1f48322febebe199f6b5757e"),
-    ("li", "trrip"): (4265, "a78b0a8ba933c46418a6806d74397e97"
-                            "8d34b6a6fd31ce0fa298e45c8a06ed4d"),
-    ("gcc", "lru"): (3483, "86c87a0452a8ed77abccabd0cd04ae07"
-                           "9e3bed801d5eceb842b28436234482d6"),
-    ("gcc", "srrip"): (3378, "9f7e200fad8969a22aa5de97d560ecd3"
-                             "eb4b853faa96fd2162aee090c033cab9"),
-    ("gcc", "trrip"): (3345, "cedbe6b8fafb25bd9b2752cc54563321"
-                             "a4e97f4807502c943c35eafdef786333"),
+    ("compress", "lru"): (5328, "d7bc08ed7a9d522ed2dd745e750525e6"
+                                "d97e61f5dfecca56d4ab0f2c316abe7a"),
+    ("compress", "srrip"): (5308, "b9422ecbbd574bcb28e702efa9361da1"
+                                  "a3f6e7c271e9a5b42389ee33cf2dc205"),
+    ("compress", "trrip"): (5305, "9124c1de204eeca920e20af192bb75f5"
+                                  "8c2c80a2c13f3625d4968aacabbb6dd9"),
+    ("li", "lru"): (4280, "167c4f15b41c551f002cf9e8e49b4518"
+                          "f50d4e2ed797b4e2109fd82bd055efdd"),
+    ("li", "srrip"): (4302, "305264e52fe149c6c6873d83490e0356"
+                            "28615047cfc8e29e9e7cf84e771a43aa"),
+    ("li", "trrip"): (4265, "562cbdb7546c6d172b18831207381e72"
+                            "73ae6948d5e8c39c88e8ad51c36c534c"),
+    ("gcc", "lru"): (3483, "90c62c3eca08194306fa2bfed7e60a93"
+                           "741e3e488cb4da0888a122c778545b8a"),
+    ("gcc", "srrip"): (3378, "76342da6852e19548d4b9d5a4e5dccd7"
+                             "45f7220e36fdf1978cc1ac18ed548e62"),
+    ("gcc", "trrip"): (3345, "e18e3a57aa7e615397ee400e4136259f"
+                             "5a42cee7d06810020fdc1df235d779a2"),
 }
 
 _RUNS: dict = {}

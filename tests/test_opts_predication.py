@@ -44,12 +44,19 @@ def test_fallthrough_hammock_converted():
 
 def test_branch_becomes_nop_and_leaves_branch_list():
     segments = segments_for(HAMMOCK)
-    for seg in segments:
+    plain = segments_for(HAMMOCK, OptimizationConfig.none())
+    assert find_guarded(segments)
+    assert len(segments) == len(plain)
+    for seg, original in zip(segments, plain):
         for idx, instr in enumerate(seg.instrs):
             if instr.guard is not None:
                 assert seg.instrs[idx - 1].op is Op.NOP
         for info in seg.branches:
             assert seg.instrs[info.index].is_cond_branch()
+        # the squashed branch keeps its slot: same length, one issue
+        # slot per entry
+        assert len(seg) == len(original)
+        assert sorted(seg.slots) == list(range(len(seg)))
         seg.validate()
 
 

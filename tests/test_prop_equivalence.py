@@ -104,8 +104,6 @@ OPT_SETS = [
     OptimizationConfig.only("reassoc"),
     OptimizationConfig.only("scaled_adds"),
     OptimizationConfig.only("placement"),
-    OptimizationConfig.only("cse"),
-    OptimizationConfig.only("dead_code"),
     OptimizationConfig.all(),
     OptimizationConfig.extended(),
     OptimizationConfig(moves=True, reassoc=True,

@@ -55,7 +55,7 @@ GOLDEN_CYCLES = {
     "gnuchess": (6255, 6074, 5155, 5155),
     "gnuplot": (4669, 4170, 4100, 4100),
     "go": (6209, 6101, 5458, 5458),
-    "ijpeg": (7925, 7956, 8036, 8037),
+    "ijpeg": (7925, 7956, 8036, 8036),
     "li": (7555, 6456, 5736, 5736),
     "m88ksim": (7309, 6996, 5705, 5705),
     "perl": (7802, 7249, 6674, 6654),
@@ -229,7 +229,7 @@ ATTRIBUTION = {
     ),
     "ijpeg": (
         (4667, 0, 552, 552, 2090, 175, 0),
-        (4667, 0, 552, 553, 2090, 175, 0),
+        (4667, 0, 552, 552, 2090, 175, 0),
         (3235, 0, 391, 260, 1464, 60, 0),
     ),
     "li": (
@@ -368,36 +368,36 @@ def test_suite_digests_cover_every_workload():
 #: runs build predicated lines, so they pin the phantom entries and
 #: the fetch coverage counters under predication.
 EXTENDED_DIGESTS = {
-    "compress": ("be2058f0988ff8965ce1fbb34e41c135"
-                 "eba407b1ee6d9156512296589b8239f7"),
-    "gcc": ("b8d7b231ddad0f6b2f3e547163de2cc8"
-            "fea3223b448bdc10b7a96fc5a9801455"),
-    "go": ("c6df15bb47a0b90880e547a2b0cfea87"
-           "5a99209617c617486e1c628b00c22a72"),
-    "ijpeg": ("1c2fd575f4ea9a65d94e7a6b86faaae6"
-              "1786e1148491ad4b39ec610d5cb012c9"),
-    "li": ("8e0883aed82752f485a1d3035fcef884"
-           "82ef8ea75b2444ebb5eb039889f565a2"),
-    "m88ksim": ("f99f75a078519b6dc8feff2f105e548d"
-                "468ac79ab3e8c8a6dae5ef165e0fa261"),
-    "perl": ("ea03d112d253def239510d53cf0d6e63"
-             "b28f245b99ac614dfa643d5d9054a340"),
-    "vortex": ("e01b0879992d7764aad11ac70dd1cea0"
-               "48003dcaf44e30c67c9024bbf6922611"),
-    "gnuchess": ("f8e02a6fff06d1a8ae4f21af7d87a9b5"
-                 "cfaf6ec26859295a4c6a8591716b2f4f"),
-    "ghostscript": ("15231fd57e235fd57f457579ba5dbf67"
-                    "4c948cd22418bc76346441f98b8f469f"),
-    "pgp": ("c7ff76c9f5015274a6d4039c90b03462"
-            "a2130e56767ca941df48452982b3f4b0"),
-    "gnuplot": ("fafc0ce5f70ea483a964e7dddabece24"
-                "72ffa778c23844e524d99ff9ef862ad9"),
-    "python": ("4ef47b6227b183e0a99c9e3ebce397f9"
-               "fe5fc864814e5423bc8728279ae900e0"),
-    "sim-outorder": ("4fdb771d1466896cfcdfb13d611fc5b8"
-                     "ec58babb4faaaf5afb6eb6cc95a0ff7a"),
-    "tex": ("2ada1181ad56c6a95fe40ae77d38cebd"
-            "ab8cdb5c924049d1692616b5c495ea93"),
+    "compress": ("ef53987fe5de0b32615348fa9823a45d"
+                 "d719d1d8522c871f0e8940f178f163a2"),
+    "gcc": ("410ccadb052a5eb9ef53c1612b7fa769"
+            "7435d52528562be16d62689342a82473"),
+    "go": ("a6a335dfd3fa023618243b4ed1b48211"
+           "1dcc5104bcd289a0bc15f13996c4ba94"),
+    "ijpeg": ("4826b717574b55ab0f51d1ffef88739f"
+              "4b29b0779045bcdaf8366fba2dff372b"),
+    "li": ("222503a8e991fe16d2d74219d29704de"
+           "ac1ca394f3f544d1673d2762441dc093"),
+    "m88ksim": ("364f489b45312618417be6aa145472a2"
+                "798e07f0e2634afde2dae0e2413cd8e6"),
+    "perl": ("62bad244ce0f5d93d6883bb858cb343b"
+             "d6928ddfa27f1fdb838f5ebaa2c966f1"),
+    "vortex": ("cc7fecb59508a1bbf2de105198e20467"
+               "f32c6c70b8c9dda00a11b41636b4cb4a"),
+    "gnuchess": ("92d8887f6b2ada8b0e5a1b789062fd55"
+                 "946491213d68c726de5dda734e49ce30"),
+    "ghostscript": ("dcd407f3860e4e5262747af6f1edaf4d"
+                    "159f6d3713b6ac45ffc08eee950c8d48"),
+    "pgp": ("a9e2f575fde7b39240a34c5fb46a6e90"
+            "0fb005c354238ec1ec906bc38dcd816b"),
+    "gnuplot": ("7f41d32bd9b9a603110fcdd08f71c9c9"
+                "bf6ebe733d36bdd1dfa5a1adb8113de5"),
+    "python": ("5410051e06c015021701d769e8fda0eb"
+               "6e03e5bc71004706bab8898cc9c01fb7"),
+    "sim-outorder": ("25a6222eece290afc095d710917b15a9"
+                     "b8497ac0e372941277cc1a1ca95b2baf"),
+    "tex": ("a211e4295016021e954ef665297cb9a4"
+            "3b4e40a519a60c56c4b15c885e2e8249"),
 }
 
 

@@ -30,8 +30,8 @@ next:
     halt
 """
 
-ALL_CONFIGS = ["moves", "reassoc", "scaled_adds", "placement",
-               "cse", "dead_code", "all", "extended"]
+ALL_CONFIGS = ["moves", "reassoc", "scaled_adds", "placement", "all",
+               "extended"]
 
 
 def verify_built_segments(source, opts, **kw):

@@ -137,12 +137,20 @@ def test_branch_preserved_catches_altered_displacement():
 def test_branch_preserved_catches_dropped_record():
     branch = Instruction(Op.BEQ, rs=8, rt=0, imm=8, pc=0x1000)
     original = seg(
-        [branch, Instruction(Op.ADDI, rd=9, rs=0, imm=1)],
+        [branch, Instruction(Op.ADDI, rd=9, rs=0, imm=1),
+         Instruction(Op.ADDI, rd=9, rs=0, imm=2)],
         branches=[BranchInfo(0, 0x1000, direction=False,
                              promoted=False)])
     optimized = original.clone()
     optimized.branches = []        # record dropped, branch NOT squashed
     assert_exactly(check(original, optimized), "branch-preserved")
+    # branch squashed, but its body squashed too rather than guarded:
+    # no predication conversion either
+    optimized.squash(0)
+    optimized.squash(1)
+    assert_exactly(check(original, optimized,
+                         OptimizationConfig.extended()),
+                   "branch-preserved")
 
 
 def _predicated_pair():
