@@ -155,7 +155,7 @@ def cmd_run(args) -> int:
               f"tracks: {', '.join(recorder.tracks())}) to "
               f"{args.timeline}")
         print("  open in https://ui.perfetto.dev (pid 1 = simulated "
-              "cycles, pid 2 = host time)")
+              "cycles)")
     if profiler is not None:
         import json
         with open(args.hostprof, "w") as handle:
@@ -183,8 +183,8 @@ def _print_attribution(result) -> None:
 def cmd_figures(args) -> int:
     """Simulate the paper grid through the execution service (inline
     at ``--jobs 1``) and print Table 1, Figures 3-8 and Table 2. The
-    scale, elapsed time and job tally go to stderr, so stdout depends
-    only on the scale and the code."""
+    scale, elapsed time, job tally and host-time split go to stderr,
+    so stdout depends only on the scale and the code."""
     import time
 
     from repro.exec.grid import paper_grid
@@ -204,12 +204,15 @@ def cmd_figures(args) -> int:
         from repro.harness.svgchart import write_all_figures
         for path in write_all_figures(service, benchmarks, args.svg):
             print(f"wrote {path}", file=sys.stderr)
-    stats = service.stats
+    stats, host = service.stats, service.host_s
     print(f"scale={args.scale}  jobs={args.jobs}  "
           f"elapsed={time.time() - start:.0f}s\n"
           f"exec: simulated={stats['simulated']} memo={stats['memo']} "
-          f"disk={stats['disk']} (cache hit rate "
-          f"{100.0 * service.cache_hit_rate:.0f}%)", file=sys.stderr)
+          f"disk={stats['disk']} retried={stats['retried']} (cache hit "
+          f"rate {100.0 * service.cache_hit_rate:.0f}%)\n"
+          f"host: trace={host['trace']:.1f}s engine={host['engine']:.1f}s "
+          f"cache_write={host['cache_write']:.1f}s (sums over simulated "
+          f"jobs, which overlap under --jobs N)", file=sys.stderr)
     return 0
 
 

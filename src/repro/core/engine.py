@@ -118,7 +118,7 @@ class Engine:
                     config.cross_cluster_penalty,
                     extra_is_tc_miss=self.trace_cache is not None))
             self.stages.append(EventStage(self.events))
-            if telemetry.spans.enabled:
+            if telemetry.spans is not None:
                 self.stages.append(SpanStage(telemetry.spans,
                                              self.fill_unit))
         #: set by the first ``run()``: the components keep their state

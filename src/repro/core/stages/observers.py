@@ -13,7 +13,7 @@ from repro.core.results import SimResult
 from repro.core.stages.base import MachineState, PipelineStage
 from repro.fillunit.unit import FillUnit
 from repro.telemetry import events as ev
-from repro.telemetry.spans import SpanHandle, SpanRecorder
+from repro.telemetry.spans import SpanRecorder
 
 
 class EventStage(PipelineStage):
@@ -76,7 +76,9 @@ class SpanStage(PipelineStage):
         self.recorder = recorder
         self.fill_unit = fill_unit
         self.latency, self._share, self._verify_offset = 0, 0.0, 0.0
-        self._residency: Dict[Tuple[int, tuple], SpanHandle] = {}
+        #: resident lines: key -> (fill cycle, start pc, instrs)
+        self._residency: Dict[Tuple[int, tuple],
+                              Tuple[float, int, int]] = {}
         self._retire_cycles: List[int] = []
         # the last retire to finalize a candidate: count, window, cycle
         self._retired = -1
@@ -145,9 +147,9 @@ class SpanStage(PipelineStage):
 
     def line_displaced(self, key: Tuple[int, tuple], cycle: int,
                        incoming: Any, evicted: bool) -> None:
-        handle = self._residency.pop(key, None)
-        if handle is not None:
-            handle.end(float(cycle))
+        resident = self._residency.pop(key, None)
+        if resident is not None:
+            self._residency_span(resident, float(cycle))
         if evicted:
             self.recorder.instant(
                 "tracecache", "tc.evict", float(cycle), start_pc=key[0],
@@ -158,14 +160,22 @@ class SpanStage(PipelineStage):
         start_pc, instrs = segment.start_pc, len(segment.instrs)
         self.recorder.instant("tracecache", "tc.insert", fill_cycle,
                               start_pc=start_pc, instrs=instrs)
-        self._residency[(start_pc, segment.path_key)] = self.recorder.begin(
-            "tracecache", "tc.residency", fill_cycle, start_pc=start_pc,
-            instrs=instrs)
+        self._residency[(start_pc, segment.path_key)] = (
+            fill_cycle, start_pc, instrs)
+
+    def _residency_span(self, resident: Tuple[float, int, int],
+                        end: float) -> None:
+        fill_cycle, start_pc, instrs = resident
+        self.recorder.span("tracecache", "tc.residency", fill_cycle,
+                           end - fill_cycle, start_pc=start_pc,
+                           instrs=instrs)
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
         if state is not None:   # close still-resident segments' spans
-            self.recorder.end_open(float(result.cycles))
+            end = float(result.cycles)
+            for resident in self._residency.values():
+                self._residency_span(resident, end)
 
 
 __all__ = ["EventStage", "SpanStage"]

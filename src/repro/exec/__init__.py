@@ -13,12 +13,13 @@ simulation into an addressable *job*:
   a hit replays the archived :class:`~repro.core.results.SimResult`
   (telemetry snapshot included) without simulating;
 * :mod:`repro.exec.pool` — a multiprocess worker pool with
-  deterministic per-job seeding and retry-on-worker-crash;
+  retry-on-worker-crash;
 * :mod:`repro.exec.grid` — the one grid-expansion helper; its
   ``paper_grid`` is the 150 jobs behind every table and figure that
   ``python -m repro figures`` prints;
 * :mod:`repro.exec.service` — the facade tying fingerprint -> cache
-  -> pool together, with progress events on the telemetry stream.
+  -> pool together; it tallies how jobs resolved and the host seconds
+  they took.
 """
 
 from repro.exec.cache import ResultCache

@@ -32,8 +32,6 @@ class ResultCache:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
 
@@ -62,19 +60,15 @@ class ResultCache:
         or schema-incompatible entries, which are removed)."""
         path = self._path(fingerprint)
         try:
-            result = self._read(path)[1]
+            return self._read(path)[1]
         except FileNotFoundError:
-            self.misses += 1
             return None
         except (ValueError, KeyError, TypeError, AttributeError):
             # A torn or outdated entry, or valid JSON of the wrong shape
             # (``.get`` on a list or null): treat as a miss and clear it
             # so the slot can be refilled cleanly.
             path.unlink(missing_ok=True)
-            self.misses += 1
             return None
-        self.hits += 1
-        return result
 
     def envelopes(self) -> Iterator[Tuple[Dict[str, object], SimResult]]:
         """``(provenance, result)`` of every entry, in path order; an
@@ -90,8 +84,9 @@ class ResultCache:
     def put(self, fingerprint: str, result: SimResult,
             provenance: Optional[Dict[str, object]] = None) -> Path:
         """Store *result* under *fingerprint* (atomic; last writer
-        wins, and every writer writes identical bytes by construction
-        of the fingerprint)."""
+        wins). Every writer of a fingerprint writes the same result by
+        construction of the fingerprint; only the provenance (its host
+        seconds, say) differs between writers."""
         path = self._path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         envelope = {

@@ -1,19 +1,18 @@
-"""Multiprocess job execution with deterministic seeding and retry.
+"""Multiprocess job execution with retry.
 
 The worker entry point (:func:`run_job_payload`) is a plain top-level
 function over a plain-dict payload, so it pickles cleanly and can also
 run inline in the parent (``jobs=1``, and the unit tests). Each worker
 process memoizes committed traces by ``(benchmark, scale)`` — the
 expensive functional execution happens once per process, not once per
-job — and seeds :mod:`random` from the job fingerprint before
-touching any model code, so a pool run is reproducible job-by-job no
-matter which worker picks which job up.
+job. The simulator holds no random state, so a job's result does not
+depend on which worker runs it.
 
 Crash handling: a worker dying mid-job (OOM killer, hard crash)
 surfaces as :class:`~concurrent.futures.process.BrokenProcessPool`,
 which poisons the whole executor. The pool rebuilds the executor and
 resubmits the unfinished payloads, up to ``retries`` extra attempts
-per job, emitting an ``exec.worker.retry`` telemetry event each time.
+per job, and counts each resubmission in ``retry_count``.
 """
 
 from __future__ import annotations
@@ -21,20 +20,13 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor, as_completed
 import os
 from pathlib import Path
-import random
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, ReproError
-from repro.telemetry.events import EXEC_WORKER_RETRY, NULL_EVENT_STREAM
-from repro.telemetry.spans import NULL_SPANS, WALL
 
 #: per-process committed-trace memo, keyed (benchmark, scale).
 _TRACE_MEMO: Dict[Tuple[str, float], Any] = {}
-
-
-def derive_seed(fingerprint: str) -> int:
-    """The deterministic per-job seed: the fingerprint's head."""
-    return int(fingerprint[:16], 16)
 
 
 def _trace_for(benchmark: str, scale: float) -> Any:
@@ -54,43 +46,41 @@ def run_job_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     ``SimConfig.to_dict()`` form), ``label``, ``fingerprint``, and
     optionally ``crash_once_path`` (test hook: hard-kill this worker
     the first time the job is attempted, to exercise retry).
-    Returns ``{"fingerprint", "result"}`` with the result in the
-    :mod:`repro.core.export` dict schema.
+    Returns ``{"fingerprint", "result", "host_s"}`` with the result in
+    the :mod:`repro.core.export` dict schema and ``host_s`` the host
+    seconds of the trace lookup or build (``trace``) and of the engine
+    run (``engine``).
     """
     marker = payload.get("crash_once_path")
     if marker is not None and not os.path.exists(marker):
         Path(marker).touch()
         os._exit(17)
 
-    random.seed(derive_seed(payload["fingerprint"]))
-
     from repro.core.config import SimConfig
     from repro.core.engine import Engine
     from repro.core.export import result_to_dict
 
     config = SimConfig.from_dict(payload["config"])
+    start = time.perf_counter()
     trace = _trace_for(payload["benchmark"], payload["scale"])
+    traced = time.perf_counter()
     result = Engine(config).run(trace, benchmark=payload["benchmark"],
                                 label=payload["label"])
     return {"fingerprint": payload["fingerprint"],
-            "result": result_to_dict(result)}
+            "result": result_to_dict(result),
+            "host_s": {"trace": traced - start,
+                       "engine": time.perf_counter() - traced}}
 
 
 class WorkerPool:
     """A crash-tolerant, order-preserving process pool."""
 
-    def __init__(self, jobs: int, retries: int = 2,
-                 events: Any = NULL_EVENT_STREAM,
-                 spans: Any = NULL_SPANS) -> None:
+    def __init__(self, jobs: int, retries: int = 2) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be at least 1, not {jobs}")
         self.jobs = jobs
         self.retries = retries
-        self.events = events
-        #: span recorder for wall-clock pool-batch spans; worker
-        #: processes themselves never see it (it does not pickle into
-        #: the payloads), so per-run engine spans stay parent-only.
-        self.spans = spans
+        #: resubmissions after a worker failure, over every run().
         self.retry_count = 0
 
     def run(self, payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -106,14 +96,7 @@ class WorkerPool:
         results: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
         pending = list(range(len(payloads)))
         attempts = [0] * len(payloads)
-        spans = self.spans
-        round_no = 0
         while pending:
-            batch = spans.begin(
-                "exec", "exec.pool_batch", spans.now_wall(),
-                timebase=WALL, jobs=len(pending), workers=self.jobs,
-                round=round_no)
-            round_no += 1
             executor = ProcessPoolExecutor(max_workers=self.jobs)
             futures = {executor.submit(run_job_payload, payloads[idx]): idx
                        for idx in pending}
@@ -132,7 +115,6 @@ class WorkerPool:
                     errors[idx] = exc
                     failed.append(idx)
             executor.shutdown(wait=False)
-            batch.end(spans.now_wall(), failed=len(failed))
             if typed is not None:
                 raise typed
             exhausted = [idx for idx in failed
@@ -143,21 +125,9 @@ class WorkerPool:
                     f"job {payloads[idx].get('label')!r} on "
                     f"{payloads[idx].get('benchmark')!r} failed after "
                     f"{attempts[idx]} attempt(s)") from errors[idx]
-            for idx in failed:
-                self.retry_count += 1
-                spans.instant(
-                    "exec", "exec.worker.retry", spans.now_wall(),
-                    timebase=WALL,
-                    benchmark=payloads[idx].get("benchmark"),
-                    label=payloads[idx].get("label"),
-                    attempt=attempts[idx])
-                self.events.emit(
-                    EXEC_WORKER_RETRY, 0,
-                    benchmark=payloads[idx].get("benchmark"),
-                    label=payloads[idx].get("label"),
-                    attempt=attempts[idx])
+            self.retry_count += len(failed)
             pending = sorted(failed)
         return [r for r in results if r is not None]
 
 
-__all__ = ["WorkerPool", "run_job_payload", "derive_seed"]
+__all__ = ["WorkerPool", "run_job_payload"]

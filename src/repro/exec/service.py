@@ -13,16 +13,16 @@ tools and benchmarks use to obtain simulation results. Each
 4. inline simulation in this process (``jobs == 1``), reusing one
    committed trace per benchmark.
 
-Every resolution emits a progress event (``exec.job.cached`` /
-``exec.job.started`` / ``exec.job.finished``) on the attached
-telemetry session's event stream, so long grid runs are observable
-with the same machinery as the simulated machine itself.
+The service tallies how each job resolved in ``stats`` and sums the
+host seconds of its simulated jobs, by layer, in ``host_s``; each
+simulated job's own split goes in its cache envelope's provenance.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional
+import time
+from typing import Any, Dict, List, Optional, Set
 
 from repro.core.export import result_from_dict
 from repro.core.results import SimResult
@@ -31,42 +31,30 @@ from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import code_version, job_fingerprint
 from repro.exec.grid import JobSpec
 from repro.exec.pool import WorkerPool, run_job_payload
-from repro.telemetry.events import (
-    EXEC_JOB_CACHED,
-    EXEC_JOB_FINISHED,
-    EXEC_JOB_STARTED,
-    NULL_EVENT_STREAM,
-)
-from repro.telemetry.spans import NULL_SPANS, WALL
 
 
 class ExecutionService:
     """Content-addressed, optionally parallel simulation runs."""
 
     def __init__(self, scale: float = 1.0, jobs: int = 1,
-                 cache_dir: Optional[str] = None,
-                 telemetry: Optional[Any] = None,
-                 retries: int = 2) -> None:
+                 cache_dir: Optional[str] = None) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be at least 1, not {jobs}")
         self.scale = scale
         self.jobs = jobs
         self.cache = (ResultCache(cache_dir)
                       if cache_dir is not None else None)
-        self.telemetry = telemetry
-        self.events = (telemetry.events if telemetry is not None
-                       else NULL_EVENT_STREAM)
-        #: wall-clock job spans on the "exec" track; NULL_SPANS when
-        #: the session does not trace (the exec layer is not on the
-        #: simulated hot path, so the null-object calls are fine here).
-        self.spans = (getattr(telemetry, "spans", NULL_SPANS)
-                      if telemetry is not None else NULL_SPANS)
-        self.retries = retries
         self._memo: Dict[str, SimResult] = {}
         self._traces: Dict[str, Any] = {}
-        #: resolution tally: memo / disk / simulated job counts.
+        #: resolution tally: memo / disk / simulated job counts, and
+        #: the worker resubmissions the pool needed.
         self.stats: Dict[str, int] = {
-            "memo": 0, "disk": 0, "simulated": 0}
+            "memo": 0, "disk": 0, "simulated": 0, "retried": 0}
+        #: host seconds summed over simulated jobs: the trace lookup or
+        #: build, the engine run and the cache write. Pool jobs overlap,
+        #: so under ``jobs > 1`` a sum can exceed the elapsed time.
+        self.host_s: Dict[str, float] = {
+            "trace": 0.0, "engine": 0.0, "cache_write": 0.0}
 
     # -- identity ------------------------------------------------------
 
@@ -90,60 +78,48 @@ class ExecutionService:
     def _lookup(self, job: JobSpec, fp: str) -> Optional[SimResult]:
         """Memo and disk tiers; relabels replayed results to the
         job's label (labels are presentation, not identity)."""
-        spans = self.spans
-        probe = spans.begin("exec", "exec.cache_probe",
-                            spans.now_wall(), timebase=WALL,
-                            benchmark=job.benchmark, label=job.label)
-        source = None
+        source = "memo"
         result = self._memo.get(fp)
-        if result is not None:
-            source = "memo"
-        elif self.cache is not None:
+        if result is None and self.cache is not None:
+            source = "disk"
             result = self.cache.get(fp)
-            if result is not None:
-                source = "disk"
-        probe.end(spans.now_wall(), source=source or "miss")
         if result is None:
             return None
         self.stats[source] += 1
         if result.config_label != job.label:
             result = replace(result, config_label=job.label)
         self._memo[fp] = result
-        self.events.emit(EXEC_JOB_CACHED, 0, benchmark=job.benchmark,
-                         label=job.label, fingerprint=fp[:12],
-                         source=source)
         return result
 
-    def _store(self, job: JobSpec, fp: str, result: SimResult) -> None:
+    def _store(self, job: JobSpec, fp: str, result: SimResult,
+               host_s: Dict[str, float]) -> None:
         self._memo[fp] = result
         self.stats["simulated"] += 1
+        for layer, seconds in host_s.items():
+            self.host_s[layer] += seconds
         if self.cache is not None:
+            start = time.perf_counter()
             self.cache.put(fp, result, provenance={
                 "benchmark": job.benchmark, "label": job.label,
-                "scale": self.scale, "code": code_version()})
+                "scale": self.scale, "code": code_version(),
+                "host_s": host_s})
+            self.host_s["cache_write"] += time.perf_counter() - start
 
     def _payload(self, job: JobSpec, fp: str) -> Dict[str, Any]:
         return {"benchmark": job.benchmark, "scale": self.scale,
                 "config": job.config.to_dict(), "label": job.label,
                 "fingerprint": fp}
 
-    def _simulate_inline(self, job: JobSpec, fp: str) -> SimResult:
+    def _simulate_inline(self, job: JobSpec, fp: str) -> None:
         from repro.core.engine import Engine
-        spans = self.spans
-        self.events.emit(EXEC_JOB_STARTED, 0, benchmark=job.benchmark,
-                         label=job.label, fingerprint=fp[:12])
-        handle = spans.begin("exec", "exec.simulate", spans.now_wall(),
-                             timebase=WALL, benchmark=job.benchmark,
-                             label=job.label, source="inline")
+        start = time.perf_counter()
+        trace = self.trace(job.benchmark)
+        traced = time.perf_counter()
         result = Engine(job.config).run(
-            self.trace(job.benchmark), benchmark=job.benchmark,
-            label=job.label)
-        handle.end(spans.now_wall(), cycles=result.cycles)
-        self._store(job, fp, result)
-        self.events.emit(EXEC_JOB_FINISHED, 0, benchmark=job.benchmark,
-                         label=job.label, fingerprint=fp[:12],
-                         cycles=result.cycles)
-        return result
+            trace, benchmark=job.benchmark, label=job.label)
+        self._store(job, fp, result, {
+            "trace": traced - start,
+            "engine": time.perf_counter() - traced})
 
     # -- public API ----------------------------------------------------
 
@@ -155,29 +131,16 @@ class ExecutionService:
         """All *jobs*, results in submission order. Misses run through
         the worker pool when ``jobs > 1``, inline otherwise; duplicate
         specs within the batch simulate once."""
-        spans = self.spans
         fps = [self.fingerprint(job) for job in jobs]
         results: Dict[int, SimResult] = {}
         misses: List[int] = []
-        dispatched: Dict[str, int] = {}
-        # One exec.job span per submission. For batched misses the end
-        # timestamp is when the batch's results are folded back in —
-        # an approximation (pool jobs overlap), documented in
-        # docs/observability.md.
-        handles = [spans.begin("exec", "exec.job", spans.now_wall(),
-                               timebase=WALL, benchmark=job.benchmark,
-                               label=job.label)
-                   for job in jobs]
+        dispatched: Set[str] = set()
         for idx, (job, fp) in enumerate(zip(jobs, fps)):
             hit = self._lookup(job, fp)
             if hit is not None:
                 results[idx] = hit
-                handles[idx].end(spans.now_wall(), source="cache",
-                                 cycles=hit.cycles)
-            elif fp in dispatched:
-                continue                      # duplicate; fill in later
-            else:
-                dispatched[fp] = idx
+            elif fp not in dispatched:        # a duplicate fills in later
+                dispatched.add(fp)
                 misses.append(idx)
         if misses and self.jobs > 1:
             self._run_pool([jobs[i] for i in misses],
@@ -189,33 +152,22 @@ class ExecutionService:
         for idx, (job, fp) in enumerate(zip(jobs, fps)):
             result = results.get(idx)
             if result is None:
-                memo = self._memo[fp]
-                result = (memo if memo.config_label == job.label
-                          else replace(memo, config_label=job.label))
-                source = ("simulated" if dispatched.get(fp) == idx
-                          else "duplicate")
-                handles[idx].end(spans.now_wall(), source=source,
-                                 cycles=result.cycles)
+                result = self._memo[fp]
+                if result.config_label != job.label:
+                    result = replace(result, config_label=job.label)
             out.append(result)
         return out
 
     def _run_pool(self, jobs: List[JobSpec], fps: List[str]) -> None:
-        pool = WorkerPool(self.jobs, retries=self.retries,
-                          events=self.events, spans=self.spans)
-        payloads = []
+        pool = WorkerPool(self.jobs)
+        raw = pool.run([self._payload(job, fp)
+                        for job, fp in zip(jobs, fps)])
+        self.stats["retried"] += pool.retry_count
+        by_fp = {entry["fingerprint"]: entry for entry in raw}
         for job, fp in zip(jobs, fps):
-            payloads.append(self._payload(job, fp))
-            self.events.emit(EXEC_JOB_STARTED, 0,
-                             benchmark=job.benchmark, label=job.label,
-                             fingerprint=fp[:12])
-        raw = pool.run(payloads)
-        by_fp = {entry["fingerprint"]: entry["result"] for entry in raw}
-        for job, fp in zip(jobs, fps):
-            result = result_from_dict(by_fp[fp])
-            self._store(job, fp, result)
-            self.events.emit(EXEC_JOB_FINISHED, 0,
-                             benchmark=job.benchmark, label=job.label,
-                             fingerprint=fp[:12], cycles=result.cycles)
+            entry = by_fp[fp]
+            self._store(job, fp, result_from_dict(entry["result"]),
+                        entry["host_s"])
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -229,15 +181,9 @@ class ExecutionService:
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of resolved jobs served without simulating."""
-        served = sum(self.stats.values())
-        if not served:
-            return 0.0
-        return (self.stats["memo"] + self.stats["disk"]) / served
-
-    def clear(self) -> None:
-        """Drop in-process memo and traces (the disk cache stays)."""
-        self._memo.clear()
-        self._traces.clear()
+        hits = self.stats["memo"] + self.stats["disk"]
+        served = hits + self.stats["simulated"]
+        return hits / served if served else 0.0
 
 
 __all__ = ["ExecutionService"]

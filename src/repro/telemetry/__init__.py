@@ -8,7 +8,7 @@ once the run finishes):
 * a structured event stream (:mod:`repro.telemetry.events`) — typed
   events fanned out to pluggable sinks;
 * span tracing (:mod:`repro.telemetry.spans`) — the segment lifecycle
-  and execution-service jobs as exportable timelines;
+  as an exportable timeline;
 * cycle attribution (:mod:`repro.telemetry.attribution`) — a top-down
   classification of every pipeline cycle, computed by an observer
   stage the engine appends to its stage list.
@@ -48,7 +48,7 @@ from repro.telemetry.events import (
     JsonlSink,
     MemorySink,
 )
-from repro.telemetry.spans import NULL_SPANS, SpanRecorder
+from repro.telemetry.spans import SpanRecorder
 
 
 class Telemetry:
@@ -60,15 +60,16 @@ class Telemetry:
     counts. *attribution* appends the cycle-accounting stage to every
     engine built with this session; *spans* attaches a
     :class:`~repro.telemetry.spans.SpanRecorder` capturing the segment
-    lifecycle and execution-service jobs as exportable timelines (off
-    by default — span capture retains every record).
+    lifecycle as an exportable timeline (off by default — span capture
+    retains every record; ``spans`` is ``None`` without it).
     """
 
     def __init__(self, attribution: bool = True,
                  spans: bool = False) -> None:
         self.events = EventStream()
         self.attribution = attribution
-        self.spans: Any = SpanRecorder() if spans else NULL_SPANS
+        self.spans: Optional[SpanRecorder] = (
+            SpanRecorder() if spans else None)
         self._sinks: List[Any] = []
 
     # ------------------------------------------------------------------
@@ -102,5 +103,4 @@ class Telemetry:
 
 __all__ = ["Telemetry", "EventStream", "JsonlSink",
            "MemorySink", "CYCLE_CLASSES", "render_attribution",
-           "diff_attribution", "NULL_EVENT_STREAM", "SpanRecorder",
-           "NULL_SPANS"]
+           "diff_attribution", "NULL_EVENT_STREAM", "SpanRecorder"]

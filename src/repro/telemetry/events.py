@@ -32,13 +32,6 @@ FETCH_MISFETCH = "fetch.misfetch"
 CHECKPOINT_REPAIR = "rename.checkpoint_repair"
 TC_EVICT = "tc.evict"
 VERIFY_VIOLATION = "verify.violation"
-# Execution-service progress (see repro.exec.service): job lifecycle
-# on the sweep runner's telemetry stream. `cycle` is always 0 — these
-# are wall-clock events, not simulated-time events.
-EXEC_JOB_STARTED = "exec.job.started"
-EXEC_JOB_FINISHED = "exec.job.finished"
-EXEC_JOB_CACHED = "exec.job.cached"
-EXEC_WORKER_RETRY = "exec.worker.retry"
 
 
 class Event(NamedTuple):

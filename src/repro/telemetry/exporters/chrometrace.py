@@ -3,7 +3,7 @@
 Serializes a :class:`~repro.telemetry.spans.SpanRecorder` (and,
 optionally, a structured-event archive) into the Chrome trace-event
 JSON object format: load the file in https://ui.perfetto.dev to see
-the segment lifecycle and execution-service activity as timelines.
+the segment lifecycle as a timeline.
 
 Timebase mapping: the format has one timestamp unit (microseconds), so
 the two timebases become two *processes* — pid 1 carries the

@@ -30,6 +30,35 @@ def dirs(tmp_path):
     return _write_grid(tmp_path / "a"), _write_grid(tmp_path / "b")
 
 
+def test_cold_grids_record_host_time_and_agree(tmp_path, capsys):
+    """Inline and pooled cold grids write each job's host-time split
+    into its envelope's provenance, never into the result, so their
+    envelope sets still agree on every counter."""
+    jobs = expand(["compress", "li"],
+                  [opt_variant(OptimizationConfig.none()),
+                   opt_variant(OptimizationConfig.all())])
+    dirs = []
+    for workers in (1, 2):
+        cache_dir = tmp_path / f"jobs{workers}"
+        service = ExecutionService(scale=0.05, jobs=workers,
+                                   cache_dir=str(cache_dir))
+        service.run_many(jobs)
+        envelopes = [json.loads(path.read_text())
+                     for path in sorted(cache_dir.glob("??/*.json"))]
+        assert len(envelopes) == len(jobs)
+        for envelope in envelopes:
+            host_s = envelope["provenance"]["host_s"]
+            assert set(host_s) == {"trace", "engine"}
+            assert min(host_s.values()) >= 0.0
+            assert "host_s" not in envelope["result"]
+        assert service.host_s["engine"] > 0.0
+        assert service.host_s["cache_write"] > 0.0
+        dirs.append(cache_dir)
+    code, out, _ = _compare(capsys, *dirs)
+    assert code == 0
+    assert "0 drifted of 4 paired experiments, 0 unpaired" in out
+
+
 def _compare(capsys, *paths):
     code = compare_runs.main([str(p) for p in paths])
     captured = capsys.readouterr()

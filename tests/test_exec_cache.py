@@ -27,7 +27,6 @@ def test_put_get_round_trip(tmp_path):
     loaded = cache.get(FP)
     assert loaded == stored
     assert loaded.telemetry == {"fetch.tc.instrs": 200}
-    assert cache.hits == 1 and cache.misses == 0
 
 
 def test_sharded_layout_and_len(tmp_path):
@@ -43,7 +42,6 @@ def test_sharded_layout_and_len(tmp_path):
 def test_missing_entry_is_a_miss(tmp_path):
     cache = ResultCache(tmp_path)
     assert cache.get(FP) is None
-    assert cache.misses == 1
 
 
 @pytest.mark.parametrize("content", [

@@ -8,22 +8,17 @@ cache.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.config import SimConfig
 from repro.errors import ConfigError
 from repro.exec.fingerprint import job_fingerprint
 from repro.exec.grid import JobSpec, expand, opt_variant
-from repro.exec.pool import WorkerPool, derive_seed, run_job_payload
+from repro.exec.pool import WorkerPool, run_job_payload
 from repro.exec.service import ExecutionService
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.telemetry import Telemetry
-from repro.telemetry.events import (
-    EXEC_JOB_CACHED,
-    EXEC_JOB_FINISHED,
-    EXEC_JOB_STARTED,
-    EXEC_WORKER_RETRY,
-)
 
 SCALE = 0.05
 BENCHMARKS = ("compress", "li")
@@ -64,7 +59,7 @@ def test_cache_hit_matches_serial(serial_results, tmp_path):
     replayed = reader.run_many(_jobs())
     _assert_identical(serial_results, replayed)
     assert reader.stats == {"memo": 0, "disk": len(_jobs()),
-                            "simulated": 0}
+                            "simulated": 0, "retried": 0}
     assert reader.cache_hit_rate == 1.0
 
 
@@ -82,7 +77,8 @@ def test_memo_serves_repeats_without_resimulating():
     first = service.run(job)
     second = service.run(job)
     assert second is first
-    assert service.stats == {"memo": 1, "disk": 0, "simulated": 1}
+    assert service.stats == {"memo": 1, "disk": 0, "simulated": 1,
+                             "retried": 0}
 
 
 def test_duplicate_jobs_in_batch_simulate_once():
@@ -97,35 +93,6 @@ def test_duplicate_jobs_in_batch_simulate_once():
     assert results[1].config_label == "also-baseline"
 
 
-def test_progress_events(tmp_path):
-    telemetry = Telemetry(attribution=False)
-    sink = telemetry.attach_memory(
-        kinds=(EXEC_JOB_STARTED, EXEC_JOB_FINISHED, EXEC_JOB_CACHED))
-    service = ExecutionService(scale=SCALE, jobs=1, cache_dir=tmp_path,
-                               telemetry=telemetry)
-    job = JobSpec("compress", SimConfig.paper(), "baseline")
-    service.run(job)
-    service.run(job)
-    started = sink.by_kind(EXEC_JOB_STARTED)
-    finished = sink.by_kind(EXEC_JOB_FINISHED)
-    cached = sink.by_kind(EXEC_JOB_CACHED)
-    assert len(started) == 1 and len(finished) == 1 and len(cached) == 1
-    assert started[0].data["benchmark"] == "compress"
-    assert finished[0].data["cycles"] > 0
-    assert cached[0].data["source"] == "memo"
-    # a fresh service hits the disk tier
-    other = ExecutionService(scale=SCALE, jobs=1, cache_dir=tmp_path,
-                             telemetry=telemetry)
-    other.run(job)
-    assert sink.by_kind(EXEC_JOB_CACHED)[-1].data["source"] == "disk"
-
-
-def test_derive_seed_is_deterministic():
-    fp = job_fingerprint(SimConfig.paper(), "compress", SCALE)
-    assert derive_seed(fp) == derive_seed(fp)
-    assert derive_seed(fp) == int(fp[:16], 16)
-
-
 def test_pool_retries_crashed_worker(tmp_path):
     config = SimConfig.paper()
     fp = job_fingerprint(config, "compress", SCALE)
@@ -133,13 +100,10 @@ def test_pool_retries_crashed_worker(tmp_path):
     payload = {"benchmark": "compress", "scale": SCALE,
                "config": config.to_dict(), "label": "baseline",
                "fingerprint": fp, "crash_once_path": str(marker)}
-    telemetry = Telemetry(attribution=False)
-    sink = telemetry.attach_memory(kinds=(EXEC_WORKER_RETRY,))
-    pool = WorkerPool(2, events=telemetry.events)
+    pool = WorkerPool(2)
     out = pool.run([payload])
     assert marker.exists()
     assert pool.retry_count >= 1
-    assert len(sink.events) == pool.retry_count
     assert out[0]["fingerprint"] == fp
     # the retried job produced the same result a clean worker does
     clean = run_job_payload({k: v for k, v in payload.items()
@@ -170,3 +134,21 @@ def test_pool_raises_typed_error_without_retry():
     with pytest.raises(ConfigError, match="got nan"):
         pool.run([payload])
     assert pool.retry_count == 0
+
+
+def test_service_counts_worker_retries(serial_results, tmp_path):
+    """A worker that dies on its first attempt is resubmitted; the
+    service counts the resubmissions and returns the serial results."""
+    service = ExecutionService(scale=SCALE, jobs=2)
+    payload = service._payload
+    marker = str(tmp_path / "crash-once")
+
+    def crashing_payload(job, fp):
+        return {**payload(job, fp), "crash_once_path": marker}
+
+    service._payload = crashing_payload
+    _assert_identical(serial_results, service.run_many(_jobs()))
+    assert os.path.exists(marker)
+    assert service.stats["retried"] >= 1
+    assert service.stats["simulated"] == len(_jobs())
+

@@ -70,13 +70,6 @@ def test_table2_has_average_row(service):
     assert len(table.rows) == len(SUBSET) + 1
 
 
-def test_clear_resets_caches(service):
-    service.run(opt_job("compress", OptimizationConfig.none()))
-    service.clear()
-    assert service._traces == {}
-    assert service._memo == {}
-
-
 # --- report rendering -------------------------------------------------------
 
 def test_render_table_alignment():
