@@ -10,7 +10,8 @@ Commands:
   snapshot), ``--events FILE.jsonl`` (structured events of every leg),
   ``--timeline FILE.json`` (a Chrome trace-event file of one run,
   loadable at https://ui.perfetto.dev) and ``--hostprof FILE.json``
-  (the host-time profile, also printed).
+  (the host-time profile, also printed; it profiles whatever the
+  other flags make the run record, and alone the plain run).
 * ``figures`` — simulate the paper's grid and print every table and
   figure of its evaluation: Table 1, Figures 3-8 (ASCII) and Table 2,
   whose last line names the benchmarks outside 3x of the paper's
@@ -92,8 +93,10 @@ def cmd_list(args) -> int:
 
 def cmd_run(args) -> int:
     """Simulate one benchmark once per ``--opts`` name, all legs on one
-    committed trace and, when any observation flag is given, one
-    telemetry session."""
+    committed trace and, when ``--attribution``, ``--events`` or
+    ``--timeline`` is given, one telemetry session. ``--hostprof``
+    attaches no session of its own, so alone it profiles the same
+    run a plain ``run`` takes."""
     if args.timeline and len(args.opts) > 1:
         raise ReproError("--timeline records one run; give one --opts "
                          f"name, not {len(args.opts)}")
@@ -105,7 +108,7 @@ def cmd_run(args) -> int:
                          + ", ".join(repeated))
     trace = Executor(workloads.build(args.benchmark, args.scale)).run()
     telemetry = sink = archive = profiler = None
-    if args.attribution or args.events or args.timeline or args.hostprof:
+    if args.attribution or args.events or args.timeline:
         from repro.telemetry import Telemetry
         telemetry = Telemetry(spans=bool(args.timeline))
         if args.events:

@@ -20,8 +20,13 @@ ANALYSIS_SCHEMA_VERSION = 3
 
 
 def result_to_dict(result: SimResult) -> dict:
-    """A JSON-safe dict of one run's results (schema-versioned)."""
-    payload = asdict(result)
+    """A JSON-safe dict of one run's results (schema-versioned).
+
+    Shallow: the dict fields (counts, pass totals, attribution) are
+    the result's own objects, not copies; only ``coverage`` becomes a
+    new dict."""
+    payload = {f.name: getattr(result, f.name) for f in fields(result)}
+    payload["coverage"] = asdict(result.coverage)
     payload["schema"] = SCHEMA_VERSION
     payload["derived"] = {
         "ipc": result.ipc,

@@ -99,7 +99,7 @@ class ResultCache:
             "w", dir=path.parent, suffix=".tmp", delete=False)
         try:
             with handle:
-                json.dump(envelope, handle, indent=1)
+                handle.write(json.dumps(envelope, indent=1))
             os.replace(handle.name, path)
         except BaseException:
             os.unlink(handle.name)

@@ -14,11 +14,13 @@ change — timing model, workload builder, optimization pass — retires
 every previously cached result. That is deliberately conservative:
 stale timing data silently feeding a figure is far worse than a cold
 cache.
+
+``hashlib`` (OpenSSL) is imported by the two functions that hash, so
+importing :mod:`repro.exec` does not load it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Optional
@@ -38,6 +40,7 @@ def code_version() -> str:
     Hashes file-relative paths and contents, in sorted order, so the
     value is independent of checkout location and filesystem mtimes.
     """
+    import hashlib
     global _code_version
     if _code_version is None:
         package_root = Path(__file__).resolve().parent.parent
@@ -64,6 +67,7 @@ def job_fingerprint(config: SimConfig, benchmark: str, scale: float,
     *version* defaults to :func:`code_version`; tests pass an explicit
     value to exercise invalidation without rewriting source files.
     """
+    import hashlib
     description = {
         "schema": SCHEMA_VERSION,
         "code": version if version is not None else code_version(),

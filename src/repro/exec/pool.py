@@ -13,11 +13,14 @@ surfaces as :class:`~concurrent.futures.process.BrokenProcessPool`,
 which poisons the whole executor. The pool rebuilds the executor and
 resubmits the unfinished payloads, up to ``retries`` extra attempts
 per job, and counts each resubmission in ``retry_count``.
+
+``concurrent.futures`` (and with it ``multiprocessing`` and
+``logging``) is imported inside :meth:`WorkerPool.run`, so a process
+that never starts a pool never loads it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 import os
 from pathlib import Path
 import time
@@ -93,6 +96,7 @@ class WorkerPool:
             RuntimeError: when a job keeps failing after ``retries``
                 resubmissions.
         """
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         results: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
         pending = list(range(len(payloads)))
         attempts = [0] * len(payloads)

@@ -99,15 +99,24 @@ class HostProfiler:
         }
 
     def render(self, title: str = "host-time profile") -> str:
-        """An aligned table, scopes sorted by time descending."""
+        """An aligned table, scopes sorted by time descending.
+
+        Shares are of the ``stage.*`` total, the whole replay (of all
+        scopes when there is no stage scope). A ``fillpass.*`` scope
+        is time already inside ``stage.fill``, because the passes run
+        in the fill stage's ``process``; its row says so."""
         rows = sorted(self.totals.items(), key=lambda kv: -kv[1][1])
-        total = sum(seconds for _, (_, seconds) in rows) or 1.0
+        total = (self.total_seconds("stage.") or self.total_seconds()
+                 or 1.0)
         lines = [title,
                  f"  {'scope':28s} {'calls':>10s} {'seconds':>9s} "
                  f"{'share':>6s}"]
         for scope, (calls, seconds) in rows:
+            note = (" (in stage.fill)" if scope.startswith("fillpass.")
+                    else "")
             lines.append(f"  {scope:28s} {int(calls):10d} "
-                         f"{seconds:9.4f} {100.0 * seconds / total:5.1f}%")
+                         f"{seconds:9.4f} {100.0 * seconds / total:5.1f}%"
+                         f"{note}")
         return "\n".join(lines)
 
 

@@ -15,18 +15,19 @@ tracks, each tagged with one of two timebases:
 Spans are export-format-agnostic records; the Chrome-trace/Perfetto
 serialization lives in :mod:`repro.telemetry.exporters.chrometrace`.
 
-Cost model: recording is allocation-light (one dict per finished
-span). The segment lifecycle is recorded by an observer stage that
-the engine appends only when the session captures spans; a session
-without spans has no recorder at all. Simulated cycle counts are
-bit-for-bit identical with spans on or off (spans only observe, never
-sequence).
+Cost model: recording is allocation-light (one tuple per finished
+span; the record dicts are built once, the first time
+:attr:`SpanRecorder.records` is read). The segment lifecycle is
+recorded by an observer stage that the engine appends only when the
+session captures spans; a session without spans has no recorder at
+all. Simulated cycle counts are bit-for-bit identical with spans on or
+off (spans only observe, never sequence).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 #: timebase tag: timestamps are simulated cycles.
 CYCLES = "cycles"
@@ -37,7 +38,7 @@ WALL = "wall"
 class SpanRecorder:
     """Collects finished spans and instants across tracks.
 
-    A finished record is a plain dict::
+    A finished record, as :attr:`records` returns it, is a plain dict::
 
         {"track": str, "timebase": CYCLES|WALL, "kind": "span"|"instant",
          "name": str, "ts": float, "dur": float, "args": dict}
@@ -47,7 +48,10 @@ class SpanRecorder:
     """
 
     def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
+        #: records not yet read, as ``(track, timebase, kind, name, ts,
+        #: dur, args)`` tuples
+        self._pending: List[Tuple[Any, ...]] = []
+        self._records: List[Dict[str, Any]] = []
         self._wall_origin = time.perf_counter()
 
     # -- clocks ---------------------------------------------------------
@@ -61,19 +65,30 @@ class SpanRecorder:
     def span(self, track: str, name: str, ts: float, duration: float,
              timebase: str = CYCLES, **args: Any) -> None:
         """Record one already-complete span."""
-        self.records.append({
-            "track": track, "timebase": timebase, "kind": "span",
-            "name": name, "ts": float(ts),
-            "dur": max(float(duration), 0.0), "args": args})
+        self._pending.append(
+            (track, timebase, "span", name, ts, duration, args))
 
     def instant(self, track: str, name: str, ts: float,
                 timebase: str = CYCLES, **args: Any) -> None:
         """Record a point event (zero duration)."""
-        self.records.append({
-            "track": track, "timebase": timebase, "kind": "instant",
-            "name": name, "ts": float(ts), "dur": 0.0, "args": args})
+        self._pending.append(
+            (track, timebase, "instant", name, ts, 0.0, args))
 
     # -- inspection -----------------------------------------------------
+
+    @property
+    def records(self) -> List[Dict[str, Any]]:
+        """Every finished record as a dict, in completion order. Each
+        dict is built once, the first time it is read."""
+        if self._pending:
+            self._records.extend(
+                {"track": track, "timebase": timebase, "kind": kind,
+                 "name": name, "ts": float(ts),
+                 "dur": max(float(dur), 0.0), "args": args}
+                for track, timebase, kind, name, ts, dur, args
+                in self._pending)
+            self._pending = []
+        return self._records
 
     def by_name(self, name: str) -> List[Dict[str, Any]]:
         return [r for r in self.records if r["name"] == name]
@@ -86,7 +101,7 @@ class SpanRecorder:
         return list(seen)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._records) + len(self._pending)
 
 
 __all__ = ["CYCLES", "WALL", "SpanRecorder"]

@@ -117,6 +117,26 @@ def test_trace_exports_perfetto_timeline(tmp_path, capsys):
     assert any(s.startswith("stage.") for s in prof["scopes"])
 
 
+def test_hostprof_profiles_only_the_observers_asked_for(tmp_path, capsys):
+    """``--hostprof`` alone attaches no telemetry session, so its
+    profile has no observer stage; with ``--attribution`` the session's
+    cycle accountant is part of the run and of its profile."""
+    import json
+    observers = {"stage.attribution", "stage.events", "stage.spans"}
+    alone = tmp_path / "alone.json"
+    code, _ = run_cli(capsys, "run", "compress", "--scale", "0.05",
+                      "--hostprof", str(alone))
+    assert code == 0
+    scopes = set(json.loads(alone.read_text())["scopes"])
+    assert "stage.fill" in scopes and not scopes & observers
+    attributed = tmp_path / "attributed.json"
+    code, _ = run_cli(capsys, "run", "compress", "--scale", "0.05",
+                      "--attribution", "--hostprof", str(attributed))
+    assert code == 0
+    scopes = set(json.loads(attributed.read_text())["scopes"])
+    assert "stage.attribution" in scopes
+
+
 def test_trace_no_verify_drops_verify_spans(tmp_path, capsys):
     import json
     out = tmp_path / "trace.json"

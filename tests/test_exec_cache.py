@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core.results import OptCoverage, SimResult
-from repro.exec.cache import ResultCache
+from repro.exec.cache import ENVELOPE_VERSION, ResultCache
 
 FP = "ab" + "0" * 62
 FP2 = "cd" + "1" * 62
@@ -87,3 +87,35 @@ def test_overwrite_is_atomic_last_writer_wins(tmp_path):
     assert cache.get(FP).cycles == 150
     leftovers = list(tmp_path.rglob("*.tmp"))
     assert leftovers == []
+
+
+def test_envelope_bytes_match_the_streamed_deep_copy(tmp_path):
+    """``put`` writes one ``json.dumps`` of a shallow result dict; the
+    file is byte for byte what streaming ``json.dump`` of a
+    ``dataclasses.asdict`` copy wrote."""
+    import io
+    from dataclasses import asdict
+
+    from repro import workloads
+    from repro.core.config import SimConfig
+    from repro.core.engine import Engine
+    from repro.core.export import result_to_dict
+    from repro.fillunit.opts.base import OptimizationConfig
+    from repro.machine.executor import Executor
+    from repro.telemetry import Telemetry
+
+    trace = Executor(workloads.build("compress", 0.05)).run()
+    result = Engine(SimConfig.paper(OptimizationConfig.all()),
+                    telemetry=Telemetry()).run(trace, "compress", "all")
+    assert result.attribution and result.pass_totals
+    provenance = {"benchmark": "compress", "host_s": {"trace": 0.5}}
+    path = ResultCache(tmp_path).put(FP, result, provenance=provenance)
+
+    shallow = result_to_dict(result)
+    deep = asdict(result)
+    deep.update(schema=shallow["schema"], derived=shallow["derived"])
+    streamed = io.StringIO()
+    json.dump({"envelope": ENVELOPE_VERSION, "fingerprint": FP,
+               "provenance": provenance, "result": deep},
+              streamed, indent=1)
+    assert path.read_text() == streamed.getvalue()

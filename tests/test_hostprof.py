@@ -43,6 +43,20 @@ def test_to_dict_and_render():
     assert "title" in text and "stage.a" in text and "100.0%" in text
 
 
+def test_render_shares_are_of_the_stage_total():
+    """Pass time is inside ``stage.fill``: it is labelled so and left
+    out of the denominator."""
+    prof = HostProfiler()
+    prof.add("stage.fill", 1.0)
+    prof.add("stage.issue", 1.0)
+    prof.add("fillpass.x", 0.5)
+    rows = {line.split()[0]: line for line in
+            prof.render().splitlines()[2:]}
+    assert rows["stage.fill"].split()[3] == "50.0%"
+    assert rows["stage.issue"].split()[3] == "50.0%"
+    assert rows["fillpass.x"].endswith("25.0% (in stage.fill)")
+
+
 def test_attach_profiles_stages_and_passes():
     program = workloads.build("compress", 0.1)
     trace = Executor(program).run()

@@ -26,6 +26,21 @@ def test_complete_span_and_instant():
     assert instant["kind"] == "instant" and instant["dur"] == 0.0
 
 
+def test_records_are_built_once_when_first_read():
+    """Recording keeps tuples; ``len`` does not build the dicts, and a
+    read builds each one once, so what a reader writes into a record
+    stays there."""
+    rec = SpanRecorder()
+    rec.span("t", "a", 1, 2)
+    assert len(rec) == 1 and rec._records == []
+    first = rec.records[0]
+    first["args"]["note"] = 1
+    rec.instant("t", "b", 3)
+    assert len(rec) == 2
+    assert rec.records[0] is first and first["args"] == {"note": 1}
+    assert rec.records[1]["name"] == "b" and rec.records[1]["ts"] == 3.0
+
+
 def test_negative_duration_clamped():
     rec = SpanRecorder()
     rec.span("t", "x", 10.0, -3.0)
