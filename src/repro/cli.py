@@ -186,10 +186,12 @@ def _print_attribution(result) -> None:
 def cmd_figures(args) -> int:
     """Simulate the paper grid through the execution service (inline
     at ``--jobs 1``) and print Table 1, Figures 3-8 and Table 2. The
-    scale, elapsed time, job tally and host-time split go to stderr,
-    so stdout depends only on the scale and the code."""
+    scale, elapsed time, job tally, host-time split, code version and
+    grid fingerprint go to stderr, so stdout depends only on the scale
+    and the code."""
     import time
 
+    from repro.exec.fingerprint import code_version, grid_fingerprint
     from repro.exec.grid import paper_grid
     from repro.exec.service import ExecutionService
     from repro.harness import figures, tables
@@ -198,7 +200,8 @@ def cmd_figures(args) -> int:
     service = ExecutionService(scale=args.scale, jobs=args.jobs,
                                cache_dir=args.cache_dir)
     benchmarks = workloads.names()
-    service.run_many(paper_grid(benchmarks))
+    grid = paper_grid(benchmarks)
+    service.run_many(grid)
     results = [tables.table1(service, benchmarks),
                *figures.all_figures(service, benchmarks),
                tables.table2(service, benchmarks)]
@@ -215,7 +218,10 @@ def cmd_figures(args) -> int:
           f"rate {100.0 * service.cache_hit_rate:.0f}%)\n"
           f"host: trace={host['trace']:.1f}s engine={host['engine']:.1f}s "
           f"cache_write={host['cache_write']:.1f}s (sums over simulated "
-          f"jobs, which overlap under --jobs N)", file=sys.stderr)
+          f"jobs, which overlap under --jobs N)\n"
+          f"code: {code_version()} grid: "
+          f"{grid_fingerprint(service.fingerprint(job) for job in grid)}",
+          file=sys.stderr)
     return 0
 
 

@@ -15,15 +15,20 @@ every previously cached result. That is deliberately conservative:
 stale timing data silently feeding a figure is far worse than a cold
 cache.
 
-``hashlib`` (OpenSSL) is imported by the two functions that hash, so
-importing :mod:`repro.exec` does not load it.
+Digests come from CPython's built-in SHA-256 module (``_sha2`` on
+3.12+, ``_sha256`` before), imported on first use, so neither importing
+:mod:`repro.exec` nor fingerprinting a job loads ``hashlib``, whose
+import maps all of OpenSSL's libcrypto to compute the same digest.
+``hashlib`` is the fallback for an interpreter built without the
+module.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
+import sys
+from typing import Any, Iterable, Optional
 
 from repro.core.config import SimConfig
 
@@ -34,17 +39,30 @@ SCHEMA_VERSION = 1
 _code_version: Optional[str] = None
 
 
+def _sha256(data: bytes = b"") -> Any:
+    """A SHA-256 object from the interpreter's built-in module, or from
+    ``hashlib`` where the interpreter has none."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256 as builtin
+        else:
+            from _sha256 import sha256 as builtin
+    except ImportError:
+        import hashlib
+        return hashlib.sha256(data)
+    return builtin(data)
+
+
 def code_version() -> str:
     """Content hash of the ``repro`` package sources (cached).
 
     Hashes file-relative paths and contents, in sorted order, so the
     value is independent of checkout location and filesystem mtimes.
     """
-    import hashlib
     global _code_version
     if _code_version is None:
         package_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
+        digest = _sha256()
         for path in sorted(package_root.rglob("*.py")):
             digest.update(str(path.relative_to(package_root)).encode())
             digest.update(b"\x00")
@@ -67,7 +85,6 @@ def job_fingerprint(config: SimConfig, benchmark: str, scale: float,
     *version* defaults to :func:`code_version`; tests pass an explicit
     value to exercise invalidation without rewriting source files.
     """
-    import hashlib
     description = {
         "schema": SCHEMA_VERSION,
         "code": version if version is not None else code_version(),
@@ -77,8 +94,15 @@ def job_fingerprint(config: SimConfig, benchmark: str, scale: float,
         "config": config.to_dict(),
     }
     raw = canonical_json(description).encode()
-    return hashlib.sha256(raw).hexdigest()
+    return _sha256(raw).hexdigest()
+
+
+def grid_fingerprint(fingerprints: Iterable[str]) -> str:
+    """The identity of a grid: the SHA-256 of its jobs' fingerprints,
+    sorted and one per line, so it names the same set of simulations
+    whatever order the jobs were listed or run in."""
+    return _sha256("\n".join(sorted(fingerprints)).encode()).hexdigest()
 
 
 __all__ = ["SCHEMA_VERSION", "code_version", "canonical_json",
-           "job_fingerprint"]
+           "grid_fingerprint", "job_fingerprint"]

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 from typing import List, Union, cast
 
 from repro.asm import assemble
@@ -64,6 +69,20 @@ def record_policy_hooks(monkeypatch, name: str) -> None:
             super().on_insert(index, key)
 
     monkeypatch.setitem(policies._POLICIES, name, Recording)
+
+
+def run_fresh(script: str) -> dict:
+    """Run *script* in a fresh interpreter that imports this checkout's
+    ``repro``, and return the JSON it prints. For checks on
+    ``sys.modules``, which the pytest process has filled already."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
 
 
 def run_asm(source: str, max_instructions: int = 200_000):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exec.fingerprint import code_version
 
 
 def run_cli(capsys, *argv):
@@ -78,7 +79,9 @@ def test_tables(capsys):
 def test_figures(tmp_path, capsys):
     """``figures`` prints every table and figure in the paper's order;
     a warm rerun replays all of it from the cache, and its stdout is
-    the cold run's byte for byte (the job tally is on stderr)."""
+    the cold run's byte for byte (the job tally is on stderr). The
+    stderr line naming the code version and grid fingerprint is the
+    same warm, cold and through the pool."""
     argv = ["figures", "--scale", "0.05", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     cold = capsys.readouterr()
@@ -94,6 +97,16 @@ def test_figures(tmp_path, capsys):
     warm = capsys.readouterr()
     assert warm.out == cold.out
     assert "simulated=0 " in warm.err
+    code = code_version()
+    provenance = [line for line in cold.err.splitlines()
+                  if line.startswith(f"code: {code} grid: ")]
+    assert len(provenance) == 1
+    assert len(provenance[0].split("grid: ")[1]) == 64
+    assert provenance[0] in warm.err.splitlines()
+    assert main(["figures", "--scale", "0.05", "--jobs", "2"]) == 0
+    pooled = capsys.readouterr()
+    assert pooled.out == cold.out
+    assert provenance[0] in pooled.err.splitlines()
 
 
 def test_trace_exports_perfetto_timeline(tmp_path, capsys):

@@ -14,7 +14,7 @@ from repro.isa.opcodes import Op
 from repro.telemetry import Telemetry
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 from repro.verify import SegmentVerifier
-from tests.helpers import run_asm
+from tests.helpers import run_asm, run_fresh
 
 KERNEL = """
 main:
@@ -66,6 +66,46 @@ def test_verification_off_means_no_verifier():
     unit = build_unit(OptimizationConfig.all(), verify=False)
     feed(unit, trace)
     assert unit.verifier is None
+
+
+# Counts pre-optimization snapshots (``TraceSegment.clone``) in an
+# extended-pipeline engine run of compress, with the verifier off and
+# then on, and whether the off run imported the verifier.
+SNAPSHOTS = """
+import json, sys
+from dataclasses import replace
+from repro import workloads
+from repro.core.config import SimConfig
+from repro.core.engine import Engine
+from repro.fillunit.opts.base import OptimizationConfig
+from repro.machine.executor import Executor
+from repro.tracecache.segment import TraceSegment
+
+clones = [0]
+clone = TraceSegment.clone
+def counted(segment):
+    clones[0] += 1
+    return clone(segment)
+TraceSegment.clone = counted
+
+trace = Executor(workloads.build("compress", 0.05)).run()
+config = SimConfig.paper(OptimizationConfig.extended())
+Engine(config).run(trace, "compress", "extended")
+report = {"off": clones[0], "imported": "repro.verify" in sys.modules}
+Engine(replace(config, verify_fill=True)).run(trace, "compress", "extended")
+report["on"] = clones[0] - report["off"]
+print(json.dumps(report))
+"""
+
+
+def test_engine_without_verification_takes_no_snapshots():
+    """What ``bench_verify_overhead.py``'s ``off`` leg guards, without
+    its timing noise: a run with ``verify_fill`` off clones no segment
+    and never imports :mod:`repro.verify`."""
+    report = run_fresh(SNAPSHOTS)
+    assert report["off"] == 0
+    assert report["imported"] is False
+    assert report["on"] > 0
 
 
 def test_counters_mirror_verification_outcomes():
