@@ -12,13 +12,13 @@ Commands:
   loadable at https://ui.perfetto.dev) and ``--hostprof FILE.json``
   (the host-time profile, also printed; it profiles whatever the
   other flags make the run record, and alone the plain run).
+  ``--verify`` checks every fill-unit rewrite, one pass at a time
+  (see ``docs/verification.md``), prints each leg's verification
+  report and exits 1 on any error-severity violation.
 * ``figures`` — simulate the paper's grid and print every table and
   figure of its evaluation: Table 1, Figures 3-8 (ASCII) and Table 2,
   whose last line names the benchmarks outside 3x of the paper's
   coverage. ``--svg DIR`` also writes the figures as SVG files.
-* ``verify-traces [BENCH ...]`` — replay benchmarks with online
-  segment verification (see ``docs/verification.md``); exits nonzero
-  on any invariant or equivalence violation.
 * ``analyze [BENCH ...]`` — static analysis (CFG, dataflow, fill-unit
   opportunity bounds, workload lint; see ``docs/static-analysis.md``);
   ``--baseline`` gates lint counts against a checked-in baseline and
@@ -96,7 +96,9 @@ def cmd_run(args) -> int:
     committed trace and, when ``--attribution``, ``--events`` or
     ``--timeline`` is given, one telemetry session. ``--hostprof``
     attaches no session of its own, so alone it profiles the same
-    run a plain ``run`` takes."""
+    run a plain ``run`` takes, and neither does ``--verify``, whose
+    report is the fill unit's own. Returns 1 when ``--verify`` found
+    an error-severity violation in any leg."""
     if args.timeline and len(args.opts) > 1:
         raise ReproError("--timeline records one run; give one --opts "
                          f"name, not {len(args.opts)}")
@@ -120,8 +122,10 @@ def cmd_run(args) -> int:
         profiler = HostProfiler()
 
     baseline = None
+    violations = 0
     for name in args.opts:
-        config = replace(_config(args, name), verify_fill=args.verify)
+        config = replace(_config(args, name), verify_fill=args.verify,
+                         verify_each_pass=args.verify)
         engine = Engine(config, telemetry=telemetry)
         if profiler is not None:
             profiler.attach(engine)
@@ -138,6 +142,10 @@ def cmd_run(args) -> int:
               f"scaled {cov['scaled']:.1f})")
         print(f"mispredict rate: {100 * result.mispredict_rate:.2f}%   "
               f"segments built: {result.segments_built}")
+        if args.verify:
+            report = engine.fill_unit.verifier.report
+            print(report.render())
+            violations += report.violations
         if args.attribution:
             _print_attribution(result)
 
@@ -167,7 +175,7 @@ def cmd_run(args) -> int:
             handle.write("\n")
         print(f"wrote host-time profile to {args.hostprof}")
         print(profiler.render(f"host-time profile ({args.benchmark})"))
-    return 0
+    return 1 if violations else 0
 
 
 def _print_attribution(result) -> None:
@@ -223,63 +231,6 @@ def cmd_figures(args) -> int:
           f"{grid_fingerprint(service.fingerprint(job) for job in grid)}",
           file=sys.stderr)
     return 0
-
-
-def cmd_verify_traces(args) -> int:
-    """Replay one or more benchmarks with online segment verification
-    and report per-pass/per-rule violation counts; exit nonzero when
-    any error-severity violation was found."""
-    from repro.telemetry import Telemetry
-    from repro.telemetry.events import VERIFY_VIOLATION
-
-    names = args.benchmarks or ["compress", "li"]
-    unknown = [n for n in names if n not in workloads.names()]
-    if unknown:
-        print(f"unknown benchmark(s): {', '.join(unknown)}")
-        return 2
-    total_errors = 0
-    for name in names:
-        trace = Executor(workloads.build(name, args.scale)).run()
-        config = replace(_config(args), verify_fill=True,
-                         verify_each_pass=not args.whole_pipeline)
-        telemetry = Telemetry(attribution=False)
-        sink = telemetry.attach_memory(kinds=(VERIFY_VIOLATION,))
-        result = Engine(config, telemetry=telemetry).run(
-            trace, name, args.opts)
-        checked = result.telemetry.get(
-            "fillunit.verify.segments_checked", 0)
-        clean = result.telemetry.get(
-            "fillunit.verify.segments_clean", 0)
-        counts: dict = {}
-        errors = 0
-        for event in sink.events:
-            key = (event.data["opt"], event.data["rule"],
-                   event.data["severity"])
-            counts[key] = counts.get(key, 0) + 1
-            if event.data["severity"] == "error":
-                errors += 1
-        status = "CLEAN" if errors == 0 else f"{errors} violations"
-        print(f"{name}: {checked} segments verified, {clean} clean "
-              f"({args.opts}, "
-              f"{'whole-pipeline' if args.whole_pipeline else 'per-pass'}"
-              f") -> {status}")
-        if counts:
-            print(f"  {'pass':12s} {'rule':20s} {'severity':8s} "
-                  f"{'count':>6s}")
-            for (opt, rule_id, severity), n in sorted(counts.items()):
-                print(f"  {opt:12s} {rule_id:20s} {severity:8s} {n:6d}")
-            samples = 0
-            for event in sink.events:
-                if event.data["severity"] != "error":
-                    continue
-                print(f"    e.g. pc={event.data['start_pc']:#x} "
-                      f"[{event.data['opt']}] {event.data['rule']}: "
-                      f"{event.data['message']}")
-                samples += 1
-                if samples >= args.show:
-                    break
-        total_errors += errors
-    return 1 if total_errors else 0
 
 
 def cmd_analyze(args) -> int:
@@ -442,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the host-time profile as JSON (summed "
                             "over the legs) and print it")
     p_run.add_argument("--verify", action="store_true",
-                       help="verify every fill-unit segment online "
+                       help="check every fill-unit rewrite, pass by "
+                            "pass, print each leg's verification "
+                            "report and exit 1 on any error violation "
                             "(adds verify spans to --timeline)")
     p_run.set_defaults(func=cmd_run)
 
@@ -460,20 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="content-addressed result cache; warm "
                             "entries replay without simulating")
     p_fig.set_defaults(func=cmd_figures)
-
-    p_ver = sub.add_parser(
-        "verify-traces",
-        help="replay benchmarks with online segment verification")
-    p_ver.add_argument("benchmarks", nargs="*", metavar="BENCH",
-                       help="benchmarks to verify (default: compress li)")
-    _add_common(p_ver)
-    p_ver.add_argument("--whole-pipeline", action="store_true",
-                       help="verify the composed pipeline instead of "
-                            "each pass in isolation")
-    p_ver.add_argument("--show", type=int, default=5,
-                       help="sample violation messages to print "
-                            "(default 5)")
-    p_ver.set_defaults(func=cmd_verify_traces)
 
     p_ana = sub.add_parser(
         "analyze",

@@ -73,11 +73,15 @@ class SimConfig:
     optimizations: OptimizationConfig = field(
         default_factory=OptimizationConfig)
     #: statically verify every optimized segment against its
-    #: pre-optimization snapshot (see :mod:`repro.verify`); violations
-    #: surface as telemetry counters and ``verify.violation`` events.
+    #: pre-optimization snapshot (see :mod:`repro.verify`); outcomes
+    #: accumulate in ``fill_unit.verifier.report`` (what ``repro run
+    #: --verify`` prints) and surface as ``fillunit.verify.*``
+    #: counters and ``verify.violation`` events.
     verify_fill: bool = False
     #: with :attr:`verify_fill`, check each optimization pass in
-    #: isolation so a violation names the offending pass.
+    #: isolation so a violation names the offending pass (``run
+    #: --verify`` sets both); without it, one check covers the whole
+    #: pipeline.
     verify_each_pass: bool = False
 
     def __post_init__(self) -> None:

@@ -57,6 +57,19 @@ class FillStage(PipelineStage):
             "fillunit.segment.length": histogram(stats.segment_lengths),
             **unit.counts,
         })
+        if unit.verifier is not None:
+            report = unit.verifier.report
+            telemetry = result.telemetry
+            telemetry["fillunit.verify.segments_checked"] = (
+                report.segments_checked)
+            telemetry["fillunit.verify.segments_clean"] = (
+                report.segments_clean)
+            # one count per rule, over passes and severities
+            for counts in (report.violation_counts, report.warning_counts):
+                for (_, rule), count in counts.items():
+                    scope = ("fillunit.verify.violations."
+                             + rule.replace("-", "_"))
+                    telemetry[scope] = telemetry.get(scope, 0) + count
 
 
 __all__ = ["FillStage"]

@@ -100,12 +100,9 @@ class FillUnit(FillCollector):
         self.stats = FillUnitStats()
         #: pass stats summed over every installed build
         self.pass_totals: Dict[str, int] = {}
-        #: the ``fillunit.opts.*`` and ``fillunit.verify.*`` telemetry
-        #: counts, by scope
+        #: the ``fillunit.opts.*`` telemetry counts, by scope (the
+        #: verifier's report holds the ``fillunit.verify.*`` ones)
         self.counts: Dict[str, int] = {}
-        if self.verifier is not None:
-            self.counts["fillunit.verify.segments_checked"] = 0
-            self.counts["fillunit.verify.segments_clean"] = 0
         #: sealed segments and their build records, by build input
         self._built: Dict[Tuple[Any, ...],
                           Tuple[TraceSegment, BuildRecord]] = {}
@@ -119,8 +116,8 @@ class FillUnit(FillCollector):
 
     def assemble_segment(self, candidate: PendingSegment) -> TraceSegment:
         """Assemble the *unoptimized* :class:`TraceSegment` a candidate
-        describes (the fill unit's input; also what the verifier and
-        ``tools/lint_segments.py`` treat as the original).
+        describes (the fill unit's input; also what the verifier
+        treats as the original).
 
         Each entry is a copy of the program instruction and shares its
         decoded record until a pass rewrites it. Its block and flow ids
@@ -193,8 +190,9 @@ class FillUnit(FillCollector):
 
     def _account(self, segment: TraceSegment, record: BuildRecord,
                  cycle: int) -> None:
-        """Count one installed segment's build record and report it to
-        the ``pass_applied`` and ``segment_verified`` hooks."""
+        """Count one installed segment's build record (its violations
+        into the verifier's report) and report it to the
+        ``pass_applied`` and ``segment_verified`` hooks."""
         counts, totals = self.counts, self.pass_totals
         last = len(record.passes) - 1
         for index, (name, stats) in enumerate(record.passes):
@@ -213,14 +211,7 @@ class FillUnit(FillCollector):
         if verifier is None:
             return
         violations = record.violations
-        verifier.report.record(violations)
-        counts["fillunit.verify.segments_checked"] += 1
-        if not any(v.severity == "error" for v in violations):
-            counts["fillunit.verify.segments_clean"] += 1
-        for violation in violations:
-            scope = ("fillunit.verify.violations."
-                     + violation.rule.replace("-", "_"))
-            counts[scope] = counts.get(scope, 0) + 1
+        verifier.report.record(violations, segment.start_pc)
         for hook in self.verify_hooks:
             hook(segment, violations, cycle)
 

@@ -14,10 +14,9 @@ every optimized :class:`~repro.tracecache.segment.TraceSegment`:
   (rule registry, severities, fix-it hints) for the structural
   contracts each pass must keep;
 * :mod:`repro.verify.checker` — :class:`SegmentVerifier`, the facade
-  the fill unit's online mode, the ``verify-traces`` CLI verb and
-  ``tools/lint_segments.py`` share;
-* :mod:`repro.verify.archive` — JSONL serialization of segment pairs
-  for offline lints.
+  the fill unit runs online under ``SimConfig.verify_fill``, and the
+  :class:`VerificationReport` that ``repro run BENCH --verify``
+  prints.
 
 See ``docs/verification.md``.
 """

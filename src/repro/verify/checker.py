@@ -1,7 +1,8 @@
 """The segment verifier: lint rules + translation validation.
 
-:class:`SegmentVerifier` is the one entry point the fill unit, the
-``verify-traces`` CLI verb and ``tools/lint_segments.py`` all share.
+:class:`SegmentVerifier` is what the fill unit runs under
+``SimConfig.verify_fill`` (``repro run BENCH --verify``), and its
+:class:`VerificationReport` is what ``run --verify`` prints.
 ``check()`` takes a pre-rewrite snapshot and the rewritten segment and
 returns every violation found, most precise diagnosis first: the
 structural lint rules run first, and the symbolic equivalence check
@@ -25,6 +26,10 @@ from repro.verify.rules import (
 )
 
 
+#: error violations a report keeps whole, for ``render`` to show
+SAMPLES = 5
+
+
 @dataclass
 class VerificationReport:
     """Accumulated verification outcomes across many segments."""
@@ -36,6 +41,9 @@ class VerificationReport:
         default_factory=dict)
     warning_counts: Dict[Tuple[str, str], int] = field(
         default_factory=dict)
+    #: the first :data:`SAMPLES` error violations, each with its
+    #: segment's start pc
+    samples: List[Tuple[int, Violation]] = field(default_factory=list)
 
     @property
     def violations(self) -> int:
@@ -45,11 +53,14 @@ class VerificationReport:
     def warnings(self) -> int:
         return sum(self.warning_counts.values())
 
-    def record(self, violations: List[Violation]) -> None:
+    def record(self, violations: List[Violation], start_pc: int) -> None:
+        """Count one checked segment, starting at *start_pc*."""
         self.segments_checked += 1
         errors = [v for v in violations if v.severity == ERROR]
         if not errors:
             self.segments_clean += 1
+        room = SAMPLES - len(self.samples)
+        self.samples += [(start_pc, v) for v in errors[:room]]
         for violation in violations:
             key = (violation.pass_name or "(pipeline)", violation.rule)
             counts = (self.violation_counts
@@ -58,10 +69,15 @@ class VerificationReport:
             counts[key] = counts.get(key, 0) + 1
 
     def render(self) -> str:
+        """One summary line ending in ``CLEAN`` or ``N violations``,
+        then, when anything was found, the pass x rule x severity
+        table and the sample error violations."""
+        status = (f"{self.violations} violations" if self.violations
+                  else "CLEAN")
         lines = [f"segments checked: {self.segments_checked}   "
                  f"clean: {self.segments_clean}   "
                  f"violations: {self.violations}   "
-                 f"warnings: {self.warnings}"]
+                 f"warnings: {self.warnings} -> {status}"]
         if self.violation_counts or self.warning_counts:
             lines.append(f"  {'pass':12s} {'rule':20s} "
                          f"{'severity':8s} {'count':>5s}")
@@ -72,6 +88,10 @@ class VerificationReport:
             for (pass_name, rule_id), count, severity in sorted(merged):
                 lines.append(f"  {pass_name:12s} {rule_id:20s} "
                              f"{severity:8s} {count:5d}")
+        for start_pc, v in self.samples:
+            lines.append(f"    e.g. pc={start_pc:#x} "
+                         f"[{v.pass_name or '(pipeline)'}] {v.rule}: "
+                         f"{v.message}")
         return "\n".join(lines)
 
 
@@ -108,7 +128,7 @@ class SegmentVerifier:
             order_already_reported=order_reported, pass_name=pass_name)
         violations += semantic
         if record:
-            self.report.record(violations)
+            self.report.record(violations, optimized.start_pc)
         return violations
 
 

@@ -445,8 +445,9 @@ def test_analyze_json_export(tmp_path, capsys):
 def test_policy_reaches_every_engine(tmp_path, capsys, monkeypatch, verb):
     """Every verb that takes ``--policy`` builds engines whose trace
     cache and memory hierarchy run that policy, and so does ``run``
-    under every observation flag ("profile", "trace") and with several
-    legs ("compare")."""
+    under every observation flag ("profile", "trace"), with several
+    legs ("compare") and under ``--verify`` (which replaced the
+    ``verify-traces`` verb)."""
     from repro.core.engine import Engine
 
     engines = []
@@ -467,7 +468,7 @@ def test_policy_reaches_every_engine(tmp_path, capsys, monkeypatch, verb):
                   str(tmp_path / "t.json"), "--hostprof",
                   str(tmp_path / "hp.json")],
         "compare": ["run", "compress", "--opts", "none", "all"],
-        "verify-traces": ["verify-traces", "compress"],
+        "verify-traces": ["run", "compress", "--verify"],
         "analyze": ["analyze", "compress", "--cross-check"],
         "asm": ["asm", str(source), "--simulate"],
     }[verb]

@@ -1,8 +1,10 @@
-"""CLI and offline-tool coverage for the segment verifier."""
+"""CLI coverage for the segment verifier: ``repro run BENCH --verify``."""
 
-import sys
+import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.fillunit.opts.reassoc import ReassociationPass
+from repro.isa.opcodes import Op
 
 
 def run_cli(capsys, *argv):
@@ -12,76 +14,56 @@ def run_cli(capsys, *argv):
 
 
 def test_verify_traces_default_benchmarks(capsys):
-    code, out = run_cli(capsys, "verify-traces", "--scale", "0.05")
-    assert code == 0
-    assert "compress" in out and "li" in out
-    assert "CLEAN" in out
-    assert "per-pass" in out
-
-
-def test_verify_traces_whole_pipeline(capsys):
-    code, out = run_cli(capsys, "verify-traces", "compress",
-                        "--scale", "0.05", "--whole-pipeline")
-    assert code == 0
-    assert "whole-pipeline" in out
+    """The seed workloads verify clean under the paper's four passes,
+    each pass checked on its own; each leg prints its own report."""
+    for bench, legs in (("compress", ["none", "all"]), ("li", ["all"])):
+        code, out = run_cli(capsys, "run", bench, "--scale", "0.05",
+                            "--opts", *legs, "--verify")
+        assert code == 0, out
+        assert out.count("segments checked") == len(legs)
+        assert out.count("-> CLEAN") == len(legs)
+        assert "e.g. pc=" not in out
 
 
 def test_verify_traces_extended_opts(capsys):
-    code, out = run_cli(capsys, "verify-traces", "li",
-                        "--scale", "0.05", "--opts", "extended")
+    code, out = run_cli(capsys, "run", "li", "--scale", "0.05",
+                        "--opts", "extended", "--verify")
     assert code == 0
-    assert "CLEAN" in out
+    assert "-> CLEAN" in out
 
 
 def test_verify_traces_unknown_benchmark(capsys):
-    code, out = run_cli(capsys, "verify-traces", "nonesuch")
-    assert code == 2
-    assert "unknown benchmark" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "nonesuch", "--verify"])
+    assert exc.value.code == 2
 
 
-def test_lint_segments_capture_then_lint(tmp_path, capsys, monkeypatch):
-    sys.path.insert(0, "tools")
-    try:
-        import lint_segments
-    finally:
-        sys.path.pop(0)
-    archive = tmp_path / "pairs.jsonl"
-    code = lint_segments.main(["capture", "compress", str(archive),
-                               "--scale", "0.05", "--limit", "50"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "captured" in out and archive.exists()
-
-    code = lint_segments.main(["lint", str(archive)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "violations: 0" in out
+def test_verify_traces_verb_is_gone():
+    """``run --verify`` is the one verification entry point."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["verify-traces"])
+    assert exc.value.code == 2
 
 
-def test_lint_segments_catches_tampered_archive(tmp_path, capsys):
-    """Corrupting an archived optimized segment flips the exit code."""
-    import json
+def test_verify_fails_on_a_broken_pass(capsys, monkeypatch):
+    """A paper pass that also bumps an ``addi`` immediate changes what
+    the segment computes: ``run --verify`` names the pass, the rule and
+    a sample segment, and exits 1."""
+    apply = ReassociationPass.apply
 
-    sys.path.insert(0, "tools")
-    try:
-        import lint_segments
-    finally:
-        sys.path.pop(0)
-    archive = tmp_path / "pairs.jsonl"
-    lint_segments.main(["capture", "compress", str(archive),
-                        "--scale", "0.05", "--limit", "20"])
-    capsys.readouterr()
+    def broken(self, segment, ctx):
+        stats = apply(self, segment, ctx)
+        for instr in segment.instrs:
+            if instr.op is Op.ADDI and instr.imm:
+                instr.imm += 4
+                break
+        return stats
 
-    tampered = tmp_path / "tampered.jsonl"
-    with open(archive) as src, open(tampered, "w") as dst:
-        for line in src:
-            payload = json.loads(line)
-            for instr in payload["optimized"]["instrs"]:
-                if instr["op"] == "addi" and instr.get("imm"):
-                    instr["imm"] += 4
-                    break
-            dst.write(json.dumps(payload) + "\n")
-    code = lint_segments.main(["lint", str(tampered)])
-    out = capsys.readouterr().out
+    monkeypatch.setattr(ReassociationPass, "apply", broken)
+    code, out = run_cli(capsys, "run", "compress", "--scale", "0.05",
+                        "--verify")
     assert code == 1
+    assert "violations" in out and "-> CLEAN" not in out
+    assert "reassoc" in out
     assert "equiv-registers" in out
+    assert "e.g. pc=0x" in out

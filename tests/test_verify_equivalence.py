@@ -100,34 +100,3 @@ def test_report_render_mentions_counts():
     assert "segments checked" in text
     assert "violations: 0" in text
 
-
-def test_archive_roundtrip_preserves_verification(tmp_path):
-    """Segments survive the JSONL archive losslessly: linting archived
-    pairs finds exactly what linting live pairs does (nothing)."""
-    from repro.verify.archive import read_pairs, write_pair
-
-    opts = OptimizationConfig.all()
-    _, trace, _ = build_segments(KERNEL, opts)
-    bias = BiasTable(64, threshold=4)
-    unit = FillUnit(FillUnitConfig(latency=1, optimizations=opts),
-                    TraceCache(TraceCacheConfig(num_sets=64, assoc=4)),
-                    bias)
-    collector = FillCollector(bias, 16, 3)
-    path = tmp_path / "pairs.jsonl"
-    pairs = 0
-    with open(path, "w") as handle:
-        for record in trace:
-            for candidate in collector.add(record):
-                original = unit.assemble_segment(candidate)
-                optimized = unit.build_segment(candidate)
-                write_pair(handle, original, optimized,
-                           meta={"benchmark": "kernel"})
-                pairs += 1
-    assert pairs > 0
-    verifier = SegmentVerifier(opts)
-    seen = 0
-    for original, optimized, meta in read_pairs(str(path)):
-        assert meta["benchmark"] == "kernel"
-        assert verifier.check(original, optimized) == []
-        seen += 1
-    assert seen == pairs

@@ -1,9 +1,15 @@
 """Online verification: the fill unit checking its own rewrites."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import workloads
 from repro.branch.bias import BiasTable
-from repro.core.stages import EventStage
+from repro.core.config import SimConfig
+from repro.core.engine import Engine
+from repro.core.results import SimResult
+from repro.core.stages import EventStage, FillStage
 from repro.errors import ConfigError
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig, \
@@ -11,6 +17,7 @@ from repro.fillunit.opts.base import OptimizationConfig, \
 from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
+from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 from repro.verify import SegmentVerifier
@@ -41,6 +48,15 @@ def build_unit(opts, verify=True, verify_each=False, telemetry=None):
         # Outside an engine, wire the event stage's hook by hand.
         unit.verify_hooks = (EventStage(telemetry.events).segment_verified,)
     return unit
+
+
+def verify_scopes(unit):
+    """The ``fillunit.verify.*`` scopes the fill stage writes for
+    *unit*."""
+    result = SimResult("kernel", "t", 0, 0)
+    FillStage(unit).finish_run(None, result)
+    return {scope: count for scope, count in result.telemetry.items()
+            if scope.startswith("fillunit.verify.")}
 
 
 def feed(unit, trace):
@@ -112,9 +128,11 @@ def test_counters_mirror_verification_outcomes():
     _, trace = run_asm(KERNEL)
     unit = build_unit(OptimizationConfig.all(), telemetry=Telemetry())
     segments = feed(unit, trace)
-    counters = unit.counts
-    assert counters["fillunit.verify.segments_checked"] == len(segments)
-    assert counters["fillunit.verify.segments_clean"] == len(segments)
+    assert verify_scopes(unit) == {
+        "fillunit.verify.segments_checked": len(segments),
+        "fillunit.verify.segments_clean": len(segments)}
+    assert not any(scope.startswith("fillunit.verify.")
+                   for scope in unit.counts)
 
 
 def test_violation_event_names_offending_pass():
@@ -146,10 +164,17 @@ def test_violation_event_names_offending_pass():
     assert event.data["severity"] == "error"
     assert event.data["rule"] in ("equiv-registers", "equiv-memory",
                                   "pass-surface")
-    counters = unit.counts
-    violation_scopes = [scope for scope in counters
-                        if scope.startswith("fillunit.verify.violations.")]
-    assert violation_scopes
+    # one count per rule, over passes and severities
+    assert verify_scopes(unit) == {
+        "fillunit.verify.segments_checked": 1,
+        "fillunit.verify.segments_clean": 0,
+        "fillunit.verify.violations.pass_surface": 1,
+        "fillunit.verify.violations.equiv_registers": 5,
+        "fillunit.verify.violations.equiv_memory": 1}
+    # the report keeps the error violations whole, with their segment
+    assert [(pc, v.pass_name) for pc, v in unit.verifier.report.samples] \
+        == [(event.data["start_pc"], "broken")
+            for event in sink.events[:5]]
 
 
 def test_verify_each_runs_every_pass_in_isolation():
@@ -184,9 +209,6 @@ def test_every_pass_declares_a_surface():
 
 
 def test_sim_config_plumbs_verify_flags():
-    from repro.core.config import SimConfig
-    from repro.core.engine import Engine
-
     config = SimConfig.tiny(OptimizationConfig.all())
     config.verify_fill = True
     config.verify_each_pass = True
@@ -196,7 +218,6 @@ def test_sim_config_plumbs_verify_flags():
 
 
 def test_sim_config_rejects_each_without_verify():
-    from repro.core.config import SimConfig
     with pytest.raises(ConfigError, match="verify_each_pass"):
         SimConfig(verify_each_pass=True)
 
@@ -211,3 +232,22 @@ def test_per_pass_and_whole_pipeline_agree_on_clean_segments():
     assert each.verifier.report.violations == 0
     assert (whole.verifier.report.segments_checked
             == each.verifier.report.segments_checked)
+
+
+@pytest.mark.parametrize("bench", ["compress", "li"])
+def test_whole_pipeline_verifies_workloads(bench):
+    """Whole-pipeline mode (``verify_fill`` without
+    ``verify_each_pass``) checks as many segments as per-pass mode,
+    finds no error, and moves no cycle."""
+    trace = Executor(workloads.build(bench, 0.05)).run()
+    config = SimConfig.paper(OptimizationConfig.extended())
+    cycles = Engine(config).run(trace, bench, "extended").cycles
+    reports = {}
+    for each in (False, True):
+        engine = Engine(replace(config, verify_fill=True,
+                                verify_each_pass=each))
+        assert engine.run(trace, bench, "extended").cycles == cycles
+        reports[each] = engine.fill_unit.verifier.report
+    whole, per_pass = reports[False], reports[True]
+    assert whole.violations == 0, whole.render()
+    assert whole.segments_checked == per_pass.segments_checked > 0
