@@ -6,7 +6,8 @@ Commands:
 * ``run BENCH`` — simulate one benchmark under one or more
   ``--opts`` sets (the first is the baseline of the ``+x%`` column)
   and print each result summary. Observation flags choose what else a
-  run records: ``--attribution`` (cycle attribution table and counter
+  run prints or records: ``--attribution`` (cycle attribution table,
+  each later leg's per-class delta against the first, and counter
   snapshot), ``--events FILE.jsonl`` (structured events of every leg),
   ``--timeline FILE.json`` (a Chrome trace-event file of one run,
   loadable at https://ui.perfetto.dev) and ``--hostprof FILE.json``
@@ -93,12 +94,13 @@ def cmd_list(args) -> int:
 
 def cmd_run(args) -> int:
     """Simulate one benchmark once per ``--opts`` name, all legs on one
-    committed trace and, when ``--attribution``, ``--events`` or
-    ``--timeline`` is given, one telemetry session. ``--hostprof``
-    attaches no session of its own, so alone it profiles the same
-    run a plain ``run`` takes, and neither does ``--verify``, whose
-    report is the fill unit's own. Returns 1 when ``--verify`` found
-    an error-severity violation in any leg."""
+    committed trace and, when ``--events`` or ``--timeline`` is given,
+    one telemetry session. ``--attribution`` only prints what every
+    run records (and each later leg's delta against the first), and
+    ``--hostprof`` attaches no session of its own, so either alone
+    profiles the same run a plain ``run`` takes; neither does
+    ``--verify``, whose report is the fill unit's own. Returns 1 when
+    ``--verify`` found an error-severity violation in any leg."""
     if args.timeline and len(args.opts) > 1:
         raise ReproError("--timeline records one run; give one --opts "
                          f"name, not {len(args.opts)}")
@@ -110,7 +112,7 @@ def cmd_run(args) -> int:
                          + ", ".join(repeated))
     trace = Executor(workloads.build(args.benchmark, args.scale)).run()
     telemetry = sink = archive = profiler = None
-    if args.attribution or args.events or args.timeline:
+    if args.events or args.timeline:
         from repro.telemetry import Telemetry
         telemetry = Telemetry(spans=bool(args.timeline))
         if args.events:
@@ -147,12 +149,10 @@ def cmd_run(args) -> int:
             print(report.render())
             violations += report.violations
         if args.attribution:
-            _print_attribution(result)
+            _print_attribution(result, baseline)
 
     if telemetry is not None:
         telemetry.close()
-        if args.attribution:
-            print(f"events: {telemetry.events.emitted} emitted")
     if sink is not None:
         print(f"wrote {sink.written} telemetry events to {sink.path}")
     if archive is not None:
@@ -178,10 +178,20 @@ def cmd_run(args) -> int:
     return 1 if violations else 0
 
 
-def _print_attribution(result) -> None:
-    """One leg's cycle attribution table and counter snapshot."""
-    from repro.telemetry.attribution import render_attribution
+def _print_attribution(result, baseline) -> None:
+    """One leg's cycle attribution table, its per-class delta against
+    the first leg *baseline* (for a later leg; the ``total`` row's
+    delta is the cycle delta) and its counter snapshot."""
+    from repro.telemetry.attribution import (
+        diff_attribution,
+        render_attribution,
+    )
     print(render_attribution(result.attribution, result.cycles))
+    if result is not baseline:
+        print(f"cycle attribution delta against "
+              f"{baseline.config_label}")
+        print(diff_attribution(baseline.config_label, baseline.attribution,
+                               result.config_label, result.attribution))
     print("telemetry counters")
     for scope, value in result.telemetry.items():
         if isinstance(value, dict):     # histogram snapshot
@@ -381,8 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("benchmark", choices=workloads.names())
     _add_common(p_run, legs=True)
     p_run.add_argument("--attribution", action="store_true",
-                       help="print each leg's cycle attribution table "
-                            "and counter snapshot")
+                       help="print each leg's cycle attribution table, "
+                            "its per-class delta against the first leg "
+                            "and its counter snapshot")
     p_run.add_argument("--events", metavar="FILE.jsonl",
                        help="write every leg's structured telemetry "
                             "events to FILE.jsonl (overwrites it)")

@@ -30,8 +30,9 @@ typed counters are read from it; engines sharing a
 stream and span recorder. With a session attached the stages
 additionally emit structured events (mispredicts, trace cache
 misfetches, checkpoint repairs) and observer stages join the stage
-list (cycle accounting, segment events and spans, fed by segment
-hooks); without one, event emission collapses to a null-object no-op.
+list (segment events and spans, fed by segment hooks); without one,
+event emission collapses to a null-object no-op. Cycle attribution is
+not an observer: the retire stage builds it in every run.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from repro.core.clusters import CheckpointStore
 from repro.core.config import SimConfig
 from repro.core.memsched import MemoryScheduler
 from repro.core.results import SimResult
-from repro.core.stages.attribution import CycleAccountant
 from repro.core.stages.base import MachineState, PipelineStage
 from repro.core.stages.execute import ExecuteStage
 from repro.core.stages.fetch import FetchStage
@@ -99,9 +99,8 @@ class Engine:
         self.memsched = MemoryScheduler(self.hierarchy,
                                         config.store_forward_window)
         #: the stage list, in pipeline order. Owned by the engine;
-        #: observer stages (e.g. the cycle accountant,
-        #: :class:`repro.core.stages.attribution.CycleAccountant`) may
-        #: be appended before ``run()``.
+        #: observer stages (e.g. :class:`~repro.core.stages.observers.
+        #: EventStage`) may be appended before ``run()``.
         self.stages: List[PipelineStage] = [
             FetchStage(config, self.hierarchy, self.predictor,
                        self.trace_cache, self.fill_unit, self.events),
@@ -113,10 +112,6 @@ class Engine:
             FillStage(self.fill_unit),
         ]
         if telemetry is not None:
-            if telemetry.attribution:
-                self.stages.append(CycleAccountant(
-                    config.cross_cluster_penalty,
-                    extra_is_tc_miss=self.trace_cache is not None))
             self.stages.append(EventStage(self.events))
             if telemetry.spans is not None:
                 self.stages.append(SpanStage(telemetry.spans,
@@ -279,12 +274,12 @@ class Engine:
 
     def _finish_stats(self, state: Optional[MachineState],
                       result: SimResult) -> None:
-        """Let every stage write its counts to ``result.telemetry``,
-        sort that by scope, and read the typed counters from it."""
+        """Let every stage write its counts to ``result.telemetry``
+        (and the retire stage the attribution), and sort that by
+        scope."""
         for stage in self.stages:
             stage.finish_run(state, result)
         result.telemetry = dict(sorted(result.telemetry.items()))
-        result.fill_counters()
 
 
 __all__ = ["Engine"]

@@ -13,20 +13,21 @@ from __future__ import annotations
 from dataclasses import asdict, fields
 from typing import Any, Optional
 
-from repro.core.results import COUNTER_SCOPES, OptCoverage, SimResult
+from repro.core.results import SimResult
 
-SCHEMA_VERSION = 1
+#: 2: each count is stored once, in ``telemetry`` (version 1 also
+#: stored the typed counters and ``coverage`` beside their scopes)
+SCHEMA_VERSION = 2
 ANALYSIS_SCHEMA_VERSION = 3
 
 
 def result_to_dict(result: SimResult) -> dict:
-    """A JSON-safe dict of one run's results (schema-versioned).
+    """A JSON-safe dict of one run's results (schema-versioned), each
+    count once.
 
     Shallow: the dict fields (counts, pass totals, attribution) are
-    the result's own objects, not copies; only ``coverage`` becomes a
-    new dict."""
+    the result's own objects, not copies."""
     payload = {f.name: getattr(result, f.name) for f in fields(result)}
-    payload["coverage"] = asdict(result.coverage)
     payload["schema"] = SCHEMA_VERSION
     payload["derived"] = {
         "ipc": result.ipc,
@@ -48,7 +49,6 @@ def result_from_dict(payload: dict) -> SimResult:
         raise ValueError(f"unknown result schema {payload.get('schema')!r}")
     data = {k: v for k, v in payload.items()
             if k not in ("schema", "derived")}
-    data["coverage"] = OptCoverage(**data["coverage"])
     return SimResult(**data)
 
 
@@ -64,16 +64,11 @@ def _flatten(name: str, value: Any, flat: dict) -> None:
 
 def _counters(result: SimResult) -> dict:
     """Every scalar field of *result*, and every leaf of its dicts:
-    ``coverage.<name>``, ``pass_totals.<name>``, ``attribution.<class>``
-    and ``telemetry.<scope>`` (``telemetry.<scope>.<field>`` for a
-    histogram). A scope that a typed field mirrors
-    (:data:`~repro.core.results.COUNTER_SCOPES`) is left to the field."""
-    mirrored = set(COUNTER_SCOPES.values())
+    ``pass_totals.<name>``, ``attribution.<class>`` and
+    ``telemetry.<scope>`` (``telemetry.<scope>.<field>`` for a
+    histogram)."""
     flat: dict = {}
     for name, value in asdict(result).items():
-        if name == "telemetry":
-            value = {scope: count for scope, count in value.items()
-                     if scope not in mirrored}
         _flatten(name, value, flat)
     return flat
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import TYPE_CHECKING, Any, Dict
 
 
 @dataclass
@@ -38,59 +38,41 @@ class OptCoverage:
 
 @dataclass
 class SimResult:
-    """Everything a run produced."""
+    """Everything a run produced.
+
+    Each count is stored once, in :attr:`telemetry`. The typed counters
+    (``tc_hits``, ``mispredicts``, ...) are read-only properties over
+    it, one per :data:`COUNTER_SCOPES` entry, and :attr:`coverage`
+    gathers the four ``fetch.tc.opt.*`` scopes; a scope the run did
+    not write (the trace cache's, on a machine without one) reads 0.
+    """
 
     benchmark: str
     config_label: str
     instructions: int
     cycles: int
 
-    # Fetch
-    tc_fetched_instrs: int = 0      # instructions supplied by the TC
-    ic_fetched_instrs: int = 0
-    tc_lookups: int = 0
-    tc_hits: int = 0
-
-    # Control flow
-    cond_branches: int = 0
-    mispredicts: int = 0
-    promoted_fetches: int = 0       # branches consumed with static pred
-    promoted_mispredicts: int = 0
-    indirect_mispredicts: int = 0
-
-    # Backend
-    bypass_delayed: int = 0         # last-arriving source crossed clusters
-    executed_with_sources: int = 0
-    moves_eliminated: int = 0       # marked moves completed in rename
-
-    # Dynamic predication (extension pass)
-    predicated_branches: int = 0    # branches consumed in squashed form
-    predication_phantoms: int = 0   # guard-false bodies issued off-path
-
-    # Wrong-path modeling (opt-in; see repro.core.wrongpath)
-    wrong_path_fetches: int = 0     # wrong-path instructions fetched
-
-    # Memory
-    dcache_hits: int = 0
-    dcache_misses: int = 0
-    icache_misses: int = 0
-    forwarded_loads: int = 0
-
-    # Fill unit
-    segments_built: int = 0
-    segments_deduped: int = 0
+    # Fill unit: pass stats summed over every installed build
     pass_totals: dict = field(default_factory=dict)
-
-    coverage: OptCoverage = field(default_factory=OptCoverage)
 
     # Telemetry (see repro.telemetry): this run's counts, one
     # {scope: value} dict in sorted scope order that the stages write
-    # once the run finishes (the typed counters above are read from
-    # it through COUNTER_SCOPES), and the top-down cycle attribution
-    # (classes sum exactly to `cycles`; empty unless a Telemetry
-    # session with attribution enabled was attached to the run).
+    # once the run finishes, and the top-down cycle attribution, which
+    # every run of a non-empty trace has (classes sum exactly to
+    # `cycles`; an empty trace has none).
     telemetry: dict = field(default_factory=dict)
     attribution: dict = field(default_factory=dict)
+
+    if TYPE_CHECKING:
+        # the typed counters, which are set on the class below
+        def __getattr__(self, name: str) -> int: ...
+
+    @property
+    def coverage(self) -> OptCoverage:
+        """The optimized-instruction coverage (Table 2) of the run."""
+        telemetry = self.telemetry
+        return OptCoverage(**{name: telemetry.get(scope, 0)
+                              for name, scope in _COVERAGE_SCOPES})
 
     # ------------------------------------------------------------------
 
@@ -120,18 +102,6 @@ class SimResult:
         return (self.mispredicts / self.cond_branches
                 if self.cond_branches else 0.0)
 
-    def fill_counters(self) -> None:
-        """Set the typed counters from :attr:`telemetry` through
-        :data:`COUNTER_SCOPES`. A field whose scope the run did not
-        write (the trace cache's, on a machine without one) keeps its
-        zero."""
-        telemetry = self.telemetry
-        for name, scope in COUNTER_SCOPES.items():
-            if scope in telemetry:
-                owner, _, attr = name.rpartition(".")
-                setattr(self.coverage if owner else self, attr,
-                        telemetry[scope])
-
     def improvement_over(self, baseline: "SimResult") -> float:
         """Percent IPC improvement relative to *baseline*."""
         if baseline.ipc == 0:
@@ -146,7 +116,7 @@ class SimResult:
                 f"bypass={100 * self.bypass_delayed_fraction:5.1f}%")
 
 
-#: typed counter -> the telemetry scope it is read from
+#: typed counter -> the telemetry scope it reads
 #: (``coverage.<name>`` is an :class:`OptCoverage` field). The stages
 #: write only scopes; this table is the one place that knows both
 #: names.
@@ -177,6 +147,25 @@ COUNTER_SCOPES: Dict[str, str] = {
     "coverage.scaled": "fetch.tc.opt.scaled",
     "coverage.any_opt": "fetch.tc.opt.any",
 }
+
+
+_COVERAGE_SCOPES = tuple((name[len("coverage."):], scope)
+                         for name, scope in COUNTER_SCOPES.items()
+                         if name.startswith("coverage."))
+
+
+def _counter(scope: str) -> property:
+    """The read-only typed counter of telemetry scope *scope*."""
+    def read(result: SimResult) -> int:
+        count: int = result.telemetry.get(scope, 0)
+        return count
+    return property(read, doc=f"The ``{scope}`` count (0 if unwritten).")
+
+
+for _name, _scope in COUNTER_SCOPES.items():
+    if not _name.startswith("coverage."):
+        setattr(SimResult, _name, _counter(_scope))
+del _name, _scope
 
 
 def histogram(counts: Dict[int, int]) -> Dict[str, Any]:

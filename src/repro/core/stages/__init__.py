@@ -8,10 +8,9 @@ The engine's stage list, in order::
 Each stage implements the :class:`PipelineStage` contract and
 communicates only through the :class:`MachineState` handoff object.
 Observers are stages too: with a telemetry session the engine appends
-:class:`CycleAccountant`, :class:`EventStage` and :class:`SpanStage`.
+:class:`EventStage` and, with span capture, :class:`SpanStage`.
 """
 
-from repro.core.stages.attribution import CycleAccountant
 from repro.core.stages.base import (
     FetchEntry,
     FetchGroup,
@@ -37,7 +36,6 @@ __all__ = [
     "ExecuteStage",
     "RetireStage",
     "FillStage",
-    "CycleAccountant",
     "EventStage",
     "SpanStage",
 ]

@@ -86,9 +86,10 @@ class FetchGroup:
     """One assembled fetch group plus its group-scoped delay ledger.
 
     ``recovery``/``serialize``/``fetch_extra`` are the front-end delay
-    decomposition the cycle-accounting stage debits once, on the
-    group's first committed instruction; fetch sets them and nothing
-    writes them afterwards.
+    decomposition the cycle attribution debits once, at the group's
+    first committed instruction (fetch also logs them to
+    ``MachineState.fetch_log``); fetch sets them and nothing writes
+    them afterwards.
     ``next_fetch`` is the running earliest fetch cycle for the *next*
     group; mispredict redirects and serialization drains push it back.
     """
@@ -128,7 +129,8 @@ class MachineState:
     the committed stream and the fetch cursor, the architectural
     dataflow scoreboard, retirement history (bounding the in-flight
     window), the front-end delay carried into the next group, and the
-    wrong-path model. Observers are not state: they are stages (see
+    wrong-path model, and the two sparse logs the cycle attribution is
+    built from. Observers are not state: they are stages (see
     :class:`PipelineStage`).
     """
 
@@ -146,6 +148,14 @@ class MachineState:
     pending_serialize: int = 0
     group: Optional[FetchGroup] = None
     wrong_path: Optional[Any] = None
+    #: ``(seq, fetch cycle, complete, previous retire cycle,
+    #: penalized)`` of each retirement that skips cycles (retire)
+    retire_log: List[Tuple[int, int, int, int, bool]] = field(
+        default_factory=list)
+    #: ``(first seq, recovery, fetch_extra, serialize)`` of each fetch
+    #: group with a front-end delay and a committed record (fetch)
+    fetch_log: List[Tuple[int, int, int, int]] = field(
+        default_factory=list)
 
 
 class PipelineStage:

@@ -98,6 +98,12 @@ class FetchStage(PipelineStage):
         group.fetch_extra = fetch_cycle - requested
         group.recovery = state.pending_recovery
         group.serialize = state.pending_serialize
+        if (group.fetch_extra or group.recovery or group.serialize) \
+                and consumed:
+            # the attribution's debts, due at the group's first
+            # committed record (see MachineState.fetch_log)
+            state.fetch_log.append((start, group.recovery,
+                                    group.fetch_extra, group.serialize))
         group.next_fetch = fetch_cycle + 1
         group.consumed = consumed
         sizes = self.group_sizes

@@ -4,9 +4,10 @@ Owns the retire bandwidth state (the retire cycle and how many
 instructions it has retired, bounded by the retire width), the
 checkpoint store's commit side, branch-outcome accounting (including
 promoted and predicated-away branches), mispredict redirect pushback
-on the next fetch group and wrong-path pollution. Retire is pure
-timing: observers of the retirement stream (cycle attribution, timing
-capture) are stages of their own, appended after this one.
+on the next fetch group and wrong-path pollution. It also logs every
+retirement that skips cycles to ``MachineState.retire_log`` and, once
+the run finishes, classifies those gaps into the run's cycle
+attribution (:func:`repro.telemetry.attribution.attribute_cycles`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Any, Optional
 from repro.core.config import SimConfig
 from repro.core.results import SimResult
 from repro.core.stages.base import FetchEntry, MachineState, PipelineStage
+from repro.telemetry.attribution import attribute_cycles
 from repro.telemetry.events import BRANCH_MISPREDICT
 
 class RetireStage(PipelineStage):
@@ -33,6 +35,10 @@ class RetireStage(PipelineStage):
         self.predictor = predictor
         self.events = events
         self.redirect = config.mispredict_redirect
+        #: how the attribution charges a bypass-penalized gap and
+        #: names fetch latency
+        self.bypass_penalty = config.cross_cluster_penalty
+        self.extra_is_tc_miss = config.trace_cache_enabled
         #: conditional branches retired, and how many the segment
         #: carried predicated away, promoted or mispredicted
         self.cond_branches = 0
@@ -46,15 +52,22 @@ class RetireStage(PipelineStage):
     def process(self, state: MachineState, entry: FetchEntry) -> None:
         if entry.phantom:
             return
-        group = state.group
-        assert group is not None
+        # the group is read only on the rare paths below (a gap, a
+        # mispredict, a serializing instruction)
         record = entry.record
         decoded = entry.decoded
         complete = entry.complete
 
         # In order: no earlier than the previous retirement, and at
-        # most ``width`` per cycle.
+        # most ``width`` per cycle. A retirement more than one cycle
+        # after the previous one leaves a gap for the attribution.
         if complete >= self._cycle:
+            if complete > self._cycle:
+                group = state.group
+                assert group is not None
+                state.retire_log.append((entry.seq, group.fetch_cycle,
+                                         complete, self._cycle,
+                                         entry.penalized))
             retire_cycle = self._cycle = complete + 1
             self._count = 1
         elif self._count >= self.width:
@@ -95,6 +108,8 @@ class RetireStage(PipelineStage):
         if decoded.is_cond_branch:    # it holds a checkpoint (rename)
             self.checkpoints.commit(complete)
         if entry.mispredicted:
+            group = state.group
+            assert group is not None
             resume = complete + self.redirect
             if resume > group.next_fetch:
                 group.recovery_bump += resume - group.next_fetch
@@ -104,6 +119,8 @@ class RetireStage(PipelineStage):
                     state.wrong_path.wrong_target(record),
                     max(0, complete - group.fetch_cycle))
         if decoded.is_serializing:
+            group = state.group
+            assert group is not None
             group.serialize_after = retire_cycle
 
     def finish_run(self, state: Optional[MachineState],
@@ -117,10 +134,15 @@ class RetireStage(PipelineStage):
             "branch.indirect.mispredicts": self.indirect_mispredicts,
             "predication.branches": self.predicated_branches,
         })
+        if state is None:   # an empty trace has no attribution
+            return
         # only a run that models the wrong path has the scope
-        if state is not None and state.wrong_path is not None:
+        if state.wrong_path is not None:
             telemetry["branch.wrong_path.fetches"] = \
                 state.wrong_path.instructions
+        result.attribution = attribute_cycles(
+            state.retire_log, state.fetch_log, result.cycles,
+            self.bypass_penalty, self.extra_is_tc_miss)
 
 
 __all__ = ["RetireStage"]

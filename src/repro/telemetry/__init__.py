@@ -10,8 +10,8 @@ once the run finishes):
 * span tracing (:mod:`repro.telemetry.spans`) — the segment lifecycle
   as an exportable timeline;
 * cycle attribution (:mod:`repro.telemetry.attribution`) — a top-down
-  classification of every pipeline cycle, computed by an observer
-  stage the engine appends to its stage list.
+  classification of every pipeline cycle, which every run carries in
+  ``SimResult.attribution``, with or without a session.
 
 Usage::
 
@@ -26,11 +26,11 @@ Usage::
     print(result.telemetry)             # flat {scope: value} counts
     telemetry.close()
 
-A :class:`Telemetry` session holds the event stream, the optional
-span recorder and the attribution switch. Passing no session costs
-(almost) nothing: the run still records its counts in
-``SimResult.telemetry``, but the engine emits no events and runs no
-observer stage (cycle attribution, segment events, segment spans).
+A :class:`Telemetry` session holds the event stream and the optional
+span recorder. Passing no session costs (almost) nothing: the run
+still records its counts in ``SimResult.telemetry`` and its cycle
+attribution in ``SimResult.attribution``, but the engine emits no
+events and runs no observer stage (segment events, segment spans).
 """
 
 from __future__ import annotations
@@ -57,17 +57,14 @@ class Telemetry:
     A session may span several runs (e.g. every leg of a multi-``--opts``
     ``run``): their events share its sinks, while each
     :class:`~repro.core.results.SimResult` reports its own run's
-    counts. *attribution* appends the cycle-accounting stage to every
-    engine built with this session; *spans* attaches a
+    counts and attribution. *spans* attaches a
     :class:`~repro.telemetry.spans.SpanRecorder` capturing the segment
     lifecycle as an exportable timeline (off by default — span capture
     retains every record; ``spans`` is ``None`` without it).
     """
 
-    def __init__(self, attribution: bool = True,
-                 spans: bool = False) -> None:
+    def __init__(self, spans: bool = False) -> None:
         self.events = EventStream()
-        self.attribution = attribution
         self.spans: Optional[SpanRecorder] = (
             SpanRecorder() if spans else None)
         self._sinks: List[Any] = []

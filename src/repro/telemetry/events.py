@@ -9,8 +9,9 @@ sinks are the one way to keep events.
 
 Event kinds and payload schemas are documented in
 ``docs/observability.md``. Per-instruction observation is not an
-event: it is a pipeline stage appended to the engine's stage list (see
-:class:`~repro.core.stages.attribution.CycleAccountant`).
+event: it is a pipeline stage appended to the engine's stage list
+(tests append one that records every instruction's timeline), and the
+cycle attribution every run carries is built by the retire stage.
 """
 
 from __future__ import annotations

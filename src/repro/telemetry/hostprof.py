@@ -1,6 +1,6 @@
 """Host-time profiler: where the simulator's own wall-time goes.
 
-The cycle accountant explains *simulated* time; this module explains
+The cycle attribution explains *simulated* time; this module explains
 *host* time — the prerequisite ROADMAP names for segment-level timing
 replay ("find where time actually goes") and for sizing a simulation
 service. A :class:`HostProfiler` accumulates wall-clock seconds into

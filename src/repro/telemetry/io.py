@@ -1,9 +1,8 @@
 """Shared loading of JSONL telemetry event archives.
 
-One loader for every consumer of ``run --events`` files —
-``tools/attribution_report.py``, the ``.jsonl`` mode of
-``tools/compare_runs.py`` (the attribution diff: exec-cache envelopes
-carry no attribution) and the Chrome-trace exporter — with uniform
+One loader for every consumer of ``run --events`` files — the
+``.jsonl`` mode of ``tools/compare_runs.py`` (the attribution diff of
+two archives) and the Chrome-trace exporter — with uniform
 malformed-line reporting: a bad line raises
 :class:`MalformedLineError` naming the file, the 1-based line number
 and a snippet, or (``on_error="skip"``/``"warn"``) is counted and

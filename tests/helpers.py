@@ -27,6 +27,7 @@ from repro.machine.state import ArchState
 from repro.machine.tracing import CommittedInstr
 from repro.program.image import Program
 from repro.program.loader import load_program
+from repro.telemetry.attribution import CYCLE_CLASSES
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 
 
@@ -242,3 +243,119 @@ class GroupTimes(PipelineStage):
                                   entry.renamed, entry.complete,
                                   entry.retire_cycle,
                                   bool(entry.decoded.move)))
+
+
+class ReferenceAccountant(PipelineStage):
+    """The reference cycle attribution: an observer stage that
+    classifies every retirement as it reads each finished fetch group,
+    independent of the retire and fetch logs the engine's own
+    attribution is built from. Append it to ``engine.stages`` before
+    ``run()``; :attr:`attribution` holds its classes afterwards.
+
+    Between two consecutive retirement cycles every skipped cycle is
+    attributed by walking the *next* retiring instruction's own
+    timeline (fetch / complete / retire cycles plus the front-end
+    delay decomposition of its fetch group), newest cause first.
+    Front-end delays that overlap retirement of earlier instructions
+    are carried as debts and charged when the pipeline later stalls.
+    """
+
+    name = "reference_attribution"
+
+    def __init__(self, bypass_penalty=1, extra_is_tc_miss=True):
+        self.bypass_penalty = bypass_penalty
+        self._extra_class = ("tc_miss" if extra_is_tc_miss
+                             else "fetch_starved")
+        self.classes = dict.fromkeys(CYCLE_CLASSES, 0)
+        self.attribution = {}
+        self._last_retire = 0
+        self._recovery_debt = 0
+        self._extra_debt = 0
+        self._serialize_debt = 0
+
+    @classmethod
+    def attach(cls, engine):
+        """Append a reference for *engine*'s machine; return it."""
+        config = engine.config
+        reference = cls(config.cross_cluster_penalty,
+                        extra_is_tc_miss=engine.trace_cache is not None)
+        engine.stages.append(reference)
+        return reference
+
+    def end_group(self, state):
+        """The group's retirements, one by one. Group-level delays are
+        debited once, on the group's first committed instruction."""
+        group = state.group
+        debited = False
+        for entry in group.entries:
+            if entry.phantom:
+                continue
+            self.on_retire(group.fetch_cycle, entry.complete,
+                           entry.retire_cycle,
+                           *((0, 0, 0) if debited else
+                             (group.recovery, group.fetch_extra,
+                              group.serialize)),
+                           bypass_penalized=entry.penalized)
+            debited = True
+
+    def finish_run(self, state, result):
+        if state is not None:   # an empty trace has no attribution
+            total = sum(self.classes.values())
+            assert total == result.cycles, (total, result.cycles)
+            self.attribution = dict(self.classes)
+
+    def on_retire(self, fetch, complete, retire, recovery=0,
+                  fetch_extra=0, serialize=0, bypass_penalized=False):
+        """Account the cycles up to and including *retire*."""
+        self._recovery_debt += recovery
+        self._extra_debt += fetch_extra
+        self._serialize_debt += serialize
+        classes = self.classes
+        last = self._last_retire
+        if retire <= last:      # shares an already-counted retire cycle
+            return
+        classes["base"] += 1    # the retire cycle itself is productive
+        stalls_end = retire - 1
+        extra_class = self._extra_class
+        # (last, min(fetch, stalls_end)]: front-end bound
+        frontend = min(fetch, stalls_end) - last
+        if frontend > 0:
+            take = min(frontend, self._extra_debt)
+            classes[extra_class] += take
+            self._extra_debt -= take
+            frontend -= take
+            take = min(frontend, self._recovery_debt)
+            classes["mispredict_recovery"] += take
+            self._recovery_debt -= take
+            frontend -= take
+            take = min(frontend, self._serialize_debt)
+            classes["drain"] += take
+            self._serialize_debt -= take
+            frontend -= take
+            classes["fetch_starved"] += frontend
+        # (max(last, fetch), min(complete, stalls_end)]: back-end bound;
+        # settle the front-end debts the refill stall is paying for
+        backend = min(complete, stalls_end) - max(last, fetch)
+        if backend > 0:
+            if bypass_penalized:
+                take = min(backend, self.bypass_penalty)
+                classes["bypass_delay"] += take
+                backend -= take
+            take = min(backend, self._recovery_debt)
+            classes["mispredict_recovery"] += take
+            self._recovery_debt -= take
+            backend -= take
+            take = min(backend, self._extra_debt)
+            classes[extra_class] += take
+            self._extra_debt -= take
+            backend -= take
+            take = min(backend, self._serialize_debt)
+            classes["drain"] += take
+            self._serialize_debt -= take
+            backend -= take
+            classes["issue_bound"] += backend
+        # (max(last, complete), stalls_end]: complete but not retired
+        drain = stalls_end - max(last, complete)
+        if drain > 0:
+            classes["drain"] += drain
+        self._last_retire = retire

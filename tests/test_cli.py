@@ -59,7 +59,28 @@ def test_attribution_classes_sum_to_cycles(capsys):
     assert len(table) >= 6
     assert sum(int(line.split()[1]) for line in table) == cycles
     assert f"cycles={cycles:8d}" in out
-    assert "fetch.tc.hits" in out and "events:" in out
+    # --attribution alone attaches no session: it only prints
+    assert "fetch.tc.hits" in out and "events:" not in out
+
+
+def test_attribution_prints_each_later_legs_delta(capsys):
+    """With several legs, each later leg's table is followed by its
+    per-class delta against the first leg; the ``total`` row's delta
+    is the cycle delta."""
+    code, out = run_cli(capsys, "run", "compress", "--scale", "0.05",
+                        "--opts", "none", "all", "moves", "--attribution")
+    assert code == 0
+    cycles = {line.split("[")[1].split()[0]:
+              int(line.split("cycles=")[1].split()[0])
+              for line in out.splitlines() if line.startswith("compress ")}
+    heads = [line for line in out.splitlines()
+             if line.startswith("cycle attribution delta against ")]
+    assert heads == ["cycle attribution delta against none"] * 2
+    totals = [line.split() for line in out.splitlines()
+              if line.startswith("  total ")]
+    assert [(int(a), int(b), int(delta)) for _, a, b, delta in totals] == [
+        (cycles["none"], cycles[leg], cycles[leg] - cycles["none"])
+        for leg in ("all", "moves")]
 
 
 def test_figures_subset(capsys):
@@ -132,22 +153,25 @@ def test_trace_exports_perfetto_timeline(tmp_path, capsys):
 
 def test_hostprof_profiles_only_the_observers_asked_for(tmp_path, capsys):
     """``--hostprof`` alone attaches no telemetry session, so its
-    profile has no observer stage; with ``--attribution`` the session's
-    cycle accountant is part of the run and of its profile."""
+    profile has no observer stage, and neither does ``--attribution``,
+    which only prints what every run records; ``--events`` attaches
+    the session's event stage."""
     import json
-    observers = {"stage.attribution", "stage.events", "stage.spans"}
-    alone = tmp_path / "alone.json"
+    observers = {"stage.events", "stage.spans"}
+    for flags in ([], ["--attribution"]):
+        alone = tmp_path / "alone.json"
+        code, _ = run_cli(capsys, "run", "compress", "--scale", "0.05",
+                          *flags, "--hostprof", str(alone))
+        assert code == 0
+        scopes = set(json.loads(alone.read_text())["scopes"])
+        assert "stage.fill" in scopes and not scopes & observers, flags
+    observed = tmp_path / "observed.json"
     code, _ = run_cli(capsys, "run", "compress", "--scale", "0.05",
-                      "--hostprof", str(alone))
+                      "--events", str(tmp_path / "e.jsonl"),
+                      "--hostprof", str(observed))
     assert code == 0
-    scopes = set(json.loads(alone.read_text())["scopes"])
-    assert "stage.fill" in scopes and not scopes & observers
-    attributed = tmp_path / "attributed.json"
-    code, _ = run_cli(capsys, "run", "compress", "--scale", "0.05",
-                      "--attribution", "--hostprof", str(attributed))
-    assert code == 0
-    scopes = set(json.loads(attributed.read_text())["scopes"])
-    assert "stage.attribution" in scopes
+    scopes = set(json.loads(observed.read_text())["scopes"])
+    assert "stage.events" in scopes
 
 
 def test_trace_no_verify_drops_verify_spans(tmp_path, capsys):

@@ -355,6 +355,9 @@ def test_retire_in_order_and_width():
 
     def retire(complete):
         entry = FetchEntry(record, ADD, 0)
+        # rename and issue set these before retire reads them
+        entry.seq = len(state.retire_cycles)
+        entry.penalized = False
         entry.complete = complete
         stage.process(state, entry)
         return entry.retire_cycle
@@ -364,6 +367,9 @@ def test_retire_in_order_and_width():
     assert retire(5) == 12    # width exhausted at 11
     assert retire(20) == 21
     assert state.retire_cycles == [11, 11, 12, 21]
+    # only the retirements that skip cycles are logged for attribution
+    assert state.retire_log == [(0, 0, 10, 0, False),
+                                (3, 0, 20, 12, False)]
 
 
 # --- memory scheduler -------------------------------------------------------

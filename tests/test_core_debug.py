@@ -40,7 +40,7 @@ def test_stage_ordering_invariants():
 
 def test_sink_and_hook_agree():
     """The capture is the same with and without a telemetry session
-    (whose attribution stage runs next to it), and neither observer
+    (whose event and span stages run next to it), and neither observer
     changes the run's cycles."""
     bare, bare_result, trace = capture()
     observed, observed_result, _ = capture(

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.export import diff_results, result_from_dict, result_to_dict
+from repro.core.export import (
+    SCHEMA_VERSION,
+    diff_results,
+    result_from_dict,
+    result_to_dict,
+)
 from repro.exec.grid import opt_job
 from repro.exec.service import ExecutionService
 from repro.fillunit.opts.base import OptimizationConfig
@@ -18,6 +23,21 @@ def test_result_roundtrip(service):
     rebuilt = result_from_dict(result_to_dict(original))
     assert rebuilt == original
     assert rebuilt.ipc == original.ipc
+    assert rebuilt.attribution == original.attribution != {}
+
+
+def test_each_count_stored_once(service):
+    """The dict holds each count once: the typed counters and the
+    coverage are read from their telemetry scopes, not stored."""
+    result = service.run(opt_job("compress", OptimizationConfig.all()))
+    payload = result_to_dict(result)
+    assert payload["schema"] == SCHEMA_VERSION == 2
+    assert set(payload) == {"benchmark", "config_label", "instructions",
+                            "cycles", "pass_totals", "telemetry",
+                            "attribution", "schema", "derived"}
+    assert result.tc_hits == payload["telemetry"]["fetch.tc.hits"] > 0
+    assert result.coverage.moves == payload["telemetry"][
+        "fetch.tc.opt.moves"]
 
 
 def test_schema_version_checked():
@@ -36,10 +56,11 @@ def test_diff_results(service):
         f"compress[baseline]:\n  cycles: {base.cycles} -> "
         f"{base.cycles + 1}")
     changed = dataclasses.replace(
-        base, coverage=dataclasses.replace(base.coverage, moves=7),
+        base, telemetry={**base.telemetry, "fetch.tc.opt.moves": 7},
         pass_totals={"moves": 3})
     assert diff_results(base, changed).splitlines()[1:] == [
-        "  coverage.moves: 0 -> 7", "  pass_totals.moves: - -> 3"]
+        "  telemetry.fetch.tc.opt.moves: 0 -> 7",
+        "  pass_totals.moves: - -> 3"]
 
 
 def test_diff_results_reads_telemetry_and_attribution(service):
@@ -52,15 +73,15 @@ def test_diff_results_reads_telemetry_and_attribution(service):
     size = dict(old.telemetry["fetch.group.size"])
     size["buckets"] = {**size["buckets"], "5": size["buckets"]["5"] + 1}
     new = dataclasses.replace(
-        old, tc_hits=old.tc_hits + 1,
+        old,
         telemetry={**old.telemetry, "rename.checkpoint.stalls": 123,
                    "fetch.group.size": {**size, "max": 17},
                    "fetch.tc.hits": old.tc_hits + 1},
         attribution={"base": 9, "tc_miss": 3})
     buckets = old.telemetry["fetch.group.size"]["buckets"]["5"]
-    # a mirrored scope is named once, by its typed field
+    # each count is named once, by its scope
     assert sorted(diff_results(old, new).splitlines()[1:]) == sorted([
-        f"  tc_hits: {old.tc_hits} -> {old.tc_hits + 1}",
+        f"  telemetry.fetch.tc.hits: {old.tc_hits} -> {old.tc_hits + 1}",
         "  telemetry.rename.checkpoint.stalls: 191 -> 123",
         f"  telemetry.fetch.group.size.max: {size['max']} -> 17",
         f"  telemetry.fetch.group.size.buckets.5: {buckets} -> "

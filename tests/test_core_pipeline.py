@@ -80,7 +80,7 @@ def test_watching_does_not_change_the_chain():
         assert chain == tuple(stages[name].process for name in pipeline)
         # the fill link is the fill unit's own collection entry point
         assert chain[-1].__self__ is engine.fill_unit
-    assert "attribution" in [stage.name for stage in observed.stages]
+    assert "events" in [stage.name for stage in observed.stages]
     result = observed.run(trace, "test", "run")
     assert result.cycles == plain.run(trace, "test", "run").cycles
     assert len(capture.rows) == result.instructions
@@ -94,20 +94,18 @@ def test_watching_does_not_change_the_chain():
 
 def test_observer_stages_only_when_asked():
     """No observer stage runs unless asked for: a bare engine has the
-    six pipeline stages; a session adds the attribution stage and the
-    segment-event stage, and the span stage only when it captures
-    spans."""
+    six pipeline stages; a session adds the segment-event stage, and
+    the span stage only when it captures spans. Cycle attribution is
+    no observer: the retire stage builds it in every run."""
     pipeline = ["fetch", "rename", "issue", "execute", "retire", "fill"]
     bare = Engine(SimConfig.tiny())
     assert [stage.name for stage in bare.stages] == pipeline
     observed = Engine(SimConfig.tiny(), telemetry=Telemetry())
     assert [stage.name for stage in observed.stages] == \
-        pipeline + ["attribution", "events"]
-    quiet = Engine(SimConfig.tiny(), telemetry=Telemetry(attribution=False))
-    assert [stage.name for stage in quiet.stages] == pipeline + ["events"]
+        pipeline + ["events"]
     traced = Engine(SimConfig.tiny(), telemetry=Telemetry(spans=True))
     assert [stage.name for stage in traced.stages] == \
-        pipeline + ["attribution", "events", "spans"]
+        pipeline + ["events", "spans"]
 
 
 @pytest.fixture(scope="module", params=[

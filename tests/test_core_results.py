@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.core.results import OptCoverage, SimResult
+from repro.core.results import COUNTER_SCOPES, OptCoverage, SimResult
 
 
-def make(instructions=1000, cycles=500, **kw):
+def make(instructions=1000, cycles=500, **telemetry):
+    """A result whose telemetry holds *telemetry*, keyed by the typed
+    counter names of :data:`COUNTER_SCOPES`."""
     return SimResult(benchmark="b", config_label="c",
-                     instructions=instructions, cycles=cycles, **kw)
+                     instructions=instructions, cycles=cycles,
+                     telemetry={COUNTER_SCOPES[name]: count
+                                for name, count in telemetry.items()})
 
 
 def test_ipc():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.results import OptCoverage, SimResult
+from repro.core.results import SimResult
 from repro.exec.cache import ENVELOPE_VERSION, ResultCache
 
 FP = "ab" + "0" * 62
@@ -16,7 +16,6 @@ FP2 = "cd" + "1" * 62
 def _result(cycles: int = 100) -> SimResult:
     return SimResult(benchmark="compress", config_label="baseline",
                      instructions=250, cycles=cycles,
-                     coverage=OptCoverage(),
                      telemetry={"fetch.tc.instrs": 200})
 
 
@@ -68,6 +67,21 @@ def test_envelopes_read_every_entry_and_reject_corrupt_ones(tmp_path):
         list(cache.envelopes())
     # unlike a get, reading the set leaves the entry for inspection
     assert path.exists()
+
+
+def test_schema_1_result_is_a_miss(tmp_path):
+    """A result written before each count was stored once (schema 1:
+    typed counters and ``coverage`` beside their telemetry scopes)
+    reads as a miss and is cleared, so the slot is re-simulated."""
+    cache = ResultCache(tmp_path)
+    path = cache.put(FP, _result())
+    envelope = json.loads(path.read_text())
+    envelope["result"].update(
+        schema=1, tc_fetched_instrs=200,
+        coverage={"moves": 0, "reassoc": 0, "scaled": 0, "any_opt": 0})
+    path.write_text(json.dumps(envelope))
+    assert cache.get(FP) is None
+    assert not path.exists()
 
 
 def test_stale_envelope_version_is_a_miss(tmp_path):

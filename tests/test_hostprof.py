@@ -124,25 +124,26 @@ def test_fill_scope_counts_every_chain_entry():
 
 
 def test_attach_profiles_attribution_stage():
-    """With a telemetry session the cycle-accounting stage joins the
-    stage list, so the profiler times it like any other stage."""
+    """Cycle attribution is no stage of its own: the retire stage logs
+    the gaps and classifies them in ``finish_run``, so the profiler
+    times it as part of ``stage.retire``, with or without a session."""
     from repro.telemetry import Telemetry
 
     program = workloads.build("compress", 0.1)
     trace = Executor(program).run()
     config = SimConfig.paper(OptimizationConfig.all())
 
-    engine = Engine(config, telemetry=Telemetry())
-    prof = HostProfiler()
-    prof.attach(engine)
-    result = engine.run(trace, "compress")
+    for telemetry in (None, Telemetry()):
+        engine = Engine(config, telemetry=telemetry)
+        prof = HostProfiler()
+        prof.attach(engine)
+        result = engine.run(trace, "compress")
 
-    assert sum(result.attribution.values()) == result.cycles
-    calls, seconds = prof.totals["stage.attribution"]
-    # once per fetch group (it reads the finished group), plus
-    # begin_run and finish_run
-    groups = result.telemetry["fetch.group.size"]["count"]
-    assert calls == groups + 2 and seconds > 0.0
+        assert sum(result.attribution.values()) == result.cycles
+        assert "stage.attribution" not in prof.totals
+        calls, seconds = prof.totals["stage.retire"]
+        # once per committed instruction, plus begin_run and finish_run
+        assert calls == result.instructions + 2 and seconds > 0.0
 
 
 def test_hostprof_report_tool_roundtrip(tmp_path):

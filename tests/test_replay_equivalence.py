@@ -8,9 +8,12 @@ each replacement policy) and the three replacement policies are
 pinned the same way, and so is an evicting column: every workload
 under each policy on a machine small enough that its caches evict.
 Any drift means the timing semantics changed. There is one path
-through the engine, so an observed run (spans, events and cycle
-attribution) must also agree with an unobserved one on every counter,
-and every cycle class of three observed columns is pinned too.
+through the engine, so an observed run (spans and events) must also
+agree with an unobserved one on every counter. Every run carries its
+cycle attribution: on the matrix, the evicting column and the
+no-trace-cache and wrong-path machines it must equal the reference
+accountant's (``tests.helpers.ReferenceAccountant``), and every cycle
+class of three columns is pinned too.
 
 The test names date from when this matrix compared runs with the
 (since retired) segment-level timing memo against the plain engine;
@@ -35,7 +38,7 @@ from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
 from repro.telemetry.attribution import CYCLE_CLASSES
-from tests.helpers import evicting_config
+from tests.helpers import ReferenceAccountant, evicting_config
 
 #: the four paper machines the matrix runs: measured baseline, a
 #: single-optimization machine, the combined paper configuration and
@@ -109,9 +112,12 @@ def test_matrix_covers_every_workload():
 @pytest.mark.parametrize("bench", workloads.names())
 def test_memo_bit_identical_every_workload(bench, config_name):
     config = SimConfig.tiny(PAPER_CONFIGS[config_name]())
-    result = Engine(config).run(_trace(bench, 0.2), benchmark=bench)
+    engine = Engine(config)
+    reference = ReferenceAccountant.attach(engine)
+    result = engine.run(_trace(bench, 0.2), benchmark=bench)
     column = list(PAPER_CONFIGS).index(config_name)
     assert result.cycles == GOLDEN_CYCLES[bench][column]
+    assert result.attribution == reference.attribution
 
 
 #: the paper machine with all four optimizations at scale 0.5: cycles,
@@ -166,9 +172,32 @@ def test_memo_bit_identical_under_every_policy(bench, policy):
 def test_evicting_column(bench, policy):
     """Every workload at scale 0.15 on the evicting machine."""
     config = evicting_config(OptimizationConfig.all(), policy)
-    result = Engine(config).run(_trace(bench, 0.15), benchmark=bench)
+    engine = Engine(config)
+    reference = ReferenceAccountant.attach(engine)
+    result = engine.run(_trace(bench, 0.15), benchmark=bench)
     column = EVICTING_POLICIES.index(policy)
     assert result.cycles == EVICTING_CYCLES[bench][column]
+    assert result.attribution == reference.attribution
+
+
+@pytest.mark.parametrize("machine", ["no_trace_cache", "wrong_path"])
+@pytest.mark.parametrize("bench", workloads.names())
+def test_attribution_matches_reference_off_the_matrix(bench, machine):
+    """The two machines the matrix does not run: without a trace cache
+    fetch latency is ``fetch_starved``, and the wrong-path model
+    pollutes the caches between retirements."""
+    config = SimConfig.paper(OptimizationConfig.all())
+    if machine == "no_trace_cache":
+        config = dataclasses.replace(config, trace_cache_enabled=False)
+    else:
+        config = dataclasses.replace(config, model_wrong_path=True)
+    engine = Engine(config)
+    reference = ReferenceAccountant.attach(engine)
+    result = engine.run(_trace(bench, 0.1), benchmark=bench)
+    assert result.attribution == reference.attribution
+    assert sum(result.attribution.values()) == result.cycles
+    if machine == "no_trace_cache":
+        assert result.attribution["tc_miss"] == 0
 
 
 def test_service_reproduces_evicting_trrip_column():
@@ -191,8 +220,8 @@ def test_service_reproduces_evicting_trrip_column():
 
 @pytest.mark.parametrize("bench", ["compress", "li"])
 def test_observed_run_matches_plain_run(bench):
-    """Watching a run does not change it: with spans, events and cycle
-    attribution on, cycles, counters and the telemetry snapshot equal
+    """Watching a run does not change it: with spans and events on,
+    cycles, counters, the telemetry snapshot and the attribution equal
     an unobserved run's, and the attribution sums to the cycles."""
     trace = _trace(bench, 0.2)
     config = SimConfig.tiny(OptimizationConfig.all())
@@ -202,14 +231,13 @@ def test_observed_run_matches_plain_run(bench):
     observed = Engine(config, telemetry=telemetry).run(trace,
                                                        benchmark=bench)
     assert sum(observed.attribution.values()) == observed.cycles
-    observed.attribution = plain.attribution
     assert dataclasses.asdict(observed) == dataclasses.asdict(plain)
 
 
-#: cycle attribution, in ``CYCLE_CLASSES`` order, of three observed
-#: columns: ``all`` and ``extended`` at scale 0.2 on ``SimConfig.tiny``
-#: (the extended passes' predicated segments issue phantom entries)
-#: and the evicting machine under TRRIP at scale 0.15
+#: cycle attribution, in ``CYCLE_CLASSES`` order, of three columns:
+#: ``all`` and ``extended`` at scale 0.2 on ``SimConfig.tiny`` (the
+#: extended passes' predicated segments issue phantom entries) and the
+#: evicting machine under TRRIP at scale 0.15
 ATTRIBUTION_COLUMNS = ("all", "extended", "evicting-trrip")
 ATTRIBUTION = {
     "compress": (
@@ -299,9 +327,9 @@ def _attribution_config(column: str) -> SimConfig:
 @pytest.mark.parametrize("column", ATTRIBUTION_COLUMNS)
 @pytest.mark.parametrize("bench", workloads.names())
 def test_attribution_pinned(bench, column):
-    """Every cycle class of an observed run, not just their sum."""
+    """Every cycle class of a run, not just their sum."""
     scale = 0.15 if column == "evicting-trrip" else 0.2
-    result = Engine(_attribution_config(column), telemetry=Telemetry()).run(
+    result = Engine(_attribution_config(column)).run(
         _trace(bench, scale), benchmark=bench)
     expected = ATTRIBUTION[bench][ATTRIBUTION_COLUMNS.index(column)]
     assert tuple(result.attribution[c] for c in CYCLE_CLASSES) == expected
@@ -314,39 +342,40 @@ def test_attribution_covers_every_workload():
 
 #: sha256 of ``json.dumps(dataclasses.asdict(result), sort_keys=True)``
 #: for every workload at scale 0.1 on the paper machine with all four
-#: optimizations — the ``repro run`` shape. It covers every counter of
-#: the result and its telemetry snapshot, not just the cycles.
+#: optimizations — the ``repro run`` shape. It covers every count of
+#: the result (each stored once, in its telemetry snapshot) and its
+#: cycle attribution, not just the cycles.
 SUITE_DIGESTS = {
-    "compress": ("109901fd8cf74b08345157baaadd5ea4"
-                 "cb1783ecdfe3577c3e5a161862a5a943"),
-    "gcc": ("0c995c473cf953f51a0e877bd1acffda"
-            "799650bb5fd8dabe09f7909287559e4b"),
-    "go": ("8c472dce6386a7cee735e13182fecae7"
-           "2a193faa3b5b1d962b10102c75600534"),
-    "ijpeg": ("2ad52d98ab147efc6c9e2c03adaac2c6"
-              "ecdeb9e3c44fe13c99b5e8eab617323b"),
-    "li": ("58a3d5926dda83650d67119b0384e5f5"
-           "acf333432763daa858f4eca249191265"),
-    "m88ksim": ("94a4004e215565265131340d9a32e176"
-                "9ddabf576335c68a3fdd456a9f7b2bb2"),
-    "perl": ("fefa7572a618bbce88c6a31461cb42c0"
-             "82071223d4ea3e7d5e1b7c2aa0290f9f"),
-    "vortex": ("27f4568e8e3a39a2b69c34ddd8cdef93"
-               "0c716924138599e0f9744d075d288143"),
-    "gnuchess": ("bc96a66482ec034086880bc850d6e38f"
-                 "94f396038da873d2f836126ecd09ad95"),
-    "ghostscript": ("82be125c62d5e7d294d51dc4fd8bf695"
-                    "99b60d3cee290f072cc5a33e0932170c"),
-    "pgp": ("16e8b9e5e66286424c268e4a8232218f"
-            "63b6dc1128490324d5189a16502cab0a"),
-    "gnuplot": ("a763fa148f5cd66e1f73447d2def574d"
-                "1ea8cb7e13bc3ab1b6b431d28e8beded"),
-    "python": ("06a41501343a464f23596e7d9b83bb9b"
-               "e7120c5307831ec70bb7bcd3c3e88e0a"),
-    "sim-outorder": ("05f1abc8e7424129555877ba69e78b00"
-                     "77f7e10b3385c71725c165a008ca4b7c"),
-    "tex": ("49ca71d4f9039edcc132ab642203ac16"
-            "5bd4e7062fe44e490fb98f0bb05a614b"),
+    "compress": ("5f8ad523d9eba7899b6214bbf081671f"
+                 "7e1559a88ebca674e65c1a724747f3f3"),
+    "gcc": ("152099519055e968939216fe35c90c9f"
+            "176990bb6ee8a56a2e190847ca962f9a"),
+    "go": ("eaea4d410e2128421f8deecd8093ea23"
+           "aca47e2299d8dd34329a2fc65570073d"),
+    "ijpeg": ("4f620fc3360349e2c29fa14d5fe60386"
+              "8806f7f9905d51c02266228cf49e44a2"),
+    "li": ("f47445261bbba0d3f90e58bc372b98e2"
+           "2d42878f6be375151c88fdc0fea60462"),
+    "m88ksim": ("3d4f53e44b0613a9299c79c4912c7ab2"
+                "1ac89952e7af47e7adc6445805e38341"),
+    "perl": ("a3d986bc1fd7532bf15b5d930fa71f63"
+             "32f3e02e554f29da7140be55b99db9ae"),
+    "vortex": ("2d33efbb96015347f57420c65c43aa52"
+               "806730b908116474872a7c429d147e2f"),
+    "gnuchess": ("3e84cbed35b538c47349aeb9188293be"
+                 "cbb9386906b7c1da655c255f9774bab8"),
+    "ghostscript": ("bd73bb9a02f1fbb677fc3619c471c35a"
+                    "c2b9a62248b227bdf87b4ee0da3665c7"),
+    "pgp": ("5f9c182183098d23232c4edd8fb0633f"
+            "487265b81b8631b5417ccc7cc9c42816"),
+    "gnuplot": ("a4aea526b5b73d013dd5c83e1a63e034"
+                "859b7cb99b9d4812f7560f2518383da8"),
+    "python": ("e3bd78120bc6de956968b03206f9f025"
+               "7053699e19ba95b91db554b15072035d"),
+    "sim-outorder": ("b7307c72bf2b4e8fc29f12997f07c17e"
+                     "7912559caccda37a6940750651f99155"),
+    "tex": ("e951d87ac54c63d9ae74b8477a170281"
+            "e896ad26d8037ce9cd7822a5e0767b64"),
 }
 
 
@@ -368,36 +397,36 @@ def test_suite_digests_cover_every_workload():
 #: runs build predicated lines, so they pin the phantom entries and
 #: the fetch coverage counters under predication.
 EXTENDED_DIGESTS = {
-    "compress": ("ef53987fe5de0b32615348fa9823a45d"
-                 "d719d1d8522c871f0e8940f178f163a2"),
-    "gcc": ("410ccadb052a5eb9ef53c1612b7fa769"
-            "7435d52528562be16d62689342a82473"),
-    "go": ("a6a335dfd3fa023618243b4ed1b48211"
-           "1dcc5104bcd289a0bc15f13996c4ba94"),
-    "ijpeg": ("4826b717574b55ab0f51d1ffef88739f"
-              "4b29b0779045bcdaf8366fba2dff372b"),
-    "li": ("222503a8e991fe16d2d74219d29704de"
-           "ac1ca394f3f544d1673d2762441dc093"),
-    "m88ksim": ("364f489b45312618417be6aa145472a2"
-                "798e07f0e2634afde2dae0e2413cd8e6"),
-    "perl": ("62bad244ce0f5d93d6883bb858cb343b"
-             "d6928ddfa27f1fdb838f5ebaa2c966f1"),
-    "vortex": ("cc7fecb59508a1bbf2de105198e20467"
-               "f32c6c70b8c9dda00a11b41636b4cb4a"),
-    "gnuchess": ("92d8887f6b2ada8b0e5a1b789062fd55"
-                 "946491213d68c726de5dda734e49ce30"),
-    "ghostscript": ("dcd407f3860e4e5262747af6f1edaf4d"
-                    "159f6d3713b6ac45ffc08eee950c8d48"),
-    "pgp": ("a9e2f575fde7b39240a34c5fb46a6e90"
-            "0fb005c354238ec1ec906bc38dcd816b"),
-    "gnuplot": ("7f41d32bd9b9a603110fcdd08f71c9c9"
-                "bf6ebe733d36bdd1dfa5a1adb8113de5"),
-    "python": ("5410051e06c015021701d769e8fda0eb"
-               "6e03e5bc71004706bab8898cc9c01fb7"),
-    "sim-outorder": ("25a6222eece290afc095d710917b15a9"
-                     "b8497ac0e372941277cc1a1ca95b2baf"),
-    "tex": ("a211e4295016021e954ef665297cb9a4"
-            "3b4e40a519a60c56c4b15c885e2e8249"),
+    "compress": ("5b0778a9983c7a90b3834032c8699f1d"
+                 "c35dc694770f96a269f8949b9deffdfd"),
+    "gcc": ("a5918d9f33962e700198a4d75f15db1c"
+            "cbb7a7460435fdcfa637cbd7088cf601"),
+    "go": ("84eed1cf7cb56bde01b7605eae4e02a9"
+           "9a27f15257b67a788ace1795ff6984cd"),
+    "ijpeg": ("26ad8ce41460f22f92e67faa98f311eb"
+              "eae7b8c22c539fe00e4d3c4f0e5880f4"),
+    "li": ("9392a360112c688e4cff19d404dee0d1"
+           "a39257074b7a7308ae4828562d186679"),
+    "m88ksim": ("7df206924cc4c91ac1daf072e2d07577"
+                "155f50e9273090fd1eef2c078f117b15"),
+    "perl": ("6dcda79a78bc42697e810c12b8be0da3"
+             "513c6952704b19fc078cd98cf8d5f844"),
+    "vortex": ("e36b1fe1640dc10e6adf087204a56037"
+               "fbd60da421fbda2258ac0a5ffbc5aa5b"),
+    "gnuchess": ("a2fff8bbfd9f0f2568c8c18b9371d10b"
+                 "8a4ebd11bdada4f64afd1d2f92ac226e"),
+    "ghostscript": ("3ca4039ce622f304b6b40fdf6291be0d"
+                    "31d13ccd22f68c751eb9159d4cc418f0"),
+    "pgp": ("567609a0689ba44ea102651086f23e78"
+            "9aebed0b720295105630a367f714404d"),
+    "gnuplot": ("9f8027a99cd655d862c1b08d40bf7539"
+                "bba33fc1a0d61b6319e8bb3227bd762c"),
+    "python": ("795a36bcf5b2abc13206328158055ca8"
+               "27f52f784c193c859e82a78cd5418aa7"),
+    "sim-outorder": ("15fd0709bc2203390048574134a35afe"
+                     "55c6f4ceaa2d4b8f182131f7bbb5db95"),
+    "tex": ("7020084c69f49fe005b18089dd13e36e"
+            "bb6c76cf738127fc211910b978293001"),
 }
 
 

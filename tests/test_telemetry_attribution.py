@@ -6,14 +6,14 @@ import pytest
 from repro import workloads
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
-from repro.core.stages.attribution import CycleAccountant
-from repro.errors import ConfigError
+from repro.errors import ReproError
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine.executor import Executor
 from repro.machine.tracing import CommittedTrace
 from repro.telemetry import Telemetry
 from repro.telemetry.attribution import (
     CYCLE_CLASSES,
+    attribute_cycles,
     diff_attribution,
     render_attribution,
 )
@@ -40,32 +40,38 @@ def run_with_attribution(source=LOOP, config=None):
     return model.run(trace, "t", "r")
 
 
-# -- synthetic streams --------------------------------------------------
+# -- synthetic logs -----------------------------------------------------
+#
+# A retire-log entry is ``(seq, fetch, complete, previous retire,
+# penalized)`` for a retirement that skips cycles (it retires at
+# ``complete + 1``); a fetch-log entry is ``(first seq, recovery,
+# fetch_extra, serialize)`` for a group with a front-end delay.
+
+
+def classify(retires, fetches, cycles, bypass_penalty=1,
+             extra_is_tc_miss=True):
+    return attribute_cycles(retires, fetches, cycles, bypass_penalty,
+                            extra_is_tc_miss)
+
 
 def test_back_to_back_retires_are_all_base():
-    acct = CycleAccountant()
-    for cycle in range(1, 11):
-        acct.on_retire(fetch=cycle - 1, complete=cycle - 1, retire=cycle)
-    attribution = acct.finish(10)
+    # ten retirements, each one cycle after the last: no gap is logged
+    attribution = classify([], [], 10)
     assert attribution["base"] == 10
     assert sum(attribution.values()) == 10
 
 
 def test_same_cycle_retires_counted_once():
-    acct = CycleAccountant()
-    for _ in range(4):
-        acct.on_retire(fetch=0, complete=0, retire=1)
-    assert acct.finish(1) == dict.fromkeys(CYCLE_CLASSES, 0) | {"base": 1}
+    # four retirements in cycle 1 open no gap either
+    assert classify([], [], 1) == dict.fromkeys(CYCLE_CLASSES, 0) | {
+        "base": 1}
 
 
 def test_frontend_gap_split_newest_first():
-    acct = CycleAccountant()
-    acct.on_retire(fetch=0, complete=0, retire=1)
-    # Next instr fetched at 10: gap of 9 frontend cycles; 3 were an
-    # icache round trip (tc miss), 2 redirect, rest starvation.
-    acct.on_retire(fetch=10, complete=10, retire=11,
-                   recovery=2, fetch_extra=3)
-    attribution = acct.finish(11)
+    # retire at 1, then the next instr fetched at 10: a gap of 9
+    # frontend cycles; 3 were an icache round trip (tc miss), 2
+    # redirect, rest starvation.
+    attribution = classify([(1, 10, 10, 1, False)], [(1, 2, 3, 0)], 11)
     assert attribution["tc_miss"] == 3
     assert attribution["mispredict_recovery"] == 2
     assert attribution["fetch_starved"] == 4
@@ -74,21 +80,16 @@ def test_frontend_gap_split_newest_first():
 
 
 def test_extra_without_trace_cache_is_fetch_starved():
-    acct = CycleAccountant(extra_is_tc_miss=False)
-    acct.on_retire(fetch=0, complete=0, retire=1)
-    acct.on_retire(fetch=5, complete=5, retire=6, fetch_extra=4)
-    attribution = acct.finish(6)
+    attribution = classify([(1, 5, 5, 1, False)], [(1, 0, 4, 0)], 6,
+                           extra_is_tc_miss=False)
     assert attribution["tc_miss"] == 0
     assert attribution["fetch_starved"] == 4
 
 
 def test_backend_gap_with_bypass_carve():
-    acct = CycleAccountant(bypass_penalty=1)
-    acct.on_retire(fetch=0, complete=0, retire=1)
     # fetched immediately, executed for 5 cycles, last operand paid the
     # cross-cluster penalty.
-    acct.on_retire(fetch=1, complete=6, retire=7, bypass_penalized=True)
-    attribution = acct.finish(7)
+    attribution = classify([(1, 1, 6, 1, True)], [], 7, bypass_penalty=1)
     assert attribution["bypass_delay"] == 1
     assert attribution["issue_bound"] == 4
     assert sum(attribution.values()) == 7
@@ -97,29 +98,34 @@ def test_backend_gap_with_bypass_carve():
 def test_recovery_debt_settles_in_backend_gap():
     # The redirect delay hid behind retirement (fetch <= last retire);
     # the refill stall must still be charged to the mispredict.
-    acct = CycleAccountant()
-    acct.on_retire(fetch=0, complete=4, retire=5)    # 4 issue_bound
-    acct.on_retire(fetch=5, complete=10, retire=11, recovery=3)
-    attribution = acct.finish(11)
+    attribution = classify([(0, 0, 4, 0, False),       # 4 issue_bound
+                            (1, 5, 10, 5, False)], [(1, 3, 0, 0)], 11)
     assert attribution["mispredict_recovery"] == 3
     assert attribution["issue_bound"] == 4 + 2
     assert sum(attribution.values()) == 11
 
 
+def test_group_delay_falls_due_at_its_first_record():
+    # the group that starts at seq 5 was redirected; a gap at seq 2
+    # comes before it and is all issue-bound
+    attribution = classify([(2, 0, 4, 0, False)], [(5, 3, 0, 0)], 5)
+    assert attribution["mispredict_recovery"] == 0
+    assert attribution["issue_bound"] == 4
+
+
 def test_drain_class():
-    acct = CycleAccountant()
-    acct.on_retire(fetch=0, complete=0, retire=1)
-    # completed at 2, retired at 6: 3 commit-backpressure cycles.
-    acct.on_retire(fetch=1, complete=2, retire=6)
-    attribution = acct.finish(6)
+    # a gap retires the cycle after it completes, so drain comes from
+    # a serialization drain that delayed the next group's fetch:
+    # retired at 1, next fetch pushed from 2 to 5 by the drain.
+    attribution = classify([(1, 5, 5, 1, False)], [(1, 0, 0, 3)], 6)
     assert attribution["drain"] == 3
+    assert attribution["fetch_starved"] == 1
 
 
 def test_finish_raises_on_lost_cycles():
-    acct = CycleAccountant()
-    acct.on_retire(fetch=0, complete=0, retire=1)
-    with pytest.raises(ConfigError):
-        acct.finish(100)
+    # a 5-cycle gap cannot fit in a 3-cycle run
+    with pytest.raises(ReproError, match="lost cycles"):
+        classify([(0, 0, 5, 0, False)], [], 3)
 
 
 # -- real runs ----------------------------------------------------------
@@ -139,10 +145,12 @@ def test_sum_exact_without_trace_cache():
     assert result.attribution["tc_miss"] == 0   # no TC to miss
 
 
-def test_attribution_empty_without_session():
+def test_attribution_without_session():
+    """Every run carries its attribution, observed or not."""
     _, trace = run_asm(LOOP)
     result = Engine(SimConfig.tiny()).run(trace, "t", "r")
-    assert result.attribution == {}
+    assert result.attribution == run_with_attribution().attribution
+    assert sum(result.attribution.values()) == result.cycles
 
 
 def test_telemetry_session_does_not_change_timing():
@@ -157,10 +165,11 @@ def test_telemetry_session_does_not_change_timing():
 
 def test_empty_trace_has_no_attribution():
     trace = CommittedTrace([], None, [])
-    result = Engine(SimConfig.tiny(), telemetry=Telemetry()).run(
-        trace, "t", "r")
-    assert result.cycles == 0
-    assert result.attribution == {}
+    for telemetry in (None, Telemetry()):
+        result = Engine(SimConfig.tiny(), telemetry=telemetry).run(
+            trace, "t", "r")
+        assert result.cycles == 0
+        assert result.attribution == {}
 
 
 # -- anchors: the paper config on the seed workloads --------------------
@@ -183,7 +192,7 @@ ANCHOR_ATTRIBUTION = {
 def test_anchor_attribution_is_pinned(name):
     cycles, classes = ANCHOR_ATTRIBUTION[name]
     config = SimConfig.paper(OptimizationConfig.all())
-    result = Engine(config, telemetry=Telemetry()).run(
+    result = Engine(config).run(
         Executor(workloads.build(name, 0.5)).run(), name, "all")
     assert result.cycles == cycles
     assert result.attribution == classes

@@ -4,12 +4,12 @@ Two forms are understood:
 
 * two directories — exec-cache envelope sets, as written by
   ``repro figures --cache-dir``. Envelopes pair by their provenance
-  ``(benchmark, label, scale)``; every counter that differs (a typed
+  ``(benchmark, label, scale)``; every counter that differs (a scalar
   field, a telemetry scope or an attribution class) is listed,
   old -> new.
 * two ``.jsonl`` files — telemetry event archives written with
   ``repro run --events``; the runs' cycle attributions are diffed side by
-  side (envelopes carry no attribution).
+  side.
 
 Exit status 0 when every pair agrees, 1 on any drift or unpaired run,
 2 on bad arguments or a record set that cannot be read or paired.
