@@ -34,7 +34,9 @@ def test_extension_passes(benchmark, service, emit):
                 service.trace(bench), benchmark=bench, label="extended")
             rows[bench] = (four.improvement_over(base),
                            five.improvement_over(base),
-                           five.pass_totals.get("predicated_branches", 0))
+                           five.telemetry.get(
+                               "fillunit.opts.predication."
+                               "predicated_branches", 0))
         return rows
     rows = benchmark.pedantic(study, rounds=1, iterations=1)
     emit("Extensions: the paper's four passes vs + predication\n"

@@ -24,7 +24,8 @@ Commands:
   opportunity bounds, workload lint; see ``docs/static-analysis.md``);
   ``--baseline`` gates lint counts against a checked-in baseline and
   ``--cross-check`` validates the dynamic optimizers against the
-  static opportunity oracle.
+  static opportunity oracle and prints, per opt class, the committed
+  instructions the run covered (the paper's Table 2 coverage).
 * ``asm FILE`` — assemble and run an assembly file (functionally, and
   optionally through the timing model).
 """
@@ -107,7 +108,8 @@ def cmd_run(args) -> int:
     repeated = sorted({name for name in args.opts
                        if args.opts.count(name) > 1})
     if repeated:
-        # a leg is labelled by its name, and archives key legs by label
+        # a leg is labelled by its name (in its summary and its
+        # events), so two legs of one name could not be told apart
         raise ReproError("each --opts name labels one leg; repeated: "
                          + ", ".join(repeated))
     trace = Executor(workloads.build(args.benchmark, args.scale)).run()
@@ -443,8 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record the current lint/site counts as "
                             "the new baseline")
     p_ana.add_argument("--cross-check", action="store_true",
-                       help="simulate each benchmark and check dynamic "
-                            "transformed PCs against the static bounds")
+                       help="simulate each benchmark, check dynamic "
+                            "transformed PCs against the static bounds "
+                            "and print each class's coverage")
     p_ana.add_argument("--show", type=int, default=10,
                        help="lint findings to print per benchmark "
                             "(default 10)")

@@ -15,9 +15,10 @@ from typing import Any, Optional
 
 from repro.core.results import SimResult
 
-#: 2: each count is stored once, in ``telemetry`` (version 1 also
-#: stored the typed counters and ``coverage`` beside their scopes)
-SCHEMA_VERSION = 2
+#: 3: each count is stored once, in ``telemetry`` (version 1 also
+#: stored the typed counters and ``coverage`` beside their scopes,
+#: version 2 the fill unit's pass counts summed over passes)
+SCHEMA_VERSION = 3
 ANALYSIS_SCHEMA_VERSION = 3
 
 
@@ -25,8 +26,8 @@ def result_to_dict(result: SimResult) -> dict:
     """A JSON-safe dict of one run's results (schema-versioned), each
     count once.
 
-    Shallow: the dict fields (counts, pass totals, attribution) are
-    the result's own objects, not copies."""
+    Shallow: the dict fields (counts, attribution) are the result's
+    own objects, not copies."""
     payload = {f.name: getattr(result, f.name) for f in fields(result)}
     payload["schema"] = SCHEMA_VERSION
     payload["derived"] = {
@@ -64,9 +65,8 @@ def _flatten(name: str, value: Any, flat: dict) -> None:
 
 def _counters(result: SimResult) -> dict:
     """Every scalar field of *result*, and every leaf of its dicts:
-    ``pass_totals.<name>``, ``attribution.<class>`` and
-    ``telemetry.<scope>`` (``telemetry.<scope>.<field>`` for a
-    histogram)."""
+    ``attribution.<class>`` and ``telemetry.<scope>``
+    (``telemetry.<scope>.<field>`` for a histogram)."""
     flat: dict = {}
     for name, value in asdict(result).items():
         _flatten(name, value, flat)

@@ -52,9 +52,6 @@ class SimResult:
     instructions: int
     cycles: int
 
-    # Fill unit: pass stats summed over every installed build
-    pass_totals: dict = field(default_factory=dict)
-
     # Telemetry (see repro.telemetry): this run's counts, one
     # {scope: value} dict in sorted scope order that the stages write
     # once the run finishes, and the top-down cycle attribution, which

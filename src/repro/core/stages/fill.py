@@ -48,7 +48,6 @@ class FillStage(PipelineStage):
         if unit is None:
             return
         stats = unit.stats
-        result.pass_totals = unit.pass_totals
         result.telemetry.update({
             "fillunit.instructions_collected": unit.collected,
             "fillunit.segments.built": stats.segments_built,

@@ -98,8 +98,6 @@ class FillUnit(FillCollector):
         self.decodes: Dict[Tuple[Any, ...], Decoded] = (
             self.passes.context.decodes)
         self.stats = FillUnitStats()
-        #: pass stats summed over every installed build
-        self.pass_totals: Dict[str, int] = {}
         #: the ``fillunit.opts.*`` telemetry counts, by scope (the
         #: verifier's report holds the ``fillunit.verify.*`` ones)
         self.counts: Dict[str, int] = {}
@@ -193,11 +191,10 @@ class FillUnit(FillCollector):
         """Count one installed segment's build record (its violations
         into the verifier's report) and report it to the
         ``pass_applied`` and ``segment_verified`` hooks."""
-        counts, totals = self.counts, self.pass_totals
+        counts = self.counts
         last = len(record.passes) - 1
         for index, (name, stats) in enumerate(record.passes):
             for key, count in stats.items():
-                totals[key] = totals.get(key, 0) + count
                 if count:
                     scope = f"fillunit.opts.{name}.{key}"
                     counts[scope] = counts.get(scope, 0) + count

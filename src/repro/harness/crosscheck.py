@@ -7,7 +7,9 @@ be a subset of the static site set
 class — a violation means an optimizer's eligibility test accepted a
 pattern the sound static over-approximation says cannot exist, i.e.
 the eligibility test is unsound (or the analyzer's CFG missed an
-edge). The checker names the opt class and the offending PC.
+edge). The checker names the opt class and the offending PC, and
+reports beside each bound the committed instructions the run fetched
+in that class's transformed form (the paper's Table 2 coverage).
 
 The oracle covers the paper's four passes only: the predication
 extension squashes branches and guards instructions, which the static
@@ -23,7 +25,7 @@ from typing import Any, Dict, List, Set, Tuple
 from repro.analysis.static.report import AnalysisReport
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
-from repro.core.results import SimResult
+from repro.core.results import OptCoverage, SimResult
 from repro.core.stages.base import PipelineStage
 from repro.errors import ConfigError
 from repro.machine.tracing import CommittedTrace
@@ -52,6 +54,8 @@ class OracleCheck:
     config_label: str
     static_counts: Dict[str, int]
     dynamic_counts: Dict[str, int]       # distinct transformed PCs
+    coverage: OptCoverage                # transformed committed instrs
+    instructions: int
     violations: List[OracleViolation] = field(default_factory=list)
 
     @property
@@ -61,10 +65,13 @@ class OracleCheck:
     def render(self) -> str:
         lines = [f"{self.benchmark} [{self.config_label}]: "
                  f"{'OK' if self.ok else 'ORACLE VIOLATION'}"]
+        shares = self.coverage.as_percentages(self.instructions)
         for name in OPT_CLASSES:
             lines.append(
                 f"  {name:8s} dynamic {self.dynamic_counts[name]:4d} "
-                f"<= static {self.static_counts[name]:4d} sites")
+                f"<= static {self.static_counts[name]:4d} sites   "
+                f"covered {getattr(self.coverage, name)} "
+                f"({shares[name]:.1f}%)")
         for violation in self.violations:
             lines.append("  " + violation.render())
         return "\n".join(lines)
@@ -146,6 +153,8 @@ def cross_check(report: AnalysisReport, trace: CommittedTrace,
         static_counts={name: len(static[name]) for name in OPT_CLASSES},
         dynamic_counts={name: len(dynamic[name])
                         for name in OPT_CLASSES},
+        coverage=result.coverage,
+        instructions=result.instructions,
         violations=violations)
 
 

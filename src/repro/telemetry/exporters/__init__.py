@@ -9,9 +9,8 @@ wall-clock timebase (execution-service jobs).
 from __future__ import annotations
 
 from repro.telemetry.exporters.chrometrace import (
-    archive_to_trace,
     trace_events,
     write_chrome_trace,
 )
 
-__all__ = ["trace_events", "write_chrome_trace", "archive_to_trace"]
+__all__ = ["trace_events", "write_chrome_trace"]

@@ -1,7 +1,7 @@
 """Chrome trace-event export (Perfetto / chrome://tracing).
 
 Serializes a :class:`~repro.telemetry.spans.SpanRecorder` (and,
-optionally, a structured-event archive) into the Chrome trace-event
+optionally, the session's structured events) into the Chrome trace-event
 JSON object format: load the file in https://ui.perfetto.dev to see
 the segment lifecycle as a timeline.
 
@@ -29,7 +29,7 @@ _PROCESS_NAMES = {
     TIMEBASE_PIDS[WALL]: "host time",
 }
 
-#: event kinds from a JSONL archive worth showing as trace instants
+#: event kinds worth showing as trace instants
 #: (low-frequency lifecycle markers; the high-frequency kinds already
 #: have first-class spans).
 ARCHIVE_INSTANT_KINDS = frozenset((
@@ -90,8 +90,7 @@ def trace_events(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 
 def events_to_span_records(events: List[Any]) -> List[Dict[str, Any]]:
-    """Lower a structured-event list (e.g. a ``run --events``
-    archive loaded by :func:`repro.telemetry.io.read_events`) to
+    """Lower a structured-event list (a session's memory sink) to
     span-recorder instant records on one simulated-time track per
     event kind family."""
     records: List[Dict[str, Any]] = []
@@ -111,7 +110,7 @@ def events_to_span_records(events: List[Any]) -> List[Dict[str, Any]]:
 def write_chrome_trace(path: Any, recorder: Any,
                        events: Optional[List[Any]] = None,
                        metadata: Optional[Dict[str, Any]] = None) -> int:
-    """Write *recorder*'s spans (plus optional archive *events*) as a
+    """Write *recorder*'s spans (plus optional session *events*) as a
     Chrome trace-event JSON file; returns the trace-event count."""
     records = list(recorder.records)
     if events:
@@ -128,21 +127,6 @@ def write_chrome_trace(path: Any, recorder: Any,
     return len(payload["traceEvents"])
 
 
-def archive_to_trace(jsonl_path: Any, out_path: Any) -> int:
-    """Convert a ``run --events`` JSONL archive straight to a trace
-    file (no span recorder needed); returns the trace-event count."""
-    from repro.telemetry.io import read_events
-
-    events = read_events(jsonl_path, on_error="warn")
-    records = events_to_span_records(events)
-    payload = {"traceEvents": trace_events(records),
-               "displayTimeUnit": "ms"}
-    with open(out_path, "w") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
-        handle.write("\n")
-    return len(payload["traceEvents"])
-
-
 __all__ = ["trace_events", "events_to_span_records",
-           "write_chrome_trace", "archive_to_trace", "TIMEBASE_PIDS",
+           "write_chrome_trace", "TIMEBASE_PIDS",
            "ARCHIVE_INSTANT_KINDS"]

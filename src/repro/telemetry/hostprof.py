@@ -15,8 +15,8 @@ are bit-for-bit identical with or without the profiler attached; only
 wall time changes (instrumented replays run slower — that is the cost
 of asking). An unattached engine pays nothing.
 
-Reported by ``repro run --hostprof FILE.json`` and rendered offline
-by ``tools/hostprof_report.py``.
+Reported by ``repro run --hostprof FILE.json``, which prints the
+table and writes it to FILE.json.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from contextlib import contextmanager
 import time
 from typing import Any, Dict, Iterator, List, Optional
 
-#: schema tag for serialized profiles (tools/hostprof_report.py).
+#: schema tag for serialized profiles (``run --hostprof`` files).
 HOSTPROF_SCHEMA_VERSION = 1
 
 
@@ -88,7 +88,7 @@ class HostProfiler:
                 for scope, seconds in sorted(matched.items())}
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form (see ``tools/hostprof_report.py``)."""
+        """JSON-safe form, as ``run --hostprof`` writes it."""
         return {
             "schema": HOSTPROF_SCHEMA_VERSION,
             "scopes": {

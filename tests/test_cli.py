@@ -448,10 +448,30 @@ def test_analyze_baseline_warning_regression_fails(tmp_path, capsys):
 
 
 def test_analyze_cross_check(capsys):
+    """Each class row prints, beside its bound, the coverage a plain
+    run of the same trace reports (the paper's Table 2 columns)."""
+    import re
+
+    from repro import workloads
+    from repro.core.config import SimConfig
+    from repro.core.engine import Engine
+    from repro.fillunit.opts.base import OptimizationConfig
+    from repro.machine.executor import Executor
+
     code, out = run_cli(capsys, "analyze", "compress",
                         "--scale", "0.2", "--cross-check")
     assert code == 0
     assert "OK" in out and "dynamic" in out
+    trace = Executor(workloads.build("compress", 0.2)).run()
+    result = Engine(SimConfig.paper(OptimizationConfig.all())).run(
+        trace, "compress")
+    shares = result.coverage.as_percentages(result.instructions)
+    rows = dict(re.findall(r"^  (\w+) +dynamic .* covered (\d+ \(.*\))$",
+                           out, re.M))
+    assert rows == {
+        name: f"{getattr(result.coverage, name)} ({shares[name]:.1f}%)"
+        for name in ("moves", "reassoc", "scaled", "any_opt")}
+    assert result.coverage.any_opt > 0
 
 
 def test_analyze_json_export(tmp_path, capsys):

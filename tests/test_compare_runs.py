@@ -1,11 +1,10 @@
-"""``tools/compare_runs.py``: envelope-set and attribution diffs."""
+"""``tools/compare_runs.py``: envelope-set diffs."""
 
 import json
 import sys
 
 import pytest
 
-from repro.cli import main as repro_main
 from repro.exec.cache import ResultCache
 from repro.exec.grid import expand, opt_variant
 from repro.exec.service import ExecutionService
@@ -113,33 +112,3 @@ def test_missing_dir_is_an_error(dirs, capsys):
     code, _, err = _compare(capsys, dirs[0], dirs[0].parent / "nonesuch")
     assert code == 2
     assert "not a directory" in err
-
-
-def test_jsonl_one_run_against_many_lists_the_unpaired(tmp_path, capsys):
-    one, many = tmp_path / "n.jsonl", tmp_path / "b.jsonl"
-    assert repro_main(["run", "compress", "--scale", "0.05",
-                       "--opts", "none", "--events", str(one)]) == 0
-    assert repro_main(["run", "compress", "--scale", "0.05", "--opts",
-                       "none", "moves", "reassoc", "scaled_adds",
-                       "placement", "all", "--events", str(many)]) == 0
-    capsys.readouterr()
-    code, out, _ = _compare(capsys, one, many)
-    assert code == 1
-    # the none runs pair; the other five legs have no partner
-    assert out.startswith("compress/none\n")
-    assert f"only in {one}" not in out
-    for label in ("all", "moves", "placement"):
-        assert f"only in {many}: compress/{label}" in out
-    assert "0 of 1 compared runs changed cycle count, 5 unpaired" in out
-
-
-def test_jsonl_single_runs_pair_across_labels(tmp_path, capsys):
-    none, every = tmp_path / "n.jsonl", tmp_path / "a.jsonl"
-    for opts, path in (("none", none), ("all", every)):
-        assert repro_main(["run", "compress", "--scale", "0.05",
-                           "--opts", opts, "--events", str(path)]) == 0
-    capsys.readouterr()
-    code, out, _ = _compare(capsys, none, every)
-    assert code == 1
-    assert "compress/none vs compress/all" in out
-    assert "1 of 1 compared runs changed cycle count, 0 unpaired" in out

@@ -31,10 +31,10 @@ def test_each_count_stored_once(service):
     coverage are read from their telemetry scopes, not stored."""
     result = service.run(opt_job("compress", OptimizationConfig.all()))
     payload = result_to_dict(result)
-    assert payload["schema"] == SCHEMA_VERSION == 2
+    assert payload["schema"] == SCHEMA_VERSION == 3
     assert set(payload) == {"benchmark", "config_label", "instructions",
-                            "cycles", "pass_totals", "telemetry",
-                            "attribution", "schema", "derived"}
+                            "cycles", "telemetry", "attribution",
+                            "schema", "derived"}
     assert result.tc_hits == payload["telemetry"]["fetch.tc.hits"] > 0
     assert result.coverage.moves == payload["telemetry"][
         "fetch.tc.opt.moves"]
@@ -56,11 +56,11 @@ def test_diff_results(service):
         f"compress[baseline]:\n  cycles: {base.cycles} -> "
         f"{base.cycles + 1}")
     changed = dataclasses.replace(
-        base, telemetry={**base.telemetry, "fetch.tc.opt.moves": 7},
-        pass_totals={"moves": 3})
+        base, telemetry={**base.telemetry, "fetch.tc.opt.moves": 7,
+                         "fillunit.opts.moves.moves_marked": 3})
     assert diff_results(base, changed).splitlines()[1:] == [
         "  telemetry.fetch.tc.opt.moves: 0 -> 7",
-        "  pass_totals.moves: - -> 3"]
+        "  telemetry.fillunit.opts.moves.moves_marked: - -> 3"]
 
 
 def test_diff_results_reads_telemetry_and_attribution(service):

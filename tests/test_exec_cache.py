@@ -71,17 +71,21 @@ def test_envelopes_read_every_entry_and_reject_corrupt_ones(tmp_path):
 
 def test_schema_1_result_is_a_miss(tmp_path):
     """A result written before each count was stored once (schema 1:
-    typed counters and ``coverage`` beside their telemetry scopes)
+    typed counters and ``coverage`` beside their telemetry scopes;
+    schema 2: the fill unit's pass counts again, summed over passes)
     reads as a miss and is cleared, so the slot is re-simulated."""
     cache = ResultCache(tmp_path)
-    path = cache.put(FP, _result())
-    envelope = json.loads(path.read_text())
-    envelope["result"].update(
-        schema=1, tc_fetched_instrs=200,
-        coverage={"moves": 0, "reassoc": 0, "scaled": 0, "any_opt": 0})
-    path.write_text(json.dumps(envelope))
-    assert cache.get(FP) is None
-    assert not path.exists()
+    for old in (
+            {"schema": 1, "tc_fetched_instrs": 200,
+             "coverage": {"moves": 0, "reassoc": 0, "scaled": 0,
+                          "any_opt": 0}},
+            {"schema": 2}):
+        path = cache.put(FP, _result())
+        envelope = json.loads(path.read_text())
+        envelope["result"].update(old)
+        path.write_text(json.dumps(envelope))
+        assert cache.get(FP) is None
+        assert not path.exists()
 
 
 def test_stale_envelope_version_is_a_miss(tmp_path):
@@ -121,7 +125,7 @@ def test_envelope_bytes_match_the_streamed_deep_copy(tmp_path):
     trace = Executor(workloads.build("compress", 0.05)).run()
     result = Engine(SimConfig.paper(OptimizationConfig.all()),
                     telemetry=Telemetry()).run(trace, "compress", "all")
-    assert result.attribution and result.pass_totals
+    assert result.attribution and result.telemetry
     provenance = {"benchmark": "compress", "host_s": {"trace": 0.5}}
     path = ResultCache(tmp_path).put(FP, result, provenance=provenance)
 

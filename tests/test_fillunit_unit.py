@@ -58,7 +58,7 @@ def test_identical_segments_deduped():
     assert tc.stats.refreshes == unit.stats.segments_deduped
 
 
-def test_pass_totals_accumulate():
+def test_pass_counts_accumulate():
     unit, _ = make_unit(OptimizationConfig.all())
     _, trace = run_asm("""
     main:
@@ -68,10 +68,11 @@ def test_pass_totals_accumulate():
         halt
     """)
     feed(unit, trace)
-    totals = unit.pass_totals
-    assert totals["moves_marked"] >= 1
-    assert totals["scaled_adds"] >= 1
-    assert "placed_instructions" in totals
+    counts = unit.counts
+    assert counts.get("fillunit.opts.moves.moves_marked", 0) >= 1
+    assert counts.get("fillunit.opts.scaled_adds.scaled_adds", 0) >= 1
+    assert counts.get("fillunit.opts.placement.placed_instructions",
+                      0) >= 1
 
 
 def test_built_segments_are_valid():

@@ -144,29 +144,3 @@ def test_attach_profiles_attribution_stage():
         calls, seconds = prof.totals["stage.retire"]
         # once per committed instruction, plus begin_run and finish_run
         assert calls == result.instructions + 2 and seconds > 0.0
-
-
-def test_hostprof_report_tool_roundtrip(tmp_path):
-    import importlib.util
-    from pathlib import Path
-    repo = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "hostprof_report", repo / "tools" / "hostprof_report.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-
-    prof = HostProfiler()
-    prof.add("stage.fetch", 1.5, calls=100)
-    path = tmp_path / "prof.json"
-    path.write_text(json.dumps(prof.to_dict()))
-    loaded = tool.load_profile(str(path))
-    assert loaded.totals == prof.totals
-
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"schema": 99, "scopes": {}}')
-    try:
-        tool.load_profile(str(bad))
-    except ValueError as exc:
-        assert "schema" in str(exc)
-    else:
-        raise AssertionError("schema mismatch must raise")

@@ -346,36 +346,36 @@ def test_attribution_covers_every_workload():
 #: the result (each stored once, in its telemetry snapshot) and its
 #: cycle attribution, not just the cycles.
 SUITE_DIGESTS = {
-    "compress": ("5f8ad523d9eba7899b6214bbf081671f"
-                 "7e1559a88ebca674e65c1a724747f3f3"),
-    "gcc": ("152099519055e968939216fe35c90c9f"
-            "176990bb6ee8a56a2e190847ca962f9a"),
-    "go": ("eaea4d410e2128421f8deecd8093ea23"
-           "aca47e2299d8dd34329a2fc65570073d"),
-    "ijpeg": ("4f620fc3360349e2c29fa14d5fe60386"
-              "8806f7f9905d51c02266228cf49e44a2"),
-    "li": ("f47445261bbba0d3f90e58bc372b98e2"
-           "2d42878f6be375151c88fdc0fea60462"),
-    "m88ksim": ("3d4f53e44b0613a9299c79c4912c7ab2"
-                "1ac89952e7af47e7adc6445805e38341"),
-    "perl": ("a3d986bc1fd7532bf15b5d930fa71f63"
-             "32f3e02e554f29da7140be55b99db9ae"),
-    "vortex": ("2d33efbb96015347f57420c65c43aa52"
-               "806730b908116474872a7c429d147e2f"),
-    "gnuchess": ("3e84cbed35b538c47349aeb9188293be"
-                 "cbb9386906b7c1da655c255f9774bab8"),
-    "ghostscript": ("bd73bb9a02f1fbb677fc3619c471c35a"
-                    "c2b9a62248b227bdf87b4ee0da3665c7"),
-    "pgp": ("5f9c182183098d23232c4edd8fb0633f"
-            "487265b81b8631b5417ccc7cc9c42816"),
-    "gnuplot": ("a4aea526b5b73d013dd5c83e1a63e034"
-                "859b7cb99b9d4812f7560f2518383da8"),
-    "python": ("e3bd78120bc6de956968b03206f9f025"
-               "7053699e19ba95b91db554b15072035d"),
-    "sim-outorder": ("b7307c72bf2b4e8fc29f12997f07c17e"
-                     "7912559caccda37a6940750651f99155"),
-    "tex": ("e951d87ac54c63d9ae74b8477a170281"
-            "e896ad26d8037ce9cd7822a5e0767b64"),
+    "compress": ("d9f98bc04d6a1770d1520ff443bbae8b"
+                 "5c61ebbcc80854a8f32a7ea2658e47b8"),
+    "gcc": ("652d5f1ca7600a97efdebc9be11b0632"
+            "710cc7b49f9845396bb294d14e71ab5b"),
+    "go": ("5f909f55b728058f8d643f9bff2f0d70"
+           "14cf050b0f4bb1e8ad467e1677f5b69c"),
+    "ijpeg": ("f3adc455f2acb8fec5d3868a0753a9f8"
+              "18d2ac98060c1fd32ff4fe41f4a11228"),
+    "li": ("c208ac18b6dead7e4388e18ad9458705"
+           "7f2c6b653e516757fd20a3962a5cda8b"),
+    "m88ksim": ("3d20ea7f82b3c6fd38000287792880d8"
+                "3da1d43d917ddedf2377b08f60c85b15"),
+    "perl": ("a25468a63a80c770dd06c46c60ca159e"
+             "37a7cbb8268561f0d086ad08f2cd3b8a"),
+    "vortex": ("39776fe0fa8bcf9a201465c5b2b755a5"
+               "f5f4c5299a23c5c9e0b6d19b2d8b8fef"),
+    "gnuchess": ("ad18a008a62ea2008cb8861ae05e1553"
+                 "3e44aac791267af60c3e39d39b9a6caa"),
+    "ghostscript": ("633d8dbd22723b347a55ccd6a3e6cb6e"
+                    "d7e9f5dc3ca6481607cb3e4640561fde"),
+    "pgp": ("7b79331505bb7a1e02f000f1ffef5923"
+            "a3044167bc7e4f4deb129552739aac1e"),
+    "gnuplot": ("114e1397a1c85b6f8c5a6d24d0e17972"
+                "9fa40908200dd57c48b2690e5a4209a1"),
+    "python": ("ad1247124adcd89403a7bc40f6eed2ad"
+               "91f780dcc5648fa0ee91ed849e701080"),
+    "sim-outorder": ("cde4319b8fa518e9a453921baa67770d"
+                     "2850ba576090d2ed3e9300cd80073721"),
+    "tex": ("f038d6c9fa590b5b74a61e94c410db60"
+            "ff93d5836096d58829df468f6f371012"),
 }
 
 
@@ -397,36 +397,36 @@ def test_suite_digests_cover_every_workload():
 #: runs build predicated lines, so they pin the phantom entries and
 #: the fetch coverage counters under predication.
 EXTENDED_DIGESTS = {
-    "compress": ("5b0778a9983c7a90b3834032c8699f1d"
-                 "c35dc694770f96a269f8949b9deffdfd"),
-    "gcc": ("a5918d9f33962e700198a4d75f15db1c"
-            "cbb7a7460435fdcfa637cbd7088cf601"),
-    "go": ("84eed1cf7cb56bde01b7605eae4e02a9"
-           "9a27f15257b67a788ace1795ff6984cd"),
-    "ijpeg": ("26ad8ce41460f22f92e67faa98f311eb"
-              "eae7b8c22c539fe00e4d3c4f0e5880f4"),
-    "li": ("9392a360112c688e4cff19d404dee0d1"
-           "a39257074b7a7308ae4828562d186679"),
-    "m88ksim": ("7df206924cc4c91ac1daf072e2d07577"
-                "155f50e9273090fd1eef2c078f117b15"),
-    "perl": ("6dcda79a78bc42697e810c12b8be0da3"
-             "513c6952704b19fc078cd98cf8d5f844"),
-    "vortex": ("e36b1fe1640dc10e6adf087204a56037"
-               "fbd60da421fbda2258ac0a5ffbc5aa5b"),
-    "gnuchess": ("a2fff8bbfd9f0f2568c8c18b9371d10b"
-                 "8a4ebd11bdada4f64afd1d2f92ac226e"),
-    "ghostscript": ("3ca4039ce622f304b6b40fdf6291be0d"
-                    "31d13ccd22f68c751eb9159d4cc418f0"),
-    "pgp": ("567609a0689ba44ea102651086f23e78"
-            "9aebed0b720295105630a367f714404d"),
-    "gnuplot": ("9f8027a99cd655d862c1b08d40bf7539"
-                "bba33fc1a0d61b6319e8bb3227bd762c"),
-    "python": ("795a36bcf5b2abc13206328158055ca8"
-               "27f52f784c193c859e82a78cd5418aa7"),
-    "sim-outorder": ("15fd0709bc2203390048574134a35afe"
-                     "55c6f4ceaa2d4b8f182131f7bbb5db95"),
-    "tex": ("7020084c69f49fe005b18089dd13e36e"
-            "bb6c76cf738127fc211910b978293001"),
+    "compress": ("d9ff346e1490dee6398a7b8b3bf60b04"
+                 "f977b4dfcbd7a3ff21f6ee59fa6c4f05"),
+    "gcc": ("c15a6d4e825493c426fc30ae972b2131"
+            "a2296474fecc6cb5ffae9db0e0357887"),
+    "go": ("5f909f55b728058f8d643f9bff2f0d70"
+           "14cf050b0f4bb1e8ad467e1677f5b69c"),
+    "ijpeg": ("f3adc455f2acb8fec5d3868a0753a9f8"
+              "18d2ac98060c1fd32ff4fe41f4a11228"),
+    "li": ("c208ac18b6dead7e4388e18ad9458705"
+           "7f2c6b653e516757fd20a3962a5cda8b"),
+    "m88ksim": ("3d20ea7f82b3c6fd38000287792880d8"
+                "3da1d43d917ddedf2377b08f60c85b15"),
+    "perl": ("e35f5cc55b9d1038dceaccf56f8b3bc2"
+             "fa73a93b0ede11bf1b59afebd984b8f0"),
+    "vortex": ("39776fe0fa8bcf9a201465c5b2b755a5"
+               "f5f4c5299a23c5c9e0b6d19b2d8b8fef"),
+    "gnuchess": ("ad18a008a62ea2008cb8861ae05e1553"
+                 "3e44aac791267af60c3e39d39b9a6caa"),
+    "ghostscript": ("633d8dbd22723b347a55ccd6a3e6cb6e"
+                    "d7e9f5dc3ca6481607cb3e4640561fde"),
+    "pgp": ("7b79331505bb7a1e02f000f1ffef5923"
+            "a3044167bc7e4f4deb129552739aac1e"),
+    "gnuplot": ("114e1397a1c85b6f8c5a6d24d0e17972"
+                "9fa40908200dd57c48b2690e5a4209a1"),
+    "python": ("bc556a519d0670d76c962b9cc9c3762a"
+               "7e6afb613112a18ba270d1c9f73cae03"),
+    "sim-outorder": ("6748271acead746a9c0fa230dc32a697"
+                     "415f80f6e94026c047cf88bb60749690"),
+    "tex": ("e757f3fa3bae928089f172856c2a91eb"
+            "29dc2d6cde28679e2e7b7d67ab75d587"),
 }
 
 

@@ -1,6 +1,8 @@
 """Event stream tests: sinks, JSONL round trip, and the pipeline's
 event emission."""
 
+import json
+
 import pytest
 
 from repro.core.config import SimConfig
@@ -16,7 +18,6 @@ from repro.telemetry.events import (
     RUN_STARTED,
     SEGMENT_BUILT,
 )
-from repro.telemetry.io import read_events
 from tests.helpers import run_asm
 
 LOOP = """
@@ -50,11 +51,13 @@ def test_jsonl_roundtrip(tmp_path):
     stream.emit(BRANCH_MISPREDICT, 9, pc=0x2000, taken=True)
     sink.close()
     assert sink.written == 2
-    events = read_events(str(path))
-    assert [e.kind for e in events] == [SEGMENT_BUILT, BRANCH_MISPREDICT]
-    assert events[0].cycle == 7
-    assert events[0].data == {"start_pc": 0x1000, "instrs": 12}
-    assert events[1].data["taken"] is True
+    # one flat JSON object per line: payload fields sit beside the
+    # event's kind and cycle
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [e["kind"] for e in events] == [SEGMENT_BUILT, BRANCH_MISPREDICT]
+    assert events[0] == {"kind": SEGMENT_BUILT, "cycle": 7,
+                         "start_pc": 0x1000, "instrs": 12}
+    assert events[1]["taken"] is True
 
 
 def test_null_stream_rejects_sinks():

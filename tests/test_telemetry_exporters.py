@@ -17,7 +17,6 @@ from repro.telemetry.exporters import (
 )
 from repro.telemetry.exporters.chrometrace import (
     TIMEBASE_PIDS,
-    archive_to_trace,
     events_to_span_records,
 )
 from repro.telemetry.spans import CYCLES, WALL, SpanRecorder
@@ -112,16 +111,3 @@ def test_events_to_span_records_filters_kinds():
     assert records[0]["track"] == "events.segment"
     assert all(r["timebase"] == CYCLES and r["kind"] == "instant"
                for r in records)
-
-
-def test_archive_to_trace_roundtrip(tmp_path):
-    archive = tmp_path / "events.jsonl"
-    archive.write_text(
-        '{"kind":"run.started","cycle":0,"benchmark":"x"}\n'
-        '{"kind":"run.finished","cycle":99,"benchmark":"x"}\n')
-    out = tmp_path / "trace.json"
-    count = archive_to_trace(archive, out)
-    events = json.loads(out.read_text())["traceEvents"]
-    assert len(events) == count
-    names = {e["name"] for e in events}
-    assert {"run.started", "run.finished"} <= names

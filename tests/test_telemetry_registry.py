@@ -89,7 +89,6 @@ def test_each_scope_has_one_writer(trace):
         alone = SimResult("compress", "verify_each", 0, 0)
         stage.finish_run(None, alone)
         untouched = SimResult("compress", "verify_each", 0, 0,
-                              pass_totals=alone.pass_totals,
                               telemetry=alone.telemetry)
         assert alone == untouched, stage.name
         for scope in alone.telemetry:

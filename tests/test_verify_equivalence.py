@@ -2,16 +2,20 @@
 configuration must verify clean on segments the fill unit actually
 builds from the seed workloads."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import workloads
 from repro.branch.bias import BiasTable
+from repro.core.config import SimConfig
+from repro.core.engine import Engine
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.machine.executor import Executor
 from repro.tracecache.cache import TraceCache, TraceCacheConfig
 from repro.verify import SegmentVerifier, check_equivalence
-from repro.workloads import build
 from tests.helpers import build_segments
 
 #: the asm kernel exercising every rewrite at once: move chains,
@@ -62,28 +66,18 @@ def test_each_config_clean_on_kernel(name):
     assert report.violations == 0, report.render()
 
 
-@pytest.mark.parametrize("bench", ["compress", "li"])
+@pytest.mark.parametrize("bench", workloads.names())
 def test_seed_workloads_verify_clean(bench):
-    """The acceptance bar: compress and li under the paper's combined
-    configuration produce zero violations."""
-    opts = OptimizationConfig.all()
-    verifier = SegmentVerifier(opts)
-    program = build(bench, 0.2)
-    trace = Executor(program).run()
-    bias = BiasTable(64, threshold=4)
-    unit = FillUnit(FillUnitConfig(latency=1, optimizations=opts),
-                    TraceCache(TraceCacheConfig(num_sets=64, assoc=4)),
-                    bias)
-    collector = FillCollector(bias, 16, 3)
-    for record in trace:
-        if record.instr.is_cond_branch():
-            bias.record(record.pc, record.taken)
-        for candidate in collector.add(record):
-            original = unit.assemble_segment(candidate)
-            optimized = unit.build_segment(candidate)
-            verifier.check(original, optimized)
-    assert verifier.report.segments_checked > 100
-    assert verifier.report.violations == 0, verifier.report.render()
+    """The acceptance bar: every stand-in on the paper machine under
+    the paper's combined configuration builds segments that verify
+    with zero violations."""
+    config = replace(SimConfig.paper(OptimizationConfig.all()),
+                     verify_fill=True)
+    engine = Engine(config)
+    engine.run(Executor(workloads.build(bench, 0.2)).run(), bench)
+    report = engine.fill_unit.verifier.report
+    assert report.segments_checked > 0
+    assert report.violations == 0, report.render()
 
 
 def test_identical_segments_are_equivalent():
