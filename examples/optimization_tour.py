@@ -6,16 +6,22 @@ builds the trace segment the fill unit would construct, and shows the
 segment before and after each optimization pass — the annotated
 listings make the transformations visible instruction by instruction.
 
+The fill unit is the paper machine's own: ``FillUnit(config, bias)``
+takes its line limits, cluster geometry and optimization set from the
+machine's ``SimConfig`` and builds its trace cache from
+``config.trace_cache``, so the segments below are the ones a run of
+that machine would install.
+
 Run:  python examples/optimization_tour.py
 """
 
 from repro.asm import assemble
 from repro.branch.bias import BiasTable
+from repro.core.config import SimConfig
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.fillunit.unit import FillUnit, FillUnitConfig
+from repro.fillunit.unit import FillUnit
 from repro.machine import Executor
-from repro.tracecache.cache import TraceCache, TraceCacheConfig
 
 KERNEL = """
 # One trace segment's worth of the paper's target idioms:
@@ -45,9 +51,7 @@ def build_with(opts, label):
     program = assemble(KERNEL)
     trace = Executor(program).run()
     bias = BiasTable(64)
-    unit = FillUnit(FillUnitConfig(latency=1, optimizations=opts),
-                    TraceCache(TraceCacheConfig(num_sets=16, assoc=2)),
-                    bias)
+    unit = FillUnit(SimConfig.paper(opts), bias)
     collector = FillCollector(bias)
     segments = []
     for record in trace:

@@ -54,13 +54,12 @@ from repro.core.stages.observers import EventStage, SpanStage
 from repro.core.stages.rename import RenameStage
 from repro.core.stages.retire import RetireStage
 from repro.errors import ConfigError, ReproError
-from repro.fillunit.unit import FillUnit, FillUnitConfig
+from repro.fillunit.unit import FillUnit
 from repro.telemetry.events import (
     NULL_EVENT_STREAM,
     RUN_FINISHED,
     RUN_STARTED,
 )
-from repro.tracecache.cache import TraceCache
 
 
 #: the stages whose ``process`` is the per-instruction chain, in order
@@ -78,23 +77,10 @@ class Engine:
                        else NULL_EVENT_STREAM)
         self.hierarchy = MemoryHierarchy(config.hierarchy)
         self.predictor = MultiBranchPredictor(config.predictor)
-        self.trace_cache = (TraceCache(config.trace_cache)
-                            if config.trace_cache_enabled else None)
-        self.fill_unit: Optional[FillUnit] = None
-        if self.trace_cache is not None:
-            fill_config = FillUnitConfig(
-                max_instrs=config.trace_cache.max_instrs,
-                max_cond_branches=config.trace_cache.max_cond_branches,
-                trace_packing=config.trace_packing,
-                latency=config.fill_latency,
-                num_clusters=config.num_clusters,
-                cluster_size=config.cluster_size,
-                optimizations=config.optimizations,
-                verify=config.verify_fill,
-                verify_each=config.verify_each_pass,
-            )
-            self.fill_unit = FillUnit(fill_config, self.trace_cache,
-                                      self.predictor.bias)
+        self.fill_unit = (FillUnit(config, self.predictor.bias)
+                          if config.trace_cache_enabled else None)
+        self.trace_cache = (self.fill_unit.trace_cache
+                            if self.fill_unit is not None else None)
         self.checkpoints = CheckpointStore(config.max_checkpoints)
         self.memsched = MemoryScheduler(self.hierarchy,
                                         config.store_forward_window)

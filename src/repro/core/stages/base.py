@@ -39,12 +39,13 @@ class FetchEntry:
     """One instruction's trip through the pipeline: what fetch found,
     then the timeline the per-instruction stages fill in.
 
-    Fetch sets ``record``, ``instr``, ``decoded``, ``slot`` and
-    ``phantom``, plus ``mispredicted`` and ``promoted`` (False unless
-    a branch sets them). ``executed`` and ``retire_cycle`` start at
-    False and 0, since a stage may read them before any stage writes
-    them. Every other field is written
-    before it is read, first by:
+    Fetch sets ``record``, ``decoded`` (the decoded record of the
+    instruction it fetched, possibly the trace cache's transformed
+    copy; no stage reads the instruction itself), ``slot`` and
+    ``phantom``, plus ``mispredicted`` and ``promoted`` (False unless a
+    branch sets them). ``executed`` and ``retire_cycle`` start at False
+    and 0, since a stage may read them before any stage writes them.
+    Every other field is written before it is read, first by:
 
     - rename: ``seq`` (committed-stream sequence number, the retired
       count) and ``renamed`` (rename cycle); for a marked move also
@@ -57,7 +58,7 @@ class FetchEntry:
     - retire: ``retire_cycle``, of committed entries only.
     """
 
-    __slots__ = ("record", "instr", "decoded", "slot", "mispredicted",
+    __slots__ = ("record", "decoded", "slot", "mispredicted",
                  "promoted", "phantom", "seq", "renamed", "executed",
                  "complete", "penalized", "cluster", "exec_start",
                  "data_ready", "retire_cycle")
@@ -66,9 +67,9 @@ class FetchEntry:
                  phantom: bool = False) -> None:
         #: CommittedInstr (None for phantoms)
         self.record = record
-        #: possibly the TC's transformed copy
-        self.instr = instr
-        #: *instr*'s decoded record (see :mod:`repro.isa.decoded`)
+        #: the decoded record of *instr*, the fetched instruction
+        #: (possibly the TC's transformed copy; see
+        #: :mod:`repro.isa.decoded`)
         self.decoded = instr.decoded
         #: issue slot -> functional unit
         self.slot = slot

@@ -93,7 +93,7 @@ class SpanStage(PipelineStage):
             # The passes, then verify, split [cycle, cycle + latency)
             # evenly: a picture, as the paper only models total latency.
             passes = len(unit.passes.passes)
-            self.latency = unit.config.latency
+            self.latency = unit.config.fill_latency
             self._share = self.latency / max(
                 passes + (unit.verifier is not None), 1)
             self._verify_offset = passes * self._share

@@ -6,7 +6,7 @@ the pre-decode encoder."""
 
 from repro.fillunit.collector import FillCollector, PendingSegment
 from repro.fillunit.dependency import DependencyInfo, mark_dependencies
-from repro.fillunit.unit import FillUnit, FillUnitConfig
+from repro.fillunit.unit import FillUnit
 
 __all__ = [
     "FillCollector",
@@ -14,5 +14,4 @@ __all__ = [
     "DependencyInfo",
     "mark_dependencies",
     "FillUnit",
-    "FillUnitConfig",
 ]

@@ -24,39 +24,18 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.branch.bias import BiasTable
 from repro.fillunit.collector import FillCollector, PendingSegment
-from repro.fillunit.opts.base import (
-    BuildRecord,
-    OptimizationConfig,
-    PassManager,
-)
+from repro.fillunit.opts.base import BuildRecord, PassManager
 from repro.isa.decoded import Decoded
 from repro.tracecache.cache import TraceCache
 from repro.tracecache.segment import BranchInfo, TraceSegment
 
 if TYPE_CHECKING:
+    # Type-only: repro.core.config imports this package (through
+    # repro.fillunit.opts), so a runtime import would be a cycle.
+    from repro.core.config import SimConfig
     from repro.verify import SegmentVerifier
 
 Hooks = Tuple[Callable[..., Any], ...]     # bound observer-stage hooks
-
-
-@dataclass
-class FillUnitConfig:
-    """Fill unit structure and policy."""
-
-    max_instrs: int = 16
-    max_cond_branches: int = 3
-    trace_packing: bool = True
-    latency: int = 5
-    num_clusters: int = 4
-    cluster_size: int = 4
-    optimizations: OptimizationConfig = field(
-        default_factory=OptimizationConfig)
-    #: online verification: statically validate every optimized segment
-    #: against its pre-optimization snapshot (see :mod:`repro.verify`).
-    verify: bool = False
-    #: with :attr:`verify`, additionally snapshot around each pass so a
-    #: violation names the offending pass instead of the pipeline.
-    verify_each: bool = False
 
 
 @dataclass
@@ -76,22 +55,29 @@ class FillUnit(FillCollector):
 
     The fill unit is the collector whose :meth:`sink` is the build
     path: every finalized candidate goes straight to it, and the fill
-    stage's per-instruction link is :attr:`collect` itself."""
+    stage's per-instruction link is :attr:`collect` itself.
 
-    def __init__(self, config: FillUnitConfig, trace_cache: TraceCache,
-                 bias: BiasTable) -> None:
-        super().__init__(bias, config.max_instrs,
-                         config.max_cond_branches, config.trace_packing)
+    It is configured by the machine's :class:`~repro.core.config.
+    SimConfig` (line limits from ``trace_cache``, ``trace_packing``,
+    ``fill_latency``, the cluster geometry, ``optimizations``,
+    ``verify_fill`` and ``verify_each_pass``) and builds the trace
+    cache it fills from ``config.trace_cache``, so the lines it
+    collects and the lines the cache holds have one limit."""
+
+    def __init__(self, config: SimConfig, bias: BiasTable) -> None:
+        lines = config.trace_cache
+        super().__init__(bias, lines.max_instrs, lines.max_cond_branches,
+                         config.trace_packing)
         self.config = config
-        self.trace_cache = trace_cache
+        self.trace_cache = TraceCache(lines)
         self.verifier: Optional[SegmentVerifier] = None
-        if config.verify:
+        if config.verify_fill:
             from repro import verify
             self.verifier = verify.SegmentVerifier(config.optimizations)
         self.passes = PassManager(config.optimizations,
                                   config.num_clusters, config.cluster_size,
                                   bias=bias, verifier=self.verifier,
-                                  verify_each=config.verify_each)
+                                  verify_each=config.verify_each_pass)
         #: the decode table: one record per rewritten decode shape,
         #: shared by every segment this unit builds (the passes reach
         #: it through their context)
@@ -228,7 +214,7 @@ class FillUnit(FillCollector):
             stats.segments_deduped += 1
             return
         segment = self.build_segment(candidate, cycle)
-        self.trace_cache.insert(segment, cycle, self.config.latency)
+        self.trace_cache.insert(segment, cycle, self.config.fill_latency)
         stats.segments_built += 1
         lengths = stats.segment_lengths
         length = len(segment.instrs)
@@ -239,4 +225,4 @@ class FillUnit(FillCollector):
             hook(segment, cycle)
 
 
-__all__ = ["FillUnit", "FillUnitConfig", "FillUnitStats"]
+__all__ = ["FillUnit", "FillUnitStats"]

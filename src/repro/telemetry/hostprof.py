@@ -4,8 +4,8 @@ The cycle attribution explains *simulated* time; this module explains
 *host* time — the prerequisite ROADMAP names for segment-level timing
 replay ("find where time actually goes") and for sizing a simulation
 service. A :class:`HostProfiler` accumulates wall-clock seconds into
-named scopes via lightweight ``perf_counter`` pairs, and knows how to
-instrument a replay engine without touching its code: it wraps each
+named scopes via ``perf_counter`` pairs taken by its proxies, and
+instruments a replay engine without touching its code: it wraps each
 :class:`~repro.core.stages.base.PipelineStage` (per-stage attribution
 of the stage loop) and each fill-unit optimization pass (per-pass
 attribution of fill work) in delegating proxies.
@@ -21,16 +21,17 @@ table and writes it to FILE.json.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: schema tag for serialized profiles (``run --hostprof`` files).
 HOSTPROF_SCHEMA_VERSION = 1
 
 
 class HostProfiler:
-    """Scoped wall-time accumulation."""
+    """Wall time per named scope: :meth:`attach` installs the proxies
+    that time a replay's stages and passes, and each proxy call adds
+    to its scope through :meth:`add`."""
 
     def __init__(self) -> None:
         #: scope -> [calls, seconds]
@@ -45,15 +46,6 @@ class HostProfiler:
         else:
             entry[0] += calls
             entry[1] += seconds
-
-    @contextmanager
-    def scope(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block under *name*."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
 
     # -- engine instrumentation -----------------------------------------
 
@@ -74,18 +66,6 @@ class HostProfiler:
     def total_seconds(self, prefix: str = "") -> float:
         return sum(seconds for scope, (_, seconds) in self.totals.items()
                    if scope.startswith(prefix))
-
-    def shares(self, prefix: str = "") -> Dict[str, float]:
-        """``{scope: fraction}`` over the scopes matching *prefix*,
-        normalized to sum to 1.0 (empty when nothing matched)."""
-        matched = {scope: seconds
-                   for scope, (_, seconds) in self.totals.items()
-                   if scope.startswith(prefix)}
-        total = sum(matched.values())
-        if total <= 0.0:
-            return {scope: 0.0 for scope in sorted(matched)}
-        return {scope: seconds / total
-                for scope, seconds in sorted(matched.items())}
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form, as ``run --hostprof`` writes it."""

@@ -7,7 +7,9 @@
 returns every violation found, most precise diagnosis first: the
 structural lint rules run first, and the symbolic equivalence check
 then skips divergences a structural violation already explains, so one
-defect is reported by exactly one rule.
+defect is reported by exactly one rule. A rewrite that left every
+entry and branch record as it was (no optimizations, or placement
+alone) skips the equivalence check: it cannot differ.
 """
 
 from __future__ import annotations
@@ -95,6 +97,18 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _unchanged(original: TraceSegment, optimized: TraceSegment) -> bool:
+    """Whether *optimized* holds *original*'s entries field for field
+    and its branch records. The symbolic evaluations of the two would
+    then be identical, so the equivalence check could find nothing.
+    Slots are not compared: placement changes only slots, and the
+    evaluator reads none."""
+    return (len(optimized.instrs) == len(original.instrs)
+            and optimized.branches == original.branches
+            and all(new.__dict__ == old.__dict__ for new, old
+                    in zip(optimized.instrs, original.instrs)))
+
+
 class SegmentVerifier:
     """Static translation validator for fill-unit rewrites."""
 
@@ -119,14 +133,16 @@ class SegmentVerifier:
                         config=self.config, pass_name=pass_name,
                         surface=surface)
         violations = run_rules(inp)
-        suppressed = {v.index for v in violations
-                      if v.severity == ERROR and v.index is not None}
-        order_reported = any(v.rule == "mem-branch-order"
-                             for v in violations)
-        semantic, _, _ = check_equivalence(
-            original, optimized, suppressed=suppressed,
-            order_already_reported=order_reported, pass_name=pass_name)
-        violations += semantic
+        if not _unchanged(original, optimized):
+            suppressed = {v.index for v in violations
+                          if v.severity == ERROR and v.index is not None}
+            order_reported = any(v.rule == "mem-branch-order"
+                                 for v in violations)
+            semantic, _, _ = check_equivalence(
+                original, optimized, suppressed=suppressed,
+                order_already_reported=order_reported,
+                pass_name=pass_name)
+            violations += semantic
         if record:
             self.report.record(violations, optimized.start_pc)
         return violations

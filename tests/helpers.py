@@ -8,7 +8,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
-from typing import List, Union, cast
+from typing import List, Optional, Union, cast
 
 from repro.asm import assemble
 from repro.branch.bias import BiasTable
@@ -17,7 +17,7 @@ from repro.core.stages.base import PipelineStage
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.errors import ExecutionError
-from repro.fillunit.unit import FillUnit, FillUnitConfig
+from repro.fillunit.unit import FillUnit
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.semantics import evaluate, to_s32
@@ -28,7 +28,7 @@ from repro.machine.tracing import CommittedInstr
 from repro.program.image import Program
 from repro.program.loader import load_program
 from repro.telemetry.attribution import CYCLE_CLASSES
-from repro.tracecache.cache import TraceCache, TraceCacheConfig
+from repro.tracecache.cache import TraceCacheConfig
 
 
 def evicting_config(opts: OptimizationConfig, policy: str) -> SimConfig:
@@ -94,8 +94,21 @@ def run_asm(source: str, max_instructions: int = 200_000):
     return program, trace
 
 
-def build_segments(source: str, optimizations=None, max_instrs: int = 16,
-                   max_cond: int = 3, promote_all: bool = False):
+def make_fill_unit(bias: BiasTable, opts: Optional[OptimizationConfig],
+                   trace_cache: TraceCacheConfig, latency: int = 1,
+                   **fields: object) -> FillUnit:
+    """A hand-built fill unit of a machine :class:`SimConfig` accepts:
+    the paper machine under *opts* (None: no optimizations), with fill
+    latency *latency*, the *trace_cache* geometry and any other
+    SimConfig *fields* (``verify_fill``, ...)."""
+    config = dataclasses.replace(SimConfig.paper(opts),
+                                 fill_latency=latency,
+                                 trace_cache=trace_cache, **fields)
+    return FillUnit(config, bias)
+
+
+def build_segments(source: str, optimizations=None,
+                   promote_all: bool = False):
     """Assemble *source*, run it, and build optimized trace segments
     from the full retire stream.
 
@@ -111,17 +124,10 @@ def build_segments(source: str, optimizations=None, max_instrs: int = 16,
             if record.instr.is_cond_branch():
                 bias.record(record.pc, record.taken)
                 bias.record(record.pc, record.taken)
-    opts = optimizations if optimizations is not None \
-        else OptimizationConfig.none()
-    unit = FillUnit(FillUnitConfig(max_instrs=max_instrs,
-                                   max_cond_branches=max_cond,
-                                   latency=1, optimizations=opts),
-                    TraceCache(TraceCacheConfig(
-                        num_sets=64, assoc=4, max_instrs=max_instrs,
-                        max_cond_branches=max_cond)),
-                    bias)
+    unit = make_fill_unit(bias, optimizations,
+                          TraceCacheConfig(num_sets=64, assoc=4))
     segments = []
-    collector = FillCollector(bias, max_instrs, max_cond)
+    collector = FillCollector(bias)
     for record in trace:
         for candidate in collector.add(record):
             segments.append(unit.build_segment(candidate))

@@ -33,16 +33,16 @@ from repro.core.engine import Engine
 from repro.core.stages import PipelineStage
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.isa.decoded import Decoded, decode_key
 from repro.isa.instruction import move_source
 from repro.isa.opcodes import OpClass
 from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
-from repro.tracecache.cache import TraceCache, TraceCacheConfig
+from repro.tracecache.cache import TraceCacheConfig
 from repro.tracecache.segment import PREDICTED, PROMOTED, UNCONDITIONAL
 from repro.workloads import synth
 from repro.workloads.builder import AsmBuilder, lcg_values
+from tests.helpers import make_fill_unit
 
 
 def reference(instr) -> dict:
@@ -316,11 +316,9 @@ def synth_programs(draw):
 def test_generated_program_records_match_methods(program):
     for instr in program.instructions:
         assert_parity(instr)
-    unit = FillUnit(
-        FillUnitConfig(latency=1,
-                       optimizations=OptimizationConfig.extended()),
-        TraceCache(TraceCacheConfig(num_sets=16, assoc=2)),
-        BiasTable(64, threshold=2))
+    unit = make_fill_unit(BiasTable(64, threshold=2),
+                          OptimizationConfig.extended(),
+                          TraceCacheConfig(num_sets=16, assoc=2))
     collector = FillCollector(unit.bias)
     for record in Executor(program).run().records:
         if record.instr.is_cond_branch():

@@ -24,17 +24,16 @@ from repro.fillunit.collector import (FillCollector, PendingBranch,
                                       PendingSegment)
 from repro.fillunit.dependency import mark_dependencies
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.fillunit.unit import FillUnit, FillUnitConfig
+from repro.fillunit.unit import FillUnit
 from repro.isa.decoded import Decoded
 from repro.machine.executor import Executor
-from repro.tracecache.cache import TraceCache, TraceCacheConfig
-from tests.helpers import evicting_config, run_asm
+from repro.tracecache.cache import TraceCacheConfig
+from tests.helpers import evicting_config, make_fill_unit, run_asm
 
 
 def make_unit(opts: OptimizationConfig) -> FillUnit:
-    return FillUnit(FillUnitConfig(latency=1, optimizations=opts),
-                    TraceCache(TraceCacheConfig(num_sets=16, assoc=2)),
-                    BiasTable(64, threshold=8))
+    return make_fill_unit(BiasTable(64, threshold=8), opts,
+                          TraceCacheConfig(num_sets=16, assoc=2))
 
 
 def content(segment) -> tuple:
@@ -162,8 +161,7 @@ class ReuseCheck(PipelineStage):
     def segment_built(self, segment, cycle) -> None:
         if self.unit.stats.segments_reused == self.reused:
             return
-        fresh = FillUnit(self.unit.config,
-                         TraceCache(TraceCacheConfig()), self.unit.bias)
+        fresh = FillUnit(self.unit.config, self.unit.bias)
         assert content(segment) == content(
             fresh.build_segment(self.candidate, cycle))
         self.checked += 1

@@ -1,14 +1,17 @@
 """Fill unit orchestration tests."""
 
+import dataclasses
+
 from repro import workloads
 from repro.branch.bias import BiasTable
+from repro.core.config import SimConfig
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.fillunit.predecode import encode_segment
-from repro.fillunit.unit import FillUnit, FillUnitConfig
+from repro.fillunit.unit import FillUnit
 from repro.machine.executor import Executor
-from repro.tracecache.cache import TraceCache, TraceCacheConfig
-from tests.helpers import run_asm
+from repro.tracecache.cache import TraceCacheConfig
+from tests.helpers import make_fill_unit, run_asm, run_fresh
 
 LOOP = """
 main:
@@ -22,12 +25,37 @@ loop:
 
 
 def make_unit(opts=None, latency=5):
-    tc = TraceCache(TraceCacheConfig(num_sets=32, assoc=4))
-    unit = FillUnit(FillUnitConfig(
-        latency=latency,
-        optimizations=opts or OptimizationConfig.none()),
-        tc, BiasTable(64, threshold=8))
-    return unit, tc
+    unit = make_fill_unit(BiasTable(64, threshold=8), opts,
+                          TraceCacheConfig(num_sets=32, assoc=4), latency)
+    return unit, unit.trace_cache
+
+
+def test_unit_is_configured_by_the_machine_config():
+    """The fill unit builds its trace cache from the machine's own
+    ``trace_cache`` config: its line limits and the cache's are one."""
+    config = dataclasses.replace(
+        SimConfig.paper(OptimizationConfig.all()), fill_latency=2,
+        trace_cache=TraceCacheConfig(num_sets=8, assoc=2, max_instrs=8,
+                                     max_cond_branches=2))
+    unit = FillUnit(config, BiasTable(64))
+    assert unit.config is config
+    assert unit.trace_cache.config is config.trace_cache
+    assert (unit.max_instrs, unit.max_cond_branches) == (8, 2)
+
+
+def test_unit_builds_after_config_is_imported_first():
+    """``repro.core.config`` imports the fill-unit package; importing it
+    first and then building a unit from a ``SimConfig`` must not close
+    an import cycle."""
+    out = run_fresh(
+        "import json\n"
+        "import repro.core.config\n"
+        "from repro.branch.bias import BiasTable\n"
+        "from repro.core.config import SimConfig\n"
+        "from repro.fillunit.unit import FillUnit\n"
+        "unit = FillUnit(SimConfig.paper(), BiasTable(64))\n"
+        "print(json.dumps({'lines': unit.trace_cache.config.num_lines}))\n")
+    assert out == {"lines": SimConfig.paper().trace_cache.num_lines}
 
 
 def feed(unit, trace):

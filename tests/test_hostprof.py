@@ -10,26 +10,14 @@ from repro.machine.executor import Executor
 from repro.telemetry.hostprof import HOSTPROF_SCHEMA_VERSION, HostProfiler
 
 
-def test_add_and_scope_accumulate():
+def test_add_accumulates():
     prof = HostProfiler()
     prof.add("stage.fetch", 0.25)
     prof.add("stage.fetch", 0.75, calls=3)
-    with prof.scope("io.load"):
-        pass
+    prof.add("fillpass.x", 9.0)          # different prefix: excluded
     calls, seconds = prof.totals["stage.fetch"]
     assert calls == 4 and seconds == 1.0
-    assert prof.totals["io.load"][0] == 1
     assert prof.total_seconds("stage.") == 1.0
-
-
-def test_shares_normalize():
-    prof = HostProfiler()
-    prof.add("stage.a", 3.0)
-    prof.add("stage.b", 1.0)
-    prof.add("fillpass.x", 9.0)          # different prefix: excluded
-    shares = prof.shares("stage.")
-    assert shares == {"stage.a": 0.75, "stage.b": 0.25}
-    assert prof.shares("nothing.") == {}
 
 
 def test_to_dict_and_render():
@@ -90,8 +78,6 @@ def test_attach_profiles_stages_and_passes():
              for name in ("rename", "issue", "execute", "retire", "fill")]
     assert all(calls == profiled.instructions + 2 and seconds > 0.0
                for calls, seconds in chain)
-    shares = prof.shares("stage.")
-    assert abs(sum(shares.values()) - 1.0) < 1e-9
 
 
 def test_fill_scope_counts_every_chain_entry():

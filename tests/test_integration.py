@@ -81,19 +81,17 @@ def test_optimizations_never_change_architectural_results():
     same result on the real workloads, segment by segment."""
     from repro.branch.bias import BiasTable
     from repro.fillunit.collector import FillCollector
-    from repro.fillunit.unit import FillUnit, FillUnitConfig
     from repro.machine.executor import Executor
     from repro.machine.memory import Memory
     from repro.machine.state import ArchState
-    from repro.tracecache.cache import TraceCache, TraceCacheConfig
-    from tests.helpers import execute_sequence
+    from repro.tracecache.cache import TraceCacheConfig
+    from tests.helpers import execute_sequence, make_fill_unit
 
     program = workloads.build("m88ksim", scale=0.05)
     trace = Executor(program).run()
     bias = BiasTable(64, threshold=8)
-    unit = FillUnit(
-        FillUnitConfig(latency=1, optimizations=OptimizationConfig.all()),
-        TraceCache(TraceCacheConfig(num_sets=64, assoc=4)), bias)
+    unit = make_fill_unit(bias, OptimizationConfig.all(),
+                          TraceCacheConfig(num_sets=64, assoc=4))
     collector = FillCollector(bias)
     checked = 0
     for record in trace.records[:4000]:

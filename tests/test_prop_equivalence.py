@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 from repro.branch.bias import BiasTable
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.machine.memory import Memory
 from repro.machine.state import ArchState
-from repro.tracecache.cache import TraceCache, TraceCacheConfig
-from tests.helpers import execute_sequence
+from repro.tracecache.cache import TraceCacheConfig
+from tests.helpers import execute_sequence, make_fill_unit
 
 # Generated programs use registers 8-15 and a data region at DATA_BASE.
 DATA_BASE = 0x10000
@@ -115,10 +114,8 @@ OPT_SETS = [
 @settings(max_examples=200, deadline=None)
 def test_optimized_segment_architecturally_equivalent(program, opts):
     instrs, seeds = program
-    unit = FillUnit(
-        FillUnitConfig(latency=1, optimizations=opts),
-        TraceCache(TraceCacheConfig(num_sets=16, assoc=2)),
-        BiasTable(64))
+    unit = make_fill_unit(BiasTable(64), opts,
+                          TraceCacheConfig(num_sets=16, assoc=2))
     collector = FillCollector(BiasTable(64))
     segments = []
     for record in fake_records(instrs):
@@ -142,10 +139,8 @@ def test_optimized_segment_architecturally_equivalent(program, opts):
 @settings(max_examples=100, deadline=None)
 def test_baseline_segments_do_not_transform(program):
     instrs, _ = program
-    unit = FillUnit(
-        FillUnitConfig(latency=1, optimizations=OptimizationConfig.none()),
-        TraceCache(TraceCacheConfig(num_sets=16, assoc=2)),
-        BiasTable(64))
+    unit = make_fill_unit(BiasTable(64), OptimizationConfig.none(),
+                          TraceCacheConfig(num_sets=16, assoc=2))
     collector = FillCollector(BiasTable(64))
     for record in fake_records(instrs):
         for candidate in collector.add(record):

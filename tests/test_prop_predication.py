@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 from repro.branch.bias import BiasTable
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.semantics import evaluate
 from repro.machine.memory import Memory
 from repro.machine.state import ArchState
 from repro.machine.tracing import CommittedInstr
-from repro.tracecache.cache import TraceCache, TraceCacheConfig
+from repro.tracecache.cache import TraceCacheConfig
+from tests.helpers import make_fill_unit
 
 regs = st.integers(min_value=8, max_value=15)
 small_imm = st.integers(min_value=-32, max_value=32)
@@ -104,11 +104,9 @@ def seed_state(seeds):
 @settings(max_examples=200, deadline=None)
 def test_predicated_segments_correct_on_both_outcomes(program):
     instrs, seeds = program
-    unit = FillUnit(
-        FillUnitConfig(latency=1,
-                       optimizations=OptimizationConfig.only("predication")),
-        TraceCache(TraceCacheConfig(num_sets=16, assoc=2)),
-        BiasTable(64))
+    unit = make_fill_unit(BiasTable(64),
+                          OptimizationConfig.only("predication"),
+                          TraceCacheConfig(num_sets=16, assoc=2))
     collector = FillCollector(BiasTable(64))
     segments = []
     for record in committed_fallthrough(instrs):
@@ -136,11 +134,9 @@ def test_predicated_segments_correct_on_both_outcomes(program):
 @settings(max_examples=50, deadline=None)
 def test_predication_drops_converted_branches_from_branch_lists(program):
     instrs, _ = program
-    unit = FillUnit(
-        FillUnitConfig(latency=1,
-                       optimizations=OptimizationConfig.only("predication")),
-        TraceCache(TraceCacheConfig(num_sets=16, assoc=2)),
-        BiasTable(64))
+    unit = make_fill_unit(BiasTable(64),
+                          OptimizationConfig.only("predication"),
+                          TraceCacheConfig(num_sets=16, assoc=2))
     collector = FillCollector(BiasTable(64))
     for record in committed_fallthrough(instrs):
         for candidate in collector.add(record):

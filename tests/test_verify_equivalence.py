@@ -12,11 +12,10 @@ from repro.core.config import SimConfig
 from repro.core.engine import Engine
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig
-from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.machine.executor import Executor
-from repro.tracecache.cache import TraceCache, TraceCacheConfig
+from repro.tracecache.cache import TraceCacheConfig
 from repro.verify import SegmentVerifier, check_equivalence
-from tests.helpers import build_segments
+from tests.helpers import build_segments, make_fill_unit
 
 #: the asm kernel exercising every rewrite at once: move chains,
 #: cross-block ADDI chains, shift+add address math, stores, branches.
@@ -42,9 +41,8 @@ def verify_built_segments(source, opts, **kw):
     verifier = SegmentVerifier(opts)
     program, trace, _ = build_segments(source, opts, **kw)
     bias = BiasTable(64, threshold=4)
-    unit = FillUnit(FillUnitConfig(latency=1, optimizations=opts),
-                    TraceCache(TraceCacheConfig(num_sets=64, assoc=4)),
-                    bias)
+    unit = make_fill_unit(bias, opts,
+                          TraceCacheConfig(num_sets=64, assoc=4))
     collector = FillCollector(bias, 16, 3)
     for record in trace:
         if record.instr.is_cond_branch():

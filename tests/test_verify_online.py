@@ -14,14 +14,13 @@ from repro.errors import ConfigError
 from repro.fillunit.collector import FillCollector
 from repro.fillunit.opts.base import OptimizationConfig, \
     OptimizationPass, PassManager
-from repro.fillunit.unit import FillUnit, FillUnitConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
-from repro.tracecache.cache import TraceCache, TraceCacheConfig
+from repro.tracecache.cache import TraceCacheConfig
 from repro.verify import SegmentVerifier
-from tests.helpers import run_asm, run_fresh
+from tests.helpers import make_fill_unit, run_asm, run_fresh
 
 KERNEL = """
 main:
@@ -39,11 +38,9 @@ next:
 
 
 def build_unit(opts, verify=True, verify_each=False, telemetry=None):
-    unit = FillUnit(
-        FillUnitConfig(latency=1, optimizations=opts, verify=verify,
-                       verify_each=verify_each),
-        TraceCache(TraceCacheConfig(num_sets=64, assoc=4)),
-        BiasTable(64, threshold=64))
+    unit = make_fill_unit(BiasTable(64, threshold=64), opts,
+                          TraceCacheConfig(num_sets=64, assoc=4),
+                          verify_fill=verify, verify_each_pass=verify_each)
     if telemetry is not None:
         # Outside an engine, wire the event stage's hook by hand.
         unit.verify_hooks = (EventStage(telemetry.events).segment_verified,)
@@ -251,3 +248,27 @@ def test_whole_pipeline_verifies_workloads(bench):
     whole, per_pass = reports[False], reports[True]
     assert whole.violations == 0, whole.render()
     assert whole.segments_checked == per_pass.segments_checked > 0
+
+
+def test_unoptimized_segments_skip_symbolic_evaluation(monkeypatch):
+    """With no optimizations every optimized segment equals its
+    snapshot, so the verifier checks each one by its lint rules alone
+    and evaluates none symbolically."""
+    from repro.verify import equivalence
+
+    calls = []
+    evaluate = equivalence.evaluate_segment
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return evaluate(*args, **kw)
+
+    monkeypatch.setattr(equivalence, "evaluate_segment", counting)
+    trace = Executor(workloads.build("compress", 0.1)).run()
+    engine = Engine(replace(SimConfig.paper(OptimizationConfig.none()),
+                            verify_fill=True))
+    engine.run(trace, "compress", "none")
+    report = engine.fill_unit.verifier.report
+    assert report.segments_checked > 0
+    assert report.violations == 0, report.render()
+    assert calls == []

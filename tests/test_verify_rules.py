@@ -270,6 +270,25 @@ def test_equiv_branches_catches_changed_condition_operand():
     assert_exactly(check(original, optimized), "equiv-branches")
 
 
+def test_in_place_mutation_is_still_checked():
+    """An unchanged rewrite skips the equivalence check, but unchanged
+    means every entry's fields, not the segment's rewrite marks: an
+    entry mutated in place, without ``TraceSegment.rewrite``, is still
+    evaluated and reported."""
+    original = seg([
+        Instruction(Op.ADDI, rd=9, rs=8, imm=4),
+        Instruction(Op.ADDI, rd=10, rs=9, imm=4),
+    ])
+    untouched = original.clone()
+    untouched.slots = [1, 0]              # placement moves slots only
+    assert check(original, untouched,
+                 config=OptimizationConfig.none()) == []
+    optimized = original.clone()
+    optimized.instrs[1].imm = 8           # no rewrite() call
+    assert not optimized.rewritten
+    assert_exactly(check(original, optimized), "equiv-registers")
+
+
 # ----------------------------------------------------------------------
 # registry plumbing
 # ----------------------------------------------------------------------
