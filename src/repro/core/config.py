@@ -215,8 +215,5 @@ class SimConfig:
         optimization set (the per-figure experiment pattern)."""
         return replace(self, optimizations=opts)
 
-    def with_fill_latency(self, latency: int) -> "SimConfig":
-        return replace(self, fill_latency=latency)
-
 
 __all__ = ["SimConfig"]

@@ -14,29 +14,19 @@ cuts them into trace-segment candidates under the paper's rules:
 
 Most candidates are dropped as duplicates of a resident line, so a
 candidate carries only what the dedup probe reads: its records, its
-branches and a running count of unpromoted branches. Block and flow
-ids are counted only when a candidate is assembled into a segment
-(:meth:`~repro.fillunit.unit.FillUnit.assemble_segment`;
-:meth:`PendingSegment.region_ids` is the reference definition).
+branches (the :class:`~repro.tracecache.segment.BranchInfo` records
+the segment built from it keeps) and a running count of unpromoted
+branches. Block and flow ids are counted only by a segment built from
+a candidate (:class:`~repro.tracecache.segment.TraceSegment`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.branch.bias import BiasTable
 from repro.machine.tracing import CommittedInstr
-
-
-@dataclass
-class PendingBranch:
-    """A conditional branch recorded while collecting."""
-
-    index: int
-    pc: int
-    direction: bool
-    promoted: bool
+from repro.tracecache.segment import BranchInfo
 
 
 class PendingSegment:
@@ -46,11 +36,11 @@ class PendingSegment:
                  "_path_key")
 
     def __init__(self, records: Optional[List[CommittedInstr]] = None,
-                 branches: Optional[List[PendingBranch]] = None,
+                 branches: Optional[List[BranchInfo]] = None,
                  unpromoted: int = 0) -> None:
         self.records: List[CommittedInstr] = (
             records if records is not None else [])
-        self.branches: List[PendingBranch] = (
+        self.branches: List[BranchInfo] = (
             branches if branches is not None else [])
         #: how many of :attr:`branches` are not promoted
         self.unpromoted = unpromoted
@@ -69,24 +59,6 @@ class PendingSegment:
             key = self._path_key = tuple([record.pc
                                           for record in self.records])
         return key
-
-    def region_ids(self) -> Tuple[List[int], List[int]]:
-        """Per-record checkpoint-block and control-flow ids, counted
-        from the first record: the block id advances after every
-        conditional branch, the flow id after every transfer (the
-        reference for the ids ``FillUnit.assemble_segment`` counts)."""
-        block_ids: List[int] = []
-        flow_ids: List[int] = []
-        block = flow = 0
-        for record in self.records:
-            block_ids.append(block)
-            flow_ids.append(flow)
-            decoded = record.instr.decoded
-            if decoded.is_ctrl:
-                flow += 1
-                if decoded.is_cond_branch:
-                    block += 1
-        return block_ids, flow_ids
 
     def __len__(self) -> int:
         return len(self.records)
@@ -219,7 +191,7 @@ class FillCollector:
                     self.sink(self._finalize(), entry.retire_cycle)
                     pending = self._pending
                 pending.unpromoted += 1
-            pending.branches.append(PendingBranch(
+            pending.branches.append(BranchInfo(
                 len(pending.records), record.pc, record.taken, promoted))
         records = pending.records
         records.append(record)
@@ -257,7 +229,7 @@ class FillCollector:
                     promoted: bool) -> None:
         """Record the conditional branch *record* is about to append
         to *target*."""
-        target.branches.append(PendingBranch(
+        target.branches.append(BranchInfo(
             len(target.records), record.pc, record.taken, promoted))
         if not promoted:
             target.unpromoted += 1
@@ -274,7 +246,7 @@ class FillCollector:
         base = len(pending.records)
         pending.records.extend(self._block.records)
         for branch in self._block.branches:
-            pending.branches.append(PendingBranch(
+            pending.branches.append(BranchInfo(
                 branch.index + base, branch.pc, branch.direction,
                 branch.promoted))
         pending.unpromoted += self._block.unpromoted
@@ -287,4 +259,4 @@ class FillCollector:
         return candidate
 
 
-__all__ = ["FillCollector", "PendingSegment", "PendingBranch"]
+__all__ = ["FillCollector", "PendingSegment"]

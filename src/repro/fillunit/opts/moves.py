@@ -79,6 +79,7 @@ class RegisterMovePass(OptimizationPass):
             if alias:
                 rewritten_operands += _rewrite_sources(segment, index,
                                                        alias)
+                instr = segment.instrs[index]
             decoded = instr.decoded
             # An entry no pass has rewritten matches its record; a
             # rewritten one is detected from its fields.
@@ -88,7 +89,7 @@ class RegisterMovePass(OptimizationPass):
             # destination; rename cannot complete it as an
             # unconditional mapping copy, so it is never a move.
             if src is not None and instr.guard is None:
-                segment.rewrite(index, move_flag=True)
+                instr = segment.rewrite(index, move_flag=True)
                 marked += 1
             dest = decoded.dest
             if dest is None:

@@ -39,6 +39,7 @@ class ReassociationPass(OptimizationPass):
 
     def apply(self, segment: TraceSegment, ctx: PassContext) -> dict:
         cross_only = ctx.config.reassoc_cross_flow_only
+        flow_ids = segment.flow_ids
         prov: dict = {}
         rewritten = 0
         for index, instr in enumerate(segment.instrs):
@@ -48,7 +49,7 @@ class ReassociationPass(OptimizationPass):
                 if entry is not None:
                     base, acc, def_flow = entry
                     combined = acc + instr.imm
-                    crosses = instr.flow_id != def_flow
+                    crosses = flow_ids[index] != def_flow
                     if not _IMM_MIN <= combined <= _IMM_MAX:
                         # The trace cache stores unmodified instruction
                         # formats: a combined immediate past 16 bits
@@ -59,8 +60,9 @@ class ReassociationPass(OptimizationPass):
                         # basic block (paper methodology).
                         ctx.reject(self.name, "same_flow")
                     else:
-                        segment.rewrite(index, rs=base, imm=combined,
-                                        reassociated=True)
+                        instr = segment.rewrite(
+                            index, rs=base, imm=combined,
+                            reassociated=True)
                         rewritten += 1
             dest = instr.decoded.dest
             if dest is None:
@@ -75,7 +77,7 @@ class ReassociationPass(OptimizationPass):
             # unreachable) or it is guarded (a predicated add only
             # conditionally equals base + imm).
             if is_addi and instr.guard is None and instr.rs != dest:
-                prov[dest] = (instr.rs, instr.imm, instr.flow_id)
+                prov[dest] = (instr.rs, instr.imm, flow_ids[index])
         return {"reassociated": rewritten}
 
 

@@ -21,8 +21,10 @@ for array indexing, about 5% of the dynamic stream in integer code.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.fillunit.opts.base import OptimizationPass, PassContext
-from repro.isa.instruction import ScaleAnnotation
+from repro.isa.instruction import Instruction, ScaleAnnotation
 from repro.isa.opcodes import Format, Op, SCALED_ADD_TARGETS
 from repro.tracecache.segment import TraceSegment
 
@@ -47,7 +49,11 @@ class ScaledAddPass(OptimizationPass):
         for index, instr in enumerate(segment.instrs):
             if (shift_prov and instr.op in SCALED_ADD_TARGETS
                     and instr.scale is None and not instr.move_flag):
-                created += self._try_annotate(segment, index, shift_prov)
+                annotated = self._try_annotate(segment, index,
+                                               shift_prov)
+                if annotated is not None:
+                    instr = annotated
+                    created += 1
             dest = instr.decoded.dest
             if dest is None:
                 continue
@@ -71,9 +77,9 @@ class ScaledAddPass(OptimizationPass):
 
     @staticmethod
     def _try_annotate(segment: TraceSegment, index: int,
-                      shift_prov: dict) -> int:
+                      shift_prov: dict) -> Optional[Instruction]:
         """Annotate entry *index* if one of its address/sum operands is
-        a live shift result; returns 1 on success."""
+        a live shift result; returns the annotated entry, or ``None``."""
         instr = segment.instrs[index]
         entry = shift_prov.get(instr.rs)
         swap: dict = {}
@@ -82,11 +88,9 @@ class ScaledAddPass(OptimizationPass):
             # Move the shifted value into the scaled (rs) slot.
             swap = {"rs": instr.rt, "rt": instr.rs}
         if entry is None:
-            return 0
-        segment.rewrite(index, scale=ScaleAnnotation(src=entry[0],
-                                                     shamt=entry[1]),
-                        **swap)
-        return 1
+            return None
+        return segment.rewrite(index, scale=ScaleAnnotation(
+            src=entry[0], shamt=entry[1]), **swap)
 
 
 __all__ = ["ScaledAddPass"]

@@ -101,6 +101,7 @@ def encode_segment(segment: TraceSegment) -> list:
     """
     deps = mark_dependencies(segment.instrs)
     promoted = segment.build_promo
+    block_ids = segment.block_ids
     fields = []
     for idx, instr in enumerate(segment.instrs):
         sources = [reg for reg in instr.sources() if reg != 0]
@@ -115,7 +116,7 @@ def encode_segment(segment: TraceSegment) -> list:
                                          and not deps.liveout[idx]),
             src0_internal=internal[0],
             src1_internal=internal[1],
-            block=instr.block_id - sum(promoted[:instr.block_id]),
+            block=block_ids[idx] - sum(promoted[:block_ids[idx]]),
         ).pack())
     return fields
 

@@ -27,7 +27,7 @@ from repro.fillunit.collector import FillCollector, PendingSegment
 from repro.fillunit.opts.base import BuildRecord, PassManager
 from repro.isa.decoded import Decoded
 from repro.tracecache.cache import TraceCache
-from repro.tracecache.segment import BranchInfo, TraceSegment
+from repro.tracecache.segment import TraceSegment
 
 if TYPE_CHECKING:
     # Type-only: repro.core.config imports this package (through
@@ -103,30 +103,15 @@ class FillUnit(FillCollector):
         describes (the fill unit's input; also what the verifier
         treats as the original).
 
-        Each entry is a copy of the program instruction and shares its
-        decoded record until a pass rewrites it. Its block and flow ids
-        are those of :meth:`PendingSegment.region_ids`, counted here as
-        the entries are copied."""
-        instrs = []
-        block = flow = 0
-        for idx, record in enumerate(candidate.records):
-            source = record.instr
-            instr = source.copy()
-            instr.block_id = block
-            instr.flow_id = flow
-            instr.orig_index = idx
-            instrs.append(instr)
-            decoded = source.decoded
-            if decoded.is_ctrl:
-                flow += 1
-                if decoded.is_cond_branch:
-                    block += 1
-        branches = [BranchInfo(b.index, b.pc, b.direction, b.promoted)
-                    for b in candidate.branches]
+        Its entries are the candidate's program instructions and its
+        branch records the candidate's; the segment counts its own
+        region ids."""
+        branches = candidate.branches
         return TraceSegment(
-            start_pc=candidate.start_pc, instrs=instrs, branches=branches,
-            block_count=instrs[-1].block_id + 1,
-            build_promo=tuple(b.promoted for b in candidate.branches))
+            start_pc=candidate.start_pc,
+            instrs=[record.instr for record in candidate.records],
+            branches=list(branches),
+            build_promo=tuple([b.promoted for b in branches]))
 
     def build_segment(self, candidate: PendingSegment,
                       cycle: int = 0) -> TraceSegment:

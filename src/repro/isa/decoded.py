@@ -21,9 +21,10 @@ Invariants (see ``docs/architecture.md``, "Decoded records"):
 * Program-image instructions are decoded once per static instruction,
   on first read (the executor's first visit), and the record is held
   by the instruction object (``Instruction.decoded``).
-* Records are shared by copies: :meth:`~repro.isa.instruction.
-  Instruction.copy` keeps the record, so a trace-segment entry shares
-  its program instruction's record until a pass rewrites it.
+* A trace-segment entry is its program instruction, record
+  included, until a pass rewrites it: the rewrite puts a copy
+  (:meth:`~repro.isa.instruction.Instruction.copy`, which keeps the
+  record) in the entry's place.
 * Only rewritten entries (squashed ones included) are re-decoded:
   :meth:`~repro.tracecache.segment.TraceSegment.redecode` does it
   before placement marks dependencies and when the fill unit seals
@@ -32,8 +33,9 @@ Invariants (see ``docs/architecture.md``, "Decoded records"):
   share one record per fill unit.
 * "Never stale" rests on one rule: a pass rewrites an entry only
   through :meth:`~repro.tracecache.segment.TraceSegment.rewrite` (or
-  :meth:`~repro.tracecache.segment.TraceSegment.squash`), which marks
-  it for re-decoding, and never rewrites the program image. Until the
+  :meth:`~repro.tracecache.segment.TraceSegment.squash`), which
+  replaces it and marks it for re-decoding, so no pass writes the
+  program image. Until the
   re-decode, only the entry's ``dest`` may be read (no pass changes a
   destination, and a squashed entry is a fresh NOP decoded on first
   read), and ``move_candidate`` only of entries not marked since the

@@ -2,13 +2,15 @@
 
 :class:`Instruction` is the single representation used everywhere: the
 assembler produces them, the functional machine executes them, and the
-fill unit stores *transformed copies* of them inside trace segments.
+fill unit stores them inside trace segments (the program's own
+instructions, and transformed copies of those it rewrites).
 
-Fill-unit annotations (``move_flag``, ``scale``, ``reassociated``,
-``block_id``, ``orig_index``) model the extra per-instruction bits the
-paper adds to each trace cache line: 1 bit for register moves, 2 bits
-for scaled adds, and 4 bits for instruction placement (original-order
-information needed by the memory scheduler).
+Fill-unit annotations (``move_flag``, ``scale``, ``reassociated``)
+model the extra per-instruction bits the paper adds to each trace
+cache line: 1 bit for register moves and 2 bits for scaled adds. The
+placement field and the checkpoint-block numbers belong to the line
+(:class:`~repro.tracecache.segment.TraceSegment`'s ``slots``,
+``block_ids`` and ``flow_ids``).
 """
 
 from __future__ import annotations
@@ -80,20 +82,17 @@ class Instruction:
     scale: Optional[ScaleAnnotation] = None
     guard: Optional[GuardAnnotation] = None
     reassociated: bool = False
-    block_id: int = 0      # checkpoint block (conditional-branch delimited)
-    flow_id: int = 0       # control-flow region (any transfer delimited)
-    orig_index: int = 0
     #: set when a source operand was rewritten to bypass a marked move
     move_bypassed: bool = False
 
     def copy(self) -> "Instruction":
-        """Return an independent copy (used by the fill unit, which must
-        never mutate the architected program image).
+        """Return an independent copy (what
+        :meth:`~repro.tracecache.segment.TraceSegment.rewrite` puts in
+        place of a segment entry, so no pass writes the program image).
 
         The copy shares this instruction's :class:`~repro.isa.decoded.
-        Decoded` record, if it has one: a segment entry keeps the
-        program instruction's record until a pass rewrites it through
-        :meth:`~repro.tracecache.segment.TraceSegment.rewrite`."""
+        Decoded` record, if it has one, until the fill unit re-decodes
+        the rewritten entry."""
         clone = Instruction.__new__(Instruction)
         clone.__dict__ = self.__dict__.copy()
         return clone

@@ -7,18 +7,21 @@ boundaries), containing at most three *unpromoted* conditional branches
 consume a predictor slot). Returns, indirect jumps and serializing
 instructions terminate a segment; calls and direct jumps do not.
 
-Instructions inside a segment are *copies* of the architected
-instructions: the fill unit annotates and rewrites them without
-touching the program image. A copy shares the program instruction's
-decoded record; a pass rewrites an entry only through
-:meth:`TraceSegment.rewrite` (or replaces it through
-:meth:`TraceSegment.squash`), which marks it for re-decoding.
-``slots[i]`` is the issue slot (and thus
+A segment's entries are the program's instructions until a pass
+rewrites them: an entry no pass rewrote *is* its program instruction
+(and so holds its decoded record), and a pass rewrites an entry only
+through :meth:`TraceSegment.rewrite`, which replaces it with an
+updated copy (or through :meth:`TraceSegment.squash`, which replaces
+it with a NOP), so no build writes the program image. Both mark the
+entry for re-decoding. ``slots[i]`` is the issue slot (and thus
 execution cluster) assigned to logical instruction ``i`` — identity
 until the placement pass reassigns it; the logical order itself is
-never permuted, mirroring the paper's alternative implementation where
-a 4-bit field conveys placement while original order information is
-retained for the memory scheduler.
+never permuted, so an entry's original index is its position,
+mirroring the paper's alternative implementation where a 4-bit field
+conveys placement while original order information is retained for
+the memory scheduler. The line's checkpoint-block and control-flow
+region ids (``block_ids``, ``flow_ids``) are stored with it, as the
+paper's line stores its block numbers.
 """
 
 from __future__ import annotations
@@ -55,7 +58,13 @@ class TraceSegment:
     instrs: List[Any]
     branches: List[BranchInfo] = field(default_factory=list)
     slots: List[int] = field(default_factory=list)
-    block_count: int = 1
+    #: each entry's checkpoint block and control-flow region, counted
+    #: from the first entry unless given: the block id advances after
+    #: every conditional branch, the flow id after every transfer.
+    #: Passes never change them, so a clone or a reuse shell shares
+    #: the lists.
+    block_ids: List[int] = field(default_factory=list)
+    flow_ids: List[int] = field(default_factory=list)
     fill_cycle: int = 0
     #: promotion state of the candidate's branches at build time, used
     #: by the fill unit's dedup (passes may remove branch records —
@@ -81,28 +90,47 @@ class TraceSegment:
     def __post_init__(self) -> None:
         if not self.slots:
             self.slots = list(range(len(self.instrs)))
+        if not self.block_ids:
+            block_ids: List[int] = []
+            flow_ids: List[int] = []
+            block = flow = 0
+            for instr in self.instrs:
+                block_ids.append(block)
+                flow_ids.append(flow)
+                decoded = instr.decoded
+                if decoded.is_ctrl:
+                    flow += 1
+                    if decoded.is_cond_branch:
+                        block += 1
+            self.block_ids, self.flow_ids = block_ids, flow_ids
+
+    @property
+    def block_count(self) -> int:
+        """How many checkpoint blocks the entries span."""
+        return self.block_ids[-1] + 1 if self.block_ids else 0
 
     # ------------------------------------------------------------------
 
-    def rewrite(self, index: int, **fields: object) -> None:
-        """Set *fields* on entry *index* and mark it for re-decoding.
+    def rewrite(self, index: int, **fields: object) -> Any:
+        """Replace entry *index* with a copy that has *fields* set,
+        mark it for re-decoding and return it.
 
         Every pass rewrites entries through this call, so
-        :meth:`redecode` re-decodes exactly the rewritten entries; the
-        rest keep the record they share with the program image.
+        :meth:`redecode` re-decodes exactly the rewritten entries, and
+        the rest stay the program's instructions. The copy keeps the
+        old entry's record until then.
         """
-        self.instrs[index].__dict__.update(fields)
+        entry = self.instrs[index].copy()
+        entry.__dict__.update(fields)
+        self.instrs[index] = entry
         self.rewritten.add(index)
+        return entry
 
     def squash(self, index: int) -> None:
-        """Replace entry *index* with a NOP at the same pc and region
-        ids, marked for re-decoding (predication)."""
-        old = self.instrs[index]
+        """Replace entry *index* with a NOP at the same pc, marked for
+        re-decoding (predication)."""
         nop = make_nop()
-        nop.pc = old.pc
-        nop.block_id = old.block_id
-        nop.flow_id = old.flow_id
-        nop.orig_index = old.orig_index
+        nop.pc = self.instrs[index].pc
         self.instrs[index] = nop
         self.rewritten.add(index)
 
@@ -164,16 +192,18 @@ class TraceSegment:
 
     def clone(self) -> "TraceSegment":
         """An independent deep copy (instruction copies, fresh branch
-        records and slot list). Used by the segment verifier to
-        snapshot pre-optimization state; annotations objects are
-        frozen, so sharing them is safe."""
+        records and slot list; the region ids, which nothing changes,
+        are shared). Used by the segment verifier to snapshot
+        pre-optimization state; annotations objects are frozen, so
+        sharing them is safe."""
         return TraceSegment(
             start_pc=self.start_pc,
             instrs=[instr.copy() for instr in self.instrs],
             branches=[BranchInfo(b.index, b.pc, b.direction, b.promoted)
                       for b in self.branches],
             slots=list(self.slots),
-            block_count=self.block_count,
+            block_ids=self.block_ids,
+            flow_ids=self.flow_ids,
             fill_cycle=self.fill_cycle,
             build_promo=self.build_promo,
             rewritten=set(self.rewritten))

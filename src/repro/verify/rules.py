@@ -50,7 +50,7 @@ _SURFACE_FIELDS = ("op", "rd", "rs", "rt", "imm", "move_flag",
                    "move_bypassed", "scale", "guard", "reassociated")
 
 #: Fields no pass may ever touch (segment identity).
-_IDENTITY_FIELDS = ("pc", "block_id", "flow_id", "orig_index")
+_IDENTITY_FIELDS = ("pc",)
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,8 @@ def _squashed(original: Instruction, optimized: Instruction) -> bool:
            "reader")
 def _check_def_before_use(inp: RuleInput) -> Iterator[Violation]:
     orig, opt = inp.original.instrs, inp.optimized.instrs
+    orig_blocks = inp.original.block_ids
+    opt_blocks = inp.optimized.block_ids
     for idx in range(min(len(orig), len(opt))):
         if not _squashed(orig[idx], opt[idx]):
             continue
@@ -188,7 +190,7 @@ def _check_def_before_use(inp: RuleInput) -> Iterator[Violation]:
                     f"instruction [{later_idx}]")
                 break
             if later.dest() == dest:
-                if later.block_id != orig[idx].block_id:
+                if opt_blocks[later_idx] != orig_blocks[idx]:
                     yield inp.violation(
                         "def-before-use", idx,
                         f"squashed def of r{dest} is redefined only in "
@@ -294,7 +296,7 @@ def _check_scale_provenance(inp: RuleInput) -> Iterator[Violation]:
       description="placement may only reassign issue slots; the "
                   "logical instruction order is never permuted",
       hint="write a fresh permutation into segment.slots and leave "
-           "segment.instrs (and each orig_index) untouched")
+           "each entry at its position in segment.instrs")
 def _check_placement_order(inp: RuleInput) -> Iterator[Violation]:
     orig, opt = inp.original, inp.optimized
     if len(opt.instrs) != len(orig.instrs):
@@ -309,12 +311,12 @@ def _check_placement_order(inp: RuleInput) -> Iterator[Violation]:
             f"slot assignment {opt.slots} is not a permutation of "
             f"0..{len(opt.instrs) - 1}")
     for idx in range(len(opt.instrs)):
-        if opt.instrs[idx].orig_index != orig.instrs[idx].orig_index:
+        if opt.instrs[idx].pc != orig.instrs[idx].pc:
             yield inp.violation(
                 "placement-order", idx,
                 f"logical order permuted: position {idx} now holds "
-                f"original instruction "
-                f"{opt.instrs[idx].orig_index}")
+                f"the instruction at {opt.instrs[idx].pc:#x}, not "
+                f"{orig.instrs[idx].pc:#x}")
             return
 
 
@@ -491,8 +493,7 @@ def _check_imm_encodable(inp: RuleInput) -> Iterator[Violation]:
                   "and segment structures it declares in its mutation "
                   "surface",
       hint="extend the pass's `surface` declaration if the new "
-           "mutation is intentional; identity fields (pc, block_id, "
-           "flow_id, orig_index) are never mutable")
+           "mutation is intentional; an entry's pc is never mutable")
 def _check_pass_surface(inp: RuleInput) -> Iterator[Violation]:
     surface = inp.surface
     if surface is None:

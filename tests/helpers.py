@@ -8,7 +8,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
-from typing import List, Optional, Union, cast
+from typing import List, Optional, Tuple, Union, cast
 
 from repro.asm import assemble
 from repro.branch.bias import BiasTable
@@ -29,6 +29,7 @@ from repro.program.image import Program
 from repro.program.loader import load_program
 from repro.telemetry.attribution import CYCLE_CLASSES
 from repro.tracecache.cache import TraceCacheConfig
+from repro.tracecache.segment import TraceSegment
 
 
 def evicting_config(opts: OptimizationConfig, policy: str) -> SimConfig:
@@ -42,6 +43,14 @@ def evicting_config(opts: OptimizationConfig, policy: str) -> SimConfig:
                                         policy=policy),
         hierarchy=dataclasses.replace(base.hierarchy, l1i_size=1024,
                                       l1d_size=1024, policy=policy))
+
+
+def region_ids(candidate) -> Tuple[List[int], List[int]]:
+    """The block and flow ids of a line holding *candidate*'s
+    instructions, as the line counts them."""
+    segment = TraceSegment(start_pc=candidate.start_pc,
+                           instrs=[r.instr for r in candidate.records])
+    return segment.block_ids, segment.flow_ids
 
 
 def record_policy_hooks(monkeypatch, name: str) -> None:

@@ -541,10 +541,6 @@ def test_with_optimizations_copies():
     assert len(opt.optimizations.enabled_names()) == 4
 
 
-def test_with_fill_latency():
-    assert SimConfig.paper().with_fill_latency(10).fill_latency == 10
-
-
 def test_optimization_config_helpers():
     assert OptimizationConfig.only("moves").enabled_names() == ["moves"]
     assert OptimizationConfig.all().enabled_names() == \

@@ -2,11 +2,11 @@
 
 The timing engine, the fill collector and the functional executor read
 each instruction's facts from a :class:`~repro.isa.decoded.Decoded`
-record, built once per static instruction. A segment entry shares its
-program instruction's record until a pass rewrites it; the fill unit
-re-decodes exactly the rewritten (and squashed) entries when it seals
-the segment, taking one record per decode shape from its decode
-table. The :class:`Instruction` query methods stay the reference
+record, built once per static instruction. A segment entry is its
+program instruction, record included, until a pass rewrites it; the
+fill unit re-decodes exactly the rewritten (and squashed) entries
+when it seals the segment, taking one record per decode shape from
+its decode table. The :class:`Instruction` query methods stay the reference
 definitions: these tests pin every record field to them over the
 fifteen workloads' program images, over every segment the fill unit
 builds under each pass alone, the extended set and an evicting
@@ -42,7 +42,7 @@ from repro.tracecache.cache import TraceCacheConfig
 from repro.tracecache.segment import PREDICTED, PROMOTED, UNCONDITIONAL
 from repro.workloads import synth
 from repro.workloads.builder import AsmBuilder, lcg_values
-from tests.helpers import make_fill_unit
+from tests.helpers import evicting_config, make_fill_unit
 
 
 def reference(instr) -> dict:
@@ -203,15 +203,9 @@ def test_segment_records_match_methods(opts, evicting):
         assert any(instr.scale is not None for instr in instrs)
 
 
-#: the fields a segment copy sets for itself; every other field equals
-#: the program instruction's until a pass rewrites the entry
-_REGION_FIELDS = ("block_id", "flow_id", "orig_index")
-
-
 def _image_fields(instr) -> dict:
     return {f.name: getattr(instr, f.name)
-            for f in dataclasses.fields(instr)
-            if f.name not in _REGION_FIELDS}
+            for f in dataclasses.fields(instr)}
 
 
 def _record_fields(decoded) -> dict:
@@ -220,30 +214,36 @@ def _record_fields(decoded) -> dict:
 
 @pytest.mark.parametrize("bench", ["compress", "li"])
 def test_segments_share_records_and_leave_the_image_alone(bench):
-    """An extended run rewrites segment copies, never the program
-    image. An entry no pass rewrote shares its program instruction's
-    record; a rewritten entry holds its own, equal to a fresh decode."""
+    """Segment entries are the program's instructions until a pass
+    rewrites them, and no build writes the program image. Under the
+    paper's four passes and the extended set, on the tiny machine and
+    on the evicting one, the image is unchanged after the run; an
+    entry no pass rewrote *is* its program instruction (so it shares
+    the record); a rewritten entry is another instruction holding its
+    own record, equal to a fresh decode."""
     program = workloads.build(bench, scale=0.2)
     trace = Executor(program).run()
     image = [_image_fields(instr) for instr in program.instructions]
-    engine, built = _engine_capturing_segments(
-        SimConfig.tiny(OptimizationConfig.extended()))
-    engine.run(trace, benchmark=bench)
-    assert [_image_fields(instr)
-            for instr in program.instructions] == image
-    shared = rewritten = 0
-    for segment in built:
-        for entry in segment.instrs:
-            original = program.instr_at(entry.pc)
-            if _image_fields(entry) == _image_fields(original):
-                assert entry.decoded is original.decoded
-                shared += 1
-            else:
-                assert entry.decoded is not original.decoded
-                assert (_record_fields(entry.decoded)
-                        == _record_fields(Decoded(entry)))
-                rewritten += 1
-    assert shared and rewritten
+    for opts in (OptimizationConfig.all(), OptimizationConfig.extended()):
+        for config in (SimConfig.tiny(opts), evicting_config(opts, "lru")):
+            engine, built = _engine_capturing_segments(config)
+            engine.run(trace, benchmark=bench)
+            assert [_image_fields(instr)
+                    for instr in program.instructions] == image
+            shared = rewritten = 0
+            for segment in built:
+                for entry in segment.instrs:
+                    original = program.instr_at(entry.pc)
+                    if _image_fields(entry) == _image_fields(original):
+                        assert entry is original
+                        shared += 1
+                    else:
+                        assert entry is not original
+                        assert entry.decoded is not original.decoded
+                        assert (_record_fields(entry.decoded)
+                                == _record_fields(Decoded(entry)))
+                        rewritten += 1
+            assert shared and rewritten
 
 
 @pytest.mark.parametrize("opts", [OptimizationConfig.all,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from pathlib import Path
 import sys
@@ -44,7 +45,7 @@ def test_fingerprint_sensitivity():
     assert fp != job_fingerprint(base, "compress", 0.6)
     assert fp != job_fingerprint(base, "compress", 0.5,
                                  max_instructions=1000)
-    assert fp != job_fingerprint(base.with_fill_latency(6),
+    assert fp != job_fingerprint(dataclasses.replace(base, fill_latency=6),
                                  "compress", 0.5)
     assert fp != job_fingerprint(
         base.with_optimizations(OptimizationConfig.all()),

@@ -2,7 +2,7 @@
 
 from repro.branch.bias import BiasTable
 from repro.fillunit.collector import FillCollector
-from tests.helpers import run_asm
+from tests.helpers import region_ids, run_asm
 
 
 def collect_all(trace, collector):
@@ -56,7 +56,7 @@ def test_call_does_not_terminate():
     ops = [r.instr.op.value for r in first.records]
     assert "jal" in ops and ops[-1] == "jr"
     # the call opens a new flow region but not a checkpoint block
-    assert first.region_ids() == ([0, 0, 0, 0], [0, 0, 1, 1])
+    assert region_ids(first) == ([0, 0, 0, 0], [0, 0, 1, 1])
 
 
 def test_fourth_branch_splits_segment():
@@ -100,7 +100,7 @@ def test_block_ids_increment_after_conditional_branches():
     """)
     collector = FillCollector(BiasTable(64))
     segments = collect_all(trace, collector)
-    block_ids, flow_ids = segments[0].region_ids()
+    block_ids, flow_ids = region_ids(segments[0])
     assert block_ids == [0, 0, 1, 1]
     assert flow_ids == [0, 0, 1, 1]
 
@@ -115,7 +115,7 @@ def test_flow_ids_increment_after_any_transfer():
         halt
     """)
     collector = FillCollector(BiasTable(64))
-    block_ids, flow_ids = collect_all(trace, collector)[0].region_ids()
+    block_ids, flow_ids = region_ids(collect_all(trace, collector)[0])
     # unconditional jump advances flow but NOT checkpoint block
     assert flow_ids == [0, 0, 1, 1]
     assert block_ids == [0, 0, 0, 0]

@@ -93,7 +93,7 @@ def test_encode_bare_segment_marks_its_own_dependencies():
             has_dest=has_dest, dest_liveout=deps.liveout[idx],
             dest_overwritten_same_group=has_dest and not deps.liveout[idx],
             src0_internal=internal[0], src1_internal=internal[1],
-            block=instr.block_id).pack())
+            block=0).pack())
     assert encode_segment(TraceSegment(start_pc=0, instrs=instrs)) \
         == expected
     assert [PreDecode.unpack(f).src0_internal for f in expected] == [
@@ -103,6 +103,8 @@ def test_encode_bare_segment_marks_its_own_dependencies():
 def test_encode_rejects_a_fifth_block():
     """Block ids past 3 do not fit the 2-bit field: encoding raises
     instead of clamping them to 3."""
-    instrs = [Instruction(Op.NOP, pc=4 * i, block_id=i) for i in range(6)]
+    instrs = [Instruction(Op.NOP, pc=4 * i) for i in range(6)]
     with pytest.raises(SegmentError, match="block number 4"):
-        encode_segment(TraceSegment(start_pc=0, instrs=instrs))
+        encode_segment(TraceSegment(start_pc=0, instrs=instrs,
+                                    block_ids=list(range(6)),
+                                    flow_ids=list(range(6))))

@@ -20,14 +20,14 @@ from repro import workloads
 from repro.branch.bias import BiasTable
 from repro.core.engine import Engine
 from repro.core.stages.base import PipelineStage
-from repro.fillunit.collector import (FillCollector, PendingBranch,
-                                      PendingSegment)
+from repro.fillunit.collector import FillCollector, PendingSegment
 from repro.fillunit.dependency import mark_dependencies
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.fillunit.unit import FillUnit
 from repro.isa.decoded import Decoded
 from repro.machine.executor import Executor
 from repro.tracecache.cache import TraceCacheConfig
+from repro.tracecache.segment import BranchInfo
 from tests.helpers import evicting_config, make_fill_unit, run_asm
 
 
@@ -43,7 +43,8 @@ def content(segment) -> tuple:
                {name: getattr(instr.decoded, name)
                 for name in Decoded.__slots__})
               for instr in segment.instrs]
-    return (segment.start_pc, segment.block_count, instrs, segment.slots,
+    return (segment.start_pc, segment.block_ids, segment.flow_ids,
+            instrs, segment.slots,
             segment.branches, mark_dependencies(segment.instrs),
             segment.build_promo,
             segment.pcs, segment.controls, segment.coverage,
@@ -112,7 +113,7 @@ def loop16_candidate(first: int, promoted: bool = False):
     window = list(trace)[first:first + 16]
     last = window[-1]
     return PendingSegment(
-        window, [PendingBranch(15, last.pc, last.taken, promoted)],
+        window, [BranchInfo(15, last.pc, last.taken, promoted)],
         0 if promoted else 1)
 
 

@@ -114,9 +114,10 @@ def test_built_segments_are_valid():
 
 
 def test_assembled_segments_carry_region_ids():
-    """assemble_segment counts block and flow ids while it copies the
-    entries: they equal the candidate's region_ids, and block_count is
-    one past the last block id."""
+    """An assembled segment holds the candidate's own instructions and
+    branch records, and counts its block and flow ids: the block id
+    advances after every conditional branch, the flow id after every
+    transfer, and block_count is one past the last block id."""
     unit, _ = make_unit()
     collector = FillCollector(unit.bias)
     checked = 0
@@ -125,11 +126,20 @@ def test_assembled_segments_carry_region_ids():
             unit.bias.record(record.pc, record.taken)
         for candidate in collector.add(record):
             segment = unit.assemble_segment(candidate)
-            block_ids, flow_ids = candidate.region_ids()
-            assert [i.block_id for i in segment.instrs] == block_ids
-            assert [i.flow_id for i in segment.instrs] == flow_ids
-            assert [i.orig_index for i in segment.instrs] == list(
-                range(len(candidate)))
+            instrs = [r.instr for r in candidate.records]
+            assert all(entry is instr for entry, instr
+                       in zip(segment.instrs, instrs, strict=True))
+            assert segment.branches == candidate.branches
+            block_ids, flow_ids = [], []
+            block = flow = 0
+            for instr in instrs:
+                block_ids.append(block)
+                flow_ids.append(flow)
+                if instr.is_ctrl():
+                    flow += 1
+                    block += instr.is_cond_branch()
+            assert segment.block_ids == block_ids
+            assert segment.flow_ids == flow_ids
             assert segment.block_count == block_ids[-1] + 1
             checked += 1
     assert checked > 100

@@ -18,7 +18,6 @@ def place(instrs, num_clusters=4, cluster_size=4):
     seg = TraceSegment(start_pc=0, instrs=instrs)
     for idx, instr in enumerate(instrs):
         instr.pc = 4 * idx
-        instr.orig_index = idx
     ctx = PassContext(num_clusters, cluster_size,
                       OptimizationConfig.only("placement"))
     PlacementPass().apply(seg, ctx)

@@ -107,6 +107,7 @@ def test_bias_promotion_matches_run_length_reference(outcomes, threshold):
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.machine.tracing import CommittedInstr
+from tests.helpers import region_ids
 
 
 @st.composite
@@ -161,7 +162,7 @@ def test_collector_segments_respect_invariants(records, packing):
             assert not record.instr.terminates_segment()
         # 4. block and flow ids normalized, monotone; a new
         #    checkpoint block is also a new flow region
-        block_ids, flow_ids = seg.region_ids()
+        block_ids, flow_ids = region_ids(seg)
         assert block_ids[0] == 0 and flow_ids[0] == 0
         for ids in (block_ids, flow_ids):
             assert all(b - a in (0, 1) for a, b in zip(ids, ids[1:]))

@@ -19,7 +19,6 @@ from repro.verify.symbolic import (
 def seg(instrs, branches=(), start_pc=0x1000):
     for idx, instr in enumerate(instrs):
         instr.pc = start_pc + 4 * idx
-        instr.orig_index = idx
     return TraceSegment(start_pc=start_pc, instrs=list(instrs),
                         branches=list(branches))
 
