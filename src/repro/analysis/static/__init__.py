@@ -1,22 +1,17 @@
 """Static program analysis over assembled images.
 
 CFG + dominators + natural loops (:mod:`~repro.analysis.static.cfg`),
-a generic iterative dataflow framework
+a generic iterative forward dataflow framework
 (:mod:`~repro.analysis.static.dataflow`), the fill-unit opportunity
 detectors (:mod:`~repro.analysis.static.opportunities`), the workload
-lint pass (:mod:`~repro.analysis.static.lint`) with the call graph its
-function-level rules read (:mod:`~repro.analysis.static.callgraph`),
-and the :class:`AnalysisReport` facade
+lint pass (:mod:`~repro.analysis.static.lint`) with the function
+extents its ``missing-return`` rule reads
+(:mod:`~repro.analysis.static.functions`), and the
+:class:`AnalysisReport` facade
 (:mod:`~repro.analysis.static.report`).
 See ``docs/static-analysis.md``.
 """
 
-from repro.analysis.static.callgraph import (
-    CallGraph,
-    CallSite,
-    FunctionInfo,
-    build_call_graph,
-)
 from repro.analysis.static.cfg import (
     BasicBlock,
     ControlFlowGraph,
@@ -28,11 +23,10 @@ from repro.analysis.static.dataflow import (
     ENTRY_REGS,
     DataflowAnalysis,
     DataflowResult,
-    Liveness,
     ReachingDefinitions,
-    def_use_chains,
     solve,
 )
+from repro.analysis.static.functions import FunctionInfo, find_functions
 from repro.analysis.static.lint import LintFinding, lint_program
 from repro.analysis.static.opportunities import (
     BlockPressure,
@@ -51,8 +45,6 @@ __all__ = [
     "AnalysisReport",
     "BasicBlock",
     "BlockPressure",
-    "CallGraph",
-    "CallSite",
     "ControlFlowGraph",
     "DataflowAnalysis",
     "DataflowResult",
@@ -60,15 +52,13 @@ __all__ = [
     "ENTRY_REGS",
     "FunctionInfo",
     "LintFinding",
-    "Liveness",
     "Loop",
     "OpportunitySites",
     "ReachingDefinitions",
     "analyze_program",
     "block_pressure",
-    "build_call_graph",
     "build_cfg",
-    "def_use_chains",
+    "find_functions",
     "find_opportunities",
     "lint_program",
     "placement_pressure",

@@ -1,30 +1,20 @@
 """A small iterative dataflow framework over the static CFG.
 
-One generic worklist solver (:func:`solve`) drives any
-:class:`DataflowAnalysis` — forward or backward, any join-semilattice
-value — to a fixpoint. The concrete analyses the detectors and the
-lint pass need are provided here: reaching definitions, liveness and
-def-use chains. Register sets are plain 32-bit masks; reaching
-definitions map each register to the set of defining PCs.
+One generic worklist solver (:func:`solve`) drives any forward
+:class:`DataflowAnalysis` — any join-semilattice value — to a fixpoint.
+The opportunity detectors define their own analysis; reaching
+definitions, which the lint pass's ``undefined-read`` rule reads, is
+provided here. Its values map each register to the set of defining
+PCs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    ClassVar,
-    Dict,
-    FrozenSet,
-    Generic,
-    List,
-    Sequence,
-    Set,
-    Tuple,
-    TypeVar,
-)
+from typing import Dict, FrozenSet, Generic, List, Tuple, TypeVar
 
-from repro.analysis.static.cfg import BasicBlock, ControlFlowGraph
+from repro.analysis.static.cfg import ControlFlowGraph
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 
@@ -42,12 +32,6 @@ ENTRY_REGS: Tuple[int, ...] = (0, 28, 29)
 SYSCALL_USES: Tuple[int, ...] = (2, 4)
 
 
-def instr_defs(instr: Instruction) -> Tuple[int, ...]:
-    """Registers *instr* writes (empty for ``$zero`` sinks)."""
-    dest = instr.dest()
-    return () if dest is None else (dest,)
-
-
 def instr_uses(instr: Instruction) -> Tuple[int, ...]:
     """Registers *instr* reads, including a syscall's out-of-band
     service/argument registers."""
@@ -57,17 +41,14 @@ def instr_uses(instr: Instruction) -> Tuple[int, ...]:
 
 
 class DataflowAnalysis(Generic[V]):
-    """One dataflow problem: direction, lattice and transfer.
+    """One forward dataflow problem: lattice and transfer.
 
-    Subclasses set :attr:`forward` and implement the four hooks; the
-    per-instruction :meth:`transfer` is composed over blocks by the
-    solver (in reverse instruction order for backward problems).
+    Subclasses implement the four hooks; the per-instruction
+    :meth:`transfer` is composed over blocks by the solver.
     """
 
-    forward: ClassVar[bool] = True
-
     def boundary(self, cfg: ControlFlowGraph) -> V:
-        """Value at the entry block (forward) / exit blocks (backward)."""
+        """Value at the entry block."""
         raise NotImplementedError
 
     def initial(self, cfg: ControlFlowGraph) -> V:
@@ -83,11 +64,7 @@ class DataflowAnalysis(Generic[V]):
 
 @dataclass
 class DataflowResult(Generic[V]):
-    """Fixpoint values per block, with per-instruction replay.
-
-    ``block_in[i]``/``block_out[i]`` are in *analysis direction*: for a
-    backward problem ``block_in`` is the value at the block's end.
-    """
+    """Fixpoint values per block, with per-instruction replay."""
 
     analysis: DataflowAnalysis[V]
     cfg: ControlFlowGraph
@@ -95,37 +72,15 @@ class DataflowResult(Generic[V]):
     block_out: List[V]
 
     def instr_values(self, block_index: int) -> List[V]:
-        """Per-instruction values in program order.
-
-        For a forward analysis, entry ``i`` is the value immediately
-        *before* instruction ``i``; for a backward analysis it is the
-        value immediately *after* it (i.e. the input to its transfer).
-        """
-        analysis = self.analysis
-        block = self.cfg.blocks[block_index]
+        """Per-instruction values in program order: entry ``i`` is the
+        value immediately *before* instruction ``i``."""
+        transfer = self.analysis.transfer
         value = self.block_in[block_index]
         out: List[V] = []
-        instrs: Sequence[Instruction] = block.instrs
-        if analysis.forward:
-            for instr in instrs:
-                out.append(value)
-                value = analysis.transfer(instr, value)
-        else:
-            for instr in reversed(instrs):
-                out.append(value)
-                value = analysis.transfer(instr, value)
-            out.reverse()
+        for instr in self.cfg.blocks[block_index].instrs:
+            out.append(value)
+            value = transfer(instr, value)
         return out
-
-
-def _block_transfer(analysis: DataflowAnalysis[V], block: BasicBlock,
-                    value: V) -> V:
-    instrs: Sequence[Instruction] = block.instrs
-    if not analysis.forward:
-        instrs = list(reversed(instrs))
-    for instr in instrs:
-        value = analysis.transfer(instr, value)
-    return value
 
 
 def solve(cfg: ControlFlowGraph,
@@ -133,41 +88,30 @@ def solve(cfg: ControlFlowGraph,
     """Run *analysis* to a fixpoint over *cfg* (worklist iteration)."""
     blocks = cfg.blocks
     n = len(blocks)
-    forward = analysis.forward
     block_in: List[V] = [analysis.initial(cfg) for _ in range(n)]
     block_out: List[V] = [analysis.initial(cfg) for _ in range(n)]
-    if forward:
-        sources = [blocks[i].preds for i in range(n)]
-        targets = [blocks[i].succs for i in range(n)]
-        at_boundary = [i == cfg.entry for i in range(n)]
-    else:
-        sources = [blocks[i].succs for i in range(n)]
-        targets = [blocks[i].preds for i in range(n)]
-        at_boundary = [not blocks[i].succs for i in range(n)]
 
     worklist = deque(range(n))
     queued = [True] * n
     while worklist:
         index = worklist.popleft()
         queued[index] = False
-        value = (analysis.boundary(cfg) if at_boundary[index]
+        block = blocks[index]
+        value = (analysis.boundary(cfg) if index == cfg.entry
                  else analysis.initial(cfg))
-        for src in sources[index]:
+        for src in block.preds:
             value = analysis.join(value, block_out[src])
         block_in[index] = value
-        new_out = _block_transfer(analysis, blocks[index], value)
-        if new_out != block_out[index]:
-            block_out[index] = new_out
-            for tgt in targets[index]:
+        for instr in block.instrs:
+            value = analysis.transfer(instr, value)
+        if value != block_out[index]:
+            block_out[index] = value
+            for tgt in block.succs:
                 if not queued[tgt]:
                     queued[tgt] = True
                     worklist.append(tgt)
     return DataflowResult(analysis, cfg, block_in, block_out)
 
-
-# ----------------------------------------------------------------------
-# Concrete analyses
-# ----------------------------------------------------------------------
 
 ReachingMap = Dict[int, FrozenSet[int]]
 
@@ -180,8 +124,6 @@ class ReachingDefinitions(DataflowAnalysis[ReachingMap]):
     map is not defined on *any* path — the lint pass's undefined-read
     signal.
     """
-
-    forward = True
 
     def __init__(self, entry_regs: Tuple[int, ...] = ENTRY_REGS) -> None:
         self.entry_regs = entry_regs
@@ -213,54 +155,13 @@ class ReachingDefinitions(DataflowAnalysis[ReachingMap]):
         return out
 
 
-class Liveness(DataflowAnalysis[int]):
-    """Backward liveness over a 32-bit register mask."""
-
-    forward = False
-
-    def boundary(self, cfg: ControlFlowGraph) -> int:
-        return 0
-
-    def initial(self, cfg: ControlFlowGraph) -> int:
-        return 0
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
-    def transfer(self, instr: Instruction, value: int) -> int:
-        for dest in instr_defs(instr):
-            value &= ~(1 << dest)
-        for use in instr_uses(instr):
-            value |= 1 << use
-        return value
-
-
-def def_use_chains(cfg: ControlFlowGraph,
-                   reaching: DataflowResult[ReachingMap]
-                   ) -> Dict[int, Set[Tuple[int, int]]]:
-    """Map each definition PC (or :data:`ENTRY_DEF`) to its reached
-    uses as ``(use_pc, register)`` pairs."""
-    chains: Dict[int, Set[Tuple[int, int]]] = {}
-    for block in cfg.blocks:
-        values = reaching.instr_values(block.index)
-        for instr, reach in zip(block.instrs, values):
-            pc = instr.pc or 0
-            for reg in instr_uses(instr):
-                for def_pc in reach.get(reg, frozenset()):
-                    chains.setdefault(def_pc, set()).add((pc, reg))
-    return chains
-
-
 __all__ = [
     "DataflowAnalysis",
     "DataflowResult",
     "ENTRY_DEF",
     "ENTRY_REGS",
-    "Liveness",
     "ReachingDefinitions",
     "SYSCALL_USES",
-    "def_use_chains",
-    "instr_defs",
     "instr_uses",
     "solve",
 ]

@@ -1,7 +1,8 @@
 """Workload lint: structural sanity checks over the static CFG.
 
-Six rules, each an honest whole-program property of the assembled
-image (no execution involved):
+Three rules, each an honest whole-program property of the assembled
+image (no execution involved), and each a fault the functional
+executor can run straight past:
 
 * ``bad-branch-target`` (error) — a direct branch or jump whose target
   lies outside the text segment or off instruction alignment.
@@ -10,24 +11,11 @@ image (no execution involved):
   ``$zero``/``$gp``/``$sp``). Because the CFG over-approximates paths,
   extra edges can only *add* definitions: a report here is a
   definition-free read on every real path too.
-* ``unreachable-block`` (warning) — a block no over-approximate path
-  from entry reaches. Warning severity: dead code is suspicious in a
-  tuned synthetic workload but breaks nothing.
-* ``dead-write`` (warning) — a register written but never live
-  afterwards. Warning severity: the over-approximate CFG *under*\\-
-  states deadness never, but ABI-style bookkeeping (saving a register
-  that is only conditionally reused) is legitimate.
-
-Two more rules read the call graph
-(:func:`repro.analysis.static.callgraph.build_call_graph`):
-
-* ``unreachable-function`` (warning) — a discovered function entry no
-  chain of call edges from the program entry reaches. The call edges
-  over-approximate (unresolved indirect calls edge everywhere), so a
-  report means *no* real path can call the function either.
 * ``missing-return`` (warning) — a function whose CFG can fall off the
-  end of its extent into the following function: control arrives at
-  the next function without any call. Usually a forgotten ``jr $ra``.
+  end of its extent (:func:`repro.analysis.static.functions.
+  find_functions`) into the following function: control arrives at
+  the next function without any call. Usually a forgotten ``jr $ra``,
+  and a program missing one still runs to a normal halt.
 """
 
 from __future__ import annotations
@@ -35,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.static.callgraph import CallGraph, build_call_graph
 from repro.analysis.static.cfg import ControlFlowGraph
 from repro.analysis.static.dataflow import (
-    Liveness,
     ReachingDefinitions,
     instr_uses,
     solve,
 )
+from repro.analysis.static.functions import find_functions
 from repro.isa.registers import reg_name
 
 ERROR = "error"
@@ -67,13 +54,8 @@ def lint_program(cfg: ControlFlowGraph) -> List[LintFinding]:
     """Run every rule over *cfg*; findings sorted by address."""
     findings: List[LintFinding] = []
     findings.extend(_bad_branch_targets(cfg))
-    reachable = cfg.reachable()
-    findings.extend(_unreachable_blocks(cfg, reachable))
-    findings.extend(_undefined_reads(cfg, reachable))
-    findings.extend(_dead_writes(cfg, reachable))
-    call_graph = build_call_graph(cfg)
-    findings.extend(_unreachable_functions(call_graph))
-    findings.extend(_missing_returns(call_graph))
+    findings.extend(_undefined_reads(cfg))
+    findings.extend(_missing_returns(cfg))
     findings.sort(key=lambda f: (f.pc if f.pc is not None else -1, f.rule))
     return findings
 
@@ -100,21 +82,8 @@ def _bad_branch_targets(cfg: ControlFlowGraph) -> List[LintFinding]:
     return out
 
 
-def _unreachable_blocks(cfg: ControlFlowGraph,
-                        reachable: set) -> List[LintFinding]:
-    out = []
-    for block in cfg.blocks:
-        if block.index not in reachable:
-            out.append(LintFinding(
-                rule="unreachable-block", severity=WARNING,
-                pc=block.start,
-                message=f"{len(block.instrs)}-instruction block is "
-                        f"unreachable from entry"))
-    return out
-
-
-def _undefined_reads(cfg: ControlFlowGraph,
-                     reachable: set) -> List[LintFinding]:
+def _undefined_reads(cfg: ControlFlowGraph) -> List[LintFinding]:
+    reachable = cfg.reachable()
     reaching = solve(cfg, ReachingDefinitions())
     out = []
     for block in cfg.blocks:
@@ -132,41 +101,9 @@ def _undefined_reads(cfg: ControlFlowGraph,
     return out
 
 
-def _dead_writes(cfg: ControlFlowGraph,
-                 reachable: set) -> List[LintFinding]:
-    liveness = solve(cfg, Liveness())
+def _missing_returns(cfg: ControlFlowGraph) -> List[LintFinding]:
     out = []
-    for block in cfg.blocks:
-        if block.index not in reachable:
-            continue
-        values = liveness.instr_values(block.index)
-        for instr, live_after in zip(block.instrs, values):
-            dest = instr.dest()
-            if dest is None or (live_after >> dest) & 1:
-                continue
-            out.append(LintFinding(
-                rule="dead-write", severity=WARNING, pc=instr.pc,
-                message=f"writes ${reg_name(dest)} but the value is "
-                        f"never read"))
-    return out
-
-
-def _unreachable_functions(call_graph: CallGraph) -> List[LintFinding]:
-    reachable = call_graph.reachable()
-    out = []
-    for entry, info in call_graph.functions.items():
-        if entry not in reachable:
-            out.append(LintFinding(
-                rule="unreachable-function", severity=WARNING,
-                pc=entry,
-                message=f"function {info.name} is never called from "
-                        f"the program entry"))
-    return out
-
-
-def _missing_returns(call_graph: CallGraph) -> List[LintFinding]:
-    out = []
-    for entry, info in call_graph.functions.items():
+    for info in find_functions(cfg).values():
         for pc in info.fall_off:
             out.append(LintFinding(
                 rule="missing-return", severity=WARNING, pc=pc,

@@ -92,8 +92,6 @@ class OpportunityAnalysis(DataflowAnalysis[OppValue]):
     ``Z`` at the same point.
     """
 
-    forward = True
-
     def __init__(self, max_shift: int = 3) -> None:
         self.max_shift = max_shift
 

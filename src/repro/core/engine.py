@@ -79,6 +79,8 @@ class Engine:
         self.predictor = MultiBranchPredictor(config.predictor)
         self.fill_unit = (FillUnit(config, self.predictor.bias)
                           if config.trace_cache_enabled else None)
+        #: the fill unit's trace cache, by a second name that
+        #: ``bench/`` reads (fetch reads the fill unit's)
         self.trace_cache = (self.fill_unit.trace_cache
                             if self.fill_unit is not None else None)
         self.checkpoints = CheckpointStore(config.max_checkpoints)
@@ -89,7 +91,7 @@ class Engine:
         #: EventStage`) may be appended before ``run()``.
         self.stages: List[PipelineStage] = [
             FetchStage(config, self.hierarchy, self.predictor,
-                       self.trace_cache, self.fill_unit, self.events),
+                       self.fill_unit, self.events),
             RenameStage(config, self.checkpoints, self.events),
             IssueStage(config),
             ExecuteStage(self.memsched),

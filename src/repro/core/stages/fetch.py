@@ -29,12 +29,14 @@ class FetchStage(PipelineStage):
     name = "fetch"
 
     def __init__(self, config: SimConfig, hierarchy: Any,
-                 predictor: Any, trace_cache: Optional[Any],
-                 fill_unit: Optional[Any], events: Any) -> None:
+                 predictor: Any, fill_unit: Optional[Any],
+                 events: Any) -> None:
         self.config = config
         self.hierarchy = hierarchy
         self.predictor = predictor
-        self.trace_cache = trace_cache
+        #: the fill unit's trace cache (none without a fill unit)
+        self.trace_cache = (fill_unit.trace_cache
+                            if fill_unit is not None else None)
         self.fill_unit = fill_unit
         self.events = events
         self._ic_line_mask = ~(config.hierarchy.l1i_line - 1)

@@ -156,7 +156,7 @@ class SpanStage(PipelineStage):
                 for_pc=incoming.start_pc)
 
     def segment_built(self, segment: Any, cycle: int) -> None:
-        fill_cycle = float(segment.fill_cycle)
+        fill_cycle = float(cycle + self.latency)
         start_pc, instrs = segment.start_pc, len(segment.instrs)
         self.recorder.instant("tracecache", "tc.insert", fill_cycle,
                               start_pc=start_pc, instrs=instrs)

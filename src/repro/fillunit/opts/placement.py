@@ -19,9 +19,35 @@ cluster each instruction executes in.
 
 from __future__ import annotations
 
-from repro.fillunit.dependency import mark_dependencies
+from typing import Dict, List, Sequence
+
 from repro.fillunit.opts.base import OptimizationPass, PassContext
+from repro.isa.instruction import Instruction
 from repro.tracecache.segment import TraceSegment
+
+
+def _producer_masks(instrs: Sequence[Instruction]) -> List[int]:
+    """The explicit dependency marking placement reads: per entry, its
+    segment-internal producers as a bitmask (bit ``p`` set when entry
+    ``p`` is the last writer before it of a register it reads).
+
+    It reads the decoded records, so it is annotation-aware: a marked
+    move depends on its move source only, a scaled add on the shift's
+    source, and register zero is never a dependence.
+    """
+    masks = []
+    last_def: Dict[int, int] = {}
+    for index, instr in enumerate(instrs):
+        decoded = instr.decoded
+        mask = 0
+        for reg in decoded.sources:
+            producer = last_def.get(reg)
+            if producer is not None:
+                mask |= 1 << producer
+        masks.append(mask)
+        if decoded.dest is not None:
+            last_def[decoded.dest] = index
+    return masks
 
 
 class PlacementPass(OptimizationPass):
@@ -34,7 +60,7 @@ class PlacementPass(OptimizationPass):
         # Placement runs last, so the marking sees the final dataflow
         # of the rewriting passes; it reads the decoded records.
         segment.redecode(ctx.decodes)
-        masks = mark_dependencies(segment.instrs).producer_masks
+        masks = _producer_masks(segment.instrs)
         count = len(masks)
         cluster_size = ctx.cluster_size
         num_clusters = ctx.num_clusters

@@ -3,8 +3,7 @@
 Ties together the collector, branch promotion and the optimization
 passes, and installs finished segments into the trace cache after the
 configured fill-pipeline latency. Explicit dependency marking is
-computed where it is read: by the placement pass, and by the pre-decode
-encoder (:mod:`repro.fillunit.predecode`). The fill unit sits
+computed where it is read, by the placement pass. The fill unit sits
 *behind* retirement — off the critical path — which is the paper's
 entire argument for doing optimization work here: multi-cycle latencies
 through this structure have negligible performance impact (Figure 8).
@@ -12,14 +11,14 @@ through this structure have negligible performance impact (Figure 8).
 The passes are deterministic in their input, so the fill unit runs them
 once per distinct input: it keeps each sealed segment with the record
 of its build, and a rebuild of the same input (typically after an
-eviction) reuses that segment in a fresh shell and accounts the same
-record again. Only host time changes; the installed segment, the
-counters and the hooks are those of a fresh build.
+eviction) installs that segment again and accounts the same record
+again. Only host time changes; the installed segment, the counters and
+the hooks are those of a fresh build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.branch.bias import BiasTable
@@ -119,12 +118,17 @@ class FillUnit(FillCollector):
         candidate, without touching the trace cache (exposed for tests
         and the optimization-tour example).
 
-        The first build of each distinct input is kept. A later
-        candidate with the same input gets a fresh shell around that
-        sealed segment, sharing everything but ``fill_cycle`` (sealed
-        segments are never rewritten), and the first build's record
-        is accounted again, so counters, totals and hooks read as if
-        the passes had run."""
+        The first build of each distinct input is sealed, validated
+        against the trace cache's line limits and kept. A later
+        candidate with the same input gets that sealed segment itself
+        (nothing writes a sealed segment, the trace cache included),
+        and the first build's record is accounted again, so counters,
+        totals and hooks read as if the passes had run.
+
+        Raises:
+            SegmentError: if the passes leave a segment the trace
+                cache cannot hold.
+        """
         is_promoted = self.bias.is_promoted
         # Every input a build reads: the path, each branch's direction
         # (a segment can end on a conditional branch, which the path
@@ -147,12 +151,14 @@ class FillUnit(FillCollector):
             original = segment.clone() if whole is not None else None
             record = self.passes.run(segment)
             segment.seal(self.decodes)
+            lines = self.config.trace_cache
+            segment.validate(lines.max_instrs, lines.max_cond_branches)
             if whole is not None and original is not None:
                 record.violations = whole.check(original, segment,
                                                 record=False)
             self._built[key] = (segment, record)
         else:
-            segment, record = replace(built[0]), built[1]
+            segment, record = built
             self.stats.segments_reused += 1
         self._account(segment, record, cycle)
         return segment

@@ -106,6 +106,10 @@ class TraceCache:
         #: (start_pc, path_key) -> lookup hits since its last fill
         #: (dead-eviction accounting).
         self._seg_hits: Dict[Tuple[int, tuple], int] = {}
+        #: (start_pc, path_key) -> the cycle its resident line becomes
+        #: visible to lookups (the fill time plus the fill latency); the
+        #: cache keeps it, so an installed segment is never written.
+        self._visible: Dict[Tuple[int, tuple], int] = {}
         #: the ``line_displaced`` hook chain, set by the engine per run
         #: (see :class:`~repro.core.stages.base.PipelineStage`).
         self.displace_hooks: Tuple[Callable[..., Any], ...] = ()
@@ -135,10 +139,11 @@ class TraceCache:
         entries = self._sets[index]
         # One pass over the set: the most recently used visible path,
         # and the list of all of them only when several are resident.
+        visible = self._visible
         key: Optional[Tuple[int, tuple]] = None
         candidates: Optional[List[Tuple[int, tuple]]] = None
-        for resident, segment in entries.items():
-            if resident[0] == pc and segment.fill_cycle <= now:
+        for resident in entries:
+            if resident[0] == pc and visible[resident] <= now:
                 if key is not None:
                     if candidates is None:
                         candidates = [key]
@@ -210,12 +215,13 @@ class TraceCache:
                fill_latency: int = 0) -> None:
         """Install *segment*, visible from ``now + fill_latency``.
 
-        An identical resident segment is refreshed rather than
-        re-filled; a different path from the same address takes its own
-        way (path associativity), evicting the set's LRU entry if full.
+        The segment is sealed and validated where it was built, and
+        the cache never writes it, so one sealed segment may be
+        installed again after an eviction. A resident line of the same
+        path is replaced with a fresh fill; a different path from the
+        same address takes its own way (path associativity), evicting
+        the set's victim if full.
         """
-        segment.validate(self.config.max_instrs,
-                         self.config.max_cond_branches)
         index = self._index_for(segment.start_pc)
         entries = self._sets[index]
         key = (segment.start_pc, segment.path_key)
@@ -236,9 +242,10 @@ class TraceCache:
             self.stats.evictions += 1
             if self._seg_hits.pop(victim_key, 0) == 0:
                 self.stats.dead_evictions += 1
+            del self._visible[victim_key]
             for hook in self.displace_hooks:
                 hook(victim_key, now, segment, True)
-        segment.fill_cycle = now + fill_latency
+        self._visible[key] = now + fill_latency
         entries[key] = segment
         if self._on_insert is not None:
             self._on_insert(index, key)

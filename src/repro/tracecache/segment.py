@@ -61,18 +61,15 @@ class TraceSegment:
     #: each entry's checkpoint block and control-flow region, counted
     #: from the first entry unless given: the block id advances after
     #: every conditional branch, the flow id after every transfer.
-    #: Passes never change them, so a clone or a reuse shell shares
-    #: the lists.
+    #: Passes never change them, so a clone shares the lists.
     block_ids: List[int] = field(default_factory=list)
     flow_ids: List[int] = field(default_factory=list)
-    fill_cycle: int = 0
     #: promotion state of the candidate's branches at build time, used
     #: by the fill unit's dedup (passes may remove branch records —
     #: e.g. predication — so the live list cannot be compared).
     build_promo: Tuple[bool, ...] = ()
-    #: the fetch plan, recorded by :meth:`seal` (fields, so a reuse
-    #: shell made by ``dataclasses.replace`` shares them): the path's
-    #: pcs; the control entries as ``(logical index, kind, embedded
+    #: the fetch plan, recorded by :meth:`seal`: the path's pcs; the
+    #: control entries as ``(logical index, kind, embedded
     #: direction)`` with kind :data:`PREDICTED`, :data:`PROMOTED` or
     #: :data:`UNCONDITIONAL`; ``coverage[k]``, the optimized, move,
     #: reassociated and scaled counts of the first *k* entries; and
@@ -155,8 +152,10 @@ class TraceSegment:
         fetch needs that depends only on the line.
 
         The fill unit calls this once, after its last pass; nothing may
-        rewrite the segment afterwards, so the records and the plan are
-        never stale.
+        write the segment afterwards (the trace cache keeps each line's
+        fill time itself), so the records and the plan are never
+        stale, and a rebuild of the same input installs this segment
+        again.
         """
         self.redecode(records)
         promoted = {info.index: info.direction
@@ -204,7 +203,6 @@ class TraceSegment:
             slots=list(self.slots),
             block_ids=self.block_ids,
             flow_ids=self.flow_ids,
-            fill_cycle=self.fill_cycle,
             build_promo=self.build_promo,
             rewritten=set(self.rewritten))
 
@@ -222,8 +220,8 @@ class TraceSegment:
         """Check the structural invariants the fill unit must maintain.
 
         Reads the decoded records, so a rewritten segment must be
-        sealed first (the trace cache validates on insert, and only
-        sealed segments reach it).
+        sealed first (the fill unit validates each segment it builds,
+        once, after sealing it).
 
         Raises:
             SegmentError: on any violation.

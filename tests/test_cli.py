@@ -421,7 +421,7 @@ def test_analyze_baseline_regression_fails(tmp_path, capsys):
     # The workloads are lint-clean, so nothing regresses even against
     # an empty record; force a fake regression instead.
     assert code == 0
-    recorded["lint"] = {"warnings": {"dead-write": -1}}
+    recorded["lint"] = {"warnings": {"missing-return": -1}}
     baseline.write_text(json.dumps(payload))
     code, out = run_cli(capsys, "analyze", "compress", "--scale", "0.2",
                         "--baseline", str(baseline))

@@ -1,55 +1,34 @@
-"""Dependency-marking tests."""
+"""Placement's dependency marking: each entry's segment-internal
+producers, as the bitmask the pass tests against a cluster's members."""
 
-from repro.fillunit.dependency import mark_dependencies
+from repro.fillunit.opts.placement import _producer_masks
 from repro.isa.instruction import Instruction, ScaleAnnotation
 from repro.isa.opcodes import Op
+
+
+def producers(instrs):
+    """Per entry, the indices its producer mask names."""
+    return [{bit for bit in range(len(instrs)) if mask >> bit & 1}
+            for mask in _producer_masks(instrs)]
 
 
 def test_internal_producer_identified():
     instrs = [Instruction(Op.ADDI, rd=8, rs=9, imm=1),
               Instruction(Op.ADD, rd=10, rs=8, rt=11)]
-    info = mark_dependencies(instrs)
-    assert info.producer[1] == {8: 0, 11: None}
-    assert info.internal_producers(1) == {0}
-
-
-def test_live_in_counted():
-    instrs = [Instruction(Op.ADD, rd=8, rs=9, rt=10)]
-    info = mark_dependencies(instrs)
-    assert info.livein_counts[0] == 2
-    assert info.producer[0] == {9: None, 10: None}
+    assert producers(instrs) == [set(), {0}]
 
 
 def test_register_zero_never_a_dependence():
     instrs = [Instruction(Op.ADDI, rd=0, rs=1, imm=1),
               Instruction(Op.ADD, rd=8, rs=0, rt=1)]
-    info = mark_dependencies(instrs)
-    assert 0 not in info.producer[1]
-    assert info.livein_counts[1] == 1
+    assert producers(instrs) == [set(), set()]
 
 
 def test_latest_definition_wins():
     instrs = [Instruction(Op.ADDI, rd=8, rs=9, imm=1),
               Instruction(Op.ADDI, rd=8, rs=9, imm=2),
               Instruction(Op.ADD, rd=10, rs=8, rt=9)]
-    info = mark_dependencies(instrs)
-    assert info.producer[2][8] == 1
-
-
-def test_liveout_marks_final_writers():
-    instrs = [Instruction(Op.ADDI, rd=8, rs=9, imm=1),   # overwritten
-              Instruction(Op.ADDI, rd=8, rs=9, imm=2),   # final r8
-              Instruction(Op.ADDI, rd=10, rs=8, imm=3)]  # final r10
-    info = mark_dependencies(instrs)
-    assert info.liveout == [False, True, True]
-
-
-def test_consumers_of():
-    instrs = [Instruction(Op.ADDI, rd=8, rs=9, imm=1),
-              Instruction(Op.ADD, rd=10, rs=8, rt=8),
-              Instruction(Op.SW, rt=8, rs=29, imm=0)]
-    info = mark_dependencies(instrs)
-    assert info.consumers_of(0) == [1, 2]
+    assert producers(instrs)[2] == {1}
 
 
 def test_annotation_aware_sources():
@@ -57,33 +36,26 @@ def test_annotation_aware_sources():
     instrs = [Instruction(Op.SLL, rd=8, rs=9, imm=2),
               Instruction(Op.ADD, rd=10, rs=8, rt=11,
                           scale=ScaleAnnotation(src=9, shamt=2))]
-    info = mark_dependencies(instrs)
-    assert 8 not in info.producer[1]
-    assert info.producer[1] == {9: None, 11: None}
-    assert info.internal_producers(1) == set()
+    assert producers(instrs)[1] == set()
 
 
 def test_move_flag_collapses_sources():
     instrs = [Instruction(Op.ADDI, rd=8, rs=9, imm=1),
               Instruction(Op.ADDI, rd=10, rs=8, imm=0, move_flag=True)]
-    info = mark_dependencies(instrs)
-    assert info.producer[1] == {8: 0}
+    assert producers(instrs)[1] == {0}
 
 
 def test_store_value_is_a_source():
     instrs = [Instruction(Op.ADDI, rd=8, rs=0, imm=7),
               Instruction(Op.SWX, rd=8, rs=29, rt=30)]
-    info = mark_dependencies(instrs)
-    assert info.producer[1][8] == 0
+    assert producers(instrs)[1] == {0}
 
 
 def test_branch_sources_tracked():
     instrs = [Instruction(Op.SLT, rd=1, rs=8, rt=9),
               Instruction(Op.BNE, rs=1, rt=0, imm=-4)]
-    info = mark_dependencies(instrs)
-    assert info.producer[1] == {1: 0}
+    assert producers(instrs)[1] == {0}
 
 
 def test_empty_segment():
-    info = mark_dependencies([])
-    assert info.producer == [] and info.liveout == []
+    assert _producer_masks([]) == []

@@ -21,13 +21,12 @@ from repro.branch.bias import BiasTable
 from repro.core.engine import Engine
 from repro.core.stages.base import PipelineStage
 from repro.fillunit.collector import FillCollector, PendingSegment
-from repro.fillunit.dependency import mark_dependencies
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.fillunit.unit import FillUnit
 from repro.isa.decoded import Decoded
 from repro.machine.executor import Executor
 from repro.tracecache.cache import TraceCacheConfig
-from repro.tracecache.segment import BranchInfo
+from repro.tracecache.segment import BranchInfo, TraceSegment
 from tests.helpers import evicting_config, make_fill_unit, run_asm
 
 
@@ -45,8 +44,7 @@ def content(segment) -> tuple:
               for instr in segment.instrs]
     return (segment.start_pc, segment.block_ids, segment.flow_ids,
             instrs, segment.slots,
-            segment.branches, mark_dependencies(segment.instrs),
-            segment.build_promo,
+            segment.branches, segment.build_promo,
             segment.pcs, segment.controls, segment.coverage,
             segment.predicated)
 
@@ -94,8 +92,7 @@ def test_live_promotion_flip_misses_the_table():
 
     again = unit.build_segment(candidate)
     assert unit.stats.segments_reused == 1
-    assert again is not plain and again.instrs is plain.instrs
-    assert content(again) == content(plain)
+    assert again is plain
     assert unit.counts.get(PREDICATED, 0) == 1
 
 
@@ -216,3 +213,26 @@ def test_reused_segments_equal_fresh_builds(bench, policy):
     cycles, digest = EVICTING_EXTENDED[(bench, policy)]
     assert result.cycles == cycles
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bench,passes_run", [("compress", 106),
+                                              ("li", 95)])
+def test_each_build_validates_once(bench, passes_run, monkeypatch):
+    """A segment is validated once, where its passes ran: a reused
+    build installs the sealed segment itself, and the trace cache
+    validates nothing on insert."""
+    calls = []
+    original = TraceSegment.validate
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.start_pc)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceSegment, "validate", counting)
+    trace = Executor(workloads.build(bench, scale=0.3)).run()
+    engine = Engine(evicting_config(OptimizationConfig.all(), "lru"))
+    engine.run(trace, bench)
+    stats = engine.fill_unit.stats
+    assert stats.segments_reused > 0
+    assert len(calls) == stats.segments_built - stats.segments_reused \
+        == passes_run

@@ -2,12 +2,14 @@
 
 import dataclasses
 
+import pytest
+
 from repro import workloads
 from repro.branch.bias import BiasTable
 from repro.core.config import SimConfig
+from repro.errors import SegmentError
 from repro.fillunit.collector import FillCollector
-from repro.fillunit.opts.base import OptimizationConfig
-from repro.fillunit.predecode import encode_segment
+from repro.fillunit.opts.base import OptimizationConfig, OptimizationPass
 from repro.fillunit.unit import FillUnit
 from repro.machine.executor import Executor
 from repro.tracecache.cache import TraceCacheConfig
@@ -73,7 +75,7 @@ def test_segments_installed_with_latency():
     assert tc.stats.fills == unit.stats.segments_built
     seg = tc.probe(trace[0].pc)
     assert seg is not None
-    # fill_cycle = retirement cycle of the finalizing instr + latency
+    # visible from the finalizing instruction's retire cycle + latency
 
 
 def test_identical_segments_deduped():
@@ -110,7 +112,27 @@ def test_built_segments_are_valid():
     for entries in tc._sets.values():
         for seg in entries.values():
             seg.validate()
-            assert len(encode_segment(seg)) == len(seg)
+
+
+def test_build_validates_segment():
+    """The fill unit validates each segment it builds, once, after
+    sealing it: a pass that leaves a line the trace cache cannot hold
+    fails the build, and the line is never installed."""
+
+    class Unslotted(OptimizationPass):
+        name = "unslotted"
+        surface = frozenset({"slots"})
+
+        def apply(self, segment, ctx):
+            segment.slots = [0] * len(segment)
+            return {}
+
+    unit, tc = make_unit(OptimizationConfig.only("placement"))
+    unit.passes.passes.append(Unslotted())
+    _, trace = run_asm(LOOP)
+    with pytest.raises(SegmentError, match="permutation"):
+        feed(unit, trace)
+    assert tc.stats.fills == 0
 
 
 def test_assembled_segments_carry_region_ids():

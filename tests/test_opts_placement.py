@@ -3,9 +3,8 @@
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from repro.fillunit.dependency import mark_dependencies
 from repro.fillunit.opts.base import OptimizationConfig, PassContext
-from repro.fillunit.opts.placement import PlacementPass
+from repro.fillunit.opts.placement import PlacementPass, _producer_masks
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.tracecache.segment import TraceSegment
@@ -123,8 +122,7 @@ def test_single_instruction_segment():
 
 def test_placement_of_a_bare_segment_follows_its_marking():
     """Placement marks the segment it places: a bare segment is placed
-    as the heuristic places it on ``mark_dependencies`` of its
-    entries."""
+    as the heuristic places it on the producers of its entries."""
     instrs = [
         Instruction(Op.ADDI, rd=8, rs=0, imm=1, pc=0),
         Instruction(Op.ADDI, rd=20, rs=0, imm=0, pc=4),
@@ -135,16 +133,29 @@ def test_placement_of_a_bare_segment_follows_its_marking():
     ]
     seg = TraceSegment(start_pc=0, instrs=instrs)
     stats = PlacementPass().apply(seg, PassContext(4, 4, PLACE))
-    expected = oracle_placement(mark_dependencies(instrs), len(instrs),
-                                4, 4)
+    expected = oracle_placement(instrs, 4, 4)
     assert (seg.slots, stats["placement_moved"]) == expected
     assert expected[0] != list(range(len(instrs)))
 
 
-def oracle_placement(deps, count, num_clusters, cluster_size):
+def internal_producers(instrs):
+    """Per entry, the set of earlier entries that last wrote a register
+    it reads (its segment-internal producers)."""
+    producers = []
+    last_def = {}
+    for index, instr in enumerate(instrs):
+        producers.append({last_def[reg] for reg in instr.decoded.sources
+                          if reg in last_def})
+        if instr.decoded.dest is not None:
+            last_def[instr.decoded.dest] = index
+    return producers
+
+
+def oracle_placement(instrs, num_clusters, cluster_size):
     """The paper's heuristic on producer *sets* (the pass's former
     loop, before producer bitmasks): ``(slots, moved)``."""
-    producers = [deps.internal_producers(index) for index in range(count)]
+    producers = internal_producers(instrs)
+    count = len(instrs)
     slots = [0] * count
     placed_in = [set() for _ in range(num_clusters)]
     unplaced = list(range(count))
@@ -196,12 +207,12 @@ def test_bitmask_placement_matches_set_oracle(instrs, num_clusters,
     """Placement on producer bitmasks assigns the slots, and reports the
     movement, of the set-based heuristic; the masks name exactly the
     segment-internal producers."""
-    deps = mark_dependencies(instrs)
-    for index, mask in enumerate(deps.producer_masks):
+    producers = internal_producers(instrs)
+    for index, mask in enumerate(_producer_masks(instrs)):
         assert {bit for bit in range(len(instrs)) if mask >> bit & 1} \
-            == deps.internal_producers(index)
+            == producers[index]
     seg = TraceSegment(start_pc=0, instrs=instrs)
     stats = PlacementPass().apply(
         seg, PassContext(num_clusters, cluster_size, PLACE))
     assert (seg.slots, stats["placement_moved"]) == oracle_placement(
-        deps, len(instrs), num_clusters, cluster_size)
+        instrs, num_clusters, cluster_size)

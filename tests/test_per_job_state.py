@@ -1,9 +1,8 @@
 """A job pays only for the state and analysis something reads.
 
-Dependency marking is computed by its readers (placement and the
-pre-decode encoder), never by a build without placement; cache,
-trace-cache and replacement-policy state is created per set the first
-time that set is touched.
+Dependency marking is computed by its one reader, placement, once per
+build that ran the passes; cache, trace-cache and replacement-policy
+state is created per set the first time that set is touched.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ from repro import workloads
 from repro.cache.setassoc import SetAssocCache
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
-from repro.fillunit import dependency
-from repro.fillunit.opts import placement
 from repro.fillunit.opts.base import OptimizationConfig
+from repro.fillunit.opts.placement import PlacementPass
 from repro.machine.executor import Executor
 from repro.tracecache.cache import TraceCache
 
@@ -29,45 +27,17 @@ def trace():
     return Executor(workloads.build("compress", scale=0.05)).run()
 
 
-def count_marking(monkeypatch) -> list:
-    """Count every call of ``mark_dependencies``, wherever it is bound."""
-    calls = []
-    original = dependency.mark_dependencies
-
-    def counting(instrs):
-        calls.append(len(instrs))
-        return original(instrs)
-
-    monkeypatch.setattr(dependency, "mark_dependencies", counting)
-    monkeypatch.setattr(placement, "mark_dependencies", counting,
-                        raising=False)
-    return calls
-
-
-NO_PLACEMENT = {
-    "none": OptimizationConfig.none(),
-    "moves+reassoc+scaled_adds": OptimizationConfig(
-        moves=True, reassoc=True, scaled_adds=True),
-    "extended-without-placement": dataclasses.replace(
-        OptimizationConfig.extended(), placement=False),
-}
-
-
-@pytest.mark.parametrize("opts", list(NO_PLACEMENT.values()),
-                         ids=list(NO_PLACEMENT))
-def test_builds_without_placement_mark_no_dependencies(opts, trace,
-                                                       monkeypatch):
-    calls = count_marking(monkeypatch)
-    engine = Engine(SimConfig.paper(opts))
-    engine.run(trace, "compress")
-    assert engine.fill_unit.stats.segments_built > 0
-    assert calls == []
-
-
 def test_placement_marks_each_build_once(trace, monkeypatch):
-    """The counter sees placement's marking: one call per build that
-    ran the passes (a reused build replays its record)."""
-    calls = count_marking(monkeypatch)
+    """Placement, which marks the segment it places, runs once per
+    build that ran the passes (a reused build replays its record)."""
+    calls = []
+    original = PlacementPass.apply
+
+    def counting(self, segment, ctx):
+        calls.append(len(segment))
+        return original(self, segment, ctx)
+
+    monkeypatch.setattr(PlacementPass, "apply", counting)
     engine = Engine(SimConfig.paper(OptimizationConfig.all()))
     engine.run(trace, "compress")
     stats = engine.fill_unit.stats

@@ -1,10 +1,11 @@
-"""Call graph construction and the two function-level lints."""
+"""Function extents, discovered from calls, and the missing-return
+lint."""
 
-from repro import workloads
-from repro.analysis.static.callgraph import build_call_graph
 from repro.analysis.static.cfg import build_cfg
-from repro.analysis.static.lint import lint_counts, lint_program
+from repro.analysis.static.functions import find_functions
+from repro.analysis.static.lint import lint_program
 from repro.asm import assemble
+from repro.machine.executor import Executor
 
 CALLS = """
 main:
@@ -14,16 +15,6 @@ main:
     syscall
     halt
 helper:
-    addi $t0, $t0, 1
-    jr   $ra
-"""
-
-UNCALLED = """
-main:
-    li   $v0, 10
-    syscall
-    halt
-orphan:
     addi $t0, $t0, 1
     jr   $ra
 """
@@ -41,113 +32,90 @@ sink:
     jr   $ra
 """
 
+#: two functions, each ending in its return
+RETURNS = """
+main:
+    li   $t0, 1
+    jal  inc
+    jal  dbl
+    halt
+inc:
+    addi $t0, $t0, 1
+    jr   $ra
+dbl:
+    add  $t0, $t0, $t0
+    jr   $ra
+"""
 
-def _graph(src):
+
+def _functions(src):
     cfg = build_cfg(assemble(src))
-    return cfg, build_call_graph(cfg)
+    return cfg, find_functions(cfg)
 
 
 def test_direct_calls_resolved():
-    cfg, graph = _graph(CALLS)
+    cfg, functions = _functions(CALLS)
     helper = cfg.program.symbols["helper"]
     main = cfg.program.symbols["main"]
-    assert set(graph.functions) == {main, helper}
-    assert graph.edges == {(main, helper)}
-    info = graph.functions[main]
-    assert len(info.call_sites) == 2
-    assert all(site.direct and site.callees == (helper,)
-               for site in info.call_sites)
-    assert graph.functions[helper].returns
-    assert graph.functions[helper].name == "helper"
+    assert set(functions) == {main, helper}
+    assert functions[main].end == helper
+    assert functions[helper].end == cfg.program.text_end
+    assert functions[helper].name == "helper"
+    assert not any(info.fall_off for info in functions.values())
 
 
 def test_containing_maps_pcs_to_extents():
-    cfg, graph = _graph(CALLS)
+    """Every text pc lies in exactly one function's extent: the one
+    whose entry is the last at or before it."""
+    cfg, functions = _functions(CALLS)
     helper = cfg.program.symbols["helper"]
-    assert graph.containing(helper) == helper
-    assert graph.containing(helper + 4) == helper
-    assert graph.containing(cfg.program.symbols["main"] + 4) \
-        == cfg.program.symbols["main"]
-
-
-def test_reachability_from_root():
-    cfg, graph = _graph(UNCALLED)
-    # `orphan` only becomes a discovered function via a call; with no
-    # call anywhere it folds into main's extent — build a variant with
-    # a call to materialise it, then check the direct case.
-    assert graph.reachable() == {cfg.program.symbols["main"]}
-
-
-def test_unreachable_function_lint():
-    src = UNCALLED.replace("main:", "main:\n    jal used\n") + """
-used:
-    jal  orphan_caller_nothing
-    jr   $ra
-orphan_caller_nothing:
-    jr   $ra
-"""
-    findings = lint_program(build_cfg(assemble(src)))
-    counts = lint_counts(findings)
-    assert counts.get("unreachable-function", 0) == 0
-
-    # now one genuinely uncalled function: `lonely` is not a jal
-    # target itself, so its code folds into dead_fn_target's extent —
-    # and that discovered function (only ever called from inside its
-    # own extent) is what the lint reports as unreachable.
-    cfg2 = build_cfg(assemble("""
-main:
-    jal  used
-    li   $v0, 10
-    syscall
-    halt
-used:
-    jr   $ra
-dead_fn_target:
-    jr   $ra
-lonely:
-    jal  dead_fn_target
-    jr   $ra
-"""))
-    findings2 = lint_program(cfg2)
-    rules = {(f.rule, f.pc) for f in findings2}
-    dead = cfg2.program.symbols["dead_fn_target"]
-    assert ("unreachable-function", dead) in rules
+    main = cfg.program.symbols["main"]
+    for instr in cfg.program.instructions:
+        owners = [entry for entry, info in functions.items()
+                  if entry <= instr.pc < info.end]
+        assert owners == [helper if instr.pc >= helper else main]
 
 
 def test_missing_return_lint():
-    cfg = build_cfg(assemble(FALLS_OFF))
-    graph = build_call_graph(cfg)
+    cfg, functions = _functions(FALLS_OFF)
     leaky = cfg.program.symbols["leaky"]
-    assert graph.functions[leaky].fall_off
+    info = functions[leaky]
+    assert info.fall_off
     findings = lint_program(cfg)
     assert any(f.rule == "missing-return"
-               and graph.containing(f.pc) == leaky
+               and info.entry <= f.pc < info.end
                for f in findings)
 
 
+def test_missing_return_runs_to_a_normal_halt():
+    """A function missing its ``jr $ra`` slides into the next one and
+    returns from there, so the program still halts normally (one
+    record longer); the lint is what reports it, and only it."""
+    broken = RETURNS.replace("    addi $t0, $t0, 1\n    jr   $ra\n",
+                             "    addi $t0, $t0, 1\n")
+    lengths = {}
+    for name, src in (("returns", RETURNS), ("broken", broken)):
+        program = assemble(src)
+        executor = Executor(program)
+        lengths[name] = len(executor.run().records)
+        assert executor.halted
+    assert lengths == {"returns": 8, "broken": 9}
+    assert lint_program(build_cfg(assemble(RETURNS))) == []
+    findings = lint_program(build_cfg(assemble(broken)))
+    assert [(f.rule, f.message) for f in findings] == [
+        ("missing-return",
+         "function inc can fall off its end into the next function")]
+
+
 def test_indirect_call_with_zero_label_candidates():
-    # A jalr over-approximates to every known entry; with no entries
-    # beyond the root that is the root alone.
-    cfg = build_cfg(assemble("""
+    # A jalr names no entry of its own: with no direct call, the
+    # program is the root function alone.
+    cfg, functions = _functions("""
 main:
     la   $t0, main
     jalr $ra, $t0
     halt
-"""))
-    graph = build_call_graph(cfg)
+""")
     main = cfg.program.symbols["main"]
-    assert set(graph.functions) == {main}
-    (site,) = graph.functions[main].call_sites
-    assert not site.direct
-    assert site.callees == (main,)
-    assert graph.reachable() == {main}
-
-
-def test_all_workloads_have_connected_call_graphs():
-    for name in workloads.names():
-        cfg = build_cfg(workloads.build(name, 0.2))
-        counts = lint_counts(lint_program(cfg))
-        assert counts.get("unreachable-function", 0) == 0, name
-        assert counts.get("missing-return", 0) == 0, name
-        graph = build_call_graph(cfg)
-        assert graph.reachable() == set(graph.functions), name
+    assert set(functions) == {main}
+    assert functions[main].end == cfg.program.text_end

@@ -1,12 +1,9 @@
-"""The iterative dataflow framework: reaching defs, liveness, chains."""
+"""The iterative forward dataflow framework: reaching definitions."""
 
 from repro.analysis.static.cfg import build_cfg
 from repro.analysis.static.dataflow import (
     ENTRY_DEF,
-    Liveness,
     ReachingDefinitions,
-    def_use_chains,
-    instr_defs,
     instr_uses,
     solve,
 )
@@ -14,7 +11,7 @@ from repro.asm import assemble
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 
-T0, T1, A0, V0 = 8, 9, 4, 2
+T0, T1 = 8, 9
 
 MERGE = """
 main:
@@ -60,33 +57,6 @@ def test_entry_registers_reach_the_first_instruction():
     assert T0 not in reach       # nothing else is defined yet
 
 
-def test_liveness_across_a_branch():
-    cfg = build_cfg(assemble(MERGE))
-    result = solve(cfg, Liveness())
-    # After the first li, $t0 is live: both arms read it.
-    first_pc = cfg.blocks[cfg.entry].start
-    live_after = _instr_value(cfg, result, first_pc)
-    assert (live_after >> T0) & 1
-    # After the final add into $a0, $t0/$t1 are dead but $a0 is live
-    # (the syscall reads it out of band).
-    join_pc = cfg.program.symbols["join"]
-    live_after_add = _instr_value(cfg, result, join_pc)
-    assert (live_after_add >> A0) & 1
-    assert not (live_after_add >> T1) & 1
-
-
-def test_def_use_chains():
-    cfg = build_cfg(assemble(MERGE))
-    chains = def_use_chains(cfg, solve(cfg, ReachingDefinitions()))
-    program = cfg.program
-    # The li $t0 definition feeds the branch and both arms' addis.
-    li_pc = program.symbols["main"]
-    uses = {pc for pc, reg in chains[li_pc] if reg == T0}
-    assert len(uses) == 3
-    # The loader's pseudo-definition has uses too ($zero operands).
-    assert any(reg == 0 for _, reg in chains[ENTRY_DEF])
-
-
 def test_loop_reaches_itself():
     cfg = build_cfg(assemble("""
 main:
@@ -104,30 +74,16 @@ loop:
     assert reach[T0] == frozenset({cfg.program.symbols["main"], loop_pc})
 
 
-def test_instr_defs_and_uses():
-    addi = Instruction(Op.ADDI, rd=T1, rs=T0, imm=4)
-    assert instr_defs(addi) == (T1,)
-    assert instr_uses(addi) == (T0,)
-    # Writes to $zero are discarded, not definitions.
-    assert instr_defs(Instruction(Op.ADDI, rd=0, rs=T0, imm=4)) == ()
+def test_instr_uses():
+    assert instr_uses(Instruction(Op.ADDI, rd=T1, rs=T0, imm=4)) == (T0,)
     # Syscalls read their service/argument registers out of band.
     assert instr_uses(Instruction(Op.SYSCALL)) == (2, 4)
 
 
-def test_backward_direction_instr_values_alignment():
-    """For a backward analysis instr_values()[i] is the value *after*
-    instruction i — the last instruction sees the boundary value."""
-    cfg = build_cfg(assemble("main:\n    addi $t0, $zero, 1\n    halt\n"))
-    result = solve(cfg, Liveness())
-    values = result.instr_values(cfg.entry)
-    assert len(values) == len(cfg.blocks[cfg.entry].instrs)
-    assert values[-1] == 0       # nothing live after halt
-
-
 def test_single_block_function_dataflow():
-    # a whole function in one basic block: the call graph sees a
-    # single-block extent and dataflow works without any internal edge.
-    from repro.analysis.static.callgraph import build_call_graph
+    # a whole function in one basic block: its extent is that block,
+    # and dataflow works without any internal edge.
+    from repro.analysis.static.functions import find_functions
 
     cfg = build_cfg(assemble("""
 main:
@@ -139,11 +95,11 @@ tiny:
     addi $t0, $t0, 5
     jr   $ra
 """))
-    graph = build_call_graph(cfg)
     tiny = cfg.program.symbols["tiny"]
-    info = graph.functions[tiny]
-    assert info.blocks == (cfg.block_of(tiny).index,)
-    assert info.returns and not info.fall_off
+    info = find_functions(cfg)[tiny]
+    block = cfg.block_of(tiny)
+    assert (info.entry, info.end) == (block.start, block.last.pc + 4)
+    assert not info.fall_off
     result = solve(cfg, ReachingDefinitions())
     jr_pc = tiny + 4
     reach = _instr_value(cfg, result, jr_pc)

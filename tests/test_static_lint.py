@@ -40,18 +40,6 @@ def test_misaligned_target_is_distinguished():
     assert len(bad) == 1 and "misaligned" in bad[0].message
 
 
-def test_unreachable_block_warning():
-    findings = lint_program(build_cfg(assemble("""
-main:
-    halt
-dead:
-    halt
-""")))
-    assert _rules(findings) == {"unreachable-block"}
-    (finding,) = findings
-    assert finding.severity == "warning"
-
-
 def test_undefined_read_error():
     findings = lint_program(build_cfg(assemble("""
 main:
@@ -79,26 +67,15 @@ skip:
     assert "undefined-read" not in _rules(findings)
 
 
-def test_dead_write_warning():
-    findings = lint_program(build_cfg(assemble("""
-main:
-    addi $t0, $zero, 5
-    halt
-""")))
-    dead = [f for f in findings if f.rule == "dead-write"]
-    assert len(dead) == 1
-    assert dead[0].severity == "warning"
-    assert "$t0" in dead[0].message
-
-
 def test_lint_counts_shape():
     findings = lint_program(build_cfg(assemble("""
 main:
-    addi $t0, $zero, 5
-    addi $t1, $zero, 6
+    add  $t1, $t0, $zero
+    add  $t2, $t3, $zero
     halt
 """)))
-    assert lint_counts(findings) == {"dead-write": 2}
+    assert lint_counts(findings) == {"undefined-read": 2}
+    assert lint_counts(findings, "warning") == {}
     assert lint_counts([]) == {}
 
 

@@ -223,13 +223,6 @@ def test_probe_without_path_key_returns_mru_match():
         is tc.probe(0x1000, taken.path_key)
 
 
-def test_insert_validates_segment():
-    tc = make_tc()
-    bad = make_segment(length=17)
-    with pytest.raises(SegmentError):
-        tc.insert(bad, now=0)
-
-
 def _cache_state(tc):
     """Everything a refresh may change: the recency order of every
     set, the policy's metadata (TRRIP's RRPVs and reuse history) and
