@@ -230,9 +230,6 @@ class Engine:
                     hook(state)
                 group = state.group
                 assert group is not None
-                if not group.entries:   # defensive; not on real traces
-                    state.index += 1
-                    continue
                 for entry in group.entries:
                     rename(state, entry)
                     issue(state, entry)

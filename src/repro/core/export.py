@@ -15,10 +15,12 @@ from typing import Any, Optional
 
 from repro.core.results import SimResult
 
-#: 3: each count is stored once, in ``telemetry`` (version 1 also
-#: stored the typed counters and ``coverage`` beside their scopes,
-#: version 2 the fill unit's pass counts summed over passes)
-SCHEMA_VERSION = 3
+#: 4: each fact of a run is stored once: the counts in ``telemetry``,
+#: where no scope restates another (version 3 also stored six such
+#: scopes and a ``derived`` block of ratios over the counts, version 2
+#: the fill unit's pass counts summed over passes, version 1 the typed
+#: counters and ``coverage`` beside their scopes)
+SCHEMA_VERSION = 4
 ANALYSIS_SCHEMA_VERSION = 3
 
 
@@ -30,13 +32,6 @@ def result_to_dict(result: SimResult) -> dict:
     own objects, not copies."""
     payload = {f.name: getattr(result, f.name) for f in fields(result)}
     payload["schema"] = SCHEMA_VERSION
-    payload["derived"] = {
-        "ipc": result.ipc,
-        "tc_hit_rate": result.tc_hit_rate,
-        "tc_instr_fraction": result.tc_instr_fraction,
-        "bypass_delayed_fraction": result.bypass_delayed_fraction,
-        "mispredict_rate": result.mispredict_rate,
-    }
     return payload
 
 
@@ -48,8 +43,7 @@ def result_from_dict(payload: dict) -> SimResult:
     """
     if payload.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unknown result schema {payload.get('schema')!r}")
-    data = {k: v for k, v in payload.items()
-            if k not in ("schema", "derived")}
+    data = {k: v for k, v in payload.items() if k != "schema"}
     return SimResult(**data)
 
 

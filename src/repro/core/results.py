@@ -45,6 +45,7 @@ class SimResult:
     it, one per :data:`COUNTER_SCOPES` entry, and :attr:`coverage`
     gathers the four ``fetch.tc.opt.*`` scopes; a scope the run did
     not write (the trace cache's, on a machine without one) reads 0.
+    ``ic_fetched_instrs`` is the rest of :attr:`instructions`.
     """
 
     benchmark: str
@@ -82,6 +83,12 @@ class SimResult:
         return self.tc_hits / self.tc_lookups if self.tc_lookups else 0.0
 
     @property
+    def ic_fetched_instrs(self) -> int:
+        """Committed instructions fetched from the I-cache: every one
+        the trace cache did not supply."""
+        return self.instructions - self.tc_fetched_instrs
+
+    @property
     def tc_instr_fraction(self) -> float:
         """Fraction of committed instructions supplied by the TC."""
         return (self.tc_fetched_instrs / self.instructions
@@ -116,10 +123,11 @@ class SimResult:
 #: typed counter -> the telemetry scope it reads
 #: (``coverage.<name>`` is an :class:`OptCoverage` field). The stages
 #: write only scopes; this table is the one place that knows both
-#: names.
+#: names. A fact has one scope, so several counters may read it: a
+#: built segment is a trace-cache fill, a deduped one a refresh, and
+#: an eliminated move a consumed ``moves`` entry.
 COUNTER_SCOPES: Dict[str, str] = {
     "tc_fetched_instrs": "fetch.tc.instrs",
-    "ic_fetched_instrs": "fetch.ic.instrs",
     "tc_lookups": "fetch.tc.lookups",
     "tc_hits": "fetch.tc.hits",
     "cond_branches": "branch.cond.seen",
@@ -130,15 +138,15 @@ COUNTER_SCOPES: Dict[str, str] = {
     "wrong_path_fetches": "branch.wrong_path.fetches",
     "bypass_delayed": "backend.bypass.cross_cluster",
     "executed_with_sources": "backend.exec.with_sources",
-    "moves_eliminated": "rename.moves.eliminated",
+    "moves_eliminated": "fetch.tc.opt.moves",
     "predicated_branches": "predication.branches",
     "predication_phantoms": "predication.phantoms",
     "dcache_hits": "mem.l1d.hits",
     "dcache_misses": "mem.l1d.misses",
     "icache_misses": "mem.l1i.misses",
     "forwarded_loads": "mem.forwarded_loads",
-    "segments_built": "fillunit.segments.built",
-    "segments_deduped": "fillunit.segments.deduped",
+    "segments_built": "fetch.tc.fills",
+    "segments_deduped": "fetch.tc.refreshes",
     "coverage.moves": "fetch.tc.opt.moves",
     "coverage.reassoc": "fetch.tc.opt.reassoc",
     "coverage.scaled": "fetch.tc.opt.scaled",

@@ -40,10 +40,9 @@ class FetchStage(PipelineStage):
         self.fill_unit = fill_unit
         self.events = events
         self._ic_line_mask = ~(config.hierarchy.l1i_line - 1)
-        #: committed instructions fetched from the trace cache and
-        #: from the I-cache
+        #: committed instructions fetched from the trace cache (the
+        #: I-cache fetched the rest)
         self.tc_instrs = 0
-        self.ic_instrs = 0
         #: of the trace-cache ones, those a pass optimized, in all and
         #: by moves, reassociation and scaled adds
         self.cov_any = 0
@@ -53,14 +52,14 @@ class FetchStage(PipelineStage):
         #: fetch groups by size: ``{entries: groups}``
         self.group_sizes: Dict[int, int] = {}
         #: the committed stream's pcs, which a line's path must match
-        self._pcs: List[int] = []
+        self._pcs: Tuple[int, ...] = ()
 
     # ==================================================================
     # Group assembly
     # ==================================================================
 
     def begin_run(self, state: MachineState) -> None:
-        self._pcs = [record.pc for record in state.records]
+        self._pcs = tuple([record.pc for record in state.records])
 
     def begin_group(self, state: MachineState) -> None:
         """Assemble the fetch group at the stream cursor: from a
@@ -92,11 +91,12 @@ class FetchStage(PipelineStage):
             entries, fetch_cycle = self._fetch_from_icache(records, start,
                                                            requested)
             consumed = len(entries)
-            self.ic_instrs += consumed
+        # Never empty, so the engine needs no guard: a line found here
+        # starts at the cursor's pc, so it matches the cursor's record
+        # first, and the I-cache path always takes that record.
+        assert entries
         group = FetchGroup(entries, fetch_cycle, segment)
         state.group = group
-        if not entries:     # defensive; cannot happen on real traces
-            return
         group.fetch_extra = fetch_cycle - requested
         group.recovery = state.pending_recovery
         group.serialize = state.pending_serialize
@@ -154,16 +154,17 @@ class FetchStage(PipelineStage):
         Returns ``(entries, consumed)``, and counts the optimization
         coverage of the consumed entries.
 
-        Everything that depends only on the line comes from the fetch
-        plan :meth:`TraceSegment.seal` recorded: the path is matched
-        against the committed pcs, and only the control entries are
-        walked, for the predictor and the return-address stack.
+        Everything that depends only on the line comes from the line:
+        its path (``path_key``) is matched against the committed pcs,
+        and of the fetch plan :meth:`TraceSegment.seal` recorded only
+        the control entries are walked, for the predictor and the
+        return-address stack.
         """
         if segment.predicated:
             entries, consumed = self._walk_predicated(segment, records,
                                                       start)
         else:
-            pcs = segment.pcs
+            pcs = segment.path_key
             actual = self._pcs[start:start + len(pcs)]
             if actual == pcs:
                 consumed = len(pcs)
@@ -219,7 +220,7 @@ class FetchStage(PipelineStage):
         """Match a predicated line entry by entry: a guarded entry off
         the actual path still issues, as a phantom, but consumes no
         committed record. Returns ``(entries, consumed)``."""
-        pcs = segment.pcs
+        pcs = segment.path_key
         slots = segment.slots
         committed = self._pcs
         n = len(committed)
@@ -309,7 +310,6 @@ class FetchStage(PipelineStage):
         telemetry = result.telemetry
         telemetry.update({
             "fetch.tc.instrs": self.tc_instrs,
-            "fetch.ic.instrs": self.ic_instrs,
             "fetch.tc.opt.any": self.cov_any,
             "fetch.tc.opt.moves": self.cov_moves,
             "fetch.tc.opt.reassoc": self.cov_reassoc,
@@ -327,7 +327,6 @@ class FetchStage(PipelineStage):
             telemetry.update({
                 "fetch.tc.lookups": tc.lookups,
                 "fetch.tc.hits": tc.hits,
-                "fetch.tc.misses": tc.lookups - tc.hits,
                 "fetch.tc.fills": tc.fills,
                 "fetch.tc.refreshes": tc.refreshes,
                 "fetch.tc.multipath_hits": tc.multipath_hits,

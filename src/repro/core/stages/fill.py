@@ -49,9 +49,6 @@ class FillStage(PipelineStage):
             return
         stats = unit.stats
         result.telemetry.update({
-            "fillunit.instructions_collected": unit.collected,
-            "fillunit.segments.built": stats.segments_built,
-            "fillunit.segments.deduped": stats.segments_deduped,
             "fillunit.branches.promoted": stats.branches_promoted,
             "fillunit.segment.length": histogram(stats.segment_lengths),
             **unit.counts,

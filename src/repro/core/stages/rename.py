@@ -51,8 +51,6 @@ class RenameStage(PipelineStage):
         self.width_stalls = 0
         self.block_limit_stalls = 0
         self.checkpoint_stalls = 0
-        #: marked moves completed here
-        self.moves_eliminated = 0
 
     def process(self, state: MachineState, entry: FetchEntry) -> None:
         decoded = entry.decoded
@@ -112,13 +110,11 @@ class RenameStage(PipelineStage):
             entry.complete = max(renamed, ready[0])
             entry.penalized = False
             entry.executed = True
-            self.moves_eliminated += 1
 
     def finish_run(self, state: Optional[MachineState],
                    result: SimResult) -> None:
         result.telemetry.update({
             "rename.checkpoint.stalls": self.checkpoint_stalls,
-            "rename.moves.eliminated": self.moves_eliminated,
             "rename.window_stalls": self.window_stalls,
             "rename.width_stalls": self.width_stalls,
             "rename.block_limit_stalls": self.block_limit_stalls,

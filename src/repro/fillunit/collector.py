@@ -105,8 +105,6 @@ class FillCollector:
         self.max_cond_branches = max_cond_branches
         self.trace_packing = trace_packing
         self._kept: List[PendingSegment] = []
-        #: retired instructions collected so far
-        self.collected = 0
         self._pending = PendingSegment()
         self._block = PendingSegment()     # used only when not packing
         # Fetch addresses that recently missed in the trace cache. The
@@ -176,7 +174,6 @@ class FillCollector:
         if entry.phantom:
             return
         record = entry.record
-        self.collected += 1
         pending = self._pending
         if pending.records and record.pc in self._miss_points:
             # Align a fresh segment to an outstanding fetch-miss point.
@@ -205,7 +202,6 @@ class FillCollector:
         if entry.phantom:
             return
         record = entry.record
-        self.collected += 1
         decoded = record.instr.decoded
         block = self._block
         if decoded.is_cond_branch:

@@ -39,8 +39,9 @@ Hooks = Tuple[Callable[..., Any], ...]     # bound observer-stage hooks
 
 @dataclass
 class FillUnitStats:
-    segments_built: int = 0
-    segments_deduped: int = 0
+    """What the fill unit alone knows of its installs (the trace cache
+    counts the fills and refreshes themselves)."""
+
     #: builds that reused the sealed segment of an identical input
     segments_reused: int = 0
     #: promoted branches in the installed segments
@@ -102,15 +103,16 @@ class FillUnit(FillCollector):
         describes (the fill unit's input; also what the verifier
         treats as the original).
 
-        Its entries are the candidate's program instructions and its
-        branch records the candidate's; the segment counts its own
-        region ids."""
+        Its entries are the candidate's program instructions, and its
+        branch records and path the candidate's; the segment counts
+        its own region ids."""
         branches = candidate.branches
         return TraceSegment(
             start_pc=candidate.start_pc,
             instrs=[record.instr for record in candidate.records],
             branches=list(branches),
-            build_promo=tuple([b.promoted for b in branches]))
+            build_promo=tuple([b.promoted for b in branches]),
+            path_key=candidate.path_key)
 
     def build_segment(self, candidate: PendingSegment,
                       cycle: int = 0) -> TraceSegment:
@@ -193,20 +195,18 @@ class FillUnit(FillCollector):
         """Build a finalized candidate and install it.
 
         An identical resident line makes the rebuild redundant: the
-        trace cache keeps it hot instead (one refresh, counted as
-        deduped)."""
+        trace cache keeps it hot instead (one refresh, the deduped
+        count)."""
         deduped = self.trace_cache.refresh(
             candidate.start_pc, candidate.path_key,
             tuple([b.promoted for b in candidate.branches]))
         for hook in self.collect_hooks:
             hook(candidate, cycle, deduped)
-        stats = self.stats
         if deduped:
-            stats.segments_deduped += 1
             return
         segment = self.build_segment(candidate, cycle)
         self.trace_cache.insert(segment, cycle, self.config.fill_latency)
-        stats.segments_built += 1
+        stats = self.stats
         lengths = stats.segment_lengths
         length = len(segment.instrs)
         lengths[length] = lengths.get(length, 0) + 1

@@ -68,13 +68,19 @@ class TraceSegment:
     #: by the fill unit's dedup (passes may remove branch records —
     #: e.g. predication — so the live list cannot be compared).
     build_promo: Tuple[bool, ...] = ()
-    #: the fetch plan, recorded by :meth:`seal`: the path's pcs; the
-    #: control entries as ``(logical index, kind, embedded
-    #: direction)`` with kind :data:`PREDICTED`, :data:`PROMOTED` or
-    #: :data:`UNCONDITIONAL`; ``coverage[k]``, the optimized, move,
-    #: reassociated and scaled counts of the first *k* entries; and
-    #: whether any instruction is predicated (guarded)
-    pcs: List[int] = field(default_factory=list, compare=False, repr=False)
+    #: identity of the embedded path, the entries' pcs, counted from
+    #: the entries unless given (the fill unit passes its candidate's).
+    #: Passes keep every entry's pc, so it holds for the line's life:
+    #: the trace cache keys the line on it and fetch matches it
+    #: against the committed pcs.
+    path_key: Tuple[int, ...] = field(default=(), compare=False,
+                                      repr=False)
+    #: the fetch plan, recorded by :meth:`seal`: the control entries
+    #: as ``(logical index, kind, embedded direction)`` with kind
+    #: :data:`PREDICTED`, :data:`PROMOTED` or :data:`UNCONDITIONAL`;
+    #: ``coverage[k]``, the optimized, move, reassociated and scaled
+    #: counts of the first *k* entries; and whether any instruction is
+    #: predicated (guarded)
     controls: List[Tuple[int, int, bool]] = field(
         default_factory=list, compare=False, repr=False)
     coverage: List[Tuple[int, int, int, int]] = field(
@@ -87,6 +93,8 @@ class TraceSegment:
     def __post_init__(self) -> None:
         if not self.slots:
             self.slots = list(range(len(self.instrs)))
+        if not self.path_key:
+            self.path_key = tuple([instr.pc for instr in self.instrs])
         if not self.block_ids:
             block_ids: List[int] = []
             flow_ids: List[int] = []
@@ -181,7 +189,6 @@ class TraceSegment:
                 scaled += decoded.scaled
             coverage.append((optimized, moves, reassoc, scaled))
             predicated = predicated or instr.guard is not None
-        self.pcs = [instr.pc for instr in self.instrs]
         self.controls = controls
         self.coverage = coverage
         self.predicated = predicated
@@ -204,12 +211,8 @@ class TraceSegment:
             block_ids=self.block_ids,
             flow_ids=self.flow_ids,
             build_promo=self.build_promo,
+            path_key=self.path_key,
             rewritten=set(self.rewritten))
-
-    @property
-    def path_key(self) -> Tuple[int, ...]:
-        """Identity of the embedded path: the PC sequence."""
-        return tuple(instr.pc for instr in self.instrs)
 
     @property
     def unpromoted_branch_count(self) -> int:

@@ -260,6 +260,26 @@ class GroupTimes(PipelineStage):
                                   bool(entry.decoded.move)))
 
 
+class FetchSource(PipelineStage):
+    """Observer stage: committed instructions by where fetch found
+    them, the trace cache (``tc``) or the I-cache (``ic``), and the
+    marked moves among them (``moves``, which rename eliminates)."""
+
+    name = "fetch_source"
+
+    def __init__(self):
+        self.tc = self.ic = self.moves = 0
+
+    def end_group(self, state):
+        group = state.group
+        committed = [entry for entry in group.entries if not entry.phantom]
+        if group.segment is not None:
+            self.tc += len(committed)
+        else:
+            self.ic += len(committed)
+        self.moves += sum(1 for entry in committed if entry.decoded.move)
+
+
 class ReferenceAccountant(PipelineStage):
     """The reference cycle attribution: an observer stage that
     classifies every retirement as it reads each finished fetch group,

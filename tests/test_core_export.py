@@ -31,10 +31,10 @@ def test_each_count_stored_once(service):
     coverage are read from their telemetry scopes, not stored."""
     result = service.run(opt_job("compress", OptimizationConfig.all()))
     payload = result_to_dict(result)
-    assert payload["schema"] == SCHEMA_VERSION == 3
+    assert payload["schema"] == SCHEMA_VERSION == 4
     assert set(payload) == {"benchmark", "config_label", "instructions",
                             "cycles", "telemetry", "attribution",
-                            "schema", "derived"}
+                            "schema"}
     assert result.tc_hits == payload["telemetry"]["fetch.tc.hits"] > 0
     assert result.coverage.moves == payload["telemetry"][
         "fetch.tc.opt.moves"]

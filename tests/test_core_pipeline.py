@@ -10,7 +10,7 @@ from repro.errors import ConfigError, ReproError
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine.executor import Executor
 from repro.telemetry import Telemetry
-from tests.helpers import GroupTimes, run_asm
+from tests.helpers import FetchSource, GroupTimes, run_asm
 
 LOOP = """
 main:
@@ -184,10 +184,14 @@ def test_independent_work_runs_parallel():
 
 
 def test_trace_cache_warmup_supplies_instructions():
-    result, _ = simulate(LOOP)
-    assert result.tc_fetched_instrs > 0
-    assert result.tc_fetched_instrs + result.ic_fetched_instrs == \
-        result.instructions
+    _, trace = run_asm(LOOP)
+    engine = Engine(SimConfig.tiny())
+    source = FetchSource()
+    engine.stages.append(source)
+    result = engine.run(trace, "test", "run")
+    assert result.tc_fetched_instrs == source.tc > 0
+    assert result.ic_fetched_instrs == source.ic > 0
+    assert source.tc + source.ic == result.instructions
     assert result.tc_instr_fraction > 0.5
 
 
@@ -284,9 +288,14 @@ def test_moves_eliminated_only_with_optimization():
         halt
     """
     base, _ = simulate(source)
-    opt, _ = simulate(source, opts=OptimizationConfig.only("moves"))
+    _, trace = run_asm(source)
+    engine = Engine(SimConfig.tiny(OptimizationConfig.only("moves")))
+    fetched = FetchSource()
+    engine.stages.append(fetched)
+    opt = engine.run(trace, "test", "run")
     assert base.moves_eliminated == 0
-    assert opt.moves_eliminated > 0
+    # rename eliminates every marked move fetched on the path
+    assert opt.moves_eliminated == fetched.moves > 0
     assert opt.ipc >= base.ipc
 
 

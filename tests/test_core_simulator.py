@@ -57,7 +57,7 @@ def test_finished_engine_is_not_cyclic_garbage(observed):
         engine = Engine(SimConfig.tiny(OptimizationConfig.extended()),
                         telemetry=telemetry)
         engine.run(trace, benchmark="prog")
-        assert engine.fill_unit.stats.segments_built > 0
+        assert engine.trace_cache.stats.fills > 0
         trace_cache = weakref.ref(engine.trace_cache)
         fill_unit = weakref.ref(engine.fill_unit)
         del engine

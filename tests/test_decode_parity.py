@@ -94,7 +94,8 @@ def assert_parity(instr) -> None:
 
 
 def reference_plan(segment) -> tuple:
-    """The fetch plan computed from the entries, one at a time."""
+    """The path and the fetch plan computed from the entries, one at
+    a time."""
     promoted = {b.index: b.direction for b in segment.branches
                 if b.promoted}
     controls = []
@@ -115,14 +116,15 @@ def reference_plan(segment) -> tuple:
             sum(1 for i in prefix if i.move_flag),
             sum(1 for i in prefix if i.reassociated),
             sum(1 for i in prefix if i.scale is not None)))
-    return ([instr.pc for instr in segment.instrs], controls, coverage,
+    return (tuple([instr.pc for instr in segment.instrs]), controls,
+            coverage,
             any(instr.guard is not None for instr in segment.instrs))
 
 
 def assert_sealed(segment) -> None:
     for instr in segment.instrs:
         assert_parity(instr)
-    assert (segment.pcs, segment.controls, segment.coverage,
+    assert (segment.path_key, segment.controls, segment.coverage,
             segment.predicated) == reference_plan(segment)
 
 

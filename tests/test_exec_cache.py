@@ -131,7 +131,7 @@ def test_envelope_bytes_match_the_streamed_deep_copy(tmp_path):
 
     shallow = result_to_dict(result)
     deep = asdict(result)
-    deep.update(schema=shallow["schema"], derived=shallow["derived"])
+    deep.update(schema=shallow["schema"])
     streamed = io.StringIO()
     json.dump({"envelope": ENVELOPE_VERSION, "fingerprint": FP,
                "provenance": provenance, "result": deep},

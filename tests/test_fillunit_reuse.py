@@ -45,7 +45,7 @@ def content(segment) -> tuple:
     return (segment.start_pc, segment.block_ids, segment.flow_ids,
             instrs, segment.slots,
             segment.branches, segment.build_promo,
-            segment.pcs, segment.controls, segment.coverage,
+            segment.path_key, segment.controls, segment.coverage,
             segment.predicated)
 
 
@@ -169,24 +169,24 @@ class ReuseCheck(PipelineStage):
 #: scale 0.15 on the evicting machine under ``extended()``; the counts
 #: were first pinned before the fill unit reused segments
 EVICTING_EXTENDED = {
-    ("compress", "lru"): (5328, "1138dba653df4cf05471b8337d166204"
-                                "70f37e2f40b7710671e7fc616075c2b2"),
-    ("compress", "srrip"): (5308, "01c5d68dd4c27d517cb8fc01cf5f1bc8"
-                                  "9e6b38c48fdd50cde5c1ecb00745cfc7"),
-    ("compress", "trrip"): (5305, "1cd000d7450fe377fab14f57df1411f7"
-                                  "0ddf03b92b79add17e5058db8588fd2b"),
-    ("li", "lru"): (4280, "da6f54e7bd9151c75716c87f36b574ef"
-                          "0e84cd9e29c56a86fac272be21943018"),
-    ("li", "srrip"): (4302, "9f6aced57afb6f2c66108c6773d5c368"
-                            "7efd9a274ed52956f41be0d45f04b88b"),
-    ("li", "trrip"): (4265, "db99d190843b85c4f3957b3b989dc215"
-                            "188b44117579f3a5cc75d305bc764cb7"),
-    ("gcc", "lru"): (3483, "0dcbbc58c724bb58855b868981ba239a"
-                           "e873f6027ed9d6a0e1c6e37e3e52043d"),
-    ("gcc", "srrip"): (3378, "551bdc6f8fe53096f0011ab6547fd751"
-                             "6462c8168e98bfb6444946f76480a9e1"),
-    ("gcc", "trrip"): (3345, "4938bfabe099b26ff8d8008b81a8effc"
-                             "47e03db696b6ce94622c9db5f0fede98"),
+    ("compress", "lru"): (5328, "33a175c9f8c07767150c9686cce81ff2"
+                                "0efeb90cbc07a9c05c7343f79662a8c6"),
+    ("compress", "srrip"): (5308, "5aad303f2e7bfee84acdd6974ef8a590"
+                                  "d76333a9d4e65178b2946377f27ddd88"),
+    ("compress", "trrip"): (5305, "864f83eeef5b232d033554803402d7c2"
+                                  "ac3a844c1206ac6ffba89c5230652d22"),
+    ("li", "lru"): (4280, "2a52458389bb9c296573cf82d04e7aef"
+                          "d3f7cf21fffbdab03aee99e98eba07b3"),
+    ("li", "srrip"): (4302, "5ec93c2779ad4f43992a1d4eb453d6bc"
+                            "2c9f45ddf4e65fc168f3b651ea616e4c"),
+    ("li", "trrip"): (4265, "d4ed3a56f619c47f67d23c089487a072"
+                            "19e9dabf7b11b07b9f33e0f935a4ea50"),
+    ("gcc", "lru"): (3483, "aaba6227e53470f49cc65a93225d0026"
+                           "3c856a733f05cd6355e50dd69fadba65"),
+    ("gcc", "srrip"): (3378, "ca188570078497ff0b6db582b8a4003b"
+                             "aaebe5cac7b1fe7fea0be34d766ac0d7"),
+    ("gcc", "trrip"): (3345, "556f6e1a8d4a66c01c0384a981fa439b"
+                             "d227102b043e5a27d4842f43e1bf5092"),
 }
 
 _RUNS: dict = {}
@@ -232,7 +232,7 @@ def test_each_build_validates_once(bench, passes_run, monkeypatch):
     trace = Executor(workloads.build(bench, scale=0.3)).run()
     engine = Engine(evicting_config(OptimizationConfig.all(), "lru"))
     engine.run(trace, bench)
-    stats = engine.fill_unit.stats
-    assert stats.segments_reused > 0
-    assert len(calls) == stats.segments_built - stats.segments_reused \
+    reused = engine.fill_unit.stats.segments_reused
+    assert reused > 0
+    assert len(calls) == engine.trace_cache.stats.fills - reused \
         == passes_run

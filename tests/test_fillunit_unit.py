@@ -60,32 +60,53 @@ def test_unit_builds_after_config_is_imported_first():
     assert out == {"lines": SimConfig.paper().trace_cache.num_lines}
 
 
-def feed(unit, trace):
-    for cycle, record in enumerate(trace):
+def feed(unit, trace, start=0):
+    for cycle, record in enumerate(trace, start):
         if record.instr.is_cond_branch():
             unit.bias.record(record.pc, record.taken)
         unit.feed(record, cycle)
 
 
+def collected(unit):
+    """Record every candidate the unit finalizes, with whether the
+    trace cache already held its line; returns the list."""
+    seen = []
+    unit.collect_hooks = (
+        lambda candidate, cycle, deduped: seen.append((candidate,
+                                                       deduped)),)
+    return seen
+
+
 def test_segments_installed_with_latency():
+    """A built line is installed at once but becomes visible to
+    lookups only at its finalizing instruction's retire cycle plus the
+    fill latency."""
     unit, tc = make_unit(latency=7)
+    built = []
+    unit.build_hooks = (lambda segment, cycle: built.append(segment),)
     _, trace = run_asm(LOOP)
-    feed(unit, trace)
-    assert unit.stats.segments_built > 0
-    assert tc.stats.fills == unit.stats.segments_built
-    seg = tc.probe(trace[0].pc)
-    assert seg is not None
-    # visible from the finalizing instruction's retire cycle + latency
+    for cycle, record in enumerate(trace):
+        feed(unit, [record], cycle)
+        if built:
+            break
+    segment, = built
+    assert tc.stats.fills == 1
+    assert tc.probe(segment.start_pc) is segment
+    assert tc.lookup(segment.start_pc, cycle + 6) is None
+    assert tc.lookup(segment.start_pc, cycle + 7) is segment
 
 
 def test_identical_segments_deduped():
     """A hot loop rebuilds the same segment over and over; the fill
     unit recognizes it and refreshes the line instead of re-optimizing."""
     unit, tc = make_unit()
+    candidates = collected(unit)
     _, trace = run_asm(LOOP)
     feed(unit, trace)
-    assert unit.stats.segments_deduped > 0
-    assert tc.stats.refreshes == unit.stats.segments_deduped
+    deduped = sum(1 for _, hit in candidates if hit)
+    assert deduped > 0
+    assert tc.stats.refreshes == deduped
+    assert tc.stats.fills == len(candidates) - deduped
 
 
 def test_pass_counts_accumulate():
@@ -168,10 +189,17 @@ def test_assembled_segments_carry_region_ids():
 
 
 def test_instructions_collected_counter():
+    """Every fed record lands in one candidate: a finalized one or
+    what is left pending at the end."""
     unit, _ = make_unit()
+    candidates = collected(unit)
     _, trace = run_asm(LOOP)
     feed(unit, trace)
-    assert unit.collected == len(trace)
+    records = [record for candidate, _ in candidates
+               for record in candidate.records]
+    records += [record for candidate in unit.flush()
+                for record in candidate.records]
+    assert records == list(trace)
 
 
 def test_note_fetch_miss_propagates_to_collector():

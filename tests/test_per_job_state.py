@@ -40,8 +40,9 @@ def test_placement_marks_each_build_once(trace, monkeypatch):
     monkeypatch.setattr(PlacementPass, "apply", counting)
     engine = Engine(SimConfig.paper(OptimizationConfig.all()))
     engine.run(trace, "compress")
-    stats = engine.fill_unit.stats
-    assert len(calls) == stats.segments_built - stats.segments_reused > 0
+    fills = engine.trace_cache.stats.fills
+    reused = engine.fill_unit.stats.segments_reused
+    assert len(calls) == fills - reused > 0
 
 
 POLICIES = [("lru", "lru"), ("srrip", "trrip"), ("trrip", "srrip")]

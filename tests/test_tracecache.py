@@ -14,11 +14,14 @@ from tests.helpers import record_policy_hooks
 
 
 def make_segment(start_pc=0x1000, length=4, branch_at=None,
-                 promoted=False, direction=True, terminator=None):
+                 promoted=False, direction=True, terminator=None,
+                 pc_at=None):
+    """A straight-line segment from *start_pc*, with entries moved to
+    the pcs *pc_at* names (``{index: pc}``, another path)."""
     instrs = []
     branches = []
     for idx in range(length):
-        pc = start_pc + 4 * idx
+        pc = (pc_at or {}).get(idx, start_pc + 4 * idx)
         if branch_at is not None and idx in branch_at:
             instr = Instruction(Op.BEQ, rs=1, rt=2, imm=8, pc=pc)
             branches.append(BranchInfo(idx, pc, direction, promoted))
@@ -167,21 +170,20 @@ def test_same_path_insert_replaces_content():
 def test_path_associativity_keeps_both_paths():
     tc = make_tc()
     taken = make_segment(0x1000, branch_at={1}, direction=True)
-    fallthrough = make_segment(0x1000, branch_at={1}, direction=False)
-    fallthrough.instrs[2].pc = 0x1100    # different continuation
-    fallthrough_key = fallthrough.path_key
+    fallthrough = make_segment(0x1000, branch_at={1}, direction=False,
+                               pc_at={2: 0x1100})   # another continuation
     tc.insert(taken, now=0)
     tc.insert(fallthrough, now=0)
     assert tc.stats.fills == 2
-    assert tc.probe(0x1000, taken.path_key) is not None
-    assert tc.probe(0x1000, fallthrough_key) is not None
+    assert tc.probe(0x1000, taken.path_key) is taken
+    assert tc.probe(0x1000, fallthrough.path_key) is fallthrough
 
 
 def test_chooser_selects_agreeing_path():
     tc = make_tc()
     taken = make_segment(0x1000, branch_at={1}, direction=True)
-    fallthrough = make_segment(0x1000, branch_at={1}, direction=False)
-    fallthrough.instrs[2].pc = 0x1100
+    fallthrough = make_segment(0x1000, branch_at={1}, direction=False,
+                               pc_at={2: 0x1100})
     tc.insert(taken, now=0)
     tc.insert(fallthrough, now=0)
     picked = tc.lookup(0x1000, now=1,
@@ -209,8 +211,8 @@ def test_probe_without_path_key_returns_mru_match():
     not the oldest-inserted one."""
     tc = make_tc()
     taken = make_segment(0x1000, branch_at={1}, direction=True)
-    fallthrough = make_segment(0x1000, branch_at={1}, direction=False)
-    fallthrough.instrs[2].pc = 0x1100
+    fallthrough = make_segment(0x1000, branch_at={1}, direction=False,
+                               pc_at={2: 0x1100})
     tc.insert(taken, now=0)
     tc.insert(fallthrough, now=0)
     # fallthrough was installed last, hence is MRU.
