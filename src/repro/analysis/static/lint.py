@@ -21,7 +21,7 @@ executor can run straight past:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.static.cfg import ControlFlowGraph
 from repro.analysis.static.dataflow import (
@@ -58,18 +58,6 @@ def lint_program(cfg: ControlFlowGraph) -> List[LintFinding]:
     findings.extend(_missing_returns(cfg))
     findings.sort(key=lambda f: (f.pc if f.pc is not None else -1, f.rule))
     return findings
-
-
-def lint_counts(findings: List[LintFinding],
-                severity: Optional[str] = None) -> Dict[str, int]:
-    """Per-rule finding counts (the CI baseline's unit of regression),
-    optionally restricted to one severity."""
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        if severity is not None and finding.severity != severity:
-            continue
-        counts[finding.rule] = counts.get(finding.rule, 0) + 1
-    return counts
 
 
 def _bad_branch_targets(cfg: ControlFlowGraph) -> List[LintFinding]:
@@ -112,5 +100,4 @@ def _missing_returns(cfg: ControlFlowGraph) -> List[LintFinding]:
     return out
 
 
-__all__ = ["ERROR", "WARNING", "LintFinding", "lint_counts",
-           "lint_program"]
+__all__ = ["ERROR", "WARNING", "LintFinding", "lint_program"]

@@ -92,7 +92,7 @@ class OpportunityAnalysis(DataflowAnalysis[OppValue]):
     ``Z`` at the same point.
     """
 
-    def __init__(self, max_shift: int = 3) -> None:
+    def __init__(self, max_shift: int) -> None:
         self.max_shift = max_shift
 
     def boundary(self, cfg: ControlFlowGraph) -> OppValue:
@@ -138,21 +138,9 @@ class OpportunitySites:
     reassoc: FrozenSet[int]
     scaled: FrozenSet[int]
 
-    @property
-    def any_opt(self) -> FrozenSet[int]:
-        return self.moves | self.reassoc | self.scaled
-
-    def counts(self) -> Dict[str, int]:
-        return {"moves": len(self.moves), "reassoc": len(self.reassoc),
-                "scaled": len(self.scaled), "any_opt": len(self.any_opt)}
-
-    def as_sets(self) -> Dict[str, FrozenSet[int]]:
-        return {"moves": self.moves, "reassoc": self.reassoc,
-                "scaled": self.scaled, "any_opt": self.any_opt}
-
 
 def find_opportunities(cfg: ControlFlowGraph,
-                       max_shift: int = 3) -> OpportunitySites:
+                       max_shift: int) -> OpportunitySites:
     """Run the joint analysis and classify every instruction."""
     result = solve(cfg, OpportunityAnalysis(max_shift))
     moves: Set[int] = set()
@@ -198,8 +186,8 @@ class BlockPressure:
     cross_cluster_edges: int  # edges crossing clusters if issued in order
 
 
-def block_pressure(block: BasicBlock, num_clusters: int = 4,
-                   cluster_size: int = 4) -> BlockPressure:
+def block_pressure(block: BasicBlock, num_clusters: int,
+                   cluster_size: int) -> BlockPressure:
     """Profile *block* under naive in-order issue-slot assignment.
 
     ``cross_cluster_edges`` counts the dependence edges that would pay
@@ -233,8 +221,8 @@ def block_pressure(block: BasicBlock, num_clusters: int = 4,
                          cross_cluster_edges=crossing)
 
 
-def placement_pressure(cfg: ControlFlowGraph, num_clusters: int = 4,
-                       cluster_size: int = 4) -> List[BlockPressure]:
+def placement_pressure(cfg: ControlFlowGraph, num_clusters: int,
+                       cluster_size: int) -> List[BlockPressure]:
     return [block_pressure(block, num_clusters, cluster_size)
             for block in cfg.blocks]
 

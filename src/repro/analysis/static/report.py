@@ -5,20 +5,22 @@ opportunity detectors, the placement profile and the lint pass over an
 assembled :class:`~repro.program.image.Program`, and folds everything
 into an :class:`AnalysisReport` — the object the CLI ``analyze`` verb
 prints, ``core/export`` serialises, and the harness cross-checker
-treats as the oracle.
+treats as the oracle. The machine parameters (the scaled-add shift
+limit, the cluster geometry) come from the :class:`~repro.core.config.
+SimConfig` the fill unit is built from, so the bound and the run it
+bounds cannot disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List
 
 from repro.analysis.static.cfg import build_cfg
 from repro.analysis.static.lint import (
     ERROR,
     WARNING,
     LintFinding,
-    lint_counts,
     lint_program,
 )
 from repro.analysis.static.opportunities import (
@@ -26,6 +28,7 @@ from repro.analysis.static.opportunities import (
     find_opportunities,
     placement_pressure,
 )
+from repro.core.config import SimConfig
 from repro.program.image import Program
 
 
@@ -73,11 +76,6 @@ class AnalysisReport:
     def lint_warnings(self) -> List[LintFinding]:
         return [f for f in self.lint if f.severity == WARNING]
 
-    def lint_rule_counts(self,
-                         severity: Optional[str] = None
-                         ) -> Dict[str, int]:
-        return lint_counts(self.lint, severity)
-
     def summary(self) -> str:
         bounds = self.static_bounds()
         return (f"{self.benchmark:12s} instrs={self.instructions:5d} "
@@ -89,17 +87,18 @@ class AnalysisReport:
                 f"{len(self.lint_warnings())} warnings")
 
 
-def analyze_program(program: Program, benchmark: str = "",
-                    max_shift: int = 3, num_clusters: int = 4,
-                    cluster_size: int = 4) -> AnalysisReport:
-    """Run the full static analysis over *program*."""
+def analyze_program(program: Program, benchmark: str,
+                    config: SimConfig) -> AnalysisReport:
+    """Run the full static analysis over *program* for the machine
+    *config*: its scaled-add shift limit and its cluster geometry."""
     cfg = build_cfg(program)
-    sites = find_opportunities(cfg, max_shift=max_shift)
+    sites = find_opportunities(
+        cfg, config.optimizations.max_scale_shift)
     pressure: List[BlockPressure] = placement_pressure(
-        cfg, num_clusters, cluster_size)
+        cfg, config.num_clusters, config.cluster_size)
     reachable = cfg.reachable()
     return AnalysisReport(
-        benchmark=benchmark or program.name,
+        benchmark=benchmark,
         instructions=len(program.instructions),
         blocks=len(cfg.blocks),
         edges=len(cfg.edges()),

@@ -67,17 +67,11 @@ class PredictorConfig:
 
 @dataclass
 class PredictorStats:
-    cond_predictions: int = 0
-    cond_mispredicts: int = 0
-    promoted_predictions: int = 0
-    promoted_mispredicts: int = 0
-    indirect_predictions: int = 0
-    indirect_mispredicts: int = 0
+    """Lookups per table kind; the mispredicts are counted at retire,
+    where a branch's outcome is resolved against its prediction."""
 
-    @property
-    def cond_accuracy(self) -> float:
-        total = self.cond_predictions
-        return 1.0 - self.cond_mispredicts / total if total else 1.0
+    cond_predictions: int = 0
+    indirect_predictions: int = 0
 
 
 class MultiBranchPredictor:
@@ -121,8 +115,6 @@ class MultiBranchPredictor:
         """
         table = self.phts[min(position, len(self.phts) - 1)]
         predicted = table.update(pc, self.history.value, taken)
-        if predicted != taken:
-            self.stats.cond_mispredicts += 1
         self.history.push(taken)
         self.stats.cond_predictions += 1
         return predicted

@@ -21,11 +21,13 @@ Commands:
   whose last line names the benchmarks outside 3x of the paper's
   coverage. ``--svg DIR`` also writes the figures as SVG files.
 * ``analyze [BENCH ...]`` — static analysis (CFG, dataflow, fill-unit
-  opportunity bounds, workload lint; see ``docs/static-analysis.md``);
-  ``--baseline`` gates lint counts against a checked-in baseline and
-  ``--cross-check`` validates the dynamic optimizers against the
-  static opportunity oracle and prints, per opt class, the committed
-  instructions the run covered (the paper's Table 2 coverage).
+  opportunity bounds, workload lint; see ``docs/static-analysis.md``)
+  of the machine the common options build, whose scaled-add shift
+  limit and cluster geometry the bounds take; exits 1 on a lint
+  error. ``--cross-check`` validates the dynamic optimizers on that
+  same machine against the static opportunity oracle and prints, per
+  opt class, the committed instructions the run covered (the paper's
+  Table 2 coverage).
 * ``asm FILE`` — assemble and run an assembly file (functionally, and
   optionally through the timing model).
 """
@@ -246,15 +248,15 @@ def cmd_figures(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """Statically analyze workloads: CFG/loop shape, fill-unit
-    opportunity bounds, and lint findings. Optionally compare lint
-    counts against a checked-in baseline and cross-check the dynamic
-    optimizers against the static opportunity oracle; exits nonzero
-    on lint errors, baseline regressions or oracle violations."""
+    """Statically analyze workloads for the machine ``_config`` builds:
+    CFG/loop shape, fill-unit opportunity bounds and lint findings.
+    Optionally cross-check the dynamic optimizers, on that same
+    machine, against the static opportunity oracle; exits 1 on lint
+    errors or oracle violations."""
     import json
 
     from repro.analysis.static import analyze_program
-    from repro.core.export import ANALYSIS_SCHEMA_VERSION, analysis_to_dict
+    from repro.core.export import analysis_to_dict
 
     names = args.benchmarks or workloads.names()
     unknown = [n for n in names if n not in workloads.names()]
@@ -262,12 +264,12 @@ def cmd_analyze(args) -> int:
         print(f"unknown benchmark(s): {', '.join(unknown)}")
         return 2
 
+    config = _config(args)
     reports = {}
     failures = []
     for name in names:
         program = workloads.build(name, args.scale)
-        report = analyze_program(program, name,
-                                 max_shift=args.max_shift)
+        report = analyze_program(program, name, config)
         reports[name] = report
         print(report.summary())
         for finding in report.lint[:args.show]:
@@ -282,64 +284,9 @@ def cmd_analyze(args) -> int:
                        for name, r in reports.items()}, handle, indent=1)
         print(f"wrote {len(reports)} analysis reports to {args.json}")
 
-    def _bench_payload(report):
-        return {
-            "lint": {"errors": report.lint_rule_counts("error"),
-                     "warnings": report.lint_rule_counts("warning")},
-            "sites": report.static_bounds(),
-        }
-
-    baseline_payload = {
-        "schema": ANALYSIS_SCHEMA_VERSION,
-        "scale": args.scale,
-        "benchmarks": {name: _bench_payload(report)
-                       for name, report in reports.items()},
-    }
-    if args.write_baseline:
-        with open(args.write_baseline, "w") as handle:
-            json.dump(baseline_payload, handle, indent=1,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote baseline for {len(reports)} benchmarks to "
-              f"{args.write_baseline}")
-    elif args.baseline:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        if baseline.get("scale") != args.scale:
-            print(f"baseline was recorded at scale "
-                  f"{baseline.get('scale')} but this run used "
-                  f"{args.scale}; re-run with the matching --scale")
-            return 2
-        for name, report in reports.items():
-            recorded = baseline.get("benchmarks", {}).get(name)
-            if recorded is None:
-                print(f"  {name}: not in baseline (new benchmark?)")
-                continue
-            old_lint = recorded.get("lint", {})
-            for key, severity in (("errors", "error"),
-                                  ("warnings", "warning")):
-                old_counts = old_lint.get(key, {})
-                new_counts = report.lint_rule_counts(severity)
-                for rule in sorted(set(new_counts) | set(old_counts)):
-                    new_n = new_counts.get(rule, 0)
-                    old_n = old_counts.get(rule, 0)
-                    if new_n > old_n:
-                        failures.append(
-                            f"{name}: lint {severity} rule '{rule}' "
-                            f"regressed {old_n} -> {new_n}")
-            old_sites = recorded.get("sites", {})
-            new_sites = report.static_bounds()
-            drift = {k: (old_sites.get(k), v)
-                     for k, v in new_sites.items()
-                     if old_sites.get(k) != v}
-            if drift:
-                print(f"  {name}: site counts drifted vs baseline: "
-                      f"{drift} (informational)")
-
     if args.cross_check:
         from repro.errors import ConfigError
         from repro.harness.crosscheck import cross_check
-        config = _config(args)
         print()
         for name in names:
             trace = Executor(workloads.build(name, args.scale)).run()
@@ -433,17 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("benchmarks", nargs="*", metavar="BENCH",
                        help="benchmarks to analyze (default: all)")
     _add_common(p_ana)
-    p_ana.add_argument("--max-shift", type=int, default=3,
-                       help="largest SLL amount counted as a scaled-add "
-                            "opportunity (default 3)")
     p_ana.add_argument("--json", metavar="FILE",
                        help="write full analysis reports to FILE")
-    p_ana.add_argument("--baseline", metavar="FILE",
-                       help="fail if lint counts regress vs this "
-                            "baseline JSON")
-    p_ana.add_argument("--write-baseline", metavar="FILE",
-                       help="record the current lint/site counts as "
-                            "the new baseline")
     p_ana.add_argument("--cross-check", action="store_true",
                        help="simulate each benchmark, check dynamic "
                             "transformed PCs against the static bounds "

@@ -1,17 +1,17 @@
-"""Result serialization: SimResult / AnalysisReport -> JSON and back.
+"""Result serialization: SimResult / AnalysisReport -> JSON.
 
 :func:`result_to_dict` is the result half of the exec-cache envelope
-(:mod:`repro.exec.cache`) and of the worker pool's return value;
-:func:`diff_results` diffs two runs of one experiment, which is how
-``tools/compare_runs.py`` compares envelope sets across code versions.
-The analysis half carries the static analyzer's reports into the CI
-baseline (``tools/analysis_baseline.json``).
+(:mod:`repro.exec.cache`) and of the worker pool's return value, and
+:func:`result_from_dict` reads it back; :func:`diff_results` diffs two
+such dicts of one experiment, which is how ``tools/compare_runs.py``
+compares envelope sets across code versions (and export schemas).
+:func:`analysis_to_dict` is what ``repro analyze --json`` writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, fields
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core.results import SimResult
 
@@ -21,7 +21,9 @@ from repro.core.results import SimResult
 #: the fill unit's pass counts summed over passes, version 1 the typed
 #: counters and ``coverage`` beside their scopes)
 SCHEMA_VERSION = 4
-ANALYSIS_SCHEMA_VERSION = 3
+#: 4: a report's fields only (version 3 also restated its site bounds
+#: and lint counts in a ``derived`` block)
+ANALYSIS_SCHEMA_VERSION = 4
 
 
 def result_to_dict(result: SimResult) -> dict:
@@ -47,80 +49,52 @@ def result_from_dict(payload: dict) -> SimResult:
     return SimResult(**data)
 
 
-def _flatten(name: str, value: Any, flat: dict) -> None:
-    """Add *value* to *flat* under *name*, a dict one leaf at a time
-    (``name.key``, recursively)."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _flatten(f"{name}.{key}", item, flat)
-    else:
-        flat[name] = value
-
-
-def _counters(result: SimResult) -> dict:
-    """Every scalar field of *result*, and every leaf of its dicts:
-    ``attribution.<class>`` and ``telemetry.<scope>``
-    (``telemetry.<scope>.<field>`` for a histogram)."""
+def _flatten(payload: dict, prefix: str = "") -> dict:
+    """*payload* one leaf at a time: a nested dict's leaves under
+    ``key.subkey`` (recursively)."""
     flat: dict = {}
-    for name, value in asdict(result).items():
-        _flatten(name, value, flat)
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
     return flat
 
 
-def diff_results(old: SimResult, new: SimResult) -> Optional[str]:
-    """Every counter that differs between two runs of the same
-    experiment, one ``name: old -> new`` line each, or ``None`` when
-    all are equal.
+def diff_results(old: dict, new: dict) -> Optional[str]:
+    """Every value that differs between two result dicts of the same
+    experiment (:func:`result_to_dict` output, of any schema), one
+    ``name: old -> new`` line each, or ``None`` when all are equal.
+
+    A dict field is compared leaf by leaf: ``attribution.<class>``,
+    ``telemetry.<scope>`` (``telemetry.<scope>.<field>`` for a
+    histogram). A key only one side has reads ``-`` on the other, so
+    two schemas still pair: ``schema: 3 -> 4`` and one line per
+    dropped key.
 
     Raises:
-        ValueError: when the runs are not the same experiment.
+        ValueError: when the dicts do not describe the same experiment.
     """
-    if (old.benchmark, old.config_label) != (new.benchmark,
-                                             new.config_label):
+    experiment = ("benchmark", "config_label")
+    if [old.get(k) for k in experiment] != [new.get(k) for k in experiment]:
         raise ValueError("results describe different experiments")
-    before, after = _counters(old), _counters(new)
+    before, after = _flatten(old), _flatten(new)
     lines = [f"  {name}: {before.get(name, '-')} -> {after.get(name, '-')}"
              for name in {**before, **after}
-             if before.get(name) != after.get(name)]
+             if before.get(name, "-") != after.get(name, "-")]
     if not lines:
         return None
-    return "\n".join([f"{old.benchmark}[{old.config_label}]:"] + lines)
+    return "\n".join([f"{old['benchmark']}[{old['config_label']}]:"]
+                     + lines)
 
 
 def analysis_to_dict(report) -> dict:
     """A JSON-safe dict of one :class:`~repro.analysis.static.report.
-    AnalysisReport` (schema-versioned)."""
+    AnalysisReport` (schema-versioned): its fields, each fact once."""
     payload = asdict(report)
     payload["schema"] = ANALYSIS_SCHEMA_VERSION
-    payload["derived"] = {
-        "static_bounds": report.static_bounds(),
-        "lint_rule_counts": report.lint_rule_counts(),
-        "lint_errors": len(report.lint_errors()),
-        "lint_warnings": len(report.lint_warnings()),
-    }
     return payload
 
 
-def analysis_from_dict(payload: dict):
-    """Rebuild an ``AnalysisReport`` from :func:`analysis_to_dict`.
-
-    Raises:
-        ValueError: on an unknown schema version or an unknown key.
-    """
-    from repro.analysis.static.lint import LintFinding
-    from repro.analysis.static.report import AnalysisReport
-    if payload.get("schema") != ANALYSIS_SCHEMA_VERSION:
-        raise ValueError(
-            f"unknown analysis schema {payload.get('schema')!r}")
-    data = {k: v for k, v in payload.items()
-            if k not in ("schema", "derived")}
-    unknown = sorted(set(data) - {f.name for f in fields(AnalysisReport)})
-    if unknown:
-        raise ValueError(f"unknown analysis key(s) {', '.join(unknown)}")
-    data["lint"] = [LintFinding(**f) for f in data.get("lint", [])]
-    return AnalysisReport(**data)
-
-
 __all__ = ["result_to_dict", "result_from_dict", "diff_results",
-           "SCHEMA_VERSION", "analysis_to_dict", "analysis_from_dict",
-           "ANALYSIS_SCHEMA_VERSION"]
+           "SCHEMA_VERSION", "analysis_to_dict", "ANALYSIS_SCHEMA_VERSION"]

@@ -317,7 +317,6 @@ class FetchStage(PipelineStage):
             "fetch.group.size": histogram(self.group_sizes),
             "mem.l1i.misses": self.hierarchy.l1i.stats.misses,
             "branch.pht.predictions": pred.cond_predictions,
-            "branch.pht.mispredicts": pred.cond_mispredicts,
             "branch.indirect.predictions": pred.indirect_predictions,
         })
         # The trace cache's own statistics (fresh per engine), so one

@@ -8,7 +8,8 @@ included) plus a small provenance header. Writes are atomic
 the same fingerprint can only ever leave a complete entry; corrupt or
 schema-incompatible entries read as misses and are quietly discarded.
 The envelope is the run record; ``tools/compare_runs.py`` diffs two
-directories of them (:meth:`ResultCache.envelopes`) by provenance.
+directories of them (:meth:`ResultCache.envelopes`, which yields each
+result as stored, so an older schema still reads) by provenance.
 """
 
 from __future__ import annotations
@@ -47,20 +48,23 @@ class ResultCache:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _read(path: Path) -> Tuple[Dict[str, object], SimResult]:
+    def _read(path: Path) -> Tuple[Dict[str, object], dict]:
+        """The entry's provenance and its raw ``result`` dict."""
         with open(path) as handle:
             envelope = json.load(handle)
         if envelope.get("envelope") != ENVELOPE_VERSION:
             raise ValueError("envelope version mismatch")
-        return (envelope.get("provenance", {}),
-                result_from_dict(envelope["result"]))
+        result = envelope["result"]
+        if not isinstance(result, dict):
+            raise ValueError("result is not an object")
+        return envelope.get("provenance", {}), result
 
     def get(self, fingerprint: str) -> Optional[SimResult]:
         """The cached result, or ``None`` on a miss (including corrupt
         or schema-incompatible entries, which are removed)."""
         path = self._path(fingerprint)
         try:
-            return self._read(path)[1]
+            return result_from_dict(self._read(path)[1])
         except FileNotFoundError:
             return None
         except (ValueError, KeyError, TypeError, AttributeError):
@@ -70,9 +74,10 @@ class ResultCache:
             path.unlink(missing_ok=True)
             return None
 
-    def envelopes(self) -> Iterator[Tuple[Dict[str, object], SimResult]]:
-        """``(provenance, result)`` of every entry, in path order; an
-        unreadable entry raises ``ValueError`` naming it (and stays)."""
+    def envelopes(self) -> Iterator[Tuple[Dict[str, object], dict]]:
+        """``(provenance, result dict)`` of every entry, in path order,
+        the result as stored, whatever its schema; an unreadable entry
+        raises ``ValueError`` naming it (and stays)."""
         for path in sorted(self.root.glob("??/*.json")):
             try:
                 entry = self._read(path)

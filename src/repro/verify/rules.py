@@ -27,7 +27,7 @@ See ``docs/verification.md`` for the full rule catalogue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.fillunit.opts.base import OptimizationConfig
@@ -148,12 +148,6 @@ def run_rules(inp: RuleInput,
             continue
         found.extend(spec.check(inp))
     return found
-
-
-def attribute(violations: Iterable[Violation],
-              pass_name: str) -> List[Violation]:
-    """Tag *violations* with the pass that produced them."""
-    return [replace(v, pass_name=pass_name) for v in violations]
 
 
 # ======================================================================
@@ -576,5 +570,4 @@ register_semantic(
 
 
 __all__ = ["Violation", "RuleInput", "LintRule", "RULES", "rule",
-           "run_rules", "attribute", "register_semantic", "ERROR",
-           "WARNING"]
+           "run_rules", "register_semantic", "ERROR", "WARNING"]

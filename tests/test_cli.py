@@ -305,8 +305,6 @@ BAD_PATHS = {
                      "--timeline", "{missing}/t.json"],
     "run-hostprof": ["run", "compress", "--scale", "0.05",
                      "--hostprof", "{missing}/h.json"],
-    "analyze-baseline": ["analyze", "compress",
-                         "--baseline", "{missing}/b.json"],
     "analyze-json": ["analyze", "compress", "--json", "{missing}/a.json"],
     "figures-cache-dir": ["figures", "--scale", "0.05",
                           "--cache-dir", "{file}/cache"],
@@ -390,63 +388,6 @@ def test_analyze_unknown_benchmark(capsys):
     assert "unknown benchmark" in out
 
 
-def test_analyze_baseline_round_trip(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    code, out = run_cli(capsys, "analyze", "compress", "--scale", "0.2",
-                        "--write-baseline", str(baseline))
-    assert code == 0 and baseline.exists()
-    code, out = run_cli(capsys, "analyze", "compress", "--scale", "0.2",
-                        "--baseline", str(baseline))
-    assert code == 0
-    # A scale mismatch makes the comparison meaningless: usage error.
-    code, out = run_cli(capsys, "analyze", "compress", "--scale", "0.3",
-                        "--baseline", str(baseline))
-    assert code == 2
-    assert "matching --scale" in out
-
-
-def test_analyze_baseline_regression_fails(tmp_path, capsys):
-    import json
-    baseline = tmp_path / "baseline.json"
-    run_cli(capsys, "analyze", "compress", "--scale", "0.2",
-            "--write-baseline", str(baseline))
-    payload = json.loads(baseline.read_text())
-    # Pretend the baseline had even fewer findings than now (any new
-    # finding relative to the recorded counts must fail the gate).
-    recorded = payload["benchmarks"]["compress"]
-    recorded["lint"] = {}
-    baseline.write_text(json.dumps(payload))
-    code, out = run_cli(capsys, "analyze", "compress", "--scale", "0.2",
-                        "--baseline", str(baseline))
-    # The workloads are lint-clean, so nothing regresses even against
-    # an empty record; force a fake regression instead.
-    assert code == 0
-    recorded["lint"] = {"warnings": {"missing-return": -1}}
-    baseline.write_text(json.dumps(payload))
-    code, out = run_cli(capsys, "analyze", "compress", "--scale", "0.2",
-                        "--baseline", str(baseline))
-    assert code == 1
-    assert "regressed" in out and "FAIL" in out
-
-
-def test_analyze_baseline_warning_regression_fails(tmp_path, capsys):
-    import json
-    baseline = tmp_path / "baseline.json"
-    run_cli(capsys, "analyze", "compress", "--scale", "0.2",
-            "--write-baseline", str(baseline))
-    payload = json.loads(baseline.read_text())
-    recorded = payload["benchmarks"]["compress"]
-    # the written shape is severity-split; a warning-count regression
-    # must fail the gate even with errors untouched.
-    assert set(recorded["lint"]) == {"errors", "warnings"}
-    recorded["lint"]["warnings"]["missing-return"] = -1
-    baseline.write_text(json.dumps(payload))
-    code, out = run_cli(capsys, "analyze", "compress", "--scale", "0.2",
-                        "--baseline", str(baseline))
-    assert code == 1
-    assert "missing-return" in out and "regressed" in out
-
-
 def test_analyze_cross_check(capsys):
     """Each class row prints, beside its bound, the coverage a plain
     run of the same trace reports (the paper's Table 2 columns)."""
@@ -480,8 +421,11 @@ def test_analyze_json_export(tmp_path, capsys):
     code, out = run_cli(capsys, "analyze", "compress", "--scale", "0.2",
                         "--json", str(out_file))
     assert code == 0
-    payload = json.loads(out_file.read_text())
-    assert payload["compress"]["derived"]["lint_errors"] == 0
+    payload = json.loads(out_file.read_text())["compress"]
+    # each fact once: the report's fields, no restated counts
+    assert payload["schema"] == 4
+    assert "derived" not in payload
+    assert payload["lint"] == []
 
 
 @pytest.mark.parametrize("verb", ["run", "profile", "trace", "compare",

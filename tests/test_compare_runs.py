@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from repro.core.export import result_from_dict
 from repro.exec.cache import ResultCache
 from repro.exec.grid import expand, opt_variant
 from repro.exec.service import ExecutionService
@@ -91,6 +92,26 @@ def test_edited_cycles_drift_and_name_the_field(dirs, capsys):
     assert "1 drifted of 2 paired experiments" in out
 
 
+def test_older_schema_pairs_and_names_its_dropped_keys(dirs, capsys):
+    """An envelope of an older export schema still reads and pairs:
+    the diff names the schema change and every key only one side
+    has, as ``-`` on the other."""
+    path = _envelope(dirs[0], "baseline")
+    envelope = json.loads(path.read_text())
+    result = envelope["result"]
+    result["schema"] = 3
+    result["telemetry"]["fillunit.segments.built"] = 7
+    result["derived"] = {"ipc": 0.5}
+    path.write_text(json.dumps(envelope))
+    code, out, _ = _compare(capsys, *dirs)
+    assert code == 1
+    assert "compress[baseline]:\n" in out
+    assert "  schema: 3 -> 4" in out
+    assert "  telemetry.fillunit.segments.built: 7 -> -" in out
+    assert "  derived.ipc: 0.5 -> -" in out
+    assert "1 drifted of 2 paired experiments, 0 unpaired" in out
+
+
 def test_key_in_one_dir_only_fails(dirs, capsys):
     _envelope(dirs[0], "baseline").unlink()
     code, out, _ = _compare(capsys, *dirs)
@@ -102,7 +123,7 @@ def test_key_in_one_dir_only_fails(dirs, capsys):
 def test_duplicate_key_in_one_dir_is_an_error(dirs, capsys):
     cache = ResultCache(dirs[0])
     provenance, result = next(cache.envelopes())
-    cache.put("ff" * 32, result, provenance=provenance)
+    cache.put("ff" * 32, result_from_dict(result), provenance=provenance)
     code, _, err = _compare(capsys, *dirs)
     assert code == 2
     assert "appears twice" in err

@@ -45,20 +45,25 @@ def test_schema_version_checked():
         result_from_dict({"schema": 999})
 
 
+def _diff(old, new):
+    """:func:`diff_results` over the two runs' export dicts."""
+    return diff_results(result_to_dict(old), result_to_dict(new))
+
+
 def test_diff_results(service):
     base = service.run(opt_job("compress", OptimizationConfig.none()))
-    assert diff_results(base, base) is None
+    assert _diff(base, base) is None
     import dataclasses
     # a one-cycle drift is reported: the compare is exact, not a
     # tolerance on IPC.
     slower = dataclasses.replace(base, cycles=base.cycles + 1)
-    assert diff_results(base, slower) == (
+    assert _diff(base, slower) == (
         f"compress[baseline]:\n  cycles: {base.cycles} -> "
         f"{base.cycles + 1}")
     changed = dataclasses.replace(
         base, telemetry={**base.telemetry, "fetch.tc.opt.moves": 7,
                          "fillunit.opts.moves.moves_marked": 3})
-    assert diff_results(base, changed).splitlines()[1:] == [
+    assert _diff(base, changed).splitlines()[1:] == [
         "  telemetry.fetch.tc.opt.moves: 0 -> 7",
         "  telemetry.fillunit.opts.moves.moves_marked: - -> 3"]
 
@@ -80,7 +85,7 @@ def test_diff_results_reads_telemetry_and_attribution(service):
         attribution={"base": 9, "tc_miss": 3})
     buckets = old.telemetry["fetch.group.size"]["buckets"]["5"]
     # each count is named once, by its scope
-    assert sorted(diff_results(old, new).splitlines()[1:]) == sorted([
+    assert sorted(_diff(old, new).splitlines()[1:]) == sorted([
         f"  telemetry.fetch.tc.hits: {old.tc_hits} -> {old.tc_hits + 1}",
         "  telemetry.rename.checkpoint.stalls: 191 -> 123",
         f"  telemetry.fetch.group.size.max: {size['max']} -> 17",
@@ -90,7 +95,7 @@ def test_diff_results_reads_telemetry_and_attribution(service):
         "  attribution.tc_miss: 2 -> 3"])
     only_stalls = dataclasses.replace(
         old, telemetry={**old.telemetry, "rename.checkpoint.stalls": 123})
-    assert diff_results(old, only_stalls) is not None
+    assert _diff(old, only_stalls) is not None
 
 
 def test_diff_rejects_mismatched_experiments(service):
@@ -98,31 +103,21 @@ def test_diff_rejects_mismatched_experiments(service):
     base = service.run(opt_job("compress", OptimizationConfig.none()))
     other = dataclasses.replace(base, benchmark="tex")
     with pytest.raises(ValueError):
-        diff_results(base, other)
+        _diff(base, other)
 
 
-def test_analysis_report_roundtrip():
+def test_analysis_export_stores_each_fact_once():
+    """The analysis dict is the report's fields and its schema: the
+    site bounds and lint counts are derived from them, not stored."""
+    from dataclasses import asdict
+
     from repro import workloads
     from repro.analysis.static import analyze_program
-    from repro.core.export import analysis_from_dict, analysis_to_dict
+    from repro.core.config import SimConfig
+    from repro.core.export import ANALYSIS_SCHEMA_VERSION, analysis_to_dict
 
     report = analyze_program(workloads.build("compress", 0.2),
-                             "compress")
+                             "compress", SimConfig.paper())
     payload = analysis_to_dict(report)
-    assert payload["derived"]["static_bounds"] == report.static_bounds()
-    rebuilt = analysis_from_dict(payload)
-    assert rebuilt == report
-
-
-def test_analysis_schema_version_checked():
-    from repro.core.export import ANALYSIS_SCHEMA_VERSION, analysis_from_dict
-    with pytest.raises(ValueError):
-        analysis_from_dict({"schema": 999})
-    # a key the report does not have is rejected by name, not passed on
-    # to the dataclass constructor as a raw TypeError.
-    with pytest.raises(ValueError, match="tightened_sites"):
-        analysis_from_dict({"schema": ANALYSIS_SCHEMA_VERSION,
-                            "benchmark": "compress", "instructions": 0,
-                            "blocks": 0, "edges": 0, "loops": 0,
-                            "unreachable_blocks": 0,
-                            "tightened_sites": []})
+    assert payload.pop("schema") == ANALYSIS_SCHEMA_VERSION == 4
+    assert payload == asdict(report)

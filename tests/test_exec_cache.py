@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.export import result_to_dict
 from repro.core.results import SimResult
 from repro.exec.cache import ENVELOPE_VERSION, ResultCache
 
@@ -60,8 +61,10 @@ def test_envelopes_read_every_entry_and_reject_corrupt_ones(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(FP, _result(), provenance={"benchmark": "compress"})
     path = cache.put(FP2, _result(200))
+    # each result as stored: its export dict, whatever the schema
     assert list(cache.envelopes()) == [
-        ({"benchmark": "compress"}, _result()), ({}, _result(200))]
+        ({"benchmark": "compress"}, result_to_dict(_result())),
+        ({}, result_to_dict(_result(200)))]
     path.write_text("{not json")
     with pytest.raises(ValueError, match=FP2):
         list(cache.envelopes())

@@ -169,24 +169,24 @@ class ReuseCheck(PipelineStage):
 #: scale 0.15 on the evicting machine under ``extended()``; the counts
 #: were first pinned before the fill unit reused segments
 EVICTING_EXTENDED = {
-    ("compress", "lru"): (5328, "33a175c9f8c07767150c9686cce81ff2"
-                                "0efeb90cbc07a9c05c7343f79662a8c6"),
-    ("compress", "srrip"): (5308, "5aad303f2e7bfee84acdd6974ef8a590"
-                                  "d76333a9d4e65178b2946377f27ddd88"),
-    ("compress", "trrip"): (5305, "864f83eeef5b232d033554803402d7c2"
-                                  "ac3a844c1206ac6ffba89c5230652d22"),
-    ("li", "lru"): (4280, "2a52458389bb9c296573cf82d04e7aef"
-                          "d3f7cf21fffbdab03aee99e98eba07b3"),
-    ("li", "srrip"): (4302, "5ec93c2779ad4f43992a1d4eb453d6bc"
-                            "2c9f45ddf4e65fc168f3b651ea616e4c"),
-    ("li", "trrip"): (4265, "d4ed3a56f619c47f67d23c089487a072"
-                            "19e9dabf7b11b07b9f33e0f935a4ea50"),
-    ("gcc", "lru"): (3483, "aaba6227e53470f49cc65a93225d0026"
-                           "3c856a733f05cd6355e50dd69fadba65"),
-    ("gcc", "srrip"): (3378, "ca188570078497ff0b6db582b8a4003b"
-                             "aaebe5cac7b1fe7fea0be34d766ac0d7"),
-    ("gcc", "trrip"): (3345, "556f6e1a8d4a66c01c0384a981fa439b"
-                             "d227102b043e5a27d4842f43e1bf5092"),
+    ("compress", "lru"): (5328, "76fe2f4af6f53fe359ad432a65ed7e64"
+                                "92285282a0b85f671bcdab3555986b4c"),
+    ("compress", "srrip"): (5308, "eb2c58631ebdc83d8dcaa5d3104f3079"
+                                  "2eba8948e5fe338943d50abcc6eeeb5a"),
+    ("compress", "trrip"): (5305, "1aa738eef44390615deadfee7be0e1cf"
+                                  "e057435224b00a61e3c79f6a9cbba7aa"),
+    ("li", "lru"): (4280, "33d471578bd6f0ddf822261f62696351"
+                          "d1488ed6dc1b372fe8cb3c8e73c8176c"),
+    ("li", "srrip"): (4302, "2c2bb8dd4f6b041229c74eb3724cfda4"
+                            "223ccb2886dc1d2b2324984080dc3afe"),
+    ("li", "trrip"): (4265, "90cbf73c4b965917c5298060bf188fbd"
+                            "708a155b0b04bb27fcddcc6385553852"),
+    ("gcc", "lru"): (3483, "a7efe65cdc20f4f29d522f1299d0e915"
+                           "c85c78104dab07bb9c2daf14521b3023"),
+    ("gcc", "srrip"): (3378, "8d5d2458bfe587dcc80d38cc79ec8338"
+                             "b2b4cc5ab138ca2c150f06a8d604ddc7"),
+    ("gcc", "trrip"): (3345, "0139a0d4a01d759bbde0232b5b7394af"
+                             "a8baaf6ea858c4d5d7632c2cfbfd9cac"),
 }
 
 _RUNS: dict = {}

@@ -348,36 +348,36 @@ def test_attribution_covers_every_workload():
 #: scope deleted from ``telemetry``, must hash to the new pins (here
 #: and in ``EXTENDED_DIGESTS``).
 SUITE_DIGESTS = {
-    "compress": ("1d45114da24f73a17fdb9a96e54484ea"
-                 "bb7fbbab6a58d630ff401b2de2570512"),
-    "gcc": ("72ad5b2e1ae49244b54e377b8cb5c21b"
-            "43a3cb3cac50964b95263a707b399c4f"),
-    "go": ("bfffe7f3c5a7e51199943d3f3538f88b"
-           "1398e277b66d84ce0d564b5e60229366"),
-    "ijpeg": ("09ac0158b518436264232f765d581b95"
-              "fe790bc79cfa0fc55a40cd4c95686f7a"),
-    "li": ("b24ee54b35aa1195b882d0eb9725fe04"
-           "4acc910ae0f952cee4ecd669915f4737"),
-    "m88ksim": ("36b8b5044cc0d4ea0896f1d72481eb28"
-                "695e3ec7bc5ba97a55659fddc173b0e6"),
-    "perl": ("eaf75824c2f2d94f2c6058df9eace73b"
-             "7eef43a274facb57aaa890d8ea88e456"),
-    "vortex": ("c04abc1b26a4a6257d82f13e0a1b4b2e"
-               "a30a24b5435a7324b9ddbf4408bd20c3"),
-    "gnuchess": ("ae9ee4a45f818712b940d9eefd1b8653"
-                 "abf2259f64fd075df7edb36ed3933f61"),
-    "ghostscript": ("d11e59b89851365040016bd0b03ac486"
-                    "9868318708649a2ffab8e4a86903cad6"),
-    "pgp": ("968f5fa9c7ed8e9361c549bd608ecf06"
-            "7c616878b1e7e01eb540f50d96be95aa"),
-    "gnuplot": ("806a0d6d1de2942120101567f1c5af2f"
-                "e9a9dec48f2b351935ceb4130ba8083a"),
-    "python": ("12d68600e04da0e0cf1422ff1371a4bf"
-               "2725e1195e18f747d4b93df521b8d88a"),
-    "sim-outorder": ("8a92c45f3a6d6a4b8177995d3dba1afa"
-                     "8544a3f92696a394b9ddf9af199dabb0"),
-    "tex": ("7490eb103df5ff97db65cce1213cae6d"
-            "8f47d021187dda67638b1a87d012a80e"),
+    "compress": ("42edff0c47e8ae1af4f3697bae269565"
+                 "fc1216463d6eb4f4a2c54aa5c3a8d0df"),
+    "gcc": ("9066ad561ae5e054c9e6dba6840ef166"
+            "8c1f2326a1865ae9cb976211665e1378"),
+    "go": ("797b3849408cc31ff42db1917e1533d6"
+           "9f104809dd074a0702d1a3697bdb7c95"),
+    "ijpeg": ("6f605881a5ff32dcf3b0e0ad6dd3ff32"
+              "12510b03aa2c2abec72b6a1d4af5b6a0"),
+    "li": ("d7fc9d0d3ce22219279482b75af4078d"
+           "24c0ba15f52d3f9c70829a6f48bc3d4d"),
+    "m88ksim": ("b3d4f8fda698808afb90a6c842fee0e7"
+                "9dde71742e6c253f1f6c220bbe0ce757"),
+    "perl": ("80e377176953c93ec551e6bd1c7bef7b"
+             "5476c3cba77b6d8f75dec8c86239f38e"),
+    "vortex": ("843181924829fbb385aa24266a99129d"
+               "a82406a6b114e9d65c125ebfcc55b314"),
+    "gnuchess": ("3756d4a92a5da3d3ac26d473bb585f85"
+                 "df93625edd550670354212c6ec680041"),
+    "ghostscript": ("be81af7e6d5703fe7fb7108e834c7441"
+                    "acdb017bdf657a548ee7a2a45354cc75"),
+    "pgp": ("94187a34b15d0d8a6cf6cad5e2342068"
+            "28c02c078081d857f0066d4ed5398fcd"),
+    "gnuplot": ("2fee4e2a3c0b58698814f141b0949c45"
+                "7e0a177c9dbbbe95de5d9832ea28afc7"),
+    "python": ("20d5671b3bfe9db782f57ab3d2aad21c"
+               "2441d4b9986bf81b6b74ed62a35c2bee"),
+    "sim-outorder": ("fb43e5259d62e3d3a1a980d62cfe075e"
+                     "23d6fff1ab721c5f3881a755cfd2d050"),
+    "tex": ("585672a252168a210feadba1ec97c4a3"
+            "dcfae142a4b15abbcffe48c12b31c20c"),
 }
 
 
@@ -399,36 +399,36 @@ def test_suite_digests_cover_every_workload():
 #: runs build predicated lines, so they pin the phantom entries and
 #: the fetch coverage counters under predication.
 EXTENDED_DIGESTS = {
-    "compress": ("997c3208a975a84714f1d476a44e282c"
-                 "d1223e57baefb7173cc47df2682c94f1"),
-    "gcc": ("0c5996f2a2b6b50eeb88f9ac6094433e"
-            "3989ecab2d12a7a1e0d5c25334d33e3c"),
-    "go": ("bfffe7f3c5a7e51199943d3f3538f88b"
-           "1398e277b66d84ce0d564b5e60229366"),
-    "ijpeg": ("09ac0158b518436264232f765d581b95"
-              "fe790bc79cfa0fc55a40cd4c95686f7a"),
-    "li": ("b24ee54b35aa1195b882d0eb9725fe04"
-           "4acc910ae0f952cee4ecd669915f4737"),
-    "m88ksim": ("36b8b5044cc0d4ea0896f1d72481eb28"
-                "695e3ec7bc5ba97a55659fddc173b0e6"),
-    "perl": ("f31a558f73ad80cbbfeab39547ca94d1"
-             "ce933728c9ee88c5697025242e3ee18d"),
-    "vortex": ("c04abc1b26a4a6257d82f13e0a1b4b2e"
-               "a30a24b5435a7324b9ddbf4408bd20c3"),
-    "gnuchess": ("ae9ee4a45f818712b940d9eefd1b8653"
-                 "abf2259f64fd075df7edb36ed3933f61"),
-    "ghostscript": ("d11e59b89851365040016bd0b03ac486"
-                    "9868318708649a2ffab8e4a86903cad6"),
-    "pgp": ("968f5fa9c7ed8e9361c549bd608ecf06"
-            "7c616878b1e7e01eb540f50d96be95aa"),
-    "gnuplot": ("806a0d6d1de2942120101567f1c5af2f"
-                "e9a9dec48f2b351935ceb4130ba8083a"),
-    "python": ("6f7442b39aa15ceb6c3c2089876da1e4"
-               "1c59e79933102c7668649c011868c2ce"),
-    "sim-outorder": ("3399d6bdfbb0db6259aaa26de4e13129"
-                     "a1f005bb511d8e9d71ab669c3970af52"),
-    "tex": ("78abae545b2ef72ed10380e88835a10d"
-            "85991cd53bcc4d7586922a1017e5fab5"),
+    "compress": ("bcb3324b0d45869de7f32dfe35dff7b7"
+                 "58972d80d280072a1bf9930c51dd854f"),
+    "gcc": ("362ac90ffb831d90fe8344fb951e53ae"
+            "785a4ad60b7bdca91ab689f4031ed48c"),
+    "go": ("797b3849408cc31ff42db1917e1533d6"
+           "9f104809dd074a0702d1a3697bdb7c95"),
+    "ijpeg": ("6f605881a5ff32dcf3b0e0ad6dd3ff32"
+              "12510b03aa2c2abec72b6a1d4af5b6a0"),
+    "li": ("d7fc9d0d3ce22219279482b75af4078d"
+           "24c0ba15f52d3f9c70829a6f48bc3d4d"),
+    "m88ksim": ("b3d4f8fda698808afb90a6c842fee0e7"
+                "9dde71742e6c253f1f6c220bbe0ce757"),
+    "perl": ("e79cc16dde0a82dbb91a778adfd9673c"
+             "ec7be39baed6d932b01e179feff264f7"),
+    "vortex": ("843181924829fbb385aa24266a99129d"
+               "a82406a6b114e9d65c125ebfcc55b314"),
+    "gnuchess": ("3756d4a92a5da3d3ac26d473bb585f85"
+                 "df93625edd550670354212c6ec680041"),
+    "ghostscript": ("be81af7e6d5703fe7fb7108e834c7441"
+                    "acdb017bdf657a548ee7a2a45354cc75"),
+    "pgp": ("94187a34b15d0d8a6cf6cad5e2342068"
+            "28c02c078081d857f0066d4ed5398fcd"),
+    "gnuplot": ("2fee4e2a3c0b58698814f141b0949c45"
+                "7e0a177c9dbbbe95de5d9832ea28afc7"),
+    "python": ("04a238ca6327388d9337165d7f3b2614"
+               "b6340a4c9cc9c434fb483a7bb5c5d781"),
+    "sim-outorder": ("c62ced3dbe635233ffa46ed71435dc58"
+                     "0867a6b5ccbf058c22c7370c42f211e5"),
+    "tex": ("300f44d55f46c422ba8bc40117efa5a8"
+            "4719eb27539d86b91d5bcd3d783cccbb"),
 }
 
 

@@ -1,5 +1,6 @@
 """Opportunity detectors: static site sets per fill-unit pass."""
 
+from repro.analysis.static import analyze_program
 from repro.analysis.static.cfg import build_cfg
 from repro.analysis.static.opportunities import (
     block_pressure,
@@ -7,15 +8,19 @@ from repro.analysis.static.opportunities import (
     possible_move_sources,
 )
 from repro.asm import assemble
+from repro.core.config import SimConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 
 T0, T1, T2, T3 = 8, 9, 10, 11
 
 
-def _sites(source, **kwargs):
+PAPER = SimConfig.paper()
+
+
+def _sites(source, max_shift=PAPER.optimizations.max_scale_shift):
     cfg = build_cfg(assemble(source))
-    return cfg.program, find_opportunities(cfg, **kwargs)
+    return cfg.program, find_opportunities(cfg, max_shift)
 
 
 def test_direct_move_idioms_are_sites():
@@ -134,17 +139,22 @@ def test_possible_move_sources_idioms():
 
 
 def test_sites_counts_and_union():
-    _, sites = _sites("""
+    """The report derives the union and the per-class counts from its
+    site lists; nothing else stores them."""
+    report = analyze_program(assemble("""
 main:
     addi $t0, $zero, 5
     addi $t1, $t0, 0
+    sll  $t2, $t1, 2
+    add  $t3, $t2, $t0
     halt
-""")
-    counts = sites.counts()
-    assert counts["any_opt"] == len(sites.any_opt)
-    assert sites.any_opt == sites.moves | sites.reassoc | sites.scaled
-    assert set(sites.as_sets()) == {"moves", "reassoc", "scaled",
-                                    "any_opt"}
+"""), "t", PAPER)
+    sites = report.site_sets()
+    assert sites["any_opt"] == (sites["moves"] | sites["reassoc"]
+                                | sites["scaled"])
+    assert report.static_bounds() == {
+        name: len(pcs) for name, pcs in sites.items()}
+    assert report.static_bounds()["scaled"] == 1
 
 
 def test_block_pressure_counts_dependences():
@@ -155,7 +165,8 @@ main:
     add  $t2, $t1, $t0
     halt
 """))
-    pressure = block_pressure(cfg.blocks[cfg.entry])
+    pressure = block_pressure(cfg.blocks[cfg.entry], PAPER.num_clusters,
+                              PAPER.cluster_size)
     # addi->addi, addi->add (x2): three intra-block dependence edges.
     assert pressure.dep_edges == 3
     assert pressure.dep_height >= 3

@@ -1,5 +1,7 @@
 """The opportunity oracle: dynamic transformations vs static bounds."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import workloads
@@ -21,7 +23,7 @@ SCALE = 0.3
 
 def _trace_and_report(name, config):
     program = workloads.build(name, SCALE)
-    report = analyze_program(program, name)
+    report = analyze_program(program, name, config)
     trace = Executor(program).run()
     return report, trace
 
@@ -46,6 +48,28 @@ def test_each_paper_pass_individually(opts):
     report, trace = _trace_and_report("compress", config)
     check = cross_check(report, trace, config, "compress", opts)
     assert check.ok, check.render()
+
+
+@pytest.mark.parametrize("name", ["gnuchess", "go", "tex"])
+def test_scaled_bound_follows_the_config_shift(name):
+    """The static bound reads the shift limit from the machine the run
+    uses: under one config per shift, the dynamic scaled sites lie in
+    the static ones, and the static sets grow with the shift. A bound
+    taken at shift 1 would not hold for the paper's shift-3 run."""
+    program = workloads.build(name, 0.1)
+    trace = Executor(program).run()
+    static, dynamic = {}, {}
+    for shift in (1, 2, 3):
+        config = SimConfig.paper(
+            replace(OptimizationConfig.all(), max_scale_shift=shift))
+        report = analyze_program(program, name, config)
+        static[shift] = frozenset(report.scaled_sites)
+        _, sites = collect_dynamic_sites(trace, config, name)
+        dynamic[shift] = sites["scaled"]
+        assert dynamic[shift] <= static[shift], shift
+    assert static[1] <= static[2] <= static[3]
+    assert static[1] < static[3]
+    assert not dynamic[3] <= static[1]
 
 
 def test_violation_names_opt_and_pc():
@@ -73,7 +97,6 @@ def test_extended_config_is_rejected():
 
 
 def test_no_trace_cache_is_rejected():
-    from dataclasses import replace
     config = replace(SimConfig.paper(OptimizationConfig.all()),
                      trace_cache_enabled=False)
     trace = Executor(workloads.build("compress", SCALE)).run()

@@ -129,15 +129,6 @@ RESTATED_CONFIGS = {
                                       "trrip"),
 }
 
-#: relations that hold in every run of the matrix and are kept for
-#: now: the retire stage's conditional mispredicts are the
-#: predictor's own (its PHTs') plus the promoted branches' ones
-KEPT_RELATIONS = {
-    "branch.cond.mispredicts = branch.pht.mispredicts"
-    " + branch.promoted.mispredicts",
-}
-
-
 def restatements(results):
     """Every relation that holds in all of *results* between their
     values: the top-level scalar scopes (histogram summaries are
@@ -178,7 +169,7 @@ def test_no_scope_restates_another():
         trace = Executor(workloads.build(bench, scale=0.1)).run()
         for name, config in RESTATED_CONFIGS.items():
             results.append(Engine(config).run(trace, bench, name))
-    restated = sorted(restatements(results) - KEPT_RELATIONS)
+    restated = sorted(restatements(results))
     assert not restated, "restated scopes:\n" + "\n".join(restated)
 
 
@@ -227,12 +218,12 @@ def test_real_run_snapshot_is_deterministic():
 #: compress at scale 0.05 without a trace cache and with online
 #: verification
 TELEMETRY_DIGESTS = {
-    "empty": (37, "60f47e9eeaf3c70b64e190fc1482357b"
-                  "98bc8004a678c53fd971cac5e10b6b33"),
-    "no_trace_cache": (27, "1f7ddb4fa09a28c6b9e91d672d165bca"
-                           "43200ab88c26bc5b1660755512500ca7"),
-    "verify_fill": (46, "17c9e5b30f6fdd7bd09d2e2b196a95fb"
-                        "5e4099944451b093309518736cb40d80"),
+    "empty": (36, "0163c3062c2bfb268d8938453b162b1f"
+                  "217cb6d903d3a0fc91f64469dee3f61d"),
+    "no_trace_cache": (26, "3e9215da48d0b3bf4c683344c7dabfbf"
+                           "635f7e67b1cb6fd3c8625dd47969fc02"),
+    "verify_fill": (45, "88d0a6e5f46a143a5525991059379e44"
+                        "723333f247d93b230d183e6247bb4a92"),
 }
 
 

@@ -2,8 +2,11 @@
 
 The two directories hold envelopes as written by ``repro figures
 --cache-dir``. Envelopes pair by their provenance ``(benchmark, label,
-scale)``; every counter that differs (a scalar field, a telemetry
-scope or an attribution class) is listed, old -> new.
+scale)``; every value of the stored result that differs (a scalar
+field, a telemetry scope or an attribution class) is listed, old ->
+new. The results are compared as stored, so two export schemas still
+pair: the ``schema`` line and every key one side lacks (shown ``-``)
+name what the newer schema dropped or added.
 
 Exit status 0 when every pair agrees, 1 on any drift or unpaired run,
 2 on bad arguments or a record set that cannot be read or paired.
@@ -27,7 +30,7 @@ def _name(key) -> str:
 
 
 def load_envelopes(root: str) -> dict:
-    """``{(benchmark, label, scale): (code, result)}`` under *root*;
+    """``{(benchmark, label, scale): (code, result dict)}`` under *root*;
     ``ValueError`` if it is no directory, is empty, holds an unreadable
     envelope or holds two with one key."""
     if not os.path.isdir(root):
