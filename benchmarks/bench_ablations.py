@@ -152,7 +152,7 @@ def test_ablation_bypass_penalty_sensitivity(benchmark, service, emit):
             cfg0 = replace(SimConfig.paper(), cross_cluster_penalty=0)
             base0 = run_config(service, bench, cfg0, "free-bypass")
             place0 = run_config(
-                service, bench, cfg0.with_optimizations(PLACE),
+                service, bench, replace(cfg0, optimizations=PLACE),
                 "free-bypass+placement")
             gain_free = place0.improvement_over(base0)
             rows[bench] = (gain_with_penalty, gain_free)

@@ -39,7 +39,7 @@ def main() -> None:
     coverage = optimized.coverage.as_percentages(optimized.instructions)
     print(f"IPC improvement: +{optimized.improvement_over(baseline):.1f}%")
     print(f"instructions transformed by the fill unit: "
-          f"{coverage['total']:.1f}% "
+          f"{coverage['any_opt']:.1f}% "
           f"(moves {coverage['moves']:.1f}%, "
           f"reassoc {coverage['reassoc']:.1f}%, "
           f"scaled adds {coverage['scaled']:.1f}%)")

@@ -143,7 +143,7 @@ def cmd_run(args) -> int:
             line += f"  ({result.improvement_over(baseline):+5.1f}%)"
         print(line)
         cov = result.coverage.as_percentages(result.instructions)
-        print(f"transformed: {cov['total']:.1f}% "
+        print(f"transformed: {cov['any_opt']:.1f}% "
               f"(moves {cov['moves']:.1f}, reassoc {cov['reassoc']:.1f}, "
               f"scaled {cov['scaled']:.1f})")
         print(f"mispredict rate: {100 * result.mispredict_rate:.2f}%   "

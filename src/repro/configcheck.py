@@ -2,8 +2,8 @@
 
 A config field's type is the type of its default: ``SimConfig`` and
 each nested config (predictor, hierarchy, trace cache, optimizations)
-check their own fields against their defaults at construction, and
-``SimConfig.from_dict`` gets its type errors from the same check.
+check their own fields against their defaults at construction, so a
+mistyped field is a :class:`ConfigError` from the constructor itself.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from repro.errors import ConfigError
 
 def has_type(value: object, default: object) -> bool:
     """Whether *value* has the type of the field whose default is
-    *default*: bool is not an int here, and a tuple may arrive as a
-    list (JSON has no tuples) of elements typed like the default's."""
+    *default*: bool is not an int here, and a tuple's elements are
+    typed like the default's."""
     if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(
+        return isinstance(value, tuple) and all(
             has_type(item, default[0]) for item in value)
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(value, bool) and isinstance(default, bool)

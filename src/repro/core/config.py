@@ -9,7 +9,7 @@ pipeline latency).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 
 from repro.branch.predictor import PredictorConfig
 from repro.cache.hierarchy import HierarchyConfig
@@ -17,15 +17,6 @@ from repro.configcheck import check_field_types
 from repro.errors import ConfigError
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.tracecache.cache import TraceCacheConfig
-
-#: nested config dataclass per SimConfig field (serialization schema).
-_NESTED_TYPES = {
-    "predictor": PredictorConfig,
-    "hierarchy": HierarchyConfig,
-    "trace_cache": TraceCacheConfig,
-    "optimizations": OptimizationConfig,
-}
-
 
 @dataclass
 class SimConfig:
@@ -157,63 +148,10 @@ class SimConfig:
             fill_latency=3,
         )
 
-    # ------------------------------------------------------------------
-    # Serialization (pool payloads, config fingerprinting)
-    # ------------------------------------------------------------------
-
     def to_dict(self) -> dict:
-        """A JSON-safe dict capturing every field, nested configs
-        included. ``from_dict`` round-trips it exactly; the exec
-        layer's config fingerprint is a stable hash of this form."""
-        payload = asdict(self)
-        # JSON has no tuples; normalize so to_dict(from_dict(json)) is
-        # stable regardless of whether the data crossed a JSON hop.
-        payload["predictor"]["pht_entries"] = list(
-            self.predictor.pht_entries)
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimConfig":
-        """Rebuild a :class:`SimConfig` from :meth:`to_dict` output.
-
-        Raises:
-            ConfigError: on unknown keys (typo'd sweep declarations
-                must not silently fall back to defaults), on a value
-                whose type is not its field's (a nested config must be
-                a dict, an int field takes no bool, float or string)
-                or on values rejected by the usual construction-time
-                validation.
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown SimConfig field(s): {sorted(unknown)}")
-        kwargs = dict(data)
-        for name, nested_type in _NESTED_TYPES.items():
-            if name not in kwargs:
-                continue
-            if not isinstance(kwargs[name], dict):
-                raise ConfigError(
-                    f"{name} must be a dict, got {kwargs[name]!r}")
-            nested = dict(kwargs[name])
-            extra = set(nested) - {f.name for f in fields(nested_type)}
-            if extra:
-                raise ConfigError(
-                    f"unknown {name} field(s): {sorted(extra)}")
-            if name == "predictor" \
-                    and isinstance(nested.get("pht_entries"), list):
-                nested["pht_entries"] = tuple(nested["pht_entries"])
-            try:
-                kwargs[name] = nested_type(**nested)
-            except ConfigError as exc:
-                raise ConfigError(f"{name}: {exc}") from None
-        return cls(**kwargs)
-
-    def with_optimizations(self, opts: OptimizationConfig) -> "SimConfig":
-        """A copy of this configuration with a different fill-unit
-        optimization set (the per-figure experiment pattern)."""
-        return replace(self, optimizations=opts)
+        """A JSON-safe dict of every field, nested configs included:
+        what the exec layer's job fingerprint hashes."""
+        return asdict(self)
 
 
 __all__ = ["SimConfig"]

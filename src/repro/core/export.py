@@ -1,10 +1,10 @@
 """Result serialization: SimResult / AnalysisReport -> JSON.
 
 :func:`result_to_dict` is the result half of the exec-cache envelope
-(:mod:`repro.exec.cache`) and of the worker pool's return value, and
-:func:`result_from_dict` reads it back; :func:`diff_results` diffs two
-such dicts of one experiment, which is how ``tools/compare_runs.py``
-compares envelope sets across code versions (and export schemas).
+(:mod:`repro.exec.cache`), and :func:`result_from_dict` reads it back;
+:func:`diff_results` diffs two such dicts of one experiment, which is
+how ``tools/compare_runs.py`` compares envelope sets across code
+versions (and export schemas).
 :func:`analysis_to_dict` is what ``repro analyze --json`` writes.
 """
 

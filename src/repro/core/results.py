@@ -21,18 +21,16 @@ class OptCoverage:
         """Per-field percentages of *total* committed instructions.
 
         The key set is identical in every case: one key per counter
-        field (``any_opt`` included) plus the legacy ``total`` alias
-        for ``any_opt``.
+        field.
         """
         if total == 0:
             return {"moves": 0.0, "reassoc": 0.0, "scaled": 0.0,
-                    "any_opt": 0.0, "total": 0.0}
+                    "any_opt": 0.0}
         return {
             "moves": 100.0 * self.moves / total,
             "reassoc": 100.0 * self.reassoc / total,
             "scaled": 100.0 * self.scaled / total,
             "any_opt": 100.0 * self.any_opt / total,
-            "total": 100.0 * self.any_opt / total,
         }
 
 

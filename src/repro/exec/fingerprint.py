@@ -2,8 +2,7 @@
 
 A job is addressed by the SHA-256 of its canonical JSON description:
 the full :class:`~repro.core.config.SimConfig` (via ``to_dict``), the
-workload identity (benchmark name, scale, instruction budget), and the
-code version. Two processes — today or next week — that would simulate
+workload identity (benchmark name and scale), and the code version. Two processes — today or next week — that would simulate
 the same machine on the same workload under the same code produce the
 same fingerprint, which is what makes the on-disk result cache safe to
 share between runs, branches and worker processes.
@@ -78,7 +77,6 @@ def canonical_json(payload: object) -> str:
 
 
 def job_fingerprint(config: SimConfig, benchmark: str, scale: float,
-                    max_instructions: Optional[int] = None,
                     version: Optional[str] = None) -> str:
     """The content address of one simulation job.
 
@@ -90,7 +88,6 @@ def job_fingerprint(config: SimConfig, benchmark: str, scale: float,
         "code": version if version is not None else code_version(),
         "benchmark": benchmark,
         "scale": scale,
-        "max_instructions": max_instructions,
         "config": config.to_dict(),
     }
     raw = canonical_json(description).encode()

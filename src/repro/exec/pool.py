@@ -1,8 +1,11 @@
 """Multiprocess job execution with retry.
 
-The worker entry point (:func:`run_job_payload`) is a plain top-level
-function over a plain-dict payload, so it pickles cleanly and can also
-run inline in the parent (``jobs=1``, and the unit tests). Each worker
+A job crosses the process boundary as the object it already is: the
+worker entry point (:func:`run_job`) takes a
+:class:`~repro.exec.grid.JobSpec` and a scale, and returns the
+:class:`~repro.core.results.SimResult` and its host seconds, all of
+which pickle. It and the inline path share :func:`simulate`; they
+differ only in where the committed trace comes from. Each worker
 process memoizes committed traces by ``(benchmark, scale)`` — the
 expensive functional execution happens once per process, not once per
 job. The simulator holds no random state, so a job's result does not
@@ -11,8 +14,8 @@ depend on which worker runs it.
 Crash handling: a worker dying mid-job (OOM killer, hard crash)
 surfaces as :class:`~concurrent.futures.process.BrokenProcessPool`,
 which poisons the whole executor. The pool rebuilds the executor and
-resubmits the unfinished payloads, up to ``retries`` extra attempts
-per job, and counts each resubmission in ``retry_count``.
+resubmits the unfinished items, up to ``retries`` extra attempts per
+item, and counts each resubmission in ``retry_count``.
 
 ``concurrent.futures`` (and with it ``multiprocessing`` and
 ``logging``) is imported inside :meth:`WorkerPool.run`, so a process
@@ -21,12 +24,12 @@ that never starts a pool never loads it.
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.results import SimResult
 from repro.errors import ConfigError, ReproError
+from repro.exec.grid import JobSpec
 
 #: per-process committed-trace memo, keyed (benchmark, scale).
 _TRACE_MEMO: Dict[Tuple[str, float], Any] = {}
@@ -42,37 +45,28 @@ def _trace_for(benchmark: str, scale: float) -> Any:
     return _TRACE_MEMO[key]
 
 
-def run_job_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Simulate one job described by a picklable payload.
+def simulate(job: JobSpec, trace: Callable[[str], Any]
+             ) -> Tuple[SimResult, Dict[str, float]]:
+    """Run *job* on the committed trace ``trace(job.benchmark)``.
 
-    Payload keys: ``benchmark``, ``scale``, ``config`` (a
-    ``SimConfig.to_dict()`` form), ``label``, ``fingerprint``, and
-    optionally ``crash_once_path`` (test hook: hard-kill this worker
-    the first time the job is attempted, to exercise retry).
-    Returns ``{"fingerprint", "result", "host_s"}`` with the result in
-    the :mod:`repro.core.export` dict schema and ``host_s`` the host
-    seconds of the trace lookup or build (``trace``) and of the engine
-    run (``engine``).
+    Returns the result and the host seconds of the trace lookup or
+    build (``trace``) and of the engine run (``engine``).
     """
-    marker = payload.get("crash_once_path")
-    if marker is not None and not os.path.exists(marker):
-        Path(marker).touch()
-        os._exit(17)
-
-    from repro.core.config import SimConfig
     from repro.core.engine import Engine
-    from repro.core.export import result_to_dict
-
-    config = SimConfig.from_dict(payload["config"])
     start = time.perf_counter()
-    trace = _trace_for(payload["benchmark"], payload["scale"])
+    committed = trace(job.benchmark)
     traced = time.perf_counter()
-    result = Engine(config).run(trace, benchmark=payload["benchmark"],
-                                label=payload["label"])
-    return {"fingerprint": payload["fingerprint"],
-            "result": result_to_dict(result),
-            "host_s": {"trace": traced - start,
-                       "engine": time.perf_counter() - traced}}
+    result = Engine(job.config).run(committed, benchmark=job.benchmark,
+                                    label=job.label)
+    return result, {"trace": traced - start,
+                    "engine": time.perf_counter() - traced}
+
+
+def run_job(job: JobSpec, scale: float
+            ) -> Tuple[SimResult, Dict[str, float]]:
+    """The worker entry point: :func:`simulate` on this process's
+    memoized trace of the job's benchmark at *scale*."""
+    return simulate(job, lambda benchmark: _trace_for(benchmark, scale))
 
 
 class WorkerPool:
@@ -86,23 +80,25 @@ class WorkerPool:
         #: resubmissions after a worker failure, over every run().
         self.retry_count = 0
 
-    def run(self, payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """All payloads through :func:`run_job_payload`, results in
-        submission order.
+    def run(self, fn: Callable[[Any], Any],
+            items: Sequence[Any]) -> List[Any]:
+        """``fn(item)`` for every item, in worker processes, results in
+        submission order. *fn* must pickle: a top-level function, or a
+        :func:`functools.partial` of one.
 
         Raises:
-            ReproError: the first typed error a job raised (a bad
+            ReproError: the first typed error a call raised (a bad
                 scale, say): it is deterministic, so it is not retried.
-            RuntimeError: when a job keeps failing after ``retries``
+            RuntimeError: when a call keeps failing after ``retries``
                 resubmissions.
         """
         from concurrent.futures import ProcessPoolExecutor, as_completed
-        results: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-        pending = list(range(len(payloads)))
-        attempts = [0] * len(payloads)
+        results: List[Any] = [None] * len(items)
+        pending = list(range(len(items)))
+        attempts = [0] * len(items)
         while pending:
             executor = ProcessPoolExecutor(max_workers=self.jobs)
-            futures = {executor.submit(run_job_payload, payloads[idx]): idx
+            futures = {executor.submit(fn, items[idx]): idx
                        for idx in pending}
             failed: List[int] = []
             errors: Dict[int, BaseException] = {}
@@ -126,12 +122,11 @@ class WorkerPool:
             if exhausted:
                 idx = exhausted[0]
                 raise RuntimeError(
-                    f"job {payloads[idx].get('label')!r} on "
-                    f"{payloads[idx].get('benchmark')!r} failed after "
+                    f"item {idx} ({items[idx]!r:.120}) failed after "
                     f"{attempts[idx]} attempt(s)") from errors[idx]
             self.retry_count += len(failed)
             pending = sorted(failed)
-        return [r for r in results if r is not None]
+        return results
 
 
-__all__ = ["WorkerPool", "run_job_payload"]
+__all__ = ["WorkerPool", "run_job", "simulate"]

@@ -21,16 +21,16 @@ simulated job's own split goes in its cache envelope's provenance.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 import time
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
-from repro.core.export import result_from_dict
 from repro.core.results import SimResult
 from repro.errors import ConfigError
 from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import code_version, job_fingerprint
 from repro.exec.grid import JobSpec
-from repro.exec.pool import WorkerPool, run_job_payload
+from repro.exec.pool import WorkerPool, run_job, simulate
 
 
 class ExecutionService:
@@ -75,21 +75,18 @@ class ExecutionService:
 
     # -- resolution tiers ----------------------------------------------
 
-    def _lookup(self, job: JobSpec, fp: str) -> Optional[SimResult]:
-        """Memo and disk tiers; relabels replayed results to the
-        job's label (labels are presentation, not identity)."""
-        source = "memo"
-        result = self._memo.get(fp)
-        if result is None and self.cache is not None:
-            source = "disk"
-            result = self.cache.get(fp)
+    def _lookup(self, fp: str) -> bool:
+        """Memo and disk tiers: whether *fp*'s result is in the memo,
+        where a disk hit is put."""
+        if fp in self._memo:
+            self.stats["memo"] += 1
+            return True
+        result = self.cache.get(fp) if self.cache is not None else None
         if result is None:
-            return None
-        self.stats[source] += 1
-        if result.config_label != job.label:
-            result = replace(result, config_label=job.label)
+            return False
+        self.stats["disk"] += 1
         self._memo[fp] = result
-        return result
+        return True
 
     def _store(self, job: JobSpec, fp: str, result: SimResult,
                host_s: Dict[str, float]) -> None:
@@ -105,22 +102,6 @@ class ExecutionService:
                 "host_s": host_s})
             self.host_s["cache_write"] += time.perf_counter() - start
 
-    def _payload(self, job: JobSpec, fp: str) -> Dict[str, Any]:
-        return {"benchmark": job.benchmark, "scale": self.scale,
-                "config": job.config.to_dict(), "label": job.label,
-                "fingerprint": fp}
-
-    def _simulate_inline(self, job: JobSpec, fp: str) -> None:
-        from repro.core.engine import Engine
-        start = time.perf_counter()
-        trace = self.trace(job.benchmark)
-        traced = time.perf_counter()
-        result = Engine(job.config).run(
-            trace, benchmark=job.benchmark, label=job.label)
-        self._store(job, fp, result, {
-            "trace": traced - start,
-            "engine": time.perf_counter() - traced})
-
     # -- public API ----------------------------------------------------
 
     def run(self, job: JobSpec) -> SimResult:
@@ -130,53 +111,31 @@ class ExecutionService:
     def run_many(self, jobs: List[JobSpec]) -> List[SimResult]:
         """All *jobs*, results in submission order. Misses run through
         the worker pool when ``jobs > 1``, inline otherwise; duplicate
-        specs within the batch simulate once."""
+        specs within the batch simulate once. Each result carries its
+        own job's label (labels are presentation, not identity)."""
         fps = [self.fingerprint(job) for job in jobs]
-        results: Dict[int, SimResult] = {}
-        misses: List[int] = []
-        dispatched: Set[str] = set()
-        for idx, (job, fp) in enumerate(zip(jobs, fps)):
-            hit = self._lookup(job, fp)
-            if hit is not None:
-                results[idx] = hit
-            elif fp not in dispatched:        # a duplicate fills in later
-                dispatched.add(fp)
-                misses.append(idx)
-        if misses and self.jobs > 1:
-            self._run_pool([jobs[i] for i in misses],
-                           [fps[i] for i in misses])
-        elif misses:
-            for idx in misses:
-                self._simulate_inline(jobs[idx], fps[idx])
+        misses: Dict[str, JobSpec] = {}
+        for job, fp in zip(jobs, fps):
+            if fp not in misses and not self._lookup(fp):
+                misses[fp] = job
+        pending = list(misses.values())
+        if pending and self.jobs > 1:
+            pool = WorkerPool(self.jobs)
+            outcomes = pool.run(partial(run_job, scale=self.scale), pending)
+            self.stats["retried"] += pool.retry_count
+        else:
+            outcomes = [simulate(job, self.trace) for job in pending]
+        for (fp, job), (result, host_s) in zip(misses.items(), outcomes):
+            self._store(job, fp, result, host_s)
         out: List[SimResult] = []
-        for idx, (job, fp) in enumerate(zip(jobs, fps)):
-            result = results.get(idx)
-            if result is None:
-                result = self._memo[fp]
-                if result.config_label != job.label:
-                    result = replace(result, config_label=job.label)
+        for job, fp in zip(jobs, fps):
+            result = self._memo[fp]
+            if result.config_label != job.label:
+                result = replace(result, config_label=job.label)
             out.append(result)
         return out
 
-    def _run_pool(self, jobs: List[JobSpec], fps: List[str]) -> None:
-        pool = WorkerPool(self.jobs)
-        raw = pool.run([self._payload(job, fp)
-                        for job, fp in zip(jobs, fps)])
-        self.stats["retried"] += pool.retry_count
-        by_fp = {entry["fingerprint"]: entry for entry in raw}
-        for job, fp in zip(jobs, fps):
-            entry = by_fp[fp]
-            self._store(job, fp, result_from_dict(entry["result"]),
-                        entry["host_s"])
-
     # -- bookkeeping ---------------------------------------------------
-
-    def run_payload_inline(self, job: JobSpec) -> SimResult:
-        """The exact worker path, in-process (tests: serial-vs-pool
-        equivalence without spawning)."""
-        fp = self.fingerprint(job)
-        entry = run_job_payload(self._payload(job, fp))
-        return result_from_dict(entry["result"])
 
     @property
     def cache_hit_rate(self) -> float:

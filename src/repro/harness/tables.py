@@ -60,8 +60,10 @@ def within_band(measured: dict, target: Table2Row, factor: float = 3.0,
     """True when every Table 2 category the paper puts at *floor_pct*
     or more is *measured* (percent) within *factor* of the paper's
     *target*; categories under the floor are noise-level and exempt."""
-    for key in ("moves", "reassoc", "scaled", "total"):
-        paper = getattr(target, key)
+    for key, paper in (("moves", target.moves),
+                       ("reassoc", target.reassoc),
+                       ("scaled", target.scaled),
+                       ("any_opt", target.total)):
         if paper >= floor_pct and not (paper / factor <= measured[key]
                                        <= paper * factor):
             return False
@@ -87,9 +89,9 @@ def table2(service: ExecutionService,
             cov["moves"], paper.moves,
             cov["reassoc"], paper.reassoc,
             cov["scaled"], paper.scaled,
-            cov["total"], paper.total,
+            cov["any_opt"], paper.total,
         ])
-        totals.append(cov["total"])
+        totals.append(cov["any_opt"])
     data_rows = list(rows)
     paper_total = arithmetic_mean(PAPER_TABLE2[n].total for n in benchmarks)
     rows.append([

@@ -1,14 +1,14 @@
-"""SimConfig.to_dict / from_dict round-trip.
+"""SimConfig construction and its fingerprint form.
 
-The exec layer's job fingerprint is a hash of ``to_dict()`` and the
-worker pool reconstructs configs from it across process boundaries, so
-every field — top-level and nested — must survive the trip exactly.
+A config is checked where it is built: every config's own constructor
+raises ConfigError on a field of the wrong type or an unrunnable
+value. The exec layer's job fingerprint is a hash of ``to_dict()``, so
+every field — top-level and nested — must reach that form.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -17,6 +17,7 @@ from repro.branch.predictor import PredictorConfig
 from repro.cache.hierarchy import HierarchyConfig
 from repro.core.config import SimConfig
 from repro.errors import ConfigError
+from repro.exec.fingerprint import canonical_json, job_fingerprint
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.tracecache.cache import TraceCacheConfig
 
@@ -80,62 +81,41 @@ def test_fixture_covers_every_field():
     _assert_every_field_differs(_non_default_config())
 
 
-def test_round_trip_every_field():
-    config = _non_default_config()
-    rebuilt = SimConfig.from_dict(config.to_dict())
-    assert rebuilt == config
+def _field_paths(config: SimConfig):
+    """``(owner names, field name)`` of every field of *config*, nested
+    configs' fields included."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            for nested in dataclasses.fields(value):
+                yield (f.name,), nested.name
+        else:
+            yield (), f.name
 
 
-def test_round_trip_survives_json_hop():
-    config = _non_default_config()
-    hopped = json.loads(json.dumps(config.to_dict()))
-    rebuilt = SimConfig.from_dict(hopped)
-    assert rebuilt == config
-    assert isinstance(rebuilt.predictor.pht_entries, tuple)
-    # A second trip is byte-stable (fingerprinting relies on this).
-    assert rebuilt.to_dict() == config.to_dict()
-
-
-def test_defaults_round_trip():
-    config = SimConfig.paper()
-    assert SimConfig.from_dict(config.to_dict()) == config
-
-
-def test_unknown_top_level_key_rejected():
-    payload = SimConfig().to_dict()
-    payload["fetch_widht"] = 32
-    with pytest.raises(ConfigError, match="fetch_widht"):
-        SimConfig.from_dict(payload)
-
-
-def test_unknown_nested_key_rejected():
-    payload = SimConfig().to_dict()
-    payload["predictor"]["pht_entires"] = [1, 2, 3]
-    with pytest.raises(ConfigError, match="pht_entires"):
-        SimConfig.from_dict(payload)
-    # a config recorded when the fill unit still had its CSE and
-    # dead-code passes names both retired keys
-    payload = SimConfig().to_dict()
-    payload["optimizations"].update(cse=True, dead_code=False)
-    with pytest.raises(ConfigError, match=r"\['cse', 'dead_code'\]"):
-        SimConfig.from_dict(payload)
+def test_every_field_changes_fingerprint():
+    """Each field of the fixture, set alone on a default config, moves
+    the job fingerprint: ``to_dict`` drops no field. (The field is set
+    past the constructor: a lone change may be unrunnable, but the
+    fingerprint must still see it.)"""
+    source = _non_default_config()
+    default_fp = job_fingerprint(SimConfig(), "compress", 0.5)
+    seen = set()
+    for owners, name in _field_paths(source):
+        config = SimConfig()
+        target, value = config, source
+        for owner in owners:
+            target, value = getattr(target, owner), getattr(value, owner)
+        setattr(target, name, getattr(value, name))
+        fp = job_fingerprint(config, "compress", 0.5)
+        assert fp != default_fp, f"{'.'.join((*owners, name))} not hashed"
+        assert fp not in seen
+        seen.add(fp)
 
 
 def test_invalid_values_still_validated():
-    payload = SimConfig().to_dict()
-    payload["fill_latency"] = 0
     with pytest.raises(ConfigError):
-        SimConfig.from_dict(payload)
-
-
-def test_policy_round_trips_both_knobs():
-    config = SimConfig(
-        trace_cache=TraceCacheConfig(policy="trrip"),
-        hierarchy=HierarchyConfig(policy="srrip"))
-    rebuilt = SimConfig.from_dict(config.to_dict())
-    assert rebuilt.trace_cache.policy == "trrip"
-    assert rebuilt.hierarchy.policy == "srrip"
-    assert rebuilt == config
+        SimConfig(fill_latency=0)
 
 
 def test_unknown_policy_rejected():
@@ -143,21 +123,30 @@ def test_unknown_policy_rejected():
         TraceCacheConfig(policy="plru")
     with pytest.raises(ConfigError, match="replacement policy"):
         HierarchyConfig(policy="random")
-    payload = SimConfig().to_dict()
-    payload["hierarchy"]["policy"] = "clock"
-    with pytest.raises(ConfigError, match="replacement policy"):
-        SimConfig.from_dict(payload)
 
 
 def test_retired_memo_knobs_rejected():
-    """The timing-memo knobs are gone; a sweep declaring one fails
+    """The timing-memo knobs are gone; a config naming one fails
     loudly instead of silently running a different machine."""
     for knob in ("timing_memo", "memo_capacity", "replay_shadow_every",
                  "memo_breakeven", "memo_breakeven_window"):
-        payload = SimConfig().to_dict()
-        payload[knob] = 0
-        with pytest.raises(ConfigError, match=knob):
-            SimConfig.from_dict(payload)
+        with pytest.raises(TypeError, match=knob):
+            SimConfig(**{knob: 0})
+
+
+def test_unknown_nested_key_rejected():
+    """The fill unit's retired CSE and dead-code passes have no knob."""
+    for knob in ("cse", "dead_code"):
+        with pytest.raises(TypeError, match=knob):
+            OptimizationConfig(**{knob: True})
+
+
+def _build(path: str, value):
+    """The config that *path* (``field`` or ``nested.field``) names,
+    built with that field set to *value* and the rest at defaults."""
+    *owners, name = path.split(".")
+    owner = type(getattr(SimConfig(), owners[0])) if owners else SimConfig
+    return owner(**{name: value})
 
 
 @pytest.mark.parametrize("path, value", [
@@ -173,17 +162,11 @@ def test_retired_memo_knobs_rejected():
     ("predictor.pht_entries", 4096),
     ("hierarchy.l1d_size", 4096.0),
 ], ids=repr)
-def test_from_dict_rejects_wrong_field_types(path, value):
+def test_constructor_rejects_wrong_field_types(path, value):
     """A field of the wrong type is a ConfigError, never a raw
     TypeError and never silently accepted."""
-    payload = SimConfig().to_dict()
-    *owners, name = path.split(".")
-    target = payload
-    for owner in owners:
-        target = target[owner]
-    target[name] = value
-    with pytest.raises(ConfigError, match=name):
-        SimConfig.from_dict(payload)
+    with pytest.raises(ConfigError, match=path.split(".")[-1]):
+        _build(path, value)
 
 
 #: what a mutation may put in a field: None, booleans, ints (negative
@@ -197,57 +180,64 @@ _MUTANTS = st.one_of(
 
 def _swap_type(value):
     """The same value in a neighbouring type (int -> float, str or
-    bool; bool -> int or str; a tuple's list -> tuple, scalar or
-    strings; a nested config's dict -> list, None or int)."""
+    bool; bool -> int or str; a tuple -> list, shorter tuple, scalar
+    or strings; a nested config's arguments -> list, None or int)."""
     if isinstance(value, bool):
         return st.sampled_from([int(value), str(value).lower()])
     if isinstance(value, int):
         return st.sampled_from([float(value), str(value), bool(value),
                                 -value])
-    if isinstance(value, list):
-        return st.sampled_from([tuple(value), value[:1], len(value),
-                                [str(item) for item in value]])
+    if isinstance(value, tuple):
+        return st.sampled_from([list(value), value[:1], len(value),
+                                tuple(str(item) for item in value)])
     if isinstance(value, dict):
         return st.sampled_from([list(value), None, 0])
     return st.sampled_from([None, 0, [value]])
 
 
 @st.composite
-def mutated_payloads(draw):
-    """``SimConfig.paper(...).to_dict()`` with one to four fields,
-    top-level or nested, dropped or replaced."""
+def mutated_arguments(draw):
+    """``SimConfig.paper(...)``'s constructor arguments, each nested
+    config as a dict of its own arguments, with one to four fields,
+    top-level or nested, replaced."""
     opts = draw(st.sampled_from([OptimizationConfig.none(),
                                  OptimizationConfig.all(),
                                  OptimizationConfig.extended()]))
-    payload = SimConfig.paper(opts).to_dict()
-    paths = [(name,) for name in payload] + [
-        (name, inner) for name, value in payload.items()
-        if isinstance(value, dict) for inner in value]
+    config = SimConfig.paper(opts)
+    arguments = {f.name: getattr(config, f.name)
+                 for f in dataclasses.fields(config)}
+    nested = {name: type(value) for name, value in arguments.items()
+              if dataclasses.is_dataclass(value)}
+    for name in nested:
+        arguments[name] = {f.name: getattr(arguments[name], f.name)
+                           for f in dataclasses.fields(arguments[name])}
+    paths = [(name,) for name in arguments] + [
+        (name, inner) for name in nested for inner in arguments[name]]
     for _ in range(draw(st.integers(1, 4))):
         *owners, name = draw(st.sampled_from(paths))
-        target = payload
-        for owner in owners:
-            target = target.get(owner)
-        if not isinstance(target, dict) or name not in target:
-            continue
-        action = draw(st.sampled_from(["drop", "swap", "replace"]))
-        if action == "drop":
-            del target[name]
-        elif action == "swap":
+        if owners and owners[0] not in nested:
+            continue                # its owner was replaced already
+        target = arguments[owners[0]] if owners else arguments
+        if not owners:
+            nested.pop(name, None)  # a replaced config goes in as it is
+        if draw(st.booleans()):
             target[name] = draw(_swap_type(target[name]))
         else:
             target[name] = draw(_MUTANTS)
-    return payload
+    return arguments, nested
 
 
-@given(payload=mutated_payloads())
+@given(drawn=mutated_arguments())
 @settings(max_examples=400, deadline=None)
-def test_from_dict_fuzz_returns_config_or_raises_config_error(payload):
-    """Whatever a sweep declaration holds, ``from_dict`` returns a
-    config (which round-trips) or raises ConfigError, nothing else."""
+def test_constructor_fuzz_returns_config_or_raises_config_error(drawn):
+    """Whatever its fields hold, building a config returns one (which
+    can be fingerprinted) or raises ConfigError, nothing else."""
+    arguments, nested = drawn
     try:
-        config = SimConfig.from_dict(payload)
+        for name, cls in nested.items():
+            arguments[name] = cls(**arguments[name])
+        config = SimConfig(**arguments)
     except ConfigError:
         return
     assert isinstance(config, SimConfig)
-    assert SimConfig.from_dict(config.to_dict()) == config
+    canonical_json(config.to_dict())

@@ -536,7 +536,7 @@ def test_zero_timing_parameters_stay_valid():
 
 def test_with_optimizations_copies():
     base = SimConfig.paper()
-    opt = base.with_optimizations(OptimizationConfig.all())
+    opt = dataclasses.replace(base, optimizations=OptimizationConfig.all())
     assert base.optimizations.enabled_names() == []
     assert len(opt.optimizations.enabled_names()) == 4
 

@@ -51,9 +51,7 @@ def test_coverage_percentages():
     cov = OptCoverage(moves=60, reassoc=30, scaled=10, any_opt=90)
     pct = cov.as_percentages(1000)
     assert pct == {"moves": 6.0, "reassoc": 3.0, "scaled": 1.0,
-                   "any_opt": 9.0, "total": 9.0}
-    # `total` is the legacy alias for `any_opt`
-    assert pct["total"] == pct["any_opt"]
+                   "any_opt": 9.0}
 
 
 def test_coverage_percentages_zero_instructions():
@@ -61,7 +59,7 @@ def test_coverage_percentages_zero_instructions():
     zero = cov.as_percentages(0)
     # identical key set to the nonzero case, all values 0.0
     assert zero == {"moves": 0.0, "reassoc": 0.0, "scaled": 0.0,
-                    "any_opt": 0.0, "total": 0.0}
+                    "any_opt": 0.0}
     assert set(zero) == set(cov.as_percentages(1000))
 
 

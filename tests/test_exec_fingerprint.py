@@ -43,12 +43,10 @@ def test_fingerprint_sensitivity():
     fp = job_fingerprint(base, "compress", 0.5)
     assert fp != job_fingerprint(base, "li", 0.5)
     assert fp != job_fingerprint(base, "compress", 0.6)
-    assert fp != job_fingerprint(base, "compress", 0.5,
-                                 max_instructions=1000)
     assert fp != job_fingerprint(dataclasses.replace(base, fill_latency=6),
                                  "compress", 0.5)
     assert fp != job_fingerprint(
-        base.with_optimizations(OptimizationConfig.all()),
+        dataclasses.replace(base, optimizations=OptimizationConfig.all()),
         "compress", 0.5)
 
 
@@ -75,7 +73,7 @@ def test_builtin_sha256_gives_hashlib_digests():
     config = SimConfig.paper(OptimizationConfig.all())
     description = {"schema": SCHEMA_VERSION, "code": "x",
                    "benchmark": "compress", "scale": 0.05,
-                   "max_instructions": None, "config": config.to_dict()}
+                   "config": config.to_dict()}
     assert (job_fingerprint(config, "compress", 0.05, version="x")
             == hashlib.sha256(canonical_json(description).encode())
             .hexdigest())

@@ -8,15 +8,17 @@ cache.
 
 from __future__ import annotations
 
+from functools import partial
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import SimConfig
 from repro.errors import ConfigError
-from repro.exec.fingerprint import job_fingerprint
+from repro.exec import service as service_module
 from repro.exec.grid import JobSpec, expand, opt_variant
-from repro.exec.pool import WorkerPool, run_job_payload
+from repro.exec.pool import WorkerPool, run_job
 from repro.exec.service import ExecutionService
 from repro.fillunit.opts.base import OptimizationConfig
 
@@ -64,11 +66,9 @@ def test_cache_hit_matches_serial(serial_results, tmp_path):
 
 
 def test_worker_path_matches_inline(serial_results):
-    service = ExecutionService(scale=SCALE, jobs=1)
-    job = _jobs()[0]
-    via_worker = service.run_payload_inline(job)
-    assert via_worker.cycles == serial_results[0].cycles
-    assert via_worker.telemetry == serial_results[0].telemetry
+    result, host_s = run_job(_jobs()[0], SCALE)
+    assert result == serial_results[0]
+    assert set(host_s) == {"trace", "engine"}
 
 
 def test_memo_serves_repeats_without_resimulating():
@@ -93,62 +93,54 @@ def test_duplicate_jobs_in_batch_simulate_once():
     assert results[1].config_label == "also-baseline"
 
 
+def _crash_once(marker, job, scale):
+    """:func:`run_job`, except that the first call (while *marker* does
+    not exist yet) hard-kills its worker process."""
+    if not os.path.exists(marker):
+        Path(marker).touch()
+        os._exit(17)
+    return run_job(job, scale)
+
+
 def test_pool_retries_crashed_worker(tmp_path):
-    config = SimConfig.paper()
-    fp = job_fingerprint(config, "compress", SCALE)
+    job = JobSpec("compress", SimConfig.paper(), "baseline")
     marker = tmp_path / "crash-once"
-    payload = {"benchmark": "compress", "scale": SCALE,
-               "config": config.to_dict(), "label": "baseline",
-               "fingerprint": fp, "crash_once_path": str(marker)}
     pool = WorkerPool(2)
-    out = pool.run([payload])
+    out = pool.run(partial(_crash_once, str(marker), scale=SCALE), [job])
     assert marker.exists()
     assert pool.retry_count >= 1
-    assert out[0]["fingerprint"] == fp
     # the retried job produced the same result a clean worker does
-    clean = run_job_payload({k: v for k, v in payload.items()
-                             if k != "crash_once_path"})
-    assert out[0]["result"] == clean["result"]
+    assert out[0][0] == run_job(job, SCALE)[0]
 
 
-def test_pool_gives_up_after_retries(tmp_path):
-    # a payload the worker cannot satisfy: unknown benchmark
-    config = SimConfig.paper()
-    payload = {"benchmark": "no-such-benchmark", "scale": SCALE,
-               "config": config.to_dict(), "label": "baseline",
-               "fingerprint": "ff" * 32}
+def test_pool_gives_up_after_retries():
+    # a job the worker cannot satisfy: unknown benchmark
+    job = JobSpec("no-such-benchmark", SimConfig.paper(), "baseline")
     pool = WorkerPool(2, retries=1)
     with pytest.raises(RuntimeError, match="failed after"):
-        pool.run([payload])
+        pool.run(partial(run_job, scale=SCALE), [job])
     assert pool.retry_count == 1
 
 
 def test_pool_raises_typed_error_without_retry():
     """A typed error (here a nonsense scale) is deterministic: the pool
     raises it as it is, after one attempt."""
-    config = SimConfig.paper()
-    payload = {"benchmark": "compress", "scale": float("nan"),
-               "config": config.to_dict(), "label": "baseline",
-               "fingerprint": "ff" * 32}
+    job = JobSpec("compress", SimConfig.paper(), "baseline")
     pool = WorkerPool(2)
     with pytest.raises(ConfigError, match="got nan"):
-        pool.run([payload])
+        pool.run(partial(run_job, scale=float("nan")), [job])
     assert pool.retry_count == 0
 
 
-def test_service_counts_worker_retries(serial_results, tmp_path):
+def test_service_counts_worker_retries(serial_results, tmp_path,
+                                       monkeypatch):
     """A worker that dies on its first attempt is resubmitted; the
     service counts the resubmissions and returns the serial results."""
-    service = ExecutionService(scale=SCALE, jobs=2)
-    payload = service._payload
     marker = str(tmp_path / "crash-once")
-
-    def crashing_payload(job, fp):
-        return {**payload(job, fp), "crash_once_path": marker}
-
-    service._payload = crashing_payload
+    monkeypatch.setattr(service_module, "run_job",
+                        partial(_crash_once, marker))
+    service = ExecutionService(scale=SCALE, jobs=2)
     _assert_identical(serial_results, service.run_many(_jobs()))
     assert os.path.exists(marker)
     assert service.stats["retried"] >= 1
     assert service.stats["simulated"] == len(_jobs())
-

@@ -140,7 +140,8 @@ def test_table2_coverage_orders_like_paper(service):
     for bench in SUBSET:
         result = service.run(opt_job(bench, OptimizationConfig.all()))
         covs[bench] = result.coverage.as_percentages(result.instructions)
-    assert covs["m88ksim"]["total"] == max(c["total"] for c in covs.values())
+    assert covs["m88ksim"]["any_opt"] == max(c["any_opt"]
+                                             for c in covs.values())
     assert covs["m88ksim"]["reassoc"] == max(c["reassoc"]
                                              for c in covs.values())
     assert covs["go"]["scaled"] == max(c["scaled"] for c in covs.values())

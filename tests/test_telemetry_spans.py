@@ -138,14 +138,12 @@ def test_residency_spans_all_closed(traced_run):
 
 def test_cycles_identical_with_spans_on_and_off(traced_run):
     config, trace, _, traced_result = traced_run
-    plain = Engine(SimConfig.from_dict(config.to_dict())).run(
-        trace, "compress")
+    plain = Engine(config).run(trace, "compress")
     assert plain.cycles == traced_result.cycles
     assert plain.instructions == traced_result.instructions
     session = Telemetry()   # session without spans
-    with_session = Engine(
-        SimConfig.from_dict(config.to_dict()),
-        telemetry=session).run(trace, "compress")
+    with_session = Engine(config, telemetry=session).run(
+        trace, "compress")
     assert with_session.cycles == traced_result.cycles
     assert session.spans is None
 
