@@ -1,14 +1,18 @@
-"""SimConfig construction and its fingerprint form.
+"""SimConfig construction, its trip to a worker and its fingerprint form.
 
 A config is checked where it is built: every config's own constructor
 raises ConfigError on a field of the wrong type or an unrunnable
-value. The exec layer's job fingerprint is a hash of ``to_dict()``, so
-every field — top-level and nested — must reach that form.
+value. The worker pool receives each job's config pickled inside its
+JobSpec, so every field must survive that trip exactly; the exec
+layer's job fingerprint is a hash of ``to_dict()``, so every field —
+top-level and nested — must reach that form.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import pickle
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -18,6 +22,7 @@ from repro.cache.hierarchy import HierarchyConfig
 from repro.core.config import SimConfig
 from repro.errors import ConfigError
 from repro.exec.fingerprint import canonical_json, job_fingerprint
+from repro.exec.grid import JobSpec
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.tracecache.cache import TraceCacheConfig
 
@@ -79,6 +84,48 @@ def _assert_every_field_differs(config: SimConfig) -> None:
 
 def test_fixture_covers_every_field():
     _assert_every_field_differs(_non_default_config())
+
+
+def _round_trip(config: SimConfig) -> SimConfig:
+    """*config* as a pool worker receives it: pickled in its JobSpec."""
+    job = pickle.loads(pickle.dumps(JobSpec("compress", config, "x")))
+    return job.config
+
+
+def test_round_trip_every_field():
+    config = _non_default_config()
+    rebuilt = _round_trip(config)
+    assert rebuilt == config
+    _assert_every_field_differs(rebuilt)
+    assert (job_fingerprint(rebuilt, "compress", 0.5)
+            == job_fingerprint(config, "compress", 0.5))
+
+
+def test_round_trip_survives_json_hop():
+    """The fingerprint form is plain JSON: a hop through ``json`` gives
+    back the same canonical text, with tuples written as lists."""
+    config = _non_default_config()
+    hopped = json.loads(json.dumps(config.to_dict()))
+    assert hopped["predictor"]["pht_entries"] == [4096, 1024, 512]
+    assert canonical_json(hopped) == canonical_json(config.to_dict())
+    # A second trip is byte-stable (fingerprinting relies on this).
+    assert (canonical_json(_round_trip(config).to_dict())
+            == canonical_json(hopped))
+
+
+def test_defaults_round_trip():
+    config = SimConfig.paper()
+    assert _round_trip(config) == config
+
+
+def test_policy_round_trips_both_knobs():
+    config = SimConfig(
+        trace_cache=TraceCacheConfig(policy="trrip"),
+        hierarchy=HierarchyConfig(policy="srrip"))
+    rebuilt = _round_trip(config)
+    assert rebuilt.trace_cache.policy == "trrip"
+    assert rebuilt.hierarchy.policy == "srrip"
+    assert rebuilt == config
 
 
 def _field_paths(config: SimConfig):
@@ -162,7 +209,7 @@ def _build(path: str, value):
     ("predictor.pht_entries", 4096),
     ("hierarchy.l1d_size", 4096.0),
 ], ids=repr)
-def test_constructor_rejects_wrong_field_types(path, value):
+def test_config_rejects_wrong_field_types(path, value):
     """A field of the wrong type is a ConfigError, never a raw
     TypeError and never silently accepted."""
     with pytest.raises(ConfigError, match=path.split(".")[-1]):
