@@ -3,10 +3,13 @@
 The segment verifier is an opt-in safety net: with ``verify_fill``
 off (the default) the fill unit must not pay anything — no snapshot
 clone, no symbolic evaluation, no report bookkeeping. With it on, the
-cost rides the fill pipeline, which sits behind retirement and off the
-critical path, but the wall-clock price of the *simulation* still has
-to stay reasonable or nobody will leave it enabled: the acceptance bar
-is under 10% over the unverified replay.
+pass manager checks every pass of every build against its own
+snapshot. That cost rides the fill pipeline, which sits behind
+retirement and off the critical path, but the wall-clock price of the
+*simulation* still has to stay reasonable or nobody will leave it
+enabled: the acceptance bar is under 10% over the unverified replay.
+All three configs run the paper's four passes, since with no passes
+there is nothing to check.
 
 Run with ``pytest benchmarks/bench_verify_overhead.py -s`` or directly
 as a script.
@@ -19,6 +22,7 @@ from dataclasses import replace
 from repro import workloads
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
+from repro.fillunit.opts.base import OptimizationConfig
 from repro.machine.executor import Executor
 
 SCALE = 0.3
@@ -43,7 +47,7 @@ def _one_replay(trace, config) -> float:
 
 def measure() -> dict:
     trace = _trace()
-    base_config = SimConfig.paper()
+    base_config = SimConfig.paper(OptimizationConfig.all())
     off_config = replace(base_config, verify_fill=False)
     on_config = replace(base_config, verify_fill=True)
     # Warm-up: the first replays pay import and allocator noise.
@@ -82,9 +86,10 @@ def test_verify_overhead(capsys=None):
         f"verify on {1000 * stats['verify_on']:.1f} ms "
         f"({stats['on_overhead_pct']:+.1f}%)")
     print("\n" + report)
-    # The guard: with verification off, build_segment must skip the
-    # snapshot clone and the checker entirely — the flag check is the
-    # whole cost. 3% is measurement noise, not a budget.
+    # ``base`` and ``off`` run identical code (``verify_fill`` is off
+    # by default), so this bound measures host noise, not the
+    # verifier: that verification off takes no snapshot is pinned by
+    # tests/test_verify_online.py.
     assert stats["off_overhead_pct"] < 3.0, report
     # The acceptance bar for leaving verification on during runs.
     assert stats["on_overhead_pct"] < 10.0, report

@@ -130,8 +130,7 @@ def cmd_run(args) -> int:
     baseline = None
     violations = 0
     for name in args.opts:
-        config = replace(_config(args, name), verify_fill=args.verify,
-                         verify_each_pass=args.verify)
+        config = replace(_config(args, name), verify_fill=args.verify)
         engine = Engine(config, telemetry=telemetry)
         if profiler is not None:
             profiler.attach(engine)

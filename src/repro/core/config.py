@@ -63,17 +63,13 @@ class SimConfig:
     fill_latency: int = 5
     optimizations: OptimizationConfig = field(
         default_factory=OptimizationConfig)
-    #: statically verify every optimized segment against its
-    #: pre-optimization snapshot (see :mod:`repro.verify`); outcomes
-    #: accumulate in ``fill_unit.verifier.report`` (what ``repro run
-    #: --verify`` prints) and surface as ``fillunit.verify.*``
-    #: counters and ``verify.violation`` events.
+    #: statically verify each optimization pass's rewrite of every
+    #: segment against the segment's snapshot from before the pass
+    #: (see :mod:`repro.verify`); outcomes accumulate in
+    #: ``fill_unit.verifier.report`` (what ``repro run --verify``
+    #: prints) and surface as ``fillunit.verify.*`` counters and
+    #: ``verify.violation`` events.
     verify_fill: bool = False
-    #: with :attr:`verify_fill`, check each optimization pass in
-    #: isolation so a violation names the offending pass (``run
-    #: --verify`` sets both); without it, one check covers the whole
-    #: pipeline.
-    verify_each_pass: bool = False
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -110,9 +106,6 @@ class SimConfig:
             raise ConfigError("fill latency is at least one cycle")
         if self.max_checkpoints < 1:
             raise ConfigError("need at least one checkpoint")
-        if self.verify_each_pass and not self.verify_fill:
-            raise ConfigError(
-                "verify_each_pass requires verify_fill")
 
     # ------------------------------------------------------------------
 

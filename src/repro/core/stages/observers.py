@@ -45,7 +45,7 @@ class EventStage(PipelineStage):
                          cycle: int) -> None:
         for v in violations:
             self.emit(ev.VERIFY_VIOLATION, cycle, start_pc=segment.start_pc,
-                      opt=v.pass_name or "(pipeline)", rule=v.rule,
+                      opt=v.pass_name, rule=v.rule,
                       severity=v.severity, index=v.index,
                       message=v.message)
 

@@ -35,3 +35,8 @@ class ConfigError(ReproError):
 
 class SegmentError(ReproError):
     """Raised when a trace segment violates a structural invariant."""
+
+
+class UnknownBenchmarkError(ReproError):
+    """Raised for a benchmark name the workload registry does not
+    know."""

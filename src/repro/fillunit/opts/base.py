@@ -17,10 +17,9 @@ impact negligible).
 
 For verification, every pass declares its *mutation surface* — the
 per-instruction fields and segment structures it is allowed to change.
-With :attr:`PassManager.verify_each`, the manager snapshots the
-segment around each pass and hands (snapshot, segment, pass, surface)
-to a segment verifier, so a violation names the offending pass rather
-than the whole pipeline.
+When the manager has a segment verifier, it snapshots the segment
+before each pass and hands (snapshot, segment, pass, surface) to it,
+so every violation names the pass that caused it.
 """
 
 from __future__ import annotations
@@ -151,8 +150,7 @@ class BuildRecord:
     passes: List[Tuple[str, Dict[str, int]]]
     #: the segment's rejections ``{(pass, reason): n}``
     rejections: Dict[Tuple[str, str], int]
-    #: under verification, the violations found (per pass with
-    #: ``verify_each``, else filled in by the fill unit after sealing)
+    #: under verification, the violations each pass's check found
     violations: List[Violation] = field(default_factory=list)
 
 
@@ -161,13 +159,15 @@ class OptimizationPass(abc.ABC):
 
     name: str = "pass"
 
-    #: The pass's declared mutation surface: per-instruction field
-    #: names (``op``, ``rs``, ``imm``, ``scale``, ``guard``, ...) plus
-    #: the tokens ``squash`` (may replace instructions with NOPs),
-    #: ``slots`` and ``branches``. ``None`` disables surface checking
-    #: for the pass. The segment verifier's ``pass-surface`` rule
-    #: flags any mutation outside this set.
-    surface: Optional[frozenset] = None
+    @property
+    @abc.abstractmethod
+    def surface(self) -> frozenset:
+        """The pass's declared mutation surface: per-instruction field
+        names (``op``, ``rs``, ``imm``, ``scale``, ``guard``, ...) plus
+        the tokens ``squash`` (may replace instructions with NOPs),
+        ``slots`` and ``branches``. Every pass sets it as a class
+        attribute; the segment verifier's ``pass-surface`` rule flags
+        any mutation outside it."""
 
     @abc.abstractmethod
     def apply(self, segment: TraceSegment, ctx: PassContext) -> dict:
@@ -187,8 +187,7 @@ class PassManager:
     def __init__(self, config: OptimizationConfig,
                  num_clusters: int = 4, cluster_size: int = 4,
                  bias: Optional[BiasTable] = None,
-                 verifier: Optional[SegmentVerifier] = None,
-                 verify_each: bool = False) -> None:
+                 verifier: Optional[SegmentVerifier] = None) -> None:
         from repro.fillunit.opts.moves import RegisterMovePass
         from repro.fillunit.opts.placement import PlacementPass
         from repro.fillunit.opts.predication import PredicationPass
@@ -209,11 +208,10 @@ class PassManager:
         if "placement" in names and names[-1] != "placement":
             raise ConfigError(
                 f"placement must be the final pass, got order {names}")
-        #: optional :class:`repro.verify.SegmentVerifier`; with
-        #: *verify_each*, every pass is checked in isolation against a
-        #: pre-pass snapshot so violations name the offending pass.
+        #: optional :class:`repro.verify.SegmentVerifier`: every pass
+        #: is checked in isolation against a pre-pass snapshot, so each
+        #: violation names the pass that caused it.
         self.verifier = verifier
-        self.verify_each = bool(verify_each and verifier is not None)
 
     def run(self, segment: TraceSegment) -> BuildRecord:
         """Apply all passes to *segment*; return what they did.
@@ -224,15 +222,14 @@ class PassManager:
         marks the segment it places."""
         record = BuildRecord([], {})
         self.context.rejections = record.rejections
-        verifier = self.verifier if self.verify_each else None
+        verifier = self.verifier
         for opt_pass in self.passes:
             snapshot = segment.clone() if verifier is not None else None
             record.passes.append(
                 (opt_pass.name, opt_pass.apply(segment, self.context)))
             if verifier is not None and snapshot is not None:
                 record.violations += verifier.check(
-                    snapshot, segment, pass_name=opt_pass.name,
-                    surface=opt_pass.surface, record=False)
+                    snapshot, segment, opt_pass.name, opt_pass.surface)
         return record
 
 

@@ -59,10 +59,10 @@ class FillUnit(FillCollector):
 
     It is configured by the machine's :class:`~repro.core.config.
     SimConfig` (line limits from ``trace_cache``, ``trace_packing``,
-    ``fill_latency``, the cluster geometry, ``optimizations``,
-    ``verify_fill`` and ``verify_each_pass``) and builds the trace
-    cache it fills from ``config.trace_cache``, so the lines it
-    collects and the lines the cache holds have one limit."""
+    ``fill_latency``, the cluster geometry, ``optimizations`` and
+    ``verify_fill``) and builds the trace cache it fills from
+    ``config.trace_cache``, so the lines it collects and the lines the
+    cache holds have one limit."""
 
     def __init__(self, config: SimConfig, bias: BiasTable) -> None:
         lines = config.trace_cache
@@ -76,8 +76,7 @@ class FillUnit(FillCollector):
             self.verifier = verify.SegmentVerifier(config.optimizations)
         self.passes = PassManager(config.optimizations,
                                   config.num_clusters, config.cluster_size,
-                                  bias=bias, verifier=self.verifier,
-                                  verify_each=config.verify_each_pass)
+                                  bias=bias, verifier=self.verifier)
         #: the decode table: one record per rewritten decode shape,
         #: shared by every segment this unit builds (the passes reach
         #: it through their context)
@@ -146,18 +145,10 @@ class FillUnit(FillCollector):
         built = self._built.get(key)
         if built is None:
             segment = self.assemble_segment(candidate)
-            # Per-pass checks compose (equivalence is transitive) and
-            # name the offending pass; without them, check the whole
-            # pipeline in one step.
-            whole = None if self.passes.verify_each else self.verifier
-            original = segment.clone() if whole is not None else None
             record = self.passes.run(segment)
             segment.seal(self.decodes)
             lines = self.config.trace_cache
             segment.validate(lines.max_instrs, lines.max_cond_branches)
-            if whole is not None and original is not None:
-                record.violations = whole.check(original, segment,
-                                                record=False)
             self._built[key] = (segment, record)
         else:
             segment, record = built

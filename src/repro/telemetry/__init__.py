@@ -35,7 +35,7 @@ events and runs no observer stage (segment events, segment spans).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional
+from typing import Any, List, Optional
 
 from repro.telemetry.attribution import (
     CYCLE_CLASSES,
@@ -76,17 +76,15 @@ class Telemetry:
         self.events.attach(sink)
         self._sinks.append(sink)
 
-    def attach_jsonl(self, path: Any,
-                     kinds: Optional[Iterable[str]] = None) -> JsonlSink:
+    def attach_jsonl(self, path: Any) -> JsonlSink:
         """Attach a JSONL file sink; returns it (for ``close()``)."""
-        sink = JsonlSink(path, kinds=kinds)
+        sink = JsonlSink(path)
         self.attach(sink)
         return sink
 
-    def attach_memory(self,
-                      kinds: Optional[Iterable[str]] = None) -> MemorySink:
+    def attach_memory(self) -> MemorySink:
         """Attach and return an in-memory sink."""
-        sink = MemorySink(kinds=kinds)
+        sink = MemorySink()
         self.attach(sink)
         return sink
 

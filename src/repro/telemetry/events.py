@@ -17,7 +17,7 @@ cycle attribution every run carries is built by the retire stage.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional
+from typing import Any, Dict, List, NamedTuple
 
 # -- event kinds --------------------------------------------------------
 
@@ -55,13 +55,11 @@ class Event(NamedTuple):
 class MemorySink:
     """Retains every delivered event in a list (tests, notebooks)."""
 
-    def __init__(self, kinds: Optional[Iterable[str]] = None) -> None:
-        self.kinds = frozenset(kinds) if kinds is not None else None
+    def __init__(self) -> None:
         self.events: List[Event] = []
 
     def handle(self, event: Event) -> None:
-        if self.kinds is None or event.kind in self.kinds:
-            self.events.append(event)
+        self.events.append(event)
 
     def by_kind(self, kind: str) -> List[Event]:
         return [e for e in self.events if e.kind == kind]
@@ -70,9 +68,7 @@ class MemorySink:
 class JsonlSink:
     """Writes one JSON object per line to *path* (or an open handle)."""
 
-    def __init__(self, path: Any,
-                 kinds: Optional[Iterable[str]] = None) -> None:
-        self.kinds = frozenset(kinds) if kinds is not None else None
+    def __init__(self, path: Any) -> None:
         if hasattr(path, "write"):
             self.path = getattr(path, "name", "<stream>")
             self._handle = path
@@ -84,8 +80,6 @@ class JsonlSink:
         self.written = 0
 
     def handle(self, event: Event) -> None:
-        if self.kinds is not None and event.kind not in self.kinds:
-            return
         json.dump(event.to_dict(), self._handle,
                   separators=(",", ":"), sort_keys=True)
         self._handle.write("\n")

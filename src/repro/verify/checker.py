@@ -1,31 +1,28 @@
 """The segment verifier: lint rules + translation validation.
 
-:class:`SegmentVerifier` is what the fill unit runs under
-``SimConfig.verify_fill`` (``repro run BENCH --verify``), and its
-:class:`VerificationReport` is what ``run --verify`` prints.
-``check()`` takes a pre-rewrite snapshot and the rewritten segment and
-returns every violation found, most precise diagnosis first: the
-structural lint rules run first, and the symbolic equivalence check
-then skips divergences a structural violation already explains, so one
-defect is reported by exactly one rule. A rewrite that left every
-entry and branch record as it was (no optimizations, or placement
-alone) skips the equivalence check: it cannot differ.
+:class:`SegmentVerifier` is what the fill unit's pass manager runs
+after each pass under ``SimConfig.verify_fill`` (``repro run BENCH
+--verify``), and its :class:`VerificationReport` is what ``run
+--verify`` prints. ``check()`` takes the segment's snapshot from before
+one pass, the segment that pass rewrote, and the pass's name and
+mutation surface, and returns every violation found, each naming the
+pass, most precise diagnosis first: the structural lint rules run
+first, and the symbolic equivalence check then skips divergences a
+structural violation already explains, so one defect is reported by
+exactly one rule. A rewrite that left every entry and branch record as
+it was (placement, or a pass that found nothing to do) skips the
+equivalence check: it cannot differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.tracecache.segment import TraceSegment
 from repro.verify.equivalence import check_equivalence
-from repro.verify.rules import (
-    ERROR,
-    RuleInput,
-    Violation,
-    run_rules,
-)
+from repro.verify.rules import ERROR, STRUCTURAL, RuleInput, Violation
 
 
 #: error violations a report keeps whole, for ``render`` to show
@@ -38,7 +35,7 @@ class VerificationReport:
 
     segments_checked: int = 0
     segments_clean: int = 0
-    #: ``{(pass or "(pipeline)", rule): count}`` for error severities.
+    #: ``{(pass, rule): count}`` for error severities.
     violation_counts: Dict[Tuple[str, str], int] = field(
         default_factory=dict)
     warning_counts: Dict[Tuple[str, str], int] = field(
@@ -64,7 +61,7 @@ class VerificationReport:
         room = SAMPLES - len(self.samples)
         self.samples += [(start_pc, v) for v in errors[:room]]
         for violation in violations:
-            key = (violation.pass_name or "(pipeline)", violation.rule)
+            key = (violation.pass_name, violation.rule)
             counts = (self.violation_counts
                       if violation.severity == ERROR
                       else self.warning_counts)
@@ -92,7 +89,7 @@ class VerificationReport:
                              f"{severity:8s} {count:5d}")
         for start_pc, v in self.samples:
             lines.append(f"    e.g. pc={start_pc:#x} "
-                         f"[{v.pass_name or '(pipeline)'}] {v.rule}: "
+                         f"[{v.pass_name}] {v.rule}: "
                          f"{v.message}")
         return "\n".join(lines)
 
@@ -112,39 +109,27 @@ def _unchanged(original: TraceSegment, optimized: TraceSegment) -> bool:
 class SegmentVerifier:
     """Static translation validator for fill-unit rewrites."""
 
-    def __init__(self, config: Optional[OptimizationConfig] = None
-                 ) -> None:
-        self.config = (config if config is not None
-                       else OptimizationConfig())
+    def __init__(self, config: OptimizationConfig) -> None:
+        self.config = config
+        #: what the fill unit accounts for each installed segment
         self.report = VerificationReport()
 
     def check(self, original: TraceSegment, optimized: TraceSegment,
-              pass_name: Optional[str] = None,
-              surface: Optional[frozenset] = None,
-              record: bool = True) -> List[Violation]:
-        """Verify one rewrite; returns every violation found.
-
-        *pass_name*/*surface* attribute violations to a single pass
-        (per-pass mode); without them the check covers the whole
-        pipeline. With *record*, outcomes accumulate in
-        :attr:`report`.
-        """
-        inp = RuleInput(original=original, optimized=optimized,
-                        config=self.config, pass_name=pass_name,
-                        surface=surface)
-        violations = run_rules(inp)
+              pass_name: str, surface: frozenset) -> List[Violation]:
+        """Verify pass *pass_name*'s rewrite of *original* (its
+        snapshot) into *optimized*, against the pass's declared
+        mutation *surface*; returns every violation found."""
+        inp = RuleInput(original, optimized, self.config, pass_name,
+                        surface)
+        violations = [v for rule in STRUCTURAL for v in rule(inp)]
         if not _unchanged(original, optimized):
             suppressed = {v.index for v in violations
                           if v.severity == ERROR and v.index is not None}
             order_reported = any(v.rule == "mem-branch-order"
                                  for v in violations)
-            semantic, _, _ = check_equivalence(
-                original, optimized, suppressed=suppressed,
-                order_already_reported=order_reported,
-                pass_name=pass_name)
-            violations += semantic
-        if record:
-            self.report.record(violations, optimized.start_pc)
+            violations += check_equivalence(
+                original, optimized, pass_name, suppressed=suppressed,
+                order_already_reported=order_reported)
         return violations
 
 

@@ -1,8 +1,9 @@
 """Translation validation for optimized trace segments.
 
-Proves — per segment, without executing anything — that an optimized
-segment is equivalent to its pre-optimization original along the
-embedded path:
+Proves — per pass, without executing anything — that the segment a
+pass rewrote is equivalent to its snapshot from before the pass, along
+the embedded path (equivalence is transitive, so a segment whose every
+pass checks clean is equivalent to its unoptimized original):
 
 * ``equiv-registers``: every register either side writes must hold a
   symbolically identical final value (a register only the original
@@ -22,10 +23,10 @@ register state); the caller passes the offending instruction indices in
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional
 
 from repro.tracecache.segment import TraceSegment
-from repro.verify.rules import RULES, Violation
+from repro.verify.rules import SEVERITY, Violation
 from repro.verify.symbolic import (
     BranchCondition,
     SymbolicState,
@@ -36,18 +37,16 @@ from repro.verify.symbolic import (
 
 
 def _violation(rule_id: str, index: Optional[int], message: str,
-               pass_name: Optional[str]) -> Violation:
-    spec = RULES[rule_id]
-    return Violation(rule=rule_id, severity=spec.severity,
-                     message=message, index=index, pass_name=pass_name,
-                     hint=spec.hint)
+               pass_name: str) -> Violation:
+    return Violation(rule_id, SEVERITY[rule_id], message, pass_name,
+                     index)
 
 
 def _compare_registers(original: TraceSegment, optimized: TraceSegment,
                        orig_state: SymbolicState,
                        opt_state: SymbolicState,
                        suppressed: AbstractSet[int],
-                       pass_name: Optional[str]) -> List[Violation]:
+                       pass_name: str) -> List[Violation]:
     orig_writers = written_registers(original)
     opt_writers = written_registers(optimized)
     found: List[Violation] = []
@@ -73,7 +72,7 @@ def _compare_memory(orig_state: SymbolicState,
                     opt_state: SymbolicState,
                     suppressed: AbstractSet[int],
                     order_already_reported: bool,
-                    pass_name: Optional[str]) -> List[Violation]:
+                    pass_name: str) -> List[Violation]:
     found: List[Violation] = []
     if len(orig_state.stores) != len(opt_state.stores):
         if not order_already_reported:
@@ -109,7 +108,7 @@ def _compare_memory(orig_state: SymbolicState,
 def _compare_branches(orig_state: SymbolicState,
                       opt_state: SymbolicState,
                       suppressed: AbstractSet[int],
-                      pass_name: Optional[str]) -> List[Violation]:
+                      pass_name: str) -> List[Violation]:
     # Pair by instruction index: a surviving branch keeps its position
     # (branch-preserved enforces that), and a segment may embed the
     # same branch PC twice, so PC alone cannot pair records.
@@ -132,14 +131,13 @@ def _compare_branches(orig_state: SymbolicState,
     return found
 
 
-def check_equivalence(
-        original: TraceSegment, optimized: TraceSegment,
-        suppressed: AbstractSet[int] = frozenset(),
-        order_already_reported: bool = False,
-        pass_name: Optional[str] = None
-) -> Tuple[List[Violation], SymbolicState, SymbolicState]:
-    """Validate *optimized* against *original*; returns the violations
-    plus both symbolic states (for diagnostics and tests)."""
+def check_equivalence(original: TraceSegment, optimized: TraceSegment,
+                      pass_name: str,
+                      suppressed: AbstractSet[int] = frozenset(),
+                      order_already_reported: bool = False
+                      ) -> List[Violation]:
+    """Validate *pass_name*'s rewrite of *original* into *optimized*;
+    returns the violations, each naming the pass."""
     orig_state = evaluate_segment(original)
     opt_state = evaluate_segment(optimized,
                                  assumptions=orig_state.assumptions)
@@ -149,7 +147,7 @@ def check_equivalence(
                                   order_already_reported, pass_name)
     violations += _compare_branches(orig_state, opt_state, suppressed,
                                     pass_name)
-    return violations, orig_state, opt_state
+    return violations
 
 
 __all__ = ["check_equivalence"]

@@ -1,34 +1,22 @@
-"""Invariant lint rules for fill-unit rewrites.
+"""Structural lint rules for fill-unit rewrites.
 
-Each rule is a *structural* invariant the fill unit must maintain when
-it rewrites a trace segment — independent of (and complementary to)
-the symbolic equivalence check in :mod:`repro.verify.equivalence`.
-Rules are registered in :data:`RULES` via the :func:`rule` decorator;
-each carries a severity and a fix-it hint, and yields
-:class:`Violation` records pointing at the offending instruction.
+Each rule is a *structural* invariant a pass must keep when it
+rewrites a trace segment, independent of (and complementary to) the
+symbolic equivalence check in :mod:`repro.verify.equivalence`. A rule
+is a plain function of a :class:`RuleInput` (the segment before and
+after one pass, the optimization configuration, and the pass's name
+and declared mutation surface) that yields :class:`Violation` records
+pointing at the offending instruction. :data:`STRUCTURAL` holds the
+rules in the order they run; :data:`SEVERITY` gives every rule, the
+three equivalence rules included, its severity.
 
-A rule receives a :class:`RuleInput`: the pre-rewrite segment, the
-post-rewrite segment, the optimization configuration, and — when the
-check runs per-pass under ``PassManager.verify_each`` — the name and
-declared mutation surface of the pass that just ran.
-
-Writing a new rule::
-
-    @rule("my-rule", severity=ERROR,
-          description="what must hold",
-          hint="what to fix when it does not")
-    def _check_my_rule(inp: RuleInput) -> Iterator[Violation]:
-        for idx, instr in enumerate(inp.optimized.instrs):
-            if something_wrong(instr):
-                yield inp.violation("my-rule", idx, "what went wrong")
-
-See ``docs/verification.md`` for the full rule catalogue.
+``docs/verification.md`` is the rule catalogue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.isa.instruction import Instruction, move_source
@@ -38,6 +26,25 @@ from repro.tracecache.segment import TraceSegment
 
 ERROR = "error"
 WARNING = "warning"
+
+#: every rule's severity, structural rules first, in the order they
+#: run; only a missed optimization is a warning
+SEVERITY: Dict[str, str] = {
+    "def-before-use": ERROR,
+    "move-marking": ERROR,
+    "scale-shift-limit": ERROR,
+    "scale-provenance": ERROR,
+    "placement-order": ERROR,
+    "mem-branch-order": ERROR,
+    "branch-preserved": ERROR,
+    "guard-sound": ERROR,
+    "imm-encodable": ERROR,
+    "pass-surface": ERROR,
+    "unmarked-move": WARNING,
+    "equiv-registers": ERROR,
+    "equiv-memory": ERROR,
+    "equiv-branches": ERROR,
+}
 
 _IMM_MIN, _IMM_MAX = -32768, 32767
 
@@ -60,111 +67,40 @@ class Violation:
     rule: str
     severity: str
     message: str
+    #: the optimization pass whose rewrite broke the invariant
+    pass_name: str
     #: index of the offending instruction in the optimized segment
     #: (``None`` for segment-level violations).
     index: Optional[int] = None
-    #: the optimization pass that produced the rewrite, when known
-    #: (per-pass verification); ``None`` for whole-pipeline checks.
-    pass_name: Optional[str] = None
-    hint: Optional[str] = None
 
     def render(self) -> str:
         where = f"[{self.index}]" if self.index is not None else "[seg]"
-        owner = f" pass={self.pass_name}" if self.pass_name else ""
-        text = (f"{self.severity}: {self.rule} {where}{owner}: "
-                f"{self.message}")
-        if self.hint:
-            text += f"\n    hint: {self.hint}"
-        return text
+        return (f"{self.severity}: {self.rule} {where} "
+                f"pass={self.pass_name}: {self.message}")
 
 
 @dataclass
 class RuleInput:
-    """Everything a lint rule may inspect."""
+    """Everything a lint rule may inspect: one pass's rewrite."""
 
     original: TraceSegment
     optimized: TraceSegment
-    config: OptimizationConfig = field(
-        default_factory=OptimizationConfig)
-    pass_name: Optional[str] = None
-    #: the pass's declared mutation surface (field names it may change),
-    #: when verifying a single pass; ``None`` disables surface checks.
-    surface: Optional[frozenset] = None
+    config: OptimizationConfig
+    pass_name: str
+    #: the pass's declared mutation surface (field names it may change)
+    surface: frozenset
 
     def violation(self, rule_id: str, index: Optional[int],
                   message: str) -> Violation:
-        spec = RULES[rule_id]
-        return Violation(rule=rule_id, severity=spec.severity,
-                         message=message, index=index,
-                         pass_name=self.pass_name, hint=spec.hint)
+        return Violation(rule_id, SEVERITY[rule_id], message,
+                         self.pass_name, index)
 
-
-Checker = Callable[[RuleInput], Iterable[Violation]]
-
-
-@dataclass(frozen=True)
-class LintRule:
-    """A registered invariant rule."""
-
-    rule_id: str
-    severity: str
-    description: str
-    hint: str
-    check: Optional[Checker]
-    #: semantic rules are emitted by the equivalence checker, not by
-    #: iterating the registry; they are registered for the catalogue.
-    semantic: bool = False
-
-
-RULES: Dict[str, LintRule] = {}
-
-
-def rule(rule_id: str, severity: str = ERROR, description: str = "",
-         hint: str = "") -> Callable[[Checker], Checker]:
-    """Register a lint rule; the decorated callable yields
-    :class:`Violation` records for one (original, optimized) pair."""
-    def register(check: Checker) -> Checker:
-        RULES[rule_id] = LintRule(rule_id, severity, description, hint,
-                                  check)
-        return check
-    return register
-
-
-def register_semantic(rule_id: str, description: str,
-                      hint: str = "") -> None:
-    """Register a semantic (equivalence-checker) rule descriptor."""
-    RULES[rule_id] = LintRule(rule_id, ERROR, description, hint,
-                              check=None, semantic=True)
-
-
-def run_rules(inp: RuleInput,
-              rule_ids: Optional[Iterable[str]] = None) -> List[Violation]:
-    """Run the structural rules (all registered ones by default)."""
-    selected = (list(RULES) if rule_ids is None else list(rule_ids))
-    found: List[Violation] = []
-    for rule_id in selected:
-        spec = RULES[rule_id]
-        if spec.check is None:
-            continue
-        found.extend(spec.check(inp))
-    return found
-
-
-# ======================================================================
-# Structural rules
-# ======================================================================
 
 def _squashed(original: Instruction, optimized: Instruction) -> bool:
     """True when a pass replaced *original* with a NOP."""
     return optimized.op is Op.NOP and original.op is not Op.NOP
 
 
-@rule("def-before-use",
-      description="a squashed instruction's value must not reach any "
-                  "surviving use or the segment exit",
-      hint="only squash an instruction whose destination is redefined "
-           "later in the same checkpoint block with no intervening "
-           "reader")
 def _check_def_before_use(inp: RuleInput) -> Iterator[Violation]:
     orig, opt = inp.original.instrs, inp.optimized.instrs
     orig_blocks = inp.original.block_ids
@@ -197,12 +133,6 @@ def _check_def_before_use(inp: RuleInput) -> Iterator[Violation]:
                 f"squashed def of r{dest} is live-out of the segment")
 
 
-@rule("move-marking",
-      description="the move flag may only mark genuine register-move "
-                  "idioms, and never a guarded instruction",
-      hint="rename completes a marked move by copying the source "
-           "mapping; a non-move (or conditional) instruction marked as "
-           "a move produces the wrong value")
 def _check_move_marking(inp: RuleInput) -> Iterator[Violation]:
     for idx, instr in enumerate(inp.optimized.instrs):
         if not instr.move_flag:
@@ -219,11 +149,6 @@ def _check_move_marking(inp: RuleInput) -> Iterator[Violation]:
                 "cannot execute conditionally")
 
 
-@rule("scale-shift-limit",
-      description="scale annotations must respect max_scale_shift",
-      hint="the trace cache stores 2 bits of shift amount and the ALU "
-           "path-length argument caps the absorbable shift "
-           "(OptimizationConfig.max_scale_shift)")
 def _check_scale_shift_limit(inp: RuleInput) -> Iterator[Violation]:
     limit = inp.config.max_scale_shift
     for idx, instr in enumerate(inp.optimized.instrs):
@@ -236,12 +161,6 @@ def _check_scale_shift_limit(inp: RuleInput) -> Iterator[Violation]:
                 f"(allowed 1..{limit})")
 
 
-@rule("scale-provenance",
-      description="a scaled operand must name the source of a live "
-                  "in-segment shift producing the replaced register",
-      hint="annotate only when the rs operand was produced by an "
-           "earlier SLL whose source register is unmodified between "
-           "the shift and the use")
 def _check_scale_provenance(inp: RuleInput) -> Iterator[Violation]:
     instrs = inp.optimized.instrs
     for idx, instr in enumerate(instrs):
@@ -286,11 +205,6 @@ def _check_scale_provenance(inp: RuleInput) -> Iterator[Violation]:
                 break
 
 
-@rule("placement-order",
-      description="placement may only reassign issue slots; the "
-                  "logical instruction order is never permuted",
-      hint="write a fresh permutation into segment.slots and leave "
-           "each entry at its position in segment.instrs")
 def _check_placement_order(inp: RuleInput) -> Iterator[Violation]:
     orig, opt = inp.original, inp.optimized
     if len(opt.instrs) != len(orig.instrs):
@@ -314,13 +228,6 @@ def _check_placement_order(inp: RuleInput) -> Iterator[Violation]:
             return
 
 
-@rule("mem-branch-order",
-      description="memory and control operations are never reordered "
-                  "across each other, and memory operations are never "
-                  "dropped",
-      hint="the memory scheduler relies on original program order; "
-           "rewrites must keep every load/store/branch in place "
-           "(predication may remove a conditional branch)")
 def _check_mem_branch_order(inp: RuleInput) -> Iterator[Violation]:
     def kind(instr: Instruction) -> Optional[str]:
         if instr.is_load():
@@ -357,13 +264,6 @@ def _check_mem_branch_order(inp: RuleInput) -> Iterator[Violation]:
             return
 
 
-@rule("branch-preserved",
-      description="every embedded branch survives intact (op, "
-                  "displacement, position, promotion state) unless "
-                  "removed by a predication conversion",
-      hint="passes may re-source branch condition operands through "
-           "move bypassing, but never alter opcode, displacement or "
-           "the branch record itself")
 def _check_branch_preserved(inp: RuleInput) -> Iterator[Violation]:
     orig, opt = inp.original, inp.optimized
     # Pair records positionally (a segment may embed the same branch
@@ -414,12 +314,6 @@ def _check_branch_preserved(inp: RuleInput) -> Iterator[Violation]:
                 f"fabricated branch record at {nb.pc:#x}")
 
 
-@rule("guard-sound",
-      description="a guard annotation must encode exactly the squashed "
-                  "hard branch it replaces: same register, correct "
-                  "sense, single-slot hammock, simple ALU body",
-      hint="guards come only from PredicationPass: BEQ/BNE rs vs zero "
-           "skipping one slot; execute_if_zero must equal (op is BNE)")
 def _check_guard_sound(inp: RuleInput) -> Iterator[Violation]:
     orig, opt = inp.original.instrs, inp.optimized.instrs
     for idx, instr in enumerate(opt):
@@ -458,12 +352,6 @@ def _check_guard_sound(inp: RuleInput) -> Iterator[Violation]:
                 f"must be {branch.op is Op.BNE}")
 
 
-@rule("imm-encodable",
-      description="rewritten immediates must still fit the stored "
-                  "instruction format (16-bit signed; 5-bit shamt)",
-      hint="the trace cache stores unmodified instruction formats; "
-           "reject a combined immediate that no longer encodes "
-           "(ReassociationPass rejects with reason imm_overflow)")
 def _check_imm_encodable(inp: RuleInput) -> Iterator[Violation]:
     for idx, instr in enumerate(inp.optimized.instrs):
         if instr.op is Op.NOP or instr.imm is None:
@@ -482,16 +370,8 @@ def _check_imm_encodable(inp: RuleInput) -> Iterator[Violation]:
                     f"shift amount {instr.imm} outside 0..31")
 
 
-@rule("pass-surface",
-      description="a pass may only change the per-instruction fields "
-                  "and segment structures it declares in its mutation "
-                  "surface",
-      hint="extend the pass's `surface` declaration if the new "
-           "mutation is intentional; an entry's pc is never mutable")
 def _check_pass_surface(inp: RuleInput) -> Iterator[Violation]:
     surface = inp.surface
-    if surface is None:
-        return
     orig, opt = inp.original, inp.optimized
     if len(opt.instrs) == len(orig.instrs):
         for idx in range(len(opt.instrs)):
@@ -529,11 +409,6 @@ def _check_pass_surface(inp: RuleInput) -> Iterator[Violation]:
             "branch records changed outside the declared surface")
 
 
-@rule("unmarked-move", severity=WARNING,
-      description="after the move pass, every unguarded move idiom "
-                  "should carry the move flag (missed optimization)",
-      hint="RegisterMovePass should have marked this instruction; "
-           "check move_source() coverage for the idiom")
 def _check_unmarked_move(inp: RuleInput) -> Iterator[Violation]:
     if inp.pass_name != "moves":
         return
@@ -547,27 +422,13 @@ def _check_unmarked_move(inp: RuleInput) -> Iterator[Violation]:
                 f"unmarked")
 
 
-# Semantic rules live in repro.verify.equivalence; register their
-# catalogue entries here so reporting and docs see one registry.
-register_semantic(
-    "equiv-registers",
-    "every register live-out of the original segment must hold a "
-    "symbolically identical value after optimization",
-    hint="the rewrite changed a live-out dataflow expression; compare "
-         "the rendered terms in the message to locate the divergence")
-register_semantic(
-    "equiv-memory",
-    "the sequence of stores (address and value expressions) and every "
-    "load's address/ordering must be symbolically identical",
-    hint="a rewrite changed an address or store-value expression, or "
-         "moved a load across a store")
-register_semantic(
-    "equiv-branches",
-    "every surviving branch must test a symbolically identical "
-    "condition",
-    hint="a rewrite changed a branch's condition operands to a "
-         "non-equivalent expression")
+#: the structural rules, in the order they run and report
+STRUCTURAL: Tuple[Callable[[RuleInput], Iterator[Violation]], ...] = (
+    _check_def_before_use, _check_move_marking, _check_scale_shift_limit,
+    _check_scale_provenance, _check_placement_order,
+    _check_mem_branch_order, _check_branch_preserved, _check_guard_sound,
+    _check_imm_encodable, _check_pass_surface, _check_unmarked_move)
 
 
-__all__ = ["Violation", "RuleInput", "LintRule", "RULES", "rule",
-           "run_rules", "register_semantic", "ERROR", "WARNING"]
+__all__ = ["Violation", "RuleInput", "STRUCTURAL", "SEVERITY", "ERROR",
+           "WARNING"]

@@ -45,7 +45,7 @@ def spec(name: str) -> BenchmarkSpec:
     """The registry entry for *name* (builder + paper-reported traits).
 
     Raises:
-        KeyError: for unknown benchmark names.
+        UnknownBenchmarkError: for unknown benchmark names.
     """
     return registry.spec(name)
 
@@ -60,6 +60,7 @@ def build(name: str, scale: float = 1.0) -> Program:
 
     Raises:
         ConfigError: when *scale* is not a finite positive number.
+        UnknownBenchmarkError: for unknown benchmark names.
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ConfigError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.errors import UnknownBenchmarkError
 from repro.program.image import Program
 
 
@@ -117,6 +118,9 @@ def names() -> list:
 
 def spec(name: str) -> BenchmarkSpec:
     _ensure_loaded()
+    if name not in _REGISTRY:
+        raise UnknownBenchmarkError(
+            f"unknown benchmark {name!r}; known: {', '.join(_ORDER)}")
     return _REGISTRY[name]
 
 

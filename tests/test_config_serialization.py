@@ -63,7 +63,6 @@ def _non_default_config() -> SimConfig:
             predication=True,
             reassoc_cross_flow_only=False, max_scale_shift=2),
         verify_fill=True,
-        verify_each_pass=True,
     )
 
 

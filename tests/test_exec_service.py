@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import SimConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UnknownBenchmarkError
 from repro.exec import service as service_module
 from repro.exec.grid import JobSpec, expand, opt_variant
 from repro.exec.pool import WorkerPool, run_job
@@ -113,13 +113,30 @@ def test_pool_retries_crashed_worker(tmp_path):
     assert out[0][0] == run_job(job, SCALE)[0]
 
 
+def _always_crash(job):
+    """Hard-kills its worker process, every time."""
+    os._exit(17)
+
+
 def test_pool_gives_up_after_retries():
-    # a job the worker cannot satisfy: unknown benchmark
-    job = JobSpec("no-such-benchmark", SimConfig.paper(), "baseline")
+    job = JobSpec("compress", SimConfig.paper(), "baseline")
     pool = WorkerPool(2, retries=1)
-    with pytest.raises(RuntimeError, match="failed after"):
-        pool.run(partial(run_job, scale=SCALE), [job])
+    with pytest.raises(RuntimeError, match="failed after 2 attempt"):
+        pool.run(_always_crash, [job])
     assert pool.retry_count == 1
+
+
+def test_unknown_benchmark_is_a_typed_error_pooled_and_inline():
+    """An unknown benchmark is a deterministic, typed error naming the
+    known ones: the pool raises it after one attempt, and the inline
+    path raises it too."""
+    job = JobSpec("no-such-benchmark", SimConfig.paper(), "baseline")
+    pool = WorkerPool(2)
+    with pytest.raises(UnknownBenchmarkError, match="known: compress"):
+        pool.run(partial(run_job, scale=SCALE), [job])
+    assert pool.retry_count == 0
+    with pytest.raises(UnknownBenchmarkError, match="no-such-benchmark"):
+        ExecutionService(scale=SCALE, jobs=1).run(job)
 
 
 def test_pool_raises_typed_error_without_retry():

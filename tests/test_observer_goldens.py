@@ -39,7 +39,7 @@ def _evicting():
                             policy="trrip"),
         hierarchy=replace(base.hierarchy, l1i_size=1024, l1d_size=1024,
                           policy="trrip"),
-        verify_fill=True, verify_each_pass=True)
+        verify_fill=True)
 
 
 GOLDENS = {

@@ -34,12 +34,14 @@ loop:
 
 def test_memory_sink_kind_filter():
     stream = EventStream()
-    sink = MemorySink(kinds=[SEGMENT_BUILT])
+    sink = MemorySink()
     stream.attach(sink)
     stream.emit(SEGMENT_BUILT, 1)
     stream.emit(BRANCH_MISPREDICT, 2)
-    assert [e.kind for e in sink.events] == [SEGMENT_BUILT]
-    assert sink.by_kind(SEGMENT_BUILT) == sink.events
+    assert [e.kind for e in sink.events] == [SEGMENT_BUILT,
+                                             BRANCH_MISPREDICT]
+    assert [e.cycle for e in sink.by_kind(SEGMENT_BUILT)] == [1]
+    assert [e.cycle for e in sink.by_kind(BRANCH_MISPREDICT)] == [2]
 
 
 def test_jsonl_roundtrip(tmp_path):
@@ -93,9 +95,10 @@ def test_shared_session_keeps_each_runs_counters_its_own():
     the same trace gives the same counters, not the sum of both runs."""
     _, trace = run_asm(LOOP)
     telemetry = Telemetry()
-    sink = telemetry.attach_memory(kinds=[RUN_FINISHED])
+    sink = telemetry.attach_memory()
     first, second = (Engine(SimConfig.tiny(), telemetry=telemetry).run(
         trace, "t", label) for label in ("a", "b"))
     assert first.telemetry["fetch.tc.hits"] > 0
     assert first.telemetry == second.telemetry
-    assert [e.data["label"] for e in sink.events] == ["a", "b"]
+    assert [e.data["label"] for e in sink.by_kind(RUN_FINISHED)] \
+        == ["a", "b"]

@@ -34,9 +34,8 @@ CONFIGS = {
     "no_trace_cache": dataclasses.replace(
         SimConfig.paper(OptimizationConfig.all()),
         trace_cache_enabled=False),
-    "verify_each": dataclasses.replace(
-        SimConfig.paper(OptimizationConfig.all()), verify_fill=True,
-        verify_each_pass=True),
+    "verify_fill": dataclasses.replace(
+        SimConfig.paper(OptimizationConfig.all()), verify_fill=True),
 }
 
 
@@ -84,13 +83,13 @@ def test_gauge_last_write_wins(trace):
 
 def test_each_scope_has_one_writer(trace):
     """Stages write disjoint scopes, and none sets a typed counter."""
-    engine = Engine(CONFIGS["verify_each"])
-    result = engine.run(trace, "compress", "verify_each")
+    engine = Engine(CONFIGS["verify_fill"])
+    result = engine.run(trace, "compress", "verify_fill")
     written = {}
     for stage in engine.stages:
-        alone = SimResult("compress", "verify_each", 0, 0)
+        alone = SimResult("compress", "verify_fill", 0, 0)
         stage.finish_run(None, alone)
-        untouched = SimResult("compress", "verify_each", 0, 0,
+        untouched = SimResult("compress", "verify_fill", 0, 0,
                               telemetry=alone.telemetry)
         assert alone == untouched, stage.name
         for scope in alone.telemetry:

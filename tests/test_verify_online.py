@@ -37,10 +37,10 @@ next:
 """
 
 
-def build_unit(opts, verify=True, verify_each=False, telemetry=None):
+def build_unit(opts, verify=True, telemetry=None):
     unit = make_fill_unit(BiasTable(64, threshold=64), opts,
                           TraceCacheConfig(num_sets=64, assoc=4),
-                          verify_fill=verify, verify_each_pass=verify_each)
+                          verify_fill=verify)
     if telemetry is not None:
         # Outside an engine, wire the event stage's hook by hand.
         unit.verify_hooks = (EventStage(telemetry.events).segment_verified,)
@@ -134,7 +134,7 @@ def test_counters_mirror_verification_outcomes():
 
 def test_violation_event_names_offending_pass():
     """A buggy pass's violations surface as verify.violation events
-    naming the pass (per-pass mode)."""
+    naming the pass."""
 
     class BrokenPass(OptimizationPass):
         name = "broken"
@@ -148,15 +148,16 @@ def test_violation_event_names_offending_pass():
             return {}
 
     telemetry = Telemetry()
-    sink = telemetry.attach_memory(kinds=("verify.violation",))
+    sink = telemetry.attach_memory()
     _, trace = run_asm(KERNEL)
     unit = build_unit(OptimizationConfig.only("placement"),
-                      verify_each=True, telemetry=telemetry)
+                      telemetry=telemetry)
     unit.passes.passes.insert(0, BrokenPass())
     feed(unit, trace)
     assert unit.verifier.report.violations > 0
-    assert sink.events, "expected verify.violation events"
-    event = sink.events[0]
+    events = sink.by_kind("verify.violation")
+    assert events, "expected verify.violation events"
+    event = events[0]
     assert event.data["opt"] == "broken"
     assert event.data["severity"] == "error"
     assert event.data["rule"] in ("equiv-registers", "equiv-memory",
@@ -171,14 +172,26 @@ def test_violation_event_names_offending_pass():
     # the report keeps the error violations whole, with their segment
     assert [(pc, v.pass_name) for pc, v in unit.verifier.report.samples] \
         == [(event.data["start_pc"], "broken")
-            for event in sink.events[:5]]
+            for event in events[:5]]
 
 
-def test_verify_each_runs_every_pass_in_isolation():
+def test_every_pass_is_checked_in_isolation(monkeypatch):
+    """Each pass of each built segment is checked once, against the
+    snapshot taken just before it and under its own name and
+    surface."""
     _, trace = run_asm(KERNEL)
-    unit = build_unit(OptimizationConfig.all(), verify_each=True)
-    feed(unit, trace)
-    assert unit.passes.verify_each
+    unit = build_unit(OptimizationConfig.all())
+    calls = []
+    check = SegmentVerifier.check
+
+    def recording(self, original, optimized, pass_name, surface):
+        calls.append((pass_name, surface, original is not optimized))
+        return check(self, original, optimized, pass_name, surface)
+
+    monkeypatch.setattr(SegmentVerifier, "check", recording)
+    segments = feed(unit, trace)
+    passes = [(p.name, p.surface, True) for p in unit.passes.passes]
+    assert calls == passes * len(segments)
     assert unit.verifier.report.violations == 0
 
 
@@ -201,59 +214,57 @@ def test_placement_must_be_last(monkeypatch):
 def test_every_pass_declares_a_surface():
     manager = PassManager(OptimizationConfig.extended())
     for opt_pass in manager.passes:
-        assert opt_pass.surface is not None, opt_pass.name
-        assert isinstance(opt_pass.surface, frozenset)
+        assert isinstance(opt_pass.surface, frozenset), opt_pass.name
+
+    class Undeclared(OptimizationPass):
+        name = "undeclared"
+
+        def apply(self, segment, ctx):
+            return {}
+
+    with pytest.raises(TypeError, match="surface"):
+        Undeclared()
 
 
 def test_sim_config_plumbs_verify_flags():
     config = SimConfig.tiny(OptimizationConfig.all())
     config.verify_fill = True
-    config.verify_each_pass = True
     model = Engine(config)
     assert model.fill_unit.verifier is not None
-    assert model.fill_unit.passes.verify_each
+    assert model.fill_unit.passes.verifier is model.fill_unit.verifier
 
 
-def test_sim_config_rejects_each_without_verify():
-    with pytest.raises(ConfigError, match="verify_each_pass"):
-        SimConfig(verify_each_pass=True)
-
-
-def test_per_pass_and_whole_pipeline_agree_on_clean_segments():
+def test_extended_kernel_checks_every_installed_segment():
+    """The report counts one check per installed segment, every one
+    clean."""
     _, trace = run_asm(KERNEL)
-    whole = build_unit(OptimizationConfig.extended())
-    each = build_unit(OptimizationConfig.extended(), verify_each=True)
-    feed(whole, trace)
-    feed(each, trace)
-    assert whole.verifier.report.violations == 0
-    assert each.verifier.report.violations == 0
-    assert (whole.verifier.report.segments_checked
-            == each.verifier.report.segments_checked)
+    unit = build_unit(OptimizationConfig.extended())
+    segments = feed(unit, trace)
+    report = unit.verifier.report
+    assert report.segments_checked == report.segments_clean \
+        == len(segments) > 0
+    assert report.violations == report.warnings == 0, report.render()
 
 
 @pytest.mark.parametrize("bench", ["compress", "li"])
-def test_whole_pipeline_verifies_workloads(bench):
-    """Whole-pipeline mode (``verify_fill`` without
-    ``verify_each_pass``) checks as many segments as per-pass mode,
-    finds no error, and moves no cycle."""
+def test_verification_moves_no_cycle(bench):
+    """A verified run under the extended set takes as many cycles as
+    an unverified one, and checks clean."""
     trace = Executor(workloads.build(bench, 0.05)).run()
     config = SimConfig.paper(OptimizationConfig.extended())
     cycles = Engine(config).run(trace, bench, "extended").cycles
-    reports = {}
-    for each in (False, True):
-        engine = Engine(replace(config, verify_fill=True,
-                                verify_each_pass=each))
-        assert engine.run(trace, bench, "extended").cycles == cycles
-        reports[each] = engine.fill_unit.verifier.report
-    whole, per_pass = reports[False], reports[True]
-    assert whole.violations == 0, whole.render()
-    assert whole.segments_checked == per_pass.segments_checked > 0
+    engine = Engine(replace(config, verify_fill=True))
+    assert engine.run(trace, bench, "extended").cycles == cycles
+    report = engine.fill_unit.verifier.report
+    assert report.segments_checked > 0
+    assert report.violations == 0, report.render()
 
 
 def test_unoptimized_segments_skip_symbolic_evaluation(monkeypatch):
-    """With no optimizations every optimized segment equals its
-    snapshot, so the verifier checks each one by its lint rules alone
-    and evaluates none symbolically."""
+    """Placement changes only slots, so under placement alone every
+    segment equals its snapshot in what the evaluator reads: the
+    verifier checks each one by its lint rules alone and evaluates
+    none symbolically."""
     from repro.verify import equivalence
 
     calls = []
@@ -265,9 +276,10 @@ def test_unoptimized_segments_skip_symbolic_evaluation(monkeypatch):
 
     monkeypatch.setattr(equivalence, "evaluate_segment", counting)
     trace = Executor(workloads.build("compress", 0.1)).run()
-    engine = Engine(replace(SimConfig.paper(OptimizationConfig.none()),
-                            verify_fill=True))
-    engine.run(trace, "compress", "none")
+    engine = Engine(replace(
+        SimConfig.paper(OptimizationConfig.only("placement")),
+        verify_fill=True))
+    engine.run(trace, "compress", "placement")
     report = engine.fill_unit.verifier.report
     assert report.segments_checked > 0
     assert report.violations == 0, report.render()

@@ -7,12 +7,22 @@ equivalence checker from double-reporting defects a structural rule
 already explains, and vice versa.
 """
 
+import re
+from pathlib import Path
+
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.isa.instruction import GuardAnnotation, Instruction, \
     ScaleAnnotation, make_nop
 from repro.isa.opcodes import Op
 from repro.tracecache.segment import BranchInfo, TraceSegment
-from repro.verify import ERROR, RULES, SegmentVerifier
+from repro.verify import ERROR, SEVERITY, SegmentVerifier
+from repro.verify.rules import STRUCTURAL
+
+#: a mutation surface allowing every field and structure, so only the
+#: rule under test fires (the pass-surface tests narrow it)
+ANYTHING = frozenset({"op", "rd", "rs", "rt", "imm", "move_flag",
+                      "move_bypassed", "scale", "guard", "reassociated",
+                      "squash", "slots", "branches"})
 
 
 def seg(instrs, branches=(), start_pc=0x1000):
@@ -23,9 +33,10 @@ def seg(instrs, branches=(), start_pc=0x1000):
                         branches=list(branches))
 
 
-def check(original, optimized, config=None, **kw):
+def check(original, optimized, config=None, pass_name="mutant",
+          surface=ANYTHING):
     verifier = SegmentVerifier(config or OptimizationConfig.all())
-    return verifier.check(original, optimized, **kw)
+    return verifier.check(original, optimized, pass_name, surface)
 
 
 def assert_exactly(violations, rule_id):
@@ -117,12 +128,21 @@ def test_mem_branch_order_catches_reordered_stores():
     b = Instruction(Op.SW, rs=9, rt=8, imm=0, pc=0x1004)
     original = seg([a, b])
     # Swap the two (otherwise identical) stores: the memory-order
-    # projection notices, and so does placement-order, which holds
-    # every position to the snapshot's pc.
+    # projection notices, and so do placement-order, which holds every
+    # position to the snapshot's pc, and pass-surface, for which an
+    # entry's pc is never mutable.
     optimized = seg([b.copy(), a.copy()])
     errors = {v.rule for v in check(original, optimized)
               if v.severity == ERROR}
-    assert errors == {"mem-branch-order", "placement-order"}
+    assert errors == {"mem-branch-order", "placement-order",
+                      "pass-surface"}
+
+
+def test_mem_branch_order_catches_dropped_store():
+    original = seg([Instruction(Op.SW, rs=9, rt=8, imm=0)])
+    optimized = original.clone()
+    optimized.squash(0)
+    assert_exactly(check(original, optimized), "mem-branch-order")
 
 
 def test_branch_preserved_catches_altered_displacement():
@@ -292,35 +312,23 @@ def test_in_place_mutation_is_still_checked():
 
 
 # ----------------------------------------------------------------------
-# registry plumbing
+# the catalogue
 # ----------------------------------------------------------------------
 
 def test_rule_registry_catalogue():
-    structural = {"def-before-use", "move-marking", "scale-shift-limit",
+    """Every rule has one severity (only a missed move warns), the
+    structural rules run in catalogue order, and
+    ``docs/verification.md``'s table describes exactly these rules."""
+    structural = ["def-before-use", "move-marking", "scale-shift-limit",
                   "scale-provenance", "placement-order",
                   "mem-branch-order", "branch-preserved", "guard-sound",
-                  "imm-encodable", "pass-surface", "unmarked-move"}
-    semantic = {"equiv-registers", "equiv-memory", "equiv-branches"}
-    assert structural | semantic <= set(RULES)
-    for rule_id in semantic:
-        assert RULES[rule_id].semantic
-    for rule_id in structural:
-        assert not RULES[rule_id].semantic
-        assert RULES[rule_id].hint      # every rule ships a fix-it hint
-
-
-def test_custom_rule_registration():
-    from repro.verify import RuleInput, rule, run_rules
-
-    @rule("test-only-rule", description="demo", hint="demo hint")
-    def _check(inp):
-        yield inp.violation("test-only-rule", None, "always fires")
-
-    try:
-        inp = RuleInput(original=seg([Instruction(Op.NOP)]),
-                        optimized=seg([Instruction(Op.NOP)]))
-        found = run_rules(inp, rule_ids=["test-only-rule"])
-        assert [v.rule for v in found] == ["test-only-rule"]
-        assert found[0].hint == "demo hint"
-    finally:
-        del RULES["test-only-rule"]
+                  "imm-encodable", "pass-surface", "unmarked-move"]
+    semantic = ["equiv-registers", "equiv-memory", "equiv-branches"]
+    assert list(SEVERITY) == structural + semantic
+    assert [rule.__name__ for rule in STRUCTURAL] == [
+        "_check_" + rule_id.replace("-", "_") for rule_id in structural]
+    assert {rule_id for rule_id, severity in SEVERITY.items()
+            if severity != ERROR} == {"unmarked-move"}
+    doc = Path(__file__).parent.parent / "docs" / "verification.md"
+    rows = re.findall(r"^\| `([a-z-]+)` \|", doc.read_text(), re.M)
+    assert rows == structural + semantic

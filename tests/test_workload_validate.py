@@ -3,6 +3,7 @@ the coverage Table 2 reports and the combined gain Figure 8 reports."""
 
 import pytest
 
+from repro.errors import UnknownBenchmarkError
 from repro.exec.grid import opt_job
 from repro.exec.service import ExecutionService
 from repro.fillunit.opts.base import OptimizationConfig
@@ -72,5 +73,5 @@ def test_zero_target_ratio_is_none():
 
 
 def test_unknown_benchmark_raises(service):
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownBenchmarkError, match="quake"):
         figures.improvement(service, "quake", OptimizationConfig.all())

@@ -4,7 +4,7 @@ and exhibits its designed idiom mix."""
 import pytest
 
 from repro import workloads
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UnknownBenchmarkError
 from repro.machine.executor import Executor
 from repro.workloads.builder import AsmBuilder, lcg_values
 from repro.workloads.registry import PAPER_TABLE2, specint_names
@@ -32,8 +32,10 @@ def test_registry_specs_complete():
 
 
 def test_unknown_benchmark_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownBenchmarkError) as info:
         workloads.spec("doom")
+    assert "'doom'" in str(info.value)
+    assert all(name in str(info.value) for name in ALL_NAMES)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
