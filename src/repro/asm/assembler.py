@@ -15,6 +15,7 @@ from typing import List, Optional
 from repro.asm import pseudo
 from repro.asm.tokenizer import (
     SourceLine,
+    fit_field,
     parse_int,
     parse_mem_operand,
     parse_symbol_expr,
@@ -140,11 +141,13 @@ class _Pass1State:
         elif name == ".half":
             self._align(2, line)
             for operand in operands:
-                value = self._const(operand, line)
+                value = fit_field(self._const(operand, line), 16, name,
+                                  line)
                 self.data += (value & 0xFFFF).to_bytes(2, "little")
         elif name == ".byte":
             for operand in operands:
-                value = self._const(operand, line)
+                value = fit_field(self._const(operand, line), 8, name,
+                                  line)
                 self.data += bytes([value & 0xFF])
         elif name == ".space":
             if len(operands) != 1:
@@ -182,7 +185,8 @@ class _Pass1State:
                 _Fixup(len(self.data), "dataword", operand, line))
             self.data += bytes(4)
         else:
-            value = self._const(operand, line)
+            value = fit_field(self._const(operand, line), 32, ".word",
+                              line)
             self.data += (value & 0xFFFFFFFF).to_bytes(4, "little")
 
     def _const(self, text: str, line: int) -> int:

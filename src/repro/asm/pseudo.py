@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.asm.tokenizer import parse_int, parse_symbol_expr
+from repro.asm.tokenizer import fit_field, parse_int, \
+    parse_symbol_expr
 from repro.errors import AssemblerError
 from repro.isa.semantics import to_s32
 
@@ -62,7 +63,7 @@ def expand(mnemonic: str, operands: list, line: int) -> list:
         return [("addi", [operands[0], "$zero", "0"])]
     if mnemonic == "li":
         need(2)
-        value = parse_int(operands[1], line)
+        value = fit_field(parse_int(operands[1], line), 32, "li", line)
         if -32768 <= value <= 32767:
             return [("addi", [operands[0], "$zero", str(value)])]
         hi, lo = _hi_lo(value)

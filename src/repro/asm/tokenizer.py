@@ -116,6 +116,16 @@ def parse_int(text: str, line: int) -> int:
     raise AssemblerError(f"invalid integer literal {text!r}", line)
 
 
+def fit_field(value: int, bits: int, what: str, line: int) -> int:
+    """*value*, if it fits a *bits*-wide field read as signed or as
+    unsigned; otherwise an :class:`AssemblerError` naming *what* takes
+    it and the line."""
+    if not -(1 << (bits - 1)) <= value < 1 << bits:
+        raise AssemblerError(
+            f"{what} value {value} does not fit {bits} bits", line)
+    return value
+
+
 def parse_mem_operand(text: str, line: int) -> Tuple[str, str]:
     """Parse an ``disp(base)`` memory operand into (disp_text, base_text).
 

@@ -43,7 +43,7 @@ from repro import workloads
 from repro.cache.policy import POLICY_NAMES
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
-from repro.errors import ReproError
+from repro.errors import AssemblerError, ReproError
 from repro.fillunit.opts.base import PASS_ORDER, OptimizationConfig
 from repro.machine.executor import Executor
 
@@ -311,8 +311,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_asm(args) -> int:
     from repro.asm import assemble
-    with open(args.file) as handle:
-        source = handle.read()
+    with open(args.file, "rb") as handle:
+        raw = handle.read()
+    try:
+        source = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise AssemblerError(
+            f"{args.file} is not UTF-8 text (byte {raw[err.start]:#04x})",
+            raw.count(b"\n", 0, err.start) + 1) from None
     program = assemble(source, name=args.file)
     trace = Executor(program).run(max_instructions=args.max_instructions)
     print(f"{args.file}: {len(trace)} committed instructions, "

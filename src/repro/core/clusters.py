@@ -27,8 +27,6 @@ class CheckpointStore:
         self.capacity = capacity
         self._outstanding: "deque[int]" = deque()
         self._last_free = 0
-        #: acquisitions delayed by a full store
-        self.stalls = 0
 
     def acquire(self, rename_cycle: int) -> int:
         """Earliest cycle a new branch may rename, given checkpoint
@@ -37,7 +35,6 @@ class CheckpointStore:
             self._outstanding.popleft()
         if len(self._outstanding) >= self.capacity:
             freed_at = self._outstanding.popleft()
-            self.stalls += 1
             while self._outstanding and self._outstanding[0] <= freed_at:
                 self._outstanding.popleft()
             return max(rename_cycle, freed_at)

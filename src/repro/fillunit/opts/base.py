@@ -92,7 +92,7 @@ class OptimizationConfig:
     def only(cls, name: str) -> "OptimizationConfig":
         """Enable a single optimization by name (figure 3-6 runs)."""
         if name not in PASS_ORDER:
-            raise ValueError(f"unknown optimization {name!r}; "
+            raise ConfigError(f"unknown optimization {name!r}; "
                              f"expected one of {sorted(PASS_ORDER)}")
         return cls(**{name: True})
 

@@ -5,13 +5,16 @@ after each pass under ``SimConfig.verify_fill`` (``repro run BENCH
 --verify``), and its :class:`VerificationReport` is what ``run
 --verify`` prints. ``check()`` takes the segment's snapshot from before
 one pass, the segment that pass rewrote, and the pass's name and
-mutation surface, and returns every violation found, each naming the
+mutation surface, and judges only what the pass changed: the entries
+that differ from the snapshot's in any field but the ``decoded``
+cache, and the slots and branch records. Each violation names the
 pass, most precise diagnosis first: the structural lint rules run
 first, and the symbolic equivalence check then skips divergences a
 structural violation already explains, so one defect is reported by
-exactly one rule. A rewrite that left every entry and branch record as
-it was (placement, or a pass that found nothing to do) skips the
-equivalence check: it cannot differ.
+exactly one rule. A rewrite that changed no entry and no branch record
+(placement, or a pass that found nothing to do) skips the equivalence
+check: it cannot differ. One that changed nothing at all gets only the
+move pass's ``unmarked-move`` walk.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import Dict, List, Tuple
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.tracecache.segment import TraceSegment
 from repro.verify.equivalence import check_equivalence
-from repro.verify.rules import ERROR, STRUCTURAL, RuleInput, Violation
+from repro.verify.rules import (ERROR, STRUCTURAL, RuleInput, Violation,
+                                _check_unmarked_move, order_violation)
 
 
 #: error violations a report keeps whole, for ``render`` to show
@@ -94,18 +98,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _unchanged(original: TraceSegment, optimized: TraceSegment) -> bool:
-    """Whether *optimized* holds *original*'s entries field for field
-    and its branch records. The symbolic evaluations of the two would
-    then be identical, so the equivalence check could find nothing.
-    Slots are not compared: placement changes only slots, and the
-    evaluator reads none."""
-    return (len(optimized.instrs) == len(original.instrs)
-            and optimized.branches == original.branches
-            and all(new.__dict__ == old.__dict__ for new, old
-                    in zip(optimized.instrs, original.instrs)))
-
-
 class SegmentVerifier:
     """Static translation validator for fill-unit rewrites."""
 
@@ -119,17 +111,23 @@ class SegmentVerifier:
         """Verify pass *pass_name*'s rewrite of *original* (its
         snapshot) into *optimized*, against the pass's declared
         mutation *surface*; returns every violation found."""
+        changed = [idx for idx, (old, new) in enumerate(
+            zip(original.instrs, optimized.instrs)) if new != old]
         inp = RuleInput(original, optimized, self.config, pass_name,
-                        surface)
+                        surface, changed)
+        reordered = order_violation(inp)
+        if reordered is not None:
+            return [reordered]
+        branched = optimized.branches != original.branches
+        if not (changed or branched
+                or optimized.slots != original.slots):
+            return list(_check_unmarked_move(inp))
         violations = [v for rule in STRUCTURAL for v in rule(inp)]
-        if not _unchanged(original, optimized):
+        if changed or branched:
             suppressed = {v.index for v in violations
                           if v.severity == ERROR and v.index is not None}
-            order_reported = any(v.rule == "mem-branch-order"
-                                 for v in violations)
-            violations += check_equivalence(
-                original, optimized, pass_name, suppressed=suppressed,
-                order_already_reported=order_reported)
+            violations += check_equivalence(original, optimized,
+                                            pass_name, suppressed)
         return violations
 
 

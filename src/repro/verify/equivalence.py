@@ -19,6 +19,8 @@ Structural lint violations already explain some divergences (a squashed
 live instruction both breaks ``def-before-use`` and perturbs the final
 register state); the caller passes the offending instruction indices in
 *suppressed* so each defect is reported once, by its most precise rule.
+A changed store count needs no index: only an entry that became or
+stopped being a store changes it, and ``mem-branch-order`` owns that.
 """
 
 from __future__ import annotations
@@ -71,16 +73,10 @@ def _compare_registers(original: TraceSegment, optimized: TraceSegment,
 def _compare_memory(orig_state: SymbolicState,
                     opt_state: SymbolicState,
                     suppressed: AbstractSet[int],
-                    order_already_reported: bool,
                     pass_name: str) -> List[Violation]:
     found: List[Violation] = []
     if len(orig_state.stores) != len(opt_state.stores):
-        if not order_already_reported:
-            found.append(_violation(
-                "equiv-memory", None,
-                f"store count changed: {len(orig_state.stores)} -> "
-                f"{len(opt_state.stores)}", pass_name))
-        return found
+        return found                    # mem-branch-order's
     for pos, (before, after) in enumerate(
             zip(orig_state.stores, opt_state.stores)):
         if before.index in suppressed or after.index in suppressed:
@@ -133,8 +129,7 @@ def _compare_branches(orig_state: SymbolicState,
 
 def check_equivalence(original: TraceSegment, optimized: TraceSegment,
                       pass_name: str,
-                      suppressed: AbstractSet[int] = frozenset(),
-                      order_already_reported: bool = False
+                      suppressed: AbstractSet[int] = frozenset()
                       ) -> List[Violation]:
     """Validate *pass_name*'s rewrite of *original* into *optimized*;
     returns the violations, each naming the pass."""
@@ -144,7 +139,7 @@ def check_equivalence(original: TraceSegment, optimized: TraceSegment,
     violations = _compare_registers(original, optimized, orig_state,
                                     opt_state, suppressed, pass_name)
     violations += _compare_memory(orig_state, opt_state, suppressed,
-                                  order_already_reported, pass_name)
+                                  pass_name)
     violations += _compare_branches(orig_state, opt_state, suppressed,
                                     pass_name)
     return violations

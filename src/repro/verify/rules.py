@@ -4,11 +4,14 @@ Each rule is a *structural* invariant a pass must keep when it
 rewrites a trace segment, independent of (and complementary to) the
 symbolic equivalence check in :mod:`repro.verify.equivalence`. A rule
 is a plain function of a :class:`RuleInput` (the segment before and
-after one pass, the optimization configuration, and the pass's name
-and declared mutation surface) that yields :class:`Violation` records
-pointing at the offending instruction. :data:`STRUCTURAL` holds the
-rules in the order they run; :data:`SEVERITY` gives every rule, the
-three equivalence rules included, its severity.
+after one pass, the positions the pass changed, the optimization
+configuration, and the pass's name and declared mutation surface)
+that yields :class:`Violation` records pointing at the offending
+instruction. A rule judges only what the pass changed, so a defect the
+snapshot already held is reported under the pass that made it and
+never again. :data:`STRUCTURAL` holds the rules in the order they run;
+:data:`SEVERITY` gives every rule, the three equivalence rules
+included, its severity.
 
 ``docs/verification.md`` is the rule catalogue.
 """
@@ -16,7 +19,8 @@ three equivalence rules included, its severity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.fillunit.opts.base import OptimizationConfig
 from repro.isa.instruction import Instruction, move_source
@@ -52,12 +56,14 @@ _IMM_MIN, _IMM_MAX = -32768, 32767
 _IMM16_FORMATS = (Format.R2I, Format.LOAD, Format.STORE,
                   Format.BR1, Format.BR2)
 
-#: Per-instruction fields a pass may declare in its mutation surface.
+#: Per-instruction fields a pass may declare in its mutation surface
+#: (every field but ``pc``, which no pass may change).
 _SURFACE_FIELDS = ("op", "rd", "rs", "rt", "imm", "move_flag",
                    "move_bypassed", "scale", "guard", "reassociated")
 
-#: Fields no pass may ever touch (segment identity).
-_IDENTITY_FIELDS = ("pc",)
+#: what a rule asks of one position of a segment's entries: the fault
+#: it finds there, or ``None``
+Fault = Callable[[Sequence[Instruction], int], Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -89,11 +95,46 @@ class RuleInput:
     pass_name: str
     #: the pass's declared mutation surface (field names it may change)
     surface: frozenset
+    #: the positions, ascending, whose entry the pass changed in any
+    #: field (the ``decoded`` cache is not a field)
+    changed: List[int]
 
     def violation(self, rule_id: str, index: Optional[int],
                   message: str) -> Violation:
         return Violation(rule_id, SEVERITY[rule_id], message,
                          self.pass_name, index)
+
+    def new_faults(self, rule_id: str, fault: Fault,
+                   positions: Optional[Iterable[int]] = None
+                   ) -> Iterator[Violation]:
+        """A *rule_id* violation at each of *positions* (the changed
+        ones unless given) where *fault* finds one in the optimized
+        entries but none in the snapshot's."""
+        orig, opt = self.original.instrs, self.optimized.instrs
+        for idx in self.changed if positions is None else positions:
+            message = fault(opt, idx)
+            if message is not None and fault(orig, idx) is None:
+                yield self.violation(rule_id, idx, message)
+
+
+def order_violation(inp: RuleInput) -> Optional[Violation]:
+    """The one ``pass-surface`` violation of a pass that changed the
+    segment's logical order, its length or the pc at a position, which
+    no pass may change; ``None`` when the order held. Every other rule
+    compares the two segments position by position, so the checker
+    runs them only when it did."""
+    orig, opt = inp.original.instrs, inp.optimized.instrs
+    if len(opt) != len(orig):
+        return inp.violation(
+            "pass-surface", None,
+            f"segment length changed from {len(orig)} to {len(opt)}")
+    for idx in inp.changed:
+        if opt[idx].pc != orig[idx].pc:
+            return inp.violation(
+                "pass-surface", idx,
+                f"the pc at position {idx} changed ({orig[idx].pc!r} "
+                f"-> {opt[idx].pc!r}); no pass may change the order")
+    return None
 
 
 def _squashed(original: Instruction, optimized: Instruction) -> bool:
@@ -105,12 +146,12 @@ def _check_def_before_use(inp: RuleInput) -> Iterator[Violation]:
     orig, opt = inp.original.instrs, inp.optimized.instrs
     orig_blocks = inp.original.block_ids
     opt_blocks = inp.optimized.block_ids
-    for idx in range(min(len(orig), len(opt))):
+    for idx in inp.changed:
         if not _squashed(orig[idx], opt[idx]):
             continue
         dest = orig[idx].dest()
-        if dest is None:
-            continue        # squashed branches are guard-sound's domain
+        if dest is None or orig[idx].is_load():
+            continue    # squashed branches and loads have other owners
         for later_idx in range(idx + 1, len(opt)):
             later = opt[later_idx]
             if dest in later.sources():
@@ -133,135 +174,109 @@ def _check_def_before_use(inp: RuleInput) -> Iterator[Violation]:
                 f"squashed def of r{dest} is live-out of the segment")
 
 
-def _check_move_marking(inp: RuleInput) -> Iterator[Violation]:
-    for idx, instr in enumerate(inp.optimized.instrs):
-        if not instr.move_flag:
-            continue
-        if move_source(instr) is None:
-            yield inp.violation(
-                "move-marking", idx,
-                f"{instr.op.value} is marked as a move but is not a "
+def _move_marking_fault(instrs: Sequence[Instruction],
+                        idx: int) -> Optional[str]:
+    instr = instrs[idx]
+    if not instr.move_flag:
+        return None
+    if move_source(instr) is None:
+        return (f"{instr.op.value} is marked as a move but is not a "
                 f"detectable move idiom")
-        elif instr.guard is not None:
-            yield inp.violation(
-                "move-marking", idx,
-                "marked move carries a guard annotation; rename-copy "
+    if instr.guard is not None:
+        return ("marked move carries a guard annotation; rename-copy "
                 "cannot execute conditionally")
+    return None
+
+
+def _check_move_marking(inp: RuleInput) -> Iterator[Violation]:
+    return inp.new_faults("move-marking", _move_marking_fault)
 
 
 def _check_scale_shift_limit(inp: RuleInput) -> Iterator[Violation]:
     limit = inp.config.max_scale_shift
-    for idx, instr in enumerate(inp.optimized.instrs):
-        if instr.scale is None:
-            continue
-        if not 1 <= instr.scale.shamt <= limit:
-            yield inp.violation(
-                "scale-shift-limit", idx,
-                f"scaled operand shifts by {instr.scale.shamt} "
+
+    def fault(instrs: Sequence[Instruction], idx: int) -> Optional[str]:
+        scale = instrs[idx].scale
+        if scale is None or 1 <= scale.shamt <= limit:
+            return None
+        return (f"scaled operand shifts by {scale.shamt} "
                 f"(allowed 1..{limit})")
+    return inp.new_faults("scale-shift-limit", fault)
+
+
+def _provenance_fault(instrs: Sequence[Instruction],
+                      idx: int) -> Optional[str]:
+    instr = instrs[idx]
+    scale = instr.scale
+    if scale is None:
+        return None
+    # The scaled slot replaces the architected rs operand: find the
+    # latest in-segment definition of that register.
+    for producer_idx in range(idx - 1, -1, -1):
+        if instrs[producer_idx].dest() == instr.rs:
+            break
+    else:
+        return (f"scaled operand replaces r{instr.rs}, which has no "
+                f"in-segment shift producer")
+    producer = instrs[producer_idx]
+    if (producer.op is not Op.SLL or producer.move_flag
+            or (producer.imm or 0) != scale.shamt
+            or producer.rs != scale.src):
+        return (f"scaled operand claims r{scale.src} << {scale.shamt} "
+                f"but r{instr.rs} was produced by "
+                f"[{producer_idx}] {producer.op.value}")
+    if producer.dest() == scale.src:
+        return (f"shift at [{producer_idx}] clobbers its own source "
+                f"r{scale.src}")
+    for k in range(producer_idx + 1, idx):
+        if instrs[k].dest() == scale.src:
+            return (f"scale source r{scale.src} is redefined at [{k}] "
+                    f"between the shift and the scaled use")
+    return None
 
 
 def _check_scale_provenance(inp: RuleInput) -> Iterator[Violation]:
-    instrs = inp.optimized.instrs
-    for idx, instr in enumerate(instrs):
-        scale = instr.scale
-        if scale is None:
-            continue
-        # The scaled slot replaces the architected rs operand: find the
-        # latest in-segment definition of that register.
-        producer_idx = None
-        for j in range(idx - 1, -1, -1):
-            if instrs[j].dest() == instr.rs:
-                producer_idx = j
-                break
-        if producer_idx is None:
-            yield inp.violation(
-                "scale-provenance", idx,
-                f"scaled operand replaces r{instr.rs}, which has no "
-                f"in-segment shift producer")
-            continue
-        producer = instrs[producer_idx]
-        if (producer.op is not Op.SLL or producer.move_flag
-                or (producer.imm or 0) != scale.shamt
-                or producer.rs != scale.src):
-            yield inp.violation(
-                "scale-provenance", idx,
-                f"scaled operand claims r{scale.src} << {scale.shamt} "
-                f"but r{instr.rs} was produced by "
-                f"[{producer_idx}] {producer.op.value}")
-            continue
-        if producer.dest() == scale.src:
-            yield inp.violation(
-                "scale-provenance", idx,
-                f"shift at [{producer_idx}] clobbers its own source "
-                f"r{scale.src}")
-            continue
-        for k in range(producer_idx + 1, idx):
-            if instrs[k].dest() == scale.src:
-                yield inp.violation(
-                    "scale-provenance", idx,
-                    f"scale source r{scale.src} is redefined at [{k}] "
-                    f"between the shift and the scaled use")
-                break
+    # A scaled use's verdict reads every entry before it, so every one
+    # at or after the first changed position is judged again.
+    first = inp.changed[0] if inp.changed else len(inp.optimized.instrs)
+    return inp.new_faults("scale-provenance", _provenance_fault,
+                          range(first, len(inp.optimized.instrs)))
 
 
 def _check_placement_order(inp: RuleInput) -> Iterator[Violation]:
-    orig, opt = inp.original, inp.optimized
-    if len(opt.instrs) != len(orig.instrs):
+    slots, count = inp.optimized.slots, len(inp.optimized.instrs)
+    if slots != inp.original.slots and sorted(slots) != list(range(count)):
         yield inp.violation(
             "placement-order", None,
-            f"segment length changed from {len(orig.instrs)} to "
-            f"{len(opt.instrs)}")
-        return
-    if sorted(opt.slots) != list(range(len(opt.instrs))):
-        yield inp.violation(
-            "placement-order", None,
-            f"slot assignment {opt.slots} is not a permutation of "
-            f"0..{len(opt.instrs) - 1}")
-    for idx in range(len(opt.instrs)):
-        if opt.instrs[idx].pc != orig.instrs[idx].pc:
-            yield inp.violation(
-                "placement-order", idx,
-                f"logical order permuted: position {idx} now holds "
-                f"the instruction at {opt.instrs[idx].pc:#x}, not "
-                f"{orig.instrs[idx].pc:#x}")
-            return
+            f"slot assignment {slots} is not a permutation of "
+            f"0..{count - 1}")
+
+
+def _kind(instr: Instruction) -> Optional[str]:
+    if instr.is_load():
+        return "load"
+    if instr.is_store():
+        return "store"
+    if instr.is_ctrl():
+        return "ctrl"
+    return None
 
 
 def _check_mem_branch_order(inp: RuleInput) -> Iterator[Violation]:
-    def kind(instr: Instruction) -> Optional[str]:
-        if instr.is_load():
-            return "load"
-        if instr.is_store():
-            return "store"
-        if instr.is_ctrl():
-            return "ctrl"
-        return None
-
     orig, opt = inp.original.instrs, inp.optimized.instrs
-    orig_proj = []
-    for idx, instr in enumerate(orig):
-        k = kind(instr)
-        if k is None:
+    for idx in inp.changed:
+        before, after = _kind(orig[idx]), _kind(opt[idx])
+        if before == after:
             continue
         # A conditional branch squashed by predication legitimately
-        # disappears from the stream (guard-sound vets the conversion).
-        if (k == "ctrl" and instr.is_cond_branch()
-                and idx < len(opt) and opt[idx].op is Op.NOP):
+        # leaves the stream (guard-sound vets the conversion).
+        if opt[idx].op is Op.NOP and orig[idx].is_cond_branch():
             continue
-        orig_proj.append((k, instr.pc))
-    opt_proj = [(kind(i), i.pc) for i in opt if kind(i) is not None]
-    if orig_proj == opt_proj:
-        return
-    for pos in range(max(len(orig_proj), len(opt_proj))):
-        before = orig_proj[pos] if pos < len(orig_proj) else None
-        after = opt_proj[pos] if pos < len(opt_proj) else None
-        if before != after:
-            yield inp.violation(
-                "mem-branch-order", None,
-                f"memory/control sequence diverges at position {pos}: "
-                f"expected {before}, found {after}")
-            return
+        yield inp.violation(
+            "mem-branch-order", idx,
+            f"{orig[idx].op.value} ({before or 'no memory/control'}) "
+            f"became {opt[idx].op.value} "
+            f"({after or 'no memory/control'})")
 
 
 def _check_branch_preserved(inp: RuleInput) -> Iterator[Violation]:
@@ -316,12 +331,11 @@ def _check_branch_preserved(inp: RuleInput) -> Iterator[Violation]:
 
 def _check_guard_sound(inp: RuleInput) -> Iterator[Violation]:
     orig, opt = inp.original.instrs, inp.optimized.instrs
-    for idx, instr in enumerate(opt):
+    for idx in inp.changed:
+        instr = opt[idx]
         guard = instr.guard
-        if guard is None:
-            continue
-        if idx < len(orig) and orig[idx].guard is not None:
-            continue                     # guard predates this rewrite
+        if guard is None or orig[idx].guard is not None:
+            continue                     # no guard made by this rewrite
         if (instr.dest() is None or instr.is_mem() or instr.is_ctrl()
                 or instr.is_serializing()):
             yield inp.violation(
@@ -329,7 +343,7 @@ def _check_guard_sound(inp: RuleInput) -> Iterator[Violation]:
                 f"guard on {instr.op.value}, which is not a simple "
                 f"ALU instruction with a destination")
             continue
-        branch = orig[idx - 1] if 0 < idx <= len(orig) else None
+        branch = orig[idx - 1] if idx > 0 else None
         if (branch is None or branch.op not in (Op.BEQ, Op.BNE)
                 or branch.rt != ZERO_REG or branch.imm != 8
                 or opt[idx - 1].op is not Op.NOP):
@@ -352,58 +366,44 @@ def _check_guard_sound(inp: RuleInput) -> Iterator[Violation]:
                 f"must be {branch.op is Op.BNE}")
 
 
+def _imm_fault(instrs: Sequence[Instruction], idx: int) -> Optional[str]:
+    instr = instrs[idx]
+    if instr.op is Op.NOP or instr.imm is None:
+        return None
+    fmt = instr.format
+    if fmt in _IMM16_FORMATS and not _IMM_MIN <= instr.imm <= _IMM_MAX:
+        return (f"immediate {instr.imm} does not fit the 16-bit "
+                f"signed field of {instr.op.value}")
+    if fmt is Format.SHIFT and not 0 <= instr.imm <= 31:
+        return f"shift amount {instr.imm} outside 0..31"
+    return None
+
+
 def _check_imm_encodable(inp: RuleInput) -> Iterator[Violation]:
-    for idx, instr in enumerate(inp.optimized.instrs):
-        if instr.op is Op.NOP or instr.imm is None:
-            continue
-        fmt = instr.format
-        if fmt in _IMM16_FORMATS:
-            if not _IMM_MIN <= instr.imm <= _IMM_MAX:
-                yield inp.violation(
-                    "imm-encodable", idx,
-                    f"immediate {instr.imm} does not fit the 16-bit "
-                    f"signed field of {instr.op.value}")
-        elif fmt is Format.SHIFT:
-            if not 0 <= instr.imm <= 31:
-                yield inp.violation(
-                    "imm-encodable", idx,
-                    f"shift amount {instr.imm} outside 0..31")
+    return inp.new_faults("imm-encodable", _imm_fault)
 
 
 def _check_pass_surface(inp: RuleInput) -> Iterator[Violation]:
     surface = inp.surface
     orig, opt = inp.original, inp.optimized
-    if len(opt.instrs) == len(orig.instrs):
-        for idx in range(len(opt.instrs)):
-            o, n = orig.instrs[idx], opt.instrs[idx]
-            for name in _IDENTITY_FIELDS:
-                if getattr(o, name) != getattr(n, name):
-                    yield inp.violation(
-                        "pass-surface", idx,
-                        f"identity field {name!r} changed "
-                        f"({getattr(o, name)!r} -> "
-                        f"{getattr(n, name)!r})")
-            if _squashed(o, n) and "squash" in surface:
+    for idx in inp.changed:
+        o, n = orig.instrs[idx], opt.instrs[idx]
+        if _squashed(o, n) and "squash" in surface:
+            continue
+        for name in _SURFACE_FIELDS:
+            if name in surface or getattr(o, name) == getattr(n, name):
                 continue
-            for name in _SURFACE_FIELDS:
-                if getattr(o, name) == getattr(n, name):
-                    continue
-                if name not in surface:
-                    yield inp.violation(
-                        "pass-surface", idx,
-                        f"field {name!r} changed "
-                        f"({getattr(o, name)!r} -> {getattr(n, name)!r}) "
-                        f"outside the pass's declared surface "
-                        f"{sorted(surface)}")
+            yield inp.violation(
+                "pass-surface", idx,
+                f"field {name!r} changed "
+                f"({getattr(o, name)!r} -> {getattr(n, name)!r}) "
+                f"outside the pass's declared surface "
+                f"{sorted(surface)}")
     if opt.slots != orig.slots and "slots" not in surface:
         yield inp.violation(
             "pass-surface", None,
             "slot assignment changed outside the declared surface")
-    orig_records = [(b.index, b.pc, b.direction, b.promoted)
-                    for b in orig.branches]
-    opt_records = [(b.index, b.pc, b.direction, b.promoted)
-                   for b in opt.branches]
-    if opt_records != orig_records and "branches" not in surface:
+    if opt.branches != orig.branches and "branches" not in surface:
         yield inp.violation(
             "pass-surface", None,
             "branch records changed outside the declared surface")
@@ -431,4 +431,4 @@ STRUCTURAL: Tuple[Callable[[RuleInput], Iterator[Violation]], ...] = (
 
 
 __all__ = ["Violation", "RuleInput", "STRUCTURAL", "SEVERITY", "ERROR",
-           "WARNING"]
+           "WARNING", "order_violation"]

@@ -59,11 +59,17 @@ def build(name: str, scale: float = 1.0) -> Program:
     laptop-scale grids).
 
     Raises:
-        ConfigError: when *scale* is not a finite positive number.
+        ConfigError: when *scale* is not a finite positive number, or
+            is so large that a count the workload emits would not fit.
         UnknownBenchmarkError: for unknown benchmark names.
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ConfigError(
             f"workload scale must be a finite positive number, "
             f"got {scale!r}")
-    return registry.spec(name).build(scale)
+    spec = registry.spec(name)
+    try:
+        return spec.build(scale)
+    except ConfigError as err:
+        raise ConfigError(f"workload scale {scale!r} is too large for "
+                          f"{name}: {err}") from None

@@ -30,6 +30,7 @@ poly_eval              multiply-accumulate with moves (gnuplot)
 
 from __future__ import annotations
 
+from repro.errors import ConfigError
 from repro.workloads.builder import AsmBuilder
 
 
@@ -509,7 +510,14 @@ def emit_main_driver(b: AsmBuilder, phases: list, outer_iters: int) -> None:
     ``addi`` that gives cross-procedure reassociation), *post_lines*
     consume ``$v0`` (typically a move into a saved register — the
     common-subexpression / argument-passing move idiom).
+
+    Raises:
+        ConfigError: when *outer_iters* does not fit the signed 32-bit
+            register the loop compares it in.
     """
+    if outer_iters > 0x7FFFFFFF:
+        raise ConfigError(f"its main loop count {outer_iters} does not "
+                          f"fit a signed 32-bit register")
     outer = b.label("main_outer")
     b.func("main")
     b.emit(

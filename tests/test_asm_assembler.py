@@ -95,6 +95,23 @@ def test_half_byte_space_align():
     assert prog.data[prog.symbols["w"] - prog.data_base] == 7
 
 
+@pytest.mark.parametrize("directive, fits, wide", [
+    (".word", [-2 ** 31, 2 ** 32 - 1], [46000000000, 2 ** 32, -2 ** 31 - 1]),
+    (".half", [-32768, 65535], [70000, 65536, -32769]),
+    (".byte", [-128, 255, "'a'"], [300, 256, -129]),
+])
+def test_data_directives_reject_values_their_field_cannot_hold(
+        directive, fits, wide):
+    """A value fits if its field holds it signed or unsigned; any other
+    is an error naming the line, not a silently truncated one."""
+    for value in fits:
+        assemble(f".data\nx: {directive} {value}\n.text\nhalt\n")
+    for value in wide:
+        with pytest.raises(AssemblerError,
+                           match=f"line 2: {directive} value {value} "):
+            assemble(f".data\nx: {directive} {value}\n.text\nhalt\n")
+
+
 def test_space_reserves_zeroed_bytes():
     prog = assemble(".data\nbuf: .space 16\n.text\nhalt\n")
     assert prog.data[:16] == bytes(16)

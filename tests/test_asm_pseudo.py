@@ -33,6 +33,18 @@ def test_li_exact_multiple_of_64k_skips_low_half():
     assert len(out) == 1 and out[0][0] == "lui"
 
 
+def test_li_rejects_a_value_no_register_holds():
+    """``li`` takes any value that fits 32 bits signed or unsigned, and
+    names the line of one that does not (46000000000 used to load
+    -1,244,640,256)."""
+    assert len(expand("li", ["$s0", str(2 ** 32 - 1)], 3)) == 2
+    assert len(expand("li", ["$s0", str(-2 ** 31)], 3)) == 1
+    for value in (46000000000, 2 ** 32, -2 ** 31 - 1):
+        with pytest.raises(AssemblerError,
+                           match=f"line 3: li value {value} "):
+            expand("li", ["$s0", str(value)], 3)
+
+
 def test_hi_lo_reconstruction():
     for value in (0x12345678, -1, 0x7FFFFFFF, -0x80000000, 0xFFFF,
                   0x8000, 0x18000, 123456789):

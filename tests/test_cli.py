@@ -295,6 +295,20 @@ def test_asm_typed_error_is_one_line(tmp_path, capsys, source, extra,
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_undecodable_source_is_one_line(tmp_path, capsys):
+    """A source file that is not UTF-8 is an assembler error naming the
+    file and the line of the first bad byte, not a UnicodeDecodeError
+    traceback."""
+    path = tmp_path / "latin1.s"
+    path.write_bytes(b"main:\n    li $a0, 1   # caf\xe9\n    halt\n")
+    code = main(["asm", str(path), "--simulate"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"repro: error: line 2: {path} is not UTF-8 "
+                            f"text (byte 0xe9)\n")
+    assert captured.out == ""
+
+
 #: a path argument that cannot be opened, per verb and flag: a missing
 #: file to read, or a file to write in a directory that does not exist
 BAD_PATHS = {

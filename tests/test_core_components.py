@@ -545,5 +545,7 @@ def test_optimization_config_helpers():
     assert OptimizationConfig.only("moves").enabled_names() == ["moves"]
     assert OptimizationConfig.all().enabled_names() == \
         ["moves", "reassoc", "scaled_adds", "placement"]
-    with pytest.raises(ValueError):
-        OptimizationConfig.only("bogus")
+    for name in ("bogus", "nonesuch"):
+        with pytest.raises(ConfigError, match=f"unknown optimization "
+                                              f"'{name}'"):
+            OptimizationConfig.only(name)

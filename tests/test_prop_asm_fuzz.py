@@ -3,7 +3,9 @@
 Starting from a valid program that uses every directive and most
 operand shapes, hypothesis inserts, deletes and splices characters and
 integer literals. Whatever comes out, ``assemble`` either succeeds or
-raises :class:`AssemblerError`; any other exception is a bug.
+raises :class:`AssemblerError`; any other exception is a bug. And an
+integer literal that ``assemble`` accepts is loaded as itself, never
+wrapped to fit its field.
 """
 
 import re
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.asm import assemble
 from repro.errors import AssemblerError
+from repro.machine.executor import Executor
 
 SEED = """
     .equ SIZE, 12
@@ -102,3 +105,31 @@ def test_mutated_source_assembles_or_raises_assembler_error(source):
         assemble(source)
     except AssemblerError:
         pass
+
+
+#: the width of the field each literal-loading form fills
+FIELD_BITS = {"li": 32, ".word": 32, ".half": 16, ".byte": 8}
+
+
+@given(st.sampled_from(sorted(FIELD_BITS)), literal())
+@settings(max_examples=200, deadline=None)
+def test_accepted_literal_loads_its_value(form, text):
+    """The value a form loads, read signed or unsigned at its field's
+    width, is the literal's own: ``li`` through its register, the data
+    directives through the data image."""
+    if form == "li":
+        source = f"main: li $a0, {text}\nli $v0, 1\nsyscall\nhalt\n"
+    else:
+        source = f".data\nx: {form} {text}\n.text\nmain: halt\n"
+    try:
+        program = assemble(source)
+    except AssemblerError:
+        return
+    bits = FIELD_BITS[form]
+    if form == "li":
+        (loaded,) = Executor(program).run().output
+    else:
+        loaded = int.from_bytes(program.data[:bits // 8], "little")
+    unsigned = loaded % (1 << bits)
+    signed = unsigned - (1 << bits) if unsigned >> (bits - 1) else unsigned
+    assert int(text, 0) in (signed, unsigned)

@@ -10,7 +10,8 @@ already explains, and vice versa.
 import re
 from pathlib import Path
 
-from repro.fillunit.opts.base import OptimizationConfig
+from repro.fillunit.opts.base import OptimizationConfig, \
+    OptimizationPass, PassManager
 from repro.isa.instruction import GuardAnnotation, Instruction, \
     ScaleAnnotation, make_nop
 from repro.isa.opcodes import Op
@@ -127,15 +128,26 @@ def test_mem_branch_order_catches_reordered_stores():
     a = Instruction(Op.SW, rs=9, rt=8, imm=0, pc=0x1000)
     b = Instruction(Op.SW, rs=9, rt=8, imm=0, pc=0x1004)
     original = seg([a, b])
-    # Swap the two (otherwise identical) stores: the memory-order
-    # projection notices, and so do placement-order, which holds every
-    # position to the snapshot's pc, and pass-surface, for which an
-    # entry's pc is never mutable.
+    # Swap the two (otherwise identical) stores. No pass may change the
+    # pc at a position, so pass-surface owns the reorder, once; every
+    # other rule compares the segments position by position and has
+    # nothing to compare.
     optimized = seg([b.copy(), a.copy()])
-    errors = {v.rule for v in check(original, optimized)
-              if v.severity == ERROR}
-    assert errors == {"mem-branch-order", "placement-order",
-                      "pass-surface"}
+    violations = check(original, optimized)
+    assert_exactly(violations, "pass-surface")
+    assert len(violations) == 1
+
+
+def test_pass_surface_catches_changed_length():
+    """A pass that deletes an entry changed the logical order: one
+    pass-surface report, and no positional rule compares what is left."""
+    original = seg([Instruction(Op.SW, rs=9, rt=8, imm=0),
+                    Instruction(Op.ADDI, rd=9, rs=0, imm=1)])
+    optimized = original.clone()
+    del optimized.instrs[0]
+    violations = check(original, optimized)
+    assert_exactly(violations, "pass-surface")
+    assert len(violations) == 1
 
 
 def test_mem_branch_order_catches_dropped_store():
@@ -309,6 +321,68 @@ def test_in_place_mutation_is_still_checked():
     optimized.instrs[1].imm = 8           # no rewrite() call
     assert not optimized.rewritten
     assert_exactly(check(original, optimized), "equiv-registers")
+
+
+# ----------------------------------------------------------------------
+# attribution: a defect is reported once, under the pass that made it
+# ----------------------------------------------------------------------
+
+class Rewrite(OptimizationPass):
+    """A test pass that rewrites one entry's fields."""
+
+    surface = frozenset()
+
+    def __init__(self, name, surface, index, **fields):
+        self.name, self.surface = name, frozenset(surface)
+        self.index, self.fields = index, fields
+
+    def apply(self, segment, ctx):
+        segment.rewrite(self.index, **self.fields)
+        return {}
+
+
+def run_passes(segment, *passes):
+    """Each pass's ``(name, rule)`` findings, checking every pass
+    against its own snapshot as the fill unit does."""
+    config = OptimizationConfig.all()
+    manager = PassManager(config, verifier=SegmentVerifier(config))
+    manager.passes = list(passes)
+    return [(v.pass_name, v.rule)
+            for v in manager.run(segment).violations]
+
+
+def test_earlier_defect_is_not_reported_again_by_a_later_pass():
+    """A bad scale made by one pass is reported under that pass only,
+    though a later pass changes another entry of the segment."""
+    segment = seg([
+        Instruction(Op.SLL, rd=9, rs=8, imm=7),
+        Instruction(Op.ADD, rd=10, rs=9, rt=11),
+        Instruction(Op.ADDI, rd=12, rs=8, imm=0),
+    ])
+    assert run_passes(
+        segment,
+        Rewrite("scaler", {"scale"}, 1,
+                scale=ScaleAnnotation(src=8, shamt=7)),
+        Rewrite("marker", {"move_flag"}, 2, move_flag=True),
+    ) == [("scaler", "scale-shift-limit")]
+
+
+def test_scale_provenance_is_judged_again_when_its_producer_changes():
+    """A scaled use's verdict reads the entries before it: a later pass
+    that redefines the scale source between the shift and the use
+    breaks it, and is named, though it left the use itself alone."""
+    segment = seg([
+        Instruction(Op.SLL, rd=9, rs=8, imm=2),
+        Instruction(Op.ADDI, rd=13, rs=0, imm=1),
+        Instruction(Op.ADD, rd=10, rs=9, rt=11),
+    ])
+    findings = run_passes(
+        segment,
+        Rewrite("scaler", {"scale"}, 2,
+                scale=ScaleAnnotation(src=8, shamt=2)),
+        Rewrite("clobber", {"rd"}, 1, rd=8))
+    assert ("clobber", "scale-provenance") in findings
+    assert not [f for f in findings if f[0] == "scaler"]
 
 
 # ----------------------------------------------------------------------

@@ -65,6 +65,18 @@ def test_build_rejects_nonsense_scale(scale):
         workloads.build("compress", scale=scale)
 
 
+def test_build_rejects_a_scale_whose_counts_do_not_fit():
+    """A scale whose loop count would not fit its 32-bit register is a
+    typed error naming the benchmark and the scale, not a program that
+    loads a wrapped count (li at scale 1e9 used to run 1,397
+    instructions)."""
+    with pytest.raises(ConfigError, match=r"scale 1000000000\.0 .* li: "
+                       r".*46000000000"):
+        workloads.build("li", scale=1e9)
+    # the largest count that fits still assembles
+    assert workloads.build("li", scale=(2 ** 31 - 1) / 46)
+
+
 def test_scale_controls_length():
     short = Executor(workloads.build("compress", scale=0.1)).run()
     long = Executor(workloads.build("compress", scale=0.4)).run()
